@@ -621,10 +621,13 @@ impl Graph {
         let mut local: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         local[output.0] = Some(seed);
         for i in (0..=output.0).rev() {
-            let Some(dy) = local[i].clone() else {
+            // A node's VJP only writes to its inputs, which precede it on the
+            // tape, so its own cotangent can be lent out and put back.
+            let Some(dy) = local[i].take() else {
                 continue;
             };
             self.vjp(i, &dy, &mut local)?;
+            local[i] = Some(dy);
         }
         for (idx, g) in local.into_iter().enumerate() {
             if let Some(g) = g {
@@ -642,13 +645,20 @@ impl Graph {
     }
 }
 
-/// Adds `delta` into `grads[idx]`, allocating on first touch.
+/// Adds `delta` into `grads[idx]` (in place when the shapes match),
+/// taking ownership of `delta` on first touch.
 pub(crate) fn accumulate(
     grads: &mut [Option<Tensor>],
     idx: usize,
     delta: Tensor,
 ) -> Result<()> {
     match &mut grads[idx] {
+        Some(g) if g.dims() == delta.dims() => {
+            for (a, &b) in g.data_mut().iter_mut().zip(delta.data()) {
+                *a += b;
+            }
+            Ok(())
+        }
         Some(g) => {
             *g = g.add(&delta)?;
             Ok(())

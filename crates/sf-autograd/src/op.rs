@@ -113,31 +113,27 @@ impl Graph {
         let pending: Pending = match &self.nodes[i].op {
             Op::Leaf { .. } => Pending::None,
             Op::Add(a, b) => {
-                let da = dy.reduce_to(self.nodes[a.0].value.dims())?;
-                let db = dy.reduce_to(self.nodes[b.0].value.dims())?;
+                let da = sum_to(dy.clone(), self.nodes[a.0].value.dims())?;
+                let db = sum_to(dy.clone(), self.nodes[b.0].value.dims())?;
                 Pending::Two(a.0, da, b.0, db)
             }
             Op::Sub(a, b) => {
-                let da = dy.reduce_to(self.nodes[a.0].value.dims())?;
-                let db = dy.neg().reduce_to(self.nodes[b.0].value.dims())?;
+                let da = sum_to(dy.clone(), self.nodes[a.0].value.dims())?;
+                let db = sum_to(dy.neg(), self.nodes[b.0].value.dims())?;
                 Pending::Two(a.0, da, b.0, db)
             }
             Op::Mul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
-                let da = dy.mul(bv)?.reduce_to(av.dims())?;
-                let db = dy.mul(av)?.reduce_to(bv.dims())?;
+                let da = sum_to(dy.mul(bv)?, av.dims())?;
+                let db = sum_to(dy.mul(av)?, bv.dims())?;
                 Pending::Two(a.0, da, b.0, db)
             }
             Op::Div(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
-                let da = dy.div(bv)?.reduce_to(av.dims())?;
-                let db = dy
-                    .mul(av)?
-                    .div(&bv.square())?
-                    .neg()
-                    .reduce_to(bv.dims())?;
+                let da = sum_to(dy.div(bv)?, av.dims())?;
+                let db = sum_to(dy.mul(av)?.div(&bv.square())?.neg(), bv.dims())?;
                 Pending::Two(a.0, da, b.0, db)
             }
             Op::Neg(x) => Pending::One(x.0, dy.neg()),
@@ -184,7 +180,7 @@ impl Graph {
             Op::Matmul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
-                let da = dy.matmul_bt(bv)?.reduce_to(av.dims())?;
+                let da = sum_to(dy.matmul_bt(bv)?, av.dims())?;
                 let db = matmul_rhs_grad(av, bv, dy)?;
                 Pending::Two(a.0, da, b.0, db)
             }
@@ -258,8 +254,7 @@ impl Graph {
                 Pending::Many(outs)
             }
             Op::BroadcastTo(x) => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                Pending::One(x.0, dy.reduce_to(&dims)?)
+                Pending::One(x.0, sum_to(dy.clone(), self.nodes[x.0].value.dims())?)
             }
             Op::SumAxis { x, axis } => {
                 let dims = self.nodes[x.0].value.dims().to_vec();
@@ -314,6 +309,17 @@ impl Graph {
             }
         }
     }
+}
+
+/// `t.reduce_to(dims)`, handing `t` itself on when no axis is reduced. The
+/// in-place `0.0 + x` is the one-term sum `reduce_to` computes, so the bits
+/// match it exactly (-0.0 becomes +0.0).
+fn sum_to(mut t: Tensor, dims: &[usize]) -> Result<Tensor> {
+    if t.dims() != dims {
+        return Ok(t.reduce_to(dims)?);
+    }
+    t.map_inplace(|x| 0.0 + x);
+    Ok(t)
 }
 
 /// `dL/dB` for `C = A @ B`, handling the rhs-broadcast case where `B` is
@@ -408,7 +414,7 @@ fn attention_backward(
     let mut dk = dlogits.matmul_at(q)?;
     dk.map_inplace(|g| g * scale);
     let dbias = match bias {
-        Some(b) => Some(dlogits.reduce_to(b.dims())?),
+        Some(b) => Some(sum_to(dlogits, b.dims())?),
         None => None,
     };
     Ok((dq, dk, dv, dbias))

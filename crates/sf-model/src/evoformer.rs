@@ -526,16 +526,8 @@ pub fn msa_global_column_attention(
 
     // Global query: mean over the sequence axis -> one query per column.
     let q_mean = g.mean_axis(q, 0)?; // [R, hd]
-    let qh = {
-        let r1 = g.reshape(q_mean, &[r, heads, 1, dims.c_hidden_msa])?;
-        g.permute(r1, &[0, 2, 1, 3])? // -> [R, 1, heads, d]? need [R, heads, 1, d]
-    };
-    // Fix layout: [R, hd] -> [R, heads, d] -> [R, heads, 1, d].
-    let qh = {
-        let _ = qh;
-        let r1 = g.reshape(q_mean, &[r, heads, dims.c_hidden_msa])?;
-        g.reshape(r1, &[r, heads, 1, dims.c_hidden_msa])?
-    };
+    let qh = g.reshape(q_mean, &[r, heads, 1, dims.c_hidden_msa])?; // [R, heads, 1, d]
+
     // Keys/values: [S, R, hd] -> [R, heads, S, d].
     let to_kv = |g: &mut Graph, t: Var| -> Result<Var> {
         let r4 = g.reshape(t, &[s, r, heads, dims.c_hidden_msa])?;
@@ -675,7 +667,6 @@ pub fn triangle_multiplication(
     outgoing: bool,
 ) -> Result<Var> {
     let c = dims.c_hidden_mul;
-    let r = g.value(z).dims()[0];
     let z_ln = layer_norm(g, store, &format!("{prefix}.ln_in"), dims.c_z, z)?;
     let gated_proj = |g: &mut Graph, store: &mut ParamStore, which: &str| -> Result<Var> {
         let p = Linear::new(format!("{prefix}.{which}_proj"), dims.c_z, c).apply(g, store, z_ln)?;
@@ -698,7 +689,6 @@ pub fn triangle_multiplication(
         g.matmul(at, bc)?
     };
     let back = g.permute(prod, &[1, 2, 0])?; // [R, R, c]
-    let _ = r;
     let ln_out = layer_norm(g, store, &format!("{prefix}.ln_out"), c, back)?;
     let proj = Linear::new(format!("{prefix}.out"), c, dims.c_z).apply(g, store, ln_out)?;
     let out_gate =

@@ -45,6 +45,7 @@ pub mod ops;
 pub mod pool;
 pub mod scratch;
 mod shape;
+mod strided;
 mod tensor;
 
 pub use shape::Shape;

@@ -23,7 +23,7 @@ use crate::ops::vexp::vexp;
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
 use crate::shape::Shape;
-use crate::tensor::broadcast_strides;
+use crate::strided::broadcast_strides;
 use crate::{Result, Tensor, TensorError};
 
 /// Additive logit penalty for masked-out keys (matches

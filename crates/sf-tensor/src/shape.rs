@@ -46,11 +46,7 @@ impl Shape {
 
     /// Row-major (C order) strides, in elements.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
+        row_major_strides(&self.0)
     }
 
     /// Converts a multi-dimensional index to a flat row-major offset.
@@ -149,29 +145,13 @@ fn dim_from_end(dims: &[usize], i: usize) -> usize {
     }
 }
 
-/// Iterates all multi-indices of `dims` in row-major order, calling `f` with
-/// each index. Used by broadcasting kernels; allocation-free per step.
-pub(crate) fn for_each_index(dims: &[usize], mut f: impl FnMut(&[usize])) {
-    if dims.contains(&0) {
-        return;
+/// Row-major (C order) strides of `dims`, in elements.
+pub(crate) fn row_major_strides(dims: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1usize; dims.len()];
+    for i in (0..dims.len().saturating_sub(1)).rev() {
+        strides[i] = strides[i + 1] * dims[i + 1];
     }
-    let mut idx = vec![0usize; dims.len()];
-    loop {
-        f(&idx);
-        // Advance odometer.
-        let mut axis = dims.len();
-        loop {
-            if axis == 0 {
-                return;
-            }
-            axis -= 1;
-            idx[axis] += 1;
-            if idx[axis] < dims[axis] {
-                break;
-            }
-            idx[axis] = 0;
-        }
-    }
+    strides
 }
 
 #[cfg(test)]
@@ -215,22 +195,5 @@ mod tests {
         assert!(Shape::new(&[1, 3]).broadcastable_to(&Shape::new(&[5, 2, 3])));
         assert!(!Shape::new(&[2, 3]).broadcastable_to(&Shape::new(&[3])));
         assert!(Shape::new(&[]).broadcastable_to(&Shape::new(&[7])));
-    }
-
-    #[test]
-    fn for_each_index_covers_all() {
-        let mut seen = Vec::new();
-        for_each_index(&[2, 2], |i| seen.push(i.to_vec()));
-        assert_eq!(
-            seen,
-            vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]
-        );
-    }
-
-    #[test]
-    fn for_each_index_empty_dim() {
-        let mut count = 0;
-        for_each_index(&[2, 0, 3], |_| count += 1);
-        assert_eq!(count, 0);
     }
 }

@@ -1,6 +1,7 @@
 //! The dense row-major `f32` tensor type and its core operations.
 
-use crate::shape::{for_each_index, Shape};
+use crate::shape::Shape;
+use crate::strided::{self, broadcast_strides};
 use crate::{Result, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -409,13 +410,13 @@ impl Tensor {
         let mut out = Tensor::zeros(out_shape.dims());
         let a_str = broadcast_strides(&self.shape, &out_shape);
         let b_str = broadcast_strides(&other.shape, &out_shape);
-        let mut flat = 0usize;
-        for_each_index(out_shape.dims(), |idx| {
-            let a_off: usize = idx.iter().zip(a_str.iter()).map(|(&i, &s)| i * s).sum();
-            let b_off: usize = idx.iter().zip(b_str.iter()).map(|(&i, &s)| i * s).sum();
-            out.data[flat] = f(self.data[a_off], other.data[b_off]);
-            flat += 1;
-        });
+        strided::zip_map(
+            &mut out.data,
+            out_shape.dims(),
+            (&self.data, &a_str),
+            (&other.data, &b_str),
+            f,
+        );
         Ok(out)
     }
 
@@ -435,12 +436,7 @@ impl Tensor {
         }
         let strides = broadcast_strides(&self.shape, &target);
         let mut out = Tensor::zeros(dims);
-        let mut flat = 0usize;
-        for_each_index(dims, |idx| {
-            let off: usize = idx.iter().zip(strides.iter()).map(|(&i, &s)| i * s).sum();
-            out.data[flat] = self.data[off];
-            flat += 1;
-        });
+        strided::gather(&mut out.data, dims, &self.data, &strides);
         Ok(out)
     }
 
@@ -461,14 +457,14 @@ impl Tensor {
                 rhs: dims.to_vec(),
             });
         }
+        if dims == self.dims() {
+            // Nothing to reduce. `0.0 + x` is the sum the general path
+            // computes for a single term: it maps -0.0 to +0.0.
+            return Ok(self.map(|x| 0.0 + x));
+        }
         let strides = broadcast_strides(&target, &self.shape);
         let mut out = Tensor::zeros(dims);
-        let mut flat = 0usize;
-        for_each_index(self.dims(), |idx| {
-            let off: usize = idx.iter().zip(strides.iter()).map(|(&i, &s)| i * s).sum();
-            out.data[off] += self.data[flat];
-            flat += 1;
-        });
+        strided::scatter_add(&mut out.data, &strides, &self.data, self.dims());
         Ok(out)
     }
 
@@ -518,16 +514,9 @@ impl Tensor {
         }
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
         let in_strides = self.shape.strides();
+        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
         let mut out = Tensor::zeros(&out_dims);
-        let mut flat = 0usize;
-        for_each_index(&out_dims, |idx| {
-            let mut off = 0usize;
-            for (o, &p) in perm.iter().enumerate() {
-                off += idx[o] * in_strides[p];
-            }
-            out.data[flat] = self.data[off];
-            flat += 1;
-        });
+        strided::gather(&mut out.data, &out_dims, &self.data, &src_strides);
         Ok(out)
     }
 
@@ -898,19 +887,6 @@ fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// Strides for reading a tensor of shape `src` as if broadcast to `dst`
-/// (stride 0 on broadcast axes), aligned to `dst`'s rank.
-pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> Vec<usize> {
-    let src_strides = src.strides();
-    let offset = dst.rank() - src.rank();
-    let mut out = vec![0usize; dst.rank()];
-    for i in 0..src.rank() {
-        let d = src.dims()[i];
-        out[offset + i] = if d == 1 { 0 } else { src_strides[i] };
-    }
-    out
 }
 
 impl std::fmt::Display for Tensor {
