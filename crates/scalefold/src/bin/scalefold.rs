@@ -305,7 +305,7 @@ fn loader_drill(fused: bool) -> CliResult {
         cfg.model.extra_msa_blocks = 0;
         cfg.dataset_len = 8;
         cfg.loader = kind;
-        cfg.fused_kernels = fused;
+        cfg.model.fused_kernels = fused;
         let plan = FaultPlan::none().with_slow_sample(SLOW_SAMPLE, delay);
         let mut trainer = Trainer::with_faults(cfg, plan);
         let reports = trainer.train(STEPS);
@@ -366,7 +366,7 @@ fn bench_kernels(fused: bool) -> CliResult {
 
 fn train(steps: u64, fused: bool, dap: usize) -> CliResult {
     let mut cfg = TrainerConfig::tiny();
-    cfg.fused_kernels = fused;
+    cfg.model.fused_kernels = fused;
     cfg.model.evoformer_blocks = 1;
     cfg.model.extra_msa_blocks = 0;
     // Larger proteins than the test-scale default: big enough that the
@@ -469,7 +469,7 @@ fn figures() -> CliResult {
 fn fault_drill(steps: u64, fused: bool, dap: usize) -> CliResult {
     let steps = steps.max(3);
     let mut cfg = TrainerConfig::tiny();
-    cfg.fused_kernels = fused;
+    cfg.model.fused_kernels = fused;
     cfg.model.evoformer_blocks = 1;
     cfg.model.extra_msa_blocks = 0;
     cfg.dataset_len = 6;

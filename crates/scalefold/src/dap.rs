@@ -34,6 +34,15 @@ pub struct DapStats {
     pub switches: usize,
 }
 
+impl std::ops::AddAssign for DapStats {
+    fn add_assign(&mut self, rhs: DapStats) {
+        self.all_gather_elements += rhs.all_gather_elements;
+        self.all_to_all_elements += rhs.all_to_all_elements;
+        self.gathers += rhs.gathers;
+        self.switches += rhs.switches;
+    }
+}
+
 impl DapStats {
     /// Total elements sent across both collectives.
     pub fn total_elements(&self) -> usize {

@@ -1,14 +1,22 @@
-//! A *functional* data-parallel trainer: real replicas, real gradient
-//! all-reduce (the ring algorithm from `sf_cluster::collective`), real
-//! bucketed clipping — the algorithms the cluster simulator prices, run
-//! for correctness at CPU scale.
+//! Data-parallel training over a DP×DAP grid of real replicas — a view of
+//! the one training-step engine, [`Trainer`].
 //!
-//! The key invariants this module demonstrates (and tests):
+//! [`DataParallelTrainer`] holds no step logic of its own: it builds a
+//! [`Trainer`] with `ranks` replicas and reports its steps as
+//! [`DpStepReport`]s. Every replica runs the same forward, backward and
+//! precision rounding on its own batch; the gradients are averaged in
+//! place by the ring all-reduce of `sf_cluster::collective` (the
+//! algorithm the cluster simulator prices), clipped per tensor by global
+//! norm, and every replica applies the same optimizer update. Batches
+//! come from the trainer's one loader feed, `ranks` per step.
+//!
+//! The invariants this module tests:
 //!
 //! - replicas that start identical and all-reduce their gradients stay
 //!   **bit-comparable** forever (the fundamental DP contract);
 //! - DP-k training on k batches takes the same parameter step as a single
-//!   trainer fed the averaged gradient of those k batches;
+//!   trainer fed the averaged gradient of those k batches, and DP-1 is
+//!   bitwise a single-replica [`Trainer`];
 //! - the gradient traffic all-reduced per step is exactly what
 //!   `ClusterSim` prices (`param_elements × bytes`);
 //! - DP composes with Dynamic Axial Parallelism into a DP×DAP grid
@@ -16,16 +24,11 @@
 //!   across `cfg.dap` axial ranks, while gradients synchronize across the
 //!   data-parallel axis exactly as before.
 
-use crate::dap::{DapGroup, DapStats};
-use crate::trainer::TrainerConfig;
-use sf_autograd::{Graph, ParamStore};
-use sf_cluster::collective::all_reduce_tensors;
-use sf_data::featurize::featurize;
-use sf_data::SyntheticDataset;
-use sf_faults::{FaultInjector, FaultPlan};
-use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
-use sf_optim::{FusedAdamSwa, GradBuckets, Grads};
-use sf_tensor::Tensor;
+use crate::dap::DapStats;
+use crate::trainer::{EngineStep, Trainer, TrainerConfig};
+use sf_autograd::ParamStore;
+use sf_faults::FaultPlan;
+use sf_model::{FeatureBatch, ModelConfig};
 
 /// Per-step report of a data-parallel training step.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,21 +55,8 @@ pub struct DpStepReport {
     pub skipped: bool,
 }
 
-/// A `k`-replica data-parallel trainer sharing one model architecture.
-pub struct DataParallelTrainer {
-    cfg: TrainerConfig,
-    model: AlphaFold,
-    /// One parameter store per replica (kept deliberately separate so the
-    /// divergence invariant is *measured*, not assumed).
-    stores: Vec<ParamStore>,
-    optimizers: Vec<FusedAdamSwa>,
-    step: u64,
-    /// Shared DAP executor: replicas run sequentially on a CPU, so one
-    /// group serves the whole grid and accumulates total traffic.
-    dap_group: Option<DapGroup>,
-    dap_comm: DapStats,
-    injector: FaultInjector,
-}
+/// A `k`-replica data-parallel trainer: a [`Trainer`] with `k` replicas.
+pub struct DataParallelTrainer(Trainer);
 
 impl DataParallelTrainer {
     /// Creates `ranks` replicas. Parameters initialize lazily on the first
@@ -87,184 +77,77 @@ impl DataParallelTrainer {
     /// poison propagates to every replica's averaged gradients — the
     /// worst-case large-scale failure the skip guard must absorb.
     pub fn with_faults(cfg: TrainerConfig, ranks: usize, plan: FaultPlan) -> Self {
-        assert!(ranks > 0, "need at least one replica");
-        let dap_group = if cfg.dap > 1 {
-            if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
-                panic!("{msg}");
-            }
-            Some(DapGroup::new(cfg.dap))
-        } else {
-            None
-        };
-        let model = AlphaFold::new(cfg.model.clone());
-        let optimizers = (0..ranks)
-            .map(|_| FusedAdamSwa::new(cfg.adam, cfg.swa_decay))
-            .collect();
-        DataParallelTrainer {
-            model,
-            stores: vec![ParamStore::new(); ranks],
-            optimizers,
-            step: 0,
-            dap_group,
-            dap_comm: DapStats::default(),
-            injector: FaultInjector::new(plan),
-            cfg,
-        }
+        DataParallelTrainer(Trainer::with_replicas(cfg, ranks, plan))
     }
 
     /// Number of replicas.
     pub fn ranks(&self) -> usize {
-        self.stores.len()
+        self.0.ranks()
     }
 
     /// Cumulative DAP communication over all steps and replicas (zero when
     /// `cfg.dap <= 1`).
     pub fn dap_comm(&self) -> DapStats {
-        self.dap_comm
+        self.0.dap_comm()
     }
 
     /// A replica's parameter store.
     pub fn store(&self, rank: usize) -> &ParamStore {
-        &self.stores[rank]
+        self.0.replica_store(rank)
     }
 
     /// One synchronous data-parallel step: each replica computes gradients
-    /// on its own batch, gradients are ring-all-reduced (mean), bucketed
-    /// clipping applies to the averaged gradients, and every replica takes
-    /// the same optimizer step.
+    /// on its own batch, gradients are ring-all-reduced (mean) and clipped,
+    /// and every replica takes the same optimizer step.
     ///
     /// # Panics
     ///
     /// Panics if `batches.len() != ranks` or a batch mismatches the model
     /// configuration.
     pub fn train_step(&mut self, batches: &[FeatureBatch]) -> DpStepReport {
-        assert_eq!(batches.len(), self.ranks(), "one batch per replica");
-        // Per-replica forward/backward; each replica shards its own sample
-        // across the DAP axis (the replicas form the DP axis of the grid).
-        let ranks = self.ranks();
-        let mut per_rank_grads: Vec<Grads> = Vec::with_capacity(ranks);
-        let mut mean_loss = 0.0f32;
-        let model = &self.model;
-        let dap = self
-            .dap_group
-            .as_ref()
-            .map(|group| group as &dyn AxialCollectives);
-        for (store, batch) in self.stores.iter_mut().zip(batches.iter()) {
-            let mut g = Graph::new();
-            let out = model
-                .forward_dap(&mut g, store, batch, dap)
-                .expect("forward on validated batch");
-            g.backward(out.loss).expect("scalar loss");
-            mean_loss += out.loss_breakdown.total / ranks as f32;
-            per_rank_grads.push(g.grads_by_name().expect("bindings"));
-        }
-        let elements_dap = if let Some(group) = &self.dap_group {
-            let step_comm = group.take_stats();
-            self.dap_comm.all_gather_elements += step_comm.all_gather_elements;
-            self.dap_comm.all_to_all_elements += step_comm.all_to_all_elements;
-            self.dap_comm.gathers += step_comm.gathers;
-            self.dap_comm.switches += step_comm.switches;
-            step_comm.total_elements()
-        } else {
-            0
-        };
-        if self.injector.poison_grads_at(self.step) {
-            if let Some(grad) = per_rank_grads[0].values_mut().next() {
-                let mut data = grad.data().to_vec();
-                if let Some(first) = data.first_mut() {
-                    *first = f32::NAN;
-                }
-                *grad = Tensor::from_vec(data, grad.dims()).expect("same shape");
-            }
-        }
-
-        // Ring all-reduce every gradient tensor across replicas.
-        let names: Vec<String> = per_rank_grads[0].keys().cloned().collect();
-        let mut elements = 0usize;
-        for name in &names {
-            let mut ranks_tensors: Vec<Tensor> = per_rank_grads
-                .iter()
-                .map(|g| g[name].clone())
-                .collect();
-            let stats = all_reduce_tensors(&mut ranks_tensors);
-            elements += stats.elements_sent;
-            for (g, t) in per_rank_grads.iter_mut().zip(ranks_tensors) {
-                g.insert(name.clone(), t);
-            }
-        }
-
-        // Bucketed clipping on the (identical) averaged gradients; unpack
-        // restores the original tensor shapes. A non-finite global norm
-        // (one replica's poison spreads to every replica through the
-        // all-reduce) is surfaced by `clip` with the gradients untouched.
-        let mut buckets = GradBuckets::pack(&per_rank_grads[0], 25 * 1024 * 1024);
-        let grad_norm = buckets.clip(self.cfg.clip_norm);
-        let finite = mean_loss.is_finite() && grad_norm.is_finite();
-        if finite {
-            let clipped = buckets.unpack();
-            for grads in per_rank_grads.iter_mut() {
-                for (name, t) in &clipped {
-                    grads.insert(name.clone(), t.clone());
-                }
-            }
-
-            // Identical optimizer step on every replica.
-            let lr = self.cfg.schedule.lr_at(self.step);
-            for ((store, opt), grads) in self
-                .stores
-                .iter_mut()
-                .zip(self.optimizers.iter_mut())
-                .zip(per_rank_grads.iter())
-            {
-                opt.step(store, grads, lr);
-            }
-        }
-        self.step += 1;
-
-        DpStepReport {
-            step: self.step,
-            mean_loss,
-            grad_norm: if finite { grad_norm } else { f32::NAN },
-            elements_all_reduced: elements,
-            elements_dap,
-            max_replica_divergence: self.max_divergence(),
-            skipped: !finite,
-        }
+        let step = self.0.step(batches);
+        dp_report(&self.0, step)
     }
 
-    /// Trains `steps` steps on deterministic synthetic batches (replica `r`
-    /// sees sample `step * ranks + r`).
+    /// Trains `steps` steps on batches from the trainer's loader feed,
+    /// `ranks` per step.
     pub fn train(&mut self, steps: u64) -> Vec<DpStepReport> {
-        let ds = SyntheticDataset::new(self.cfg.seed ^ 0xD0, 64);
-        let mut out = Vec::with_capacity(steps as usize);
-        for s in 0..steps {
-            let batches: Vec<FeatureBatch> = (0..self.ranks())
-                .map(|r| {
-                    let idx = (s as usize * self.ranks() + r) % ds.len();
-                    featurize(&ds.record(idx), &self.cfg.model, self.cfg.seed ^ idx as u64)
-                })
-                .collect();
-            out.push(self.train_step(&batches));
-        }
-        out
+        self.0.run(steps, dp_report)
     }
 
     /// Maximum absolute parameter difference between replica 0 and the
     /// others (the DP-synchrony invariant; ~0 up to f32 rounding).
     pub fn max_divergence(&self) -> f32 {
-        let mut max = 0.0f32;
-        let base = &self.stores[0];
-        for other in &self.stores[1..] {
-            for (name, t) in base.iter() {
-                if let Some(o) = other.get(name) {
-                    for (a, b) in t.data().iter().zip(o.data().iter()) {
-                        max = max.max((a - b).abs());
-                    }
+        max_divergence(&self.0)
+    }
+}
+
+fn dp_report(engine: &Trainer, step: EngineStep) -> DpStepReport {
+    DpStepReport {
+        step: step.report.step,
+        mean_loss: step.report.loss,
+        grad_norm: step.report.grad_norm,
+        elements_all_reduced: step.elements_all_reduced,
+        elements_dap: step.elements_dap,
+        max_replica_divergence: max_divergence(engine),
+        skipped: step.report.skipped,
+    }
+}
+
+fn max_divergence(engine: &Trainer) -> f32 {
+    let base = engine.replica_store(0);
+    let mut max = 0.0f32;
+    for rank in 1..engine.ranks() {
+        let other = engine.replica_store(rank);
+        for (name, t) in base.iter() {
+            if let Some(o) = other.get(name) {
+                for (a, b) in t.data().iter().zip(o.data().iter()) {
+                    max = max.max((a - b).abs());
                 }
             }
         }
-        max
     }
+    max
 }
 
 /// A ModelConfig small enough for multi-replica CPU tests.
@@ -283,6 +166,13 @@ pub fn dp_test_model() -> ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_autograd::Graph;
+    use sf_data::featurize::featurize;
+    use sf_data::SyntheticDataset;
+    use sf_model::AlphaFold;
+    use sf_optim::{FusedAdamSwa, GradBuckets, Grads};
+    use sf_tensor::bf16::Precision;
+    use sf_tensor::Tensor;
 
     fn dp_cfg() -> TrainerConfig {
         let mut cfg = TrainerConfig::tiny();
@@ -385,6 +275,42 @@ mod tests {
         assert_eq!(reports[0].elements_dap, 0);
     }
 
+    /// DP-1 is the single-replica trainer, bit for bit: same loss, grad
+    /// norm and weights after every step, across precision, DAP and the
+    /// fused-kernel switch.
+    #[test]
+    fn dp1_is_bitwise_the_single_replica_trainer() {
+        for precision in [Precision::F32, Precision::Bf16] {
+            for dap in [1, 2] {
+                for fused in [true, false] {
+                    let mut cfg = dp_cfg();
+                    cfg.model.n_seq = 4; // divisible by the DAP ranks
+                    cfg.precision = precision;
+                    cfg.dap = dap;
+                    cfg.model.fused_kernels = fused;
+                    let ds = SyntheticDataset::new(cfg.seed, 2);
+                    let mut single = Trainer::new(cfg.clone());
+                    let mut dp = DataParallelTrainer::new(cfg.clone(), 1);
+                    for i in 0..2 {
+                        let batch = featurize(&ds.record(i), &cfg.model, i as u64);
+                        let want = single.train_step(&batch);
+                        let got = dp.train_step(std::slice::from_ref(&batch));
+                        let case = format!("{precision:?} dap={dap} fused={fused} step {i}");
+                        assert_eq!(got.mean_loss.to_bits(), want.loss.to_bits(), "{case}: loss");
+                        let norm = (got.grad_norm.to_bits(), want.grad_norm.to_bits());
+                        assert_eq!(norm.0, norm.1, "{case}: grad norm");
+                    }
+                    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for (name, t) in single.store().iter() {
+                        let other = dp.store(0).get(name).expect("same parameters");
+                        let case = format!("{precision:?} dap={dap} fused={fused}");
+                        assert_eq!(bits(t), bits(other), "{case}: weights of {name}");
+                    }
+                }
+            }
+        }
+    }
+
     /// A DP-2 × DAP-2 grid trains like plain DP-2: the activation sharding
     /// is numerically transparent, replicas stay synchronized, and the DAP
     /// traffic is exactly `replicas × analytic volume` per step.
@@ -392,6 +318,7 @@ mod tests {
     fn dp_dap_grid_matches_plain_dp() {
         let mut cfg = dp_cfg();
         cfg.model.n_seq = 4; // divisible by the DAP ranks (dp_test_model uses 3)
+        cfg.loader_workers = 1; // both runs see the same batch order
         let mut plain = DataParallelTrainer::new(cfg.clone(), 2);
         let plain_reports = plain.train(2);
 
@@ -418,7 +345,7 @@ mod tests {
     }
 
     /// One replica's NaN gradient spreads to every replica through the
-    /// all-reduce; the bucketed clip surfaces the non-finite norm and the
+    /// all-reduce; the clip surfaces the non-finite norm and the
     /// whole grid skips the update together, leaving weights and synchrony
     /// intact.
     #[test]

@@ -10,11 +10,12 @@
 //! passes CRC verification. Faults can be injected deterministically with
 //! an `sf_faults::FaultPlan` to drill all of this end to end.
 
-use rand::rngs::StdRng;
 use crate::dap::{DapGroup, DapStats};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sf_autograd::{CheckpointError, Graph, ParamStore};
+use sf_cluster::collective::all_reduce_tensors;
 use sf_data::featurize::featurize;
 use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
 use sf_data::SyntheticDataset;
@@ -22,7 +23,7 @@ use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
 use sf_model::loss::LossBreakdown;
 use sf_model::metrics::lddt_ca;
 use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
-use sf_optim::{clip_by_global_norm, AdamConfig, FusedAdamSwa, LrSchedule};
+use sf_optim::{clip_by_global_norm, AdamConfig, FusedAdamSwa, Grads, LrSchedule};
 use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
 use std::path::{Path, PathBuf};
@@ -69,10 +70,6 @@ pub struct TrainerConfig {
     /// Compute threads for the `sf-tensor` parallel CPU backend
     /// (0 = auto: honor `SF_THREADS`, else the machine's core count).
     pub num_threads: usize,
-    /// Use the fused attention-softmax-gate kernel in the Evoformer
-    /// (`false` = `--no-fused`: the composed op chain, for A/B and
-    /// debugging). Overrides `model.fused_kernels` when disabled.
-    pub fused_kernels: bool,
     /// Dynamic Axial Parallelism degree (ScaleFold §3.3): shard the
     /// Evoformer's axial activations across this many simulated ranks,
     /// moving them with the real ring collectives. `0` or `1` disables
@@ -110,7 +107,6 @@ impl TrainerConfig {
             loader_workers: 2,
             loader: LoaderKind::NonBlocking,
             num_threads: 0,
-            fused_kernels: true,
             dap: default_dap(),
             seed: 7,
         }
@@ -217,8 +213,32 @@ impl Dataset for FeaturizingDataset {
     }
 }
 
+/// One data-parallel replica: its parameters and optimizer state. Kept
+/// separate per replica so the DP-synchrony invariant is *measured*, not
+/// assumed.
+struct Replica {
+    store: ParamStore,
+    optimizer: FusedAdamSwa,
+}
+
+/// What one engine step moved between simulated devices, beside its
+/// [`StepReport`].
+pub(crate) struct EngineStep {
+    /// The step's report (loss terms and lDDT are means over replicas).
+    pub(crate) report: StepReport,
+    /// Elements sent by the gradient ring all-reduce (0 at one replica).
+    pub(crate) elements_all_reduced: usize,
+    /// Elements moved by DAP collectives, summed over replicas.
+    pub(crate) elements_dap: usize,
+}
+
+type BatchFeed = Box<dyn Iterator<Item = Result<(usize, FeatureBatch), LoaderError>>>;
+
 /// The real trainer: owns parameters, optimizer state, and the data
-/// pipeline.
+/// pipeline. It is the repo's one training-step engine: single-replica
+/// training is its one-replica case, and
+/// [`crate::distributed::DataParallelTrainer`] runs the same step over a
+/// DP×DAP grid of replicas.
 ///
 /// # Example
 ///
@@ -236,12 +256,13 @@ impl Dataset for FeaturizingDataset {
 pub struct Trainer {
     cfg: TrainerConfig,
     model: AlphaFold,
-    store: ParamStore,
-    optimizer: FusedAdamSwa,
+    replicas: Vec<Replica>,
     step: u64,
     rng: StdRng,
     injector: FaultInjector,
     recovery: Vec<RecoveryEvent>,
+    /// Shared DAP executor: replicas run sequentially on a CPU, so one
+    /// group serves the whole grid and accumulates its total traffic.
     dap_group: Option<DapGroup>,
     dap_comm: DapStats,
 }
@@ -262,30 +283,39 @@ impl Trainer {
     /// Panics if `cfg.dap > 1` and the model's axial dimensions do not
     /// divide evenly across the DAP ranks (see
     /// [`DapGroup::validate_config`]).
-    pub fn with_faults(mut cfg: TrainerConfig, plan: FaultPlan) -> Self {
+    pub fn with_faults(cfg: TrainerConfig, plan: FaultPlan) -> Self {
+        Trainer::with_replicas(cfg, 1, plan)
+    }
+
+    /// Creates `ranks` replicas that start identical (parameters initialize
+    /// deterministically by name on the first step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks == 0`, or on an uneven DAP split as in
+    /// [`Trainer::with_faults`].
+    pub(crate) fn with_replicas(cfg: TrainerConfig, ranks: usize, plan: FaultPlan) -> Self {
+        assert!(ranks > 0, "need at least one replica");
         if cfg.num_threads > 0 {
             sf_tensor::pool::set_num_threads(cfg.num_threads);
         }
-        if !cfg.fused_kernels {
-            cfg.model.fused_kernels = false;
-        }
-        let dap_group = if cfg.dap > 1 {
+        let dap_group = (cfg.dap > 1).then(|| {
             if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
                 panic!("{msg}");
             }
-            Some(DapGroup::new(cfg.dap))
-        } else {
-            None
-        };
-        let model = AlphaFold::new(cfg.model.clone());
-        let optimizer = FusedAdamSwa::new(cfg.adam, cfg.swa_decay);
-        let rng = StdRng::seed_from_u64(cfg.seed);
+            DapGroup::new(cfg.dap)
+        });
+        let replicas = (0..ranks)
+            .map(|_| Replica {
+                store: ParamStore::new(),
+                optimizer: FusedAdamSwa::new(cfg.adam, cfg.swa_decay),
+            })
+            .collect();
         Trainer {
-            model,
-            store: ParamStore::new(),
-            optimizer,
+            model: AlphaFold::new(cfg.model.clone()),
+            replicas,
             step: 0,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             injector: FaultInjector::new(plan),
             recovery: Vec::new(),
             dap_group,
@@ -296,7 +326,17 @@ impl Trainer {
 
     /// The parameter store (inspect or checkpoint weights).
     pub fn store(&self) -> &ParamStore {
-        &self.store
+        &self.replicas[0].store
+    }
+
+    /// Number of data-parallel replicas.
+    pub(crate) fn ranks(&self) -> usize {
+        self.replicas.len()
+    }
+
+    /// Replica `rank`'s parameter store.
+    pub(crate) fn replica_store(&self, rank: usize) -> &ParamStore {
+        &self.replicas[rank].store
     }
 
     /// Steps taken.
@@ -314,8 +354,8 @@ impl Trainer {
         &self.recovery
     }
 
-    /// Cumulative DAP communication over all steps so far (zero when
-    /// `cfg.dap <= 1`). One step's volume is
+    /// Cumulative DAP communication over all steps (and replicas) so far
+    /// (zero when `cfg.dap <= 1`). One replica-step's volume is
     /// [`crate::dap::analytic_comm_volume`].
     pub fn dap_comm(&self) -> DapStats {
         self.dap_comm
@@ -329,81 +369,103 @@ impl Trainer {
     /// [`FeatureBatch::validate`] upstream) or an internal op fails — both
     /// indicate programming errors rather than recoverable conditions.
     pub fn train_step(&mut self, batch: &FeatureBatch) -> StepReport {
-        let mut g = Graph::new();
-        let out = {
-            let _fwd = sf_trace::span("forward", "forward");
-            let dap = self
-                .dap_group
-                .as_ref()
-                .map(|group| group as &dyn AxialCollectives);
-            self.model
-                .forward_dap(&mut g, &mut self.store, batch, dap)
-                .expect("forward pass on validated batch")
-        };
-        if let Some(group) = &self.dap_group {
-            let step_comm = group.take_stats();
-            self.dap_comm.all_gather_elements += step_comm.all_gather_elements;
-            self.dap_comm.all_to_all_elements += step_comm.all_to_all_elements;
-            self.dap_comm.gathers += step_comm.gathers;
-            self.dap_comm.switches += step_comm.switches;
-        }
-        let mut grads = {
-            let _bwd = sf_trace::span("backward", "backward");
-            g.backward(out.loss).expect("scalar loss");
-            let mut grads = g.grads_by_name().expect("consistent bindings");
-            // Precision rounding of gradients (bf16 path of §3.4; fp16
-            // shows the NaN failure mode at larger scales).
-            if self.cfg.precision != Precision::F32 {
-                for grad in grads.values_mut() {
-                    *grad = self.cfg.precision.quantize(grad);
+        self.step(std::slice::from_ref(batch)).report
+    }
+
+    /// The step core, one batch per replica: forward (DAP-sharded when
+    /// enabled), backward and precision rounding on every replica; ring
+    /// all-reduce (mean) of the gradients; global-norm clip; and the same
+    /// optimizer update on every replica.
+    ///
+    /// Non-finite guard: a NaN/Inf loss or gradient (the fp16 blow-up mode
+    /// at scale) skips the update on every replica instead of destroying
+    /// the weights. The step still counts so schedules stay aligned. One
+    /// replica's poisoned gradient spreads to all through the all-reduce
+    /// and surfaces as a non-finite norm from `clip_by_global_norm`, which
+    /// leaves the gradients untouched in that case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batches.len()` is not the replica count, or as
+    /// [`Trainer::train_step`].
+    pub(crate) fn step(&mut self, batches: &[FeatureBatch]) -> EngineStep {
+        assert_eq!(batches.len(), self.ranks(), "one batch per replica");
+        let n = batches.len() as f32;
+        let dap = self
+            .dap_group
+            .as_ref()
+            .map(|group| group as &dyn AxialCollectives);
+        let (mut loss, mut distance_loss, mut lddt) = (0.0f32, 0.0f32, 0.0f32);
+        let mut grads: Vec<Grads> = Vec::with_capacity(batches.len());
+        for (replica, batch) in self.replicas.iter_mut().zip(batches) {
+            let mut g = Graph::new();
+            let out = {
+                let _fwd = sf_trace::span("forward", "forward");
+                self.model
+                    .forward_dap(&mut g, &mut replica.store, batch, dap)
+                    .expect("forward pass on validated batch")
+            };
+            let replica_grads = {
+                let _bwd = sf_trace::span("backward", "backward");
+                g.backward(out.loss).expect("scalar loss");
+                let mut replica_grads = g.grads_by_name().expect("consistent bindings");
+                // Precision rounding of gradients (bf16 path of §3.4; fp16
+                // shows the NaN failure mode at larger scales).
+                if self.cfg.precision != Precision::F32 {
+                    for grad in replica_grads.values_mut() {
+                        *grad = self.cfg.precision.quantize(grad);
+                    }
                 }
-            }
-            grads
-        };
+                replica_grads
+            };
+            grads.push(replica_grads);
+            let LossBreakdown { total, distance, .. } = out.loss_breakdown;
+            loss += total / n;
+            distance_loss += distance / n;
+            let _metric = sf_trace::span("eval", "lddt");
+            lddt += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask) / n;
+        }
+        let step_dap = self
+            .dap_group
+            .as_ref()
+            .map(DapGroup::take_stats)
+            .unwrap_or_default();
+        self.dap_comm += step_dap;
         if self.injector.poison_grads_at(self.step) {
-            if let Some(grad) = grads.values_mut().next() {
-                let mut data = grad.data().to_vec();
-                if let Some(first) = data.first_mut() {
-                    *first = f32::NAN;
-                }
-                *grad = Tensor::from_vec(data, grad.dims()).expect("same shape");
+            let first = grads[0].values_mut().next();
+            if let Some(x) = first.and_then(|g| g.data_mut().first_mut()) {
+                *x = f32::NAN;
             }
         }
-        // Non-finite guard: a NaN/Inf loss or gradient (the fp16 blow-up
-        // mode at scale) skips the optimizer update instead of destroying
-        // the weights. The step still counts so schedules stay aligned
-        // across data-parallel replicas. A poisoned gradient surfaces as a
-        // non-finite global norm from `clip_by_global_norm`, which leaves
-        // the gradients untouched in that case — no elementwise pre-scan
-        // needed.
+        let elements_all_reduced = all_reduce_grads(&mut grads);
+
         let _opt = sf_trace::span("optimizer", "optimizer");
         let lr = self.cfg.schedule.lr_at(self.step);
-        let norm = clip_by_global_norm(&mut grads, self.cfg.clip_norm);
-        let finite = out.loss_breakdown.total.is_finite() && norm.is_finite();
-        let grad_norm = if finite {
-            self.optimizer.step(&mut self.store, &grads, lr);
-            norm
+        let norm = clip_by_global_norm(&mut grads[0], self.cfg.clip_norm);
+        let finite = loss.is_finite() && norm.is_finite();
+        if finite {
+            for replica in &mut self.replicas {
+                replica.optimizer.step(&mut replica.store, &grads[0], lr);
+            }
         } else {
             self.recovery.push(RecoveryEvent::NonFiniteSkipped {
                 step: self.step + 1,
             });
-            f32::NAN
-        };
+        }
         drop(_opt);
-        let lddt = {
-            let _metric = sf_trace::span("eval", "lddt");
-            lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask)
-        };
-        let LossBreakdown { total, distance, .. } = out.loss_breakdown;
         self.step += 1;
-        StepReport {
-            step: self.step,
-            loss: total,
-            distance_loss: distance,
-            grad_norm,
-            lddt,
-            lr,
-            skipped: !finite,
+        EngineStep {
+            report: StepReport {
+                step: self.step,
+                loss,
+                distance_loss,
+                grad_norm: if finite { norm } else { f32::NAN },
+                lddt,
+                lr,
+                skipped: !finite,
+            },
+            elements_all_reduced,
+            elements_dap: step_dap.total_elements(),
         }
     }
 
@@ -414,6 +476,18 @@ impl Trainer {
     /// panicking is recorded in [`Trainer::recovery_log`] and skipped, and
     /// training continues on the remaining samples.
     pub fn train(&mut self, steps: u64) -> Vec<StepReport> {
+        self.run(steps, |_, step| step.report)
+    }
+
+    /// The one training loop: every step pulls one batch per replica from
+    /// a single loader feed that runs across epoch boundaries, takes an
+    /// engine [`Trainer::step`], and turns it into the caller's report.
+    /// Stops early only if a whole epoch delivers no batch.
+    pub(crate) fn run<R>(
+        &mut self,
+        steps: u64,
+        mut report: impl FnMut(&Trainer, EngineStep) -> R,
+    ) -> Vec<R> {
         let dataset = Arc::new(FaultyDataset::new(
             FeaturizingDataset {
                 records: SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len),
@@ -422,54 +496,59 @@ impl Trainer {
             },
             self.injector.clone(),
         ));
+        let mut feed: Option<BatchFeed> = None;
+        // Whether the current epoch has delivered a batch yet.
+        let mut delivered = false;
         let mut reports = Vec::with_capacity(steps as usize);
-        'outer: loop {
-            let epoch = self.rng.gen::<u64>();
-            let order = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len)
-                .epoch_order(epoch);
-            let loader_cfg = LoaderConfig::with_workers(self.cfg.loader_workers);
-            type BatchItem = Result<(usize, FeatureBatch), LoaderError>;
-            let mut loader: Box<dyn Iterator<Item = BatchItem>> = match self.cfg.loader {
-                LoaderKind::NonBlocking => Box::new(NonBlockingPipeline::new(
-                    Arc::clone(&dataset),
-                    order,
-                    loader_cfg,
-                )),
-                LoaderKind::Blocking => {
-                    Box::new(BlockingLoader::new(Arc::clone(&dataset), order, loader_cfg))
-                }
-            };
-            let mut epoch_steps = 0u64;
-            loop {
-                // One umbrella span per optimizer step, covering the data
-                // wait (recorded by the loader inside `next()`) and the
-                // train phases — the unit the phase report attributes.
-                let step_span = sf_trace::span("step", "step").arg("step", (self.step + 1) as f64);
-                let Some(item) = loader.next() else {
-                    step_span.cancel(); // end-of-epoch probe, not a step
-                    break;
+        let mut batches = Vec::with_capacity(self.ranks());
+        while (reports.len() as u64) < steps {
+            // One umbrella span per optimizer step, covering the data wait
+            // (recorded by the loader inside `next()`) and the train
+            // phases — the unit the phase report attributes.
+            let step_span = sf_trace::span("step", "step").arg("step", (self.step + 1) as f64);
+            batches.clear();
+            while batches.len() < self.ranks() {
+                let Some(epoch) = feed.as_mut() else {
+                    feed = Some(self.epoch_feed(&dataset));
+                    continue;
                 };
-                match item {
-                    Ok((_, batch)) => {
-                        reports.push(self.train_step(&batch));
-                        epoch_steps += 1;
-                        if reports.len() as u64 >= steps {
-                            break 'outer;
-                        }
+                match epoch.next() {
+                    Some(Ok((_, batch))) => {
+                        delivered = true;
+                        batches.push(batch);
                     }
-                    Err(error) => {
-                        step_span.cancel(); // no optimizer step happened
-                        self.recovery.push(RecoveryEvent::DataFault { error });
+                    Some(Err(error)) => self.recovery.push(RecoveryEvent::DataFault { error }),
+                    None if delivered => (feed, delivered) = (None, false),
+                    None => {
+                        // Every sample of the epoch failed: no progress is
+                        // possible, so stop instead of spinning on a fully
+                        // poisoned dataset.
+                        step_span.cancel();
+                        return reports;
                     }
                 }
             }
-            if epoch_steps == 0 {
-                // Every sample of the epoch failed: no progress is possible,
-                // so stop instead of spinning on a fully poisoned dataset.
-                break;
-            }
+            let step = self.step(&batches);
+            drop(step_span);
+            reports.push(report(self, step));
         }
         reports
+    }
+
+    /// Opens the next epoch of the configured loader over `dataset`, in a
+    /// fresh shuffled order drawn from the trainer's RNG.
+    fn epoch_feed(&mut self, dataset: &Arc<FaultyDataset<FeaturizingDataset>>) -> BatchFeed {
+        let epoch = self.rng.gen::<u64>();
+        let order = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len)
+            .epoch_order(epoch);
+        let loader_cfg = LoaderConfig::with_workers(self.cfg.loader_workers);
+        let dataset = Arc::clone(dataset);
+        match self.cfg.loader {
+            LoaderKind::NonBlocking => {
+                Box::new(NonBlockingPipeline::new(dataset, order, loader_cfg))
+            }
+            LoaderKind::Blocking => Box::new(BlockingLoader::new(dataset, order, loader_cfg)),
+        }
     }
 
     /// Saves the current weights to `path` (see
@@ -484,7 +563,7 @@ impl Trainer {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), sf_autograd::CheckpointError> {
         let _ckpt = sf_trace::span("checkpoint", "save");
-        self.store.save_file(path)
+        self.store().save_file(path)
     }
 
     /// Restores weights from a checkpoint produced by
@@ -500,8 +579,15 @@ impl Trainer {
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), sf_autograd::CheckpointError> {
-        self.store = ParamStore::load_file(path)?;
+        self.set_weights(ParamStore::load_file(path)?);
         Ok(())
+    }
+
+    /// Gives every replica the same weights.
+    fn set_weights(&mut self, store: ParamStore) {
+        for replica in &mut self.replicas {
+            replica.store = store.clone();
+        }
     }
 
     /// Saves the current weights into `dir` as `ckpt-<step>.sfck`, the
@@ -517,7 +603,7 @@ impl Trainer {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
         let path = dir.join(format!("ckpt-{:08}.sfck", self.step));
-        self.store.save_file(&path)?;
+        self.store().save_file(&path)?;
         Ok(path)
     }
 
@@ -541,7 +627,7 @@ impl Trainer {
         let Some(latest) = ParamStore::load_latest_valid(dir)? else {
             return Ok(None);
         };
-        self.store = latest.store;
+        self.set_weights(latest.store);
         if let Some(step) = latest.step {
             self.step = step;
         }
@@ -567,76 +653,79 @@ impl Trainer {
             .collect()
     }
 
-    /// Evaluates against a pre-built cache ([`Trainer::build_eval_cache`]).
-    /// Identical scores to [`Trainer::evaluate`] on the same sample count —
-    /// only the per-pass featurization cost disappears.
+    /// Evaluates mean lDDT-Cα over `cache` (see
+    /// [`Trainer::build_eval_cache`]) with the SWA-averaged weights, as the
+    /// MLPerf recipe evaluates — or the live weights while SWA is still
+    /// empty.
     pub fn evaluate_cached(&self, cache: &[FeatureBatch]) -> f32 {
-        let _eval = sf_trace::span("eval", "evaluate_cached").arg("samples", cache.len() as f64);
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let mut total = 0.0f32;
-        for batch in cache {
-            let mut g = Graph::new();
-            let out = self
-                .model
-                .forward(&mut g, &mut store, batch)
-                .expect("forward pass on cached eval batch");
-            total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-        }
-        total / cache.len().max(1) as f32
+        score(&self.model, self.eval_weights(), cache)
     }
 
-    /// Asynchronous evaluation (§3.4): snapshots the SWA weights and runs
-    /// the evaluation pass on a **separate thread**, so training can
-    /// continue immediately — the functional analogue of offloading
-    /// evaluation to dedicated nodes. Join the handle for the score.
-    pub fn evaluate_async(&self, n: usize) -> std::thread::JoinHandle<f32> {
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let model_cfg = self.cfg.model.clone();
-        let seed = self.cfg.seed;
-        std::thread::spawn(move || {
-            let _eval = sf_trace::span("eval", "evaluate_async").arg("samples", n as f64);
-            let model = AlphaFold::new(model_cfg.clone());
-            let eval_set = SyntheticDataset::new(seed ^ 0xE7A1, n.max(1));
-            let mut total = 0.0f32;
-            for i in 0..n.max(1) {
-                let batch = featurize(&eval_set.record(i), &model_cfg, 0xE7A1 ^ i as u64);
-                let mut g = Graph::new();
-                let out = model
-                    .forward(&mut g, &mut store, &batch)
-                    .expect("forward pass on synthetic eval batch");
-                total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-            }
-            total / n.max(1) as f32
-        })
-    }
-
-    /// Evaluates mean lDDT-Cα over `n` held-out samples using the
-    /// SWA-averaged weights (as the MLPerf recipe evaluates).
+    /// Evaluates over `n` freshly featurized held-out samples; the same
+    /// score as [`Trainer::evaluate_cached`] on a cache of `n`.
     pub fn evaluate(&self, n: usize) -> f32 {
-        let _eval = sf_trace::span("eval", "evaluate").arg("samples", n as f64);
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let eval_set = SyntheticDataset::new(self.cfg.seed ^ 0xE7A1, n.max(1));
-        let mut total = 0.0f32;
-        for i in 0..n.max(1) {
-            let batch = featurize(&eval_set.record(i), &self.cfg.model, 0xE7A1 ^ i as u64);
-            let mut g = Graph::new();
-            let out = self
-                .model
-                .forward(&mut g, &mut store, &batch)
-                .expect("forward pass on synthetic eval batch");
-            total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-        }
-        total / n.max(1) as f32
+        self.evaluate_cached(&self.build_eval_cache(n))
     }
+
+    /// Asynchronous evaluation (§3.4): snapshots the evaluation weights and
+    /// scores them on a **separate thread**, so training can continue
+    /// immediately — the functional analogue of offloading evaluation to
+    /// dedicated nodes. Join the handle for the score.
+    pub fn evaluate_async(&self, n: usize) -> std::thread::JoinHandle<f32> {
+        let (model, weights) = (self.model.clone(), self.eval_weights());
+        let cache = self.build_eval_cache(n);
+        std::thread::spawn(move || score(&model, weights, &cache))
+    }
+
+    /// The weights evaluation scores: SWA once it has averaged a step,
+    /// else the live weights.
+    fn eval_weights(&self) -> ParamStore {
+        let replica = &self.replicas[0];
+        let swa = replica.optimizer.swa_store();
+        if swa.is_empty() {
+            replica.store.clone()
+        } else {
+            swa
+        }
+    }
+}
+
+/// Mean lDDT-Cα of `model` with `weights` over `batches`.
+fn score(model: &AlphaFold, mut weights: ParamStore, batches: &[FeatureBatch]) -> f32 {
+    let _eval = sf_trace::span("eval", "evaluate").arg("samples", batches.len() as f64);
+    let mut total = 0.0f32;
+    for batch in batches {
+        let mut g = Graph::new();
+        let out = model
+            .forward(&mut g, &mut weights, batch)
+            .expect("forward pass on eval batch");
+        total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
+    }
+    total / batches.len().max(1) as f32
+}
+
+/// Ring-all-reduces (mean) every gradient tensor across the replicas' maps
+/// in place: each tensor moves out of every map, through
+/// `all_reduce_tensors`, and back. Returns the elements sent (0 at one
+/// replica, where it is a no-op).
+fn all_reduce_grads(grads: &mut [Grads]) -> usize {
+    let span = sf_trace::span("collective", "grad_all_reduce");
+    let mut sent = 0;
+    if grads.len() > 1 {
+        let names: Vec<String> = grads[0].keys().cloned().collect();
+        for name in names {
+            let mut tensors: Vec<Tensor> = grads
+                .iter_mut()
+                .map(|g| g.remove(&name).expect("replicas bind the same parameters"))
+                .collect();
+            sent += all_reduce_tensors(&mut tensors).elements_sent;
+            for (g, t) in grads.iter_mut().zip(tensors) {
+                g.insert(name.clone(), t);
+            }
+        }
+    }
+    drop(span.arg("elements", sent as f64));
+    sent
 }
 
 #[cfg(test)]
@@ -700,7 +789,7 @@ mod tests {
         // per-step losses must agree tightly over several updates.
         for fused in [true, false] {
             let mut ref_cfg = fast_cfg();
-            ref_cfg.fused_kernels = fused;
+            ref_cfg.model.fused_kernels = fused;
             let mut reference = Trainer::new(ref_cfg.clone());
             let ds = SyntheticDataset::new(5, 4);
             let batch = featurize(&ds.record(0), &ref_cfg.model, 5);
@@ -786,10 +875,10 @@ mod tests {
         let batch = featurize(&ds.record(0), &fresh.cfg.model.clone(), 99);
         let mut g1 = sf_autograd::Graph::new();
         let model = sf_model::AlphaFold::new(t.cfg.model.clone());
-        let o1 = model.forward(&mut g1, &mut t.store.clone(), &batch).expect("fwd");
+        let o1 = model.forward(&mut g1, &mut t.store().clone(), &batch).expect("fwd");
         let mut g2 = sf_autograd::Graph::new();
         let o2 = model
-            .forward(&mut g2, &mut fresh.store.clone(), &batch)
+            .forward(&mut g2, &mut fresh.store().clone(), &batch)
             .expect("fwd");
         assert_eq!(o1.loss_breakdown.total, o2.loss_breakdown.total);
         let _ = std::fs::remove_file(&path);

@@ -41,6 +41,7 @@
 //! | `optimizer`  | clip + Adam/SWA update                                 |
 //! | `checkpoint` | checkpoint save/restore                                |
 //! | `eval`       | lDDT metric + evaluation passes                        |
+//! | `collective` | DAP all-gather/all-to-all, gradient ring all-reduce    |
 //! | `loader`     | `sf-data` worker threads (`prepare`, queue depth)      |
 //! | `pool`       | `sf-tensor` thread pool (regions, per-worker tasks)    |
 //! | `sim`        | `sf-gpusim` simulated timelines ([`SimTraceBuilder`])  |

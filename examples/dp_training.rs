@@ -1,7 +1,7 @@
-//! Functional data-parallel training: three model replicas, per-replica
-//! batches, a real ring all-reduce over the gradients, bucketed clipping,
-//! and identical optimizer steps — the algorithms the cluster simulator
-//! prices, executed for real.
+//! Data-parallel training: three model replicas fed by the trainer's
+//! loader, a real ring all-reduce over the gradients, global-norm
+//! clipping, and identical optimizer steps — the algorithms the cluster
+//! simulator prices, executed for real.
 //!
 //! Run with: `cargo run --release --example dp_training`
 

@@ -5,7 +5,7 @@
 //! Tracing state is process-global, so every test takes `TRACE_LOCK`,
 //! resets the collector, and drains it before releasing.
 
-use scalefold::{Trainer, TrainerConfig};
+use scalefold::{DataParallelTrainer, Trainer, TrainerConfig};
 use sf_trace::json::Value;
 use sf_trace::report::PhaseReport;
 use sf_trace::{EventKind, Trace};
@@ -109,6 +109,40 @@ fn phase_durations_sum_to_step_wall_time() {
     let fwd = report.phase_total_us("forward");
     let bwd = report.phase_total_us("backward");
     assert!(fwd > 0 && bwd > 0, "forward {fwd} us / backward {bwd} us");
+}
+
+/// A traced DP-2 × DAP-2 run reports through the same phase table as a
+/// single replica: one row per optimizer step, each with forward, backward
+/// and optimizer time, and one gradient all-reduce per step.
+#[test]
+fn dp_dap_grid_steps_appear_in_phase_report() {
+    let _g = lock();
+    sf_trace::reset();
+    sf_trace::enable();
+    let mut cfg = TrainerConfig::tiny();
+    cfg.model.evoformer_blocks = 1;
+    cfg.model.extra_msa_blocks = 0;
+    cfg.dap = 2;
+    let mut grid = DataParallelTrainer::new(cfg, 2);
+    let reports = grid.train(3);
+    let trace = sf_trace::take();
+    sf_trace::disable();
+    assert_eq!(reports.len(), 3, "training must run to completion");
+
+    let report = PhaseReport::from_trace(&trace);
+    assert_eq!(report.steps.len(), 3, "one row per optimizer step");
+    for s in &report.steps {
+        for (cat, us) in sf_trace::PHASE_CATS.iter().zip(s.phase_us) {
+            if matches!(*cat, "forward" | "backward" | "optimizer") {
+                assert!(us > 0, "step {}: no {cat} time", s.step);
+            }
+        }
+    }
+    let all_reduces = trace
+        .spans("collective")
+        .filter(|e| e.name == "grad_all_reduce")
+        .count();
+    assert_eq!(all_reduces, 3, "one gradient all-reduce per step");
 }
 
 /// Export → import is lossless for every event kind the tracer emits.
