@@ -20,10 +20,11 @@
 //! for whatever command runs and writes a Chrome `trace_event` JSON file
 //! (loadable in `chrome://tracing` / Perfetto) on exit.
 //!
-//! The global `--no-fused` flag falls back from the fused
-//! attention-softmax-gate kernel to the composed op chain, for A/B
-//! comparison and debugging. `bench-kernels --no-fused` writes
-//! `BENCH_kernels_nofused.json` so both reports can coexist.
+//! Every attention site runs the one fused attention kernel; there is no
+//! switch to a composed op chain.
+//!
+//! Each command takes at most one positional argument; anything left over
+//! after the global flags are stripped is an error (exit 1).
 //!
 //! All I/O failures propagate to a nonzero exit code instead of panicking.
 
@@ -55,7 +56,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (args, fused) = extract_no_fused_flag(args);
     let (args, dap) = match extract_dap_flag(args) {
         Ok(pair) => pair,
         Err(e) => {
@@ -64,16 +64,24 @@ fn main() -> ExitCode {
         }
     };
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    // At most one positional argument per command: a leftover (say, a
+    // removed flag) fails loudly instead of being silently ignored.
+    let takes_arg =
+        !matches!(cmd, "ladder" | "figures" | "bench-kernels" | "help" | "--help" | "-h");
+    if let Some(extra) = args.get(if takes_arg { 2 } else { 1 }) {
+        eprintln!("scalefold {cmd}: error: unexpected argument '{extra}'");
+        return ExitCode::FAILURE;
+    }
     let result = match cmd {
-        "train" => parse_num(&args, 1, 20).and_then(|n| train(n, fused, dap)),
+        "train" => parse_num(&args, 1, 20).and_then(|n| train(n, dap)),
         "simulate" => parse_num(&args, 1, 8).and_then(|n| simulate(n as usize)),
         "memory" => parse_num(&args, 1, 8).and_then(|n| memory_report(n as usize)),
         "ladder" => ladder(),
         "figures" => figures(),
-        "faults" => parse_num(&args, 1, 6).and_then(|n| fault_drill(n, fused, dap)),
+        "faults" => parse_num(&args, 1, 6).and_then(|n| fault_drill(n, dap)),
         "tradeoff" => parse_num(&args, 1, 2000).and_then(tradeoff),
-        "bench-kernels" => bench_kernels(fused),
-        "trace-report" => trace_report(args.get(1).map(String::as_str), fused),
+        "bench-kernels" => bench_kernels(),
+        "trace-report" => trace_report(args.get(1).map(String::as_str)),
         "help" | "--help" | "-h" => help(),
         other => {
             let _ = help();
@@ -178,25 +186,6 @@ fn extract_dap_flag(args: Vec<String>) -> Result<(Vec<String>, usize), Box<dyn E
     Ok((rest, dap))
 }
 
-/// Strips the global `--no-fused` flag from `args`; returns the remaining
-/// arguments plus whether the fused attention-softmax-gate kernel stays
-/// enabled (`true` = fused, the default).
-fn extract_no_fused_flag(args: Vec<String>) -> (Vec<String>, bool) {
-    let mut fused = true;
-    let rest = args
-        .into_iter()
-        .filter(|a| {
-            if a == "--no-fused" {
-                fused = false;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    (rest, fused)
-}
-
 /// Drains the global trace collector into `path` as Chrome `trace_event`
 /// JSON and prints a one-line summary of what was captured.
 fn write_trace(path: &Path) -> CliResult {
@@ -249,8 +238,6 @@ fn help() -> CliResult {
     println!("                      (default: SF_THREADS, then core count)");
     println!("  --trace PATH        record a runtime trace of the command and");
     println!("                      write Chrome trace_event JSON to PATH");
-    println!("  --no-fused          use the composed attention op chain instead");
-    println!("                      of the fused kernel (A/B and debugging)");
     println!("  --dap N             shard Evoformer activations across N axial");
     println!("                      ranks via the real ring collectives (train");
     println!("                      and faults; the model's n_seq and n_res");
@@ -262,7 +249,7 @@ fn help() -> CliResult {
 /// print its per-step phase table. `trace-report` with no path runs the
 /// paper's data-wait A/B on the real trainer instead: the same straggler
 /// sample through the blocking and the non-blocking loader.
-fn trace_report(path: Option<&str>, fused: bool) -> CliResult {
+fn trace_report(path: Option<&str>) -> CliResult {
     match path {
         Some(p) => {
             let text = std::fs::read_to_string(p)
@@ -279,7 +266,7 @@ fn trace_report(path: Option<&str>, fused: bool) -> CliResult {
             }
             Ok(())
         }
-        None => loader_drill(fused),
+        None => loader_drill(),
     }
 }
 
@@ -287,7 +274,7 @@ fn trace_report(path: Option<&str>, fused: bool) -> CliResult {
 /// trainer): inject one straggler sample, train twice — once through the
 /// strict-order blocking loader, once through the non-blocking pipeline —
 /// and compare the `data_wait` share of step time from the traces.
-fn loader_drill(fused: bool) -> CliResult {
+fn loader_drill() -> CliResult {
     const STEPS: u64 = 6;
     const SLOW_SAMPLE: usize = 1;
     let delay = Duration::from_millis(150);
@@ -305,7 +292,6 @@ fn loader_drill(fused: bool) -> CliResult {
         cfg.model.extra_msa_blocks = 0;
         cfg.dataset_len = 8;
         cfg.loader = kind;
-        cfg.model.fused_kernels = fused;
         let plan = FaultPlan::none().with_slow_sample(SLOW_SAMPLE, delay);
         let mut trainer = Trainer::with_faults(cfg, plan);
         let reports = trainer.train(STEPS);
@@ -344,29 +330,20 @@ fn loader_drill(fused: bool) -> CliResult {
     }
 }
 
-fn bench_kernels(fused: bool) -> CliResult {
+fn bench_kernels() -> CliResult {
     println!(
-        "timing CPU kernels at AlphaFold-like shapes ({} threads{})...\n",
-        sf_tensor::pool::num_threads(),
-        if fused { "" } else { ", --no-fused" }
+        "timing CPU kernels at AlphaFold-like shapes ({} threads)...\n",
+        sf_tensor::pool::num_threads()
     );
-    let report = kernel_bench::run_mode(0, BenchScale::Full, fused);
+    let report = kernel_bench::run(0, BenchScale::Full);
     println!("{}", report.to_table());
-    // Fused and unfused runs write different files so CI can upload and
-    // diff both sides of the A/B.
-    let out = if fused {
-        "BENCH_kernels.json"
-    } else {
-        "BENCH_kernels_nofused.json"
-    };
-    std::fs::write(out, report.to_json())?;
-    println!("wrote {out}");
+    std::fs::write("BENCH_kernels.json", report.to_json())?;
+    println!("wrote BENCH_kernels.json");
     Ok(())
 }
 
-fn train(steps: u64, fused: bool, dap: usize) -> CliResult {
+fn train(steps: u64, dap: usize) -> CliResult {
     let mut cfg = TrainerConfig::tiny();
-    cfg.model.fused_kernels = fused;
     cfg.model.evoformer_blocks = 1;
     cfg.model.extra_msa_blocks = 0;
     // Larger proteins than the test-scale default: big enough that the
@@ -466,10 +443,9 @@ fn figures() -> CliResult {
 /// End-to-end fault drill on the *real* trainer: a permanently poisoned
 /// sample, a NaN-gradient step, and a bit-flipped checkpoint — the run
 /// must survive all three and resume from the newest valid checkpoint.
-fn fault_drill(steps: u64, fused: bool, dap: usize) -> CliResult {
+fn fault_drill(steps: u64, dap: usize) -> CliResult {
     let steps = steps.max(3);
     let mut cfg = TrainerConfig::tiny();
-    cfg.model.fused_kernels = fused;
     cfg.model.evoformer_blocks = 1;
     cfg.model.extra_msa_blocks = 0;
     cfg.dataset_len = 6;

@@ -222,42 +222,35 @@ mod tests {
     #[test]
     fn dap_forward_matches_unsharded_through_real_collectives() {
         // The tentpole contract: DAP-k forward/backward equals the
-        // unsharded path within 1e-5, k ∈ {1, 2, 4}, fused kernels on and
-        // off — with the data moved by the *real* ring collectives.
-        for fused in [true, false] {
-            let mut cfg = tiny();
-            cfg.fused_kernels = fused;
-            let model = AlphaFold::new(cfg.clone());
-            let batch = FeatureBatch::synthetic(&cfg, 11);
+        // unsharded path within 1e-5, k ∈ {1, 2, 4} — with the data moved
+        // by the *real* ring collectives.
+        let cfg = tiny();
+        let model = AlphaFold::new(cfg.clone());
+        let batch = FeatureBatch::synthetic(&cfg, 11);
 
-            let mut store = ParamStore::new();
-            let mut g_ref = Graph::new();
-            let out_ref = model.forward(&mut g_ref, &mut store, &batch).unwrap();
-            g_ref.backward(out_ref.loss).unwrap();
-            let grads_ref = g_ref.grads_by_name().unwrap();
+        let mut store = ParamStore::new();
+        let mut g_ref = Graph::new();
+        let out_ref = model.forward(&mut g_ref, &mut store, &batch).unwrap();
+        g_ref.backward(out_ref.loss).unwrap();
+        let grads_ref = g_ref.grads_by_name().unwrap();
 
-            for k in [1usize, 2, 4] {
-                let dap = DapGroup::new(k);
-                let mut store_k = ParamStore::new();
-                let mut g = Graph::new();
-                let out = model
-                    .forward_dap(&mut g, &mut store_k, &batch, Some(&dap))
-                    .unwrap();
-                let d_loss =
-                    (out.loss_breakdown.total - out_ref.loss_breakdown.total).abs();
+        for k in [1usize, 2, 4] {
+            let dap = DapGroup::new(k);
+            let mut store_k = ParamStore::new();
+            let mut g = Graph::new();
+            let out = model
+                .forward_dap(&mut g, &mut store_k, &batch, Some(&dap))
+                .unwrap();
+            let d_loss = (out.loss_breakdown.total - out_ref.loss_breakdown.total).abs();
+            assert!(d_loss <= 1e-5, "k={k}: loss diverged by {d_loss}");
+            g.backward(out.loss).unwrap();
+            let grads = g.grads_by_name().unwrap();
+            assert_eq!(grads.len(), grads_ref.len(), "k={k}: param set differs");
+            for (name, gr) in &grads_ref {
                 assert!(
-                    d_loss <= 1e-5,
-                    "fused={fused} k={k}: loss diverged by {d_loss}"
+                    gr.allclose(&grads[name], 1e-5),
+                    "k={k}: gradient mismatch at {name}"
                 );
-                g.backward(out.loss).unwrap();
-                let grads = g.grads_by_name().unwrap();
-                assert_eq!(grads.len(), grads_ref.len(), "k={k}: param set differs");
-                for (name, gr) in &grads_ref {
-                    assert!(
-                        gr.allclose(&grads[name], 1e-5),
-                        "fused={fused} k={k}: gradient mismatch at {name}"
-                    );
-                }
             }
         }
     }

@@ -276,36 +276,32 @@ mod tests {
     }
 
     /// DP-1 is the single-replica trainer, bit for bit: same loss, grad
-    /// norm and weights after every step, across precision, DAP and the
-    /// fused-kernel switch.
+    /// norm and weights after every step, across precision and DAP.
     #[test]
     fn dp1_is_bitwise_the_single_replica_trainer() {
         for precision in [Precision::F32, Precision::Bf16] {
             for dap in [1, 2] {
-                for fused in [true, false] {
-                    let mut cfg = dp_cfg();
-                    cfg.model.n_seq = 4; // divisible by the DAP ranks
-                    cfg.precision = precision;
-                    cfg.dap = dap;
-                    cfg.model.fused_kernels = fused;
-                    let ds = SyntheticDataset::new(cfg.seed, 2);
-                    let mut single = Trainer::new(cfg.clone());
-                    let mut dp = DataParallelTrainer::new(cfg.clone(), 1);
-                    for i in 0..2 {
-                        let batch = featurize(&ds.record(i), &cfg.model, i as u64);
-                        let want = single.train_step(&batch);
-                        let got = dp.train_step(std::slice::from_ref(&batch));
-                        let case = format!("{precision:?} dap={dap} fused={fused} step {i}");
-                        assert_eq!(got.mean_loss.to_bits(), want.loss.to_bits(), "{case}: loss");
-                        let norm = (got.grad_norm.to_bits(), want.grad_norm.to_bits());
-                        assert_eq!(norm.0, norm.1, "{case}: grad norm");
-                    }
-                    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    for (name, t) in single.store().iter() {
-                        let other = dp.store(0).get(name).expect("same parameters");
-                        let case = format!("{precision:?} dap={dap} fused={fused}");
-                        assert_eq!(bits(t), bits(other), "{case}: weights of {name}");
-                    }
+                let mut cfg = dp_cfg();
+                cfg.model.n_seq = 4; // divisible by the DAP ranks
+                cfg.precision = precision;
+                cfg.dap = dap;
+                let ds = SyntheticDataset::new(cfg.seed, 2);
+                let mut single = Trainer::new(cfg.clone());
+                let mut dp = DataParallelTrainer::new(cfg.clone(), 1);
+                for i in 0..2 {
+                    let batch = featurize(&ds.record(i), &cfg.model, i as u64);
+                    let want = single.train_step(&batch);
+                    let got = dp.train_step(std::slice::from_ref(&batch));
+                    let case = format!("{precision:?} dap={dap} step {i}");
+                    assert_eq!(got.mean_loss.to_bits(), want.loss.to_bits(), "{case}: loss");
+                    let norm = (got.grad_norm.to_bits(), want.grad_norm.to_bits());
+                    assert_eq!(norm.0, norm.1, "{case}: grad norm");
+                }
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (name, t) in single.store().iter() {
+                    let other = dp.store(0).get(name).expect("same parameters");
+                    let case = format!("{precision:?} dap={dap}");
+                    assert_eq!(bits(t), bits(other), "{case}: weights of {name}");
                 }
             }
         }

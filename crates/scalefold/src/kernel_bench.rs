@@ -1,7 +1,7 @@
 //! Kernel benchmark baseline for the parallel CPU backend.
 //!
-//! Times the hot kernels (batched GEMM, LayerNorm, softmax, flash
-//! attention, fused gated attention) at AlphaFold-like shapes in three
+//! Times the hot kernels (batched GEMM, LayerNorm, softmax, attention with
+//! pair bias, fused gated attention) at AlphaFold-like shapes in three
 //! configurations:
 //!
 //! 1. **seed serial** — the reference kernels the repo started with
@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use sf_tensor::ops::attention::{attention_fused, flash_attention, FLASH_TILE, MASK_NEG};
+use sf_tensor::ops::attention::{attention_fused, FLASH_TILE, MASK_NEG};
 use sf_tensor::ops::layernorm::fused_forward;
 use sf_tensor::ops::matmul::{gemm_block, matmul};
 use sf_tensor::ops::softmax::softmax;
@@ -127,7 +127,7 @@ impl SeedOnlineSoftmax {
 /// scalar q·k dot product per logit (a serial FP chain per key). Kept here
 /// verbatim as the benchmark's "before" kernel; bias handling is dropped to
 /// the common `[H, S_q, S_k]`-broadcast case the bench exercises.
-fn seed_flash_attention(q: &Tensor, k: &Tensor, v: &Tensor, bias: &Tensor, scale: f32) -> Tensor {
+fn seed_attention(q: &Tensor, k: &Tensor, v: &Tensor, bias: &Tensor, scale: f32) -> Tensor {
     let dims = q.dims();
     let (s_q, d) = (dims[dims.len() - 2], dims[dims.len() - 1]);
     let s_k = k.dims()[k.rank() - 2];
@@ -180,8 +180,8 @@ pub struct KernelTiming {
     pub parallel_ms: f64,
     /// Best time of the *composed* (unfused, current-primitives) op chain
     /// at the report's thread count — only for rows where a fused kernel
-    /// replaces a multi-op chain (`attention_fused`). This is exactly the
-    /// path the `--no-fused` escape hatch executes.
+    /// replaces a multi-op chain (`attention_fused`): the mask materialized
+    /// into the bias, ungated attention, then a separate sigmoid-multiply.
     pub composed_ms: Option<f64>,
 }
 
@@ -303,7 +303,7 @@ impl KernelBenchReport {
 
     /// CI guard against silent de-fusion: the vectorized softmax must beat
     /// the seed scalar path, and the fused attention kernel must not be
-    /// slower than the composed (`--no-fused`) op chain it replaces.
+    /// slower than the composed op chain it replaces.
     /// Thresholds are deliberately lenient (shared CI runners are noisy) —
     /// this catches *regressions to the unfused world*, not missed wins.
     ///
@@ -403,20 +403,6 @@ impl BenchShapes {
 /// Panics if an optimized kernel's output diverges from its serial
 /// reference — a fast-but-wrong kernel must not produce a baseline.
 pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
-    run_mode(threads, scale, true)
-}
-
-/// [`run`] with the fused/composed switch exposed: `fused == false` times
-/// the composed op chain in the `attention_fused` row's opt/parallel slots
-/// instead of the fused kernel, mirroring the `--no-fused` escape hatch.
-/// The `composed_ms` column is measured either way, so the two reports are
-/// directly comparable.
-///
-/// # Panics
-///
-/// Panics if an optimized kernel's output diverges from its serial
-/// reference — a fast-but-wrong kernel must not produce a baseline.
-pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchReport {
     let prev = pool::num_threads();
     if threads > 0 {
         pool::set_num_threads(threads);
@@ -566,7 +552,7 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
         });
     }
 
-    // --- Fused attention ------------------------------------------------
+    // --- Attention with pair bias ---------------------------------------
     {
         let (b, h, s, d) = sh.attn;
         let q = Tensor::randn(&[b, h, s, d], 41);
@@ -575,27 +561,27 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
         let bias = Tensor::randn(&[h, s, s], 44);
         let scale = 1.0 / (d as f32).sqrt();
 
-        let seed_y = seed_flash_attention(&q, &k, &v, &bias, scale);
-        let opt_y = flash_attention(&q, &k, &v, Some(&bias), scale).expect("bench attn");
+        let seed_y = seed_attention(&q, &k, &v, &bias, scale);
+        let attn = || {
+            attention_fused(&q, &k, &v, Some(&bias), None, None, scale)
+                .expect("bench attn")
+                .out
+        };
         assert!(
-            opt_y.allclose(&seed_y, 1e-4),
-            "flash attention diverged from the seed serial kernel"
+            attn().allclose(&seed_y, 1e-4),
+            "attention diverged from the seed serial kernel"
         );
 
         let seed_serial_ms = best_of(iters, || {
-            std::hint::black_box(seed_flash_attention(&q, &k, &v, &bias, scale));
+            std::hint::black_box(seed_attention(&q, &k, &v, &bias, scale));
         });
         pool::set_num_threads(1);
         let opt_serial_ms = best_of(iters, || {
-            std::hint::black_box(
-                flash_attention(&q, &k, &v, Some(&bias), scale).expect("bench attn"),
-            );
+            std::hint::black_box(attn());
         });
         pool::set_num_threads(nthreads);
         let parallel_ms = best_of(iters, || {
-            std::hint::black_box(
-                flash_attention(&q, &k, &v, Some(&bias), scale).expect("bench attn"),
-            );
+            std::hint::black_box(attn());
         });
         timings.push(KernelTiming {
             name: "attention",
@@ -612,8 +598,9 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
     // sigmoid gate, in one pass over the tiles. Three contenders:
     //   seed      — materialized bias+mask add, seed flash kernel (scalar
     //               exp), separate scalar sigmoid-gate multiply;
-    //   composed  — the same chain on today's primitives (what `--no-fused`
-    //               executes), timed into `composed_ms`;
+    //   composed  — the same chain on today's primitives (mask materialized
+    //               into the bias, ungated attention, separate
+    //               sigmoid-multiply), timed into `composed_ms`;
     //   fused     — `attention_fused`, logits and gate never materialized.
     {
         let (b, h, s, d) = sh.attn;
@@ -644,7 +631,7 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
                 }
                 t
             };
-            let att = seed_flash_attention(&q, &k, &v, &biased, scale);
+            let att = seed_attention(&q, &k, &v, &biased, scale);
             let mut y = att;
             for (yv, &gv) in y.data_mut().iter_mut().zip(gate.data().iter()) {
                 *yv /= 1.0 + (-gv).exp();
@@ -654,7 +641,9 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
         let composed_chain = || {
             let penalty = mask.map(|mv| if mv == 0.0 { MASK_NEG } else { 0.0 });
             let biased = bias.add(&penalty).expect("bench bias+mask");
-            let att = flash_attention(&q, &k, &v, Some(&biased), scale).expect("bench attn");
+            let att = attention_fused(&q, &k, &v, Some(&biased), None, None, scale)
+                .expect("bench attn")
+                .out;
             gate.sigmoid().mul(&att).expect("bench gate")
         };
         let fused_chain = || {
@@ -680,19 +669,11 @@ pub fn run_mode(threads: usize, scale: BenchScale, fused: bool) -> KernelBenchRe
         });
         pool::set_num_threads(1);
         let opt_serial_ms = best_of(iters, || {
-            if fused {
-                std::hint::black_box(fused_chain());
-            } else {
-                std::hint::black_box(composed_chain());
-            }
+            std::hint::black_box(fused_chain());
         });
         pool::set_num_threads(nthreads);
         let parallel_ms = best_of(iters, || {
-            if fused {
-                std::hint::black_box(fused_chain());
-            } else {
-                std::hint::black_box(composed_chain());
-            }
+            std::hint::black_box(fused_chain());
         });
         let composed_ms = best_of(iters, || {
             std::hint::black_box(composed_chain());
@@ -744,17 +725,6 @@ mod tests {
         let fused = report.timings.last().expect("fused row");
         assert!(fused.composed_ms.is_some());
         assert!(fused.speedup_fused_vs_composed().expect("ratio") > 0.0);
-    }
-
-    #[test]
-    fn no_fused_mode_still_reports_composed_column() {
-        let report = run_mode(1, BenchScale::Quick, false);
-        let fused = report
-            .timings
-            .iter()
-            .find(|t| t.name == "attention_fused")
-            .expect("fused row");
-        assert!(fused.composed_ms.is_some());
     }
 
     #[test]

@@ -783,30 +783,23 @@ mod tests {
 
     #[test]
     fn dap_training_matches_unsharded() {
-        // DAP-k training follows the unsharded trajectory for k ∈ {1,2,4},
-        // fused kernels on and off: the forward is bitwise-identical data
-        // movement, so only gradient-accumulation order can drift, and the
-        // per-step losses must agree tightly over several updates.
-        for fused in [true, false] {
-            let mut ref_cfg = fast_cfg();
-            ref_cfg.model.fused_kernels = fused;
-            let mut reference = Trainer::new(ref_cfg.clone());
-            let ds = SyntheticDataset::new(5, 4);
-            let batch = featurize(&ds.record(0), &ref_cfg.model, 5);
-            let ref_losses: Vec<f32> =
-                (0..3).map(|_| reference.train_step(&batch).loss).collect();
+        // DAP-k training follows the unsharded trajectory for k ∈ {1,2,4}:
+        // the forward is bitwise-identical data movement, so only
+        // gradient-accumulation order can drift, and the per-step losses
+        // must agree tightly over several updates.
+        let ref_cfg = fast_cfg();
+        let mut reference = Trainer::new(ref_cfg.clone());
+        let ds = SyntheticDataset::new(5, 4);
+        let batch = featurize(&ds.record(0), &ref_cfg.model, 5);
+        let ref_losses: Vec<f32> = (0..3).map(|_| reference.train_step(&batch).loss).collect();
 
-            for k in [2usize, 4] {
-                let mut cfg = ref_cfg.clone();
-                cfg.dap = k;
-                let mut t = Trainer::new(cfg);
-                for (i, want) in ref_losses.iter().enumerate() {
-                    let got = t.train_step(&batch).loss;
-                    assert!(
-                        (got - want).abs() <= 1e-4,
-                        "fused={fused} k={k} step {i}: loss {got} vs {want}"
-                    );
-                }
+        for k in [2usize, 4] {
+            let mut cfg = ref_cfg.clone();
+            cfg.dap = k;
+            let mut t = Trainer::new(cfg);
+            for (i, want) in ref_losses.iter().enumerate() {
+                let got = t.train_step(&batch).loss;
+                assert!((got - want).abs() <= 1e-4, "k={k} step {i}: loss {got} vs {want}");
             }
         }
     }

@@ -2,7 +2,6 @@
 
 use crate::op::Op;
 use crate::{AutogradError, Result};
-use sf_tensor::ops::attention::flash_attention;
 use sf_tensor::ops::layernorm::{fused_forward, LN_EPS};
 use sf_tensor::ops::softmax::softmax;
 use sf_tensor::Tensor;
@@ -339,48 +338,20 @@ impl Graph {
         Ok(self.push(v, Op::LayerNorm { x, gamma, beta, stats }))
     }
 
-    /// Fused multi-head attention with optional pair bias: one tape node for
-    /// `softmax(q k^T · scale + bias) v`. The backward pass recomputes the
-    /// attention probabilities (FlashAttention-style recompute).
+    /// The tape's only attention node. Fully fused attention head — scale,
+    /// optional pair `bias`, optional `mask` (zero entries are masked out;
+    /// non-differentiable), online softmax, and the optional sigmoid-`gate`
+    /// epilogue run in one `sf-tensor` kernel
+    /// ([`sf_tensor::ops::attention::attention_fused`]). The tape stores
+    /// only the per-row softmax log-sum-exp (plus the pre-gate output when
+    /// gated) instead of the `[S_q, S_k]` probability tensor; the backward
+    /// recomputes probabilities from those stats and folds softmax-backward
+    /// into the attention gradient.
     ///
-    /// # Errors
-    ///
-    /// Returns an error on incompatible q/k/v/bias shapes.
-    pub fn attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        bias: Option<Var>,
-        scale: f32,
-    ) -> Result<Var> {
-        self.check(q)?;
-        self.check(k)?;
-        self.check(v)?;
-        if let Some(b) = bias {
-            self.check(b)?;
-        }
-        let out = flash_attention(
-            self.value(q),
-            self.value(k),
-            self.value(v),
-            bias.map(|b| self.value(b)),
-            scale,
-        )?;
-        Ok(self.push(out, Op::Attention { q, k, v, bias, scale }))
-    }
-
-    /// Fully fused attention head — scale, optional pair `bias`, optional
-    /// `mask` (zero entries are masked out; non-differentiable), online
-    /// softmax, and the optional sigmoid-`gate` epilogue run in one
-    /// `sf-tensor` kernel ([`sf_tensor::ops::attention::attention_fused`]).
-    /// The tape stores only the per-row softmax log-sum-exp (plus the
-    /// pre-gate output when gated) instead of the `[S_q, S_k]` probability
-    /// tensor; the backward recomputes probabilities from those stats and
-    /// folds softmax-backward into the attention gradient.
-    ///
-    /// Numerically equivalent (≤1e-5 rel, property-tested) to the composed
-    /// chain `mul(sigmoid(gate), attention(q, k, v, bias + maskneg))`.
+    /// Sites without a bias, mask or gate pass `None`. Numerically
+    /// equivalent (≤1e-5 rel, property-tested) to the composed chain of
+    /// primitive tape ops `sigmoid(gate) ⊙ softmax(q kᵀ · scale + bias +
+    /// maskneg) v`.
     ///
     /// # Errors
     ///

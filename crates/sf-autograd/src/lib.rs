@@ -12,9 +12,10 @@
 //!   memory/compute trade-off OpenFold relies on and DAP lets ScaleFold turn
 //!   off (§4.1 "disabling gradient checkpointing ... eliminated
 //!   re-computation in backward").
-//! - **Fused attention node** ([`Graph::attention`]): single tape node for
-//!   the whole MHA-with-pair-bias pattern (recompute-based backward),
-//!   mirroring the fused Triton MHA kernel.
+//! - **Fused attention node** ([`Graph::attention_fused`]): the one tape
+//!   node for every attention site — scale, optional pair bias, mask and
+//!   sigmoid gate, with a backward that recomputes probabilities from the
+//!   saved log-sum-exp — mirroring the fused Triton MHA kernel.
 //! - **Fused LayerNorm node** ([`Graph::layer_norm`]): single-pass forward,
 //!   two-step-reduction backward.
 //! - **Activation memory accounting** ([`Graph::activation_bytes`]):

@@ -36,13 +36,6 @@ pub(crate) enum Op {
         beta: Var,
         stats: LayerNormStats,
     },
-    Attention {
-        q: Var,
-        k: Var,
-        v: Var,
-        bias: Option<Var>,
-        scale: f32,
-    },
     /// Fully fused attention head (`sf_tensor::ops::attention::attention_fused`):
     /// scale + pair bias + mask + online softmax + sigmoid gate in one
     /// kernel. Saves only the per-row softmax log-sum-exp (`lse`) and —
@@ -194,18 +187,6 @@ impl Graph {
                 let (dx, dg, db) =
                     fused_backward(dy, xv, gv, stats, LN_BACKWARD_BLOCK_ROWS)?;
                 Pending::Many(vec![(x.0, dx), (gamma.0, dg), (beta.0, db)])
-            }
-            Op::Attention { q, k, v, bias, scale } => {
-                let qv = &self.nodes[q.0].value;
-                let kv = &self.nodes[k.0].value;
-                let vv = &self.nodes[v.0].value;
-                let bv = bias.map(|b| &self.nodes[b.0].value);
-                let (dq, dk, dvv, dbias) = attention_backward(qv, kv, vv, bv, *scale, dy)?;
-                let mut outs = vec![(q.0, dq), (k.0, dk), (v.0, dvv)];
-                if let (Some(b), Some(dbias)) = (bias, dbias) {
-                    outs.push((b.0, dbias));
-                }
-                Pending::Many(outs)
             }
             Op::FusedAttention { q, k, v, bias, mask, gate, scale, att, lse } => {
                 let qv = &self.nodes[q.0].value;
@@ -375,49 +356,6 @@ fn softmax_backward_inplace(y: &Tensor, dx: &mut Tensor) -> Result<()> {
         }
     });
     Ok(())
-}
-
-/// Recompute-based backward for fused attention with pair bias.
-///
-/// Returns `(dq, dk, dv, dbias)`.
-///
-/// Buffer discipline: the recomputed logits tensor is softmaxed **in
-/// place** to become `p`, and the `dp` tensor is overwritten in place to
-/// become `dlogits`; the transposed operands (`k^T`, `v^T`, `p^T`,
-/// `dlogits^T`) are read through the strided GEMM variants instead of
-/// being materialized. The seed version allocated eight intermediate
-/// tensors per call; this allocates the three it returns plus two.
-#[allow(clippy::type_complexity)]
-fn attention_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    bias: Option<&Tensor>,
-    scale: f32,
-    dy: &Tensor,
-) -> Result<(Tensor, Tensor, Tensor, Option<Tensor>)> {
-    // Recompute probabilities (this is the memory saving FlashAttention
-    // backward also performs; on GPU it is tiled, here we materialize).
-    let mut logits = q.matmul_bt(k)?;
-    logits.map_inplace(|l| l * scale);
-    if let Some(b) = bias {
-        logits = logits.add(b)?;
-    }
-    sf_tensor::ops::softmax::softmax_inplace(&mut logits)?;
-    let p = logits;
-    let dv = p.matmul_at(dy)?;
-    let mut dp = dy.matmul_bt(v)?;
-    softmax_backward_inplace(&p, &mut dp)?;
-    let dlogits = dp;
-    let mut dq = dlogits.matmul(k)?;
-    dq.map_inplace(|g| g * scale);
-    let mut dk = dlogits.matmul_at(q)?;
-    dk.map_inplace(|g| g * scale);
-    let dbias = match bias {
-        Some(b) => Some(sum_to(dlogits, b.dims())?),
-        None => None,
-    };
-    Ok((dq, dk, dv, dbias))
 }
 
 /// Adjoint of `slice_axis`: scatters `dy` back into a zero tensor of the

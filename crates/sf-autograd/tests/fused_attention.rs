@@ -2,10 +2,11 @@
 //!
 //! `Graph::attention_fused` (one kernel: scale + bias + mask penalty +
 //! online softmax + sigmoid gate, backward from recomputed row stats) must
-//! agree with the composed tape chain
-//! `mul(sigmoid(gate), attention(q, k, v, bias + maskneg))` to ≤1e-5
+//! agree with the composed chain of primitive tape ops
+//! `sigmoid(gate) ⊙ softmax(q kᵀ · scale + (bias + maskneg)) v` to ≤1e-5
 //! relative — forward values AND every input gradient — for every on/off
-//! combination of bias, mask, and gate, across random shapes.
+//! combination of bias, mask, and gate, across random shapes, and for the
+//! structure module's IPA layout.
 
 use proptest::prelude::*;
 use sf_autograd::{Graph, Var};
@@ -57,6 +58,22 @@ fn make_inputs(
     }
 }
 
+/// Structure-module IPA layout: rank-3 `q [h, R, d]` and a bias of the
+/// full logits shape `[h, R, R]`, so the bias gradient is the logits
+/// gradient itself (no reduction); no mask, no gate.
+fn ipa_inputs((h, r, d): (usize, usize, usize), seed: u64) -> Inputs {
+    Inputs {
+        q: Tensor::randn(&[h, r, d], seed),
+        k: Tensor::randn(&[h, r, d], seed ^ 1),
+        v: Tensor::randn(&[h, r, d], seed ^ 2),
+        bias: Some(Tensor::randn(&[h, r, r], seed ^ 3)),
+        mask: None,
+        gate: None,
+        scale: 1.0 / (d as f32).sqrt(),
+        dy: Tensor::randn(&[h, r, d], seed ^ 6),
+    }
+}
+
 struct TapeResult {
     out: Tensor,
     dq: Tensor,
@@ -78,9 +95,10 @@ fn run_tape(inputs: &Inputs, fused: bool) -> TapeResult {
         g.attention_fused(q, k, v, bias, mask, gate, inputs.scale)
             .expect("fused attention")
     } else {
-        // The composed chain the fused kernel replaces: materialize the
-        // mask penalty into the bias, run the plain attention node, then
-        // the separate sigmoid-gate multiply.
+        // The composed chain the fused kernel replaces, on primitive tape
+        // ops: materialize the mask penalty into the bias, then
+        // permute/matmul/scale/add/softmax/matmul, then the separate
+        // sigmoid-gate multiply.
         let penalty = inputs
             .mask
             .as_ref()
@@ -90,9 +108,17 @@ fn run_tape(inputs: &Inputs, fused: bool) -> TapeResult {
             (Some(b), None) => Some(b),
             (None, p) => p,
         };
-        let att = g
-            .attention(q, k, v, bias_eff, inputs.scale)
-            .expect("composed attention");
+        let rank = inputs.q.rank();
+        let mut perm: Vec<usize> = (0..rank).collect();
+        perm.swap(rank - 2, rank - 1);
+        let kt = g.permute(k, &perm).expect("k transpose");
+        let logits = g.matmul(q, kt).expect("q kᵀ");
+        let mut logits = g.scale(logits, inputs.scale).expect("scale");
+        if let Some(b) = bias_eff {
+            logits = g.add(logits, b).expect("logits + bias");
+        }
+        let p = g.softmax(logits).expect("softmax");
+        let att = g.matmul(p, v).expect("p v");
         match gate {
             Some(gt) => {
                 let sig = g.sigmoid(gt).expect("gate sigmoid");
@@ -146,6 +172,7 @@ fn fused_matches_composed_all_feature_combinations() {
         );
         assert_equivalent(&inputs);
     }
+    assert_equivalent(&ipa_inputs((3, 13, 8), 107));
 }
 
 proptest! {

@@ -186,7 +186,9 @@ fn grad_attention_with_bias() {
             Tensor::randn(&[2, 4, 4], 18).mul_scalar(0.5),
         ],
         |g, v| {
-            let out = g.attention(v[0], v[1], v[2], Some(v[3]), 0.6).unwrap();
+            let out = g
+                .attention_fused(v[0], v[1], v[2], Some(v[3]), None, None, 0.6)
+                .unwrap();
             weighted_loss(g, out)
         },
         3e-2,
@@ -203,7 +205,9 @@ fn grad_attention_matches_composed() {
     let scale = 0.5;
 
     let (_, fused) = run(&[q0.clone(), k0.clone(), v0.clone()], |g, v| {
-        let out = g.attention(v[0], v[1], v[2], None, scale).unwrap();
+        let out = g
+            .attention_fused(v[0], v[1], v[2], None, None, None, scale)
+            .unwrap();
         weighted_loss(g, out)
     });
     let (_, composed) = run(&[q0, k0, v0], |g, v| {

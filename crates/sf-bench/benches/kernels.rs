@@ -1,10 +1,10 @@
 //! Microbenchmarks of the real CPU kernels behind the paper's Triton
-//! fusions: naive vs fused LayerNorm, naive vs flash attention with pair
+//! fusions: naive vs fused LayerNorm, naive vs fused attention with pair
 //! bias, and individual vs bundled projection GEMMs (Figure 8's kernel
 //! stages, measured for real at CPU scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sf_tensor::ops::attention::{flash_attention, naive_attention};
+use sf_tensor::ops::attention::{attention_fused, naive_attention};
 use sf_tensor::ops::layernorm::{fused_backward, fused_forward, naive_backward, naive_forward, LN_EPS};
 use sf_tensor::ops::matmul::batched_linear;
 use sf_tensor::Tensor;
@@ -51,9 +51,11 @@ fn bench_attention(c: &mut Criterion) {
                 naive_attention(black_box(&q), &k, &v, Some(&bias), scale).expect("attn")
             })
         });
-        group.bench_with_input(BenchmarkId::new("flash", s), &s, |b, _| {
+        group.bench_with_input(BenchmarkId::new("fused", s), &s, |b, _| {
             b.iter(|| {
-                flash_attention(black_box(&q), &k, &v, Some(&bias), scale).expect("attn")
+                attention_fused(black_box(&q), &k, &v, Some(&bias), None, None, scale)
+                    .expect("attn")
+                    .out
             })
         });
     }

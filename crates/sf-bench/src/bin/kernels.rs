@@ -1,25 +1,22 @@
 //! Kernel benchmark baseline: seed-serial vs optimized-serial vs parallel
-//! timings for batched GEMM, LayerNorm, softmax, flash attention, and the
-//! fused gated attention kernel at AlphaFold-like shapes. Writes
+//! timings for batched GEMM, LayerNorm, softmax, attention with pair bias,
+//! and the fused gated attention kernel at AlphaFold-like shapes. Writes
 //! `BENCH_kernels.json` in the working directory (override with
 //! `--out PATH`; pick threads with `--threads N` or `SF_THREADS`).
 //!
-//! `--no-fused` times the composed attention op chain instead of the fused
-//! kernel (and defaults the output to `BENCH_kernels_nofused.json`).
 //! `--check` additionally enforces the CI regression bounds: vectorized
 //! softmax must beat the seed scalar path and the fused attention kernel
 //! must not fall behind the composed chain.
 
 use std::process::ExitCode;
 
-use scalefold::kernel_bench::{run_mode, BenchScale};
+use scalefold::kernel_bench::{run, BenchScale};
 
 fn main() -> ExitCode {
     sf_bench::banner("Kernel baseline");
 
     let mut threads = 0usize; // 0 = auto (SF_THREADS / core count)
-    let mut out: Option<String> = None;
-    let mut fused = true;
+    let mut out = String::from("BENCH_kernels.json");
     let mut check = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -37,7 +34,7 @@ fn main() -> ExitCode {
             },
             "--out" => match args.get(i + 1) {
                 Some(path) => {
-                    out = Some(path.clone());
+                    out = path.clone();
                     i += 2;
                 }
                 None => {
@@ -45,10 +42,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--no-fused" => {
-                fused = false;
-                i += 1;
-            }
             "--check" => {
                 check = true;
                 i += 1;
@@ -56,31 +49,20 @@ fn main() -> ExitCode {
             other => {
                 eprintln!(
                     "error: unknown argument `{other}` \
-                     (expected --threads N, --out PATH, --no-fused, --check)"
+                     (expected --threads N, --out PATH, --check)"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-    let out = out.unwrap_or_else(|| {
-        String::from(if fused {
-            "BENCH_kernels.json"
-        } else {
-            "BENCH_kernels_nofused.json"
-        })
-    });
 
-    let report = run_mode(threads, BenchScale::Full, fused);
+    let report = run(threads, BenchScale::Full);
     println!("{}", report.to_table());
     if let Err(e) = std::fs::write(&out, report.to_json()) {
         eprintln!("error: failed to write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
-        "wrote {out} ({} threads{})",
-        report.threads,
-        if fused { "" } else { ", --no-fused" }
-    );
+    println!("wrote {out} ({} threads)", report.threads);
     if check {
         match report.check_fused() {
             Ok(()) => println!("fused-kernel regression check passed"),

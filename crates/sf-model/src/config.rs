@@ -71,12 +71,6 @@ pub struct ModelConfig {
     pub gradient_checkpointing: bool,
     /// Dropout probability inside attention modules (0 disables).
     pub dropout: f32,
-    /// Route gated axis attention through the fused
-    /// attention-softmax-gate kernel (`attention_fused`). Disable
-    /// (`--no-fused`) to fall back to the composed
-    /// scale→bias→softmax→gate op chain for A/B comparison and debugging.
-    #[serde(default)]
-    pub fused_kernels: bool,
 }
 
 impl ModelConfig {
@@ -107,7 +101,6 @@ impl ModelConfig {
             recycle_iters: 3,
             gradient_checkpointing: true,
             dropout: 0.0,
-            fused_kernels: true,
         }
     }
 
@@ -137,7 +130,6 @@ impl ModelConfig {
             recycle_iters: 1,
             gradient_checkpointing: false,
             dropout: 0.0,
-            fused_kernels: true,
         }
     }
 

@@ -255,7 +255,7 @@ fn template_pointwise_attention(
     let kh = to_kv(g, k)?;
     let vh = to_kv(g, v)?;
     let scale = 1.0 / (d as f32).sqrt();
-    let att = g.attention(qh, kh, vh, None, scale)?; // [R*R, heads, 1, d]
+    let att = g.attention_fused(qh, kh, vh, None, None, None, scale)?; // [R*R, heads, 1, d]
     let flat = g.reshape(att, &[r, r, hd])?;
     Linear::new("template.point_out", hd, cfg.c_z).apply(g, store, flat)
 }

@@ -53,9 +53,6 @@ pub struct BlockDims {
     pub transition_factor: usize,
     /// Dropout probability on attention/triangle outputs (0 disables).
     pub dropout: f32,
-    /// Use the fused attention-softmax-gate kernel (vs the composed op
-    /// chain) in gated axis attention.
-    pub fused: bool,
 }
 
 impl BlockDims {
@@ -72,7 +69,6 @@ impl BlockDims {
             c_opm: cfg.c_opm,
             transition_factor: cfg.transition_factor,
             dropout: cfg.dropout,
-            fused: cfg.fused_kernels,
         }
     }
 
@@ -230,7 +226,6 @@ fn dap_msa_attention(
             dims.c_m,
             dims.msa_heads,
             dims.c_hidden_msa,
-            dims.fused,
         )?;
         row_out.push(dropout_residual_ranked(g, dims, &row_prefix, rank, sh, att)?);
     }
@@ -249,7 +244,6 @@ fn dap_msa_attention(
             dims.c_m,
             dims.msa_heads,
             dims.c_hidden_msa,
-            dims.fused,
         )?;
         // Column attention has no dropout in the unsharded path either.
         col_out.push(g.add(sh, att)?);
@@ -293,7 +287,6 @@ fn dap_triangle_attention(
             dims.c_z,
             dims.pair_heads,
             dims.c_hidden_pair,
-            dims.fused,
         )?;
         start_out.push(dropout_residual_ranked(g, dims, &start_p, rank, z_shards[rank], att)?);
     }
@@ -318,7 +311,6 @@ fn dap_triangle_attention(
             dims.c_z,
             dims.pair_heads,
             dims.c_hidden_pair,
-            dims.fused,
         )?;
         end_out.push(dropout_residual_ranked(g, dims, &end_p, rank, end_in[rank], att)?);
     }
@@ -378,7 +370,6 @@ fn gated_axis_attention(
     c_in: usize,
     heads: usize,
     c_hidden: usize,
-    fused: bool,
 ) -> Result<Var> {
     let hd = heads * c_hidden;
     let q_proj = Linear::no_bias(format!("{prefix}.q"), c_in, hd);
@@ -401,17 +392,9 @@ fn gated_axis_attention(
     let vh = to_heads(g, v)?;
     let gh = to_heads(g, gate)?;
     let scale = 1.0 / (c_hidden as f32).sqrt();
-    let gated = if fused {
-        // One kernel: scale + pair bias + online softmax + sigmoid gate,
-        // with softmax-backward folded into the attention grad.
-        g.attention_fused(qh, kh, vh, bias, None, Some(gh), scale)?
-    } else {
-        // Composed escape hatch (`--no-fused`): the seed-era op chain,
-        // kept for A/B comparison and debugging.
-        let att = g.attention(qh, kh, vh, bias, scale)?;
-        let gsig = g.sigmoid(gh)?;
-        g.mul(gsig, att)?
-    };
+    // One kernel: scale + pair bias + online softmax + sigmoid gate, with
+    // softmax-backward folded into the attention grad.
+    let gated = g.attention_fused(qh, kh, vh, bias, None, Some(gh), scale)?;
     let back = g.permute(gated, &[0, 2, 1, 3])?;
     let flat = g.reshape(back, &[b1, b2, hd])?;
     Linear::new(format!("{prefix}.out"), hd, c_in).apply(g, store, flat)
@@ -468,7 +451,6 @@ pub fn msa_row_attention_with_pair_bias(
         dims.c_m,
         dims.msa_heads,
         dims.c_hidden_msa,
-        dims.fused,
     )?;
     dropout_residual(g, dims, prefix, m, att)
 }
@@ -493,7 +475,6 @@ pub fn msa_column_attention(
         dims.c_m,
         dims.msa_heads,
         dims.c_hidden_msa,
-        dims.fused,
     )?;
     let back = g.permute(att, &[1, 0, 2])?;
     g.add(m, back)
@@ -536,7 +517,7 @@ pub fn msa_global_column_attention(
     let kh = to_kv(g, k)?;
     let vh = to_kv(g, v)?;
     let scale = 1.0 / (dims.c_hidden_msa as f32).sqrt();
-    let att = g.attention(qh, kh, vh, None, scale)?; // [R, heads, 1, d]
+    let att = g.attention_fused(qh, kh, vh, None, None, None, scale)?; // [R, heads, 1, d]
     let att_flat = g.reshape(att, &[r, hd])?;
     // Per-sequence gating of the shared column output.
     let gsig = g.sigmoid(gate)?; // [S, R, hd]
@@ -724,7 +705,6 @@ pub fn triangle_attention(
         dims.c_z,
         dims.pair_heads,
         dims.c_hidden_pair,
-        dims.fused,
     )?;
     let att = if starting { att } else { g.permute(att, &[1, 0, 2])? };
     dropout_residual(g, dims, prefix, z, att)
@@ -823,7 +803,6 @@ mod tests {
             c_opm: c,
             transition_factor: 2,
             dropout: 0.0,
-            fused: true,
         };
         let m0 = Tensor::randn(&[s, r, c_m], 7);
         let z0 = Tensor::zeros(&[r, r, 3]);
@@ -947,42 +926,30 @@ mod tests {
     fn dap_block_matches_unsharded_bitwise() {
         // With dropout off, the DAP block must reproduce the unsharded
         // block exactly (forward values), for every rank count dividing
-        // both axes, fused and composed attention alike.
-        for fused in [true, false] {
-            let cfg = ModelConfig::tiny();
-            let mut dims = BlockDims::main(&cfg);
-            dims.fused = fused;
-            let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 5).mul_scalar(0.3);
-            let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 6).mul_scalar(0.3);
+        // both axes.
+        let cfg = ModelConfig::tiny();
+        let dims = BlockDims::main(&cfg);
+        let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 5).mul_scalar(0.3);
+        let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 6).mul_scalar(0.3);
 
-            let mut g_ref = Graph::new();
-            let mut store = ParamStore::new();
-            let m = g_ref.constant(m0.clone());
-            let z = g_ref.constant(z0.clone());
-            let (mr, zr) =
-                evoformer_block(&mut g_ref, &mut store, &dims, "blk", m, z, false).unwrap();
-            let (m_ref, z_ref) = (g_ref.value(mr).clone(), g_ref.value(zr).clone());
+        let mut g_ref = Graph::new();
+        let mut store = ParamStore::new();
+        let m = g_ref.constant(m0.clone());
+        let z = g_ref.constant(z0.clone());
+        let (mr, zr) = evoformer_block(&mut g_ref, &mut store, &dims, "blk", m, z, false).unwrap();
+        let (m_ref, z_ref) = (g_ref.value(mr).clone(), g_ref.value(zr).clone());
 
-            for k in [1usize, 2, 4] {
-                let mut g = Graph::new();
-                let mut store_k = ParamStore::new();
-                let m = g.constant(m0.clone());
-                let z = g.constant(z0.clone());
-                let dap = crate::dap::LocalAxial(k);
-                let (mk, zk) =
-                    evoformer_block_dap(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap)
-                        .unwrap();
-                assert_eq!(
-                    g.value(mk).data(),
-                    m_ref.data(),
-                    "fused={fused} k={k}: MSA track diverged"
-                );
-                assert_eq!(
-                    g.value(zk).data(),
-                    z_ref.data(),
-                    "fused={fused} k={k}: pair track diverged"
-                );
-            }
+        for k in [1usize, 2, 4] {
+            let mut g = Graph::new();
+            let mut store_k = ParamStore::new();
+            let m = g.constant(m0.clone());
+            let z = g.constant(z0.clone());
+            let dap = crate::dap::LocalAxial(k);
+            let (mk, zk) =
+                evoformer_block_dap(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap)
+                    .unwrap();
+            assert_eq!(g.value(mk).data(), m_ref.data(), "k={k}: MSA track diverged");
+            assert_eq!(g.value(zk).data(), z_ref.data(), "k={k}: pair track diverged");
         }
     }
 

@@ -102,7 +102,8 @@ pub fn structure_module(
         let qh = to_heads(g, q)?;
         let kh = to_heads(g, k)?;
         let vh = to_heads(g, v)?;
-        let att = g.attention(qh, kh, vh, Some(bias), 1.0 / (d as f32).sqrt())?;
+        let scale = 1.0 / (d as f32).sqrt();
+        let att = g.attention_fused(qh, kh, vh, Some(bias), None, None, scale)?;
         let att_r = g.permute(att, &[1, 0, 2])?;
         let att_flat = g.reshape(att_r, &[r, heads * d])?;
         let upd = Linear::new(format!("{p}.out"), heads * d, c_s).apply(g, store, att_flat)?;

@@ -6,16 +6,18 @@
 //! why stock FlashAttention kernels were inapplicable and the ScaleFold
 //! authors wrote a custom fused kernel.
 //!
-//! Two implementations are provided:
+//! One kernel runs every attention site:
 //!
-//! - [`naive_attention`]: materializes the full logits matrix — the
-//!   reference, and the memory-hungry path the paper starts from.
-//! - [`flash_attention`]: a FlashAttention-style kernel that tiles over keys
-//!   with a streaming (online) softmax, folding the pair bias into each tile.
-//!   It never materializes the logits matrix.
+//! - [`attention_fused`]: a FlashAttention-style kernel that tiles over keys
+//!   with a streaming (online) softmax, folding scale, the optional pair
+//!   bias, the optional mask and the optional sigmoid gate into each tile.
+//!   It never materializes the logits matrix, and it saves per-row
+//!   log-sum-exp statistics for [`attention_fused_backward`].
 //!
-//! Both return identical results to within f32 tolerance (tested, including
-//! property tests).
+//! [`naive_attention`] materializes the full logits matrix. It is the test
+//! oracle (and the memory-hungry path the paper starts from); the fused
+//! kernel matches it to within f32 tolerance (tested, including property
+//! tests).
 
 use crate::ops::matmul::matmul_bt;
 use crate::ops::softmax::{softmax, OnlineSoftmax};
@@ -201,7 +203,7 @@ pub struct FusedAttentionGrads {
     pub dgate: Option<Tensor>,
 }
 
-/// Shared tiled kernel behind [`flash_attention`] and [`attention_fused`].
+/// Tiled kernel behind [`attention_fused`].
 ///
 /// One work item per (batch, query-row block) — the paper's (batch, head)
 /// parallelization with the row axis split for load balance. Each item
@@ -336,28 +338,6 @@ fn flash_core(
     })
 }
 
-/// Fused FlashAttention-style attention with pair bias.
-///
-/// Tiles over the key axis in blocks of [`FLASH_TILE`], maintaining the
-/// online-softmax state per query row. The logits matrix is never
-/// materialized; per-tile logits live in a `[FLASH_TILE]` scratch buffer.
-/// Bias is read through broadcast strides, so a `[H, S_q, S_k]` bias against
-/// `[B, H, S_q, D]` queries costs no extra memory.
-///
-/// # Errors
-///
-/// Returns an error on any shape incompatibility.
-pub fn flash_attention(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    bias: Option<&Tensor>,
-    scale: f32,
-) -> Result<Tensor> {
-    let _sp = sf_trace::span("kernel", "flash_attention");
-    Ok(flash_core(q, k, v, bias, None, None, scale)?.out)
-}
-
 /// The fully fused attention head — the CPU analogue of ScaleFold's custom
 /// Triton kernel: `sigmoid(gate) ⊙ softmax(q @ k^T · scale + bias + maskneg) @ v`
 /// in one pass over the key tiles. Scale, pair bias, mask penalty, and the
@@ -420,7 +400,8 @@ pub fn attention_fused_backward(
     let (batch, s_q, s_k, _d) = check_qkv(q, k, v)?;
 
     // Gate epilogue backward: datt = dy ⊙ σ(g); dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)).
-    let (datt, dgate) = match gate {
+    // Ungated, `datt` is `dy` itself (borrowed, not copied).
+    let (gated_datt, dgate) = match gate {
         Some(g) => {
             let mut datt = Tensor::zeros(dy.dims());
             let mut dgate = Tensor::zeros(g.dims());
@@ -441,10 +422,11 @@ pub fn attention_fused_backward(
                     dg[off] = dyd[i] * attd[i] * sig * (1.0 - sig);
                 }
             });
-            (datt, Some(dgate))
+            (Some(datt), Some(dgate))
         }
-        None => (dy.clone(), None),
+        None => (None, None),
     };
+    let datt = gated_datt.as_ref().unwrap_or(dy);
 
     // Recompute probabilities in ONE pass from the saved row stats: the
     // GEMM gives raw q·kᵀ; scale/bias/mask/−lse/exp fold into a single
@@ -478,7 +460,7 @@ pub fn attention_fused_backward(
         });
     }
 
-    let dv = p.matmul_at(&datt)?;
+    let dv = p.matmul_at(datt)?;
     // dp, then dlogits = p ⊙ (dp − D) fused in place with the D-trick
     // rowdot (saves the standalone softmax-backward pass).
     let mut dp = datt.matmul_bt(v)?;
@@ -505,33 +487,21 @@ pub fn attention_fused_backward(
         });
     }
 
-    let dq = dp.matmul(k)?.mul_scalar(scale);
-    let dk = dp.matmul_at(q)?.mul_scalar(scale);
+    let mut dq = dp.matmul(k)?;
+    dq.map_inplace(|g| g * scale);
+    let mut dk = dp.matmul_at(q)?;
+    dk.map_inplace(|g| g * scale);
     let dbias = match bias {
+        // A bias of the full logits shape (IPA) takes `dp` itself; `0.0 + x`
+        // gives the same bits as `reduce_to`'s single-term sum (-0.0 -> +0.0).
+        Some(b) if b.dims() == dp.dims() => {
+            dp.map_inplace(|x| 0.0 + x);
+            Some(dp)
+        }
         Some(b) => Some(dp.reduce_to(b.dims())?),
         None => None,
     };
     Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
-}
-
-/// Gated attention output: `sigmoid(gate) * attention`, the full AlphaFold
-/// attention head (the gate is another linear projection of the input).
-/// This is the *composed* formulation — [`attention_fused`] computes the
-/// same thing in one kernel.
-///
-/// # Errors
-///
-/// Returns an error if `gate`'s shape mismatches the attention output.
-pub fn gated_attention(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    bias: Option<&Tensor>,
-    gate: &Tensor,
-    scale: f32,
-) -> Result<Tensor> {
-    let att = flash_attention(q, k, v, bias, scale)?;
-    gate.sigmoid().mul(&att)
 }
 
 #[cfg(test)]
@@ -545,7 +515,7 @@ mod tests {
         let v = Tensor::randn(&[2, 3, 20, 8], 3);
         let scale = 1.0 / 8f32.sqrt();
         let a = naive_attention(&q, &k, &v, None, scale).unwrap();
-        let b = flash_attention(&q, &k, &v, None, scale).unwrap();
+        let b = attention_fused(&q, &k, &v, None, None, None, scale).unwrap().out;
         assert!(a.allclose(&b, 1e-4));
     }
 
@@ -560,7 +530,7 @@ mod tests {
         let bias = Tensor::randn(&[h, s, s], 7);
         let scale = 1.0 / (d as f32).sqrt();
         let out1 = naive_attention(&q, &k, &v, Some(&bias), scale).unwrap();
-        let out2 = flash_attention(&q, &k, &v, Some(&bias), scale).unwrap();
+        let out2 = attention_fused(&q, &k, &v, Some(&bias), None, None, scale).unwrap().out;
         assert!(out1.allclose(&out2, 1e-4));
     }
 
@@ -571,7 +541,7 @@ mod tests {
         let k = Tensor::randn(&[1, FLASH_TILE + 3, 4], 9);
         let v = Tensor::randn(&[1, FLASH_TILE + 3, 4], 10);
         let a = naive_attention(&q, &k, &v, None, 0.5).unwrap();
-        let b = flash_attention(&q, &k, &v, None, 0.5).unwrap();
+        let b = attention_fused(&q, &k, &v, None, None, None, 0.5).unwrap().out;
         assert!(a.allclose(&b, 1e-4));
     }
 
@@ -581,7 +551,7 @@ mod tests {
         let q = Tensor::zeros(&[1, 2, 4]);
         let k = Tensor::randn(&[1, 6, 4], 11);
         let v = Tensor::randn(&[1, 6, 4], 12);
-        let out = flash_attention(&q, &k, &v, None, 1.0).unwrap();
+        let out = attention_fused(&q, &k, &v, None, None, None, 1.0).unwrap().out;
         let mean_v = v.mean_axis(1).unwrap();
         for r in 0..2 {
             for c in 0..4 {
@@ -610,20 +580,10 @@ mod tests {
         for i in 0..3 {
             bias.set(&[0, i, 2], 50.0).unwrap();
         }
-        let out = flash_attention(&q, &k, &v, Some(&bias), 1.0).unwrap();
+        let out = attention_fused(&q, &k, &v, Some(&bias), None, None, 1.0).unwrap().out;
         for i in 0..3 {
             assert!(out.at(&[0, 0, i, 2]).unwrap() > 0.999);
         }
-    }
-
-    #[test]
-    fn gated_attention_zero_gate_zeroes_output() {
-        let q = Tensor::randn(&[1, 4, 4], 13);
-        let k = Tensor::randn(&[1, 4, 4], 14);
-        let v = Tensor::randn(&[1, 4, 4], 15);
-        let gate = Tensor::full(&[1, 4, 4], -100.0); // sigmoid -> 0
-        let out = gated_attention(&q, &k, &v, None, &gate, 1.0).unwrap();
-        assert!(out.abs().max_all().unwrap() < 1e-6);
     }
 
     #[test]
@@ -633,9 +593,9 @@ mod tests {
         let v = Tensor::zeros(&[1, 4, 8]);
         assert!(naive_attention(&q, &k, &v, None, 1.0).is_err());
         let k2 = Tensor::zeros(&[2, 4, 8]);
-        assert!(flash_attention(&q, &k2, &v, None, 1.0).is_err());
+        assert!(attention_fused(&q, &k2, &v, None, None, None, 1.0).is_err());
         let bad_bias = Tensor::zeros(&[5, 5]);
         let k3 = Tensor::zeros(&[1, 4, 8]);
-        assert!(flash_attention(&q, &k3, &v, Some(&bad_bias), 1.0).is_err());
+        assert!(attention_fused(&q, &k3, &v, Some(&bad_bias), None, None, 1.0).is_err());
     }
 }

@@ -91,7 +91,7 @@ pub fn naive_forward(
 /// `(mean, rstd)` statistics the backward pass needs (mirroring the
 /// multi-row-per-thread-block Triton kernel — no separate mean/var/normalize
 /// launches). Row statistics use the deterministic 8-lane striped reduction
-/// of [`lane_sum`]: a scalar Welford recurrence would carry a divide on the
+/// of `lane_sum`: a scalar Welford recurrence would carry a divide on the
 /// loop, which serializes on a CPU, while the striped two-pass vectorizes.
 ///
 /// # Errors

@@ -93,9 +93,15 @@ fn large_attention_is_bit_identical() {
     let bias = Tensor::randn(&[4, 64, 64], 14);
     let scale = 0.25;
     identical_across_threads(|| {
-        attention::flash_attention(&q, &k, &v, Some(&bias), scale).unwrap()
+        attention::attention_fused(&q, &k, &v, Some(&bias), None, None, scale)
+            .unwrap()
+            .out
     });
-    identical_across_threads(|| attention::flash_attention(&q, &k, &v, None, scale).unwrap());
+    identical_across_threads(|| {
+        attention::attention_fused(&q, &k, &v, None, None, None, scale)
+            .unwrap()
+            .out
+    });
 }
 
 #[test]
@@ -211,7 +217,7 @@ proptest! {
         let scale = 1.0 / (d as f32).sqrt();
         let bias_ref = if with_bias { Some(&bias) } else { None };
         let out = identical_across_threads(|| {
-            attention::flash_attention(&q, &k, &v, bias_ref, scale).unwrap()
+            attention::attention_fused(&q, &k, &v, bias_ref, None, None, scale).unwrap().out
         });
         // And the parallel kernel still agrees with the naive reference.
         let naive = attention::naive_attention(&q, &k, &v, bias_ref, scale).unwrap();

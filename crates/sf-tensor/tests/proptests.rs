@@ -94,7 +94,7 @@ proptest! {
     }
 
     #[test]
-    fn flash_attention_equals_naive(
+    fn fused_attention_equals_naive(
         (b, s, d, seed) in (1usize..3, 1usize..40, 1usize..9, any::<u64>())
     ) {
         let q = Tensor::randn(&[b, s, d], seed);
@@ -103,8 +103,10 @@ proptest! {
         let bias = Tensor::randn(&[s, s], seed ^ 7);
         let scale = 1.0 / (d as f32).sqrt();
         let naive = attention::naive_attention(&q, &k, &v, Some(&bias), scale).unwrap();
-        let flash = attention::flash_attention(&q, &k, &v, Some(&bias), scale).unwrap();
-        prop_assert!(naive.allclose(&flash, 1e-3));
+        let fused = attention::attention_fused(&q, &k, &v, Some(&bias), None, None, scale)
+            .unwrap()
+            .out;
+        prop_assert!(naive.allclose(&fused, 1e-3));
     }
 
     #[test]

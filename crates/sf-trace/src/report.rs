@@ -53,7 +53,7 @@ pub struct PhaseReport {
 
 /// Phase bucket a `kernel`-category span belongs to. Backward kernels
 /// carry a `_bwd` name suffix (`attention_fused_bwd`); everything else
-/// (`flash_attention`, `attention_fused`, ...) runs in the forward pass.
+/// (`attention_fused`) runs in the forward pass.
 /// Without this mapping, fused-kernel time called outside a phase wrapper
 /// would land in the table's "other" column.
 fn kernel_phase(name: &str) -> &'static str {
@@ -351,7 +351,7 @@ mod tests {
             events: vec![
                 span("step", 0, 100, 1),
                 span("forward", 0, 60, 1),
-                kernel_span("flash_attention", 10, 20, 1),
+                kernel_span("attention_fused", 10, 20, 1),
             ],
             dropped: 0,
         };

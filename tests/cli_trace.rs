@@ -34,6 +34,25 @@ fn unwritable_trace_path_exits_one_with_diagnostic() {
     );
 }
 
+/// An argument past the command's one optional positional — here the
+/// removed `--no-fused` switch — is rejected before any training runs,
+/// not silently ignored.
+#[test]
+fn leftover_argument_exits_one_naming_it() {
+    let out = scalefold(&["train", "1", "--no-fused"]);
+    assert_eq!(out.status.code(), Some(1), "must exit 1, not train");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--no-fused"),
+        "stderr must name the argument: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("step"),
+        "no training output expected: {stdout}"
+    );
+}
+
 /// `--trace` with no value is rejected like `--threads` with no value.
 #[test]
 fn trace_flag_without_value_exits_one() {

@@ -91,7 +91,7 @@ fn pipeline_under_stragglers_delivers_exactly_once() {
 }
 
 #[test]
-fn fused_kernels_agree_with_naive_at_model_scale() {
+fn model_forward_is_deterministic_at_model_scale() {
     // The real fused CPU kernels inside a real forward pass: run the same
     // model twice from one store; outputs must be deterministic and equal.
     let cfg = tiny_model_cfg();
