@@ -22,7 +22,7 @@ use sf_data::SyntheticDataset;
 use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
 use sf_model::loss::LossBreakdown;
 use sf_model::metrics::lddt_ca;
-use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
+use sf_model::{AlphaFold, FeatureBatch, ModelConfig};
 use sf_optim::{clip_by_global_norm, AdamConfig, FusedAdamSwa, Grads, LrSchedule};
 use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
@@ -261,9 +261,10 @@ pub struct Trainer {
     rng: StdRng,
     injector: FaultInjector,
     recovery: Vec<RecoveryEvent>,
-    /// Shared DAP executor: replicas run sequentially on a CPU, so one
-    /// group serves the whole grid and accumulates its total traffic.
-    dap_group: Option<DapGroup>,
+    /// Shared DAP executor (one rank when DAP is off): replicas run
+    /// sequentially on a CPU, so one group serves the whole grid and
+    /// accumulates its total traffic.
+    dap_group: DapGroup,
     dap_comm: DapStats,
 }
 
@@ -299,12 +300,10 @@ impl Trainer {
         if cfg.num_threads > 0 {
             sf_tensor::pool::set_num_threads(cfg.num_threads);
         }
-        let dap_group = (cfg.dap > 1).then(|| {
-            if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
-                panic!("{msg}");
-            }
-            DapGroup::new(cfg.dap)
-        });
+        if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
+            panic!("{msg}");
+        }
+        let dap_group = DapGroup::new(cfg.dap);
         let replicas = (0..ranks)
             .map(|_| Replica {
                 store: ParamStore::new(),
@@ -391,10 +390,6 @@ impl Trainer {
     pub(crate) fn step(&mut self, batches: &[FeatureBatch]) -> EngineStep {
         assert_eq!(batches.len(), self.ranks(), "one batch per replica");
         let n = batches.len() as f32;
-        let dap = self
-            .dap_group
-            .as_ref()
-            .map(|group| group as &dyn AxialCollectives);
         let (mut loss, mut distance_loss, mut lddt) = (0.0f32, 0.0f32, 0.0f32);
         let mut grads: Vec<Grads> = Vec::with_capacity(batches.len());
         for (replica, batch) in self.replicas.iter_mut().zip(batches) {
@@ -402,7 +397,7 @@ impl Trainer {
             let out = {
                 let _fwd = sf_trace::span("forward", "forward");
                 self.model
-                    .forward_dap(&mut g, &mut replica.store, batch, dap)
+                    .forward_dap(&mut g, &mut replica.store, batch, Some(&self.dap_group))
                     .expect("forward pass on validated batch")
             };
             let replica_grads = {
@@ -425,11 +420,7 @@ impl Trainer {
             let _metric = sf_trace::span("eval", "lddt");
             lddt += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask) / n;
         }
-        let step_dap = self
-            .dap_group
-            .as_ref()
-            .map(DapGroup::take_stats)
-            .unwrap_or_default();
+        let step_dap = self.dap_group.take_stats();
         self.dap_comm += step_dap;
         if self.injector.poison_grads_at(self.step) {
             let first = grads[0].values_mut().next();

@@ -78,6 +78,14 @@ pub enum AutogradError {
         /// supplied.
         got_dims: Vec<usize>,
     },
+    /// An activation axis does not split evenly across the requested
+    /// number of shards (Dynamic Axial Parallelism ranks).
+    UnevenShard {
+        /// Length of the axis being sharded.
+        axis_len: usize,
+        /// Number of shards requested.
+        ranks: usize,
+    },
 }
 
 impl fmt::Display for AutogradError {
@@ -94,6 +102,10 @@ impl fmt::Display for AutogradError {
             AutogradError::ExternalValueMismatch { expect_dims, got_dims } => write!(
                 f,
                 "external value mismatch: expected shape {expect_dims:?}, got {got_dims:?} (or differing bytes)"
+            ),
+            AutogradError::UnevenShard { axis_len, ranks } => write!(
+                f,
+                "axis of length {axis_len} does not split evenly across {ranks} DAP ranks"
             ),
         }
     }

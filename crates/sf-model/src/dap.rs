@@ -12,19 +12,27 @@
 //! implementation routes these calls to the real ring collectives and
 //! records per-collective traffic stats.
 //!
+//! There is one Evoformer block, [`crate::evoformer::evoformer_block`],
+//! and it always runs through an executor. [`LocalAxial`]`(1)` is the
+//! production one-rank executor: at one rank [`dap_scatter`] and
+//! [`dap_all_gather`] add no tape node and [`dap_axis_switch`] is a plain
+//! transpose, so the unsharded model is the one-rank case of the sharded
+//! one ([`crate::AlphaFold::forward`] and the extra-MSA and template stacks
+//! run that way).
+//!
 //! The tape stays self-consistent: collective outputs enter the graph via
 //! [`Graph::concat_external`], which verifies the executor's buffer
 //! bitwise against the mathematical concatenation and reuses the exact
 //! concat backward (slicing). Data movement therefore differentiates
 //! correctly no matter what transport produced it.
 
-use sf_autograd::{Graph, Result, Var};
+use sf_autograd::{AutogradError, Graph, Result, Var};
 use sf_tensor::Tensor;
 
 /// Executor for DAP's two collectives, operating on rank-local flat
 /// buffers. Implementations may actually move data (the real ring
 /// collectives in `scalefold::dap`) or just rearrange it locally
-/// ([`LocalAxial`], the in-crate reference used by tests).
+/// ([`LocalAxial`]).
 pub trait AxialCollectives {
     /// Number of DAP ranks (shards). `1` disables all communication.
     fn ranks(&self) -> usize;
@@ -38,9 +46,11 @@ pub trait AxialCollectives {
     fn exchange_buffers(&self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>>;
 }
 
-/// Reference executor: performs the collectives as local copies. Semantics
-/// match `sf_cluster::collective::{all_gather, all_to_all}` exactly; used
-/// by sf-model's own tests, which cannot depend on `sf-cluster`.
+/// Local executor: performs the collectives as local copies. Semantics
+/// match `sf_cluster::collective::{all_gather, all_to_all}` exactly.
+/// `LocalAxial(1)` is the one-rank executor every unsharded block runs
+/// with (it is never called at one rank); larger rank counts serve
+/// sf-model's own tests, which cannot depend on `sf-cluster`.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalAxial(pub usize);
 
@@ -73,21 +83,21 @@ impl AxialCollectives for LocalAxial {
 }
 
 /// Scatters `x` into `ranks` equal shards along axis 0 (tape slices; the
-/// inputs are replicated on every rank, so the scatter moves no data).
-///
-/// # Panics
-///
-/// Panics if `dims[0]` is not divisible by `ranks`.
+/// inputs are replicated on every rank, so the scatter moves no data). At
+/// one rank this returns `[x]` and adds no tape node.
 ///
 /// # Errors
 ///
-/// Propagates tape errors from the slice ops.
+/// Returns [`AutogradError::UnevenShard`] if `ranks` is zero or does not
+/// divide `dims[0]`; propagates tape errors from the slice ops.
 pub fn dap_scatter(g: &mut Graph, x: Var, ranks: usize) -> Result<Vec<Var>> {
     let d0 = g.value(x).dims()[0];
-    assert!(
-        ranks > 0 && d0.is_multiple_of(ranks),
-        "DAP shard axis ({d0}) not divisible by {ranks} ranks"
-    );
+    if ranks == 0 || !d0.is_multiple_of(ranks) {
+        return Err(AutogradError::UnevenShard { axis_len: d0, ranks });
+    }
+    if ranks == 1 {
+        return Ok(vec![x]);
+    }
     let rows = d0 / ranks;
     (0..ranks)
         .map(|r| g.slice_axis(x, 0, r * rows, (r + 1) * rows))
@@ -127,14 +137,11 @@ pub fn dap_all_gather(g: &mut Graph, dap: &dyn AxialCollectives, shards: &[Var])
 /// to contiguous order. With `k = 1` this degenerates to a plain
 /// transpose and no executor call is made.
 ///
-/// # Panics
-///
-/// Panics if `B` is not divisible by the rank count.
-///
 /// # Errors
 ///
-/// Propagates tape errors; fails if the executor's buffers mismatch the
-/// mathematical exchange.
+/// Returns [`AutogradError::UnevenShard`] if `B` is not divisible by the
+/// rank count; propagates tape errors; fails if the executor's buffers
+/// mismatch the mathematical exchange.
 pub fn dap_axis_switch(
     g: &mut Graph,
     dap: &dyn AxialCollectives,
@@ -145,10 +152,9 @@ pub fn dap_axis_switch(
     let d = g.value(shards[0]).dims().to_vec();
     assert!(d.len() >= 2, "axis switch needs at least two axes");
     let (a_k, b) = (d[0], d[1]);
-    assert!(
-        b % n == 0,
-        "DAP switch axis ({b}) not divisible by {n} ranks"
-    );
+    if !b.is_multiple_of(n) {
+        return Err(AutogradError::UnevenShard { axis_len: b, ranks: n });
+    }
     let b_k = b / n;
 
     // Per-rank transpose so the flat buffer is row-major in the axis the
@@ -256,10 +262,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not divisible")]
     fn scatter_rejects_uneven_axis() {
         let mut g = Graph::new();
         let x = g.constant(Tensor::randn(&[5, 4], 1));
-        let _ = dap_scatter(&mut g, x, 2);
+        let err = dap_scatter(&mut g, x, 2).unwrap_err();
+        assert_eq!(err, AutogradError::UnevenShard { axis_len: 5, ranks: 2 });
+        assert!(err.to_string().contains("length 5"), "{err}");
+        assert!(err.to_string().contains("2 DAP ranks"), "{err}");
+    }
+
+    #[test]
+    fn axis_switch_rejects_uneven_axis() {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::randn(&[4, 5, 2], 3));
+        let shards = dap_scatter(&mut g, x, 2).unwrap();
+        let err = dap_axis_switch(&mut g, &LocalAxial(2), &shards).unwrap_err();
+        assert_eq!(err, AutogradError::UnevenShard { axis_len: 5, ranks: 2 });
+    }
+
+    #[test]
+    fn one_rank_scatter_is_the_input_and_adds_no_node() {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::randn(&[3, 4], 2));
+        let len = g.len();
+        let shards = dap_scatter(&mut g, x, 1).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0], x);
+        assert_eq!(g.len(), len, "one-rank scatter must not touch the tape");
     }
 }

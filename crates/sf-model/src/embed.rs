@@ -3,7 +3,8 @@
 //! (the "Input Embeddings" box of the paper's Figure 1).
 
 use crate::config::{ModelConfig, DISTOGRAM_BINS};
-use crate::evoformer::{evoformer_block_ext, pair_block, BlockDims};
+use crate::dap::LocalAxial;
+use crate::evoformer::{evoformer_block, pair_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::linear::{layer_norm, Linear};
 use sf_autograd::{Graph, ParamStore, Result, Var};
@@ -168,19 +169,11 @@ pub fn extra_msa_stack(
     let dims = BlockDims::extra(cfg);
     let mut z = z;
     for i in 0..cfg.extra_msa_blocks {
-        // The extra stack uses *global* column attention (Algorithm 19):
-        // thousands of unclustered sequences make full column attention
-        // prohibitively large.
-        let (m2, z2) = evoformer_block_ext(
-            g,
-            store,
-            &dims,
-            &format!("extra_msa.block{i}"),
-            me,
-            z,
-            false,
-            true,
-        )?;
+        // The extra stack uses *global* column attention (Algorithm 19, set
+        // by `BlockDims::extra`): thousands of unclustered sequences make
+        // full column attention prohibitively large. It runs unsharded.
+        let prefix = format!("extra_msa.block{i}");
+        let (m2, z2) = evoformer_block(g, store, &dims, &prefix, me, z, false, &LocalAxial(1))?;
         me = m2;
         z = z2;
     }

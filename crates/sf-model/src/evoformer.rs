@@ -19,14 +19,21 @@
 //! the paper's "GEMM Batching" — and attention itself is the fused
 //! pair-bias kernel from `sf-autograd`/`sf-tensor`.
 //!
+//! [`evoformer_block`] is the only block. It always runs under **Dynamic
+//! Axial Parallelism** through an injected [`AxialCollectives`] executor;
+//! with one rank ([`crate::LocalAxial`]`(1)`) every scatter and gather is
+//! a no-op and every axis switch a transpose, which is the unsharded
+//! block. The public per-module functions are the one-shard calls of the
+//! same module code.
+//!
 //! All of the block's heavy kernels (the bundled GEMMs, LayerNorm,
 //! softmax, and fused attention) execute on the parallel CPU backend in
 //! `sf_tensor::pool`; the thread count comes from `SF_THREADS` or
 //! `sf_tensor::pool::set_num_threads`, and results are bit-identical at
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
-use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives};
-use crate::linear::{batched_apply, layer_norm, Linear};
+use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives, LocalAxial};
+use crate::linear::{batched_apply, layer_norm, name_seed, Linear};
 use sf_autograd::{Graph, ParamStore, Result, Var};
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
@@ -53,6 +60,10 @@ pub struct BlockDims {
     pub transition_factor: usize,
     /// Dropout probability on attention/triangle outputs (0 disables).
     pub dropout: f32,
+    /// Column attention uses AlphaFold's *global* (mean-query) form
+    /// ([`msa_global_column_attention`]) — the memory-cheap variant the
+    /// extra-MSA stack needs for its thousands of sequences.
+    pub global_column: bool,
 }
 
 impl BlockDims {
@@ -69,13 +80,16 @@ impl BlockDims {
             c_opm: cfg.c_opm,
             transition_factor: cfg.transition_factor,
             dropout: cfg.dropout,
+            global_column: false,
         }
     }
 
-    /// Dimensions of the extra-MSA stack (narrow MSA channels).
+    /// Dimensions of the extra-MSA stack (narrow MSA channels, global
+    /// column attention).
     pub fn extra(cfg: &crate::ModelConfig) -> Self {
         BlockDims {
             c_m: cfg.c_e,
+            global_column: true,
             ..BlockDims::main(cfg)
         }
     }
@@ -90,12 +104,33 @@ impl BlockDims {
     }
 }
 
-/// One full Evoformer block. Returns the updated `(m, z)`.
+/// One full Evoformer block on `dap`'s ranks (ScaleFold §3.3 / FastFold's
+/// Dynamic Axial Parallelism). Returns the updated `(m, z)`.
+///
+/// The four axial attentions run on activation shards — MSA row attention
+/// sharded along sequences, MSA column and triangle attention along
+/// residues — with the sharded axis switched by the executor's all-to-all
+/// and results rejoined by its all-gather. The remaining modules
+/// (transitions, outer product mean, triangle multiplication) run
+/// replicated, as their cost does not grow with the axial length being
+/// sharded here. `ckpt` gradient-checkpoints both transitions.
+///
+/// With [`LocalAxial`]`(1)` this is the unsharded block. With
+/// `dropout = 0` the output is bitwise-identical for any rank count: every
+/// sharded kernel (LN, the bundled QKV-gate GEMM, attention) is
+/// row-independent, and all data movement enters the tape through the
+/// verified external concat. Under dropout the per-shard masks are
+/// rank-salted, so DAP-k > 1 is a *different but equally valid* sample of
+/// the dropout noise.
 ///
 /// # Errors
 ///
-/// Propagates shape errors from the underlying tensor ops (a mismatch
-/// indicates an inconsistent `dims` / input combination).
+/// Returns [`sf_autograd::AutogradError::UnevenShard`] if the sequence or
+/// residue axis does not divide across the ranks; propagates shape errors
+/// from the underlying tensor ops (a mismatch indicates an inconsistent
+/// `dims` / input combination) and external value mismatches from the
+/// collective executor.
+#[allow(clippy::too_many_arguments)]
 pub fn evoformer_block(
     g: &mut Graph,
     store: &mut ParamStore,
@@ -104,241 +139,34 @@ pub fn evoformer_block(
     m: Var,
     z: Var,
     ckpt: bool,
-) -> Result<(Var, Var)> {
-    evoformer_block_ext(g, store, dims, prefix, m, z, ckpt, false)
-}
-
-/// [`evoformer_block`] with the extra-MSA variant switch: when
-/// `global_column` is set, the column attention uses AlphaFold's *global*
-/// (mean-query) form — the memory-cheap variant the extra-MSA stack needs
-/// for its thousands of sequences.
-#[allow(clippy::too_many_arguments)]
-pub fn evoformer_block_ext(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-    z: Var,
-    ckpt: bool,
-    global_column: bool,
-) -> Result<(Var, Var)> {
-    let trans = if ckpt { transition_checkpointed } else { transition };
-    let m = msa_row_attention_with_pair_bias(g, store, dims, &format!("{prefix}.msa_row"), m, z)?;
-    let m = if global_column {
-        msa_global_column_attention(g, store, dims, &format!("{prefix}.msa_col"), m)?
-    } else {
-        msa_column_attention(g, store, dims, &format!("{prefix}.msa_col"), m)?
-    };
-    let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
-    let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_start"), z, true)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_end"), z, false)?;
-    let z = trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)?;
-    Ok((m, z))
-}
-
-/// [`evoformer_block`] under **Dynamic Axial Parallelism** (ScaleFold
-/// §3.3 / FastFold): the four axial attentions run on activation shards —
-/// MSA row attention sharded along sequences, MSA column and triangle
-/// attention along residues — with the sharded axis switched by the
-/// injected executor's all-to-all and results rejoined by its all-gather.
-/// The remaining modules (transitions, outer product mean, triangle
-/// multiplication) run replicated, as their cost does not grow with the
-/// axial length being sharded here.
-///
-/// With `dropout = 0` the output is bitwise-identical to
-/// [`evoformer_block`] for any rank count: every sharded kernel (LN, the
-/// bundled QKV-gate GEMM, attention) is row-independent, and all data
-/// movement enters the tape through the verified external concat. Under
-/// dropout the per-shard masks are rank-salted, so DAP-k > 1 is a
-/// *different but equally valid* sample of the dropout noise.
-///
-/// # Panics
-///
-/// Panics if the sequence or residue axis is not divisible by the rank
-/// count.
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying tensor ops and external
-/// value mismatches from the collective executor.
-#[allow(clippy::too_many_arguments)]
-pub fn evoformer_block_dap(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-    z: Var,
-    ckpt: bool,
     dap: &dyn AxialCollectives,
 ) -> Result<(Var, Var)> {
     let trans = if ckpt { transition_checkpointed } else { transition };
-    let m = dap_msa_attention(g, store, dims, prefix, m, z, dap)?;
-    let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
-    let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = dap_triangle_attention(g, store, dims, prefix, z, dap)?;
-    let z = trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)?;
-    Ok((m, z))
-}
-
-/// Modules 1 + 2 under DAP: row attention on sequence shards, one axis
-/// switch, column attention on residue shards, one all-gather back to the
-/// replicated `[S, R, c_m]` layout for the (unsharded) MSA transition.
-fn dap_msa_attention(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-    z: Var,
-    dap: &dyn AxialCollectives,
-) -> Result<Var> {
-    let k = dap.ranks();
-    let row_prefix = format!("{prefix}.msa_row");
     let col_prefix = format!("{prefix}.msa_col");
-    // The pair bias is shared by every rank's row attention (it indexes
-    // residues only), so it is computed once from the replicated z.
-    let z_ln = layer_norm(g, store, &format!("{row_prefix}.ln_z"), dims.c_z, z)?;
-    let bias_rr = Linear::no_bias(format!("{row_prefix}.pair_bias"), dims.c_z, dims.msa_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-
-    // Row attention on sequence shards [S/k, R, c_m]. Parameter prefixes
-    // are identical across ranks: each rank binds the same weights, and
-    // `grads_by_name` sums the per-rank weight gradients — the same
-    // reduction DAP performs over its gradient all-reduce.
-    let m_shards = dap_scatter(g, m, k)?;
-    let mut row_out = Vec::with_capacity(k);
-    for (rank, &sh) in m_shards.iter().enumerate() {
-        let m_ln = layer_norm(g, store, &format!("{row_prefix}.ln_m"), dims.c_m, sh)?;
-        let att = gated_axis_attention(
-            g,
-            store,
-            &row_prefix,
-            m_ln,
-            Some(bias),
-            dims.c_m,
-            dims.msa_heads,
-            dims.c_hidden_msa,
-        )?;
-        row_out.push(dropout_residual_ranked(g, dims, &row_prefix, rank, sh, att)?);
-    }
-
-    // Axis switch: sequence-sharded -> residue-sharded [R/k, S, c_m].
-    let col_shards = dap_axis_switch(g, dap, &row_out)?;
-    let mut col_out = Vec::with_capacity(k);
-    for &sh in &col_shards {
-        let ln = layer_norm(g, store, &format!("{col_prefix}.ln"), dims.c_m, sh)?;
-        let att = gated_axis_attention(
-            g,
-            store,
-            &col_prefix,
-            ln,
-            None,
-            dims.c_m,
-            dims.msa_heads,
-            dims.c_hidden_msa,
-        )?;
-        // Column attention has no dropout in the unsharded path either.
-        col_out.push(g.add(sh, att)?);
-    }
-    let full = dap_all_gather(g, dap, &col_out)?; // [R, S, c_m]
-    g.permute(full, &[1, 0, 2])
-}
-
-/// Modules 7 + 8 under DAP: starting-node attention on row shards of the
-/// pair tensor, one axis switch to the transposed layout, an all-gather
-/// (the ending-node LayerNorm and triangle bias need the full transposed
-/// tensor), ending-node attention on shards, and a final gather +
-/// transpose back.
-fn dap_triangle_attention(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    z: Var,
-    dap: &dyn AxialCollectives,
-) -> Result<Var> {
-    let k = dap.ranks();
-    let start_p = format!("{prefix}.tri_att_start");
-    let end_p = format!("{prefix}.tri_att_end");
-
-    // Starting node: shard along the first residue axis.
-    let z_ln = layer_norm(g, store, &format!("{start_p}.ln"), dims.c_z, z)?;
-    let bias_rr = Linear::no_bias(format!("{start_p}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-    let ln_shards = dap_scatter(g, z_ln, k)?;
-    let z_shards = dap_scatter(g, z, k)?;
-    let mut start_out = Vec::with_capacity(k);
-    for rank in 0..k {
-        let att = gated_axis_attention(
-            g,
-            store,
-            &start_p,
-            ln_shards[rank],
-            Some(bias),
-            dims.c_z,
-            dims.pair_heads,
-            dims.c_hidden_pair,
-        )?;
-        start_out.push(dropout_residual_ranked(g, dims, &start_p, rank, z_shards[rank], att)?);
-    }
-
-    // Switch to the transposed layout, then gather: the ending-node bias
-    // is a function of the full transposed pair tensor.
-    let end_in = dap_axis_switch(g, dap, &start_out)?; // [R/k, R, c_z], transposed
-    let zp = dap_all_gather(g, dap, &end_in)?; // [R, R, c_z], transposed
-    let zp_ln = layer_norm(g, store, &format!("{end_p}.ln"), dims.c_z, zp)?;
-    let bias2_rr = Linear::no_bias(format!("{end_p}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, zp_ln)?;
-    let bias2 = g.permute(bias2_rr, &[2, 0, 1])?;
-    let ln2_shards = dap_scatter(g, zp_ln, k)?;
-    let mut end_out = Vec::with_capacity(k);
-    for rank in 0..k {
-        let att = gated_axis_attention(
-            g,
-            store,
-            &end_p,
-            ln2_shards[rank],
-            Some(bias2),
-            dims.c_z,
-            dims.pair_heads,
-            dims.c_hidden_pair,
-        )?;
-        end_out.push(dropout_residual_ranked(g, dims, &end_p, rank, end_in[rank], att)?);
-    }
-    let zp_out = dap_all_gather(g, dap, &end_out)?;
-    g.permute(zp_out, &[1, 0, 2])
-}
-
-/// [`dropout_residual`] with a rank-salted seed: each DAP rank draws its
-/// own mask, exactly as real per-device dropout would.
-fn dropout_residual_ranked(
-    g: &mut Graph,
-    dims: &BlockDims,
-    prefix: &str,
-    rank: usize,
-    residual: Var,
-    update: Var,
-) -> Result<Var> {
-    let update = if dims.dropout > 0.0 {
-        let seed = seed_from(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        g.dropout(update, dims.dropout, seed)?
+    let m_shards = dap_scatter(g, m, dap.ranks())?; // [S/k, R, c_m]
+    let rows =
+        msa_row_attention_shards(g, store, dims, &format!("{prefix}.msa_row"), &m_shards, z)?;
+    let m = if dims.global_column {
+        let m = dap_all_gather(g, dap, &rows)?;
+        msa_global_column_attention(g, store, dims, &col_prefix, m)?
     } else {
-        update
+        // Axis switch: sequence-sharded -> residue-sharded [R/k, S, c_m].
+        let cols = dap_axis_switch(g, dap, &rows)?
+            .into_iter()
+            .map(|sh| msa_column_attention_shard(g, store, dims, &col_prefix, sh))
+            .collect::<Result<Vec<_>>>()?;
+        let full = dap_all_gather(g, dap, &cols)?; // [R, S, c_m]
+        g.permute(full, &[1, 0, 2])?
     };
-    g.add(residual, update)
+    let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
+    let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
+    let z = pair_stack(g, store, dims, prefix, z, ckpt, dap)?;
+    Ok((m, z))
 }
 
 /// A pair-only Evoformer block (modules 5-9), used by the template pair
-/// stack which has no MSA track.
+/// stack which has no MSA track: the pair half of [`evoformer_block`] at
+/// one rank.
 ///
 /// # Errors
 ///
@@ -350,11 +178,37 @@ pub fn pair_block(
     prefix: &str,
     z: Var,
 ) -> Result<Var> {
+    pair_stack(g, store, dims, prefix, z, false, &LocalAxial(1))
+}
+
+/// Modules 5-9, the pair half of [`evoformer_block`]: the triangle
+/// multiplications and the transition run replicated; starting-node
+/// attention runs on row shards of `z`, then one axis switch to the
+/// transposed layout and an all-gather (the ending-node LayerNorm and
+/// triangle bias need the full transposed tensor), ending-node attention on
+/// shards, and a final gather + transpose back.
+fn pair_stack(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    z: Var,
+    ckpt: bool,
+    dap: &dyn AxialCollectives,
+) -> Result<Var> {
+    let trans = if ckpt { transition_checkpointed } else { transition };
     let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
     let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_start"), z, true)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_end"), z, false)?;
-    transition(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)
+    let z_shards = dap_scatter(g, z, dap.ranks())?;
+    let start_p = format!("{prefix}.tri_att_start");
+    let start = triangle_attention_shards(g, store, dims, &start_p, z, &z_shards)?;
+    let end_in = dap_axis_switch(g, dap, &start)?; // [R/k, R, c_z], transposed
+    let zt = dap_all_gather(g, dap, &end_in)?; // [R, R, c_z], transposed
+    let end_p = format!("{prefix}.tri_att_end");
+    let end = triangle_attention_shards(g, store, dims, &end_p, zt, &end_in)?;
+    let zt = dap_all_gather(g, dap, &end)?;
+    let z = g.permute(zt, &[1, 0, 2])?;
+    trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)
 }
 
 /// Shared gated-attention plumbing: projects `x` (`[B1, B2, c_in]`) to
@@ -402,28 +256,62 @@ fn gated_axis_attention(
 
 /// Applies dropout (when enabled) then the residual connection — AlphaFold
 /// drops attention and triangle-update outputs before adding them back.
+/// The mask seed is salted with the DAP `rank`, so each shard draws its own
+/// mask as real per-device dropout would; rank 0 keeps the unsalted seed.
 fn dropout_residual(
     g: &mut Graph,
     dims: &BlockDims,
     prefix: &str,
+    rank: usize,
     residual: Var,
     update: Var,
 ) -> Result<Var> {
     let update = if dims.dropout > 0.0 {
-        g.dropout(update, dims.dropout, seed_from(prefix))?
+        let seed = name_seed(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        g.dropout(update, dims.dropout, seed)?
     } else {
         update
     };
     g.add(residual, update)
 }
 
-fn seed_from(prefix: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in prefix.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// Module 1 on sequence shards `[S/k, R, c_m]` of the MSA. The pair bias
+/// indexes residues only, so it is computed once from the replicated `z`
+/// and shared by every shard's gated attention. Parameter prefixes are
+/// identical across shards: each binds the same weights, and
+/// `grads_by_name` sums the per-shard weight gradients — the same
+/// reduction DAP performs over its gradient all-reduce.
+fn msa_row_attention_shards(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    m_shards: &[Var],
+    z: Var,
+) -> Result<Vec<Var>> {
+    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_z"), dims.c_z, z)?;
+    // Pair bias: [R, R, c_z] -> [R, R, h] -> [h, R, R].
+    let bias_rr = Linear::no_bias(format!("{prefix}.pair_bias"), dims.c_z, dims.msa_heads)
+        .apply(g, store, z_ln)?;
+    let bias = g.permute(bias_rr, &[2, 0, 1])?;
+    m_shards
+        .iter()
+        .enumerate()
+        .map(|(rank, &m)| {
+            let m_ln = layer_norm(g, store, &format!("{prefix}.ln_m"), dims.c_m, m)?;
+            let att = gated_axis_attention(
+                g,
+                store,
+                prefix,
+                m_ln,
+                Some(bias),
+                dims.c_m,
+                dims.msa_heads,
+                dims.c_hidden_msa,
+            )?;
+            dropout_residual(g, dims, prefix, rank, m, att)
+        })
+        .collect()
 }
 
 /// Module 1: MSA row-wise gated self-attention with pair bias.
@@ -435,24 +323,31 @@ pub fn msa_row_attention_with_pair_bias(
     m: Var,
     z: Var,
 ) -> Result<Var> {
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln_m"), dims.c_m, m)?;
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_z"), dims.c_z, z)?;
-    // Pair bias: [R, R, c_z] -> [R, R, h] -> [h, R, R].
-    let bias_rr =
-        Linear::no_bias(format!("{prefix}.pair_bias"), dims.c_z, dims.msa_heads)
-            .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
+    Ok(msa_row_attention_shards(g, store, dims, prefix, &[m], z)?[0])
+}
+
+/// Module 2 on one residue shard `[R/k, S, c_m]` (the attended sequence
+/// axis is axis 1): LayerNorm, gated attention, residual add. Column
+/// attention has no dropout.
+fn msa_column_attention_shard(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    m_t: Var,
+) -> Result<Var> {
+    let ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m_t)?;
     let att = gated_axis_attention(
         g,
         store,
         prefix,
-        m_ln,
-        Some(bias),
+        ln,
+        None,
         dims.c_m,
         dims.msa_heads,
         dims.c_hidden_msa,
     )?;
-    dropout_residual(g, dims, prefix, m, att)
+    g.add(m_t, att)
 }
 
 /// Module 2: MSA column-wise gated self-attention (attends over sequences).
@@ -463,21 +358,10 @@ pub fn msa_column_attention(
     prefix: &str,
     m: Var,
 ) -> Result<Var> {
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
     // Transpose so the attended axis (sequences) is axis 1: [R, S, c_m].
-    let mt = g.permute(m_ln, &[1, 0, 2])?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        mt,
-        None,
-        dims.c_m,
-        dims.msa_heads,
-        dims.c_hidden_msa,
-    )?;
-    let back = g.permute(att, &[1, 0, 2])?;
-    g.add(m, back)
+    let mt = g.permute(m, &[1, 0, 2])?;
+    let out = msa_column_attention_shard(g, store, dims, prefix, mt)?;
+    g.permute(out, &[1, 0, 2])
 }
 
 /// Extra-MSA variant of module 2: **global** column attention (AlphaFold
@@ -523,7 +407,7 @@ pub fn msa_global_column_attention(
     let gsig = g.sigmoid(gate)?; // [S, R, hd]
     let gated = g.mul(gsig, att_flat)?; // broadcast over S
     let out = Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)?;
-    dropout_residual(g, dims, prefix, m, out)
+    dropout_residual(g, dims, prefix, 0, m, out)
 }
 
 /// Modules 3 & 9: the two-layer transition (feed-forward) block,
@@ -562,22 +446,12 @@ pub fn transition_checkpointed(
         g.use_param_or_init(store, &format!("{prefix}.ln.gamma"), || sf_tensor::Tensor::ones(&[c]));
     let beta =
         g.use_param_or_init(store, &format!("{prefix}.ln.beta"), || sf_tensor::Tensor::zeros(&[c]));
-    let w1_name = format!("{prefix}.fc1.weight");
-    let w1 = g.use_param_or_init(store, &w1_name, {
-        let n = w1_name.clone();
-        move || sf_tensor::Tensor::lecun_normal(&[c * factor, c], c, fnv(&n))
-    });
-    let b1 = g.use_param_or_init(store, &format!("{prefix}.fc1.bias"), || {
-        sf_tensor::Tensor::zeros(&[c * factor])
-    });
-    let w2_name = format!("{prefix}.fc2.weight");
-    let w2 = g.use_param_or_init(store, &w2_name, {
-        let n = w2_name.clone();
-        move || sf_tensor::Tensor::lecun_normal(&[c, c * factor], c * factor, fnv(&n))
-    });
-    let b2 = g.use_param_or_init(store, &format!("{prefix}.fc2.bias"), || {
-        sf_tensor::Tensor::zeros(&[c])
-    });
+    let (w1, Some(b1)) = Linear::new(format!("{prefix}.fc1"), c, c * factor).bind(g, store) else {
+        unreachable!("Linear::new binds a bias");
+    };
+    let (w2, Some(b2)) = Linear::new(format!("{prefix}.fc2"), c * factor, c).bind(g, store) else {
+        unreachable!("Linear::new binds a bias");
+    };
     g.checkpoint(&[x, gamma, beta, w1, b1, w2, b2], |sub, ins| {
         let [x, gamma, beta, w1, b1, w2, b2] = *ins else {
             unreachable!("checkpoint passes inputs through unchanged");
@@ -592,18 +466,6 @@ pub fn transition_checkpointed(
         let o = sub.add(o0, b2)?;
         sub.add(x, o)
     })
-}
-
-/// FNV-1a hash used for per-name deterministic initialization (matches
-/// `crate::linear`'s seeding so checkpointed and plain transitions
-/// initialize identically).
-fn fnv(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Module 4: outer product mean — the MSA→pair communication channel.
@@ -676,7 +538,44 @@ pub fn triangle_multiplication(
         Linear::new(format!("{prefix}.out_gate"), dims.c_z, dims.c_z).apply(g, store, z_ln)?;
     let og = g.sigmoid(out_gate)?;
     let gated = g.mul(og, proj)?;
-    dropout_residual(g, dims, prefix, z, gated)
+    dropout_residual(g, dims, prefix, 0, z, gated)
+}
+
+/// Modules 7 & 8 on residue shards: LayerNorm and the triangle bias read
+/// the full pair tensor `z`, while attention and the residual add run per
+/// row shard (`residuals`, each `[R/k, R, c_z]`, rank order).
+fn triangle_attention_shards(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    z: Var,
+    residuals: &[Var],
+) -> Result<Vec<Var>> {
+    let z_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_z, z)?;
+    // Triangle bias: logits(i; j->k) += linear(z_ln[j,k]).
+    let bias_rr = Linear::no_bias(format!("{prefix}.tri_bias"), dims.c_z, dims.pair_heads)
+        .apply(g, store, z_ln)?;
+    let bias = g.permute(bias_rr, &[2, 0, 1])?;
+    let ln_shards = dap_scatter(g, z_ln, residuals.len())?;
+    ln_shards
+        .into_iter()
+        .zip(residuals)
+        .enumerate()
+        .map(|(rank, (ln, &residual))| {
+            let att = gated_axis_attention(
+                g,
+                store,
+                prefix,
+                ln,
+                Some(bias),
+                dims.c_z,
+                dims.pair_heads,
+                dims.c_hidden_pair,
+            )?;
+            dropout_residual(g, dims, prefix, rank, residual, att)
+        })
+        .collect()
 }
 
 /// Modules 7 & 8: triangle self-attention around the starting / ending node.
@@ -691,23 +590,12 @@ pub fn triangle_attention(
     // Ending-node attention is starting-node attention on the transposed
     // pair tensor.
     let zin = if starting { z } else { g.permute(z, &[1, 0, 2])? };
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_z, zin)?;
-    // Triangle bias: logits(i; j->k) += linear(z_ln[j,k]).
-    let bias_rr = Linear::no_bias(format!("{prefix}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        z_ln,
-        Some(bias),
-        dims.c_z,
-        dims.pair_heads,
-        dims.c_hidden_pair,
-    )?;
-    let att = if starting { att } else { g.permute(att, &[1, 0, 2])? };
-    dropout_residual(g, dims, prefix, z, att)
+    let out = triangle_attention_shards(g, store, dims, prefix, zin, &[zin])?[0];
+    if starting {
+        Ok(out)
+    } else {
+        g.permute(out, &[1, 0, 2])
+    }
 }
 
 #[cfg(test)]
@@ -715,6 +603,30 @@ mod tests {
     use super::*;
     use crate::ModelConfig;
     use sf_tensor::Tensor;
+
+    /// The unsharded reference block: the nine modules composed from
+    /// the public per-module functions, bypassing the block's scatter,
+    /// axis switch and gather.
+    fn composed_block(
+        g: &mut Graph,
+        store: &mut ParamStore,
+        dims: &BlockDims,
+        prefix: &str,
+        m: Var,
+        z: Var,
+    ) -> Result<(Var, Var)> {
+        let p = |name: &str| format!("{prefix}.{name}");
+        let m = msa_row_attention_with_pair_bias(g, store, dims, &p("msa_row"), m, z)?;
+        let m = msa_column_attention(g, store, dims, &p("msa_col"), m)?;
+        let m = transition(g, store, dims.c_m, dims.transition_factor, &p("msa_trans"), m)?;
+        let z = outer_product_mean(g, store, dims, &p("opm"), m, z)?;
+        let z = triangle_multiplication(g, store, dims, &p("tri_mul_out"), z, true)?;
+        let z = triangle_multiplication(g, store, dims, &p("tri_mul_in"), z, false)?;
+        let z = triangle_attention(g, store, dims, &p("tri_att_start"), z, true)?;
+        let z = triangle_attention(g, store, dims, &p("tri_att_end"), z, false)?;
+        let z = transition(g, store, dims.c_z, dims.transition_factor, &p("pair_trans"), z)?;
+        Ok((m, z))
+    }
 
     fn setup() -> (Graph, ParamStore, BlockDims, Var, Var) {
         let cfg = ModelConfig::tiny();
@@ -731,7 +643,7 @@ mod tests {
         let (mut g, mut store, dims, m, z) = setup();
         let m_dims = g.value(m).dims().to_vec();
         let z_dims = g.value(z).dims().to_vec();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false).unwrap();
+        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false, &LocalAxial(1)).unwrap();
         assert_eq!(g.value(m2).dims(), m_dims.as_slice());
         assert_eq!(g.value(z2).dims(), z_dims.as_slice());
         assert!(!g.value(m2).has_non_finite());
@@ -741,7 +653,7 @@ mod tests {
     #[test]
     fn block_output_differs_from_input() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false).unwrap();
+        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false, &LocalAxial(1)).unwrap();
         assert!(!g.value(m2).allclose(g.value(m), 1e-6));
         assert!(!g.value(z2).allclose(g.value(z), 1e-6));
     }
@@ -749,7 +661,7 @@ mod tests {
     #[test]
     fn gradients_reach_all_block_params() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "b", m, z, false).unwrap();
+        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, &LocalAxial(1)).unwrap();
         let lm = g.sum_all(m2).unwrap();
         let lz = g.sum_all(z2).unwrap();
         let loss = g.add(lm, lz).unwrap();
@@ -803,6 +715,7 @@ mod tests {
             c_opm: c,
             transition_factor: 2,
             dropout: 0.0,
+            global_column: false,
         };
         let m0 = Tensor::randn(&[s, r, c_m], 7);
         let z0 = Tensor::zeros(&[r, r, 3]);
@@ -913,9 +826,9 @@ mod tests {
         let mut store = ParamStore::new();
         let m = g.constant(Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 31).mul_scalar(0.3));
         let z = g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 32).mul_scalar(0.3));
-        let (m_dry, z_dry) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false).unwrap();
+        let (m_dry, z_dry) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
         dims.dropout = 0.3;
-        let (m_wet, z_wet) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false).unwrap();
+        let (m_wet, z_wet) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
         assert_eq!(g.value(m_wet).dims(), g.value(m_dry).dims());
         assert!(!g.value(m_wet).allclose(g.value(m_dry), 1e-7));
         assert!(!g.value(z_wet).allclose(g.value(z_dry), 1e-7));
@@ -923,10 +836,51 @@ mod tests {
     }
 
     #[test]
+    fn one_rank_block_is_the_composed_block() {
+        // At one rank every scatter/gather is a no-op and every axis switch
+        // a transpose: the block must build the composed block's tape
+        // exactly — same node count, same activation bytes, same forward
+        // bits and the same bits in every gradient.
+        let cfg = ModelConfig::tiny();
+        let dims = BlockDims::main(&cfg);
+        let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 3).mul_scalar(0.3);
+        let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 4).mul_scalar(0.3);
+        let run = |one_rank: bool| {
+            let mut g = Graph::new();
+            let mut store = ParamStore::new();
+            let m = g.constant(m0.clone());
+            let z = g.constant(z0.clone());
+            let (m2, z2) = if one_rank {
+                evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, &LocalAxial(1))
+            } else {
+                composed_block(&mut g, &mut store, &dims, "b", m, z)
+            }
+            .unwrap();
+            let (len, bytes) = (g.len(), g.activation_bytes());
+            let out = (g.value(m2).clone(), g.value(z2).clone());
+            let lm = g.mean_all(m2).unwrap();
+            let lz = g.mean_all(z2).unwrap();
+            let loss = g.add(lm, lz).unwrap();
+            g.backward(loss).unwrap();
+            (len, bytes, out, g.grads_by_name().unwrap())
+        };
+        let (len_ref, bytes_ref, (m_ref, z_ref), grads_ref) = run(false);
+        let (len, bytes, (m1, z1), grads) = run(true);
+        assert_eq!(len, len_ref, "tape node count");
+        assert_eq!(bytes, bytes_ref, "activation bytes");
+        assert_eq!(m1.data(), m_ref.data(), "MSA track");
+        assert_eq!(z1.data(), z_ref.data(), "pair track");
+        assert_eq!(grads.len(), grads_ref.len(), "parameter set");
+        for (name, gr) in &grads_ref {
+            assert_eq!(grads[name].data(), gr.data(), "gradient bits of {name}");
+        }
+    }
+
+    #[test]
     fn dap_block_matches_unsharded_bitwise() {
-        // With dropout off, the DAP block must reproduce the unsharded
-        // block exactly (forward values), for every rank count dividing
-        // both axes.
+        // With dropout off, the block on k ranks must reproduce the
+        // unsharded composed block exactly (forward values), for every rank
+        // count dividing both axes.
         let cfg = ModelConfig::tiny();
         let dims = BlockDims::main(&cfg);
         let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 5).mul_scalar(0.3);
@@ -936,7 +890,7 @@ mod tests {
         let mut store = ParamStore::new();
         let m = g_ref.constant(m0.clone());
         let z = g_ref.constant(z0.clone());
-        let (mr, zr) = evoformer_block(&mut g_ref, &mut store, &dims, "blk", m, z, false).unwrap();
+        let (mr, zr) = composed_block(&mut g_ref, &mut store, &dims, "blk", m, z).unwrap();
         let (m_ref, z_ref) = (g_ref.value(mr).clone(), g_ref.value(zr).clone());
 
         for k in [1usize, 2, 4] {
@@ -944,10 +898,9 @@ mod tests {
             let mut store_k = ParamStore::new();
             let m = g.constant(m0.clone());
             let z = g.constant(z0.clone());
-            let dap = crate::dap::LocalAxial(k);
+            let dap = LocalAxial(k);
             let (mk, zk) =
-                evoformer_block_dap(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap)
-                    .unwrap();
+                evoformer_block(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap).unwrap();
             assert_eq!(g.value(mk).data(), m_ref.data(), "k={k}: MSA track diverged");
             assert_eq!(g.value(zk).data(), z_ref.data(), "k={k}: pair track diverged");
         }
@@ -968,11 +921,10 @@ mod tests {
             let m = g.constant(m0.clone());
             let z = g.constant(z0.clone());
             let (m2, z2) = match k {
-                None => evoformer_block(&mut g, &mut store, &dims, "b", m, z, false).unwrap(),
+                None => composed_block(&mut g, &mut store, &dims, "b", m, z).unwrap(),
                 Some(k) => {
-                    let dap = crate::dap::LocalAxial(k);
-                    evoformer_block_dap(&mut g, &mut store, &dims, "b", m, z, false, &dap)
-                        .unwrap()
+                    let dap = LocalAxial(k);
+                    evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, &dap).unwrap()
                 }
             };
             // O(1)-scale loss (like the real training losses) so the 1e-5

@@ -4,8 +4,9 @@
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
-/// Splits a seed deterministically per parameter name.
-fn name_seed(name: &str) -> u64 {
+/// Splits a seed deterministically per parameter name (also the per-module
+/// dropout seed).
+pub(crate) fn name_seed(name: &str) -> u64 {
     // FNV-1a over the name: stable across runs and platforms.
     let mut h: u64 = 0xcbf29ce484222325;
     for b in name.as_bytes() {
@@ -59,7 +60,7 @@ impl Linear {
     }
 
     /// Binds this layer's weight (and bias) into the tape.
-    fn bind(&self, g: &mut Graph, store: &mut ParamStore) -> (Var, Option<Var>) {
+    pub(crate) fn bind(&self, g: &mut Graph, store: &mut ParamStore) -> (Var, Option<Var>) {
         let wname = format!("{}.weight", self.name);
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         let w = g.use_param_or_init(store, &wname, || {

@@ -5,8 +5,8 @@ use crate::config::ModelConfig;
 use crate::embed::{
     extra_msa_stack, input_embedder, recycling_embedder, template_pair_stack, RecycledState,
 };
-use crate::dap::AxialCollectives;
-use crate::evoformer::{evoformer_block, evoformer_block_dap, BlockDims};
+use crate::dap::{AxialCollectives, LocalAxial};
+use crate::evoformer::{evoformer_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::loss::{total_loss, LossBreakdown};
 use crate::structure::structure_module;
@@ -87,19 +87,20 @@ impl AlphaFold {
         self.forward_dap(g, store, batch, None)
     }
 
-    /// [`AlphaFold::forward`] under **Dynamic Axial Parallelism**: when an
-    /// executor is supplied, every main-stack Evoformer block runs as
-    /// [`evoformer_block_dap`] — axial attentions on activation shards,
-    /// axis switches through the executor's real all-to-all / all-gather.
-    /// The extra-MSA and template stacks stay unsharded (their axial
-    /// dimensions are the model's smallest; FastFold likewise applies DAP
-    /// to the main Evoformer). `None` (or a 1-rank executor) reproduces
-    /// the plain forward exactly.
+    /// [`AlphaFold::forward`] under **Dynamic Axial Parallelism**: every
+    /// main-stack [`evoformer_block`] runs on the executor's ranks — axial
+    /// attentions on activation shards, axis switches through its real
+    /// all-to-all / all-gather. The extra-MSA and template stacks stay
+    /// unsharded (their axial dimensions are the model's smallest; FastFold
+    /// likewise applies DAP to the main Evoformer). `None` means the
+    /// one-rank executor [`LocalAxial`]`(1)`, which is the plain forward;
+    /// any other 1-rank executor gives the same tape.
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors and collective-executor value
-    /// mismatches.
+    /// Returns [`sf_autograd::AutogradError::UnevenShard`] if `n_seq` or
+    /// `n_res` does not divide across the executor's ranks; propagates
+    /// tensor shape errors and collective-executor value mismatches.
     pub fn forward_dap(
         &self,
         g: &mut Graph,
@@ -107,6 +108,7 @@ impl AlphaFold {
         batch: &FeatureBatch,
         dap: Option<&dyn AxialCollectives>,
     ) -> Result<ModelOutput> {
+        let dap = dap.unwrap_or(&LocalAxial(1));
         let mut prev: Option<RecycledState> = None;
         // Warm (no-grad) recycling iterations on throwaway tapes. DAP
         // shards these too: every recycling iteration pays the same
@@ -151,7 +153,7 @@ impl AlphaFold {
         store: &mut ParamStore,
         batch: &FeatureBatch,
         prev: Option<&RecycledState>,
-        dap: Option<&dyn AxialCollectives>,
+        dap: &dyn AxialCollectives,
     ) -> Result<(Var, Var, Var, Var)> {
         let cfg = &self.cfg;
         let (mut m, mut z) = input_embedder(g, store, cfg, batch)?;
@@ -177,19 +179,8 @@ impl AlphaFold {
         let dims = BlockDims::main(cfg);
         for i in 0..cfg.evoformer_blocks {
             let prefix = format!("evoformer.block{i}");
-            let (m2, z2) = match dap {
-                Some(dap) if dap.ranks() > 1 => evoformer_block_dap(
-                    g,
-                    store,
-                    &dims,
-                    &prefix,
-                    m,
-                    z,
-                    cfg.gradient_checkpointing,
-                    dap,
-                )?,
-                _ => evoformer_block(g, store, &dims, &prefix, m, z, cfg.gradient_checkpointing)?,
-            };
+            let ckpt = cfg.gradient_checkpointing;
+            let (m2, z2) = evoformer_block(g, store, &dims, &prefix, m, z, ckpt, dap)?;
             m = m2;
             z = z2;
         }
@@ -291,6 +282,26 @@ mod tests {
             assert!(ga.allclose(gb, 1e-3), "grad mismatch for {name}");
         }
         assert!(g2.activation_bytes() < g1.activation_bytes());
+    }
+
+    #[test]
+    fn uneven_dap_split_is_an_error_not_a_panic() {
+        // tiny has n_seq = 4: five ranks cannot shard the MSA.
+        let cfg = ModelConfig::tiny();
+        let model = AlphaFold::new(cfg.clone());
+        let batch = FeatureBatch::synthetic(&cfg, 6);
+        let mut store = ParamStore::new();
+        let mut g = Graph::new();
+        let err = model
+            .forward_dap(&mut g, &mut store, &batch, Some(&LocalAxial(5)))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            sf_autograd::AutogradError::UnevenShard {
+                axis_len: cfg.n_seq,
+                ranks: 5
+            }
+        );
     }
 
     #[test]
