@@ -340,13 +340,15 @@ impl Graph {
 
     /// The tape's only attention node. Fully fused attention head — scale,
     /// optional pair `bias`, optional `mask` (zero entries are masked out;
-    /// non-differentiable), online softmax, and the optional sigmoid-`gate`
-    /// epilogue run in one `sf-tensor` kernel
-    /// ([`sf_tensor::ops::attention::attention_fused`]). The tape stores
-    /// only the per-row softmax log-sum-exp (plus the pre-gate output when
-    /// gated) instead of the `[S_q, S_k]` probability tensor; the backward
-    /// recomputes probabilities from those stats and folds softmax-backward
-    /// into the attention gradient.
+    /// non-differentiable), a whole-row softmax, and the optional
+    /// sigmoid-`gate` epilogue run in one `sf-tensor` kernel
+    /// ([`sf_tensor::ops::attention::attention_fused`]) that forms each
+    /// batch element's logits block in scratch. The tape stores only the
+    /// per-row softmax log-sum-exp (plus the pre-gate output when gated)
+    /// instead of the `[S_q, S_k]` probability tensor; the backward
+    /// recomputes probabilities from those stats, folds softmax-backward
+    /// into the attention gradient, and returns gradients bit-identical to
+    /// the `matmul_bt` / `matmul_at` / `matmul` chain it fuses.
     ///
     /// Sites without a bias, mask or gate pass `None`. Numerically
     /// equivalent (≤1e-5 rel, property-tested) to the composed chain of

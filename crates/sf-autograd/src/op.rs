@@ -37,11 +37,12 @@ pub(crate) enum Op {
         stats: LayerNormStats,
     },
     /// Fully fused attention head (`sf_tensor::ops::attention::attention_fused`):
-    /// scale + pair bias + mask + online softmax + sigmoid gate in one
+    /// scale + pair bias + mask + whole-row softmax + sigmoid gate in one
     /// kernel. Saves only the per-row softmax log-sum-exp (`lse`) and —
     /// when gated — the pre-gate output, never the `[S_q, S_k]`
-    /// probability tensor; the backward recomputes each probability tile
-    /// from `lse` in a single pass. The mask is non-differentiable.
+    /// probability tensor; the backward recomputes each batch element's
+    /// probability block from `lse` in a single pass. The mask is
+    /// non-differentiable.
     FusedAttention {
         q: Var,
         k: Var,

@@ -1,7 +1,7 @@
 //! Fused-vs-composed equivalence of the attention tape node.
 //!
 //! `Graph::attention_fused` (one kernel: scale + bias + mask penalty +
-//! online softmax + sigmoid gate, backward from recomputed row stats) must
+//! softmax + sigmoid gate, backward from recomputed row stats) must
 //! agree with the composed chain of primitive tape ops
 //! `sigmoid(gate) ⊙ softmax(q kᵀ · scale + (bias + maskneg)) v` to ≤1e-5
 //! relative — forward values AND every input gradient — for every on/off

@@ -246,7 +246,7 @@ fn gated_axis_attention(
     let vh = to_heads(g, v)?;
     let gh = to_heads(g, gate)?;
     let scale = 1.0 / (c_hidden as f32).sqrt();
-    // One kernel: scale + pair bias + online softmax + sigmoid gate, with
+    // One kernel: scale + pair bias + softmax + sigmoid gate, with
     // softmax-backward folded into the attention grad.
     let gated = g.attention_fused(qh, kh, vh, bias, None, Some(gh), scale)?;
     let back = g.permute(gated, &[0, 2, 1, 3])?;

@@ -11,9 +11,9 @@
 //!   overflows to infinity/NaN — see `bf16` module tests).
 //! - Fused kernels mirroring the paper's Triton kernels, implemented as real
 //!   CPU routines: fused [`ops::layernorm`] (output + statistics in one
-//!   kernel, two-step reduction backward) and a FlashAttention-style
-//!   streaming-softmax [`ops::attention`] with the AlphaFold *pair bias*
-//!   term fused in.
+//!   kernel, two-step reduction backward) and a whole-row fused
+//!   [`ops::attention`] (logits, softmax, `P·V` and gate per batch element
+//!   in L1-resident scratch) with the AlphaFold *pair bias* term fused in.
 //!
 //! The fused kernels are verified against their naive multi-pass
 //! counterparts in unit and property tests; the performance effect of the

@@ -173,7 +173,7 @@ fn batched_gemm(
     let out_ptr = SendPtr::new(out.data_mut());
 
     parallel_for(n_tasks, task_cost, |range| {
-        scratch::with_scratch(k.max(1) * NR, |pack| {
+        scratch::with_scratch(pack_len(k), |pack| {
             for t in range {
                 let bi = t / rb_per_mat;
                 let rb = t % rb_per_mat;
@@ -191,6 +191,35 @@ fn batched_gemm(
         });
     });
     Ok(out)
+}
+
+/// Scratch floats needed to pack one `NR`-wide panel of a `k`-deep B.
+pub(crate) fn pack_len(k: usize) -> usize {
+    k.max(1) * NR
+}
+
+/// One serial `m × n` product `C = A @ B` on the engine's packed
+/// micro-kernel, for fused kernels that run a short GEMM chain per batch
+/// element inside their own parallel work item. `a` is stored `[m, k]`
+/// (`[k, m]` when `ta`), `b` is stored `[k, n]` (`[n, k]` when `tb`), `c` is
+/// assigned, and `pack` holds at least [`pack_len`]`(k)` floats. Every
+/// element accumulates over `k` in the batched engine's one ascending pass,
+/// so the result is bit-identical to [`matmul`] / [`matmul_bt`] /
+/// [`matmul_at`] on the same operands.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_serial(
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+    pack: &mut [f32],
+) {
+    let (ars, acs) = if ta { (1, m) } else { (k, 1) };
+    gemm_rows(a, ars, acs, b, tb, k, n, 0, m, c, pack);
 }
 
 /// Computes rows `[r0, r1)` of `C = A_logical @ B_logical` into `c` (a

@@ -1,11 +1,11 @@
-//! Softmax over the last axis: the standard three-pass kernel and the
-//! *online* (streaming) single-pass variant used inside the fused
-//! FlashAttention-style kernel.
+//! Softmax over the last axis: the standard three-pass kernel, whose
+//! 8-lane max scan and exp-and-sum ([`crate::ops::vexp`]) the whole-row
+//! fused attention kernel also runs on each logits row.
 //!
 //! The row loop runs on the parallel CPU backend ([`crate::pool`]); rows
 //! are independent, so output is bit-identical for every thread count.
 
-use crate::ops::vexp::{striped_max, vexp, vexp_shift_sum};
+use crate::ops::vexp::{striped_max, vexp_shift_sum};
 use crate::pool::{parallel_for, SendPtr};
 use crate::{Result, Tensor, TensorError};
 
@@ -75,104 +75,6 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
-/// Running state of the *online softmax* recurrence
-/// (Milakov & Gimelshein 2018), the core trick of FlashAttention: a row's
-/// softmax-weighted sum of values can be accumulated tile-by-tile while
-/// tracking only `(max, normalizer)`.
-#[derive(Debug, Clone)]
-pub struct OnlineSoftmax {
-    /// Running row maximum.
-    pub max: f32,
-    /// Running normalizer `sum(exp(x_i - max))`.
-    pub denom: f32,
-}
-
-impl Default for OnlineSoftmax {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OnlineSoftmax {
-    /// Fresh state (empty prefix).
-    pub fn new() -> Self {
-        OnlineSoftmax {
-            max: f32::NEG_INFINITY,
-            denom: 0.0,
-        }
-    }
-
-    /// Folds one tile of logits into the running state, rescaling the
-    /// partially-accumulated output vector `acc` (length `d`) and adding the
-    /// tile's contribution `sum_j exp(logit_j - new_max) * values[j]`.
-    ///
-    /// `values` is a row-major `[tile, d]` slab.
-    pub fn fold_tile(&mut self, logits: &[f32], values: &[f32], acc: &mut [f32]) {
-        let d = acc.len();
-        debug_assert_eq!(values.len(), logits.len() * d);
-        let tile_max = striped_max(logits);
-        let new_max = self.max.max(tile_max);
-        if new_max == f32::NEG_INFINITY {
-            return;
-        }
-        // Rescale only when the running max actually moved: when it is
-        // unchanged the scale is exp(0) = 1.0 and multiplying by it is an
-        // exact bitwise no-op, so skipping it preserves bit-identity while
-        // saving an exp and a pass over `acc` on most tiles.
-        if self.max != new_max {
-            let scale = if self.max == f32::NEG_INFINITY {
-                0.0
-            } else {
-                vexp(self.max - new_max)
-            };
-            for a in acc.iter_mut() {
-                *a *= scale;
-            }
-            self.denom *= scale;
-        }
-        // Weights for the whole tile via the 8-lane vexp; denom and `acc`
-        // then accumulate in the same fixed ascending-j order as before,
-        // keeping the fold bit-identical at any thread count.
-        let mut weights = [0.0f32; crate::ops::vexp::LANES];
-        let mut j0 = 0usize;
-        while j0 < logits.len() {
-            let j1 = (j0 + weights.len()).min(logits.len());
-            for (w, &l) in weights.iter_mut().zip(logits[j0..j1].iter()) {
-                *w = vexp(l - new_max);
-            }
-            for (j, &w) in (j0..j1).zip(weights.iter()) {
-                self.denom += w;
-                let vrow = &values[j * d..(j + 1) * d];
-                for (a, &v) in acc.iter_mut().zip(vrow.iter()) {
-                    *a += w * v;
-                }
-            }
-            j0 = j1;
-        }
-        self.max = new_max;
-    }
-
-    /// Finalizes `acc` into the exact softmax-weighted average.
-    pub fn finish(&self, acc: &mut [f32]) {
-        if self.denom > 0.0 {
-            let inv = 1.0 / self.denom;
-            for a in acc.iter_mut() {
-                *a *= inv;
-            }
-        }
-    }
-
-    /// Log-sum-exp of everything folded so far (used to save softmax
-    /// statistics for the backward pass).
-    pub fn logsumexp(&self) -> f32 {
-        if self.denom == 0.0 {
-            f32::NEG_INFINITY
-        } else {
-            self.max + self.denom.ln()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,44 +121,6 @@ mod tests {
         let mask = Tensor::zeros(&[1, 3]);
         let s = masked_softmax(&x, &mask).unwrap();
         assert!(!s.has_non_finite());
-    }
-
-    #[test]
-    fn online_softmax_matches_three_pass() {
-        // Fold the same row in two arbitrary tiles and compare with the
-        // monolithic kernel applied to a weighted average.
-        let logits = [0.3f32, -1.2, 2.5, 0.0, 1.1, -0.4, 0.9];
-        let d = 3;
-        let values: Vec<f32> = (0..logits.len() * d).map(|i| (i as f32).sin()).collect();
-
-        let mut state = OnlineSoftmax::new();
-        let mut acc = vec![0.0f32; d];
-        state.fold_tile(&logits[..4], &values[..4 * d], &mut acc);
-        state.fold_tile(&logits[4..], &values[4 * d..], &mut acc);
-        state.finish(&mut acc);
-
-        let mut probs = logits.to_vec();
-        softmax_row(&mut probs);
-        let mut expect = vec![0.0f32; d];
-        for (j, &p) in probs.iter().enumerate() {
-            for k in 0..d {
-                expect[k] += p * values[j * d + k];
-            }
-        }
-        for (a, e) in acc.iter().zip(expect.iter()) {
-            assert!((a - e).abs() < 1e-5, "{a} vs {e}");
-        }
-    }
-
-    #[test]
-    fn online_softmax_logsumexp() {
-        let logits = [1.0f32, 2.0, 3.0];
-        let mut state = OnlineSoftmax::new();
-        let values = vec![0.0f32; 3];
-        let mut acc = vec![0.0f32; 1];
-        state.fold_tile(&logits, &values, &mut acc);
-        let expect = (1f32.exp() + 2f32.exp() + 3f32.exp()).ln();
-        assert!((state.logsumexp() - expect).abs() < 1e-5);
     }
 
     #[test]
