@@ -417,8 +417,14 @@ impl Trainer {
             let LossBreakdown { total, distance, .. } = out.loss_breakdown;
             loss += total / n;
             distance_loss += distance / n;
-            let _metric = sf_trace::span("eval", "lddt");
-            lddt += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask) / n;
+            {
+                let _metric = sf_trace::span("eval", "lddt");
+                lddt += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask) / n;
+            }
+            // Freeing the tape (every activation and cotangent) is the
+            // backward pass's cleanup; timed there, not left unattributed.
+            let _free = sf_trace::span("backward", "free_tape");
+            drop(g);
         }
         let step_dap = self.dap_group.take_stats();
         self.dap_comm += step_dap;
@@ -443,6 +449,7 @@ impl Trainer {
                 step: self.step + 1,
             });
         }
+        drop(grads);
         drop(_opt);
         self.step += 1;
         EngineStep {
@@ -500,6 +507,8 @@ impl Trainer {
             batches.clear();
             while batches.len() < self.ranks() {
                 let Some(epoch) = feed.as_mut() else {
+                    // Starting the loader threads is part of waiting for data.
+                    let _wait = sf_trace::span("data_wait", "epoch_feed");
                     feed = Some(self.epoch_feed(&dataset));
                     continue;
                 };

@@ -313,6 +313,31 @@ impl Graph {
         Ok(self.push(v, Op::Matmul(a, b)))
     }
 
+    /// A linear layer `x·Wᵀ + b` as one node: `x` is `[..., in]`, `w` is
+    /// `[out, in]` as stored, `b` is `[out]`. The forward runs one GEMM over
+    /// every leading row of `x` against the packed `w` and adds the bias in
+    /// place (see [`sf_tensor::ops::matmul::linear`]); its values are
+    /// bitwise those of `matmul(x, permute(w, [1, 0]))` plus `b`. The
+    /// backward forms `dx = dy·W`, `dW = dyᵀ·x` as one GEMM contracting over
+    /// all leading rows, and `db = Σ_rows dy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on invalid vars or incompatible shapes.
+    pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Result<Var> {
+        self.check(x)?;
+        self.check(w)?;
+        if let Some(b) = b {
+            self.check(b)?;
+        }
+        let v = sf_tensor::ops::matmul::linear(
+            self.value(x),
+            self.value(w),
+            b.map(|b| self.value(b)),
+        )?;
+        Ok(self.push(v, Op::Linear { x, w, b }))
+    }
+
     /// Softmax over the last axis.
     ///
     /// # Errors

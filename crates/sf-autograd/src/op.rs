@@ -4,6 +4,7 @@ use crate::checkpoint::CheckpointFn;
 use crate::graph::{accumulate, Graph, Var};
 use crate::Result;
 use sf_tensor::ops::layernorm::{fused_backward, LayerNormStats};
+use sf_tensor::ops::matmul::linear_weight_grad;
 use sf_tensor::Tensor;
 use std::rc::Rc;
 
@@ -29,6 +30,14 @@ pub(crate) enum Op {
     Ln(Var),
     Sqrt(Var),
     Matmul(Var, Var),
+    /// A linear layer `x·Wᵀ + b` (`sf_tensor::ops::matmul::linear`) on the
+    /// weight in its stored `[out, in]` layout: one node instead of a
+    /// weight transpose, a GEMM and a broadcast add.
+    Linear {
+        x: Var,
+        w: Var,
+        b: Option<Var>,
+    },
     Softmax(Var),
     LayerNorm {
         x: Var,
@@ -178,6 +187,17 @@ impl Graph {
                 let db = matmul_rhs_grad(av, bv, dy)?;
                 Pending::Two(a.0, da, b.0, db)
             }
+            Op::Linear { x, w, b } => {
+                let xv = &self.nodes[x.0].value;
+                let wv = &self.nodes[w.0].value;
+                let dx = dy.matmul(wv)?;
+                let dw = linear_weight_grad(dy, xv)?;
+                let mut outs = vec![(x.0, dx), (w.0, dw)];
+                if let Some(b) = b {
+                    outs.push((b.0, dy.reduce_to(self.nodes[b.0].value.dims())?));
+                }
+                Pending::Many(outs)
+            }
             Op::Softmax(x) => {
                 let y = &self.nodes[i].value;
                 Pending::One(x.0, softmax_backward(y, dy)?)
@@ -222,7 +242,8 @@ impl Graph {
             }
             Op::SliceAxis { x, axis, start } => {
                 let xv = &self.nodes[x.0].value;
-                Pending::One(x.0, unslice(dy, xv.dims(), *axis, *start)?)
+                slice_accumulate(grads, x.0, xv.dims(), *axis, *start, dy);
+                Pending::None
             }
             Op::Concat { xs, axis } => {
                 let mut outs = Vec::with_capacity(xs.len());
@@ -359,20 +380,36 @@ fn softmax_backward_inplace(y: &Tensor, dx: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Adjoint of `slice_axis`: scatters `dy` back into a zero tensor of the
-/// original shape at `[start, start + len)` along `axis`.
-fn unslice(dy: &Tensor, full_dims: &[usize], axis: usize, start: usize) -> Result<Tensor> {
-    let mut out = Tensor::zeros(full_dims);
+/// Adjoint of `slice_axis`: adds `dy` in place into its window
+/// `[start, start + len)` along `axis` of `grads[idx]`, a gradient of shape
+/// `full_dims`, filling the slot with zeros on first touch.
+///
+/// This is the old scatter (a zero tensor of `full_dims` holding `dy` in its
+/// window, added whole into the slot) without the full-size temporary or
+/// the full-size add. The sums are the same, so the bits are the same, up
+/// to the sign of a zero: the old whole-tensor add turned a `-0.0` outside
+/// the window into `+0.0`, and the old first touch kept a `-0.0` inside it.
+fn slice_accumulate(
+    grads: &mut [Option<Tensor>],
+    idx: usize,
+    full_dims: &[usize],
+    axis: usize,
+    start: usize,
+    dy: &Tensor,
+) {
+    let g = grads[idx].get_or_insert_with(|| Tensor::zeros(full_dims));
+    assert_eq!(g.dims(), full_dims, "a gradient slot holds its node's shape");
     let len = dy.dims()[axis];
     let full_axis = full_dims[axis];
-    let outer: usize = full_dims[..axis].iter().product();
     let inner: usize = full_dims[axis + 1..].iter().product();
-    for o in 0..outer {
-        for a in 0..len {
-            let src = (o * len + a) * inner;
-            let dst = (o * full_axis + start + a) * inner;
-            out.data_mut()[dst..dst + inner].copy_from_slice(&dy.data()[src..src + inner]);
+    let (window, stride) = (len * inner, full_axis * inner);
+    if window == 0 {
+        return;
+    }
+    let offset = start * inner;
+    for (dst, src) in g.data_mut().chunks_exact_mut(stride).zip(dy.data().chunks_exact(window)) {
+        for (a, &b) in dst[offset..offset + window].iter_mut().zip(src) {
+            *a += b;
         }
     }
-    Ok(out)
 }

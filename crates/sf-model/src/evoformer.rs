@@ -457,13 +457,9 @@ pub fn transition_checkpointed(
             unreachable!("checkpoint passes inputs through unchanged");
         };
         let ln = sub.layer_norm(x, gamma, beta)?;
-        let w1t = sub.permute(w1, &[1, 0])?;
-        let h0 = sub.matmul(ln, w1t)?;
-        let h = sub.add(h0, b1)?;
+        let h = sub.linear(ln, w1, Some(b1))?;
         let a = sub.relu(h)?;
-        let w2t = sub.permute(w2, &[1, 0])?;
-        let o0 = sub.matmul(a, w2t)?;
-        let o = sub.add(o0, b2)?;
+        let o = sub.linear(a, w2, Some(b2))?;
         sub.add(x, o)
     })
 }

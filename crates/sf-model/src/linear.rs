@@ -82,21 +82,21 @@ impl Linear {
     /// Returns an error if `x`'s last dimension is not `in_dim`.
     pub fn apply(&self, g: &mut Graph, store: &mut ParamStore, x: Var) -> Result<Var> {
         let (w, b) = self.bind(g, store);
-        let wt = g.permute(w, &[1, 0])?;
-        let y = g.matmul(x, wt)?;
-        match b {
-            Some(b) => g.add(y, b),
-            None => Ok(y),
-        }
+        g.linear(x, w, b)
     }
 }
 
 /// Applies several independent projections of the *same* input as one
 /// bundled operation — the model-side counterpart of the paper's "GEMM
 /// Batching" (§3.3.1): the four linear layers before MHA have no mutual
-/// dependency, so they are fused into one wide GEMM and split.
+/// dependency, so they run as one [`Graph::linear`] node over the stacked
+/// weights and are split.
 ///
-/// Numerically identical to applying each [`Linear`] separately (tested).
+/// When any layer has a bias, the stacked bias fills the bias-free layers'
+/// columns with zeros; a GEMM sum is never `-0.0`, so adding `+0.0` leaves
+/// it unchanged. The outputs are bitwise those of applying each [`Linear`]
+/// separately, and so are the weight and bias gradients; the input
+/// gradient sums the same terms in one GEMM instead of per layer (tested).
 ///
 /// # Errors
 ///
@@ -107,7 +107,6 @@ pub fn batched_apply(
     layers: &[&Linear],
     x: Var,
 ) -> Result<Vec<Var>> {
-    // Bind all weights, concat along the output dim, single GEMM, split.
     let mut ws = Vec::with_capacity(layers.len());
     let mut bs = Vec::with_capacity(layers.len());
     for l in layers {
@@ -116,18 +115,34 @@ pub fn batched_apply(
         bs.push(b);
     }
     let stacked = g.concat(&ws, 0)?;
-    let wt = g.permute(stacked, &[1, 0])?;
-    let big = g.matmul(x, wt)?;
+    let bias = if bs.iter().any(Option::is_some) {
+        // One zero constant per run of adjacent bias-free layers.
+        let mut parts = Vec::with_capacity(layers.len());
+        let mut zeros = 0usize;
+        for (l, b) in layers.iter().zip(bs) {
+            let Some(b) = b else {
+                zeros += l.out_dim;
+                continue;
+            };
+            if zeros > 0 {
+                parts.push(g.constant(Tensor::zeros(&[zeros])));
+                zeros = 0;
+            }
+            parts.push(b);
+        }
+        if zeros > 0 {
+            parts.push(g.constant(Tensor::zeros(&[zeros])));
+        }
+        Some(g.concat(&parts, 0)?)
+    } else {
+        None
+    };
+    let big = g.linear(x, stacked, bias)?;
     let rank = g.value(big).rank();
     let mut outs = Vec::with_capacity(layers.len());
     let mut col = 0usize;
-    for (l, b) in layers.iter().zip(bs) {
-        let piece = g.slice_axis(big, rank - 1, col, col + l.out_dim)?;
-        let out = match b {
-            Some(b) => g.add(piece, b)?,
-            None => piece,
-        };
-        outs.push(out);
+    for l in layers {
+        outs.push(g.slice_axis(big, rank - 1, col, col + l.out_dim)?);
         col += l.out_dim;
     }
     Ok(outs)
@@ -187,21 +202,52 @@ mod tests {
         let l1 = Linear::no_bias("q", 8, 6);
         let l2 = Linear::no_bias("k", 8, 6);
         let l3 = Linear::new("v", 8, 10);
-
+        // Bias-free layers on both sides of the biased one.
+        let layers = [&l1, &l3, &l2];
         let x0 = Tensor::randn(&[2, 5, 8], 2);
+        // Weights each output by its own random cotangent, so every
+        // gradient depends on every output.
+        let loss = |g: &mut Graph, outs: &[Var]| -> Var {
+            let mut total = None;
+            for (i, &o) in outs.iter().enumerate() {
+                let w = g.constant(Tensor::randn(g.value(o).dims(), 10 + i as u64));
+                let p = g.mul(o, w).unwrap();
+                let s = g.sum_all(p).unwrap();
+                total = Some(match total {
+                    Some(t) => g.add(t, s).unwrap(),
+                    None => s,
+                });
+            }
+            total.unwrap()
+        };
+
         let mut g = Graph::new();
-        let x = g.constant(x0.clone());
-        let bundled = batched_apply(&mut g, &mut store, &[&l1, &l2, &l3], x).unwrap();
+        let x = g.param(x0.clone());
+        let bundled = batched_apply(&mut g, &mut store, &layers, x).unwrap();
+        let l = loss(&mut g, &bundled);
+        g.backward(l).unwrap();
 
         let mut g2 = Graph::new();
-        let x2 = g2.constant(x0);
-        let y1 = l1.apply(&mut g2, &mut store, x2).unwrap();
-        let y2 = l2.apply(&mut g2, &mut store, x2).unwrap();
-        let y3 = l3.apply(&mut g2, &mut store, x2).unwrap();
+        let x2 = g2.param(x0);
+        let single: Vec<Var> =
+            layers.iter().map(|l| l.apply(&mut g2, &mut store, x2).unwrap()).collect();
+        let l2 = loss(&mut g2, &single);
+        g2.backward(l2).unwrap();
 
-        assert!(g.value(bundled[0]).allclose(g2.value(y1), 1e-5));
-        assert!(g.value(bundled[1]).allclose(g2.value(y2), 1e-5));
-        assert!(g.value(bundled[2]).allclose(g2.value(y3), 1e-5));
+        // The bundle is one wider GEMM: each output element, each weight
+        // gradient row (a sum over all 10 rows of `x`) and each bias
+        // gradient is the same ascending sum as in its own layer.
+        for (&b, &s) in bundled.iter().zip(&single) {
+            assert_eq!(g.value(b), g2.value(s));
+        }
+        let (gb, gs) = (g.grads_by_name().unwrap(), g2.grads_by_name().unwrap());
+        for name in ["q.weight", "k.weight", "v.weight", "v.bias"] {
+            assert_eq!(gb[name], gs[name], "{name}");
+        }
+        // The input gradient contracts over all 22 outputs in one GEMM
+        // instead of adding three per-layer products: same terms, another
+        // summation order.
+        assert!(g.grad(x).unwrap().allclose(g2.grad(x2).unwrap(), 1e-5));
     }
 
     #[test]

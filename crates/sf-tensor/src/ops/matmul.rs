@@ -5,9 +5,11 @@
 //! The engine is a packed, register-tiled GEMM parallelized over
 //! batch × row blocks through [`crate::pool`]:
 //!
-//! - The B operand is packed one `NR`-column panel at a time into
-//!   thread-local scratch, so the micro-kernel streams it contiguously
-//!   regardless of transposition.
+//! - Each distinct B operand is packed into `NR`-column panels once per
+//!   call, in thread-local scratch, so the micro-kernel streams it
+//!   contiguously regardless of transposition and no row-block task
+//!   repacks it. A B shared by the whole batch (a rank-2 rhs) folds A's
+//!   leading dims into rows: one tall product over one packed B.
 //! - The micro-kernel computes an `MR × NR` tile in registers and *assigns*
 //!   the result (the seed implementation zero-initialized the output and
 //!   then accumulated with `+=`, reading every output element back once per
@@ -20,7 +22,9 @@
 //! [`matmul_bt`] (`a @ b^T`) and [`matmul_at`] (`a^T @ b`) reuse the same
 //! engine with stride/packing twists instead of materializing a transposed
 //! copy — these are the shapes the attention forward and backward passes
-//! actually need.
+//! actually need. A linear layer runs [`linear`] forward, then `matmul`
+//! for its input gradient and [`linear_weight_grad`] for its weight
+//! gradient, all with the weight in its stored `[out, in]` layout.
 
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
@@ -94,7 +98,8 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     batched_gemm(a, b, true, false, "matmul_at")
 }
 
-/// Shared engine behind [`matmul`] / [`matmul_bt`] / [`matmul_at`].
+/// Shared entry behind [`matmul`] / [`matmul_bt`] / [`matmul_at`]: checks
+/// the shapes, resolves batch broadcasting and runs [`gemm`].
 fn batched_gemm(
     a: &Tensor,
     b: &Tensor,
@@ -130,7 +135,7 @@ fn batched_gemm(
 
     let a_batch = &a.dims()[..a.rank() - 2];
     let b_batch = &b.dims()[..b.rank() - 2];
-    let (batch_dims, a_repeat, b_repeat) = if a_batch == b_batch {
+    let (batch_dims, a_shared, b_shared) = if a_batch == b_batch {
         (a_batch.to_vec(), false, false)
     } else if b_batch.is_empty() {
         (a_batch.to_vec(), false, true)
@@ -144,53 +149,108 @@ fn batched_gemm(
         });
     };
 
-    let (m, k, n) = (am, ak, bn);
-    let batch: usize = batch_dims.iter().product();
     let mut out_dims = batch_dims.clone();
-    out_dims.push(m);
-    out_dims.push(n);
+    out_dims.push(am);
+    out_dims.push(bn);
     // The kernel assigns every output element exactly once, so the zero
     // fill is never read back; `vec![0.0; _]` lazily maps zero pages, which
     // keeps this allocation O(1) for large outputs.
     let mut out = Tensor::zeros(&out_dims);
-    if batch == 0 || m == 0 || n == 0 {
-        return Ok(out);
-    }
+    let a = Operand { data: a.data(), trans: ta, shared: a_shared };
+    let b = Operand { data: b.data(), trans: tb, shared: b_shared };
+    let batch = batch_dims.iter().product();
+    gemm(a, b, batch, am, ak, bn, None, out.data_mut());
+    Ok(out)
+}
 
+/// One side of a [`gemm`]: a stored matrix or a contiguous batch of them,
+/// read transposed when `trans`, and used by every batch element when
+/// `shared`.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    trans: bool,
+    shared: bool,
+}
+
+/// `batch` products `C_i = A_i @ B_i` of logical `m × k` by `k × n`
+/// matrices into the row-major `c`, with `bias` (length `n`) added to every
+/// row when given.
+///
+/// Each distinct B is packed into `NR`-column panels once, before any
+/// product runs, and the row-block tasks then share that packing. A shared
+/// B under a non-transposed A folds A's batch into rows, so a
+/// `[..., m, k]` input against one weight runs `batch·m / ROW_BLOCK` tasks
+/// over one packed B. Every element still accumulates over `k` in the
+/// micro-kernel's one ascending pass and the bias is one add on the
+/// finished sum, so neither folding nor packing changes a bit.
+#[allow(clippy::too_many_arguments)]
+fn gemm(
+    a: Operand,
+    b: Operand,
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    c: &mut [f32],
+) {
+    if batch == 0 || m == 0 || n == 0 {
+        return;
+    }
+    // A's matrices are stacked row-major, so a non-transposed batch is one
+    // tall matrix with the same row stride.
+    let (batch, m) = if b.shared && !a.trans { (1, batch * m) } else { (batch, m) };
     // Strides of the logical A over (row, k): a plain row-major matrix, or
     // its stored transpose read column-wise.
-    let (ars, acs) = if ta { (1, am) } else { (ak, 1) };
-    let a_stride = ak * am;
-    let b_stride = bk * bn;
-    let o_stride = m * n;
+    let (ars, acs) = if a.trans { (1, m) } else { (k, 1) };
+    let (a_stride, b_stride) = (m * k, k * n);
+    let panels = n.div_ceil(NR);
+    let panel_len = k * NR;
+    let packed_len = panels * panel_len;
+    let n_packed = if b.shared { 1 } else { batch };
 
-    let rb_per_mat = m.div_ceil(ROW_BLOCK);
-    let n_tasks = batch * rb_per_mat;
-    let task_cost = ROW_BLOCK.min(m) * k * n * 2;
-
-    let a_data = a.data();
-    let b_data = b.data();
-    let out_ptr = SendPtr::new(out.data_mut());
-
-    parallel_for(n_tasks, task_cost, |range| {
-        scratch::with_scratch(pack_len(k), |pack| {
+    scratch::with_scratch(n_packed * packed_len, |packed| {
+        let pack_ptr = SendPtr::new(packed);
+        parallel_for(n_packed * panels, panel_len, |range| {
             for t in range {
-                let bi = t / rb_per_mat;
-                let rb = t % rb_per_mat;
+                let (bi, j0) = (t / panels, (t % panels) * NR);
+                let b_mat = &b.data[bi * b_stride..(bi + 1) * b_stride];
+                // SAFETY: each task packs its own panel.
+                let dst = unsafe { pack_ptr.slice_mut(t * panel_len, panel_len) };
+                pack_panel(b_mat, b.trans, k, n, j0, (n - j0).min(NR), dst);
+            }
+        });
+        let packed = &*packed;
+
+        let rb_per_mat = m.div_ceil(ROW_BLOCK);
+        let task_cost = ROW_BLOCK.min(m) * k * n * 2;
+        let out_ptr = SendPtr::new(c);
+        parallel_for(batch * rb_per_mat, task_cost, |range| {
+            for t in range {
+                let (bi, rb) = (t / rb_per_mat, t % rb_per_mat);
                 let r0 = rb * ROW_BLOCK;
                 let r1 = (r0 + ROW_BLOCK).min(m);
-                let a_off = if a_repeat { 0 } else { bi * a_stride };
-                let b_off = if b_repeat { 0 } else { bi * b_stride };
-                let a_mat = &a_data[a_off..a_off + a_stride];
-                let b_mat = &b_data[b_off..b_off + b_stride];
+                let a_off = if a.shared { 0 } else { bi * a_stride };
+                let b_off = if b.shared { 0 } else { bi * packed_len };
+                let a_mat = &a.data[a_off..a_off + a_stride];
+                let b_packed = &packed[b_off..b_off + packed_len];
                 // SAFETY: tasks own disjoint (batch, row-block) regions.
-                let c_rows =
-                    unsafe { out_ptr.slice_mut(bi * o_stride + r0 * n, (r1 - r0) * n) };
-                gemm_rows(a_mat, ars, acs, b_mat, tb, k, n, r0, r1, c_rows, pack);
+                let c_rows = unsafe { out_ptr.slice_mut(bi * m * n + r0 * n, (r1 - r0) * n) };
+                for (p, panel) in b_packed.chunks_exact(panel_len.max(1)).enumerate() {
+                    let j0 = p * NR;
+                    panel_rows(a_mat, ars, acs, r0, r1, k, panel, c_rows, n, j0, (n - j0).min(NR));
+                }
+                if let Some(bias) = bias {
+                    for row in c_rows.chunks_exact_mut(n) {
+                        for (y, &bv) in row.iter_mut().zip(bias) {
+                            *y += bv;
+                        }
+                    }
+                }
             }
         });
     });
-    Ok(out)
 }
 
 /// Scratch floats needed to pack one `NR`-wide panel of a `k`-deep B.
@@ -202,10 +262,10 @@ pub(crate) fn pack_len(k: usize) -> usize {
 /// micro-kernel, for fused kernels that run a short GEMM chain per batch
 /// element inside their own parallel work item. `a` is stored `[m, k]`
 /// (`[k, m]` when `ta`), `b` is stored `[k, n]` (`[n, k]` when `tb`), `c` is
-/// assigned, and `pack` holds at least [`pack_len`]`(k)` floats. Every
-/// element accumulates over `k` in the batched engine's one ascending pass,
-/// so the result is bit-identical to [`matmul`] / [`matmul_bt`] /
-/// [`matmul_at`] on the same operands.
+/// assigned, and `pack` holds at least [`pack_len`]`(k)` floats: B is
+/// packed one panel at a time. Every element accumulates over `k` in the
+/// batched engine's one ascending pass, so the result is bit-identical to
+/// [`matmul`] / [`matmul_bt`] / [`matmul_at`] on the same operands.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_serial(
     a: &[f32],
@@ -219,37 +279,39 @@ pub(crate) fn gemm_serial(
     pack: &mut [f32],
 ) {
     let (ars, acs) = if ta { (1, m) } else { (k, 1) };
-    gemm_rows(a, ars, acs, b, tb, k, n, 0, m, c, pack);
-}
-
-/// Computes rows `[r0, r1)` of `C = A_logical @ B_logical` into `c` (a
-/// `(r1 - r0) × n` row-major slab), packing B one panel at a time.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    b: &[f32],
-    tb: bool,
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-    c: &mut [f32],
-    pack: &mut [f32],
-) {
-    let rows = r1 - r0;
+    let panel = &mut pack[..k * NR];
     let mut j0 = 0usize;
     while j0 < n {
         let jw = (n - j0).min(NR);
-        pack_panel(b, tb, k, n, j0, jw, pack);
-        let mut i0 = 0usize;
-        while i0 < rows {
-            let iw = (rows - i0).min(MR);
-            micro_tile(a, ars, acs, r0 + i0, iw, k, pack, c, n, i0, j0, jw);
-            i0 += MR;
-        }
+        pack_panel(b, tb, k, n, j0, jw, panel);
+        panel_rows(a, ars, acs, 0, m, k, panel, c, n, j0, jw);
         j0 += NR;
+    }
+}
+
+/// Computes columns `[j0, j0 + jw)` of rows `[r0, r1)` of
+/// `C = A_logical @ B_logical` into `c` (a `(r1 - r0) × n` row-major slab)
+/// from one packed `k × NR` panel, one `MR`-row tile at a time.
+#[allow(clippy::too_many_arguments)]
+fn panel_rows(
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    r0: usize,
+    r1: usize,
+    k: usize,
+    panel: &[f32],
+    c: &mut [f32],
+    n: usize,
+    j0: usize,
+    jw: usize,
+) {
+    let rows = r1 - r0;
+    let mut i0 = 0usize;
+    while i0 < rows {
+        let iw = (rows - i0).min(MR);
+        micro_tile(a, ars, acs, r0 + i0, iw, k, panel, c, n, i0, j0, jw);
+        i0 += MR;
     }
 }
 
@@ -341,6 +403,70 @@ fn micro_tile(
     }
 }
 
+/// Rows and width of a `[..., w]` operand of the linear-layer GEMMs: every
+/// leading index is one row.
+fn rows_of(t: &Tensor) -> (usize, usize) {
+    let dims = t.dims();
+    let width = dims.last().copied().unwrap_or(1);
+    (dims[..dims.len().saturating_sub(1)].iter().product(), width)
+}
+
+fn linear_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
+    TensorError::ShapeMismatch { op, lhs: lhs.dims().to_vec(), rhs: rhs.dims().to_vec() }
+}
+
+/// A linear layer's forward pass, `x @ wᵀ + b` over the last axis: `x` is
+/// `[..., in]` of any rank ≥ 1, `w` is `[out, in]` as stored and `b` is
+/// `[out]`. Every leading index of `x` is one GEMM row against the one
+/// packed `w`, and the bias is added in place on each finished row block.
+/// Bitwise equal to `x.matmul(&w.transpose()?)?.add(b)?`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `w` is not rank 2, `x`'s last
+/// axis is not `w`'s second, or `b` is not `[out]`.
+pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
+    let (rows, in_dim) = rows_of(x);
+    if x.rank() == 0 || w.rank() != 2 || w.dims()[1] != in_dim {
+        return Err(linear_mismatch("linear", x, w));
+    }
+    let out_dim = w.dims()[0];
+    if let Some(b) = b.filter(|b| b.dims() != [out_dim]) {
+        return Err(linear_mismatch("linear bias", w, b));
+    }
+    let mut dims = x.dims().to_vec();
+    *dims.last_mut().expect("rank >= 1") = out_dim;
+    let mut y = Tensor::zeros(&dims);
+    let x = Operand { data: x.data(), trans: false, shared: false };
+    let w = Operand { data: w.data(), trans: true, shared: true };
+    gemm(x, w, 1, rows, in_dim, out_dim, b.map(Tensor::data), y.data_mut());
+    Ok(y)
+}
+
+/// The weight gradient of [`linear`], `dyᵀ @ x` contracted over every
+/// leading row: `dy` is `[..., out]`, `x` is `[..., in]` with the same
+/// leading dims, the result is `[out, in]` in `w`'s stored layout. It is one
+/// GEMM whose `k` runs over all rows, so no per-batch partial products are
+/// formed and summed; its tasks are the `out` row blocks.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the leading dims differ or
+/// either operand is rank 0.
+pub fn linear_weight_grad(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
+    let (rows, out_dim) = rows_of(dy);
+    let (_, in_dim) = rows_of(x);
+    let lead = |t: &Tensor| t.dims()[..t.rank() - 1].to_vec();
+    if dy.rank() == 0 || x.rank() == 0 || lead(dy) != lead(x) {
+        return Err(linear_mismatch("linear_weight_grad", dy, x));
+    }
+    let mut dw = Tensor::zeros(&[out_dim, in_dim]);
+    let dy = Operand { data: dy.data(), trans: true, shared: false };
+    let x = Operand { data: x.data(), trans: false, shared: false };
+    gemm(dy, x, 1, out_dim, rows, in_dim, None, dw.data_mut());
+    Ok(dw)
+}
+
 /// `c += a @ b` on dense row-major buffers, cache-blocked with an i-k-j
 /// inner order (streams `b` rows, accumulates into `c` rows).
 ///
@@ -382,8 +508,9 @@ pub type BatchedOutputs = Vec<Tensor>;
 ///
 /// Each `weights[i]` has shape `[out_i, in]` and each `biases[i]` (if given)
 /// shape `[out_i]`. `x` has shape `[..., in]`. The implementation stacks the
-/// weight matrices and performs a single GEMM, then splits the output —
-/// numerically identical to looping, which the unit tests verify.
+/// weight matrices (and the biases, with zeros for the bias-free layers) and
+/// runs one [`linear`], then splits the output — numerically identical to
+/// looping, which the unit tests verify.
 ///
 /// # Errors
 ///
@@ -393,36 +520,30 @@ pub fn batched_linear(
     weights: &[&Tensor],
     biases: &[Option<&Tensor>],
 ) -> Result<BatchedOutputs> {
-    let first = weights.first().ok_or(TensorError::EmptyInput("batched_linear"))?;
-    let in_dim = first.dims()[1];
-    if x.dims().last() != Some(&in_dim) {
-        return Err(TensorError::ShapeMismatch {
-            op: "batched_linear",
-            lhs: x.dims().to_vec(),
-            rhs: first.dims().to_vec(),
-        });
+    if weights.is_empty() {
+        return Err(TensorError::EmptyInput("batched_linear"));
     }
-    // Stack [out_total, in].
     let stacked = Tensor::concat(weights, 0)?;
-    let rows: usize = x.len() / in_dim;
-    let x2 = x.reshape(&[rows, in_dim])?;
-    // `x @ stacked^T` directly — no transposed copy of the weight stack.
-    let big = matmul_bt(&x2, &stacked)?; // [rows, out_total]
-
-    let mut outs = Vec::with_capacity(weights.len());
+    let bias = if biases.iter().any(Option::is_some) {
+        let parts: Vec<Tensor> = weights
+            .iter()
+            .zip(biases)
+            .map(|(w, b)| b.map_or_else(|| Tensor::zeros(&[w.dims()[0]]), Tensor::clone))
+            .collect();
+        Some(Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0)?)
+    } else {
+        None
+    };
+    let big = linear(x, &stacked, bias.as_ref())?;
+    let last = big.rank() - 1;
     let mut col = 0usize;
-    for (w, bias) in weights.iter().zip(biases.iter()) {
-        let out_dim = w.dims()[0];
-        let mut piece = big.slice_axis(1, col, col + out_dim)?;
-        if let Some(b) = bias {
-            piece = piece.add(b)?;
-        }
-        let mut dims = x.dims().to_vec();
-        *dims.last_mut().expect("x has rank >= 1") = out_dim;
-        outs.push(piece.reshape(&dims)?);
-        col += out_dim;
-    }
-    Ok(outs)
+    weights
+        .iter()
+        .map(|w| {
+            col += w.dims()[0];
+            big.slice_axis(last, col - w.dims()[0], col)
+        })
+        .collect()
 }
 
 #[cfg(test)]

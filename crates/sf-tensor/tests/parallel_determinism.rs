@@ -56,6 +56,76 @@ fn large_matmul_bt_and_at_are_bit_identical() {
     identical_across_threads(|| a.matmul_at(&c).unwrap());
 }
 
+/// Which shared-B product a case runs: the lhs is rank 3, the rhs rank 2.
+#[derive(Clone, Copy, Debug)]
+enum SharedB {
+    /// `[b, m, k] @ [k, n]`.
+    Matmul,
+    /// `[b, m, k] @ [n, k]ᵀ`.
+    Bt,
+    /// `[b, k, m]ᵀ @ [k, n]`.
+    At,
+}
+
+impl SharedB {
+    fn run(self, a: &Tensor, w: &Tensor) -> Tensor {
+        match self {
+            SharedB::Matmul => a.matmul(w),
+            SharedB::Bt => a.matmul_bt(w),
+            SharedB::At => a.matmul_at(w),
+        }
+        .unwrap()
+    }
+
+    /// Operands of a `b`-batch `m × k` by `k × n` product.
+    fn operands(self, b: usize, m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
+        let (a_dims, w_dims) = match self {
+            SharedB::Matmul => ([b, m, k], [k, n]),
+            SharedB::Bt => ([b, m, k], [n, k]),
+            SharedB::At => ([b, k, m], [k, n]),
+        };
+        (Tensor::randn(&a_dims, seed), Tensor::randn(&w_dims, seed ^ 0x5B))
+    }
+}
+
+/// A shared-B product is bit-identical across thread counts and to the
+/// plain 2-D product of each batch element with the same rhs — folding the
+/// batch into rows over one packed rhs changes no accumulation order.
+fn check_shared_b(kind: SharedB, b: usize, m: usize, k: usize, n: usize, seed: u64) {
+    let (a, w) = kind.operands(b, m, k, n, seed);
+    let out = identical_across_threads(|| kind.run(&a, &w));
+    assert_eq!(out.dims(), &[b, m, n], "{kind:?}");
+    let per = a.len() / b.max(1);
+    let mut expect = Vec::with_capacity(out.len());
+    for i in 0..b {
+        let ai = Tensor::from_vec(a.data()[i * per..(i + 1) * per].to_vec(), &a.dims()[1..])
+            .unwrap();
+        expect.extend_from_slice(kind.run(&ai, &w).data());
+    }
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(out.data()), bits(&expect), "{kind:?} [{b}, {m}, {k}] x {n}");
+}
+
+#[test]
+fn large_shared_b_products_are_bit_identical() {
+    // m % 4 != 0 and n % 16 != 0: folded rows straddle micro-tile edges
+    // and the last panel is partial; large enough to run in parallel.
+    for kind in [SharedB::Matmul, SharedB::Bt, SharedB::At] {
+        check_shared_b(kind, 6, 43, 37, 50, 22);
+        check_shared_b(kind, 40, 40, 16, 150, 23);
+    }
+}
+
+#[test]
+fn shared_b_edge_shapes_are_bit_identical() {
+    for kind in [SharedB::Matmul, SharedB::Bt, SharedB::At] {
+        check_shared_b(kind, 3, 5, 1, 7, 24); // k = 1
+        check_shared_b(kind, 0, 5, 3, 7, 25); // empty batch
+        check_shared_b(kind, 2, 0, 3, 7, 26); // empty rows
+        check_shared_b(kind, 2, 5, 0, 7, 27); // empty contraction: zeros
+    }
+}
+
 #[test]
 fn large_layernorm_forward_and_backward_are_bit_identical() {
     let x = Tensor::randn(&[2048, 64], 6);
@@ -171,6 +241,15 @@ proptest! {
         let a = Tensor::randn(&[b, m, k], seed);
         let w = Tensor::randn(&[k, n], seed ^ 2);
         identical_across_threads(|| a.matmul(&w).unwrap());
+    }
+
+    #[test]
+    fn shared_b_bit_identical_any_shape(
+        (b, m, k, n, seed) in (0usize..5, dim(), dim(), 1usize..40, any::<u64>())
+    ) {
+        for kind in [SharedB::Matmul, SharedB::Bt, SharedB::At] {
+            check_shared_b(kind, b, m, k, n, seed);
+        }
     }
 
     #[test]
