@@ -2,8 +2,10 @@
 
 use crate::op::Op;
 use crate::{AutogradError, Result};
+use sf_tensor::ops::attention::{HeadView, HeadViews};
 use sf_tensor::ops::layernorm::{fused_forward, LN_EPS};
 use sf_tensor::ops::softmax::softmax;
+use sf_tensor::ops::vexp::vexp;
 use sf_tensor::Tensor;
 
 /// A handle to a value on the tape.
@@ -12,6 +14,14 @@ use sf_tensor::Tensor;
 /// produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
+
+/// One operand of [`Graph::attention_heads`]: a [`HeadView`] of a tape
+/// value (`src` is the `Var`).
+pub type HeadVar = HeadView<Var>;
+
+/// The operands of one [`Graph::attention_heads`] call: [`HeadViews`] of
+/// tape values.
+pub type HeadVars = HeadViews<Var>;
 
 pub(crate) struct Node {
     pub value: Tensor,
@@ -231,6 +241,26 @@ impl Graph {
         Ok(self.push(v, Op::Sigmoid(x)))
     }
 
+    /// AlphaFold's gating, `sigmoid(gate) ⊙ x` as one node, with `x`
+    /// broadcast to `gate`'s shape. Bitwise equal to `mul(sigmoid(gate), x)`
+    /// forward and backward, without the sigmoid's activation on the tape:
+    /// the backward recomputes it from `gate`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on invalid vars or if `x` does not broadcast to
+    /// `gate`'s shape.
+    pub fn gate(&mut self, gate: Var, x: Var) -> Result<Var> {
+        self.check(gate)?;
+        self.check(x)?;
+        let gv = self.value(gate);
+        let mut v = self.value(x).broadcast_to(gv.dims())?;
+        for (o, &g) in v.data_mut().iter_mut().zip(gv.data()) {
+            *o *= 1.0 / (1.0 + vexp(-g));
+        }
+        Ok(self.push(v, Op::Gate { gate, x }))
+    }
+
     /// Tanh activation.
     ///
     /// # Errors
@@ -313,6 +343,22 @@ impl Graph {
         Ok(self.push(v, Op::Matmul(a, b)))
     }
 
+    /// `aᵀ @ b` without a transposed copy of `a` (see
+    /// `sf_tensor::ops::matmul::matmul_at`): `[..., k, m]` against
+    /// `[..., k, n]` gives `[..., m, n]`. Bitwise equal to
+    /// `matmul(permute(a), b)`, and so is its backward: `da = b·dyᵀ`
+    /// (`matmul_bt`), `db = a·dy`, the same products in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on invalid vars or incompatible shapes.
+    pub fn matmul_at(&mut self, a: Var, b: Var) -> Result<Var> {
+        self.check(a)?;
+        self.check(b)?;
+        let v = self.value(a).matmul_at(self.value(b))?;
+        Ok(self.push(v, Op::MatmulAt(a, b)))
+    }
+
     /// A linear layer `x·Wᵀ + b` as one node: `x` is `[..., in]`, `w` is
     /// `[out, in]` as stored, `b` is `[out]`. The forward runs one GEMM over
     /// every leading row of `x` against the packed `w` and adds the bias in
@@ -363,22 +409,11 @@ impl Graph {
         Ok(self.push(v, Op::LayerNorm { x, gamma, beta, stats }))
     }
 
-    /// The tape's only attention node. Fully fused attention head — scale,
-    /// optional pair `bias`, optional `mask` (zero entries are masked out;
-    /// non-differentiable), a whole-row softmax, and the optional
-    /// sigmoid-`gate` epilogue run in one `sf-tensor` kernel
-    /// ([`sf_tensor::ops::attention::attention_fused`]) that forms each
-    /// batch element's logits block in scratch. The tape stores only the
-    /// per-row softmax log-sum-exp (plus the pre-gate output when gated)
-    /// instead of the `[S_q, S_k]` probability tensor; the backward
-    /// recomputes probabilities from those stats, folds softmax-backward
-    /// into the attention gradient, and returns gradients bit-identical to
-    /// the `matmul_bt` / `matmul_at` / `matmul` chain it fuses.
-    ///
-    /// Sites without a bias, mask or gate pass `None`. Numerically
-    /// equivalent (≤1e-5 rel, property-tested) to the composed chain of
-    /// primitive tape ops `sigmoid(gate) ⊙ softmax(q kᵀ · scale + bias +
-    /// maskneg) v`.
+    /// Attention on contiguous `[batch..., S, D]` operands: the one-head
+    /// views ([`HeadViews::whole`]) of [`Graph::attention_heads`], the
+    /// tape's only attention node. `bias`/`mask` broadcast to
+    /// `[batch..., S_q, S_k]` and `gate` has `q`'s shape. Sites without a
+    /// bias, mask or gate pass `None`.
     ///
     /// # Errors
     ///
@@ -394,35 +429,82 @@ impl Graph {
         gate: Option<Var>,
         scale: f32,
     ) -> Result<Var> {
-        self.check(q)?;
-        self.check(k)?;
-        self.check(v)?;
-        for opt in [bias, mask, gate].into_iter().flatten() {
-            self.check(opt)?;
+        for x in [Some(q), Some(k), Some(v), gate].into_iter().flatten() {
+            self.check(x)?;
         }
-        let fused = sf_tensor::ops::attention::attention_fused(
+        let whole = HeadViews::whole(
             self.value(q),
             self.value(k),
             self.value(v),
+            gate.map(|g| self.value(g)),
+        )?;
+        let at = |src: Var, view: HeadView<&Tensor>| HeadVar { src, col: view.col, axis: view.axis };
+        let views = HeadVars {
+            q: at(q, whole.q),
+            k: at(k, whole.k),
+            v: at(v, whole.v),
+            gate: gate.zip(whole.gate).map(|(g, view)| at(g, view)),
+            heads: whole.heads,
+            d: whole.d,
+        };
+        self.attention_heads(views, bias, mask, scale)
+    }
+
+    /// The tape's only attention node. Fully fused attention — scale,
+    /// optional pair `bias`, optional `mask` (zero entries are masked out;
+    /// non-differentiable), a whole-row softmax, and the optional
+    /// sigmoid-gate epilogue run in one `sf-tensor` kernel
+    /// ([`sf_tensor::ops::attention::attention_heads`]) that reads Q, K, V
+    /// and the gate in place as head views of their tapes' values and
+    /// writes the heads merged, `[..., heads·d]` in the queries' leading
+    /// layout. A bundled `[B1, B2, 4·h·d]` projection is attended directly:
+    /// no slice, reshape or permute node splits or merges the heads.
+    ///
+    /// The tape stores only the per-row softmax log-sum-exp (plus the
+    /// pre-gate output when gated) instead of the `[S_q, S_k]` probability
+    /// tensor; the backward recomputes probabilities from those stats,
+    /// folds softmax-backward into the attention gradient, and returns
+    /// gradients bit-identical to the `matmul_bt` / `matmul_at` / `matmul`
+    /// chain it fuses. Views of one source write their gradients into
+    /// their own columns of that source's gradient slot: in place when the
+    /// slot already holds a gradient, else into one fresh buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on invalid vars or any shape incompatibility (see
+    /// [`sf_tensor::ops::attention::attention_heads`]).
+    pub fn attention_heads(
+        &mut self,
+        views: HeadVars,
+        bias: Option<Var>,
+        mask: Option<Var>,
+        scale: f32,
+    ) -> Result<Var> {
+        for x in views.listed().map(|h| h.src).chain(bias).chain(mask) {
+            self.check(x)?;
+        }
+        let fused = sf_tensor::ops::attention::attention_heads(
+            &self.head_views(&views),
             bias.map(|b| self.value(b)),
             mask.map(|m| self.value(m)),
-            gate.map(|g| self.value(g)),
             scale,
         )?;
         Ok(self.push(
             fused.out,
             Op::FusedAttention {
-                q,
-                k,
-                v,
+                views: Box::new(views),
                 bias,
                 mask,
-                gate,
                 scale,
                 att: fused.att,
                 lse: fused.lse,
             },
         ))
+    }
+
+    /// `views` read from this tape's values.
+    pub(crate) fn head_views(&self, views: &HeadVars) -> HeadViews<&Tensor> {
+        views.map(|var| self.value(var))
     }
 
     // ------------------------------------------------------------------

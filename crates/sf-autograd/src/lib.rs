@@ -12,10 +12,13 @@
 //!   memory/compute trade-off OpenFold relies on and DAP lets ScaleFold turn
 //!   off (§4.1 "disabling gradient checkpointing ... eliminated
 //!   re-computation in backward").
-//! - **Fused attention node** ([`Graph::attention_fused`]): the one tape
+//! - **Fused attention node** ([`Graph::attention_heads`]): the one tape
 //!   node for every attention site — scale, optional pair bias, mask and
 //!   sigmoid gate, with a backward that recomputes probabilities from the
-//!   saved log-sum-exp — mirroring the fused Triton MHA kernel.
+//!   saved log-sum-exp — mirroring the fused Triton MHA kernel. It reads
+//!   Q/K/V/gate in place as column views of their sources ([`HeadVars`])
+//!   and writes merged heads; [`Graph::attention_fused`] is its contiguous
+//!   one-head case.
 //! - **Fused LayerNorm node** ([`Graph::layer_norm`]): single-pass forward,
 //!   two-step-reduction backward.
 //! - **Activation memory accounting** ([`Graph::activation_bytes`]):
@@ -44,7 +47,7 @@ mod graph;
 mod op;
 mod params;
 
-pub use graph::{Graph, Var};
+pub use graph::{Graph, HeadVar, HeadVars, Var};
 pub use checkpoint_io::{CheckpointError, Crc32, LatestCheckpoint};
 pub use params::ParamStore;
 

@@ -1,10 +1,12 @@
 //! Tape operations and their vector-Jacobian products.
 
 use crate::checkpoint::CheckpointFn;
-use crate::graph::{accumulate, Graph, Var};
+use crate::graph::{accumulate, Graph, HeadVars, Var};
 use crate::Result;
+use sf_tensor::ops::attention::{attention_heads_backward, GradSink};
 use sf_tensor::ops::layernorm::{fused_backward, LayerNormStats};
 use sf_tensor::ops::matmul::linear_weight_grad;
+use sf_tensor::ops::vexp::vexp;
 use sf_tensor::Tensor;
 use std::rc::Rc;
 
@@ -24,6 +26,11 @@ pub(crate) enum Op {
     Relu(Var),
     Sigmoid(Var),
     Tanh(Var),
+    /// `sigmoid(gate) ⊙ x`, `x` broadcast to `gate`'s shape.
+    Gate {
+        gate: Var,
+        x: Var,
+    },
     Gelu(Var),
     Square(Var),
     Exp(Var),
@@ -45,20 +52,21 @@ pub(crate) enum Op {
         beta: Var,
         stats: LayerNormStats,
     },
-    /// Fully fused attention head (`sf_tensor::ops::attention::attention_fused`):
+    /// `aᵀ @ b` on `a` as stored (`sf_tensor::ops::matmul::matmul_at`).
+    MatmulAt(Var, Var),
+    /// Fully fused attention (`sf_tensor::ops::attention::attention_heads`):
     /// scale + pair bias + mask + whole-row softmax + sigmoid gate in one
-    /// kernel. Saves only the per-row softmax log-sum-exp (`lse`) and —
-    /// when gated — the pre-gate output, never the `[S_q, S_k]`
-    /// probability tensor; the backward recomputes each batch element's
-    /// probability block from `lse` in a single pass. The mask is
-    /// non-differentiable.
+    /// kernel that reads Q, K, V and the gate as head views (a `Var`, a
+    /// column offset and an attended axis each) and writes merged heads.
+    /// Saves only the per-row softmax log-sum-exp (`lse`) and — when gated
+    /// — the pre-gate output, never the `[S_q, S_k]` probability tensor;
+    /// the backward recomputes each batch element's probability block from
+    /// `lse` in a single pass and writes each view's gradient into its
+    /// columns of its source's slot. The mask is non-differentiable.
     FusedAttention {
-        q: Var,
-        k: Var,
-        v: Var,
+        views: Box<HeadVars>,
         bias: Option<Var>,
         mask: Option<Var>,
-        gate: Option<Var>,
         scale: f32,
         /// Pre-gate attention output (`None` when ungated: the node value
         /// already is the pre-gate output).
@@ -153,6 +161,23 @@ impl Graph {
                 let d = y.mul(&y.map(|v| 1.0 - v))?;
                 Pending::One(x.0, dy.mul(&d)?)
             }
+            Op::Gate { gate, x } => {
+                // The `Mul` and `Sigmoid` VJPs of `mul(sigmoid(gate), x)` in
+                // one pass over the recomputed sigmoid `y`, each element
+                // rounded as they round it: `dx = dy·y` (then summed over
+                // the broadcast), `dgate = (0 + dy·x)·(y·(1 − y))`.
+                let gv = &self.nodes[gate.0].value;
+                let xv = &self.nodes[x.0].value;
+                let mut dgate = dy.mul(xv)?;
+                let mut dx = dy.clone();
+                let outs = dgate.data_mut().iter_mut().zip(dx.data_mut());
+                for ((dg, dxe), &g) in outs.zip(gv.data()) {
+                    let y = 1.0 / (1.0 + vexp(-g));
+                    *dxe *= y;
+                    *dg = (0.0 + *dg) * (y * (1.0 - y));
+                }
+                Pending::Two(gate.0, dgate, x.0, sum_to(dx, xv.dims())?)
+            }
             Op::Tanh(x) => {
                 let y = &self.nodes[i].value;
                 let d = y.map(|v| 1.0 - v * v);
@@ -184,7 +209,14 @@ impl Graph {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let da = sum_to(dy.matmul_bt(bv)?, av.dims())?;
-                let db = matmul_rhs_grad(av, bv, dy)?;
+                let db = sum_batch(av.matmul_at(dy)?, bv.dims())?;
+                Pending::Two(a.0, da, b.0, db)
+            }
+            Op::MatmulAt(a, b) => {
+                let av = &self.nodes[a.0].value;
+                let bv = &self.nodes[b.0].value;
+                let da = sum_to(bv.matmul_bt(dy)?, av.dims())?;
+                let db = sum_batch(av.matmul(dy)?, bv.dims())?;
                 Pending::Two(a.0, da, b.0, db)
             }
             Op::Linear { x, w, b } => {
@@ -209,25 +241,34 @@ impl Graph {
                     fused_backward(dy, xv, gv, stats, LN_BACKWARD_BLOCK_ROWS)?;
                 Pending::Many(vec![(x.0, dx), (gamma.0, dg), (beta.0, db)])
             }
-            Op::FusedAttention { q, k, v, bias, mask, gate, scale, att, lse } => {
-                let qv = &self.nodes[q.0].value;
-                let kv = &self.nodes[k.0].value;
-                let vv = &self.nodes[v.0].value;
-                let bv = bias.map(|b| &self.nodes[b.0].value);
-                let mv = mask.map(|m| &self.nodes[m.0].value);
-                let gv = gate.map(|g| &self.nodes[g.0].value);
+            Op::FusedAttention { views, bias, mask, scale, att, lse } => {
                 let att_ref = att.as_ref().unwrap_or(&self.nodes[i].value);
-                let g = sf_tensor::ops::attention::attention_fused_backward(
-                    qv, kv, vv, bv, mv, gv, att_ref, lse, *scale, dy,
-                )?;
-                let mut outs = vec![(q.0, g.dq), (k.0, g.dk), (v.0, g.dv)];
-                if let (Some(b), Some(dbias)) = (bias, g.dbias) {
-                    outs.push((b.0, dbias));
+                let (mut sinks, route) = attention_sinks(views, &self.nodes, grads);
+                let mut gs: Vec<GradSink> = sinks
+                    .iter_mut()
+                    .map(|(_, buf, accumulate)| GradSink { buf, accumulate: *accumulate })
+                    .collect();
+                let dbias = attention_heads_backward(
+                    &self.head_views(views),
+                    bias.map(|b| &self.nodes[b.0].value),
+                    mask.map(|m| &self.nodes[m.0].value),
+                    att_ref,
+                    lse,
+                    *scale,
+                    dy,
+                    &mut gs,
+                    route,
+                );
+                drop(gs);
+                // Put every sink back, even when the kernel failed, so no
+                // slot is left emptied.
+                for (var, buf, _) in sinks {
+                    accumulate(grads, var, buf)?;
                 }
-                if let (Some(gt), Some(dgate)) = (gate, g.dgate) {
-                    outs.push((gt.0, dgate));
+                match (bias, dbias?) {
+                    (Some(b), Some(dbias)) => Pending::One(b.0, dbias),
+                    _ => Pending::None,
                 }
-                Pending::Many(outs)
             }
             Op::Reshape(x) => {
                 let dims = self.nodes[x.0].value.dims().to_vec();
@@ -325,15 +366,51 @@ fn sum_to(mut t: Tensor, dims: &[usize]) -> Result<Tensor> {
     Ok(t)
 }
 
-/// `dL/dB` for `C = A @ B`, handling the rhs-broadcast case where `B` is
-/// unbatched but `A`/`dy` are batched (sum over the batch).
-fn matmul_rhs_grad(a: &Tensor, b: &Tensor, dy: &Tensor) -> Result<Tensor> {
-    let db_full = a.matmul_at(dy)?;
-    if db_full.dims() == b.dims() {
-        return Ok(db_full);
+/// A matmul operand's gradient summed over the batch dims it was
+/// broadcast along (an unbatched operand against a batched one); handed
+/// on untouched otherwise.
+fn sum_batch(t: Tensor, dims: &[usize]) -> Result<Tensor> {
+    if t.dims() == dims {
+        return Ok(t);
     }
-    // Sum leading batch dims down to b's shape.
-    db_full.reduce_to(b.dims()).map_err(Into::into)
+    t.reduce_to(dims).map_err(Into::into)
+}
+
+/// The gradient sinks of one attention node: one per source `Var`, taking
+/// over that `Var`'s slot (`accumulate` set) when it already holds a
+/// gradient, else a fresh buffer the views' columns are assigned into. A
+/// view whose columns overlap an earlier view of the same `Var` (the same
+/// tensor passed twice) gets a sink of its own. Returns the sinks as
+/// `(slot, buffer, accumulate)` and each view's sink index.
+fn attention_sinks(
+    views: &HeadVars,
+    nodes: &[crate::graph::Node],
+    grads: &mut [Option<Tensor>],
+) -> (Vec<(usize, Tensor, bool)>, [usize; 4]) {
+    let width = views.heads * views.d;
+    let mut sinks: Vec<(usize, Tensor, bool)> = Vec::new();
+    let mut taken: Vec<Vec<std::ops::Range<usize>>> = Vec::new();
+    let mut route = [0usize; 4];
+    for (i, h) in views.listed().enumerate() {
+        let cols = h.col..h.col + width;
+        let free = |j: &usize| {
+            sinks[*j].0 == h.src.0 && taken[*j].iter().all(|u| u.end <= cols.start || cols.end <= u.start)
+        };
+        route[i] = match (0..sinks.len()).find(free) {
+            Some(j) => j,
+            None => {
+                let sink = match grads[h.src.0].take() {
+                    Some(slot) => (h.src.0, slot, true),
+                    None => (h.src.0, Tensor::zeros(nodes[h.src.0].value.dims()), false),
+                };
+                sinks.push(sink);
+                taken.push(Vec::new());
+                sinks.len() - 1
+            }
+        };
+        taken[route[i]].push(cols);
+    }
+    (sinks, route)
 }
 
 /// `dx = y * (dy - sum(dy * y, last_axis, keepdim))` for `y = softmax(x)`.

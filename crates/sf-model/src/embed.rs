@@ -7,7 +7,7 @@ use crate::dap::LocalAxial;
 use crate::evoformer::{evoformer_block, pair_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::linear::{layer_norm, Linear};
-use sf_autograd::{Graph, ParamStore, Result, Var};
+use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
 /// Relative-position clipping radius (AlphaFold uses 32).
@@ -230,27 +230,26 @@ fn template_pointwise_attention(
     z: Var,
     templates: Var,
 ) -> Result<Var> {
-    let (r, t) = (cfg.n_res, cfg.n_templates);
     let heads = cfg.pair_heads.max(1);
     let d = cfg.c_hidden_pair.max(1);
     let hd = heads * d;
 
     let q = Linear::no_bias("template.point_q", cfg.c_z, hd).apply(g, store, z)?;
-    // [R, R, hd] -> [R*R, heads, 1, d]
-    let qh = g.reshape(q, &[r * r, heads, 1, d])?;
     let k = Linear::no_bias("template.point_k", cfg.c_t, hd).apply(g, store, templates)?;
     let v = Linear::no_bias("template.point_v", cfg.c_t, hd).apply(g, store, templates)?;
-    // [T, R, R, hd] -> [R*R, heads, T, d]
-    let to_kv = |g: &mut Graph, x: Var| -> Result<Var> {
-        let r5 = g.reshape(x, &[t, r * r, heads, d])?;
-        g.permute(r5, &[1, 2, 0, 3])
+    // One query per pair [R, R, hd]; keys and values [T, R, R, hd] read in
+    // place along the template axis.
+    let views = HeadVars {
+        q: HeadVar { src: q, col: 0, axis: None },
+        k: HeadVar { src: k, col: 0, axis: Some(0) },
+        v: HeadVar { src: v, col: 0, axis: Some(0) },
+        gate: None,
+        heads,
+        d,
     };
-    let kh = to_kv(g, k)?;
-    let vh = to_kv(g, v)?;
     let scale = 1.0 / (d as f32).sqrt();
-    let att = g.attention_fused(qh, kh, vh, None, None, None, scale)?; // [R*R, heads, 1, d]
-    let flat = g.reshape(att, &[r, r, hd])?;
-    Linear::new("template.point_out", hd, cfg.c_z).apply(g, store, flat)
+    let att = g.attention_heads(views, None, None, scale)?; // [R, R, hd]
+    Linear::new("template.point_out", hd, cfg.c_z).apply(g, store, att)
 }
 
 #[cfg(test)]

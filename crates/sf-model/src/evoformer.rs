@@ -16,8 +16,11 @@
 //!
 //! Every sub-module is residual. The four projections before each attention
 //! (Q, K, V, gate) are bundled through [`crate::linear::batched_apply`] —
-//! the paper's "GEMM Batching" — and attention itself is the fused
-//! pair-bias kernel from `sf-autograd`/`sf-tensor`.
+//! the paper's "GEMM Batching" — into one `[.., 4·h·d]` projection, and
+//! attention itself is the fused pair-bias kernel from
+//! `sf-autograd`/`sf-tensor` ([`Graph::attention_heads`]). It reads Q, K, V
+//! and the gate as column views of that projection and writes the heads
+//! merged, so no slice, reshape or permute splits or joins a head.
 //!
 //! [`evoformer_block`] is the only block. It always runs under **Dynamic
 //! Axial Parallelism** through an injected [`AxialCollectives`] executor;
@@ -34,7 +37,7 @@
 
 use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives, LocalAxial};
 use crate::linear::{batched_apply, layer_norm, name_seed, Linear};
-use sf_autograd::{Graph, ParamStore, Result, Var};
+use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
 /// extra-MSA stack, and the template pair stack use different widths).
@@ -212,8 +215,10 @@ fn pair_stack(
 }
 
 /// Shared gated-attention plumbing: projects `x` (`[B1, B2, c_in]`) to
-/// per-head Q/K/V/gate, runs fused attention over the second axis with an
-/// optional `[h, B2, B2]` bias, gates, and projects back to `c_in`.
+/// Q/K/V/gate in one bundled GEMM, runs fused attention over the second
+/// axis with an optional `[h, B2, B2]` bias, reading each operand's heads
+/// as columns of the bundle and writing them merged (`[B1, B2, h·d]`), and
+/// projects back to `c_in`.
 #[allow(clippy::too_many_arguments)]
 fn gated_axis_attention(
     g: &mut Graph,
@@ -231,27 +236,21 @@ fn gated_axis_attention(
     let v_proj = Linear::no_bias(format!("{prefix}.v"), c_in, hd);
     let gate_proj = Linear::new(format!("{prefix}.gate"), c_in, hd);
     // GEMM batching: the four projections share one bundled GEMM.
-    let outs = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], x)?;
-    let (q, k, v, gate) = (outs[0], outs[1], outs[2], outs[3]);
-
-    let in_dims = g.value(x).dims().to_vec();
-    let (b1, b2) = (in_dims[0], in_dims[1]);
-    // [B1, B2, h*d] -> [B1, h, B2, d]
-    let to_heads = |g: &mut Graph, t: Var| -> Result<Var> {
-        let r = g.reshape(t, &[b1, b2, heads, c_hidden])?;
-        g.permute(r, &[0, 2, 1, 3])
+    let qkvg = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], x)?;
+    let at = |col: usize| HeadVar { src: qkvg, col, axis: Some(1) };
+    let views = HeadVars {
+        q: at(0),
+        k: at(hd),
+        v: at(2 * hd),
+        gate: Some(at(3 * hd)),
+        heads,
+        d: c_hidden,
     };
-    let qh = to_heads(g, q)?;
-    let kh = to_heads(g, k)?;
-    let vh = to_heads(g, v)?;
-    let gh = to_heads(g, gate)?;
     let scale = 1.0 / (c_hidden as f32).sqrt();
     // One kernel: scale + pair bias + softmax + sigmoid gate, with
     // softmax-backward folded into the attention grad.
-    let gated = g.attention_fused(qh, kh, vh, bias, None, Some(gh), scale)?;
-    let back = g.permute(gated, &[0, 2, 1, 3])?;
-    let flat = g.reshape(back, &[b1, b2, hd])?;
-    Linear::new(format!("{prefix}.out"), hd, c_in).apply(g, store, flat)
+    let gated = g.attention_heads(views, bias, None, scale)?;
+    Linear::new(format!("{prefix}.out"), hd, c_in).apply(g, store, gated)
 }
 
 /// Applies dropout (when enabled) then the residual connection — AlphaFold
@@ -375,10 +374,6 @@ pub fn msa_global_column_attention(
     prefix: &str,
     m: Var,
 ) -> Result<Var> {
-    let (s, r) = {
-        let d = g.value(m).dims();
-        (d[0], d[1])
-    };
     let heads = dims.msa_heads;
     let hd = heads * dims.c_hidden_msa;
     let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
@@ -386,26 +381,26 @@ pub fn msa_global_column_attention(
     let k_proj = Linear::no_bias(format!("{prefix}.k"), dims.c_m, hd);
     let v_proj = Linear::no_bias(format!("{prefix}.v"), dims.c_m, hd);
     let gate_proj = Linear::new(format!("{prefix}.gate"), dims.c_m, hd);
-    let outs = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], m_ln)?;
-    let (q, k, v, gate) = (outs[0], outs[1], outs[2], outs[3]);
+    let qkvg = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], m_ln)?;
 
-    // Global query: mean over the sequence axis -> one query per column.
-    let q_mean = g.mean_axis(q, 0)?; // [R, hd]
-    let qh = g.reshape(q_mean, &[r, heads, 1, dims.c_hidden_msa])?; // [R, heads, 1, d]
-
-    // Keys/values: [S, R, hd] -> [R, heads, S, d].
-    let to_kv = |g: &mut Graph, t: Var| -> Result<Var> {
-        let r4 = g.reshape(t, &[s, r, heads, dims.c_hidden_msa])?;
-        g.permute(r4, &[1, 2, 0, 3])
+    // Global query: the mean over the sequence axis, one query per column
+    // (the first `hd` columns of the bundle's mean). Keys and values are
+    // read in place along the sequence axis.
+    let mean = g.mean_axis(qkvg, 0)?; // [R, 4·hd]
+    let kv = |col: usize| HeadVar { src: qkvg, col, axis: Some(0) };
+    let views = HeadVars {
+        q: HeadVar { src: mean, col: 0, axis: None },
+        k: kv(hd),
+        v: kv(2 * hd),
+        gate: None,
+        heads,
+        d: dims.c_hidden_msa,
     };
-    let kh = to_kv(g, k)?;
-    let vh = to_kv(g, v)?;
     let scale = 1.0 / (dims.c_hidden_msa as f32).sqrt();
-    let att = g.attention_fused(qh, kh, vh, None, None, None, scale)?; // [R, heads, 1, d]
-    let att_flat = g.reshape(att, &[r, hd])?;
+    let att_flat = g.attention_heads(views, None, None, scale)?; // [R, hd]
     // Per-sequence gating of the shared column output.
-    let gsig = g.sigmoid(gate)?; // [S, R, hd]
-    let gated = g.mul(gsig, att_flat)?; // broadcast over S
+    let gate = g.slice_axis(qkvg, 2, 3 * hd, 4 * hd)?; // [S, R, hd]
+    let gated = g.gate(gate, att_flat)?; // broadcast over S
     let out = Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)?;
     dropout_residual(g, dims, prefix, 0, m, out)
 }
@@ -482,11 +477,10 @@ pub fn outer_product_mean(
     let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
     let a = Linear::new(format!("{prefix}.a"), dims.c_m, c).apply(g, store, m_ln)?;
     let b = Linear::new(format!("{prefix}.b"), dims.c_m, c).apply(g, store, m_ln)?;
-    // einsum('sic,sjd->ijcd') via one GEMM: [R*c, S] @ [S, R*c] = [R*c, R*c].
+    // einsum('sic,sjd->ijcd') via one GEMM: [S, R*c]ᵀ @ [S, R*c] = [R*c, R*c].
     let a2 = g.reshape(a, &[s, r * c])?;
     let b2 = g.reshape(b, &[s, r * c])?;
-    let at = g.permute(a2, &[1, 0])?;
-    let big = g.matmul(at, b2)?; // [R*c, R*c]
+    let big = g.matmul_at(a2, b2)?; // [R*c, R*c]
     let o4 = g.reshape(big, &[r, c, r, c])?;
     let o = g.permute(o4, &[0, 2, 1, 3])?; // [R, R, c, c]
     let flat = g.reshape(o, &[r, r, c * c])?;
@@ -510,8 +504,7 @@ pub fn triangle_multiplication(
     let gated_proj = |g: &mut Graph, store: &mut ParamStore, which: &str| -> Result<Var> {
         let p = Linear::new(format!("{prefix}.{which}_proj"), dims.c_z, c).apply(g, store, z_ln)?;
         let gt = Linear::new(format!("{prefix}.{which}_gate"), dims.c_z, c).apply(g, store, z_ln)?;
-        let sg = g.sigmoid(gt)?;
-        g.mul(sg, p)
+        g.gate(gt, p)
     };
     let a = gated_proj(g, store, "a")?;
     let b = gated_proj(g, store, "b")?;
@@ -532,8 +525,7 @@ pub fn triangle_multiplication(
     let proj = Linear::new(format!("{prefix}.out"), c, dims.c_z).apply(g, store, ln_out)?;
     let out_gate =
         Linear::new(format!("{prefix}.out_gate"), dims.c_z, dims.c_z).apply(g, store, z_ln)?;
-    let og = g.sigmoid(out_gate)?;
-    let gated = g.mul(og, proj)?;
+    let gated = g.gate(out_gate, proj)?;
     dropout_residual(g, dims, prefix, 0, z, gated)
 }
 

@@ -90,7 +90,11 @@ impl Linear {
 /// bundled operation — the model-side counterpart of the paper's "GEMM
 /// Batching" (§3.3.1): the four linear layers before MHA have no mutual
 /// dependency, so they run as one [`Graph::linear`] node over the stacked
-/// weights and are split.
+/// weights. Returns the bundled `[..., Σ out_i]` projection: layer `i`'s
+/// outputs are the columns after the widths of the layers before it.
+/// Attention reads its operands from those columns in place
+/// ([`sf_autograd::HeadVar`]); a site that needs a layer's output as a
+/// tensor of its own slices it out.
 ///
 /// When any layer has a bias, the stacked bias fills the bias-free layers'
 /// columns with zeros; a GEMM sum is never `-0.0`, so adding `+0.0` leaves
@@ -106,7 +110,7 @@ pub fn batched_apply(
     store: &mut ParamStore,
     layers: &[&Linear],
     x: Var,
-) -> Result<Vec<Var>> {
+) -> Result<Var> {
     let mut ws = Vec::with_capacity(layers.len());
     let mut bs = Vec::with_capacity(layers.len());
     for l in layers {
@@ -137,15 +141,7 @@ pub fn batched_apply(
     } else {
         None
     };
-    let big = g.linear(x, stacked, bias)?;
-    let rank = g.value(big).rank();
-    let mut outs = Vec::with_capacity(layers.len());
-    let mut col = 0usize;
-    for l in layers {
-        outs.push(g.slice_axis(big, rank - 1, col, col + l.out_dim)?);
-        col += l.out_dim;
-    }
-    Ok(outs)
+    g.linear(x, stacked, bias)
 }
 
 /// Binds a named LayerNorm (`"{name}.gamma"` / `"{name}.beta"`) and applies
@@ -223,7 +219,15 @@ mod tests {
 
         let mut g = Graph::new();
         let x = g.param(x0.clone());
-        let bundled = batched_apply(&mut g, &mut store, &layers, x).unwrap();
+        let big = batched_apply(&mut g, &mut store, &layers, x).unwrap();
+        let mut col = 0;
+        let bundled: Vec<Var> = layers
+            .iter()
+            .map(|l| {
+                col += l.out_dim();
+                g.slice_axis(big, 2, col - l.out_dim(), col).unwrap()
+            })
+            .collect();
         let l = loss(&mut g, &bundled);
         g.backward(l).unwrap();
 
@@ -257,10 +261,10 @@ mod tests {
         let l2 = Linear::no_bias("g2", 4, 3);
         let mut g = Graph::new();
         let x = g.constant(Tensor::randn(&[2, 4], 3));
-        let outs = batched_apply(&mut g, &mut store, &[&l1, &l2], x).unwrap();
-        let s = g.add(outs[0], outs[1]).unwrap();
-        let loss = g.sum_all(s).unwrap();
-        g.backward(loss).unwrap();
+        let big = batched_apply(&mut g, &mut store, &[&l1, &l2], x).unwrap();
+        assert_eq!(g.value(big).dims(), &[2, 6]);
+        let s = g.sum_all(big).unwrap();
+        g.backward(s).unwrap();
         let grads = g.grads_by_name().unwrap();
         assert!(grads.contains_key("g1.weight"));
         assert!(grads.contains_key("g2.weight"));

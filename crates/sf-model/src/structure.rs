@@ -21,7 +21,7 @@ use crate::config::ModelConfig;
 use crate::evoformer::transition;
 use crate::frames::FrameBatch;
 use crate::linear::{layer_norm, Linear};
-use sf_autograd::{Graph, ParamStore, Result, Var};
+use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
 /// Output of the structure module.
@@ -95,17 +95,11 @@ pub fn structure_module(
         let q = Linear::no_bias(format!("{p}.q"), c_s, heads * d).apply(g, store, s_ln)?;
         let k = Linear::no_bias(format!("{p}.k"), c_s, heads * d).apply(g, store, s_ln)?;
         let v = Linear::no_bias(format!("{p}.v"), c_s, heads * d).apply(g, store, s_ln)?;
-        let to_heads = |g: &mut Graph, t: Var| -> Result<Var> {
-            let rs = g.reshape(t, &[r, heads, d])?;
-            g.permute(rs, &[1, 0, 2])
-        };
-        let qh = to_heads(g, q)?;
-        let kh = to_heads(g, k)?;
-        let vh = to_heads(g, v)?;
+        // Heads read in place along the residue axis, written merged.
+        let res = |src: Var| HeadVar { src, col: 0, axis: Some(0) };
+        let views = HeadVars { q: res(q), k: res(k), v: res(v), gate: None, heads, d };
         let scale = 1.0 / (d as f32).sqrt();
-        let att = g.attention_fused(qh, kh, vh, Some(bias), None, None, scale)?;
-        let att_r = g.permute(att, &[1, 0, 2])?;
-        let att_flat = g.reshape(att_r, &[r, heads * d])?;
+        let att_flat = g.attention_heads(views, Some(bias), None, scale)?; // [R, h·d]
         let upd = Linear::new(format!("{p}.out"), heads * d, c_s).apply(g, store, att_flat)?;
         s = g.add(s, upd)?;
         s = transition(g, store, c_s, 2, &format!("{p}.trans"), s)?;

@@ -8,7 +8,7 @@
 //!
 //! One forward and one backward kernel run every attention site:
 //!
-//! - [`attention_fused`]: a **whole-row** kernel. At AlphaFold head widths
+//! - [`attention_heads`]: a **whole-row** kernel. At AlphaFold head widths
 //!   (d = 4–32, s_k ≤ a few hundred) a query's complete logits row fits in
 //!   L1, so there is no key tiling and no online-softmax rescaling. Per
 //!   batch element the kernel forms the `[s_q, s_k]` logits block with the
@@ -20,19 +20,27 @@
 //!   optional sigmoid-gate epilogue and the per-row log-sum-exp the
 //!   backward needs. Only that block lives in thread-local scratch; no
 //!   `[.., s_q, s_k]` tensor is allocated.
-//! - [`attention_fused_backward`]: the same per-batch-element structure —
+//! - [`attention_heads_backward`]: the same per-batch-element structure —
 //!   recompute `p` and `dP`, form `dS`, then `dV`, `dK` and `dQ` — as a
 //!   chain of the GEMM engine's micro-kernel calls on L1-resident blocks.
 //!   Each gradient accumulates in exactly the order of the `matmul_bt` /
 //!   `matmul_at` / `matmul` chain it replaces, so it is bit-identical to
 //!   that chain (pinned by `tests/attention_backward_bits.rs`).
 //!
+//! Both read Q, K, V and the gate as [`HeadView`]s: `heads` column blocks of
+//! a `[..., W]` tensor with the attended axis and the batch axes given by
+//! strides, so a bundled `[B1, B2, 4·h·d]` projection is attended without
+//! copying a head out, the output is written with its heads merged
+//! (`[B1, B2, h·d]`), and each gradient lands in its operand's columns.
+//! [`attention_fused`] / [`attention_fused_backward`] are the contiguous
+//! `[batch..., s, d]` one-head case of the same kernels.
+//!
 //! [`naive_attention`] materializes the full logits matrix. It is the test
 //! oracle (and the memory-hungry path the paper starts from); the fused
 //! kernel matches it to within f32 tolerance (tested, including property
 //! tests).
 
-use crate::ops::matmul::{gemm_serial, matmul_bt, pack_len};
+use crate::ops::matmul::{gemm_serial, matmul_bt, pack_len, Dense, Strided};
 use crate::ops::softmax::softmax;
 use crate::ops::vexp::{striped_max, vexp, vexp_shift_sum};
 use crate::pool::{parallel_for, SendPtr};
@@ -50,59 +58,246 @@ use crate::{Result, Tensor, TensorError};
 /// *approximately* uniform — callers mask padding queries downstream.
 pub const MASK_NEG: f32 = -3.0e4;
 
-fn check_qkv(q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(usize, usize, usize, usize)> {
-    let rank = q.rank();
-    if rank < 2 || k.rank() != rank || v.rank() != rank {
-        return Err(TensorError::ShapeMismatch {
-            op: "attention rank",
-            lhs: q.dims().to_vec(),
-            rhs: k.dims().to_vec(),
-        });
-    }
-    let d = q.dims()[rank - 1];
-    let s_q = q.dims()[rank - 2];
-    let s_k = k.dims()[rank - 2];
-    if k.dims()[rank - 1] != d
-        || v.dims()[rank - 2] != s_k
-        || q.dims()[..rank - 2] != k.dims()[..rank - 2]
-        || k.dims()[..rank - 2] != v.dims()[..rank - 2]
-    {
-        return Err(TensorError::ShapeMismatch {
-            op: "attention qkv",
-            lhs: q.dims().to_vec(),
-            rhs: v.dims().to_vec(),
-        });
-    }
-    let batch: usize = q.dims()[..rank - 2].iter().product();
-    Ok((batch, s_q, s_k, d))
-}
-
-fn check_bias(q: &Tensor, s_q: usize, s_k: usize, bias: &Tensor) -> Result<Shape> {
-    let logit_dims = batch_dims_and(q, &[s_q, s_k]);
-    let logits_shape = Shape::new(&logit_dims);
-    if !bias.shape().broadcastable_to(&logits_shape) {
-        return Err(TensorError::ShapeMismatch {
-            op: "attention bias",
-            lhs: bias.dims().to_vec(),
-            rhs: logit_dims,
-        });
-    }
-    Ok(logits_shape)
+fn mismatch(op: &'static str, lhs: &[usize], rhs: &[usize]) -> TensorError {
+    TensorError::ShapeMismatch { op, lhs: lhs.to_vec(), rhs: rhs.to_vec() }
 }
 
 fn check_dims(op: &'static str, t: &Tensor, dims: &[usize]) -> Result<()> {
     if t.dims() == dims {
         Ok(())
     } else {
-        Err(TensorError::ShapeMismatch { op, lhs: t.dims().to_vec(), rhs: dims.to_vec() })
+        Err(mismatch(op, t.dims(), dims))
     }
 }
 
-/// `q`'s batch dims followed by `tail`.
-fn batch_dims_and(q: &Tensor, tail: &[usize]) -> Vec<usize> {
-    let mut dims = q.dims()[..q.rank() - 2].to_vec();
-    dims.extend_from_slice(tail);
-    dims
+/// One attention operand read in place: `heads` adjacent `d`-wide column
+/// blocks of the last axis of `src` (`[..., W]`), the first at column
+/// `col`. The leading axis `axis` is the attended one (the query or key
+/// positions); `None` reads one position, as a mean-pooled query does.
+/// Every other leading axis is a batch axis and the head index runs
+/// fastest after them, so the view reads the logical
+/// `[batch..., heads, s, d]` tensor a reshape and a permute would copy out.
+///
+/// - Row, column and triangle attention read Q, K, V and the gate from one
+///   bundled `[B1, B2, 4·h·d]` projection: `axis: Some(1)`, `col` the
+///   operand's column offset.
+/// - Keys and values along the first axis (global column and template
+///   pointwise attention, IPA): `axis: Some(0)`.
+/// - A contiguous `[batch..., s, d]` tensor is the one-head view that
+///   [`HeadViews::whole`] builds.
+///
+/// The source is generic so the autograd tape can name the same view by
+/// its value's handle (`HeadView<Var>`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadView<S> {
+    /// The tensor the heads are read from, `[..., W]`.
+    pub src: S,
+    /// Column of the first head's first channel.
+    pub col: usize,
+    /// The attended leading axis; `None` for a single position.
+    pub axis: Option<usize>,
+}
+
+/// The operands of one attention call as head views, with the head count
+/// and head width they share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadViews<S> {
+    /// Queries.
+    pub q: HeadView<S>,
+    /// Keys.
+    pub k: HeadView<S>,
+    /// Values (as many positions as the keys).
+    pub v: HeadView<S>,
+    /// Optional sigmoid gate, shaped like the queries.
+    pub gate: Option<HeadView<S>>,
+    /// Number of heads each view reads.
+    pub heads: usize,
+    /// Channels per head.
+    pub d: usize,
+}
+
+impl<S: Copy> HeadViews<S> {
+    /// The views in kernel order: q, k, v, then the gate when present.
+    pub fn listed(&self) -> impl Iterator<Item = HeadView<S>> {
+        [Some(self.q), Some(self.k), Some(self.v), self.gate].into_iter().flatten()
+    }
+
+    /// The same views with each source replaced by `f(source)`.
+    pub fn map<T>(&self, f: impl Fn(S) -> T) -> HeadViews<T> {
+        let at = |h: HeadView<S>| HeadView { src: f(h.src), col: h.col, axis: h.axis };
+        HeadViews { q: at(self.q), k: at(self.k), v: at(self.v), gate: self.gate.map(at), heads: self.heads, d: self.d }
+    }
+}
+
+impl<'a> HeadViews<&'a Tensor> {
+    /// Contiguous `[batch..., s, d]` operands, each read whole as one head
+    /// attended along its second-to-last axis: the layout of
+    /// [`attention_fused`]. `k`, `v` and `gate` must be exactly `d` wide.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if an operand has rank < 2 or
+    /// a last axis other than `q`'s.
+    pub fn whole(q: &'a Tensor, k: &'a Tensor, v: &'a Tensor, gate: Option<&'a Tensor>) -> Result<Self> {
+        let d = q.dims().last().copied().unwrap_or(0);
+        let view = |t: &'a Tensor| {
+            if t.rank() < 2 || t.dims()[t.rank() - 1] != d {
+                return Err(mismatch("attention qkv", q.dims(), t.dims()));
+            }
+            Ok(HeadView { src: t, col: 0, axis: Some(t.rank() - 2) })
+        };
+        let gate = gate.map(view).transpose()?;
+        Ok(HeadViews { q: view(q)?, k: view(k)?, v: view(v)?, gate, heads: 1, d })
+    }
+}
+
+/// Offsets of every index of the row-major grid `axes` (`(len, stride)`
+/// pairs, the last fastest), starting from `base`.
+fn grid_offsets(base: usize, axes: impl IntoIterator<Item = (usize, usize)>) -> Vec<usize> {
+    let mut offs = vec![base];
+    for (len, stride) in axes {
+        let mut next = Vec::with_capacity(offs.len() * len);
+        for &o in &offs {
+            next.extend((0..len).map(|i| o + i * stride));
+        }
+        offs = next;
+    }
+    offs
+}
+
+/// Where a head view's batch elements sit in their `[..., W]` buffer:
+/// element `b`'s `[s, d]` block starts at `offs[b]`, its rows `ld` apart.
+struct Placement {
+    /// The leading dims other than the attended one.
+    batch: Vec<usize>,
+    offs: Vec<usize>,
+    ld: usize,
+    s: usize,
+}
+
+impl Placement {
+    /// `None` if the heads overrun the width or `axis` is not a leading
+    /// axis of `dims`.
+    fn new(dims: &[usize], col: usize, axis: Option<usize>, heads: usize, d: usize) -> Option<Self> {
+        let (&width, lead) = dims.split_last()?;
+        if col + heads * d > width || axis.is_some_and(|a| a >= lead.len()) {
+            return None;
+        }
+        let mut strides = vec![width; lead.len()];
+        for i in (1..lead.len()).rev() {
+            strides[i - 1] = strides[i] * lead[i];
+        }
+        let batch: Vec<(usize, usize)> = (0..lead.len())
+            .filter(|&i| Some(i) != axis)
+            .map(|i| (lead[i], strides[i]))
+            .collect();
+        let (s, ld) = axis.map_or((1, width), |a| (lead[a], strides[a]));
+        Some(Placement {
+            batch: batch.iter().map(|&(len, _)| len).collect(),
+            offs: grid_offsets(col, batch.iter().copied().chain([(heads, d)])),
+            ld,
+            s,
+        })
+    }
+
+    /// Floats from the start of an element's first row to the end of its
+    /// last (`d` columns).
+    fn extent(&self, d: usize) -> usize {
+        if self.s == 0 {
+            0
+        } else {
+            (self.s - 1) * self.ld + d
+        }
+    }
+
+    /// Element `b`'s block of `data`, from its first row to the end of its
+    /// last.
+    fn block<'a>(&self, data: &'a [f32], b: usize, d: usize) -> &'a [f32] {
+        let start = self.offs[b].min(data.len());
+        &data[start..start + self.extent(d)]
+    }
+
+    /// Start of row `i` of element `b`.
+    fn row(&self, b: usize, i: usize) -> usize {
+        self.offs[b] + i * self.ld
+    }
+
+    /// Element `b`'s rows of the buffer behind `ptr`, as a GEMM output
+    /// that stores `sum · scale` (when given), added when `add`.
+    ///
+    /// # Safety
+    ///
+    /// The buffer must hold this placement's layout and outlive the result,
+    /// and no other thread may access element `b`'s `d` columns of its rows
+    /// meanwhile.
+    unsafe fn out_rows<'a>(&self, ptr: &SendPtr, b: usize, d: usize, scale: Option<f32>, add: bool) -> Strided<'a> {
+        Strided::new(ptr.at(self.offs[b]), self.extent(d), self.ld, scale, add)
+    }
+
+    /// Row `i` of element `b` in the buffer behind `ptr`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Placement::out_rows`].
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row_mut<'a>(&self, ptr: &'a SendPtr, b: usize, i: usize, d: usize) -> &'a mut [f32] {
+        ptr.slice_mut(self.row(b, i), d)
+    }
+}
+
+/// A [`HeadViews`] call checked and resolved: where each operand's blocks
+/// are, and where the output's are. The output takes the queries' leading
+/// layout with `heads·d` columns, so merged heads come out in place.
+struct Geometry {
+    q: Placement,
+    k: Placement,
+    v: Placement,
+    gate: Option<Placement>,
+    out: Placement,
+    out_dims: Vec<usize>,
+    heads: usize,
+    d: usize,
+}
+
+impl Geometry {
+    fn new(views: &HeadViews<&Tensor>) -> Result<Self> {
+        let (heads, d) = (views.heads, views.d);
+        let place = |view: &HeadView<&Tensor>| {
+            Placement::new(view.src.dims(), view.col, view.axis, heads, d)
+                .filter(|_| heads > 0)
+                .ok_or_else(|| mismatch("attention head view", view.src.dims(), &[view.col, heads, d]))
+        };
+        let (q, k, v) = (place(&views.q)?, place(&views.k)?, place(&views.v)?);
+        let gate = views.gate.as_ref().map(place).transpose()?;
+        let batched_like_q = |p: &Placement| p.batch == q.batch;
+        let gate_ok = gate.as_ref().is_none_or(|g| batched_like_q(g) && g.s == q.s);
+        if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s || !gate_ok {
+            return Err(mismatch("attention qkv", views.q.src.dims(), views.v.src.dims()));
+        }
+        let mut out_dims = views.q.src.dims().to_vec();
+        if let Some(w) = out_dims.last_mut() {
+            *w = heads * d;
+        }
+        let out = Placement::new(&out_dims, 0, views.q.axis, heads, d)
+            .expect("the output is exactly its heads wide");
+        Ok(Geometry { q, k, v, gate, out, out_dims, heads, d })
+    }
+
+    /// Number of `(batch..., head)` elements.
+    fn batch(&self) -> usize {
+        self.q.offs.len()
+    }
+
+    /// The logical batch dims (the batch axes, then the heads; one head
+    /// adds no axis) followed by `tail`.
+    fn batch_dims_and(&self, tail: &[usize]) -> Vec<usize> {
+        let mut dims = self.q.batch.clone();
+        if self.heads > 1 {
+            dims.push(self.heads);
+        }
+        dims.extend_from_slice(tail);
+        dims
+    }
 }
 
 /// Reference attention: `softmax(q @ k^T * scale + bias) @ v`.
@@ -121,10 +316,10 @@ pub fn naive_attention(
     bias: Option<&Tensor>,
     scale: f32,
 ) -> Result<Tensor> {
-    check_qkv(q, k, v)?;
+    let geo = Geometry::new(&HeadViews::whole(q, k, v, None)?)?;
     let mut logits = matmul_bt(q, k)?.mul_scalar(scale);
     if let Some(b) = bias {
-        check_bias(q, logits.dims()[logits.rank() - 2], logits.dims()[logits.rank() - 1], b)?;
+        logits_rows(b, &geo)?;
         logits = logits.add(b)?;
     }
     let probs = softmax(&logits)?;
@@ -132,11 +327,13 @@ pub fn naive_attention(
 }
 
 /// A side input (pair bias or mask) resolved against the logits
-/// `[batch..., s_q, s_k]`: per-batch base offsets plus the row and column
-/// strides (0 on broadcast axes), so a kernel reads a batch element's
+/// `[batch..., heads, s_q, s_k]`: per-element base offsets plus the row and
+/// column strides (0 on broadcast axes), so a kernel reads an element's
 /// logits block as one slice, or one row slice at a time.
 struct LogitsRows<'a> {
     data: &'a [f32],
+    /// The logits dims the side input broadcasts to.
+    dims: Vec<usize>,
     row_stride: usize,
     col_stride: usize,
     batch_offs: Vec<usize>,
@@ -167,42 +364,27 @@ impl LogitsRows<'_> {
     }
 }
 
-fn logits_rows<'a>(
-    t: &'a Tensor,
-    q: &Tensor,
-    s_q: usize,
-    s_k: usize,
-    batch: usize,
-) -> Result<LogitsRows<'a>> {
-    let logits_shape = check_bias(q, s_q, s_k, t)?;
-    let st = broadcast_strides(t.shape(), &logits_shape);
-    let rank = st.len();
-    let batch_dims = &q.dims()[..q.rank() - 2];
-    let mut batch_offs = Vec::with_capacity(batch);
-    let mut batch_idx = vec![0usize; batch_dims.len()];
-    for _ in 0..batch {
-        batch_offs.push(
-            batch_idx
-                .iter()
-                .zip(st.iter())
-                .map(|(&i, &s)| i * s)
-                .sum::<usize>(),
-        );
-        let mut axis = batch_dims.len();
-        while axis > 0 {
-            axis -= 1;
-            batch_idx[axis] += 1;
-            if batch_idx[axis] < batch_dims[axis] {
-                break;
-            }
-            batch_idx[axis] = 0;
-        }
+/// Resolves `t` against the logits. With one head the logits carry no head
+/// axis, but a side input may still spell out its unit head axis (IPA's
+/// `[h, s, s]` bias at `h = 1`).
+fn logits_rows<'a>(t: &'a Tensor, geo: &Geometry) -> Result<LogitsRows<'a>> {
+    let mut dims = geo.batch_dims_and(&[geo.q.s, geo.k.s]);
+    if geo.heads == 1 && !t.shape().broadcastable_to(&Shape::new(&dims)) {
+        dims.insert(dims.len() - 2, 1);
     }
+    let logits = Shape::new(&dims);
+    if !t.shape().broadcastable_to(&logits) {
+        return Err(mismatch("attention bias", t.dims(), &dims));
+    }
+    let st = broadcast_strides(t.shape(), &logits);
+    let rank = st.len();
+    let batch_offs = grid_offsets(0, dims[..rank - 2].iter().copied().zip(st.iter().copied()));
     Ok(LogitsRows {
         data: t.data(),
         row_stride: st[rank - 2],
         col_stride: st[rank - 1],
         batch_offs,
+        dims,
     })
 }
 
@@ -238,18 +420,21 @@ fn fold_logits(
     }
 }
 
-/// Result of [`attention_fused`]: the (possibly gated) output plus the
+/// Result of [`attention_heads`]: the (possibly gated) output plus the
 /// per-row softmax statistics the fused backward needs.
 #[derive(Debug, Clone)]
 pub struct FusedAttention {
-    /// Attention output, gated when a gate was supplied: `[..., S_q, D]`.
+    /// Attention output with the heads merged, gated when a gate was
+    /// supplied: the queries' leading dims and `heads·d` columns
+    /// (`[..., S_q, D]` for [`attention_fused`]).
     pub out: Tensor,
     /// Pre-gate attention output `P @ V`, saved only when a gate was
     /// supplied (otherwise it equals `out`).
     pub att: Option<Tensor>,
     /// Per-query-row log-sum-exp of the scaled/biased/masked logits,
-    /// `[batch..., S_q]` — enough to recompute any probability row in the
-    /// backward pass without storing the `[S_q, S_k]` probability tensor.
+    /// `[batch..., heads, S_q]` — enough to recompute any probability row
+    /// in the backward pass without storing the `[S_q, S_k]` probability
+    /// tensor.
     pub lse: Tensor,
 }
 
@@ -272,19 +457,9 @@ pub struct FusedAttentionGrads {
     pub dgate: Option<Tensor>,
 }
 
-/// The fully fused attention head — the CPU analogue of ScaleFold's custom
-/// Triton kernel: `sigmoid(gate) ⊙ softmax(q @ k^T · scale + bias + maskneg) @ v`.
-///
-/// One work item per batch element (the paper's (batch, head)
-/// parallelization). Each item forms its `[S_q, S_k]` logits block in
-/// thread-local scratch with the GEMM micro-kernel, folds scale, pair bias
-/// and mask penalty into it, takes each row's max and exp-and-sum in one
-/// 8-lane pass apiece, multiplies by `V`, normalizes, and applies the
-/// sigmoid-gate epilogue while the output rows are hot.
-/// Neither the logits nor the bias+mask sum is ever materialized as a
-/// tensor. Per-row log-sum-exp statistics are saved for the matching fused
-/// backward. Rows never split across threads and every reduction runs in a
-/// fixed order, so output is bit-identical for every thread count.
+/// The fully fused attention head on contiguous `[batch..., S, D]`
+/// operands: [`attention_heads`] on the one-head views of
+/// [`HeadViews::whole`].
 ///
 /// - `bias`/`mask` (optional) must broadcast to `[batch..., S_q, S_k]`;
 ///   mask entries equal to zero add [`MASK_NEG`] to the logit. The mask is
@@ -303,47 +478,88 @@ pub fn attention_fused(
     gate: Option<&Tensor>,
     scale: f32,
 ) -> Result<FusedAttention> {
+    attention_heads(&HeadViews::whole(q, k, v, gate)?, bias, mask, scale)
+}
+
+/// The fully fused attention head — the CPU analogue of ScaleFold's custom
+/// Triton kernel: `sigmoid(gate) ⊙ softmax(q @ k^T · scale + bias + maskneg) @ v`,
+/// with every operand read in place through its [`HeadView`] and the heads
+/// written merged, so no call site splits or merges heads with a copy.
+///
+/// One work item per `(batch..., head)` element (the paper's (batch, head)
+/// parallelization). Each item forms its `[S_q, S_k]` logits block in
+/// thread-local scratch with the GEMM micro-kernel (reading Q and K rows at
+/// their view's stride), folds scale, pair bias and mask penalty into it,
+/// takes each row's max and exp-and-sum in one 8-lane pass apiece,
+/// multiplies by `V`, normalizes, and applies the sigmoid-gate epilogue
+/// while storing the output rows. Neither the logits nor the bias+mask sum
+/// is ever materialized as a tensor. Per-row log-sum-exp statistics are
+/// saved for the matching fused backward. Rows never split across threads
+/// and every reduction runs in a fixed order, so output is bit-identical
+/// for every thread count and equal to the same call on permuted copies.
+///
+/// - `bias`/`mask` (optional) must broadcast to the logits
+///   `[batch..., heads, S_q, S_k]` (no head axis with one head); mask
+///   entries equal to zero add [`MASK_NEG`] to the logit. The mask is a
+///   non-differentiable input.
+/// - The gate view must have the queries' batch dims and positions.
+///
+/// # Errors
+///
+/// Returns an error if a view overruns its source's width, names a missing
+/// axis, or disagrees with the others on batch dims or key count, or if a
+/// side input does not broadcast to the logits.
+pub fn attention_heads(
+    views: &HeadViews<&Tensor>,
+    bias: Option<&Tensor>,
+    mask: Option<&Tensor>,
+    scale: f32,
+) -> Result<FusedAttention> {
     let _sp = sf_trace::span("kernel", "attention_fused");
-    let (batch, s_q, s_k, d) = check_qkv(q, k, v)?;
-    let bias_rows = bias.map(|b| logits_rows(b, q, s_q, s_k, batch)).transpose()?;
-    let mask_rows = mask.map(|m| logits_rows(m, q, s_q, s_k, batch)).transpose()?;
-    if let Some(g) = gate {
-        check_dims("attention gate", g, q.dims())?;
-    }
-    let mut att = Tensor::zeros(q.dims());
-    let mut gated = gate.map(|_| Tensor::zeros(q.dims()));
-    let mut lse = Tensor::zeros(&batch_dims_and(q, &[s_q]));
+    let geo = Geometry::new(views)?;
+    let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
+    let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
+    let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
+    let mut att = Tensor::zeros(&geo.out_dims);
+    let mut gated = views.gate.map(|_| Tensor::zeros(&geo.out_dims));
+    let mut lse = Tensor::zeros(&geo.batch_dims_and(&[s_q]));
 
     let att_ptr = SendPtr::new(att.data_mut());
     let gated_ptr = gated.as_mut().map(|g| SendPtr::new(g.data_mut()));
     let lse_ptr = SendPtr::new(lse.data_mut());
-    let (qd, kd, vd) = (q.data(), k.data(), v.data());
-    let gd = gate.map(|g| g.data());
-    let (q_len, kv_len, block) = (s_q * d, s_k * d, s_q * s_k);
+    let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
+    let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
+    let (qp, kp, vp, op) = (&geo.q, &geo.k, &geo.v, &geo.out);
+    let block = s_q * s_k;
     let pack = pack_len(d.max(s_k));
     parallel_for(batch, block * (4 * d + 12), |range| {
         scratch::with_scratch(block + s_q + pack, |buf| {
             let (probs, rest) = buf.split_at_mut(block);
             let (sums, pack) = rest.split_at_mut(s_q);
             for b in range {
-                let qm = &qd[b * q_len..(b + 1) * q_len];
-                let km = &kd[b * kv_len..(b + 1) * kv_len];
-                let vm = &vd[b * kv_len..(b + 1) * kv_len];
-                // SAFETY: each item owns its batch element's output rows.
-                let att_b = unsafe { att_ptr.slice_mut(b * q_len, q_len) };
+                // SAFETY: each item owns its batch element's lse row and its
+                // element's rows of the outputs.
                 let lse_b = unsafe { lse_ptr.slice_mut(b * s_q, s_q) };
                 // Logits block q·kᵀ, 4 query rows per packed Kᵀ panel.
-                gemm_serial(qm, false, km, true, s_q, d, s_k, probs, pack);
+                let (qm, km) = (qp.block(qd, b, d), kp.block(kd, b, d));
+                let logits = Dense(probs, s_k);
+                gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, logits, pack);
                 let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
                 fold_logits(probs, s_q, s_k, scale, bias, mask, b, |i, row| {
                     lse_b[i] = striped_max(row);
                     sums[i] = vexp_shift_sum(row, lse_b[i]);
                 });
-                // Unnormalized P·V, then one 1/sum per row.
-                gemm_serial(probs, false, vm, false, s_q, s_k, d, att_b, pack);
+                // Unnormalized P·V into the element's output rows, then one
+                // 1/sum per row and the sigmoid-gate epilogue (pre-gate rows
+                // are kept for the backward).
+                // SAFETY: this item's own output element, not borrowed
+                // elsewhere while the GEMM stores into it.
+                let att_rows = unsafe { op.out_rows(&att_ptr, b, d, None, false) };
+                gemm_serial(probs, s_k, false, vp.block(vd, b, d), vp.ld, false, s_q, s_k, d, att_rows, pack);
                 for (i, &sum) in sums.iter().enumerate() {
+                    // SAFETY: row `i` of this item's own output element.
+                    let orow = unsafe { op.row_mut(&att_ptr, b, i, d) };
                     if sum > 0.0 {
-                        let orow = &mut att_b[i * d..(i + 1) * d];
                         let inv = 1.0 / sum;
                         for o in orow.iter_mut() {
                             *o *= inv;
@@ -352,14 +568,13 @@ pub fn attention_fused(
                     } else {
                         lse_b[i] = f32::NEG_INFINITY;
                     }
-                }
-                // Sigmoid-gate epilogue (pre-gate rows kept for the backward).
-                if let (Some(gp), Some(gdat)) = (gated_ptr.as_ref(), gd) {
-                    // SAFETY: same row ownership as `att_b`.
-                    let gated_b = unsafe { gp.slice_mut(b * q_len, q_len) };
-                    let gsrc = &gdat[b * q_len..(b + 1) * q_len];
-                    for ((o, &a), &g) in gated_b.iter_mut().zip(att_b.iter()).zip(gsrc.iter()) {
-                        *o = a / (1.0 + vexp(-g));
+                    if let (Some(gp), Some((gdat, gpl))) = (gated_ptr.as_ref(), gate) {
+                        // SAFETY: row `i` of this item's own gated output.
+                        let dst = unsafe { op.row_mut(gp, b, i, d) };
+                        let grow = &gdat[gpl.row(b, i)..][..d];
+                        for ((o, &a), &g) in dst.iter_mut().zip(orow.iter()).zip(grow) {
+                            *o = a / (1.0 + vexp(-g));
+                        }
                     }
                 }
             }
@@ -371,27 +586,8 @@ pub fn attention_fused(
     })
 }
 
-/// Fused backward for [`attention_fused`]: softmax-backward is folded into
-/// the attention gradient instead of running as a standalone op, and the
-/// probabilities are **recomputed in a single pass** from the saved per-row
-/// log-sum-exp (`p = exp(scale·qkᵀ + bias + maskneg − lse)`) rather than
-/// re-running the three-pass softmax or storing `[S_q, S_k]` floats from
-/// the forward.
-///
-/// Uses the FlashAttention `D`-trick: the softmax-backward row reduction
-/// `D_i = Σ_j p_ij·dp_ij` equals `datt_i · att_i`, so it comes from the
-/// *saved output* instead of another pass over the probabilities.
-///
-/// One work item per batch element runs the whole chain on L1-resident
-/// blocks with the GEMM micro-kernel: `p = exp(fold(q·kᵀ) − lse)`,
-/// `dP = datt·vᵀ`, `dS = p ⊙ (dP − D)`, `dV = pᵀ·datt`, `dK = dSᵀ·q·scale`,
-/// `dQ = dS·k·scale`. Every gradient accumulates in the order of the
-/// equivalent `matmul_bt`/`matmul_at`/`matmul` chain, so the bits match it
-/// exactly. `dS` is written to a tensor only when a bias needs its
-/// gradient (then sum-reduced to the bias shape).
-///
-/// `att` is the **pre-gate** forward output ([`FusedAttention::pre_gate`]),
-/// `dy` the gradient of the (gated) output.
+/// Fused backward for [`attention_fused`] on contiguous operands: runs
+/// [`attention_heads_backward`] with one fresh gradient tensor per operand.
 ///
 /// # Errors
 ///
@@ -409,30 +605,109 @@ pub fn attention_fused_backward(
     scale: f32,
     dy: &Tensor,
 ) -> Result<FusedAttentionGrads> {
-    let _sp = sf_trace::span("kernel", "attention_fused_bwd");
-    let (batch, s_q, s_k, d) = check_qkv(q, k, v)?;
-    let bias_rows = bias.map(|b| logits_rows(b, q, s_q, s_k, batch)).transpose()?;
-    let mask_rows = mask.map(|m| logits_rows(m, q, s_q, s_k, batch)).transpose()?;
-    check_dims("attention att", att, q.dims())?;
-    check_dims("attention dy", dy, q.dims())?;
-    if let Some(g) = gate {
-        check_dims("attention gate", g, q.dims())?;
-    }
-    check_dims("attention lse", lse, &batch_dims_and(q, &[s_q]))?;
-    let mut dq = Tensor::zeros(q.dims());
-    let mut dk = Tensor::zeros(k.dims());
-    let mut dv = Tensor::zeros(v.dims());
-    let mut dgate = gate.map(|g| Tensor::zeros(g.dims()));
-    let mut ds = bias.map(|_| Tensor::zeros(&batch_dims_and(q, &[s_q, s_k])));
+    let views = HeadViews::whole(q, k, v, gate)?;
+    let mut grads: Vec<Tensor> = views.listed().map(|view| Tensor::zeros(view.src.dims())).collect();
+    let mut sinks: Vec<GradSink> =
+        grads.iter_mut().map(|buf| GradSink { buf, accumulate: false }).collect();
+    let dbias = attention_heads_backward(&views, bias, mask, att, lse, scale, dy, &mut sinks, [0, 1, 2, 3])?;
+    let mut grads = grads.into_iter();
+    let mut next = || grads.next().expect("one gradient per view");
+    let (dq, dk, dv) = (next(), next(), next());
+    let dgate = gate.map(|_| next());
+    Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
+}
 
-    let dq_ptr = SendPtr::new(dq.data_mut());
-    let dk_ptr = SendPtr::new(dk.data_mut());
-    let dv_ptr = SendPtr::new(dv.data_mut());
-    let dgate_ptr = dgate.as_mut().map(|t| SendPtr::new(t.data_mut()));
+/// A gradient buffer of [`attention_heads_backward`], shaped like the
+/// source of every view routed to it. The backward assigns each view's
+/// columns, or adds into them when `accumulate` is set; columns no view
+/// covers are left as they are.
+#[derive(Debug)]
+pub struct GradSink<'a> {
+    /// The gradient buffer.
+    pub buf: &'a mut Tensor,
+    /// Add into `buf` instead of assigning.
+    pub accumulate: bool,
+}
+
+/// Fused backward for [`attention_heads`]: softmax-backward is folded into
+/// the attention gradient instead of running as a standalone op, and the
+/// probabilities are **recomputed in a single pass** from the saved per-row
+/// log-sum-exp (`p = exp(scale·qkᵀ + bias + maskneg − lse)`) rather than
+/// re-running the three-pass softmax or storing `[S_q, S_k]` floats from
+/// the forward.
+///
+/// Uses the FlashAttention `D`-trick: the softmax-backward row reduction
+/// `D_i = Σ_j p_ij·dp_ij` equals `datt_i · att_i`, so it comes from the
+/// *saved output* instead of another pass over the probabilities.
+///
+/// One work item per batch element runs the whole chain on L1-resident
+/// blocks with the GEMM micro-kernel, reading every operand in place:
+/// `p = exp(fold(q·kᵀ) − lse)`, `dP = datt·vᵀ`, `dS = p ⊙ (dP − D)`,
+/// `dV = pᵀ·datt`, `dK = dSᵀ·q·scale`, `dQ = dS·k·scale`. Every gradient
+/// accumulates in the order of the equivalent `matmul_bt`/`matmul_at`/
+/// `matmul` chain, so the bits match it exactly. `dS` is written to a
+/// tensor only when a bias needs its gradient (then sum-reduced to the bias
+/// shape, which is returned).
+///
+/// `dq`, `dk`, `dv` and `dgate` go to `sinks[route[0..4]]` in their view's
+/// layout: the heads' columns of a buffer shaped like the view's source.
+/// Views sharing a sink (Q/K/V/gate of one bundled projection) write their
+/// own columns of it, and every element of those columns is assigned (or
+/// added, for an accumulating sink). `att` is the **pre-gate** forward output
+/// ([`FusedAttention::pre_gate`]) and `dy` the gradient of the (gated)
+/// output, both in the output's layout.
+///
+/// # Errors
+///
+/// Returns an error on any shape incompatibility, a route past the end of
+/// `sinks`, a sink not shaped like its views' source, or two views with
+/// overlapping columns routed to one sink.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_heads_backward(
+    views: &HeadViews<&Tensor>,
+    bias: Option<&Tensor>,
+    mask: Option<&Tensor>,
+    att: &Tensor,
+    lse: &Tensor,
+    scale: f32,
+    dy: &Tensor,
+    sinks: &mut [GradSink],
+    route: [usize; 4],
+) -> Result<Option<Tensor>> {
+    let _sp = sf_trace::span("kernel", "attention_fused_bwd");
+    let geo = Geometry::new(views)?;
+    let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
+    let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
+    let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
+    check_dims("attention att", att, &geo.out_dims)?;
+    check_dims("attention dy", dy, &geo.out_dims)?;
+    check_dims("attention lse", lse, &geo.batch_dims_and(&[s_q]))?;
+    let listed: Vec<HeadView<&Tensor>> = views.listed().collect();
+    let cols = |view: &HeadView<&Tensor>| view.col..view.col + geo.heads * d;
+    for (i, view) in listed.iter().enumerate() {
+        let sink = sinks.get(route[i]).ok_or(TensorError::IndexOutOfBounds {
+            index: route[i],
+            bound: sinks.len(),
+        })?;
+        check_dims("attention grad sink", sink.buf, view.src.dims())?;
+        let mine = cols(view);
+        let overlaps = |other: &HeadView<&Tensor>| cols(other).start < mine.end && mine.start < cols(other).end;
+        if let Some((other, _)) =
+            listed[..i].iter().zip(route).find(|&(other, r)| r == route[i] && overlaps(other))
+        {
+            return Err(mismatch("attention grad sink overlap", &[other.col], &[view.col]));
+        }
+    }
+    let sink_ptrs: Vec<(SendPtr, bool)> =
+        sinks.iter_mut().map(|s| (SendPtr::new(s.buf.data_mut()), s.accumulate)).collect();
+    let mut ds = bias_rows.as_ref().map(|rows| Tensor::zeros(&rows.dims));
+
     let ds_ptr = ds.as_mut().map(|t| SendPtr::new(t.data_mut()));
-    let (qd, kd, vd, dyd, attd, lsed) = (q.data(), k.data(), v.data(), dy.data(), att.data(), lse.data());
-    let gd = gate.map(|g| g.data());
-    let (q_len, kv_len, block) = (s_q * d, s_k * d, s_q * s_k);
+    let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
+    let (dyd, attd, lsed) = (dy.data(), att.data(), lse.data());
+    let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
+    let (qp, kp, vp, op) = (&geo.q, &geo.k, &geo.v, &geo.out);
+    let (q_len, block) = (s_q * d, s_q * s_k);
     let pack = pack_len(d.max(s_k).max(s_q));
     // Scratch: p block, dS block (unless it goes straight to `ds`), the
     // gated `datt` rows, one GEMM panel.
@@ -444,42 +719,47 @@ pub fn attention_fused_backward(
             let (ds_own, rest) = rest.split_at_mut(ds_scratch);
             let (datt_own, pack) = rest.split_at_mut(datt_scratch);
             for b in range {
-                let (qs, kvs) = (b * q_len..(b + 1) * q_len, b * kv_len..(b + 1) * kv_len);
-                let (qm, km, vm) = (&qd[qs.clone()], &kd[kvs.clone()], &vd[kvs]);
-                let att_b = &attd[qs.clone()];
-                // SAFETY: each item owns its batch element's gradient rows.
-                let (dq_b, dk_b, dv_b) = unsafe {
-                    (
-                        dq_ptr.slice_mut(b * q_len, q_len),
-                        dk_ptr.slice_mut(b * kv_len, kv_len),
-                        dv_ptr.slice_mut(b * kv_len, kv_len),
-                    )
-                };
+                let (qm, km, vm) = (qp.block(qd, b, d), kp.block(kd, b, d), vp.block(vd, b, d));
                 let ds_b = match ds_ptr.as_ref() {
-                    // SAFETY: as above, one `[s_q, s_k]` block per item.
+                    // SAFETY: each item owns its element's `[s_q, s_k]` block.
                     Some(ptr) => unsafe { ptr.slice_mut(b * block, block) },
                     None => &mut *ds_own,
                 };
                 // Gate epilogue backward: datt = dy ⊙ σ(g);
                 // dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt is dy.
-                let datt: &[f32] = match (dgate_ptr.as_ref(), gd) {
-                    (Some(dgp), Some(gdat)) => {
-                        // SAFETY: as above.
-                        let dg = unsafe { dgp.slice_mut(b * q_len, q_len) };
-                        let (dyr, gr) = (&dyd[qs.clone()], &gdat[qs.clone()]);
-                        let outs = datt_own.iter_mut().zip(dg.iter_mut());
-                        for ((da, dgo), ((&y, &g), &a)) in outs.zip(dyr.iter().zip(gr).zip(att_b)) {
-                            let sig = 1.0 / (1.0 + vexp(-g));
-                            *da = y * sig;
-                            *dgo = y * a * sig * (1.0 - sig);
+                let (datt, datt_ld): (&[f32], usize) = match gate {
+                    Some((gdat, gpl)) => {
+                        let (dg_ptr, add) = &sink_ptrs[route[3]];
+                        for i in 0..s_q {
+                            let (dyr, ar) = (&dyd[op.row(b, i)..][..d], &attd[op.row(b, i)..][..d]);
+                            let gr = &gdat[gpl.row(b, i)..][..d];
+                            // SAFETY: each item owns its element's rows of
+                            // every view's sink.
+                            let dg = unsafe { gpl.row_mut(dg_ptr, b, i, d) };
+                            let outs = datt_own[i * d..(i + 1) * d].iter_mut().zip(dg);
+                            let ins = dyr.iter().zip(gr).zip(ar);
+                            if *add {
+                                for ((da, dgo), ((&y, &g), &a)) in outs.zip(ins) {
+                                    let sig = 1.0 / (1.0 + vexp(-g));
+                                    *da = y * sig;
+                                    *dgo += y * a * sig * (1.0 - sig);
+                                }
+                            } else {
+                                for ((da, dgo), ((&y, &g), &a)) in outs.zip(ins) {
+                                    let sig = 1.0 / (1.0 + vexp(-g));
+                                    *da = y * sig;
+                                    *dgo = y * a * sig * (1.0 - sig);
+                                }
+                            }
                         }
-                        &*datt_own
+                        (&*datt_own, d)
                     }
-                    _ => &dyd[qs],
+                    None => (op.block(dyd, b, d), op.ld),
                 };
                 // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D).
-                gemm_serial(qm, false, km, true, s_q, d, s_k, p, pack);
-                gemm_serial(datt, false, vm, true, s_q, d, s_k, ds_b, pack);
+                gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, Dense(p, s_k), pack);
+                let dp = Dense(ds_b, s_k);
+                gemm_serial(datt, datt_ld, false, vm, vp.ld, true, s_q, d, s_k, dp, pack);
                 let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
                 fold_logits(p, s_q, s_k, scale, bias, mask, b, |i, prow| {
                     let row_lse = lsed[b * s_q + i];
@@ -487,26 +767,32 @@ pub fn attention_fused_backward(
                         *l = vexp(*l - row_lse);
                     }
                     let mut rowdot = 0.0f32;
-                    for (da, a) in datt[i * d..(i + 1) * d].iter().zip(&att_b[i * d..(i + 1) * d]) {
+                    for (da, a) in datt[i * datt_ld..][..d].iter().zip(&attd[op.row(b, i)..][..d]) {
                         rowdot += da * a;
                     }
                     for (dl, &pv) in ds_b[i * s_k..(i + 1) * s_k].iter_mut().zip(prow.iter()) {
                         *dl = pv * (*dl - rowdot);
                     }
                 });
-                // dV = pᵀ·datt, dK = dSᵀ·q·scale, dQ = dS·k·scale.
-                gemm_serial(p, true, datt, false, s_k, s_q, d, dv_b, pack);
-                gemm_serial(ds_b, true, qm, false, s_k, s_q, d, dk_b, pack);
-                gemm_serial(ds_b, false, km, false, s_q, s_k, d, dq_b, pack);
-                for grad in [dk_b, dq_b] {
-                    for g in grad.iter_mut() {
-                        *g *= scale;
-                    }
-                }
+                // dV = pᵀ·datt, dK = dSᵀ·q·scale, dQ = dS·k·scale, each
+                // stored (scaled, and added when the sink accumulates)
+                // straight into its view's rows.
+                // SAFETY: each item owns its element's rows of every view's
+                // sink, the checks above keep views of one sink on disjoint
+                // columns, and each `Strided` lives for one GEMM.
+                let sink = |at: &Placement, route: usize, scale: Option<f32>| unsafe {
+                    let (ptr, add) = &sink_ptrs[route];
+                    at.out_rows(ptr, b, d, scale, *add)
+                };
+                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, sink(vp, route[2], None), pack);
+                let dk = sink(kp, route[1], Some(scale));
+                gemm_serial(ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk, pack);
+                let dq = sink(qp, route[0], Some(scale));
+                gemm_serial(ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq, pack);
             }
         });
     });
-    let dbias = match (bias, ds) {
+    Ok(match (bias, ds) {
         // A bias of the full logits shape (IPA) takes `dS` itself; `0.0 + x`
         // gives the same bits as `reduce_to`'s single-term sum (-0.0 -> +0.0).
         (Some(b), Some(mut ds)) if b.dims() == ds.dims() => {
@@ -515,8 +801,7 @@ pub fn attention_fused_backward(
         }
         (Some(b), Some(ds)) => Some(ds.reduce_to(b.dims())?),
         _ => None,
-    };
-    Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
+    })
 }
 
 #[cfg(test)]
@@ -692,5 +977,57 @@ mod tests {
         assert!(bwd(&fa.out, &fa.lse, &Tensor::zeros(&[1, 3, 8])).is_err());
         assert!(bwd(&Tensor::zeros(&[4, 8]), &fa.lse, &fa.out).is_err());
         assert!(bwd(&fa.out, &Tensor::zeros(&[1, 5]), &fa.out).is_err());
+        // A gate whose width disagrees with q's `d`.
+        let narrow = Tensor::zeros(&[1, 4, 4]);
+        assert!(attention_fused(&q, &k3, &v, None, None, Some(&narrow), 1.0).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_head_views() {
+        // A [2, 5, 16] bundle holds two heads of d = 4 at columns 0..8 and
+        // 8..16.
+        let big = Tensor::randn(&[2, 5, 16], 30);
+        let at = |col: usize| HeadView { src: &big, col, axis: Some(1) };
+        let views = |q, k, v, heads, d| HeadViews { q, k, v, gate: None, heads, d };
+        let run = |hv: &HeadViews<&Tensor>| attention_heads(hv, None, None, 1.0);
+        assert!(run(&views(at(0), at(8), at(8), 2, 4)).is_ok());
+        // Heads that overrun the source width.
+        assert!(run(&views(at(0), at(12), at(8), 2, 4)).is_err());
+        assert!(run(&views(at(0), at(8), at(8), 2, 5)).is_err());
+        // An attended axis that is not a leading axis, and no heads.
+        let bad_axis = HeadView { src: &big, col: 0, axis: Some(2) };
+        assert!(run(&views(bad_axis, at(8), at(8), 2, 4)).is_err());
+        assert!(run(&views(at(0), at(8), at(8), 0, 4)).is_err());
+        // Keys on another batch layout than the queries.
+        let other = Tensor::randn(&[3, 5, 16], 31);
+        let k_other = HeadView { src: &other, col: 8, axis: Some(1) };
+        assert!(run(&views(at(0), k_other, at(8), 2, 4)).is_err());
+        // A bias that does not broadcast to [2, heads, 5, 5].
+        let bias = Tensor::zeros(&[3, 5, 5]);
+        assert!(attention_heads(&views(at(0), at(8), at(8), 2, 4), Some(&bias), None, 1.0).is_err());
+
+        // Backward: sinks must exist, match the source and not overlap.
+        let hv = views(at(0), at(8), at(8), 2, 4);
+        let fa = run(&hv).unwrap();
+        let dy = Tensor::randn(fa.out.dims(), 32);
+        let bwd = |buf: &mut Tensor, route: [usize; 4]| {
+            let mut sinks = [GradSink { buf, accumulate: true }];
+            attention_heads_backward(&hv, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, route)
+        };
+        let mut dbig = Tensor::zeros(big.dims());
+        // K and V read the same columns: one sink cannot take both.
+        assert!(bwd(&mut dbig, [0; 4]).is_err());
+        assert!(bwd(&mut dbig, [0, 1, 1, 1]).is_err());
+        assert!(bwd(&mut Tensor::zeros(&[2, 5, 8]), [0; 4]).is_err());
+        let hv_disjoint = views(at(0), at(8), at(0), 2, 4);
+        let fa = run(&hv_disjoint).unwrap();
+        let mut bufs = [Tensor::zeros(big.dims()), Tensor::zeros(big.dims())];
+        let [b0, b1] = &mut bufs;
+        let mut sinks =
+            [GradSink { buf: b0, accumulate: false }, GradSink { buf: b1, accumulate: false }];
+        let ok = attention_heads_backward(
+            &hv_disjoint, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, [0, 0, 1, 0],
+        );
+        assert!(ok.is_ok());
     }
 }

@@ -29,6 +29,7 @@
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
 use crate::{Result, Tensor, TensorError};
+use std::marker::PhantomData;
 
 /// Cache-blocking tile edge for [`gemm_block`], the seed reference kernel.
 const TILE: usize = 32;
@@ -218,7 +219,8 @@ fn gemm(
                 let b_mat = &b.data[bi * b_stride..(bi + 1) * b_stride];
                 // SAFETY: each task packs its own panel.
                 let dst = unsafe { pack_ptr.slice_mut(t * panel_len, panel_len) };
-                pack_panel(b_mat, b.trans, k, n, j0, (n - j0).min(NR), dst);
+                let ldb = if b.trans { k } else { n };
+                pack_panel(b_mat, ldb, b.trans, k, j0, (n - j0).min(NR), dst);
             }
         });
         let packed = &*packed;
@@ -237,10 +239,12 @@ fn gemm(
                 let b_packed = &packed[b_off..b_off + packed_len];
                 // SAFETY: tasks own disjoint (batch, row-block) regions.
                 let c_rows = unsafe { out_ptr.slice_mut(bi * m * n + r0 * n, (r1 - r0) * n) };
+                let mut out = Dense(c_rows, n);
                 for (p, panel) in b_packed.chunks_exact(panel_len.max(1)).enumerate() {
                     let j0 = p * NR;
-                    panel_rows(a_mat, ars, acs, r0, r1, k, panel, c_rows, n, j0, (n - j0).min(NR));
+                    panel_rows(a_mat, ars, acs, r0, r1, k, panel, &mut out, j0, (n - j0).min(NR));
                 }
+                let c_rows = out.0;
                 if let Some(bias) = bias {
                     for row in c_rows.chunks_exact_mut(n) {
                         for (y, &bv) in row.iter_mut().zip(bias) {
@@ -258,40 +262,122 @@ pub(crate) fn pack_len(k: usize) -> usize {
     k.max(1) * NR
 }
 
+/// Where a GEMM stores its finished `MR × NR` accumulator tiles.
+pub(crate) trait TileStore {
+    /// Stores the first `jw` sums of each accumulator row `r` of `tile`
+    /// into output row `row0 + r`, from column `j0`.
+    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]);
+}
+
+/// A dense row-major output block with rows `ld` apart: sums are assigned.
+pub(crate) struct Dense<'a>(pub(crate) &'a mut [f32], pub(crate) usize);
+
+impl TileStore for Dense<'_> {
+    #[inline(always)]
+    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]) {
+        let Dense(c, ld) = self;
+        for (r, acc) in tile.iter().enumerate() {
+            let start = (row0 + r) * *ld + j0;
+            c[start..start + jw].copy_from_slice(&acc[..jw]);
+        }
+    }
+}
+
+/// The rows of one attention head inside a wider output, `ld` floats
+/// apart, interleaved with the heads other work items write. Each row is
+/// written through its own short slice, so no two items ever hold
+/// overlapping `&mut` slices. A store can multiply the finished sums by a
+/// scale and add them into the rows instead of assigning: the same
+/// roundings as a scale pass and an add pass after the GEMM.
+pub(crate) struct Strided<'a> {
+    ptr: *mut f32,
+    /// Floats reachable from `ptr`.
+    len: usize,
+    ld: usize,
+    scale: Option<f32>,
+    add: bool,
+    _buf: PhantomData<&'a mut [f32]>,
+}
+
+impl Strided<'_> {
+    /// Rows `ld` apart from `ptr`, within the `len` floats after it; the
+    /// sums are multiplied by `scale` when given and added when `add`.
+    ///
+    /// # Safety
+    ///
+    /// `ptr..ptr + len` must lie in one allocation that outlives the
+    /// result, and no other thread may access the elements a GEMM stores
+    /// through it (its `n` columns of each row) while it lives.
+    pub(crate) unsafe fn new(ptr: *mut f32, len: usize, ld: usize, scale: Option<f32>, add: bool) -> Self {
+        Strided { ptr, len, ld, scale, add, _buf: PhantomData }
+    }
+}
+
+impl TileStore for Strided<'_> {
+    #[inline(always)]
+    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]) {
+        let Some(last) = tile.len().checked_sub(1) else {
+            return;
+        };
+        assert!((row0 + last) * self.ld + j0 + jw <= self.len, "GEMM tile store past its output");
+        for (r, acc) in tile.iter().enumerate() {
+            // SAFETY: in bounds (checked above) of the buffer `new`'s
+            // contract hands this store alone.
+            let dst = unsafe { std::slice::from_raw_parts_mut(self.ptr.add((row0 + r) * self.ld + j0), jw) };
+            let sums = &acc[..jw];
+            match (self.scale, self.add) {
+                (None, false) => dst.copy_from_slice(sums),
+                (Some(s), false) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o = x * s),
+                (None, true) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o += x),
+                (Some(s), true) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o += x * s),
+            }
+        }
+    }
+}
+
 /// One serial `m × n` product `C = A @ B` on the engine's packed
 /// micro-kernel, for fused kernels that run a short GEMM chain per batch
 /// element inside their own parallel work item. `a` is stored `[m, k]`
-/// (`[k, m]` when `ta`), `b` is stored `[k, n]` (`[n, k]` when `tb`), `c` is
-/// assigned, and `pack` holds at least [`pack_len`]`(k)` floats: B is
-/// packed one panel at a time. Every element accumulates over `k` in the
-/// batched engine's one ascending pass, so the result is bit-identical to
-/// [`matmul`] / [`matmul_bt`] / [`matmul_at`] on the same operands.
+/// (`[k, m]` when `ta`) with its rows `lda` apart, `b` is stored `[k, n]`
+/// (`[n, k]` when `tb`) with its rows `ldb` apart, and `c` stores C's rows
+/// ([`Dense`], or an attention head's rows in a wider output through
+/// [`Strided`]), so any of the three may be a column block of a wider
+/// matrix. `c` is assigned (or scaled and added, as `Strided` asks), and `pack`
+/// holds at least [`pack_len`]`(k)` floats: B is packed one panel at a
+/// time. Every element
+/// accumulates over `k` in the batched engine's one ascending pass, so the
+/// result is bit-identical to [`matmul`] / [`matmul_bt`] / [`matmul_at`] on
+/// the same operands, whatever the leading dimensions. Always inlined, so
+/// each call site's constant `ta`/`tb` specialize the stride arithmetic.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn gemm_serial(
     a: &[f32],
+    lda: usize,
     ta: bool,
     b: &[f32],
+    ldb: usize,
     tb: bool,
     m: usize,
     k: usize,
     n: usize,
-    c: &mut [f32],
+    mut c: impl TileStore,
     pack: &mut [f32],
 ) {
-    let (ars, acs) = if ta { (1, m) } else { (k, 1) };
+    let (ars, acs) = if ta { (1, lda) } else { (lda, 1) };
     let panel = &mut pack[..k * NR];
     let mut j0 = 0usize;
     while j0 < n {
         let jw = (n - j0).min(NR);
-        pack_panel(b, tb, k, n, j0, jw, panel);
-        panel_rows(a, ars, acs, 0, m, k, panel, c, n, j0, jw);
+        pack_panel(b, ldb, tb, k, j0, jw, panel);
+        panel_rows(a, ars, acs, 0, m, k, panel, &mut c, j0, jw);
         j0 += NR;
     }
 }
 
 /// Computes columns `[j0, j0 + jw)` of rows `[r0, r1)` of
-/// `C = A_logical @ B_logical` into `c` (a `(r1 - r0) × n` row-major slab)
-/// from one packed `k × NR` panel, one `MR`-row tile at a time.
+/// `C = A_logical @ B_logical` into rows `0..r1 - r0` of `c` from one
+/// packed `k × NR` panel, one `MR`-row tile at a time.
 #[allow(clippy::too_many_arguments)]
 fn panel_rows(
     a: &[f32],
@@ -301,8 +387,7 @@ fn panel_rows(
     r1: usize,
     k: usize,
     panel: &[f32],
-    c: &mut [f32],
-    n: usize,
+    c: &mut impl TileStore,
     j0: usize,
     jw: usize,
 ) {
@@ -310,18 +395,19 @@ fn panel_rows(
     let mut i0 = 0usize;
     while i0 < rows {
         let iw = (rows - i0).min(MR);
-        micro_tile(a, ars, acs, r0 + i0, iw, k, panel, c, n, i0, j0, jw);
+        micro_tile(a, ars, acs, r0 + i0, iw, k, panel, c, i0, j0, jw);
         i0 += MR;
     }
 }
 
-/// Packs columns `[j0, j0 + jw)` of the logical B into a `k × NR` panel
-/// (zero-padded beyond `jw` so the micro-kernel runs full vectors).
-fn pack_panel(b: &[f32], tb: bool, k: usize, n: usize, j0: usize, jw: usize, pack: &mut [f32]) {
+/// Packs columns `[j0, j0 + jw)` of the logical B, whose stored rows are
+/// `ldb` apart, into a `k × NR` panel (zero-padded beyond `jw` so the
+/// micro-kernel runs full vectors).
+fn pack_panel(b: &[f32], ldb: usize, tb: bool, k: usize, j0: usize, jw: usize, pack: &mut [f32]) {
     if tb {
         // Stored [n, k]: logical column j is the stored row j, contiguous.
         for jj in 0..jw {
-            let col = &b[(j0 + jj) * k..(j0 + jj) * k + k];
+            let col = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
             for (kk, &v) in col.iter().enumerate() {
                 pack[kk * NR + jj] = v;
             }
@@ -334,7 +420,7 @@ fn pack_panel(b: &[f32], tb: bool, k: usize, n: usize, j0: usize, jw: usize, pac
     } else {
         for kk in 0..k {
             let row = &mut pack[kk * NR..kk * NR + NR];
-            row[..jw].copy_from_slice(&b[kk * n + j0..kk * n + j0 + jw]);
+            row[..jw].copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + jw]);
             row[jw..].fill(0.0);
         }
     }
@@ -354,8 +440,7 @@ fn micro_tile(
     iw: usize,
     k: usize,
     pack: &[f32],
-    c: &mut [f32],
-    n: usize,
+    c: &mut impl TileStore,
     c_row0: usize,
     j0: usize,
     jw: usize,
@@ -382,10 +467,7 @@ fn micro_tile(
                 acc3[jj] += a3 * bv;
             }
         }
-        for (r, arow) in [acc0, acc1, acc2, acc3].iter().enumerate() {
-            let dst = &mut c[(c_row0 + r) * n + j0..(c_row0 + r) * n + j0 + jw];
-            dst.copy_from_slice(&arow[..jw]);
-        }
+        c.store_tile(c_row0, j0, jw, &[acc0, acc1, acc2, acc3]);
         return;
     }
     let mut acc = [[0.0f32; NR]; MR];
@@ -397,10 +479,7 @@ fn micro_tile(
             }
         }
     }
-    for (r, arow) in acc.iter().enumerate().take(iw) {
-        let dst = &mut c[(c_row0 + r) * n + j0..(c_row0 + r) * n + j0 + jw];
-        dst.copy_from_slice(&arow[..jw]);
-    }
+    c.store_tile(c_row0, j0, jw, &acc[..iw]);
 }
 
 /// Rows and width of a `[..., w]` operand of the linear-layer GEMMs: every

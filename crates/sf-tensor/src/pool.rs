@@ -402,6 +402,12 @@ impl SendPtr {
     pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut(self.0.add(start), len)
     }
+
+    /// The raw pointer `start` elements in, for writers that must not
+    /// materialize a slice spanning elements other tasks own.
+    pub(crate) fn at(&self, start: usize) -> *mut f32 {
+        self.0.wrapping_add(start)
+    }
 }
 
 #[cfg(test)]

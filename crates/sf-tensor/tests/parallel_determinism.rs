@@ -214,6 +214,125 @@ fn large_fused_attention_forward_and_backward_are_bit_identical() {
     }
 }
 
+// --- Head views: Q/K/V/gate read in place as column blocks of a bundled
+// --- projection, heads written merged, gradients into the bundle's columns.
+
+/// `[b1, b2, 4·h·d]` columns `[col, col + h·d)` as the contiguous
+/// `[b1, h, b2, d]` copy the views replace.
+fn split_heads(big: &Tensor, col: usize, h: usize, d: usize) -> Tensor {
+    let (b1, b2) = (big.dims()[0], big.dims()[1]);
+    big.slice_axis(2, col, col + h * d)
+        .unwrap()
+        .reshape(&[b1, b2, h, d])
+        .unwrap()
+        .permute(&[0, 2, 1, 3])
+        .unwrap()
+}
+
+/// `[b1, h, b2, d]` -> `[b1, b2, h·d]`.
+fn merge_heads(t: &Tensor) -> Tensor {
+    let (b1, h, b2, d) = (t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]);
+    t.permute(&[0, 2, 1, 3]).unwrap().reshape(&[b1, b2, h * d]).unwrap()
+}
+
+/// Gated, biased attention on the four column views of one bundle is
+/// bit-identical across thread counts, and bitwise equal — forward, the
+/// bundle's gradient and the bias gradient — to the contiguous call on
+/// permuted copies.
+fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
+    use attention::{GradSink, HeadView, HeadViews};
+    let hd = h * d;
+    let big = Tensor::randn(&[b1, b2, 4 * hd], seed);
+    let bias = Tensor::randn(&[h, b2, b2], seed ^ 1);
+    let at = |col: usize| HeadView { src: &big, col, axis: Some(1) };
+    let views = HeadViews { q: at(0), k: at(hd), v: at(2 * hd), gate: Some(at(3 * hd)), heads: h, d };
+    let scale = 1.0 / (d as f32).sqrt();
+    let out = identical_across_threads(|| {
+        attention::attention_heads(&views, Some(&bias), None, scale).unwrap().out
+    });
+    let [q, k, v, gate] = [0, 1, 2, 3].map(|i| split_heads(&big, i * hd, h, d));
+    let fa = attention::attention_fused(&q, &k, &v, Some(&bias), None, Some(&gate), scale).unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(out.dims(), &[b1, b2, hd]);
+    assert_eq!(bits(&out), bits(&merge_heads(&fa.out)), "forward vs permuted copies");
+
+    let fv = attention::attention_heads(&views, Some(&bias), None, scale).unwrap();
+    let dy = Tensor::randn(out.dims(), seed ^ 2);
+    let backward = || {
+        let mut dbig = Tensor::zeros(big.dims());
+        let mut sinks = [GradSink { buf: &mut dbig, accumulate: false }];
+        let dbias = attention::attention_heads_backward(
+            &views, Some(&bias), None, fv.pre_gate(), &fv.lse, scale, &dy, &mut sinks, [0; 4],
+        )
+        .unwrap()
+        .unwrap();
+        (dbig, dbias)
+    };
+    let dbig = identical_across_threads(|| backward().0);
+    let dbias = identical_across_threads(|| backward().1);
+    let g = attention::attention_fused_backward(
+        &q,
+        &k,
+        &v,
+        Some(&bias),
+        None,
+        Some(&gate),
+        &split_heads(fv.pre_gate(), 0, h, d),
+        &fv.lse,
+        scale,
+        &split_heads(&dy, 0, h, d),
+    )
+    .unwrap();
+    let parts = [g.dq, g.dk, g.dv, g.dgate.unwrap()].map(|t| merge_heads(&t));
+    let expect = Tensor::concat(&parts.iter().collect::<Vec<_>>(), 2).unwrap();
+    assert_eq!(bits(&dbig), bits(&expect), "bundle gradient vs permuted copies");
+    assert_eq!(bits(&dbias), bits(&g.dbias.unwrap()), "bias gradient vs permuted copies");
+}
+
+#[test]
+fn bundled_head_views_are_bit_identical() {
+    // The pair-stack shape, large enough to run in parallel; then a ragged
+    // one (b2 not a multiple of 4 or 16, d = 5) and an empty batch.
+    check_bundled_views(40, 40, 4, 8, 30);
+    check_bundled_views(3, 19, 3, 5, 31);
+    check_bundled_views(0, 7, 2, 4, 32);
+}
+
+#[test]
+fn axis0_head_views_are_bit_identical() {
+    // Keys and values along the first axis of a [s, r, 2·h·d] bundle
+    // against one query per column, as global column attention runs them.
+    use attention::{HeadView, HeadViews};
+    let (s, r, h, d) = (48, 24, 4, 8);
+    let hd = h * d;
+    let kv = Tensor::randn(&[s, r, 2 * hd], 33);
+    let q = Tensor::randn(&[r, hd], 34);
+    let views = HeadViews {
+        q: HeadView { src: &q, col: 0, axis: None },
+        k: HeadView { src: &kv, col: 0, axis: Some(0) },
+        v: HeadView { src: &kv, col: hd, axis: Some(0) },
+        gate: None,
+        heads: h,
+        d,
+    };
+    let out = identical_across_threads(|| {
+        attention::attention_heads(&views, None, None, 0.3).unwrap().out
+    });
+    let heads_of = |t: &Tensor, col: usize| {
+        t.slice_axis(2, col, col + hd)
+            .unwrap()
+            .reshape(&[s, r, h, d])
+            .unwrap()
+            .permute(&[1, 2, 0, 3])
+            .unwrap()
+    };
+    let qh = q.reshape(&[r, h, 1, d]).unwrap();
+    let fa = attention::attention_fused(&qh, &heads_of(&kv, 0), &heads_of(&kv, hd), None, None, None, 0.3)
+        .unwrap();
+    assert_eq!(out.dims(), &[r, hd]);
+    assert_eq!(out.data(), fa.out.data(), "forward vs permuted copies");
+}
+
 // --- Random shapes: the same property over the full shape space,
 // --- including the serial-bypass path, batch broadcast, and 1-D promotion.
 
