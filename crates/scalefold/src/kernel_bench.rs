@@ -1,8 +1,8 @@
 //! Kernel benchmark baseline for the parallel CPU backend.
 //!
-//! Times the hot kernels (batched GEMM, LayerNorm, softmax, attention with
-//! pair bias, fused gated attention) at AlphaFold-like shapes in three
-//! configurations:
+//! Times the hot kernels (batched GEMM, a head-width GEMM, LayerNorm,
+//! softmax, attention with pair bias, fused gated attention) at
+//! AlphaFold-like shapes in three configurations:
 //!
 //! 1. **seed serial** — the reference kernels the repo started with
 //!    ([`sf_tensor::ops::matmul::gemm_block`], `naive_forward`,
@@ -175,7 +175,8 @@ fn seed_attention(q: &Tensor, k: &Tensor, v: &Tensor, bias: &Tensor, scale: f32)
 /// Timings for one kernel at one shape, in milliseconds.
 #[derive(Debug, Clone)]
 pub struct KernelTiming {
-    /// Kernel name (`matmul_batched`, `layer_norm`, `softmax`, `attention`).
+    /// Kernel name (`matmul_batched`, `matmul_head_width`, `layer_norm`,
+    /// `softmax`, `attention`, `attention_fused`).
     pub name: &'static str,
     /// Human-readable shape description.
     pub shape: String,
@@ -294,12 +295,12 @@ impl KernelBenchReport {
     pub fn to_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "{:<16} {:<28} {:>12} {:>12} {:>12} {:>8} {:>8}\n",
+            "{:<18} {:<28} {:>12} {:>12} {:>12} {:>8} {:>8}\n",
             "kernel", "shape", "seed_ms", "serial_ms", "parallel_ms", "xSeed", "xSerial"
         ));
         for t in &self.timings {
             s.push_str(&format!(
-                "{:<16} {:<28} {:>12.4} {:>12.4} {:>12.4} {:>8.2} {:>8.2}\n",
+                "{:<18} {:<28} {:>12.4} {:>12.4} {:>12.4} {:>8.2} {:>8.2}\n",
                 t.name,
                 t.shape,
                 t.seed_serial_ms,
@@ -310,7 +311,7 @@ impl KernelBenchReport {
             ));
             if let Some(c) = t.composed {
                 s.push_str(&format!(
-                    "{:<16} {:<28} {:>12} {:>12.4} {:>12} {:>8} {:>7.2}x\n",
+                    "{:<18} {:<28} {:>12} {:>12.4} {:>12} {:>8} {:>7.2}x\n",
                     "", "  vs composed chain", "", c.composed_ms, "", "fused", c.speedup
                 ));
             }
@@ -421,6 +422,8 @@ struct BenchShapes {
     gate_pairs: usize,
     /// Batched matmul: `[b, m, k] @ [b, k, n]`.
     mm: (usize, usize, usize, usize),
+    /// A head-width product, same layout: `n` is the head width.
+    head: (usize, usize, usize, usize),
     /// LayerNorm / softmax over an MSA-like activation `[s, r, c]`.
     msa: (usize, usize, usize),
     /// Attention `q/k/v: [b, h, s, d]` with bias `[h, s, s]`.
@@ -436,6 +439,8 @@ impl BenchShapes {
                 iters: 5,
                 gate_pairs: 21,
                 mm: (8, 128, 64, 128),
+                // Medium-train's P·V: 160 (row, head) pairs, 40 keys, d = 8.
+                head: (160, 40, 40, 8),
                 msa: (128, 256, 64),
                 attn: (8, 8, 256, 32),
             },
@@ -443,10 +448,59 @@ impl BenchShapes {
                 iters: 2,
                 gate_pairs: 3,
                 mm: (2, 16, 8, 16),
+                head: (4, 8, 8, 8),
                 msa: (4, 8, 16),
                 attn: (2, 2, 16, 8),
             },
         }
+    }
+}
+
+/// Times `[b, m, k] @ [b, k, n]`: the seed `gemm_block` loop against the
+/// engine at one thread and at `nthreads`, after checking they agree.
+fn time_matmul(name: &'static str, (b, m, k, n): (usize, usize, usize, usize), iters: usize, nthreads: usize) -> KernelTiming {
+    let a = Tensor::randn(&[b, m, k], 11);
+    let bt = Tensor::randn(&[b, k, n], 12);
+    let (ad, bd) = (a.data(), bt.data());
+    let seed = || {
+        let mut c = vec![0.0f32; b * m * n];
+        for i in 0..b {
+            gemm_block(
+                &ad[i * m * k..(i + 1) * m * k],
+                &bd[i * k * n..(i + 1) * k * n],
+                &mut c[i * m * n..(i + 1) * m * n],
+                m,
+                k,
+                n,
+            );
+        }
+        c
+    };
+
+    // Cross-check first: the seed gemm_block loop and the tiled kernel
+    // must agree to rounding.
+    let opt = matmul(&a, &bt).expect("bench matmul");
+    let seed_t = Tensor::from_vec(seed(), &[b, m, n]).expect("bench seed shape");
+    assert!(opt.allclose(&seed_t, 1e-4), "tiled matmul diverged from gemm_block reference");
+
+    let seed_serial_ms = best_of(iters, || {
+        std::hint::black_box(seed());
+    });
+    pool::set_num_threads(1);
+    let opt_serial_ms = best_of(iters, || {
+        std::hint::black_box(matmul(&a, &bt).expect("bench matmul"));
+    });
+    pool::set_num_threads(nthreads);
+    let parallel_ms = best_of(iters, || {
+        std::hint::black_box(matmul(&a, &bt).expect("bench matmul"));
+    });
+    KernelTiming {
+        name,
+        shape: format!("[{b},{m},{k}] @ [{b},{k},{n}]"),
+        seed_serial_ms,
+        opt_serial_ms,
+        parallel_ms,
+        composed: None,
     }
 }
 
@@ -468,64 +522,9 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
 
     let mut timings = Vec::new();
 
-    // --- Batched matmul -------------------------------------------------
-    {
-        let (b, m, k, n) = sh.mm;
-        let a = Tensor::randn(&[b, m, k], 11);
-        let bt = Tensor::randn(&[b, k, n], 12);
-        let (ad, bd) = (a.data(), bt.data());
-
-        // Cross-check first: the seed gemm_block loop and the tiled kernel
-        // must agree to rounding.
-        let mut seed_out = vec![0.0f32; b * m * n];
-        for i in 0..b {
-            gemm_block(
-                &ad[i * m * k..(i + 1) * m * k],
-                &bd[i * k * n..(i + 1) * k * n],
-                &mut seed_out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-        let opt = matmul(&a, &bt).expect("bench matmul");
-        let seed_t = Tensor::from_vec(seed_out, &[b, m, n]).expect("bench seed shape");
-        assert!(
-            opt.allclose(&seed_t, 1e-4),
-            "tiled matmul diverged from gemm_block reference"
-        );
-
-        let seed_serial_ms = best_of(iters, || {
-            let mut c = vec![0.0f32; b * m * n];
-            for i in 0..b {
-                gemm_block(
-                    &ad[i * m * k..(i + 1) * m * k],
-                    &bd[i * k * n..(i + 1) * k * n],
-                    &mut c[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-            std::hint::black_box(&c);
-        });
-        pool::set_num_threads(1);
-        let opt_serial_ms = best_of(iters, || {
-            std::hint::black_box(matmul(&a, &bt).expect("bench matmul"));
-        });
-        pool::set_num_threads(nthreads);
-        let parallel_ms = best_of(iters, || {
-            std::hint::black_box(matmul(&a, &bt).expect("bench matmul"));
-        });
-        timings.push(KernelTiming {
-            name: "matmul_batched",
-            shape: format!("[{b},{m},{k}] @ [{b},{k},{n}]"),
-            seed_serial_ms,
-            opt_serial_ms,
-            parallel_ms,
-            composed: None,
-        });
-    }
+    // --- Batched matmul, then medium's P·V at head width -----------------
+    timings.push(time_matmul("matmul_batched", sh.mm, iters, nthreads));
+    timings.push(time_matmul("matmul_head_width", sh.head, iters, nthreads));
 
     // --- LayerNorm ------------------------------------------------------
     {
@@ -765,7 +764,7 @@ mod tests {
     fn quick_bench_produces_sane_report() {
         let report = run(2, BenchScale::Quick);
         assert_eq!(report.threads, 2);
-        assert_eq!(report.timings.len(), 5);
+        assert_eq!(report.timings.len(), 6);
         for t in &report.timings {
             assert!(t.seed_serial_ms.is_finite() && t.seed_serial_ms >= 0.0);
             assert!(t.opt_serial_ms.is_finite() && t.opt_serial_ms >= 0.0);
@@ -777,6 +776,7 @@ mod tests {
             names,
             [
                 "matmul_batched",
+                "matmul_head_width",
                 "layer_norm",
                 "softmax",
                 "attention",

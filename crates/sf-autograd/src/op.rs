@@ -3,7 +3,7 @@
 use crate::checkpoint::CheckpointFn;
 use crate::graph::{accumulate, Graph, HeadVars, Var};
 use crate::Result;
-use sf_tensor::ops::attention::{attention_heads_backward, GradSink};
+use sf_tensor::ops::attention::attention_heads_backward;
 use sf_tensor::ops::layernorm::{fused_backward, LayerNormStats};
 use sf_tensor::ops::matmul::linear_weight_grad;
 use sf_tensor::ops::vexp::vexp;
@@ -243,11 +243,7 @@ impl Graph {
             }
             Op::FusedAttention { views, bias, mask, scale, att, lse } => {
                 let att_ref = att.as_ref().unwrap_or(&self.nodes[i].value);
-                let (mut sinks, route) = attention_sinks(views, &self.nodes, grads);
-                let mut gs: Vec<GradSink> = sinks
-                    .iter_mut()
-                    .map(|(_, buf, accumulate)| GradSink { buf, accumulate: *accumulate })
-                    .collect();
+                let (vars, mut sinks, route) = attention_sinks(views, grads);
                 let dbias = attention_heads_backward(
                     &self.head_views(views),
                     bias.map(|b| &self.nodes[b.0].value),
@@ -256,14 +252,15 @@ impl Graph {
                     lse,
                     *scale,
                     dy,
-                    &mut gs,
+                    &mut sinks,
                     route,
                 );
-                drop(gs);
                 // Put every sink back, even when the kernel failed, so no
                 // slot is left emptied.
-                for (var, buf, _) in sinks {
-                    accumulate(grads, var, buf)?;
+                for (var, buf) in vars.into_iter().zip(sinks) {
+                    if let Some(buf) = buf {
+                        accumulate(grads, var, buf)?;
+                    }
                 }
                 match (bias, dbias?) {
                     (Some(b), Some(dbias)) => Pending::One(b.0, dbias),
@@ -377,40 +374,33 @@ fn sum_batch(t: Tensor, dims: &[usize]) -> Result<Tensor> {
 }
 
 /// The gradient sinks of one attention node: one per source `Var`, taking
-/// over that `Var`'s slot (`accumulate` set) when it already holds a
-/// gradient, else a fresh buffer the views' columns are assigned into. A
-/// view whose columns overlap an earlier view of the same `Var` (the same
-/// tensor passed twice) gets a sink of its own. Returns the sinks as
-/// `(slot, buffer, accumulate)` and each view's sink index.
-fn attention_sinks(
-    views: &HeadVars,
-    nodes: &[crate::graph::Node],
-    grads: &mut [Option<Tensor>],
-) -> (Vec<(usize, Tensor, bool)>, [usize; 4]) {
+/// over that `Var`'s slot when it already holds a gradient (the kernel adds
+/// into it), else empty (the kernel fills a fresh gradient). A view whose
+/// columns overlap an earlier view of the same `Var` (the same tensor
+/// passed twice) gets a sink of its own. Returns each sink's `Var` slot, the
+/// sinks, and each view's sink index.
+fn attention_sinks(views: &HeadVars, grads: &mut [Option<Tensor>]) -> (Vec<usize>, Vec<Option<Tensor>>, [usize; 4]) {
     let width = views.heads * views.d;
-    let mut sinks: Vec<(usize, Tensor, bool)> = Vec::new();
+    let (mut vars, mut sinks) = (Vec::new(), Vec::new());
     let mut taken: Vec<Vec<std::ops::Range<usize>>> = Vec::new();
     let mut route = [0usize; 4];
     for (i, h) in views.listed().enumerate() {
         let cols = h.col..h.col + width;
         let free = |j: &usize| {
-            sinks[*j].0 == h.src.0 && taken[*j].iter().all(|u| u.end <= cols.start || cols.end <= u.start)
+            vars[*j] == h.src.0 && taken[*j].iter().all(|u| u.end <= cols.start || cols.end <= u.start)
         };
-        route[i] = match (0..sinks.len()).find(free) {
+        route[i] = match (0..vars.len()).find(free) {
             Some(j) => j,
             None => {
-                let sink = match grads[h.src.0].take() {
-                    Some(slot) => (h.src.0, slot, true),
-                    None => (h.src.0, Tensor::zeros(nodes[h.src.0].value.dims()), false),
-                };
-                sinks.push(sink);
+                vars.push(h.src.0);
+                sinks.push(grads[h.src.0].take());
                 taken.push(Vec::new());
-                sinks.len() - 1
+                vars.len() - 1
             }
         };
         taken[route[i]].push(cols);
     }
-    (sinks, route)
+    (vars, sinks, route)
 }
 
 /// `dx = y * (dy - sum(dy * y, last_axis, keepdim))` for `y = softmax(x)`.

@@ -49,7 +49,7 @@ mod strided;
 mod tensor;
 
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{Tensor, WriteOnce};
 
 use std::fmt;
 

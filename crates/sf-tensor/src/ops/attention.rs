@@ -47,7 +47,8 @@ use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
 use crate::shape::Shape;
 use crate::strided::broadcast_strides;
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError, WriteOnce};
+use std::mem::MaybeUninit;
 
 /// Additive logit penalty for masked-out keys (matches
 /// [`crate::ops::softmax::masked_softmax`]): large enough that masked
@@ -238,10 +239,21 @@ impl Placement {
     ///
     /// # Safety
     ///
-    /// As for [`Placement::out_rows`].
+    /// As for [`Placement::out_rows`], and the row must be written.
     #[allow(clippy::mut_from_ref)]
     unsafe fn row_mut<'a>(&self, ptr: &'a SendPtr, b: usize, i: usize, d: usize) -> &'a mut [f32] {
         ptr.slice_mut(self.row(b, i), d)
+    }
+
+    /// Row `i` of element `b` in the buffer behind `ptr`, possibly
+    /// unwritten, for assigning.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Placement::out_rows`].
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row_uninit<'a>(&self, ptr: &'a SendPtr, b: usize, i: usize, d: usize) -> &'a mut [MaybeUninit<f32>] {
+        ptr.uninit_mut(self.row(b, i), d)
     }
 }
 
@@ -520,34 +532,32 @@ pub fn attention_heads(
     let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
     let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
     let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
-    let mut att = Tensor::zeros(&geo.out_dims);
-    let mut gated = views.gate.map(|_| Tensor::zeros(&geo.out_dims));
-    let mut lse = Tensor::zeros(&geo.batch_dims_and(&[s_q]));
+    let mut att = Tensor::write_once(&geo.out_dims, "attention_heads");
+    let mut gated = views.gate.map(|_| Tensor::write_once(&geo.out_dims, "attention_heads gate"));
+    let mut lse = Tensor::write_once(&geo.batch_dims_and(&[s_q]), "attention_heads lse");
 
-    let att_ptr = SendPtr::new(att.data_mut());
-    let gated_ptr = gated.as_mut().map(|g| SendPtr::new(g.data_mut()));
-    let lse_ptr = SendPtr::new(lse.data_mut());
+    let att_ptr = SendPtr::uninit(att.uninit());
+    let gated_ptr = gated.as_mut().map(|g| SendPtr::uninit(g.uninit()));
+    let lse_ptr = SendPtr::uninit(lse.uninit());
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
     let (qp, kp, vp, op) = (&geo.q, &geo.k, &geo.v, &geo.out);
     let block = s_q * s_k;
     let pack = pack_len(d.max(s_k));
     parallel_for(batch, block * (4 * d + 12), |range| {
-        scratch::with_scratch(block + s_q + pack, |buf| {
+        scratch::with_scratch(block + 2 * s_q + pack, |buf| {
             let (probs, rest) = buf.split_at_mut(block);
+            let (maxes, rest) = rest.split_at_mut(s_q);
             let (sums, pack) = rest.split_at_mut(s_q);
             for b in range {
-                // SAFETY: each item owns its batch element's lse row and its
-                // element's rows of the outputs.
-                let lse_b = unsafe { lse_ptr.slice_mut(b * s_q, s_q) };
                 // Logits block q·kᵀ, 4 query rows per packed Kᵀ panel.
                 let (qm, km) = (qp.block(qd, b, d), kp.block(kd, b, d));
-                let logits = Dense(probs, s_k);
+                let logits = Dense::new(probs, s_k);
                 gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, logits, pack);
                 let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
                 fold_logits(probs, s_q, s_k, scale, bias, mask, b, |i, row| {
-                    lse_b[i] = striped_max(row);
-                    sums[i] = vexp_shift_sum(row, lse_b[i]);
+                    maxes[i] = striped_max(row);
+                    sums[i] = vexp_shift_sum(row, maxes[i]);
                 });
                 // Unnormalized P·V into the element's output rows, then one
                 // 1/sum per row and the sigmoid-gate epilogue (pre-gate rows
@@ -556,32 +566,39 @@ pub fn attention_heads(
                 // elsewhere while the GEMM stores into it.
                 let att_rows = unsafe { op.out_rows(&att_ptr, b, d, None, false) };
                 gemm_serial(probs, s_k, false, vp.block(vd, b, d), vp.ld, false, s_q, s_k, d, att_rows, pack);
+                // SAFETY: each item owns its batch element's lse row.
+                let lse_b = unsafe { lse_ptr.uninit_mut(b * s_q, s_q) };
                 for (i, &sum) in sums.iter().enumerate() {
-                    // SAFETY: row `i` of this item's own output element.
+                    // SAFETY: row `i` of this item's own output element,
+                    // which the P·V GEMM assigned.
                     let orow = unsafe { op.row_mut(&att_ptr, b, i, d) };
                     if sum > 0.0 {
                         let inv = 1.0 / sum;
                         for o in orow.iter_mut() {
                             *o *= inv;
                         }
-                        lse_b[i] += sum.ln();
+                        lse_b[i].write(maxes[i] + sum.ln());
                     } else {
-                        lse_b[i] = f32::NEG_INFINITY;
+                        lse_b[i].write(f32::NEG_INFINITY);
                     }
                     if let (Some(gp), Some((gdat, gpl))) = (gated_ptr.as_ref(), gate) {
                         // SAFETY: row `i` of this item's own gated output.
-                        let dst = unsafe { op.row_mut(gp, b, i, d) };
+                        let dst = unsafe { op.row_uninit(gp, b, i, d) };
                         let grow = &gdat[gpl.row(b, i)..][..d];
                         for ((o, &a), &g) in dst.iter_mut().zip(orow.iter()).zip(grow) {
-                            *o = a / (1.0 + vexp(-g));
+                            o.write(a / (1.0 + vexp(-g)));
                         }
                     }
                 }
             }
         });
     });
+    // SAFETY: every batch element's item assigned its lse row and its
+    // `d` columns of each output row, and the elements tile both outputs.
+    let (att, lse) = unsafe { (att.assume_written(), lse.assume_written()) };
     Ok(match gated {
-        Some(g) => FusedAttention { out: g, att: Some(att), lse },
+        // SAFETY: as above.
+        Some(g) => FusedAttention { out: unsafe { g.assume_written() }, att: Some(att), lse },
         None => FusedAttention { out: att, att: None, lse },
     })
 }
@@ -606,27 +623,13 @@ pub fn attention_fused_backward(
     dy: &Tensor,
 ) -> Result<FusedAttentionGrads> {
     let views = HeadViews::whole(q, k, v, gate)?;
-    let mut grads: Vec<Tensor> = views.listed().map(|view| Tensor::zeros(view.src.dims())).collect();
-    let mut sinks: Vec<GradSink> =
-        grads.iter_mut().map(|buf| GradSink { buf, accumulate: false }).collect();
+    let mut sinks: Vec<Option<Tensor>> = views.listed().map(|_| None).collect();
     let dbias = attention_heads_backward(&views, bias, mask, att, lse, scale, dy, &mut sinks, [0, 1, 2, 3])?;
-    let mut grads = grads.into_iter();
+    let mut grads = sinks.into_iter().map(|g| g.expect("every view's sink is filled"));
     let mut next = || grads.next().expect("one gradient per view");
     let (dq, dk, dv) = (next(), next(), next());
     let dgate = gate.map(|_| next());
     Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
-}
-
-/// A gradient buffer of [`attention_heads_backward`], shaped like the
-/// source of every view routed to it. The backward assigns each view's
-/// columns, or adds into them when `accumulate` is set; columns no view
-/// covers are left as they are.
-#[derive(Debug)]
-pub struct GradSink<'a> {
-    /// The gradient buffer.
-    pub buf: &'a mut Tensor,
-    /// Add into `buf` instead of assigning.
-    pub accumulate: bool,
 }
 
 /// Fused backward for [`attention_heads`]: softmax-backward is folded into
@@ -650,17 +653,21 @@ pub struct GradSink<'a> {
 /// shape, which is returned).
 ///
 /// `dq`, `dk`, `dv` and `dgate` go to `sinks[route[0..4]]` in their view's
-/// layout: the heads' columns of a buffer shaped like the view's source.
+/// layout: the heads' columns of a gradient shaped like the view's source.
 /// Views sharing a sink (Q/K/V/gate of one bundled projection) write their
-/// own columns of it, and every element of those columns is assigned (or
-/// added, for an accumulating sink). `att` is the **pre-gate** forward output
+/// own columns of it. A sink that holds a gradient is added into. An empty
+/// sink receives a fresh gradient: its views' columns are assigned, each
+/// element once, and any column no view covers (the query and gate columns
+/// of a bundle whose keys and values alone are viewed) is zero. `att` is the
+/// **pre-gate** forward output
 /// ([`FusedAttention::pre_gate`]) and `dy` the gradient of the (gated)
 /// output, both in the output's layout.
 ///
 /// # Errors
 ///
 /// Returns an error on any shape incompatibility, a route past the end of
-/// `sinks`, a sink not shaped like its views' source, or two views with
+/// `sinks`, a sink not shaped like its views' source (or views of
+/// differently shaped sources routed to one sink), or two views with
 /// overlapping columns routed to one sink.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_heads_backward(
@@ -671,7 +678,7 @@ pub fn attention_heads_backward(
     lse: &Tensor,
     scale: f32,
     dy: &Tensor,
-    sinks: &mut [GradSink],
+    sinks: &mut [Option<Tensor>],
     route: [usize; 4],
 ) -> Result<Option<Tensor>> {
     let _sp = sf_trace::span("kernel", "attention_fused_bwd");
@@ -684,25 +691,49 @@ pub fn attention_heads_backward(
     check_dims("attention lse", lse, &geo.batch_dims_and(&[s_q]))?;
     let listed: Vec<HeadView<&Tensor>> = views.listed().collect();
     let cols = |view: &HeadView<&Tensor>| view.col..view.col + geo.heads * d;
+    // The first view routed to each view's sink. An empty sink gets a fresh
+    // gradient shaped like that view's source, kept at that view's slot.
+    let first: [usize; 4] = std::array::from_fn(|i| route[..i].iter().position(|&to| to == route[i]).unwrap_or(i));
+    let mut fresh: [Option<WriteOnce>; 4] = Default::default();
     for (i, view) in listed.iter().enumerate() {
-        let sink = sinks.get(route[i]).ok_or(TensorError::IndexOutOfBounds {
-            index: route[i],
-            bound: sinks.len(),
-        })?;
-        check_dims("attention grad sink", sink.buf, view.src.dims())?;
+        let r = route[i];
+        let sink = sinks.get(r).ok_or(TensorError::IndexOutOfBounds { index: r, bound: sinks.len() })?;
+        let dims = match sink {
+            Some(grad) => grad.dims(),
+            None => fresh[first[i]].get_or_insert_with(|| Tensor::write_once(view.src.dims(), "attention grad sink")).dims(),
+        };
+        check_dims("attention grad sink", view.src, dims)?;
         let mine = cols(view);
         let overlaps = |other: &HeadView<&Tensor>| cols(other).start < mine.end && mine.start < cols(other).end;
         if let Some((other, _)) =
-            listed[..i].iter().zip(route).find(|&(other, r)| r == route[i] && overlaps(other))
+            listed[..i].iter().zip(route).find(|&(other, to)| to == r && overlaps(other))
         {
             return Err(mismatch("attention grad sink overlap", &[other.col], &[view.col]));
         }
     }
-    let sink_ptrs: Vec<(SendPtr, bool)> =
-        sinks.iter_mut().map(|s| (SendPtr::new(s.buf.data_mut()), s.accumulate)).collect();
-    let mut ds = bias_rows.as_ref().map(|rows| Tensor::zeros(&rows.dims));
+    for (i, buf) in fresh.iter_mut().enumerate() {
+        if let Some(buf) = buf {
+            let width = buf.dims().last().copied().unwrap_or(1);
+            let covered = |j: usize| listed.iter().zip(route).any(|(v, to)| to == route[i] && cols(v).contains(&j));
+            zero_uncovered(buf.uninit(), width, covered);
+        }
+    }
+    // Each view's gradient store: its sink's gradient (added into) or fresh
+    // buffer (assigned), one pointer per sink.
+    let mut view_sinks = [(SendPtr::new(&mut []), false); 4];
+    for i in 0..listed.len() {
+        view_sinks[i] = if first[i] < i {
+            view_sinks[first[i]]
+        } else {
+            match (&mut sinks[route[i]], &mut fresh[i]) {
+                (Some(grad), _) => (SendPtr::new(grad.data_mut()), true),
+                (None, buf) => (SendPtr::uninit(buf.as_mut().expect("made above").uninit()), false),
+            }
+        };
+    }
+    let mut ds = bias_rows.as_ref().map(|rows| Tensor::write_once(&rows.dims, "attention dS"));
 
-    let ds_ptr = ds.as_mut().map(|t| SendPtr::new(t.data_mut()));
+    let ds_ptr = ds.as_mut().map(|t| SendPtr::uninit(t.uninit()));
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let (dyd, attd, lsed) = (dy.data(), att.data(), lse.data());
     let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
@@ -720,35 +751,32 @@ pub fn attention_heads_backward(
             let (datt_own, pack) = rest.split_at_mut(datt_scratch);
             for b in range {
                 let (qm, km, vm) = (qp.block(qd, b, d), kp.block(kd, b, d), vp.block(vd, b, d));
-                let ds_b = match ds_ptr.as_ref() {
-                    // SAFETY: each item owns its element's `[s_q, s_k]` block.
-                    Some(ptr) => unsafe { ptr.slice_mut(b * block, block) },
-                    None => &mut *ds_own,
-                };
                 // Gate epilogue backward: datt = dy ⊙ σ(g);
                 // dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt is dy.
                 let (datt, datt_ld): (&[f32], usize) = match gate {
                     Some((gdat, gpl)) => {
-                        let (dg_ptr, add) = &sink_ptrs[route[3]];
+                        let (dg_ptr, add) = &view_sinks[3];
                         for i in 0..s_q {
                             let (dyr, ar) = (&dyd[op.row(b, i)..][..d], &attd[op.row(b, i)..][..d]);
                             let gr = &gdat[gpl.row(b, i)..][..d];
-                            // SAFETY: each item owns its element's rows of
-                            // every view's sink.
-                            let dg = unsafe { gpl.row_mut(dg_ptr, b, i, d) };
-                            let outs = datt_own[i * d..(i + 1) * d].iter_mut().zip(dg);
+                            let da = &mut datt_own[i * d..(i + 1) * d];
                             let ins = dyr.iter().zip(gr).zip(ar);
+                            // SAFETY (both arms): each item owns its
+                            // element's rows of every view's sink, and an
+                            // adding sink's rows are written.
                             if *add {
-                                for ((da, dgo), ((&y, &g), &a)) in outs.zip(ins) {
+                                let dg = unsafe { gpl.row_mut(dg_ptr, b, i, d) };
+                                for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(ins) {
                                     let sig = 1.0 / (1.0 + vexp(-g));
                                     *da = y * sig;
                                     *dgo += y * a * sig * (1.0 - sig);
                                 }
                             } else {
-                                for ((da, dgo), ((&y, &g), &a)) in outs.zip(ins) {
+                                let dg = unsafe { gpl.row_uninit(dg_ptr, b, i, d) };
+                                for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(ins) {
                                     let sig = 1.0 / (1.0 + vexp(-g));
                                     *da = y * sig;
-                                    *dgo = y * a * sig * (1.0 - sig);
+                                    dgo.write(y * a * sig * (1.0 - sig));
                                 }
                             }
                         }
@@ -756,10 +784,19 @@ pub fn attention_heads_backward(
                     }
                     None => (op.block(dyd, b, d), op.ld),
                 };
-                // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D).
-                gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, Dense(p, s_k), pack);
-                let dp = Dense(ds_b, s_k);
+                // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D),
+                // with dP assigned to this element's dS block: the `dS`
+                // tensor's when a bias needs it, else scratch.
+                gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, Dense::new(p, s_k), pack);
+                let (ds_at, ds_off) = match ds_ptr.as_ref() {
+                    Some(ptr) => (*ptr, b * block),
+                    None => (SendPtr::new(ds_own), 0),
+                };
+                // SAFETY: each item owns its element's `[s_q, s_k]` block.
+                let dp = Dense::uninit(unsafe { ds_at.uninit_mut(ds_off, block) }, s_k);
                 gemm_serial(datt, datt_ld, false, vm, vp.ld, true, s_q, d, s_k, dp, pack);
+                // SAFETY: as above, and the GEMM assigned the whole block.
+                let ds_b = unsafe { ds_at.slice_mut(ds_off, block) };
                 let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
                 fold_logits(p, s_q, s_k, scale, bias, mask, b, |i, prow| {
                     let row_lse = lsed[b * s_q + i];
@@ -780,18 +817,29 @@ pub fn attention_heads_backward(
                 // SAFETY: each item owns its element's rows of every view's
                 // sink, the checks above keep views of one sink on disjoint
                 // columns, and each `Strided` lives for one GEMM.
-                let sink = |at: &Placement, route: usize, scale: Option<f32>| unsafe {
-                    let (ptr, add) = &sink_ptrs[route];
+                let sink = |at: &Placement, view: usize, scale: Option<f32>| unsafe {
+                    let (ptr, add) = &view_sinks[view];
                     at.out_rows(ptr, b, d, scale, *add)
                 };
-                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, sink(vp, route[2], None), pack);
-                let dk = sink(kp, route[1], Some(scale));
+                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, sink(vp, 2, None), pack);
+                let dk = sink(kp, 1, Some(scale));
                 gemm_serial(ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk, pack);
-                let dq = sink(qp, route[0], Some(scale));
+                let dq = sink(qp, 0, Some(scale));
                 gemm_serial(ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq, pack);
             }
         });
     });
+    for (i, buf) in fresh.into_iter().enumerate() {
+        if let Some(buf) = buf {
+            // SAFETY: every element of a fresh sink's views' columns was
+            // assigned by its batch element's item, and `zero_uncovered`
+            // assigned the rest.
+            sinks[route[i]] = Some(unsafe { buf.assume_written() });
+        }
+    }
+    // SAFETY: each item assigned its element's `[s_q, s_k]` block of `dS`,
+    // and the elements tile it.
+    let ds = ds.map(|ds| unsafe { ds.assume_written() });
     Ok(match (bias, ds) {
         // A bias of the full logits shape (IPA) takes `dS` itself; `0.0 + x`
         // gives the same bits as `reduce_to`'s single-term sum (-0.0 -> +0.0).
@@ -802,6 +850,21 @@ pub fn attention_heads_backward(
         (Some(b), Some(ds)) => Some(ds.reduce_to(b.dims())?),
         _ => None,
     })
+}
+
+/// Zeroes, in every row of a fresh `[..., width]` gradient, the columns
+/// `j` with `covered(j)` false.
+fn zero_uncovered(buf: &mut [MaybeUninit<f32>], width: usize, covered: impl Fn(usize) -> bool) {
+    if (0..width).all(&covered) {
+        return;
+    }
+    for row in buf.chunks_exact_mut(width) {
+        for (j, x) in row.iter_mut().enumerate() {
+            if !covered(j) {
+                x.write(0.0);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1010,24 +1073,21 @@ mod tests {
         let hv = views(at(0), at(8), at(8), 2, 4);
         let fa = run(&hv).unwrap();
         let dy = Tensor::randn(fa.out.dims(), 32);
-        let bwd = |buf: &mut Tensor, route: [usize; 4]| {
-            let mut sinks = [GradSink { buf, accumulate: true }];
+        let bwd = |buf: Tensor, route: [usize; 4]| {
+            let mut sinks = [Some(buf)];
             attention_heads_backward(&hv, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, route)
         };
-        let mut dbig = Tensor::zeros(big.dims());
         // K and V read the same columns: one sink cannot take both.
-        assert!(bwd(&mut dbig, [0; 4]).is_err());
-        assert!(bwd(&mut dbig, [0, 1, 1, 1]).is_err());
-        assert!(bwd(&mut Tensor::zeros(&[2, 5, 8]), [0; 4]).is_err());
+        assert!(bwd(Tensor::zeros(big.dims()), [0; 4]).is_err());
+        assert!(bwd(Tensor::zeros(big.dims()), [0, 1, 1, 1]).is_err());
+        assert!(bwd(Tensor::zeros(&[2, 5, 8]), [0; 4]).is_err());
         let hv_disjoint = views(at(0), at(8), at(0), 2, 4);
         let fa = run(&hv_disjoint).unwrap();
-        let mut bufs = [Tensor::zeros(big.dims()), Tensor::zeros(big.dims())];
-        let [b0, b1] = &mut bufs;
-        let mut sinks =
-            [GradSink { buf: b0, accumulate: false }, GradSink { buf: b1, accumulate: false }];
+        let mut sinks = [None, None];
         let ok = attention_heads_backward(
             &hv_disjoint, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, [0, 0, 1, 0],
         );
         assert!(ok.is_ok());
+        assert!(sinks.iter().all(|s| s.as_ref().is_some_and(|g| g.dims() == big.dims())));
     }
 }

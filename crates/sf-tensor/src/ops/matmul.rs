@@ -5,19 +5,24 @@
 //! The engine is a packed, register-tiled GEMM parallelized over
 //! batch × row blocks through [`crate::pool`]:
 //!
-//! - Each distinct B operand is packed into `NR`-column panels once per
-//!   call, in thread-local scratch, so the micro-kernel streams it
-//!   contiguously regardless of transposition and no row-block task
-//!   repacks it. A B shared by the whole batch (a rank-2 rhs) folds A's
-//!   leading dims into rows: one tall product over one packed B.
-//! - The micro-kernel computes an `MR × NR` tile in registers and *assigns*
-//!   the result (the seed implementation zero-initialized the output and
-//!   then accumulated with `+=`, reading every output element back once per
-//!   k-tile — that double traffic is gone).
+//! - Each distinct B operand is packed into column panels once per call,
+//!   in thread-local scratch, so the micro-kernel streams it contiguously
+//!   regardless of transposition and no row-block task repacks it. A B
+//!   shared by the whole batch (a rank-2 rhs) folds A's leading dims into
+//!   rows: one tall product over one packed B.
+//! - Panels are `NR` = 16 columns wide and run `MR × NR` = 4 × 16 register
+//!   tiles. A panel of at most 8 columns (a head-width product, the tail of
+//!   a 40-key logits row) is packed 8 wide and runs 8 × 8 tiles instead, so
+//!   no lane multiplies padding.
+//! - The micro-kernel *assigns* each finished tile to the output, every
+//!   element exactly once (a `k = 0` product assigns its zero sums). A
+//!   full-width accumulator row moves as one fixed-size array (vector
+//!   stores, no `memcpy` call); only an edge tile copies a runtime width.
+//!   So outputs come from [`Tensor::write_once`] with no zero fill.
 //! - Each output element is accumulated over `k` in one fixed ascending
-//!   pass, and row-block boundaries are multiples of `MR`, so the result is
-//!   **bit-identical for every thread count** (asserted in
-//!   `tests/parallel_determinism.rs`).
+//!   pass whatever its tile shape, and row-block boundaries are multiples
+//!   of both tile heights, so the result is **bit-identical for every
+//!   thread count** (asserted in `tests/parallel_determinism.rs`).
 //!
 //! [`matmul_bt`] (`a @ b^T`) and [`matmul_at`] (`a^T @ b`) reuse the same
 //! engine with stride/packing twists instead of materializing a transposed
@@ -30,16 +35,23 @@ use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
 use crate::{Result, Tensor, TensorError};
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
 /// Cache-blocking tile edge for [`gemm_block`], the seed reference kernel.
 const TILE: usize = 32;
 
-/// Micro-kernel rows: C tiles are `MR × NR`, held entirely in registers.
+/// Rows of a wide micro-tile: a full panel runs `MR × NR` tiles, held
+/// entirely in registers.
 const MR: usize = 4;
-/// Micro-kernel columns (two 8-lane vectors per accumulator row).
+/// Columns of a wide panel (two 8-lane vectors per accumulator row).
 const NR: usize = 16;
-/// Rows per parallel task. A multiple of `MR` so the register-tile grid is
-/// identical no matter where the row partition falls.
+/// Edge of the narrow tile: a panel of at most `NARROW` columns is packed
+/// `NARROW` wide and runs `NARROW × NARROW` tiles, one 8-lane vector per
+/// accumulator row, so a head-width product (`n = 8`) multiplies no
+/// padding lanes.
+const NARROW: usize = 8;
+/// Rows per parallel task. A multiple of both tile heights so the
+/// register-tile grid is identical no matter where the row partition falls.
 const ROW_BLOCK: usize = 32;
 
 /// Batched matrix product `a @ b`.
@@ -153,15 +165,13 @@ fn batched_gemm(
     let mut out_dims = batch_dims.clone();
     out_dims.push(am);
     out_dims.push(bn);
-    // The kernel assigns every output element exactly once, so the zero
-    // fill is never read back; `vec![0.0; _]` lazily maps zero pages, which
-    // keeps this allocation O(1) for large outputs.
-    let mut out = Tensor::zeros(&out_dims);
+    let mut out = Tensor::write_once(&out_dims, op);
     let a = Operand { data: a.data(), trans: ta, shared: a_shared };
     let b = Operand { data: b.data(), trans: tb, shared: b_shared };
     let batch = batch_dims.iter().product();
-    gemm(a, b, batch, am, ak, bn, None, out.data_mut());
-    Ok(out)
+    gemm(a, b, batch, am, ak, bn, None, out.uninit());
+    // SAFETY: `gemm` assigns every element of its `batch·m·n` output.
+    Ok(unsafe { out.assume_written() })
 }
 
 /// One side of a [`gemm`]: a stored matrix or a contiguous batch of them,
@@ -175,16 +185,16 @@ struct Operand<'a> {
 }
 
 /// `batch` products `C_i = A_i @ B_i` of logical `m × k` by `k × n`
-/// matrices into the row-major `c`, with `bias` (length `n`) added to every
-/// row when given.
+/// matrices, assigned to every element of the row-major `c`, with `bias`
+/// (length `n`) added to every row when given.
 ///
-/// Each distinct B is packed into `NR`-column panels once, before any
-/// product runs, and the row-block tasks then share that packing. A shared
-/// B under a non-transposed A folds A's batch into rows, so a
-/// `[..., m, k]` input against one weight runs `batch·m / ROW_BLOCK` tasks
-/// over one packed B. Every element still accumulates over `k` in the
-/// micro-kernel's one ascending pass and the bias is one add on the
-/// finished sum, so neither folding nor packing changes a bit.
+/// Each distinct B is packed into panels once, before any product runs, and
+/// the row-block tasks then share that packing. A shared B under a
+/// non-transposed A folds A's batch into rows, so a `[..., m, k]` input
+/// against one weight runs `batch·m / ROW_BLOCK` tasks over one packed B.
+/// Every element still accumulates over `k` in the micro-kernel's one
+/// ascending pass and the bias is one add on the finished sum, so neither
+/// folding nor packing changes a bit.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     a: Operand,
@@ -194,7 +204,7 @@ fn gemm(
     k: usize,
     n: usize,
     bias: Option<&[f32]>,
-    c: &mut [f32],
+    c: &mut [MaybeUninit<f32>],
 ) {
     if batch == 0 || m == 0 || n == 0 {
         return;
@@ -206,28 +216,30 @@ fn gemm(
     // its stored transpose read column-wise.
     let (ars, acs) = if a.trans { (1, m) } else { (k, 1) };
     let (a_stride, b_stride) = (m * k, k * n);
+    // Panel `p` holds columns from `p·NR` and starts `p·k·NR` floats into
+    // its B's packing; only the last panel may be packed narrow.
     let panels = n.div_ceil(NR);
-    let panel_len = k * NR;
-    let packed_len = panels * panel_len;
+    let packed_len = (panels - 1) * k * NR + k * packed_width(n - (panels - 1) * NR);
     let n_packed = if b.shared { 1 } else { batch };
 
     scratch::with_scratch(n_packed * packed_len, |packed| {
         let pack_ptr = SendPtr::new(packed);
-        parallel_for(n_packed * panels, panel_len, |range| {
+        parallel_for(n_packed * panels, k * NR, |range| {
             for t in range {
-                let (bi, j0) = (t / panels, (t % panels) * NR);
+                let (bi, p) = (t / panels, t % panels);
+                let (j0, jw) = (p * NR, (n - p * NR).min(NR));
                 let b_mat = &b.data[bi * b_stride..(bi + 1) * b_stride];
                 // SAFETY: each task packs its own panel.
-                let dst = unsafe { pack_ptr.slice_mut(t * panel_len, panel_len) };
+                let dst = unsafe { pack_ptr.slice_mut(bi * packed_len + p * k * NR, k * packed_width(jw)) };
                 let ldb = if b.trans { k } else { n };
-                pack_panel(b_mat, ldb, b.trans, k, j0, (n - j0).min(NR), dst);
+                pack_panel(b_mat, ldb, b.trans, k, j0, jw, dst);
             }
         });
         let packed = &*packed;
 
         let rb_per_mat = m.div_ceil(ROW_BLOCK);
         let task_cost = ROW_BLOCK.min(m) * k * n * 2;
-        let out_ptr = SendPtr::new(c);
+        let out_ptr = SendPtr::uninit(c);
         parallel_for(batch * rb_per_mat, task_cost, |range| {
             for t in range {
                 let (bi, rb) = (t / rb_per_mat, t % rb_per_mat);
@@ -237,15 +249,19 @@ fn gemm(
                 let b_off = if b.shared { 0 } else { bi * packed_len };
                 let a_mat = &a.data[a_off..a_off + a_stride];
                 let b_packed = &packed[b_off..b_off + packed_len];
+                let (c_off, c_len) = (bi * m * n + r0 * n, (r1 - r0) * n);
                 // SAFETY: tasks own disjoint (batch, row-block) regions.
-                let c_rows = unsafe { out_ptr.slice_mut(bi * m * n + r0 * n, (r1 - r0) * n) };
-                let mut out = Dense(c_rows, n);
-                for (p, panel) in b_packed.chunks_exact(panel_len.max(1)).enumerate() {
-                    let j0 = p * NR;
-                    panel_rows(a_mat, ars, acs, r0, r1, k, panel, &mut out, j0, (n - j0).min(NR));
+                let mut out = Dense::uninit(unsafe { out_ptr.uninit_mut(c_off, c_len) }, n);
+                // Every panel runs, even an empty one (`k = 0`): its tiles
+                // assign the zero sums.
+                for p in 0..panels {
+                    let (j0, jw) = (p * NR, (n - p * NR).min(NR));
+                    let panel = &b_packed[p * k * NR..][..k * packed_width(jw)];
+                    panel_rows(a_mat, ars, acs, r0, r1, k, panel, &mut out, j0, jw);
                 }
-                let c_rows = out.0;
                 if let Some(bias) = bias {
+                    // SAFETY: the panels above assigned this whole region.
+                    let c_rows = unsafe { out_ptr.slice_mut(c_off, c_len) };
                     for row in c_rows.chunks_exact_mut(n) {
                         for (y, &bv) in row.iter_mut().zip(bias) {
                             *y += bv;
@@ -257,38 +273,88 @@ fn gemm(
     });
 }
 
-/// Scratch floats needed to pack one `NR`-wide panel of a `k`-deep B.
+/// Scratch floats needed to pack one panel of a `k`-deep B.
 pub(crate) fn pack_len(k: usize) -> usize {
     k.max(1) * NR
 }
 
-/// Where a GEMM stores its finished `MR × NR` accumulator tiles.
+/// Packed width of a panel holding `jw` columns: `NARROW` for a narrow
+/// panel, else `NR`.
+fn packed_width(jw: usize) -> usize {
+    if jw <= NARROW {
+        NARROW
+    } else {
+        NR
+    }
+}
+
+/// Where a GEMM stores its finished accumulator tiles.
 pub(crate) trait TileStore {
     /// Stores the first `jw` sums of each accumulator row `r` of `tile`
     /// into output row `row0 + r`, from column `j0`.
-    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]);
+    fn store_tile<const W: usize>(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; W]]);
 }
 
-/// A dense row-major output block with rows `ld` apart: sums are assigned.
-pub(crate) struct Dense<'a>(pub(crate) &'a mut [f32], pub(crate) usize);
+/// Assigns the first `jw` sums of `acc` from `dst`. A full row (`jw == W`)
+/// moves as one fixed-size array, which compiles to vector stores; only an
+/// edge tile copies a runtime width.
+///
+/// # Safety
+///
+/// `dst..dst + jw` must be valid for writes.
+#[inline(always)]
+unsafe fn assign_row<const W: usize>(dst: *mut f32, jw: usize, acc: &[f32; W]) {
+    if jw == W {
+        dst.cast::<[f32; W]>().write(*acc);
+    } else {
+        std::ptr::copy_nonoverlapping(acc.as_ptr(), dst, jw.min(W));
+    }
+}
+
+/// A dense row-major output block with rows `ld` apart: sums are assigned,
+/// so the block may start out unwritten.
+pub(crate) struct Dense<'a> {
+    ptr: *mut f32,
+    /// Floats reachable from `ptr`.
+    len: usize,
+    ld: usize,
+    _buf: PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> Dense<'a> {
+    /// Rows `ld` apart in a written buffer.
+    pub(crate) fn new(c: &'a mut [f32], ld: usize) -> Self {
+        Dense { ptr: c.as_mut_ptr(), len: c.len(), ld, _buf: PhantomData }
+    }
+
+    /// Rows `ld` apart in a buffer that may be unwritten.
+    pub(crate) fn uninit(c: &'a mut [MaybeUninit<f32>], ld: usize) -> Self {
+        Dense { ptr: c.as_mut_ptr().cast(), len: c.len(), ld, _buf: PhantomData }
+    }
+}
 
 impl TileStore for Dense<'_> {
     #[inline(always)]
-    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]) {
-        let Dense(c, ld) = self;
+    fn store_tile<const W: usize>(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; W]]) {
+        let Some(last) = tile.len().checked_sub(1) else {
+            return;
+        };
+        assert!((row0 + last) * self.ld + j0 + jw <= self.len, "GEMM tile store past its output");
         for (r, acc) in tile.iter().enumerate() {
-            let start = (row0 + r) * *ld + j0;
-            c[start..start + jw].copy_from_slice(&acc[..jw]);
+            // SAFETY: in bounds (checked above) of the block `new` or
+            // `uninit` borrowed exclusively.
+            unsafe { assign_row(self.ptr.add((row0 + r) * self.ld + j0), jw, acc) };
         }
     }
 }
 
 /// The rows of one attention head inside a wider output, `ld` floats
-/// apart, interleaved with the heads other work items write. Each row is
-/// written through its own short slice, so no two items ever hold
-/// overlapping `&mut` slices. A store can multiply the finished sums by a
-/// scale and add them into the rows instead of assigning: the same
-/// roundings as a scale pass and an add pass after the GEMM.
+/// apart, interleaved with the heads other work items write. Rows are
+/// written through raw pointers, so no two items ever hold overlapping
+/// `&mut` slices. A store can multiply the finished sums by a scale and add
+/// them into the rows instead of assigning: the same roundings as a scale
+/// pass and an add pass after the GEMM. An assigning store may start out
+/// unwritten.
 pub(crate) struct Strided<'a> {
     ptr: *mut f32,
     /// Floats reachable from `ptr`.
@@ -307,7 +373,8 @@ impl Strided<'_> {
     ///
     /// `ptr..ptr + len` must lie in one allocation that outlives the
     /// result, and no other thread may access the elements a GEMM stores
-    /// through it (its `n` columns of each row) while it lives.
+    /// through it (its `n` columns of each row) while it lives. When `add`
+    /// is set, those elements must be written.
     pub(crate) unsafe fn new(ptr: *mut f32, len: usize, ld: usize, scale: Option<f32>, add: bool) -> Self {
         Strided { ptr, len, ld, scale, add, _buf: PhantomData }
     }
@@ -315,7 +382,7 @@ impl Strided<'_> {
 
 impl TileStore for Strided<'_> {
     #[inline(always)]
-    fn store_tile(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; NR]]) {
+    fn store_tile<const W: usize>(&mut self, row0: usize, j0: usize, jw: usize, tile: &[[f32; W]]) {
         let Some(last) = tile.len().checked_sub(1) else {
             return;
         };
@@ -323,13 +390,20 @@ impl TileStore for Strided<'_> {
         for (r, acc) in tile.iter().enumerate() {
             // SAFETY: in bounds (checked above) of the buffer `new`'s
             // contract hands this store alone.
-            let dst = unsafe { std::slice::from_raw_parts_mut(self.ptr.add((row0 + r) * self.ld + j0), jw) };
-            let sums = &acc[..jw];
-            match (self.scale, self.add) {
-                (None, false) => dst.copy_from_slice(sums),
-                (Some(s), false) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o = x * s),
-                (None, true) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o += x),
-                (Some(s), true) => dst.iter_mut().zip(sums).for_each(|(o, &x)| *o += x * s),
+            let dst = unsafe { self.ptr.add((row0 + r) * self.ld + j0) };
+            let sums = match self.scale {
+                Some(s) => acc.map(|x| x * s),
+                None => *acc,
+            };
+            if self.add {
+                // SAFETY: as above; an adding store's elements are written.
+                let dst = unsafe { std::slice::from_raw_parts_mut(dst, jw) };
+                for (o, &x) in dst.iter_mut().zip(&sums) {
+                    *o += x;
+                }
+            } else {
+                // SAFETY: as above.
+                unsafe { assign_row(dst, jw, &sums) };
             }
         }
     }
@@ -342,9 +416,9 @@ impl TileStore for Strided<'_> {
 /// (`[n, k]` when `tb`) with its rows `ldb` apart, and `c` stores C's rows
 /// ([`Dense`], or an attention head's rows in a wider output through
 /// [`Strided`]), so any of the three may be a column block of a wider
-/// matrix. `c` is assigned (or scaled and added, as `Strided` asks), and `pack`
-/// holds at least [`pack_len`]`(k)` floats: B is packed one panel at a
-/// time. Every element
+/// matrix. Every element of `c` is assigned (or scaled and added, as
+/// `Strided` asks), `k = 0` included, and `pack` holds at least
+/// [`pack_len`]`(k)` floats: B is packed one panel at a time. Every element
 /// accumulates over `k` in the batched engine's one ascending pass, so the
 /// result is bit-identical to [`matmul`] / [`matmul_bt`] / [`matmul_at`] on
 /// the same operands, whatever the leading dimensions. Always inlined, so
@@ -365,10 +439,10 @@ pub(crate) fn gemm_serial(
     pack: &mut [f32],
 ) {
     let (ars, acs) = if ta { (1, lda) } else { (lda, 1) };
-    let panel = &mut pack[..k * NR];
     let mut j0 = 0usize;
     while j0 < n {
         let jw = (n - j0).min(NR);
+        let panel = &mut pack[..k * packed_width(jw)];
         pack_panel(b, ldb, tb, k, j0, jw, panel);
         panel_rows(a, ars, acs, 0, m, k, panel, &mut c, j0, jw);
         j0 += NR;
@@ -377,9 +451,32 @@ pub(crate) fn gemm_serial(
 
 /// Computes columns `[j0, j0 + jw)` of rows `[r0, r1)` of
 /// `C = A_logical @ B_logical` into rows `0..r1 - r0` of `c` from one
-/// packed `k × NR` panel, one `MR`-row tile at a time.
+/// packed panel: `NARROW × NARROW` tiles on a narrow panel, `MR × NR` tiles
+/// otherwise.
 #[allow(clippy::too_many_arguments)]
 fn panel_rows(
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    r0: usize,
+    r1: usize,
+    k: usize,
+    panel: &[f32],
+    c: &mut impl TileStore,
+    j0: usize,
+    jw: usize,
+) {
+    if jw <= NARROW {
+        tile_rows::<NARROW, NARROW>(a, ars, acs, r0, r1, k, panel, c, j0, jw);
+    } else {
+        tile_rows::<MR, NR>(a, ars, acs, r0, r1, k, panel, c, j0, jw);
+    }
+}
+
+/// [`panel_rows`] at one tile shape: `R`-row tiles against a `k × W` panel.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_rows<const R: usize, const W: usize>(
     a: &[f32],
     ars: usize,
     acs: usize,
@@ -394,45 +491,96 @@ fn panel_rows(
     let rows = r1 - r0;
     let mut i0 = 0usize;
     while i0 < rows {
-        let iw = (rows - i0).min(MR);
-        micro_tile(a, ars, acs, r0 + i0, iw, k, panel, c, i0, j0, jw);
-        i0 += MR;
+        let iw = (rows - i0).min(R);
+        micro_tile::<R, W>(a, ars, acs, r0 + i0, iw, k, panel, c, i0, j0, jw);
+        i0 += R;
     }
 }
 
 /// Packs columns `[j0, j0 + jw)` of the logical B, whose stored rows are
-/// `ldb` apart, into a `k × NR` panel (zero-padded beyond `jw` so the
-/// micro-kernel runs full vectors).
+/// `ldb` apart, into a `k × w` panel, `w` = [`packed_width`]`(jw)`
+/// (zero-padded beyond `jw` so the micro-kernel runs full vectors).
 fn pack_panel(b: &[f32], ldb: usize, tb: bool, k: usize, j0: usize, jw: usize, pack: &mut [f32]) {
-    if tb {
+    if jw <= NARROW {
+        pack_panel_w::<NARROW>(b, ldb, tb, k, j0, jw, pack);
+    } else {
+        pack_panel_w::<NR>(b, ldb, tb, k, j0, jw, pack);
+    }
+}
+
+/// [`pack_panel`] at one packed width `W`.
+#[inline(always)]
+fn pack_panel_w<const W: usize>(b: &[f32], ldb: usize, tb: bool, k: usize, j0: usize, jw: usize, pack: &mut [f32]) {
+    let pack = &mut pack[..k * W];
+    if tb && jw == W {
         // Stored [n, k]: logical column j is the stored row j, contiguous.
-        for jj in 0..jw {
-            let col = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
-            for (kk, &v) in col.iter().enumerate() {
-                pack[kk * NR + jj] = v;
+        // Each packed row takes one value from each of the W columns.
+        let cols: [&[f32]; W] = std::array::from_fn(|jj| &b[(j0 + jj) * ldb..][..k]);
+        for (kk, row) in pack.chunks_exact_mut(W).enumerate() {
+            for (x, col) in row.iter_mut().zip(&cols) {
+                *x = col[kk];
             }
         }
-        for jj in jw..NR {
+    } else if tb {
+        for jj in 0..jw {
+            let col = &b[(j0 + jj) * ldb..][..k];
+            for (kk, &v) in col.iter().enumerate() {
+                pack[kk * W + jj] = v;
+            }
+        }
+        for jj in jw..W {
             for kk in 0..k {
-                pack[kk * NR + jj] = 0.0;
+                pack[kk * W + jj] = 0.0;
             }
         }
     } else {
-        for kk in 0..k {
-            let row = &mut pack[kk * NR..kk * NR + NR];
-            row[..jw].copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + jw]);
-            row[jw..].fill(0.0);
+        for (kk, row) in pack.chunks_exact_mut(W).enumerate() {
+            let src = &b[kk * ldb + j0..][..jw];
+            match (<&mut [f32; W]>::try_from(&mut *row), <&[f32; W]>::try_from(src)) {
+                // A full row moves as one fixed-size array.
+                (Ok(dst), Ok(src)) => *dst = *src,
+                _ => {
+                    row[..jw].copy_from_slice(src);
+                    row[jw..].fill(0.0);
+                }
+            }
         }
     }
 }
 
-/// Register-tiled `iw × NR` kernel: accumulates over the full `k` range in
-/// one fixed ascending pass and *assigns* the tile into `c`. The single
-/// pass (same for interior and edge tiles) is what makes parallel output
-/// bit-identical to serial.
+/// The full-tile body of [`micro_tile`]: one independently named `W`-wide
+/// accumulator row per listed row `r`, whose A value at step `kk` is
+/// `$a_at(kk)(r)`, loaded once per step, then one pass over the panel row
+/// updating every accumulator. Named rows (rather than an `[[f32; W]; R]`
+/// array, which LLVM vectorized across rows and shuffled back every `k`
+/// step) keep the whole tile in vector registers. Evaluates to the tile.
+macro_rules! full_tile {
+    ($pack:expr, $w:expr, |$kk:ident| $a_at:expr; $(($acc:ident, $av:ident, $r:literal)),+) => {{
+        $(let mut $acc = [0.0f32; $w];)+
+        for ($kk, brow) in $pack.chunks_exact($w).enumerate() {
+            let a_at = $a_at;
+            $(let $av = a_at($r);)+
+            for jj in 0..$w {
+                let bv = brow[jj];
+                $($acc[jj] += $av * bv;)+
+            }
+        }
+        [$($acc),+]
+    }};
+}
+
+/// Register-tiled `iw × W` kernel (`iw ≤ R`, `R` = `MR` or `NARROW`):
+/// accumulates over the full `k` range in one fixed ascending pass and
+/// *assigns* the tile into `c`. The single pass (same for every tile shape,
+/// interior and edge) is what makes parallel output bit-identical to serial.
+///
+/// A full tile reads A without a bounds check per row and step: read
+/// transposed (`ars == 1`) its `R` values at a step are adjacent, one
+/// slice per step; read plainly (`acs == 1`) each row is sliced once to
+/// its `k` values.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_tile(
+#[inline(always)]
+fn micro_tile<const R: usize, const W: usize>(
     a: &[f32],
     ars: usize,
     acs: usize,
@@ -445,33 +593,36 @@ fn micro_tile(
     j0: usize,
     jw: usize,
 ) {
-    if iw == MR {
-        // Full-tile fast path: four independently named accumulator rows
-        // and a checked-free panel walk (`chunks_exact`) let the compiler
-        // keep the whole 4 x NR tile in vector registers. Per-element
-        // arithmetic (one ascending k pass) is identical to the edge path.
-        let mut acc0 = [0.0f32; NR];
-        let mut acc1 = [0.0f32; NR];
-        let mut acc2 = [0.0f32; NR];
-        let mut acc3 = [0.0f32; NR];
-        for (kk, brow) in pack.chunks_exact(NR).take(k).enumerate() {
-            let a0 = a[row0 * ars + kk * acs];
-            let a1 = a[(row0 + 1) * ars + kk * acs];
-            let a2 = a[(row0 + 2) * ars + kk * acs];
-            let a3 = a[(row0 + 3) * ars + kk * acs];
-            for jj in 0..NR {
-                let bv = brow[jj];
-                acc0[jj] += a0 * bv;
-                acc1[jj] += a1 * bv;
-                acc2[jj] += a2 * bv;
-                acc3[jj] += a3 * bv;
-            }
+    const { assert!(R == MR || R == NARROW, "micro-tiles are 4 or 8 rows") };
+    let pack = &pack[..k * W];
+    if iw == R && (ars == 1 || acs == 1) {
+        macro_rules! tile {
+            (|$kk:ident| $a_at:expr) => {
+                if R == MR {
+                    let tile = full_tile!(pack, W, |$kk| $a_at;
+                        (acc0, a0, 0), (acc1, a1, 1), (acc2, a2, 2), (acc3, a3, 3));
+                    c.store_tile(c_row0, j0, jw, &tile);
+                } else {
+                    let tile = full_tile!(pack, W, |$kk| $a_at;
+                        (acc0, a0, 0), (acc1, a1, 1), (acc2, a2, 2), (acc3, a3, 3),
+                        (acc4, a4, 4), (acc5, a5, 5), (acc6, a6, 6), (acc7, a7, 7));
+                    c.store_tile(c_row0, j0, jw, &tile);
+                }
+            };
         }
-        c.store_tile(c_row0, j0, jw, &[acc0, acc1, acc2, acc3]);
+        if ars == 1 {
+            tile!(|kk| {
+                let col: &[f32; R] = a[kk * acs + row0..][..R].try_into().expect("R values");
+                move |r: usize| col[r]
+            });
+        } else {
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(row0 + r) * ars..][..k]);
+            tile!(|kk| move |r: usize| rows[r][kk]);
+        }
         return;
     }
-    let mut acc = [[0.0f32; NR]; MR];
-    for (kk, brow) in pack.chunks_exact(NR).take(k).enumerate() {
+    let mut acc = [[0.0f32; W]; R];
+    for (kk, brow) in pack.chunks_exact(W).enumerate() {
         for (r, arow) in acc.iter_mut().enumerate().take(iw) {
             let av = a[(row0 + r) * ars + kk * acs];
             for (x, &bv) in arow.iter_mut().zip(brow.iter()) {
@@ -515,11 +666,12 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
     }
     let mut dims = x.dims().to_vec();
     *dims.last_mut().expect("rank >= 1") = out_dim;
-    let mut y = Tensor::zeros(&dims);
+    let mut y = Tensor::write_once(&dims, "linear");
     let x = Operand { data: x.data(), trans: false, shared: false };
     let w = Operand { data: w.data(), trans: true, shared: true };
-    gemm(x, w, 1, rows, in_dim, out_dim, b.map(Tensor::data), y.data_mut());
-    Ok(y)
+    gemm(x, w, 1, rows, in_dim, out_dim, b.map(Tensor::data), y.uninit());
+    // SAFETY: `gemm` assigns every element of its `rows·out` output.
+    Ok(unsafe { y.assume_written() })
 }
 
 /// The weight gradient of [`linear`], `dyᵀ @ x` contracted over every
@@ -539,11 +691,12 @@ pub fn linear_weight_grad(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
     if dy.rank() == 0 || x.rank() == 0 || lead(dy) != lead(x) {
         return Err(linear_mismatch("linear_weight_grad", dy, x));
     }
-    let mut dw = Tensor::zeros(&[out_dim, in_dim]);
+    let mut dw = Tensor::write_once(&[out_dim, in_dim], "linear_weight_grad");
     let dy = Operand { data: dy.data(), trans: true, shared: false };
     let x = Operand { data: x.data(), trans: false, shared: false };
-    gemm(dy, x, 1, out_dim, rows, in_dim, None, dw.data_mut());
-    Ok(dw)
+    gemm(dy, x, 1, out_dim, rows, in_dim, None, dw.uninit());
+    // SAFETY: `gemm` assigns every element of its `out·in` output.
+    Ok(unsafe { dw.assume_written() })
 }
 
 /// `c += a @ b` on dense row-major buffers, cache-blocked with an i-k-j

@@ -28,6 +28,7 @@
 //! [`std::thread::available_parallelism`]. A count of 1 disables the pool
 //! entirely — no worker threads are spawned and every loop runs inline.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -392,15 +393,35 @@ impl SendPtr {
         SendPtr(buf.as_mut_ptr())
     }
 
+    /// Wraps a buffer whose elements may be unwritten, under the same
+    /// contract as [`SendPtr::new`]. Unwritten elements are reached only
+    /// through [`SendPtr::uninit_mut`] and the raw `at` pointer.
+    pub(crate) fn uninit(buf: &mut [MaybeUninit<f32>]) -> Self {
+        SendPtr(buf.as_mut_ptr().cast())
+    }
+
     /// Reborrows `len` elements starting at `start`.
+    ///
+    /// # Safety
+    ///
+    /// `start..start + len` must lie inside the wrapped buffer, must hold
+    /// written elements only, and must not overlap any range concurrently
+    /// reborrowed through this pointer.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
+        std::slice::from_raw_parts_mut(self.0.add(start), len)
+    }
+
+    /// Reborrows `len` possibly unwritten elements starting at `start`,
+    /// for writing.
     ///
     /// # Safety
     ///
     /// `start..start + len` must lie inside the wrapped buffer and must not
     /// overlap any range concurrently reborrowed through this pointer.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(start), len)
+    pub(crate) unsafe fn uninit_mut(&self, start: usize, len: usize) -> &mut [MaybeUninit<f32>] {
+        std::slice::from_raw_parts_mut(self.0.add(start).cast(), len)
     }
 
     /// The raw pointer `start` elements in, for writers that must not

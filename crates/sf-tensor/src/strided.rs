@@ -16,6 +16,7 @@
 //! per-element walk, and results are bitwise unchanged.
 
 use crate::shape::{row_major_strides, Shape};
+use std::mem::MaybeUninit;
 
 /// An iteration shape over `N` strided operands, collapsed into equal-length
 /// innermost runs.
@@ -128,32 +129,35 @@ pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> Vec<usize> {
     out
 }
 
-/// `out[i] = src[layout(i)]` for every multi-index `i` of `dims`: fills the
-/// contiguous `out` from `src` read through `src_strides` (permute,
-/// broadcast_to).
-pub(crate) fn gather(out: &mut [f32], dims: &[usize], src: &[f32], src_strides: &[usize]) {
+/// `out[i] = src[layout(i)]` for every multi-index `i` of `dims`: assigns
+/// every element of the contiguous `out` from `src` read through
+/// `src_strides` (permute, broadcast_to).
+pub(crate) fn gather(out: &mut [MaybeUninit<f32>], dims: &[usize], src: &[f32], src_strides: &[usize]) {
     let out_strides = row_major_strides(dims);
     let runs = Runs::new(dims, [&out_strides, src_strides]);
     let n = runs.run_len();
     match runs.run_strides() {
-        [_, 1] => runs.for_each_run(|[o, s]| out[o..o + n].copy_from_slice(&src[s..s + n])),
-        [_, 0] => runs.for_each_run(|[o, s]| out[o..o + n].fill(src[s])),
+        [_, 1] => runs.for_each_run(|[o, s]| {
+            out[o..o + n].write_copy_of_slice(&src[s..s + n]);
+        }),
+        [_, 0] => runs.for_each_run(|[o, s]| out[o..o + n].fill(MaybeUninit::new(src[s]))),
         [_, st] => runs.for_each_run(|[o, s]| {
             for (j, y) in out[o..o + n].iter_mut().enumerate() {
-                *y = src[s + j * st];
+                y.write(src[s + j * st]);
             }
         }),
     }
 }
 
 /// `out[i] = f(a[layout_a(i)], b[layout_b(i)])` for every multi-index `i`
-/// of `dims`, with `out` contiguous (broadcasting `binary`).
+/// of `dims`, assigning every element of the contiguous `out`
+/// (broadcasting `binary`).
 ///
 /// `a` and `b` are contiguous tensors read through broadcast strides, so
 /// inside a run each has stride 1, or 0 where it is broadcast, and at most
 /// one of them is broadcast (a run spans an axis of size > 1).
 pub(crate) fn zip_map(
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
     dims: &[usize],
     (a, a_strides): (&[f32], &[usize]),
     (b, b_strides): (&[f32], &[usize]),
@@ -165,19 +169,19 @@ pub(crate) fn zip_map(
     match runs.run_strides() {
         [_, 1, 1] => runs.for_each_run(|[o, i, j]| {
             for ((y, &x), &z) in out[o..o + n].iter_mut().zip(&a[i..i + n]).zip(&b[j..j + n]) {
-                *y = f(x, z);
+                y.write(f(x, z));
             }
         }),
         [_, 1, 0] => runs.for_each_run(|[o, i, j]| {
             let z = b[j];
             for (y, &x) in out[o..o + n].iter_mut().zip(&a[i..i + n]) {
-                *y = f(x, z);
+                y.write(f(x, z));
             }
         }),
         [_, 0, 1] => runs.for_each_run(|[o, i, j]| {
             let x = a[i];
             for (y, &z) in out[o..o + n].iter_mut().zip(&b[j..j + n]) {
-                *y = f(x, z);
+                y.write(f(x, z));
             }
         }),
         s => unreachable!("broadcast operands have run strides 0 or 1, got {s:?}"),

@@ -6,6 +6,7 @@ use crate::{Result, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::mem::MaybeUninit;
 
 /// A dense, row-major, `f32` tensor.
 ///
@@ -33,6 +34,56 @@ pub struct Tensor {
     data: Vec<f32>,
 }
 
+/// Bits of the NaN a debug build pre-fills a [`WriteOnce`] buffer with:
+/// one that survives the kernel marks an element it never wrote.
+const UNWRITTEN: u32 = 0x7FC0_DEAD;
+
+/// A tensor under construction by [`Tensor::write_once`]: its elements are
+/// uninitialized until the kernel writes them.
+#[derive(Debug)]
+pub struct WriteOnce {
+    shape: Shape,
+    /// Empty; the elements live in the spare capacity until written.
+    data: Vec<f32>,
+    op: &'static str,
+}
+
+impl WriteOnce {
+    /// Dimension sizes, outermost first.
+    pub(crate) fn dims(&self) -> &[usize] {
+        self.shape.dims()
+    }
+
+    /// The elements to write, row-major.
+    pub fn uninit(&mut self) -> &mut [MaybeUninit<f32>] {
+        let len = self.shape.num_elements();
+        &mut self.data.spare_capacity_mut()[..len]
+    }
+
+    /// The finished tensor.
+    ///
+    /// # Safety
+    ///
+    /// Every element of [`WriteOnce::uninit`] must have been written.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if an element still holds the pre-fill sentinel;
+    /// the message names the kernel.
+    pub unsafe fn assume_written(self) -> Tensor {
+        let WriteOnce { shape, mut data, op } = self;
+        // SAFETY: the caller guarantees the first `len` elements, which
+        // `write_once` reserved, are initialized.
+        unsafe { data.set_len(shape.num_elements()) };
+        if cfg!(debug_assertions) {
+            if let Some(i) = data.iter().position(|x| x.to_bits() == UNWRITTEN) {
+                panic!("{op} left element {i} of its {:?} output unwritten", shape.dims());
+            }
+        }
+        Tensor { shape, data }
+    }
+}
+
 impl Tensor {
     // ------------------------------------------------------------------
     // Constructors
@@ -44,6 +95,23 @@ impl Tensor {
             shape: Shape::new(dims),
             data: vec![0.0; dims.iter().product()],
         }
+    }
+
+    /// A tensor of shape `dims` whose buffer is allocated without a zero
+    /// fill, for a kernel `op` that assigns every element exactly once: the
+    /// kernel writes [`WriteOnce::uninit`] and [`WriteOnce::assume_written`]
+    /// returns the tensor. Use [`Tensor::zeros`] wherever a kernel
+    /// accumulates or leaves elements untouched.
+    ///
+    /// Debug builds pre-fill the buffer with a NaN sentinel and panic,
+    /// naming `op`, if any element still holds it at the end.
+    pub fn write_once(dims: &[usize], op: &'static str) -> WriteOnce {
+        let len = dims.iter().product();
+        let mut data = Vec::with_capacity(len);
+        if cfg!(debug_assertions) {
+            data.spare_capacity_mut()[..len].fill(MaybeUninit::new(f32::from_bits(UNWRITTEN)));
+        }
+        WriteOnce { shape: Shape::new(dims), data, op }
     }
 
     /// All-ones tensor of the given shape.
@@ -407,17 +475,18 @@ impl Tensor {
                 rhs: other.dims().to_vec(),
             }
         })?;
-        let mut out = Tensor::zeros(out_shape.dims());
+        let mut out = Tensor::write_once(out_shape.dims(), op);
         let a_str = broadcast_strides(&self.shape, &out_shape);
         let b_str = broadcast_strides(&other.shape, &out_shape);
         strided::zip_map(
-            &mut out.data,
+            out.uninit(),
             out_shape.dims(),
             (&self.data, &a_str),
             (&other.data, &b_str),
             f,
         );
-        Ok(out)
+        // SAFETY: `zip_map` assigns every element of its iteration shape.
+        Ok(unsafe { out.assume_written() })
     }
 
     /// Materializes this tensor broadcast to `dims`.
@@ -435,9 +504,10 @@ impl Tensor {
             });
         }
         let strides = broadcast_strides(&self.shape, &target);
-        let mut out = Tensor::zeros(dims);
-        strided::gather(&mut out.data, dims, &self.data, &strides);
-        Ok(out)
+        let mut out = Tensor::write_once(dims, "broadcast_to");
+        strided::gather(out.uninit(), dims, &self.data, &strides);
+        // SAFETY: `gather` assigns every element of its iteration shape.
+        Ok(unsafe { out.assume_written() })
     }
 
     /// Reduces (sums) this tensor down to `dims`, the adjoint of
@@ -515,9 +585,10 @@ impl Tensor {
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
         let in_strides = self.shape.strides();
         let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let mut out = Tensor::zeros(&out_dims);
-        strided::gather(&mut out.data, &out_dims, &self.data, &src_strides);
-        Ok(out)
+        let mut out = Tensor::write_once(&out_dims, "permute");
+        strided::gather(out.uninit(), &out_dims, &self.data, &src_strides);
+        // SAFETY: `gather` assigns every element of its iteration shape.
+        Ok(unsafe { out.assume_written() })
     }
 
     /// Swaps the last two axes (matrix transpose over batched matrices).

@@ -240,7 +240,7 @@ fn merge_heads(t: &Tensor) -> Tensor {
 /// bundle's gradient and the bias gradient — to the contiguous call on
 /// permuted copies.
 fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
-    use attention::{GradSink, HeadView, HeadViews};
+    use attention::{HeadView, HeadViews};
     let hd = h * d;
     let big = Tensor::randn(&[b1, b2, 4 * hd], seed);
     let bias = Tensor::randn(&[h, b2, b2], seed ^ 1);
@@ -259,14 +259,14 @@ fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
     let fv = attention::attention_heads(&views, Some(&bias), None, scale).unwrap();
     let dy = Tensor::randn(out.dims(), seed ^ 2);
     let backward = || {
-        let mut dbig = Tensor::zeros(big.dims());
-        let mut sinks = [GradSink { buf: &mut dbig, accumulate: false }];
+        let mut sinks = [None];
         let dbias = attention::attention_heads_backward(
             &views, Some(&bias), None, fv.pre_gate(), &fv.lse, scale, &dy, &mut sinks, [0; 4],
         )
         .unwrap()
         .unwrap();
-        (dbig, dbias)
+        let [dbig] = sinks;
+        (dbig.unwrap(), dbias)
     };
     let dbig = identical_across_threads(|| backward().0);
     let dbias = identical_across_threads(|| backward().1);
@@ -331,6 +331,178 @@ fn axis0_head_views_are_bit_identical() {
         .unwrap();
     assert_eq!(out.dims(), &[r, hd]);
     assert_eq!(out.data(), fa.out.data(), "forward vs permuted copies");
+}
+
+/// K and V as axis-0 views of a `[s, r, 4·h·d]` bundle whose query and gate
+/// columns no view covers, as global column attention runs them: a fresh
+/// sink gets exact zeros there, and equals (as values) the gradient added
+/// into a zero-filled sink.
+#[test]
+fn fresh_sink_zeroes_uncovered_columns() {
+    use attention::{HeadView, HeadViews};
+    let (s, r, h, d) = (9, 5, 2, 4);
+    let hd = h * d;
+    let bundle = Tensor::randn(&[s, r, 4 * hd], 35);
+    let q = Tensor::randn(&[r, hd], 36);
+    let views = HeadViews {
+        q: HeadView { src: &q, col: 0, axis: None },
+        k: HeadView { src: &bundle, col: hd, axis: Some(0) },
+        v: HeadView { src: &bundle, col: 2 * hd, axis: Some(0) },
+        gate: None,
+        heads: h,
+        d,
+    };
+    let fa = attention::attention_heads(&views, None, None, 0.5).unwrap();
+    let dy = Tensor::randn(fa.out.dims(), 37);
+    let backward = |bundle_sink: Option<Tensor>| {
+        let mut sinks = [None, bundle_sink];
+        attention::attention_heads_backward(&views, None, None, &fa.out, &fa.lse, 0.5, &dy, &mut sinks, [0, 1, 1, 1])
+            .unwrap();
+        let [_, dbundle] = sinks;
+        dbundle.unwrap()
+    };
+    let fresh = identical_across_threads(|| backward(None));
+    let added = backward(Some(Tensor::zeros(bundle.dims())));
+    assert_eq!(fresh.data(), added.data());
+    for row in fresh.data().chunks_exact(4 * hd) {
+        let uncovered = row[..hd].iter().chain(&row[3 * hd..]);
+        assert!(uncovered.into_iter().all(|x| x.to_bits() == 0), "uncovered columns are +0.0");
+        assert!(row[hd..3 * hd].iter().any(|&x| x != 0.0));
+    }
+}
+
+// --- Narrow panels: a panel of at most 8 columns (head widths, the tail of
+// --- a 40-key logits row) is packed 8 wide and runs 8 x 8 tiles.
+
+const NARROW_N: [usize; 8] = [1, 4, 7, 8, 9, 17, 24, 40];
+const NARROW_M: [usize; 6] = [1, 7, 8, 9, 33, 40];
+const NARROW_K: [usize; 4] = [0, 1, 8, 40];
+
+fn bits(data: &[f32]) -> Vec<u32> {
+    data.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The `m × n` sums `Σ_kk a(i, kk)·b(kk, j)`, each added in ascending `kk`
+/// from +0.0: the order every GEMM tile promises.
+fn reference_sums(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut s = 0.0f32;
+            for kk in 0..k {
+                s += a(i, kk) * b(kk, j);
+            }
+            out.push(s);
+        }
+    }
+    out
+}
+
+/// A two-batch `m × k` by `k × n` product of `kind`, its rhs per batch
+/// element or shared: bit-identical across thread counts and to the
+/// per-element reference sums.
+fn check_narrow_product(kind: SharedB, shared: bool, m: usize, k: usize, n: usize, seed: u64) {
+    let batch = 2;
+    let (a, w) = kind.operands(batch, m, k, n, seed);
+    let w = if shared {
+        w
+    } else {
+        let mut dims = vec![batch];
+        dims.extend_from_slice(w.dims());
+        Tensor::randn(&dims, seed ^ 0xB)
+    };
+    let out = identical_across_threads(|| kind.run(&a, &w));
+    assert_eq!(out.dims(), &[batch, m, n]);
+    let (ad, wd) = (a.data(), w.data());
+    let mut expect = Vec::with_capacity(out.len());
+    for bi in 0..batch {
+        let (a0, w0) = (bi * m * k, if shared { 0 } else { bi * k * n });
+        let a_at = |i: usize, kk: usize| match kind {
+            SharedB::At => ad[a0 + kk * m + i],
+            _ => ad[a0 + i * k + kk],
+        };
+        let w_at = |kk: usize, j: usize| match kind {
+            SharedB::Bt => wd[w0 + j * k + kk],
+            _ => wd[w0 + kk * n + j],
+        };
+        expect.extend(reference_sums(m, k, n, a_at, w_at));
+    }
+    assert_eq!(bits(out.data()), bits(&expect), "{kind:?} shared={shared} m={m} k={k} n={n}");
+}
+
+#[test]
+fn narrow_panel_products_are_bit_identical() {
+    let mut seed = 40;
+    for kind in [SharedB::Matmul, SharedB::Bt, SharedB::At] {
+        for shared in [false, true] {
+            for m in NARROW_M {
+                for k in NARROW_K {
+                    for n in NARROW_N {
+                        seed += 1;
+                        check_narrow_product(kind, shared, m, k, n, seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_panel_linear_is_bit_identical() {
+    use sf_tensor::ops::matmul::{linear, linear_weight_grad};
+    let mut seed = 2000;
+    for m in NARROW_M {
+        for k in NARROW_K {
+            for n in NARROW_N {
+                seed += 1;
+                // linear: m rows of width k against an [n, k] weight.
+                let x = Tensor::randn(&[m, k], seed);
+                let w = Tensor::randn(&[n, k], seed ^ 1);
+                let b = Tensor::randn(&[n], seed ^ 2);
+                let sums = reference_sums(m, k, n, |i, kk| x.data()[i * k + kk], |kk, j| w.data()[j * k + kk]);
+                let y = identical_across_threads(|| linear(&x, &w, None).unwrap());
+                assert_eq!(bits(y.data()), bits(&sums), "linear m={m} k={k} n={n}");
+                let yb = identical_across_threads(|| linear(&x, &w, Some(&b)).unwrap());
+                let biased: Vec<f32> = sums.iter().enumerate().map(|(e, &s)| s + b.data()[e % n]).collect();
+                assert_eq!(bits(yb.data()), bits(&biased), "biased linear m={m} k={k} n={n}");
+                // linear_weight_grad: dy [k, m], x [k, n] -> [m, n], summed
+                // over the k rows.
+                let dy = Tensor::randn(&[k, m], seed ^ 3);
+                let xs = Tensor::randn(&[k, n], seed ^ 4);
+                let dw = identical_across_threads(|| linear_weight_grad(&dy, &xs).unwrap());
+                let expect = reference_sums(m, k, n, |i, kk| dy.data()[kk * m + i], |kk, j| xs.data()[kk * n + j]);
+                assert_eq!(bits(dw.data()), bits(&expect), "linear_weight_grad m={m} k={k} n={n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_head_widths_are_bit_identical() {
+    // d = 4, 5 and 8: the P·V, dV, dK and dQ products run narrow panels;
+    // key counts put the logits row's last panel on both tiles.
+    let mut seed = 3000;
+    for d in [4, 5, 8] {
+        for s in [1, 7, 9, 17, 40] {
+            seed += 1;
+            check_bundled_views(2, s, 2, d, seed);
+        }
+    }
+}
+
+/// A debug build pre-fills a write-once buffer with a NaN sentinel and
+/// panics, naming the kernel, when one survives.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "skipper left element 0")]
+fn write_once_names_the_op_that_skipped_an_element() {
+    let mut t = Tensor::write_once(&[2, 3], "skipper");
+    for x in t.uninit().iter_mut().skip(1) {
+        x.write(1.0);
+    }
+    // SAFETY: a debug build pre-filled every element, so the skipped one
+    // holds the sentinel rather than uninitialized memory.
+    let _ = unsafe { t.assume_written() };
 }
 
 // --- Random shapes: the same property over the full shape space,
