@@ -1,12 +1,12 @@
 //! Kernel benchmark baseline for the parallel CPU backend.
 //!
-//! Times the hot kernels (batched GEMM, a head-width GEMM, LayerNorm,
-//! softmax, attention with pair bias, fused gated attention) at
+//! Times the hot kernels (batched GEMM, a head-width GEMM, LayerNorm and
+//! its backward, softmax, attention with pair bias, fused gated attention) at
 //! AlphaFold-like shapes in three configurations:
 //!
 //! 1. **seed serial** — the reference kernels the repo started with
 //!    ([`sf_tensor::ops::matmul::gemm_block`], `naive_forward`,
-//!    a plain per-row softmax loop, `naive_attention`);
+//!    `naive_backward`, a plain per-row softmax loop, `naive_attention`);
 //! 2. **opt serial** — the register-tiled / fused kernels pinned to one
 //!    thread (`sf_tensor::pool::set_num_threads(1)`);
 //! 3. **parallel** — the same kernels at the requested thread count.
@@ -28,7 +28,7 @@
 use std::time::Instant;
 
 use sf_tensor::ops::attention::{attention_fused, MASK_NEG};
-use sf_tensor::ops::layernorm::fused_forward;
+use sf_tensor::ops::layernorm::{fused_backward, fused_forward, naive_backward};
 use sf_tensor::ops::matmul::{gemm_block, matmul};
 use sf_tensor::ops::softmax::softmax;
 use sf_tensor::pool;
@@ -176,7 +176,7 @@ fn seed_attention(q: &Tensor, k: &Tensor, v: &Tensor, bias: &Tensor, scale: f32)
 #[derive(Debug, Clone)]
 pub struct KernelTiming {
     /// Kernel name (`matmul_batched`, `matmul_head_width`, `layer_norm`,
-    /// `softmax`, `attention`, `attention_fused`).
+    /// `layer_norm_backward`, `softmax`, `attention`, `attention_fused`).
     pub name: &'static str,
     /// Human-readable shape description.
     pub shape: String,
@@ -295,12 +295,12 @@ impl KernelBenchReport {
     pub fn to_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "{:<18} {:<28} {:>12} {:>12} {:>12} {:>8} {:>8}\n",
+            "{:<20} {:<28} {:>12} {:>12} {:>12} {:>8} {:>8}\n",
             "kernel", "shape", "seed_ms", "serial_ms", "parallel_ms", "xSeed", "xSerial"
         ));
         for t in &self.timings {
             s.push_str(&format!(
-                "{:<18} {:<28} {:>12.4} {:>12.4} {:>12.4} {:>8.2} {:>8.2}\n",
+                "{:<20} {:<28} {:>12.4} {:>12.4} {:>12.4} {:>8.2} {:>8.2}\n",
                 t.name,
                 t.shape,
                 t.seed_serial_ms,
@@ -311,7 +311,7 @@ impl KernelBenchReport {
             ));
             if let Some(c) = t.composed {
                 s.push_str(&format!(
-                    "{:<18} {:<28} {:>12} {:>12.4} {:>12} {:>8} {:>7.2}x\n",
+                    "{:<20} {:<28} {:>12} {:>12.4} {:>12} {:>8} {:>7.2}x\n",
                     "", "  vs composed chain", "", c.composed_ms, "", "fused", c.speedup
                 ));
             }
@@ -426,6 +426,8 @@ struct BenchShapes {
     head: (usize, usize, usize, usize),
     /// LayerNorm / softmax over an MSA-like activation `[s, r, c]`.
     msa: (usize, usize, usize),
+    /// LayerNorm backward over medium-train's pair activation `[r, r, c]`.
+    ln_bwd: (usize, usize, usize),
     /// Attention `q/k/v: [b, h, s, d]` with bias `[h, s, s]`.
     attn: (usize, usize, usize, usize),
 }
@@ -442,6 +444,7 @@ impl BenchShapes {
                 // Medium-train's P·V: 160 (row, head) pairs, 40 keys, d = 8.
                 head: (160, 40, 40, 8),
                 msa: (128, 256, 64),
+                ln_bwd: (40, 40, 16),
                 attn: (8, 8, 256, 32),
             },
             BenchScale::Quick => BenchShapes {
@@ -450,6 +453,7 @@ impl BenchShapes {
                 mm: (2, 16, 8, 16),
                 head: (4, 8, 8, 8),
                 msa: (4, 8, 16),
+                ln_bwd: (4, 8, 16),
                 attn: (2, 2, 16, 8),
             },
         }
@@ -554,6 +558,45 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
         });
         timings.push(KernelTiming {
             name: "layer_norm",
+            shape: format!("[{s},{r},{c}]"),
+            seed_serial_ms,
+            opt_serial_ms,
+            parallel_ms,
+            composed: None,
+        });
+    }
+
+    // --- LayerNorm backward: the row loop against the fused kernel ------
+    {
+        let (s, r, c) = sh.ln_bwd;
+        let x = Tensor::randn(&[s, r, c], 22);
+        let gamma = Tensor::randn(&[c], 23);
+        let beta = Tensor::zeros(&[c]);
+        let dy = Tensor::randn(&[s, r, c], 24);
+        let (_, stats) = fused_forward(&x, &gamma, &beta, 1e-5).expect("bench ln");
+        // The autograd tape's block size.
+        let block_rows = 64;
+        let fused = || fused_backward(&dy, &x, &gamma, &stats, block_rows).expect("bench ln bwd");
+        let naive = || naive_backward(&dy, &x, &gamma, &stats).expect("bench ln bwd");
+        let ((dx, dg, db), (ndx, ndg, ndb)) = (fused(), naive());
+        assert!(
+            dx.data() == ndx.data() && dg.allclose(&ndg, 1e-4) && db.allclose(&ndb, 1e-4),
+            "fused layernorm backward diverged from the row loop"
+        );
+
+        let seed_serial_ms = best_of(iters, || {
+            std::hint::black_box(naive());
+        });
+        pool::set_num_threads(1);
+        let opt_serial_ms = best_of(iters, || {
+            std::hint::black_box(fused());
+        });
+        pool::set_num_threads(nthreads);
+        let parallel_ms = best_of(iters, || {
+            std::hint::black_box(fused());
+        });
+        timings.push(KernelTiming {
+            name: "layer_norm_backward",
             shape: format!("[{s},{r},{c}]"),
             seed_serial_ms,
             opt_serial_ms,
@@ -764,7 +807,7 @@ mod tests {
     fn quick_bench_produces_sane_report() {
         let report = run(2, BenchScale::Quick);
         assert_eq!(report.threads, 2);
-        assert_eq!(report.timings.len(), 6);
+        assert_eq!(report.timings.len(), 7);
         for t in &report.timings {
             assert!(t.seed_serial_ms.is_finite() && t.seed_serial_ms >= 0.0);
             assert!(t.opt_serial_ms.is_finite() && t.opt_serial_ms >= 0.0);
@@ -778,6 +821,7 @@ mod tests {
                 "matmul_batched",
                 "matmul_head_width",
                 "layer_norm",
+                "layer_norm_backward",
                 "softmax",
                 "attention",
                 "attention_fused"

@@ -14,7 +14,7 @@ use crate::dap::{DapGroup, DapStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use sf_autograd::{CheckpointError, Graph, ParamStore};
+use sf_autograd::{CheckpointError, Graph, ParamStore, SlotGrads};
 use sf_cluster::collective::all_reduce_tensors;
 use sf_data::featurize::featurize;
 use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
@@ -23,7 +23,7 @@ use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
 use sf_model::loss::LossBreakdown;
 use sf_model::metrics::lddt_ca;
 use sf_model::{AlphaFold, FeatureBatch, ModelConfig};
-use sf_optim::{clip_by_global_norm, AdamConfig, FusedAdamSwa, Grads, LrSchedule};
+use sf_optim::{clip_slots_by_global_norm, AdamConfig, FusedAdamSwa, LrSchedule};
 use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
 use std::path::{Path, PathBuf};
@@ -391,7 +391,7 @@ impl Trainer {
         assert_eq!(batches.len(), self.ranks(), "one batch per replica");
         let n = batches.len() as f32;
         let (mut loss, mut distance_loss, mut lddt) = (0.0f32, 0.0f32, 0.0f32);
-        let mut grads: Vec<Grads> = Vec::with_capacity(batches.len());
+        let mut grads: Vec<SlotGrads> = Vec::with_capacity(batches.len());
         for (replica, batch) in self.replicas.iter_mut().zip(batches) {
             let mut g = Graph::new();
             let out = {
@@ -403,11 +403,13 @@ impl Trainer {
             let replica_grads = {
                 let _bwd = sf_trace::span("backward", "backward");
                 g.backward(out.loss).expect("scalar loss");
-                let mut replica_grads = g.grads_by_name().expect("consistent bindings");
+                let mut replica_grads = g
+                    .take_param_grads(&replica.store)
+                    .expect("bindings from this replica's store");
                 // Precision rounding of gradients (bf16 path of §3.4; fp16
                 // shows the NaN failure mode at larger scales).
                 if self.cfg.precision != Precision::F32 {
-                    for grad in replica_grads.values_mut() {
+                    for grad in replica_grads.iter_mut().flatten() {
                         *grad = self.cfg.precision.quantize(grad);
                     }
                 }
@@ -428,21 +430,29 @@ impl Trainer {
         }
         let step_dap = self.dap_group.take_stats();
         self.dap_comm += step_dap;
+        // Every replica creates its parameters in the same order, so one
+        // slot names the same parameter on all of them.
+        let order = self.replicas[0].store.sorted_slots();
+        debug_assert!(self.replicas.iter().all(|r| {
+            let (a, b) = (&r.store, &self.replicas[0].store);
+            a.len() == b.len() && (0..a.len()).all(|s| a.name(s) == b.name(s))
+        }));
         if self.injector.poison_grads_at(self.step) {
-            let first = grads[0].values_mut().next();
-            if let Some(x) = first.and_then(|g| g.data_mut().first_mut()) {
+            // The first gradient by name, as in a name-keyed map.
+            let first = order.iter().find_map(|&s| grads[0][s].is_some().then_some(s));
+            if let Some(x) = first.and_then(|s| grads[0][s].as_mut()?.data_mut().first_mut()) {
                 *x = f32::NAN;
             }
         }
-        let elements_all_reduced = all_reduce_grads(&mut grads);
+        let elements_all_reduced = all_reduce_grads(&mut grads, order);
 
         let _opt = sf_trace::span("optimizer", "optimizer");
         let lr = self.cfg.schedule.lr_at(self.step);
-        let norm = clip_by_global_norm(&mut grads[0], self.cfg.clip_norm);
+        let norm = clip_slots_by_global_norm(&mut grads[0], order, self.cfg.clip_norm);
         let finite = loss.is_finite() && norm.is_finite();
         if finite {
             for replica in &mut self.replicas {
-                replica.optimizer.step(&mut replica.store, &grads[0], lr);
+                replica.optimizer.step_slots(&mut replica.store, &grads[0], lr);
             }
         } else {
             self.recovery.push(RecoveryEvent::NonFiniteSkipped {
@@ -704,23 +714,25 @@ fn score(model: &AlphaFold, mut weights: ParamStore, batches: &[FeatureBatch]) -
     total / batches.len().max(1) as f32
 }
 
-/// Ring-all-reduces (mean) every gradient tensor across the replicas' maps
-/// in place: each tensor moves out of every map, through
-/// `all_reduce_tensors`, and back. Returns the elements sent (0 at one
-/// replica, where it is a no-op).
-fn all_reduce_grads(grads: &mut [Grads]) -> usize {
+/// Ring-all-reduces (mean) every gradient tensor across the replicas' slot
+/// vectors in place, one slot at a time in `order` (name order): each
+/// tensor moves out of every vector, through `all_reduce_tensors`, and
+/// back. Returns the elements sent (0 at one replica, where it is a no-op).
+fn all_reduce_grads(grads: &mut [SlotGrads], order: &[usize]) -> usize {
     let span = sf_trace::span("collective", "grad_all_reduce");
     let mut sent = 0;
     if grads.len() > 1 {
-        let names: Vec<String> = grads[0].keys().cloned().collect();
-        for name in names {
+        for &slot in order {
+            if grads[0][slot].is_none() {
+                continue;
+            }
             let mut tensors: Vec<Tensor> = grads
                 .iter_mut()
-                .map(|g| g.remove(&name).expect("replicas bind the same parameters"))
+                .map(|g| g[slot].take().expect("replicas bind the same parameters"))
                 .collect();
             sent += all_reduce_tensors(&mut tensors).elements_sent;
             for (g, t) in grads.iter_mut().zip(tensors) {
-                g.insert(name.clone(), t);
+                g[slot] = Some(t);
             }
         }
     }

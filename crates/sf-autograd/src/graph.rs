@@ -32,13 +32,14 @@ pub(crate) struct Node {
 ///
 /// Build the forward computation with the methods below, then call
 /// [`Graph::backward`] on a scalar loss. Leaf gradients are retrieved with
-/// [`Graph::grad`] or, for parameters bound by name via
-/// [`Graph::use_param`], with [`Graph::grads_by_name`].
+/// [`Graph::grad`] or, for parameters bound from a store via
+/// [`Graph::use_param`], with [`Graph::take_param_grads`] (by slot) or
+/// [`Graph::grads_by_name`].
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Tensor>>,
-    pub(crate) bindings: Vec<(String, Var)>,
+    pub(crate) bindings: Vec<crate::params::Binding>,
 }
 
 impl std::fmt::Debug for Graph {

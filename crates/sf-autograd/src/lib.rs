@@ -49,7 +49,7 @@ mod params;
 
 pub use graph::{Graph, HeadVar, HeadVars, Var};
 pub use checkpoint_io::{CheckpointError, Crc32, LatestCheckpoint};
-pub use params::ParamStore;
+pub use params::{ParamStore, SlotGrads};
 
 use std::fmt;
 

@@ -14,8 +14,13 @@ use sf_tensor::Tensor;
 /// Computes the global L2 norm the naive way: one reduction per tensor,
 /// then a host-side combine. Returns the norm.
 pub fn global_norm_naive(grads: &Grads) -> f32 {
+    global_norm(grads.values())
+}
+
+/// The global L2 norm of `grads`, summing per-tensor squared norms in `f64`
+/// in iteration order.
+fn global_norm<'a>(grads: impl Iterator<Item = &'a Tensor>) -> f32 {
     grads
-        .values()
         .map(|g| {
             let n = g.norm() as f64;
             n * n
@@ -34,12 +39,24 @@ pub fn global_norm_naive(grads: &Grads) -> f32 {
 /// the step when `!norm.is_finite()`.
 pub fn clip_by_global_norm(grads: &mut Grads, max_norm: f32) -> f32 {
     let norm = global_norm_naive(grads);
-    if !norm.is_finite() {
-        return norm;
-    }
-    if norm > max_norm && norm > 0.0 {
+    scale_to(norm, max_norm, grads.values_mut())
+}
+
+/// [`clip_by_global_norm`] over a slot vector (see
+/// `sf_autograd::Graph::take_param_grads`): the per-slot norms sum in
+/// `order` — the store's sorted slots, i.e. name order — so the norm is
+/// bitwise the name-keyed one.
+pub fn clip_slots_by_global_norm(grads: &mut [Option<Tensor>], order: &[usize], max_norm: f32) -> f32 {
+    let norm = global_norm(order.iter().filter_map(|&s| grads[s].as_ref()));
+    scale_to(norm, max_norm, grads.iter_mut().flatten())
+}
+
+/// Scales `grads` by `max_norm / norm` when `norm` is finite and above
+/// `max_norm`. Returns `norm`.
+fn scale_to<'a>(norm: f32, max_norm: f32, grads: impl Iterator<Item = &'a mut Tensor>) -> f32 {
+    if norm.is_finite() && norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        for g in grads.values_mut() {
+        for g in grads {
             // One more pass per tensor — the second kernel storm.
             g.map_inplace(|x| x * scale);
         }

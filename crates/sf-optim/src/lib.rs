@@ -24,7 +24,7 @@ pub mod schedule;
 pub mod swa;
 
 pub use adam::{Adam, AdamConfig};
-pub use clip::{clip_by_global_norm, GradBuckets};
+pub use clip::{clip_by_global_norm, clip_slots_by_global_norm, GradBuckets};
 pub use fused::FusedAdamSwa;
 pub use schedule::LrSchedule;
 pub use swa::Swa;

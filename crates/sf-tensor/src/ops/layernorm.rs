@@ -211,6 +211,38 @@ pub fn naive_backward(
     Ok((dx, dgamma, dbeta))
 }
 
+/// Rows whose backward row sums [`fused_backward`] runs interleaved.
+const SUM_ROWS: usize = 8;
+
+/// The backward row sums `(Σ dxhat, Σ dxhat·xhat)` of the `R` rows in `x`
+/// and `dy` (`R × inner`, `inner = gamma.len()`). Each row's two sums add
+/// in element order, exactly as a row-at-a-time loop does; the `R` rows'
+/// chains are interleaved so the adds overlap instead of waiting on one
+/// another.
+#[inline(always)]
+fn row_sums<const R: usize>(
+    x: &[f32],
+    dy: &[f32],
+    gamma: &[f32],
+    mean: &[f32],
+    rstd: &[f32],
+) -> [(f32, f32); R] {
+    let inner = gamma.len();
+    let xs: [&[f32]; R] = std::array::from_fn(|j| &x[j * inner..][..inner]);
+    let dys: [&[f32]; R] = std::array::from_fn(|j| &dy[j * inner..][..inner]);
+    let (mean, rstd): ([f32; R], [f32; R]) = (std::array::from_fn(|j| mean[j]), std::array::from_fn(|j| rstd[j]));
+    let mut sums = [(0.0f32, 0.0f32); R];
+    for (i, &g) in gamma.iter().enumerate() {
+        for j in 0..R {
+            let xhat = (xs[j][i] - mean[j]) * rstd[j];
+            let dxhat = dys[j][i] * g;
+            sums[j].0 += dxhat;
+            sums[j].1 += dxhat * xhat;
+        }
+    }
+    sums
+}
+
 /// Fused backward pass with the paper's **two-step reduction** for
 /// `dgamma`/`dbeta`: rows are grouped into blocks of `block_rows`; each block
 /// reduces its sub-region of upstream gradients into an intermediate
@@ -251,7 +283,7 @@ pub fn fused_backward(
     scratch::with_zeroed_scratch(2 * num_blocks * inner, |partial| {
         let partial_ptr = SendPtr::new(partial);
         let dx_ptr = SendPtr::new(dx.data_mut());
-        let (xd, dyd, gd) = (x.data(), dy.data(), gamma.data());
+        let (xd, dyd, gd) = (x.data(), dy.data(), &gamma.data()[..inner]);
         parallel_for(num_blocks, block_rows.min(rows) * inner * 12, |range| {
             for blk in range {
                 let r0 = blk * block_rows;
@@ -259,26 +291,35 @@ pub fn fused_backward(
                 // SAFETY: each block owns its partial rows and dx rows.
                 let pg = unsafe { partial_ptr.slice_mut(blk * inner, inner) };
                 let pb = unsafe { partial_ptr.slice_mut((num_blocks + blk) * inner, inner) };
-                for r in r0..r1 {
-                    let xs = &xd[r * inner..(r + 1) * inner];
-                    let dys = &dyd[r * inner..(r + 1) * inner];
-                    let dxs = unsafe { dx_ptr.slice_mut(r * inner, inner) };
-                    let (mean, rstd) = (stats.mean[r], stats.rstd[r]);
-                    let mut sum_dxhat = 0.0f32;
-                    let mut sum_dxhat_xhat = 0.0f32;
-                    for i in 0..inner {
-                        let xhat = (xs[i] - mean) * rstd;
-                        let dxhat = dys[i] * gd[i];
-                        sum_dxhat += dxhat;
-                        sum_dxhat_xhat += dxhat * xhat;
-                        pg[i] += dys[i] * xhat;
-                        pb[i] += dys[i];
+                let n = inner as f32;
+                for r in (r0..r1).step_by(SUM_ROWS) {
+                    let w = (r1 - r).min(SUM_ROWS);
+                    let (x, dy) = (&xd[r * inner..(r + w) * inner], &dyd[r * inner..(r + w) * inner]);
+                    let (mean, rstd) = (&stats.mean[r..r + w], &stats.rstd[r..r + w]);
+                    let mut sums = [(0.0f32, 0.0f32); SUM_ROWS];
+                    if w == SUM_ROWS {
+                        sums = row_sums::<SUM_ROWS>(x, dy, gd, mean, rstd);
+                    } else {
+                        for (j, sum) in sums[..w].iter_mut().enumerate() {
+                            let row = j * inner..(j + 1) * inner;
+                            [*sum] = row_sums::<1>(&x[row.clone()], &dy[row], gd, &mean[j..], &rstd[j..]);
+                        }
                     }
-                    let n = inner as f32;
-                    for i in 0..inner {
-                        let xhat = (xs[i] - mean) * rstd;
-                        let dxhat = dys[i] * gd[i];
-                        dxs[i] = rstd * (dxhat - sum_dxhat / n - xhat * sum_dxhat_xhat / n);
+                    let rows = x.chunks_exact(inner).zip(dy.chunks_exact(inner));
+                    for (j, ((xs, dys), &(sum_dxhat, sum_dxhat_xhat))) in rows.zip(&sums).enumerate() {
+                        let (mean, rstd) = (mean[j], rstd[j]);
+                        for ((g, b), (&x, &dy)) in pg.iter_mut().zip(pb.iter_mut()).zip(xs.iter().zip(dys)) {
+                            let xhat = (x - mean) * rstd;
+                            *g += dy * xhat;
+                            *b += dy;
+                        }
+                        // SAFETY: each block owns its dx rows.
+                        let dxs = unsafe { dx_ptr.slice_mut((r + j) * inner, inner) };
+                        for ((d, &gamma), (&x, &dy)) in dxs.iter_mut().zip(gd).zip(xs.iter().zip(dys)) {
+                            let xhat = (x - mean) * rstd;
+                            let dxhat = dy * gamma;
+                            *d = rstd * (dxhat - sum_dxhat / n - xhat * sum_dxhat_xhat / n);
+                        }
                     }
                 }
             }
@@ -359,6 +400,29 @@ mod tests {
             assert!(dx1.allclose(&dx2, 1e-5));
             assert!(dg1.allclose(&dg2, 1e-4));
             assert!(db1.allclose(&db2, 1e-4));
+        }
+    }
+
+    #[test]
+    fn fused_backward_is_bitwise_the_row_loop() {
+        // 37 rows: four interleaved groups of 8 plus a 5-row tail. With one
+        // block, every output is the naive row-at-a-time loop's, bit for
+        // bit; with several, dx still is (the partials only regroup the
+        // dgamma/dbeta sums).
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for inner in [1, 13, 44] {
+            let (x, gamma, beta) = setup(37, inner);
+            let (_, stats) = fused_forward(&x, &gamma, &beta, LN_EPS).unwrap();
+            let dy = Tensor::randn(&[37, inner], 9);
+            let (ndx, ndg, ndb) = naive_backward(&dy, &x, &gamma, &stats).unwrap();
+            let (dx, dg, db) = fused_backward(&dy, &x, &gamma, &stats, 64).unwrap();
+            assert_eq!(bits(&dx), bits(&ndx), "dx, inner {inner}");
+            assert_eq!(bits(&dg), bits(&ndg), "dgamma, inner {inner}");
+            assert_eq!(bits(&db), bits(&ndb), "dbeta, inner {inner}");
+            for block_rows in [1, 5, 8, 9] {
+                let (dx, ..) = fused_backward(&dy, &x, &gamma, &stats, block_rows).unwrap();
+                assert_eq!(bits(&dx), bits(&ndx), "dx, inner {inner}, block {block_rows}");
+            }
         }
     }
 

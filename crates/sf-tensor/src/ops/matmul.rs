@@ -296,8 +296,8 @@ pub(crate) trait TileStore {
 }
 
 /// Assigns the first `jw` sums of `acc` from `dst`. A full row (`jw == W`)
-/// moves as one fixed-size array, which compiles to vector stores; only an
-/// edge tile copies a runtime width.
+/// moves as one fixed-size array, which compiles to vector stores; an edge
+/// row moves as a few fixed-size pieces ([`copy_short`]).
 ///
 /// # Safety
 ///
@@ -307,7 +307,37 @@ unsafe fn assign_row<const W: usize>(dst: *mut f32, jw: usize, acc: &[f32; W]) {
     if jw == W {
         dst.cast::<[f32; W]>().write(*acc);
     } else {
-        std::ptr::copy_nonoverlapping(acc.as_ptr(), dst, jw.min(W));
+        copy_short(acc.as_ptr(), dst, jw.min(W));
+    }
+}
+
+/// Copies `n < 16` floats from `src` to `dst` as at most four fixed-size
+/// moves (8, 4, 2 and 1 floats, by the bits of `n`): a few vector moves in
+/// place of a libc `memcpy` call, which an edge row of a runtime width
+/// otherwise compiles to.
+///
+/// # Safety
+///
+/// `src..src + n` must be valid for reads and `dst..dst + n` for writes,
+/// and the two must not overlap.
+#[inline(always)]
+unsafe fn copy_short(src: *const f32, dst: *mut f32, n: usize) {
+    debug_assert!(n < 16, "copy_short moves fewer than 16 floats");
+    let mut j = 0;
+    if n & 8 != 0 {
+        dst.cast::<[f32; 8]>().write(src.cast::<[f32; 8]>().read());
+        j = 8;
+    }
+    if n & 4 != 0 {
+        dst.add(j).cast::<[f32; 4]>().write(src.add(j).cast::<[f32; 4]>().read());
+        j += 4;
+    }
+    if n & 2 != 0 {
+        dst.add(j).cast::<[f32; 2]>().write(src.add(j).cast::<[f32; 2]>().read());
+        j += 2;
+    }
+    if n & 1 != 0 {
+        dst.add(j).write(src.add(j).read());
     }
 }
 
@@ -535,13 +565,17 @@ fn pack_panel_w<const W: usize>(b: &[f32], ldb: usize, tb: bool, k: usize, j0: u
         }
     } else {
         for (kk, row) in pack.chunks_exact_mut(W).enumerate() {
+            let row: &mut [f32; W] = row.try_into().expect("packed rows are W wide");
             let src = &b[kk * ldb + j0..][..jw];
-            match (<&mut [f32; W]>::try_from(&mut *row), <&[f32; W]>::try_from(src)) {
+            match <&[f32; W]>::try_from(src) {
                 // A full row moves as one fixed-size array.
-                (Ok(dst), Ok(src)) => *dst = *src,
-                _ => {
-                    row[..jw].copy_from_slice(src);
-                    row[jw..].fill(0.0);
+                Ok(src) => *row = *src,
+                // An edge row: zeros, then a few fixed-size moves.
+                Err(_) => {
+                    *row = [0.0; W];
+                    // SAFETY: `src` holds `jw < W <= 16` floats and `row`
+                    // holds `W`; they are different buffers.
+                    unsafe { copy_short(src.as_ptr(), row.as_mut_ptr(), jw) };
                 }
             }
         }
