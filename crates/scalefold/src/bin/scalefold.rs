@@ -5,10 +5,8 @@
 //! scalefold simulate [DAP]           simulated cluster step time at DAP-n
 //! scalefold memory [DAP]             per-rank memory footprint at DAP-n
 //! scalefold ladder                   the Figure-8 optimization ladder
-//! scalefold figures                  every table/figure reproduction
 //! scalefold faults [STEPS]           fault-injection drill on real training
 //! scalefold tradeoff [STEPS]         checkpoint-interval x failure-rate grid
-//! scalefold bench-kernels            CPU kernel baseline -> BENCH_kernels.json
 //! scalefold trace-report [PATH]      phase table from a trace (no PATH: A/B drill)
 //! ```
 //!
@@ -23,13 +21,16 @@
 //! Every attention site runs the one fused attention kernel; there is no
 //! switch to a composed op chain.
 //!
+//! The paper's tables and figures and the CPU kernel baseline are `sf-bench`
+//! binaries (`cargo run --release -p sf-bench --bin all_figures`, `--bin
+//! kernels`).
+//!
 //! Each command takes at most one positional argument; anything left over
 //! after the global flags are stripped is an error (exit 1).
 //!
 //! All I/O failures propagate to a nonzero exit code instead of panicking.
 
-use scalefold::kernel_bench::{self, BenchScale};
-use scalefold::{experiments, ladder_stages, LoaderKind, OptimizationSet, Trainer, TrainerConfig};
+use scalefold::{ladder_stages, LoaderKind, OptimizationSet, Trainer, TrainerConfig};
 use sf_cluster::{ClusterConfig, ClusterSim, FailureModel, StragglerModel};
 use sf_faults::{corrupt, FaultPlan};
 use sf_model::ModelConfig;
@@ -66,8 +67,7 @@ fn main() -> ExitCode {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     // At most one positional argument per command: a leftover (say, a
     // removed flag) fails loudly instead of being silently ignored.
-    let takes_arg =
-        !matches!(cmd, "ladder" | "figures" | "bench-kernels" | "help" | "--help" | "-h");
+    let takes_arg = !matches!(cmd, "ladder" | "help" | "--help" | "-h");
     if let Some(extra) = args.get(if takes_arg { 2 } else { 1 }) {
         eprintln!("scalefold {cmd}: error: unexpected argument '{extra}'");
         return ExitCode::FAILURE;
@@ -77,10 +77,8 @@ fn main() -> ExitCode {
         "simulate" => parse_num(&args, 1, 8).and_then(|n| simulate(n as usize)),
         "memory" => parse_num(&args, 1, 8).and_then(|n| memory_report(n as usize)),
         "ladder" => ladder(),
-        "figures" => figures(),
         "faults" => parse_num(&args, 1, 6).and_then(|n| fault_drill(n, dap)),
         "tradeoff" => parse_num(&args, 1, 2000).and_then(tradeoff),
-        "bench-kernels" => bench_kernels(),
         "trace-report" => trace_report(args.get(1).map(String::as_str)),
         "help" | "--help" | "-h" => help(),
         other => {
@@ -223,13 +221,10 @@ fn help() -> CliResult {
     println!("  simulate [DAP=8]    simulated H100 cluster step time at DAP-n");
     println!("  memory [DAP=8]      per-rank memory footprint at DAP-n");
     println!("  ladder              the Figure-8 optimization ladder");
-    println!("  figures             regenerate every table/figure");
     println!("  faults [STEPS=6]    inject worker panics, NaN grads, and a");
     println!("                      corrupt checkpoint into a real run");
     println!("  tradeoff [STEPS]    expected run time vs checkpoint interval");
     println!("                      and failure rate (default 2000 steps)");
-    println!("  bench-kernels       time the CPU kernels (seed vs serial vs");
-    println!("                      parallel) and write BENCH_kernels.json");
     println!("  trace-report [PATH] phase-breakdown table of a trace file;");
     println!("                      without PATH, run the blocking-vs-non-");
     println!("                      blocking loader data-wait drill");
@@ -330,18 +325,6 @@ fn loader_drill() -> CliResult {
     }
 }
 
-fn bench_kernels() -> CliResult {
-    println!(
-        "timing CPU kernels at AlphaFold-like shapes ({} threads)...\n",
-        sf_tensor::pool::num_threads()
-    );
-    let report = kernel_bench::run(0, BenchScale::Full);
-    println!("{}", report.to_table());
-    std::fs::write("BENCH_kernels.json", report.to_json())?;
-    println!("wrote BENCH_kernels.json");
-    Ok(())
-}
-
 fn train(steps: u64, dap: usize) -> CliResult {
     let mut cfg = TrainerConfig::tiny();
     cfg.model.evoformer_blocks = 1;
@@ -426,17 +409,6 @@ fn ladder() -> CliResult {
             e.name, e.a100_step_s, e.a100_speedup, e.h100_step_s, e.h100_speedup
         );
     }
-    Ok(())
-}
-
-fn figures() -> CliResult {
-    println!("{}", experiments::table1());
-    println!("{}", experiments::fig3());
-    println!("{}", experiments::fig4(2000));
-    println!("{}", experiments::fig7());
-    println!("{}", experiments::fig8());
-    println!("{}", experiments::fig9_fig10());
-    println!("{}", experiments::fig11());
     Ok(())
 }
 

@@ -50,7 +50,6 @@ pub mod convergence;
 pub mod dap;
 pub mod distributed;
 pub mod experiments;
-pub mod kernel_bench;
 pub mod ladder;
 pub mod optimizations;
 pub mod trainer;

@@ -67,9 +67,6 @@ pub struct TrainerConfig {
     /// Which pipeline delivers batches (non-blocking unless A/B-testing
     /// the loaders).
     pub loader: LoaderKind,
-    /// Compute threads for the `sf-tensor` parallel CPU backend
-    /// (0 = auto: honor `SF_THREADS`, else the machine's core count).
-    pub num_threads: usize,
     /// Dynamic Axial Parallelism degree (ScaleFold §3.3): shard the
     /// Evoformer's axial activations across this many simulated ranks,
     /// moving them with the real ring collectives. `0` or `1` disables
@@ -106,7 +103,6 @@ impl TrainerConfig {
             dataset_len: 16,
             loader_workers: 2,
             loader: LoaderKind::NonBlocking,
-            num_threads: 0,
             dap: default_dap(),
             seed: 7,
         }
@@ -297,9 +293,6 @@ impl Trainer {
     /// [`Trainer::with_faults`].
     pub(crate) fn with_replicas(cfg: TrainerConfig, ranks: usize, plan: FaultPlan) -> Self {
         assert!(ranks > 0, "need at least one replica");
-        if cfg.num_threads > 0 {
-            sf_tensor::pool::set_num_threads(cfg.num_threads);
-        }
         if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
             panic!("{msg}");
         }
@@ -577,9 +570,12 @@ impl Trainer {
     }
 
     /// Restores weights from a checkpoint produced by
-    /// [`Trainer::save_checkpoint`]. Optimizer moments and the step counter
-    /// reset (matching the MLPerf benchmark, which restarts the optimizer
-    /// from the published weights).
+    /// [`Trainer::save_checkpoint`] into every replica. The step counter
+    /// and the optimizer state (Adam moments, SWA averages, bias-correction
+    /// step) carry over: the optimizer re-keys its state to the loaded store
+    /// by parameter name, so saving and reloading mid-run changes nothing.
+    /// A fresh trainer has no such state, so loading into one starts the
+    /// optimizer from the weights alone.
     ///
     /// # Errors
     ///
@@ -887,6 +883,33 @@ mod tests {
             .expect("fwd");
         assert_eq!(o1.loss_breakdown.total, o2.loss_breakdown.total);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_checkpoint_carries_step_and_optimizer_state() {
+        let ds = SyntheticDataset::new(5, 3);
+        let model_cfg = fast_cfg().model;
+        let batches: Vec<_> = (0..3).map(|i| featurize(&ds.record(i), &model_cfg, 5)).collect();
+        let mut reloaded = Trainer::new(fast_cfg());
+        let mut twin = Trainer::new(fast_cfg());
+        for batch in &batches[..2] {
+            reloaded.train_step(batch);
+            twin.train_step(batch);
+        }
+        let path = std::env::temp_dir()
+            .join(format!("sf_trainer_reload_{}.sfck", std::process::id()));
+        reloaded.save_checkpoint(&path).expect("save");
+        reloaded.load_checkpoint(&path).expect("load");
+        let _ = std::fs::remove_file(&path);
+
+        // A reset of the moments or the step counter would change this step.
+        let after_load = reloaded.train_step(&batches[2]);
+        let never_loaded = twin.train_step(&batches[2]);
+        assert_eq!(after_load, never_loaded);
+        for (name, w) in twin.store().iter() {
+            let got = reloaded.store().get(name).expect("present");
+            assert_eq!(got.data(), w.data(), "{name}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (no external dependencies), used to pause/resume training and to ship
 //! the MLPerf-style "initialized from predefined checkpoint" setting.
 //!
-//! Version 2 format (little-endian):
+//! Format (version 2, little-endian):
 //! ```text
 //! magic   b"SFCK"            4 bytes
 //! version u32                  = 2
@@ -14,11 +14,11 @@
 //!   crc32 u32                  CRC-32 (IEEE) of name + dims + data bytes
 //! ```
 //!
-//! Version 1 (no per-tensor CRC) is still read. Writers always produce
-//! v2, and [`ParamStore::save_file`] is atomic: the bytes land in a
-//! temporary file in the target directory, are fsynced, and are renamed
-//! over the destination — a crash mid-write never leaves a torn
-//! checkpoint under the final name.
+//! Any other version, the CRC-less version 1 included, is rejected with
+//! [`CheckpointError::Format`]. [`ParamStore::save_file`] is atomic: the
+//! bytes land in a temporary file in the target directory, are fsynced,
+//! and are renamed over the destination — a crash mid-write never leaves
+//! a torn checkpoint under the final name.
 
 use crate::params::ParamStore;
 use sf_tensor::Tensor;
@@ -26,7 +26,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"SFCK";
-const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
 
 /// Errors from checkpoint (de)serialization.
@@ -147,7 +146,7 @@ pub struct LatestCheckpoint {
 }
 
 impl ParamStore {
-    /// Serializes every parameter to `writer` in the v2 checkpoint format
+    /// Serializes every parameter to `writer` in the checkpoint format
     /// (per-tensor CRC32).
     ///
     /// # Errors
@@ -179,8 +178,8 @@ impl ParamStore {
         Ok(())
     }
 
-    /// Deserializes a checkpoint produced by [`ParamStore::save_to`]
-    /// (v2, CRC-verified) or by a v1 writer (no CRC).
+    /// Deserializes a checkpoint produced by [`ParamStore::save_to`],
+    /// verifying every tensor's CRC.
     ///
     /// # Errors
     ///
@@ -194,7 +193,7 @@ impl ParamStore {
             return Err(CheckpointError::Format("bad magic".into()));
         }
         let version = read_u32(&mut reader)?;
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(CheckpointError::Format(format!(
                 "unsupported version {version}"
             )));
@@ -234,16 +233,14 @@ impl ParamStore {
                 crc.update(&buf);
                 data.push(f32::from_le_bytes(buf));
             }
-            if version >= VERSION {
-                let expected = read_u32(&mut reader)?;
-                let actual = crc.finalize();
-                if expected != actual {
-                    return Err(CheckpointError::Corrupt {
-                        name,
-                        expected,
-                        actual,
-                    });
-                }
+            let expected = read_u32(&mut reader)?;
+            let actual = crc.finalize();
+            if expected != actual {
+                return Err(CheckpointError::Corrupt {
+                    name,
+                    expected,
+                    actual,
+                });
             }
             let tensor = Tensor::from_vec(data, &dims)
                 .map_err(|e| CheckpointError::Format(format!("tensor: {e}")))?;
@@ -366,27 +363,6 @@ fn read_u64<R: Read>(reader: &mut R) -> Result<u64, CheckpointError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Serializes `store` in the **v1** format (no CRCs). Kept for
-/// compatibility tests: v1 files must stay readable under v2 code.
-pub fn save_v1<W: Write>(store: &ParamStore, mut writer: W) -> Result<(), CheckpointError> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION_V1.to_le_bytes())?;
-    writer.write_all(&(store.len() as u64).to_le_bytes())?;
-    for (name, tensor) in store.iter() {
-        let bytes = name.as_bytes();
-        writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        writer.write_all(bytes)?;
-        writer.write_all(&(tensor.rank() as u32).to_le_bytes())?;
-        for &d in tensor.dims() {
-            writer.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for &x in tensor.data() {
-            writer.write_all(&x.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,18 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_load() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        save_v1(&store, &mut buf).expect("v1 write");
-        let loaded = ParamStore::load_from(buf.as_slice()).expect("v1 read under v2 code");
-        assert_eq!(loaded.len(), store.len());
-        for (name, t) in store.iter() {
-            assert_eq!(loaded.get(name).expect("present"), t, "{name}");
-        }
-    }
-
-    #[test]
     fn bit_flip_in_payload_is_detected() {
         let store = sample_store();
         let mut buf = Vec::new();
@@ -482,14 +446,17 @@ mod tests {
 
     #[test]
     fn rejects_future_version() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            ParamStore::load_from(buf.as_slice()),
-            Err(CheckpointError::Format(_))
-        ));
+        // 99 is from the future; 1 is the retired CRC-less format.
+        for version in [99u32, 1] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            assert!(
+                matches!(ParamStore::load_from(buf.as_slice()), Err(CheckpointError::Format(_))),
+                "version {version}"
+            );
+        }
     }
 
     #[test]

@@ -168,7 +168,6 @@ proptest! {
 mod checkpoint_corruption {
     use super::*;
     use proptest::collection::vec;
-    use sf_autograd::checkpoint_io::save_v1;
     use sf_autograd::ParamStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -229,18 +228,6 @@ mod checkpoint_corruption {
             let keep = (cut as usize) % bytes.len();
             bytes.truncate(keep);
             prop_assert!(ParamStore::load_from(bytes.as_slice()).is_err());
-        }
-
-        /// v1 files (no CRC) load bit-exactly under the v2 reader.
-        #[test]
-        fn v1_loads_under_v2(store in arb_store()) {
-            let mut bytes = Vec::new();
-            save_v1(&store, &mut bytes).expect("v1 serialize");
-            let loaded = ParamStore::load_from(bytes.as_slice()).expect("v1 read");
-            prop_assert_eq!(loaded.len(), store.len());
-            for (name, t) in store.iter() {
-                prop_assert_eq!(loaded.get(name).expect("present"), t);
-            }
         }
 
         /// Directory recovery always lands on the older valid file when

@@ -1,6 +1,7 @@
 //! Kernel benchmark baseline: seed-serial vs optimized-serial vs parallel
 //! timings for batched GEMM, LayerNorm, softmax, attention with pair bias,
-//! and the fused gated attention kernel at AlphaFold-like shapes. Writes
+//! the fused gated attention kernel, bundled projections and fused
+//! Adam+SWA at AlphaFold-like shapes. Writes
 //! `BENCH_kernels.json` in the working directory (override with
 //! `--out PATH`; pick threads with `--threads N` or `SF_THREADS`).
 //!
@@ -10,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use scalefold::kernel_bench::{run, BenchScale};
+use sf_bench::kernel_bench::{run, BenchScale};
 
 fn main() -> ExitCode {
     sf_bench::banner("Kernel baseline");

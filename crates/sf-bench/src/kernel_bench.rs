@@ -1,12 +1,16 @@
 //! Kernel benchmark baseline for the parallel CPU backend.
 //!
 //! Times the hot kernels (batched GEMM, a head-width GEMM, LayerNorm and
-//! its backward, softmax, attention with pair bias, fused gated attention) at
-//! AlphaFold-like shapes in three configurations:
+//! its backward, softmax, attention with pair bias, fused gated attention,
+//! bundled projections, fused Adam+SWA) at AlphaFold-like shapes in three
+//! configurations:
 //!
-//! 1. **seed serial** — the reference kernels the repo started with
-//!    ([`sf_tensor::ops::matmul::gemm_block`], `naive_forward`,
-//!    `naive_backward`, a plain per-row softmax loop, `naive_attention`);
+//! 1. **seed serial** — the reference each optimization replaced: the
+//!    kernels the repo started with ([`sf_tensor::ops::matmul::gemm_block`],
+//!    a Welford LayerNorm, `naive_backward`, a plain per-row softmax loop, a
+//!    scalar flash attention), four separate projections instead of one
+//!    bundled GEMM, and [`sf_optim::Adam`] then [`sf_optim::Swa`] instead of
+//!    the fused optimizer pass;
 //! 2. **opt serial** — the register-tiled / fused kernels pinned to one
 //!    thread (`sf_tensor::pool::set_num_threads(1)`);
 //! 3. **parallel** — the same kernels at the requested thread count.
@@ -17,19 +21,24 @@
 //! compares are the exception: softmax against its seed loop and fused
 //! attention against the composed chain run in interleaved repeats at one
 //! thread and report medians, so both sides of each ratio see the same
-//! host drift. Outputs are cross-checked against the references before
-//! timing; a silent numerical regression fails the benchmark instead of
-//! producing a fast-but-wrong number.
+//! host drift. So do the bundled and separate projections (ungated), whose
+//! times are too close for best-of to order. Outputs are cross-checked
+//! against the references before timing; a silent numerical regression
+//! fails the benchmark instead of producing a fast-but-wrong number.
 //!
 //! The report serializes to JSON by hand (no serde_json in the tree) and is
-//! written to `BENCH_kernels.json` by `scalefold bench-kernels` and the
-//! `sf-bench` `kernels` binary.
+//! written to `BENCH_kernels.json` by the `kernels` binary.
 
 use std::time::Instant;
 
+use sf_autograd::{Graph, ParamStore};
+use sf_data::featurize::featurize;
+use sf_data::SyntheticDataset;
+use sf_model::{AlphaFold, ModelConfig};
+use sf_optim::{Adam, AdamConfig, FusedAdamSwa, Grads, Swa};
 use sf_tensor::ops::attention::{attention_fused, MASK_NEG};
 use sf_tensor::ops::layernorm::{fused_backward, fused_forward, naive_backward};
-use sf_tensor::ops::matmul::{gemm_block, matmul};
+use sf_tensor::ops::matmul::{gemm_block, linear, matmul};
 use sf_tensor::ops::softmax::softmax;
 use sf_tensor::pool;
 use sf_tensor::Tensor;
@@ -176,16 +185,18 @@ fn seed_attention(q: &Tensor, k: &Tensor, v: &Tensor, bias: &Tensor, scale: f32)
 #[derive(Debug, Clone)]
 pub struct KernelTiming {
     /// Kernel name (`matmul_batched`, `matmul_head_width`, `layer_norm`,
-    /// `layer_norm_backward`, `softmax`, `attention`, `attention_fused`).
+    /// `layer_norm_backward`, `softmax`, `attention`, `attention_fused`,
+    /// `linear_bundled`, `adam_swa`).
     pub name: &'static str,
     /// Human-readable shape description.
     pub shape: String,
     /// Best time of the seed (pre-optimization) serial reference kernel
-    /// (`softmax`: median, interleaved with `opt_serial_ms`).
+    /// (`softmax`, `linear_bundled`: median, interleaved with
+    /// `opt_serial_ms`).
     pub seed_serial_ms: f64,
-    /// Best time of the optimized kernel pinned to one thread (`softmax`:
-    /// median, interleaved with `seed_serial_ms`; `attention_fused`: median,
-    /// interleaved with the composed chain).
+    /// Best time of the optimized kernel pinned to one thread (`softmax`,
+    /// `linear_bundled`: median, interleaved with `seed_serial_ms`;
+    /// `attention_fused`: median, interleaved with the composed chain).
     pub opt_serial_ms: f64,
     /// Best time of the optimized kernel at the report's thread count.
     pub parallel_ms: f64,
@@ -250,7 +261,7 @@ impl KernelBenchReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"benchmark\": \"scalefold bench-kernels\",\n");
+        s.push_str("  \"benchmark\": \"sf-bench kernels\",\n");
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
         s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
         s.push_str("  \"kernels\": [\n");
@@ -430,6 +441,8 @@ struct BenchShapes {
     ln_bwd: (usize, usize, usize),
     /// Attention `q/k/v: [b, h, s, d]` with bias `[h, s, s]`.
     attn: (usize, usize, usize, usize),
+    /// Four projections of `[s, r, c]` to `h·d` columns each.
+    proj: (usize, usize, usize, usize),
 }
 
 impl BenchShapes {
@@ -446,6 +459,8 @@ impl BenchShapes {
                 msa: (128, 256, 64),
                 ln_bwd: (40, 40, 16),
                 attn: (8, 8, 256, 32),
+                // Medium-train's MSA row Q/K/V/gate: 4 heads x d = 8.
+                proj: (16, 40, 32, 32),
             },
             BenchScale::Quick => BenchShapes {
                 iters: 2,
@@ -455,6 +470,7 @@ impl BenchShapes {
                 msa: (4, 8, 16),
                 ln_bwd: (4, 8, 16),
                 attn: (2, 2, 16, 8),
+                proj: (2, 4, 8, 8),
             },
         }
     }
@@ -506,6 +522,21 @@ fn time_matmul(name: &'static str, (b, m, k, n): (usize, usize, usize, usize), i
         parallel_ms,
         composed: None,
     }
+}
+
+/// The tiny model's parameters (what the tiny training step updates),
+/// initialized by one forward pass, and a random gradient for each slot.
+fn tiny_model_params() -> (ParamStore, Vec<Option<Tensor>>) {
+    let cfg = ModelConfig::tiny();
+    let batch = featurize(&SyntheticDataset::new(61, 1).record(0), &cfg, 61);
+    let mut store = ParamStore::new();
+    AlphaFold::new(cfg)
+        .forward(&mut Graph::new(), &mut store, &batch)
+        .expect("bench forward");
+    let grads = (0..store.len())
+        .map(|slot| Some(Tensor::randn(store.value(slot).dims(), 62 + slot as u64)))
+        .collect();
+    (store, grads)
 }
 
 /// Runs the benchmark at `threads` compute threads (0 = auto) and returns
@@ -791,6 +822,108 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
         });
     }
 
+    // --- Bundled projections (§3.3.1 GEMM batching) ----------------------
+    // Q, K, V and gate of one input as four `linear` calls, against one
+    // `linear` on the stacked weights, as `sf_model::linear::batched_apply`
+    // binds them. Stacking the weights is outside the timing.
+    {
+        let (s, r, c, hd) = sh.proj;
+        let x = Tensor::randn(&[s, r, c], 71);
+        let ws: Vec<Tensor> = (0..4).map(|i| Tensor::randn(&[hd, c], 72 + i)).collect();
+        let gate_bias = Tensor::randn(&[hd], 76);
+        let stacked = Tensor::concat(&ws.iter().collect::<Vec<_>>(), 0).expect("bench stack");
+        let stacked_bias =
+            Tensor::concat(&[&Tensor::zeros(&[3 * hd]), &gate_bias], 0).expect("bench stack");
+        let separate = || -> Vec<Tensor> {
+            ws.iter()
+                .enumerate()
+                .map(|(i, w)| linear(&x, w, (i == 3).then_some(&gate_bias)).expect("bench linear"))
+                .collect()
+        };
+        let bundled = || linear(&x, &stacked, Some(&stacked_bias)).expect("bench linear");
+        let big = bundled();
+        for (i, y) in separate().iter().enumerate() {
+            let part = big.slice_axis(2, i * hd, (i + 1) * hd).expect("bench slice");
+            assert!(part.allclose(y, 1e-5), "bundled projection {i} diverged from its own linear");
+        }
+
+        // Interleaved medians: the two sides are close and each call is
+        // short, so sequential best-of reads host drift as a difference.
+        pool::set_num_threads(1);
+        let (seed_serial_ms, opt_serial_ms, _) = interleaved_medians(
+            sh.gate_pairs,
+            || {
+                std::hint::black_box(separate());
+            },
+            || {
+                std::hint::black_box(bundled());
+            },
+        );
+        pool::set_num_threads(nthreads);
+        let parallel_ms = best_of(iters, || {
+            std::hint::black_box(bundled());
+        });
+        timings.push(KernelTiming {
+            name: "linear_bundled",
+            shape: format!("[{s},{r},{c}] -> 4 x {hd}"),
+            seed_serial_ms,
+            opt_serial_ms,
+            parallel_ms,
+            composed: None,
+        });
+    }
+
+    // --- Adam then SWA against the fused pass (§3.3.1) ------------------
+    // One optimizer step over the tiny model's parameters: the name-keyed
+    // `Adam::step` followed by `Swa::update`, against the slot-vector
+    // `FusedAdamSwa::step_slots` the trainer runs. Each timed call is one
+    // more step on the same state, as in training.
+    {
+        let (params, slot_grads) = tiny_model_params();
+        let grads: Grads = slot_grads
+            .iter()
+            .enumerate()
+            .map(|(slot, g)| (params.name(slot).to_string(), g.clone().expect("every slot")))
+            .collect();
+        let (lr, decay) = (1e-3, 0.99);
+        let (mut ref_store, mut adam, mut swa) =
+            (params.clone(), Adam::new(AdamConfig::default()), Swa::new(decay));
+        let (mut fused_store, mut fused) =
+            (params.clone(), FusedAdamSwa::new(AdamConfig::default(), decay));
+        // Two steps: the first seeds the averages, the second folds them.
+        for _ in 0..2 {
+            adam.step(&mut ref_store, &grads, lr);
+            swa.update(&ref_store);
+            fused.step_slots(&mut fused_store, &slot_grads, lr);
+        }
+        for (name, p) in ref_store.iter() {
+            let same_param = fused_store.get(name).is_some_and(|f| f.data() == p.data());
+            let same_avg = fused
+                .averaged(name)
+                .zip(swa.averaged(name))
+                .is_some_and(|(f, r)| f.data() == r.data());
+            assert!(same_param && same_avg, "fused Adam+SWA diverged from Adam then SWA at {name}");
+        }
+
+        let seed_serial_ms = best_of(iters, || {
+            adam.step(&mut ref_store, &grads, lr);
+            swa.update(&ref_store);
+        });
+        pool::set_num_threads(1);
+        let opt_serial_ms = best_of(iters, || fused.step_slots(&mut fused_store, &slot_grads, lr));
+        pool::set_num_threads(nthreads);
+        let parallel_ms = best_of(iters, || fused.step_slots(&mut fused_store, &slot_grads, lr));
+        let elems: usize = (0..params.len()).map(|slot| params.value(slot).len()).sum();
+        timings.push(KernelTiming {
+            name: "adam_swa",
+            shape: format!("{} tensors, {elems} elems (tiny model)", params.len()),
+            seed_serial_ms,
+            opt_serial_ms,
+            parallel_ms,
+            composed: None,
+        });
+    }
+
     pool::set_num_threads(prev);
     KernelBenchReport {
         threads: nthreads,
@@ -807,7 +940,7 @@ mod tests {
     fn quick_bench_produces_sane_report() {
         let report = run(2, BenchScale::Quick);
         assert_eq!(report.threads, 2);
-        assert_eq!(report.timings.len(), 7);
+        assert_eq!(report.timings.len(), 9);
         for t in &report.timings {
             assert!(t.seed_serial_ms.is_finite() && t.seed_serial_ms >= 0.0);
             assert!(t.opt_serial_ms.is_finite() && t.opt_serial_ms >= 0.0);
@@ -824,10 +957,12 @@ mod tests {
                 "layer_norm_backward",
                 "softmax",
                 "attention",
-                "attention_fused"
+                "attention_fused",
+                "linear_bundled",
+                "adam_swa"
             ]
         );
-        let fused = report.timings.last().expect("fused row");
+        let fused = &report.timings[6];
         assert!(fused.composed.is_some());
         assert!(fused.speedup_fused_vs_composed().expect("ratio") > 0.0);
     }

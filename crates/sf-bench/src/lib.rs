@@ -1,4 +1,4 @@
-//! Benchmark harness for the ScaleFold reproduction.
+//! Measurement harness for the ScaleFold reproduction.
 //!
 //! Two kinds of targets:
 //!
@@ -8,12 +8,16 @@
 //!   `table1`, `fig3`, `fig4`, `fig5`, `fig7`, `fig8`, `fig9_10`, `fig11`,
 //!   plus `all_figures` which runs the lot (this is what populates
 //!   EXPERIMENTS.md).
-//! - **Criterion microbenchmarks** (`benches/`): the *real* CPU
-//!   implementations of the paper's fused kernels against their naive
-//!   counterparts — LayerNorm, flash attention with pair bias, bundled
-//!   GEMMs, fused Adam+SWA, bucketed gradient clipping, the two data
-//!   pipelines, and whole-model forward/backward with and without gradient
-//!   checkpointing.
+//! - **The real-kernel baseline** ([`kernel_bench`], run by the `kernels`
+//!   binary): the CPU kernels behind the paper's fusions against their
+//!   reference counterparts — GEMM, LayerNorm forward and backward,
+//!   softmax, attention, fused gated attention, bundled projections and
+//!   fused Adam+SWA — written to `BENCH_kernels.json`.
+//!
+//! Step-level numbers (forward, backward, optimizer, collectives) come from
+//! the `trainbench` package, which trains the real stack.
+
+pub mod kernel_bench;
 
 /// Banner printed by every figure binary.
 pub fn banner(title: &str) {

@@ -737,7 +737,7 @@ pub fn linear_weight_grad(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
 /// inner order (streams `b` rows, accumulates into `c` rows).
 ///
 /// This is the **seed** serial kernel, kept as the baseline that
-/// `scalefold bench-kernels` and the regression tests measure the packed
+/// the kernel baseline (`sf-bench --bin kernels`) and the regression tests measure the packed
 /// parallel engine against.
 pub fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
@@ -762,54 +762,6 @@ pub fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
             }
         }
     }
-}
-
-/// Result of [`batched_linear`]: the bundled projection outputs in input
-/// order.
-pub type BatchedOutputs = Vec<Tensor>;
-
-/// Applies several independent linear layers (`x @ w_i^T + b_i`) to the same
-/// input in one bundled batched GEMM — the paper's "GEMM Batching"
-/// optimization for the four projections (Q, K, V, gate) preceding MHA.
-///
-/// Each `weights[i]` has shape `[out_i, in]` and each `biases[i]` (if given)
-/// shape `[out_i]`. `x` has shape `[..., in]`. The implementation stacks the
-/// weight matrices (and the biases, with zeros for the bias-free layers) and
-/// runs one [`linear`], then splits the output — numerically identical to
-/// looping, which the unit tests verify.
-///
-/// # Errors
-///
-/// Returns an error on dimension mismatch or if `weights` is empty.
-pub fn batched_linear(
-    x: &Tensor,
-    weights: &[&Tensor],
-    biases: &[Option<&Tensor>],
-) -> Result<BatchedOutputs> {
-    if weights.is_empty() {
-        return Err(TensorError::EmptyInput("batched_linear"));
-    }
-    let stacked = Tensor::concat(weights, 0)?;
-    let bias = if biases.iter().any(Option::is_some) {
-        let parts: Vec<Tensor> = weights
-            .iter()
-            .zip(biases)
-            .map(|(w, b)| b.map_or_else(|| Tensor::zeros(&[w.dims()[0]]), Tensor::clone))
-            .collect();
-        Some(Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0)?)
-    } else {
-        None
-    };
-    let big = linear(x, &stacked, bias.as_ref())?;
-    let last = big.rank() - 1;
-    let mut col = 0usize;
-    weights
-        .iter()
-        .map(|w| {
-            col += w.dims()[0];
-            big.slice_axis(last, col - w.dims()[0], col)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -955,34 +907,5 @@ mod tests {
         let m = Tensor::zeros(&[4, 4]);
         assert!(matmul_bt(&v, &m).is_err());
         assert!(matmul_at(&m, &v).is_err());
-    }
-
-    #[test]
-    fn batched_linear_equals_loop() {
-        let x = Tensor::randn(&[3, 7, 8], 10);
-        let w1 = Tensor::randn(&[4, 8], 11);
-        let w2 = Tensor::randn(&[6, 8], 12);
-        let w3 = Tensor::randn(&[4, 8], 13);
-        let b1 = Tensor::randn(&[4], 14);
-        let outs =
-            batched_linear(&x, &[&w1, &w2, &w3], &[Some(&b1), None, None]).unwrap();
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[0].dims(), &[3, 7, 4]);
-        assert_eq!(outs[1].dims(), &[3, 7, 6]);
-
-        // Reference: apply each projection individually.
-        let flat = x.reshape(&[21, 8]).unwrap();
-        let r1 = flat.matmul(&w1.transpose().unwrap()).unwrap().add(&b1).unwrap();
-        assert!(outs[0].reshape(&[21, 4]).unwrap().allclose(&r1, 1e-5));
-        let r2 = flat.matmul(&w2.transpose().unwrap()).unwrap();
-        assert!(outs[1].reshape(&[21, 6]).unwrap().allclose(&r2, 1e-5));
-    }
-
-    #[test]
-    fn batched_linear_rejects_mismatch() {
-        let x = Tensor::zeros(&[2, 5]);
-        let w = Tensor::zeros(&[3, 8]);
-        assert!(batched_linear(&x, &[&w], &[None]).is_err());
-        assert!(batched_linear(&x, &[], &[]).is_err());
     }
 }

@@ -130,25 +130,16 @@ type Job = Arc<JobInner>;
 ///
 /// When tracing is on, each participant's whole claim streak is recorded
 /// retroactively as one `pool`/`tasks` span (per-chunk spans would drown
-/// the trace: a single GEMM dispatches dozens of chunks).
+/// the trace: a single GEMM dispatches dozens of chunks). A participant
+/// claims its next chunk before it releases the current one, so its span
+/// is recorded while `pending` still counts that chunk: the caller, which
+/// returns once `pending` reaches zero, then finds every participant's span.
 fn run_chunks(pool: &PoolInner, job: &Job) {
     let tracing = sf_trace::is_enabled();
     let t_start = if tracing { sf_trace::now_us() } else { 0 };
     let mut claimed = 0usize;
-    loop {
-        let c = job.next.fetch_add(1, Ordering::Relaxed);
-        if c >= job.n_chunks {
-            if tracing && claimed > 0 {
-                sf_trace::complete_span(
-                    "pool",
-                    "tasks",
-                    t_start,
-                    sf_trace::now_us(),
-                    &[("chunks", claimed as f64)],
-                );
-            }
-            return;
-        }
+    let mut c = job.next.fetch_add(1, Ordering::Relaxed);
+    while c < job.n_chunks {
         claimed += 1;
         let start = c * job.chunk;
         let end = (start + job.chunk).min(job.n_items);
@@ -156,6 +147,16 @@ fn run_chunks(pool: &PoolInner, job: &Job) {
         let body = unsafe { &*job.body };
         if catch_unwind(AssertUnwindSafe(|| body(start..end))).is_err() {
             job.panicked.store(true, Ordering::Relaxed);
+        }
+        c = job.next.fetch_add(1, Ordering::Relaxed);
+        if tracing && c >= job.n_chunks {
+            sf_trace::complete_span(
+                "pool",
+                "tasks",
+                t_start,
+                sf_trace::now_us(),
+                &[("chunks", claimed as f64)],
+            );
         }
         if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = pool.done.lock().expect("done lock");
