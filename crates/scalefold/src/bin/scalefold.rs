@@ -43,27 +43,14 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
-    let args = match extract_threads_flag(std::env::args().skip(1).collect()) {
-        Ok(rest) => rest,
-        Err(e) => {
-            eprintln!("scalefold: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (args, trace_path) = match extract_trace_flag(args) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("scalefold: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (args, dap) = match extract_dap_flag(args) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("scalefold: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let GlobalFlags { args, trace_path, dap } =
+        match extract_global_flags(std::env::args().skip(1).collect()) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("scalefold: error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     // At most one positional argument per command: a leftover (say, a
     // removed flag) fails loudly instead of being silently ignored.
@@ -102,86 +89,72 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// Strips the global `--threads N` / `--threads=N` flag from `args`,
-/// applying it to the compute pool; returns the remaining arguments.
-fn extract_threads_flag(args: Vec<String>) -> Result<Vec<String>, Box<dyn Error>> {
+/// The command line with its global flags stripped.
+struct GlobalFlags {
+    /// The command and its arguments.
+    args: Vec<String>,
+    /// `--trace PATH`: where the trace is written on exit.
+    trace_path: Option<PathBuf>,
+    /// `--dap N`: the Dynamic Axial Parallelism degree for the real
+    /// training commands (`1` = off, the default; axial divisibility is
+    /// validated where the trainer config is known).
+    dap: usize,
+}
+
+/// Strips the global flags from `args`, one flag at a time in this order:
+/// `--threads N` pins the compute pool; `--trace PATH` is created up front
+/// (so a typo fails before, not after, a long run) and enables the
+/// `sf-trace` runtime tracer; `--dap N` sets the DAP degree.
+fn extract_global_flags(args: Vec<String>) -> Result<GlobalFlags, Box<dyn Error>> {
+    let args = strip_flag(args, "--threads", "a thread count", |v| {
+        sf_tensor::pool::set_num_threads(parse_positive(&v, "--threads", "thread count")?);
+        Ok(())
+    })?;
+    let mut trace_path = None;
+    let args = strip_flag(args, "--trace", "an output path", |v| {
+        std::fs::File::create(&v).map_err(|e| format!("cannot write trace file '{v}': {e}"))?;
+        sf_trace::enable();
+        trace_path = Some(PathBuf::from(v));
+        Ok(())
+    })?;
+    let mut dap = 1;
+    let args = strip_flag(args, "--dap", "a rank count", |v| {
+        dap = parse_positive(&v, "--dap", "DAP rank count")?;
+        Ok(())
+    })?;
+    Ok(GlobalFlags { args, trace_path, dap })
+}
+
+/// Removes every `name V` / `name=V` from `args`, handing each value to
+/// `apply` in command-line order; returns the remaining arguments. A
+/// trailing `name` with no value is an error saying it expects `what`.
+fn strip_flag(
+    args: Vec<String>,
+    name: &str,
+    what: &str,
+    mut apply: impl FnMut(String) -> CliResult,
+) -> Result<Vec<String>, Box<dyn Error>> {
     let mut rest = Vec::with_capacity(args.len());
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        let value = if a == "--threads" {
-            Some(it.next().ok_or("--threads expects a thread count")?)
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            Some(v.to_string())
+        if a == name {
+            apply(it.next().ok_or_else(|| format!("{name} expects {what}"))?)?;
+        } else if let Some(v) = a.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            apply(v.to_string())?;
         } else {
             rest.push(a);
-            None
-        };
-        if let Some(v) = value {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("invalid thread count '{v}'"))?;
-            if n == 0 {
-                return Err("--threads expects a positive integer".into());
-            }
-            sf_tensor::pool::set_num_threads(n);
         }
     }
     Ok(rest)
 }
 
-/// Strips the global `--trace PATH` / `--trace=PATH` flag from `args`. A
-/// trace path enables the `sf-trace` runtime tracer immediately and is
-/// validated for writability up front, so a typo fails before — not after —
-/// a long run.
-fn extract_trace_flag(args: Vec<String>) -> Result<(Vec<String>, Option<PathBuf>), Box<dyn Error>> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut path = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--trace" {
-            Some(it.next().ok_or("--trace expects an output path")?)
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            Some(v.to_string())
-        } else {
-            rest.push(a);
-            None
-        };
-        if let Some(v) = value {
-            std::fs::File::create(&v)
-                .map_err(|e| format!("cannot write trace file '{v}': {e}"))?;
-            sf_trace::enable();
-            path = Some(PathBuf::from(v));
-        }
+/// Parses a flag's positive integer value (`what` names it in the error).
+fn parse_positive(v: &str, name: &str, what: &str) -> Result<usize, Box<dyn Error>> {
+    match v.parse() {
+        Ok(0) => Err(format!("{name} expects a positive integer").into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("invalid {what} '{v}'").into()),
     }
-    Ok((rest, path))
-}
-
-/// Strips the global `--dap N` / `--dap=N` flag from `args`; returns the
-/// remaining arguments plus the Dynamic Axial Parallelism degree for the
-/// real training commands (`1` = off, the default). Axial-dimension
-/// divisibility is validated where the trainer config is known.
-fn extract_dap_flag(args: Vec<String>) -> Result<(Vec<String>, usize), Box<dyn Error>> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut dap = 1usize;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--dap" {
-            Some(it.next().ok_or("--dap expects a rank count")?)
-        } else if let Some(v) = a.strip_prefix("--dap=") {
-            Some(v.to_string())
-        } else {
-            rest.push(a);
-            None
-        };
-        if let Some(v) = value {
-            let n: usize = v.parse().map_err(|_| format!("invalid DAP rank count '{v}'"))?;
-            if n == 0 {
-                return Err("--dap expects a positive integer".into());
-            }
-            dap = n;
-        }
-    }
-    Ok((rest, dap))
 }
 
 /// Drains the global trace collector into `path` as Chrome `trace_event`

@@ -59,4 +59,5 @@ pub use dap::{analytic_comm_volume, DapGroup, DapStats};
 pub use ladder::{ladder_stages, LadderEntry};
 pub use optimizations::{build_graph, OptimizationSet};
 pub use distributed::DataParallelTrainer;
-pub use trainer::{LoaderKind, RecoveryEvent, ResumeSummary, StepReport, Trainer, TrainerConfig};
+pub use sf_data::loader::LoaderKind;
+pub use trainer::{RecoveryEvent, ResumeSummary, StepReport, Trainer, TrainerConfig};

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use sf_autograd::{CheckpointError, Graph, ParamStore, SlotGrads};
 use sf_cluster::collective::all_reduce_tensors;
 use sf_data::featurize::featurize;
-use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
+use sf_data::loader::{Dataset, Loader, LoaderConfig, LoaderError, LoaderKind};
 use sf_data::SyntheticDataset;
 use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
 use sf_model::loss::LossBreakdown;
@@ -28,22 +28,6 @@ use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Which data pipeline feeds [`Trainer::train`].
-///
-/// [`LoaderKind::NonBlocking`] is the paper's pipeline (and the default);
-/// [`LoaderKind::Blocking`] reproduces PyTorch `DataLoader` semantics and
-/// exists so the data-wait claim is measurable as an A/B: under a straggler
-/// sample, the blocking loader's trace shows a large `data_wait` share
-/// while the non-blocking trace stays near zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LoaderKind {
-    /// ScaleFold §3.2: deliver the lowest-index *ready* batch immediately.
-    #[default]
-    NonBlocking,
-    /// Strict sampler order: a slow batch stalls the consumer.
-    Blocking,
-}
 
 /// Trainer configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,7 +42,7 @@ pub struct TrainerConfig {
     pub swa_decay: f32,
     /// Global-norm gradient clip threshold.
     pub clip_norm: f32,
-    /// Numeric precision for gradients/activations rounding.
+    /// Numeric precision the gradients are rounded through each step.
     pub precision: Precision,
     /// Synthetic dataset size.
     pub dataset_len: usize,
@@ -227,8 +211,6 @@ pub(crate) struct EngineStep {
     /// Elements moved by DAP collectives, summed over replicas.
     pub(crate) elements_dap: usize,
 }
-
-type BatchFeed = Box<dyn Iterator<Item = Result<(usize, FeatureBatch), LoaderError>>>;
 
 /// The real trainer: owns parameters, optimizer state, and the data
 /// pipeline. It is the repo's one training-step engine: single-replica
@@ -497,7 +479,7 @@ impl Trainer {
             },
             self.injector.clone(),
         ));
-        let mut feed: Option<BatchFeed> = None;
+        let mut feed = None;
         // Whether the current epoch has delivered a batch yet.
         let mut delivered = false;
         let mut reports = Vec::with_capacity(steps as usize);
@@ -540,18 +522,19 @@ impl Trainer {
 
     /// Opens the next epoch of the configured loader over `dataset`, in a
     /// fresh shuffled order drawn from the trainer's RNG.
-    fn epoch_feed(&mut self, dataset: &Arc<FaultyDataset<FeaturizingDataset>>) -> BatchFeed {
+    fn epoch_feed(
+        &mut self,
+        dataset: &Arc<FaultyDataset<FeaturizingDataset>>,
+    ) -> Loader<FaultyDataset<FeaturizingDataset>> {
         let epoch = self.rng.gen::<u64>();
         let order = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len)
             .epoch_order(epoch);
-        let loader_cfg = LoaderConfig::with_workers(self.cfg.loader_workers);
-        let dataset = Arc::clone(dataset);
-        match self.cfg.loader {
-            LoaderKind::NonBlocking => {
-                Box::new(NonBlockingPipeline::new(dataset, order, loader_cfg))
-            }
-            LoaderKind::Blocking => Box::new(BlockingLoader::new(dataset, order, loader_cfg)),
-        }
+        Loader::new(
+            Arc::clone(dataset),
+            order,
+            LoaderConfig::with_workers(self.cfg.loader_workers),
+            self.cfg.loader,
+        )
     }
 
     /// Saves the current weights to `path` (see

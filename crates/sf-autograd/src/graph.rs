@@ -67,20 +67,12 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Number of trainable leaves on the tape.
-    pub fn num_trainable(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::Leaf { requires_grad: true }))
-            .count()
-    }
-
     /// Total bytes held by non-leaf (activation) tensors — what gradient
     /// checkpointing trades for recomputation.
     pub fn activation_bytes(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| !matches!(n.op, Op::Leaf { .. }))
+            .filter(|n| !matches!(n.op, Op::Leaf))
             .map(|n| n.value.len() * std::mem::size_of::<f32>())
             .sum()
     }
@@ -123,12 +115,12 @@ impl Graph {
 
     /// Registers a trainable leaf (gradients will be accumulated).
     pub fn param(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf { requires_grad: true })
+        self.push(value, Op::Leaf)
     }
 
     /// Registers a constant leaf (no gradient).
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf { requires_grad: false })
+        self.push(value, Op::Leaf)
     }
 
     // ------------------------------------------------------------------

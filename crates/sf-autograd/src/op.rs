@@ -15,7 +15,7 @@ use std::rc::Rc;
 const LN_BACKWARD_BLOCK_ROWS: usize = 64;
 
 pub(crate) enum Op {
-    Leaf { requires_grad: bool },
+    Leaf,
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -122,7 +122,7 @@ impl Graph {
             Many(Vec<(usize, Tensor)>),
         }
         let pending: Pending = match &self.nodes[i].op {
-            Op::Leaf { .. } => Pending::None,
+            Op::Leaf => Pending::None,
             Op::Add(a, b) => {
                 let da = sum_to(dy.clone(), self.nodes[a.0].value.dims())?;
                 let db = sum_to(dy.clone(), self.nodes[b.0].value.dims())?;

@@ -2,7 +2,7 @@
 //! with real threads, using the paper's exact scenario (slow batch "b"
 //! takes longer than a training step; batch "c" is ready first).
 
-use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, NonBlockingPipeline};
+use sf_data::loader::{Dataset, Loader, LoaderConfig, LoaderKind};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,25 +26,17 @@ impl Dataset for PaperScenario {
     }
 }
 
-fn run(blocking: bool) -> (String, Duration) {
+fn run(kind: LoaderKind) -> (String, Duration) {
     let ds = Arc::new(PaperScenario);
     let order = vec![0, 1, 2, 3];
     let cfg = LoaderConfig::with_workers(2);
     let start = Instant::now();
     let mut yielded = String::new();
     let train = Duration::from_millis(4 * SCALE_MS);
-    if blocking {
-        for item in BlockingLoader::new(ds, order, cfg) {
-            let (_, c) = item.expect("no faults in the paper scenario");
-            yielded.push(c);
-            std::thread::sleep(train);
-        }
-    } else {
-        for item in NonBlockingPipeline::new(ds, order, cfg) {
-            let (_, c) = item.expect("no faults in the paper scenario");
-            yielded.push(c);
-            std::thread::sleep(train);
-        }
+    for item in Loader::new(ds, order, cfg, kind) {
+        let (_, c) = item.expect("no faults in the paper scenario");
+        yielded.push(c);
+        std::thread::sleep(train);
     }
     (yielded, start.elapsed())
 }
@@ -52,8 +44,8 @@ fn run(blocking: bool) -> (String, Duration) {
 fn main() {
     sf_bench::banner("Figure 5: blocking vs non-blocking data pipeline");
     println!("scenario: prep a=2 b=7 c=2 d=2, training step=4 (x{SCALE_MS} ms)");
-    let (order_b, t_b) = run(true);
-    let (order_nb, t_nb) = run(false);
+    let (order_b, t_b) = run(LoaderKind::Blocking);
+    let (order_nb, t_nb) = run(LoaderKind::NonBlocking);
     println!("(i)  PyTorch-style blocking : yields \"{order_b}\"  wall {:.0} ms", t_b.as_secs_f64() * 1000.0);
     println!("(ii) ScaleFold non-blocking : yields \"{order_nb}\"  wall {:.0} ms", t_nb.as_secs_f64() * 1000.0);
     println!();

@@ -86,15 +86,6 @@ impl ScalabilityBreakdown {
         }
     }
 
-    /// Sum of attributed components.
-    pub fn attributed_s(&self) -> f64 {
-        self.cpu_overhead_s
-            + self.serial_modules_s
-            + self.kernel_scalability_s
-            + self.comm_overhead_s
-            + self.imbalance_s
-    }
-
     /// Gap between actual and ideal.
     pub fn gap_s(&self) -> f64 {
         (self.actual_s - self.ideal_s).max(0.0)

@@ -9,15 +9,16 @@
 //! - [`prep_time`]: the batch-preparation cost model — calibrated so sorted
 //!   prep times span about three orders of magnitude with a ~10% slow tail
 //!   (the paper's Figure 4).
-//! - [`loader`]: two *real threaded* data pipelines over any [`Dataset`]:
-//!   [`loader::BlockingLoader`] reproduces PyTorch DataLoader's in-order
-//!   delivery (a slow batch blocks everything behind it), and
-//!   [`loader::NonBlockingPipeline`] is the paper's fix — a priority queue
-//!   that yields the lowest-index *ready* batch immediately (best-effort
-//!   order, every batch exactly once). Both loaders catch worker panics,
-//!   retry with backoff, and deliver a typed [`loader::LoaderError`]
-//!   instead of deadlocking (see `sf-faults` for deterministic fault
-//!   injection against them).
+//! - [`loader`]: one *real threaded* data pipeline over any [`Dataset`],
+//!   [`Loader`], in two kinds: [`LoaderKind::Blocking`] reproduces PyTorch
+//!   DataLoader's in-order delivery (a slow batch blocks everything behind
+//!   it), and [`LoaderKind::NonBlocking`] is the paper's fix — a priority
+//!   queue that yields the lowest-index *ready* batch immediately
+//!   (best-effort order, every batch exactly once). Either kind catches
+//!   worker panics, retries with backoff, and delivers a typed
+//!   [`LoaderError`] instead of deadlocking (see `sf-faults` for
+//!   deterministic fault injection against it). The `sf-bench` binary
+//!   `fig5` runs the paper's Figure-5 scenario through both kinds.
 //!
 //! [`featurize`] turns synthetic proteins into `sf_model::FeatureBatch`es
 //! (cropping, MSA sampling, BERT-style MSA masking).
@@ -27,6 +28,6 @@ pub mod loader;
 pub mod prep_time;
 pub mod protein;
 
-pub use loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
+pub use loader::{Dataset, Loader, LoaderConfig, LoaderError, LoaderKind};
 pub use prep_time::PrepTimeModel;
 pub use protein::{ProteinRecord, SyntheticDataset};

@@ -1,5 +1,6 @@
-//! The two data pipelines of the paper's Figure 5, with real worker threads
-//! — hardened against worker faults.
+//! The data pipeline of the paper's Figure 5, with real worker threads —
+//! hardened against worker faults. One [`Loader`] runs both pipelines; its
+//! [`LoaderKind`] only picks which prepared batch `next()` takes.
 //!
 //! **Blocking** (PyTorch `DataLoader` semantics): batches are delivered in
 //! sampler order, so one slow batch stalls the consumer even when later
@@ -18,6 +19,7 @@
 //! never silently drops a position. Dropping a loader mid-iteration wakes
 //! and joins every worker, panicked or not.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,7 +32,7 @@ use std::time::Duration;
 /// `prepare` runs on worker threads and may take wildly varying time — that
 /// variance is exactly what the non-blocking pipeline absorbs. `prepare`
 /// may also panic (a poisoned sample, a failing storage backend): the
-/// loaders catch the panic, retry, and surface a [`LoaderError`] if the
+/// loader catches the panic, retries, and surfaces a [`LoaderError`] if the
 /// sample never prepares.
 pub trait Dataset: Send + Sync + 'static {
     /// The prepared batch type.
@@ -247,84 +249,97 @@ fn spawn_workers<D: Dataset>(
         .collect()
 }
 
-fn new_shared<T>() -> Arc<Shared<T>> {
-    Arc::new(Shared {
-        state: Mutex::new(SharedState {
-            buffer: BTreeMap::new(),
-            live_workers: 0,
-        }),
-        ready: Condvar::new(),
-        next_fetch: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-    })
+/// Which prepared batch [`Loader`] hands out next — the two pipelines of
+/// the paper's Figure 5.
+///
+/// [`LoaderKind::NonBlocking`] is the paper's pipeline (and the default);
+/// [`LoaderKind::Blocking`] reproduces PyTorch `DataLoader` semantics and
+/// exists so the data-wait claim is measurable as an A/B: under a straggler
+/// sample, the blocking loader's trace shows a large `data_wait` share
+/// while the non-blocking trace stays near zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum LoaderKind {
+    /// ScaleFold §3.2: deliver the lowest-index *ready* batch immediately.
+    #[default]
+    NonBlocking,
+    /// Strict sampler order: a slow batch stalls the consumer.
+    Blocking,
 }
 
-fn shutdown_and_join<T>(shared: &Shared<T>, workers: &mut Vec<JoinHandle<()>>) {
-    shared.shutdown.store(true, Ordering::Release);
-    shared.next_fetch.store(usize::MAX, Ordering::Relaxed);
-    shared.ready.notify_all();
-    for w in workers.drain(..) {
-        let _ = w.join();
-    }
-}
-
-fn deliver<T>(order: &[usize], pos: usize, slot: Slot<T>) -> Result<(usize, T), LoaderError> {
-    match slot {
-        Slot::Ready(item) => Ok((order[pos], item)),
-        Slot::Failed(e) => Err(e),
-    }
-}
-
-/// In-order pipeline (PyTorch `DataLoader` semantics): yields position 0,
-/// then 1, ... — waiting for each even if later positions are ready.
+/// The threaded data pipeline: workers prepare `order` (a permutation of
+/// dataset indices) and `next()` delivers every position exactly once, in
+/// the order its [`LoaderKind`] picks.
 ///
 /// Yields `Ok((dataset_index, item))` pairs, or `Err(LoaderError)` for a
 /// position whose sample could not be prepared.
-pub struct BlockingLoader<D: Dataset> {
+pub struct Loader<D: Dataset> {
     shared: Arc<Shared<D::Item>>,
     order: Arc<Vec<usize>>,
-    next_yield: usize,
+    kind: LoaderKind,
+    /// Positions delivered so far — under [`LoaderKind::Blocking`], also
+    /// the next position to deliver.
+    yielded: usize,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<D: Dataset> BlockingLoader<D> {
+impl<D: Dataset> Loader<D> {
     /// Starts workers preparing `order` (a permutation of dataset indices).
-    pub fn new(dataset: Arc<D>, order: Vec<usize>, cfg: LoaderConfig) -> Self {
-        let shared = new_shared();
+    pub fn new(dataset: Arc<D>, order: Vec<usize>, cfg: LoaderConfig, kind: LoaderKind) -> Self {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(SharedState {
+                buffer: BTreeMap::new(),
+                live_workers: 0,
+            }),
+            ready: Condvar::new(),
+            next_fetch: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+        });
         let order = Arc::new(order);
         let workers = spawn_workers(dataset, Arc::clone(&order), Arc::clone(&shared), cfg);
-        BlockingLoader {
+        Loader {
             shared,
             order,
-            next_yield: 0,
+            kind,
+            yielded: 0,
             workers,
         }
     }
 }
 
-impl<D: Dataset> Iterator for BlockingLoader<D> {
+impl<D: Dataset> Iterator for Loader<D> {
     type Item = Result<(usize, D::Item), LoaderError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_yield >= self.order.len() {
+        let want = self.yielded;
+        if want >= self.order.len() {
             return None;
         }
+        self.yielded += 1;
         // Everything from here until return is consumer time lost to the
-        // pipeline — the "data-wait" bucket of the paper's Table 1.
-        let _wait = sf_trace::span("data_wait", "loader.next").arg("position", self.next_yield as f64);
-        let want = self.next_yield;
+        // pipeline — the "data-wait" bucket of the paper's Table 1. With
+        // warm non-blocking workers this span is nanoseconds.
+        let _wait = sf_trace::span("data_wait", "loader.next").arg("position", want as f64);
         let mut st = self.shared.lock();
-        // Strict order: wait specifically for `want`, even if others are
-        // ready — this is the blocking behaviour of Figure 5 (i).
-        let slot = loop {
-            if let Some(slot) = st.buffer.remove(&want) {
-                break slot;
+        loop {
+            let taken = match self.kind {
+                // Figure 5 (i): wait for exactly `want`, even if later
+                // positions are ready.
+                LoaderKind::Blocking => st.buffer.remove_entry(&want),
+                // Figure 5 (ii): the lowest-index ready batch, the moment
+                // anything is ready.
+                LoaderKind::NonBlocking => st.buffer.pop_first(),
+            };
+            if let Some((pos, slot)) = taken {
+                drop(st);
+                return Some(match slot {
+                    Slot::Ready(item) => Ok((self.order[pos], item)),
+                    Slot::Failed(e) => Err(e),
+                });
             }
             if st.live_workers == 0 {
                 // Every position gets exactly one Ready/Failed slot while
                 // workers live; reaching this means the workers are gone.
                 // Report instead of deadlocking.
-                self.next_yield += 1;
                 return Some(Err(LoaderError::WorkersDisconnected { position: want }));
             }
             st = self
@@ -332,86 +347,19 @@ impl<D: Dataset> Iterator for BlockingLoader<D> {
                 .ready
                 .wait(st)
                 .unwrap_or_else(|p| p.into_inner());
-        };
-        drop(st);
-        self.next_yield += 1;
-        Some(deliver(&self.order, want, slot))
-    }
-}
-
-impl<D: Dataset> Drop for BlockingLoader<D> {
-    fn drop(&mut self) {
-        shutdown_and_join(&self.shared, &mut self.workers);
-    }
-}
-
-/// ScaleFold's non-blocking pipeline: yields the lowest-index *ready* batch
-/// as soon as any batch is ready (best-effort order; exactly-once
-/// delivery).
-///
-/// Yields `Ok((dataset_index, item))` pairs, or `Err(LoaderError)` for a
-/// sample that could not be prepared.
-pub struct NonBlockingPipeline<D: Dataset> {
-    shared: Arc<Shared<D::Item>>,
-    order: Arc<Vec<usize>>,
-    yielded: usize,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl<D: Dataset> NonBlockingPipeline<D> {
-    /// Starts workers preparing `order` (a permutation of dataset indices).
-    pub fn new(dataset: Arc<D>, order: Vec<usize>, cfg: LoaderConfig) -> Self {
-        let shared = new_shared();
-        let order = Arc::new(order);
-        let workers = spawn_workers(dataset, Arc::clone(&order), Arc::clone(&shared), cfg);
-        NonBlockingPipeline {
-            shared,
-            order,
-            yielded: 0,
-            workers,
         }
     }
 }
 
-impl<D: Dataset> Iterator for NonBlockingPipeline<D> {
-    type Item = Result<(usize, D::Item), LoaderError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.yielded >= self.order.len() {
-            return None;
-        }
-        // Consumer time lost to the pipeline; with warm workers this span
-        // is nanoseconds — exactly the claim the phase report verifies.
-        let _wait = sf_trace::span("data_wait", "loader.next").arg("position", self.yielded as f64);
-        let mut st = self.shared.lock();
-        // Priority queue semantics: take the lowest-index ready batch, the
-        // moment anything is ready — Figure 5 (ii).
-        let (pos, slot) = loop {
-            if let Some((&pos, _)) = st.buffer.iter().next() {
-                let slot = st.buffer.remove(&pos).expect("key just observed");
-                break (pos, slot);
-            }
-            if st.live_workers == 0 {
-                self.yielded += 1;
-                return Some(Err(LoaderError::WorkersDisconnected {
-                    position: self.yielded - 1,
-                }));
-            }
-            st = self
-                .shared
-                .ready
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
-        };
-        drop(st);
-        self.yielded += 1;
-        Some(deliver(&self.order, pos, slot))
-    }
-}
-
-impl<D: Dataset> Drop for NonBlockingPipeline<D> {
+impl<D: Dataset> Drop for Loader<D> {
     fn drop(&mut self) {
-        shutdown_and_join(&self.shared, &mut self.workers);
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::Release);
+        shared.next_fetch.store(usize::MAX, Ordering::Relaxed);
+        shared.ready.notify_all();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
     }
 }
 
@@ -512,12 +460,20 @@ mod tests {
         }
     }
 
+    /// Both pipelines, for the tests that must hold for either.
+    const KINDS: [LoaderKind; 2] = [LoaderKind::Blocking, LoaderKind::NonBlocking];
+
     #[test]
     fn blocking_yields_in_exact_order() {
         let d = Arc::new(SleepyDataset {
             delays: vec![ms(30), ms(1), ms(1), ms(1)],
         });
-        let loader = BlockingLoader::new(d, vec![0, 1, 2, 3], LoaderConfig::with_workers(4));
+        let loader = Loader::new(
+            d,
+            vec![0, 1, 2, 3],
+            LoaderConfig::with_workers(4),
+            LoaderKind::Blocking,
+        );
         let got: Vec<usize> = loader.map(|r| r.expect("no faults").0).collect();
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
@@ -529,8 +485,12 @@ mod tests {
         let d = Arc::new(SleepyDataset {
             delays: vec![ms(120), ms(5), ms(5), ms(5)],
         });
-        let loader =
-            NonBlockingPipeline::new(d, vec![0, 1, 2, 3], LoaderConfig::with_workers(4));
+        let loader = Loader::new(
+            d,
+            vec![0, 1, 2, 3],
+            LoaderConfig::with_workers(4),
+            LoaderKind::NonBlocking,
+        );
         let got: Vec<usize> = loader.map(|r| r.expect("no faults").0).collect();
         assert_ne!(got[0], 0, "slow batch must not be yielded first: {got:?}");
         // Exactly-once delivery.
@@ -546,28 +506,17 @@ mod tests {
         // blocking: the consumer keeps training on ready batches.
         let delays = vec![ms(5), ms(80), ms(5), ms(5), ms(5), ms(5)];
         let order: Vec<usize> = (0..delays.len()).collect();
-        let run = |blocking: bool| -> Duration {
+        let run = |kind: LoaderKind| -> Duration {
             let d = Arc::new(SleepyDataset { delays: delays.clone() });
             let start = Instant::now();
-            let consume = |i: usize| {
-                let _ = i;
+            for r in Loader::new(d, order.clone(), LoaderConfig::with_workers(2), kind) {
+                r.expect("no faults");
                 std::thread::sleep(ms(10));
-            };
-            if blocking {
-                for r in BlockingLoader::new(d, order.clone(), LoaderConfig::with_workers(2)) {
-                    consume(r.expect("no faults").0);
-                }
-            } else {
-                for r in
-                    NonBlockingPipeline::new(d, order.clone(), LoaderConfig::with_workers(2))
-                {
-                    consume(r.expect("no faults").0);
-                }
             }
             start.elapsed()
         };
-        let t_blocking = run(true);
-        let t_nonblocking = run(false);
+        let t_blocking = run(LoaderKind::Blocking);
+        let t_nonblocking = run(LoaderKind::NonBlocking);
         assert!(
             t_nonblocking <= t_blocking + ms(5),
             "non-blocking {t_nonblocking:?} vs blocking {t_blocking:?}"
@@ -580,30 +529,25 @@ mod tests {
             delays: vec![ms(1); 5],
         });
         let order = vec![4, 2, 0, 1, 3];
-        let got: Vec<usize> =
-            BlockingLoader::new(Arc::clone(&d), order.clone(), LoaderConfig::default())
+        let run = |kind| -> Vec<usize> {
+            Loader::new(Arc::clone(&d), order.clone(), LoaderConfig::default(), kind)
                 .map(|r| r.expect("no faults").0)
-                .collect();
-        assert_eq!(got, order);
+                .collect()
+        };
+        assert_eq!(run(LoaderKind::Blocking), order);
 
-        let mut got2: Vec<usize> = NonBlockingPipeline::new(d, order.clone(), LoaderConfig::default())
-            .map(|r| r.expect("no faults").0)
-            .collect();
-        got2.sort_unstable();
-        assert_eq!(got2, vec![0, 1, 2, 3, 4]);
+        let mut got = run(LoaderKind::NonBlocking);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn empty_order_yields_nothing() {
         let d = Arc::new(SleepyDataset { delays: vec![] });
-        assert_eq!(
-            BlockingLoader::new(Arc::clone(&d), vec![], LoaderConfig::default()).count(),
-            0
-        );
-        assert_eq!(
-            NonBlockingPipeline::new(d, vec![], LoaderConfig::default()).count(),
-            0
-        );
+        for kind in KINDS {
+            let loader = Loader::new(Arc::clone(&d), vec![], LoaderConfig::default(), kind);
+            assert_eq!(loader.count(), 0, "{kind:?}");
+        }
     }
 
     #[test]
@@ -611,11 +555,13 @@ mod tests {
         let d = Arc::new(SleepyDataset {
             delays: vec![ms(2); 6],
         });
-        let got: Vec<usize> =
-            NonBlockingPipeline::new(d, (0..6).collect(), LoaderConfig::with_workers(1))
-                .map(|r| r.expect("no faults").0)
-                .collect();
-        assert_eq!(got, (0..6).collect::<Vec<_>>()); // 1 worker => in order
+        for kind in KINDS {
+            let got: Vec<usize> =
+                Loader::new(Arc::clone(&d), (0..6).collect(), LoaderConfig::with_workers(1), kind)
+                    .map(|r| r.expect("no faults").0)
+                    .collect();
+            assert_eq!(got, (0..6).collect::<Vec<_>>(), "{kind:?}"); // 1 worker => in order
+        }
     }
 
     #[test]
@@ -623,94 +569,96 @@ mod tests {
         let d = Arc::new(SleepyDataset {
             delays: vec![ms(5); 20],
         });
-        let mut loader = NonBlockingPipeline::new(d, (0..20).collect(), LoaderConfig::default());
-        let _ = loader.next();
-        drop(loader); // must not hang or panic
+        for kind in KINDS {
+            let mut loader =
+                Loader::new(Arc::clone(&d), (0..20).collect(), LoaderConfig::default(), kind);
+            let _ = loader.next();
+            drop(loader); // must not hang or panic
+        }
     }
 
-    #[test]
-    fn panicking_sample_yields_error_not_hang_nonblocking() {
-        let (got, errs) = with_deadline(Duration::from_secs(20), || {
+    /// A permanently panicking sample surfaces as one `PreparePanicked`
+    /// error after its retries, and every other sample still delivers.
+    fn check_panicking_sample_yields_error(kind: LoaderKind) {
+        let results = with_deadline(Duration::from_secs(20), move || {
             let d = Arc::new(PanickyDataset::permanent(5, 2));
-            let mut got = Vec::new();
-            let mut errs = Vec::new();
-            for r in NonBlockingPipeline::new(d, (0..5).collect(), fast_retry_cfg(2)) {
-                match r {
-                    Ok((i, _)) => got.push(i),
-                    Err(e) => errs.push(e),
-                }
-            }
-            (got, errs)
+            Loader::new(d, (0..5).collect(), fast_retry_cfg(2), kind).collect::<Vec<_>>()
         });
-        got.iter().for_each(|&i| assert_ne!(i, 2));
-        assert_eq!(got.len(), 4);
-        assert_eq!(errs.len(), 1);
-        match &errs[0] {
-            LoaderError::PreparePanicked {
+        assert_eq!(results.len(), 5, "{kind:?}");
+        let got: Vec<usize> = results.iter().filter_map(|r| Some(r.as_ref().ok()?.0)).collect();
+        assert_eq!(got.len(), 4, "{kind:?}");
+        assert!(!got.contains(&2), "{kind:?}: {got:?}");
+        let errs: Vec<&LoaderError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+        match errs.as_slice() {
+            [LoaderError::PreparePanicked {
                 index,
                 attempts,
                 message,
-            } => {
+            }] => {
                 assert_eq!(*index, 2);
                 assert_eq!(*attempts, 3); // 1 try + 2 retries
                 assert!(message.contains("injected panic"), "{message}");
             }
-            other => panic!("unexpected error {other:?}"),
+            other => panic!("{kind:?}: unexpected errors {other:?}"),
+        }
+        if kind == LoaderKind::Blocking {
+            // Sampler order is kept, so the failure sits at its position.
+            assert!(results[2].is_err());
         }
     }
 
     #[test]
     fn panicking_sample_yields_error_not_hang_blocking() {
-        let results = with_deadline(Duration::from_secs(20), || {
-            let d = Arc::new(PanickyDataset::permanent(4, 0));
-            BlockingLoader::new(d, (0..4).collect(), fast_retry_cfg(2)).collect::<Vec<_>>()
-        });
-        assert_eq!(results.len(), 4);
-        // Blocking loader preserves order, so position 0 is the failure.
-        assert!(matches!(
-            results[0],
-            Err(LoaderError::PreparePanicked { index: 0, .. })
-        ));
-        assert!(results[1..].iter().all(|r| r.is_ok()));
+        check_panicking_sample_yields_error(LoaderKind::Blocking);
+    }
+
+    #[test]
+    fn panicking_sample_yields_error_not_hang_nonblocking() {
+        check_panicking_sample_yields_error(LoaderKind::NonBlocking);
     }
 
     #[test]
     fn transient_panic_recovers_via_retry() {
-        let results = with_deadline(Duration::from_secs(20), || {
-            let d = Arc::new(PanickyDataset::transient(4, 1, 2));
-            NonBlockingPipeline::new(d, (0..4).collect(), fast_retry_cfg(1)).collect::<Vec<_>>()
-        });
-        // 2 panics < 1 + 2 retries, so every sample eventually delivers.
-        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 4);
+        for kind in KINDS {
+            let results = with_deadline(Duration::from_secs(20), move || {
+                let d = Arc::new(PanickyDataset::transient(4, 1, 2));
+                Loader::new(d, (0..4).collect(), fast_retry_cfg(1), kind).collect::<Vec<_>>()
+            });
+            // 2 panics < 1 + 2 retries, so every sample eventually delivers.
+            assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 4, "{kind:?}");
+        }
     }
 
     #[test]
     fn drop_with_panicked_worker_does_not_hang() {
-        with_deadline(Duration::from_secs(20), || {
-            let d = Arc::new(PanickyDataset::permanent(20, 0));
-            let mut loader =
-                NonBlockingPipeline::new(d, (0..20).collect(), fast_retry_cfg(3));
-            let _ = loader.next();
-            drop(loader);
-        });
+        for kind in KINDS {
+            with_deadline(Duration::from_secs(20), move || {
+                let d = Arc::new(PanickyDataset::permanent(20, 0));
+                let mut loader = Loader::new(d, (0..20).collect(), fast_retry_cfg(3), kind);
+                let _ = loader.next();
+                drop(loader);
+            });
+        }
     }
 
     #[test]
     fn zero_retries_fails_fast() {
-        let results = with_deadline(Duration::from_secs(20), || {
-            let d = Arc::new(PanickyDataset::permanent(3, 1));
-            let cfg = LoaderConfig {
-                num_workers: 2,
-                max_retries: 0,
-                retry_backoff: Duration::from_millis(1),
-            };
-            NonBlockingPipeline::new(d, (0..3).collect(), cfg).collect::<Vec<_>>()
-        });
-        let errs: Vec<_> = results.iter().filter(|r| r.is_err()).collect();
-        assert_eq!(errs.len(), 1);
-        assert!(matches!(
-            errs[0],
-            Err(LoaderError::PreparePanicked { attempts: 1, .. })
-        ));
+        for kind in KINDS {
+            let results = with_deadline(Duration::from_secs(20), move || {
+                let d = Arc::new(PanickyDataset::permanent(3, 1));
+                let cfg = LoaderConfig {
+                    num_workers: 2,
+                    max_retries: 0,
+                    retry_backoff: Duration::from_millis(1),
+                };
+                Loader::new(d, (0..3).collect(), cfg, kind).collect::<Vec<_>>()
+            });
+            let errs: Vec<_> = results.iter().filter(|r| r.is_err()).collect();
+            assert_eq!(errs.len(), 1, "{kind:?}");
+            assert!(matches!(
+                errs[0],
+                Err(LoaderError::PreparePanicked { attempts: 1, .. })
+            ));
+        }
     }
 }

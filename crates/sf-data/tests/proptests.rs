@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sf_data::featurize::featurize;
-use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, NonBlockingPipeline};
+use sf_data::loader::{Dataset, Loader, LoaderConfig, LoaderKind};
 use sf_data::{PrepTimeModel, SyntheticDataset};
 use sf_model::config::NUM_AA_TYPES;
 use sf_model::ModelConfig;
@@ -31,17 +31,18 @@ impl Dataset for DelayDataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Under any delay pattern and worker count, the non-blocking pipeline
+    /// Under any delay pattern and worker count, either loader kind
     /// delivers every batch exactly once.
     #[test]
-    fn nonblocking_exactly_once(
+    fn loader_exactly_once(
         delays in proptest::collection::vec(0u8..12, 1..16),
         workers in 1usize..5,
+        kind in prop_oneof![Just(LoaderKind::Blocking), Just(LoaderKind::NonBlocking)],
     ) {
         let n = delays.len();
         let ds = Arc::new(DelayDataset { delays_ms: delays });
         let got: Vec<usize> =
-            NonBlockingPipeline::new(ds, (0..n).collect(), LoaderConfig::with_workers(workers))
+            Loader::new(ds, (0..n).collect(), LoaderConfig::with_workers(workers), kind)
                 .map(|item| item.expect("no faults").0)
                 .collect();
         let mut sorted = got.clone();
@@ -61,7 +62,7 @@ proptest! {
         // A nontrivial permutation as the sampler order.
         let order: Vec<usize> = (0..n).rev().collect();
         let got: Vec<usize> =
-            BlockingLoader::new(ds, order.clone(), LoaderConfig::with_workers(workers))
+            Loader::new(ds, order.clone(), LoaderConfig::with_workers(workers), LoaderKind::Blocking)
                 .map(|item| item.expect("no faults").0)
                 .collect();
         prop_assert_eq!(got, order);

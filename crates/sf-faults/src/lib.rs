@@ -326,7 +326,7 @@ impl FaultInjector {
 }
 
 /// Wraps a [`Dataset`] so the injector's data-pipeline faults fire inside
-/// the real worker threads of `sf-data`'s loaders.
+/// the real worker threads of `sf-data`'s loader.
 pub struct FaultyDataset<D: Dataset> {
     inner: D,
     injector: FaultInjector,
@@ -355,7 +355,7 @@ impl<D: Dataset> Dataset for FaultyDataset<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_data::loader::{LoaderConfig, LoaderError, NonBlockingPipeline};
+    use sf_data::loader::{Loader, LoaderConfig, LoaderError, LoaderKind};
 
     struct TrivialDataset(usize);
 
@@ -388,7 +388,7 @@ mod tests {
             max_retries: 1,
             retry_backoff: Duration::from_millis(1),
         };
-        let results: Vec<_> = NonBlockingPipeline::new(d, (0..4).collect(), cfg).collect();
+        let results: Vec<_> = Loader::new(d, (0..4).collect(), cfg, LoaderKind::NonBlocking).collect();
         let errs: Vec<_> = results.into_iter().filter_map(Result::err).collect();
         assert_eq!(errs.len(), 1);
         assert!(matches!(
@@ -410,7 +410,7 @@ mod tests {
             max_retries: 3,
             retry_backoff: Duration::from_millis(1),
         };
-        let results: Vec<_> = NonBlockingPipeline::new(d, (0..2).collect(), cfg).collect();
+        let results: Vec<_> = Loader::new(d, (0..2).collect(), cfg, LoaderKind::NonBlocking).collect();
         assert!(results.iter().all(Result::is_ok), "{results:?}");
     }
 

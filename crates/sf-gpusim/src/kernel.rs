@@ -83,13 +83,6 @@ impl Kernel {
         self
     }
 
-    /// Builder: sets the precision selector.
-    pub fn with_precision(mut self, p: &str) -> Self {
-        self.precision = p.to_string();
-        p.clone_into(&mut self.precision);
-        self
-    }
-
     /// Classifies per the paper's Table 1 taxonomy: a kernel is math-bound
     /// when its roofline-critical side is FLOPs, a memory-op when it moves
     /// bytes with (almost) no math, else memory-bound.

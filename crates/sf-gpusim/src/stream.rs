@@ -83,27 +83,21 @@ impl Stream {
         &self.cpu
     }
 
+    /// CPU cost of one eager kernel launch on this host, seconds.
+    pub(crate) fn kernel_launch_s(&self) -> f64 {
+        self.device.kernel_launch_us * 1e-6 * self.cpu.launch_slowdown
+    }
+
+    /// CPU cost of one CUDA-graph replay launch on this host, seconds.
+    pub(crate) fn graph_launch_s(&self) -> f64 {
+        self.device.graph_launch_us * 1e-6 * self.cpu.launch_slowdown
+    }
+
     /// Executes kernels in **eager mode**: each kernel costs a CPU launch;
     /// the GPU starts a kernel only after both (a) the previous kernel
     /// finished and (b) its launch was issued.
     pub fn run_eager(&self, kernels: &[Kernel]) -> StreamStats {
-        let launch = self.device.kernel_launch_us * 1e-6 * self.cpu.launch_slowdown;
-        let mut cpu_t = self.cpu.gc_pause_s; // GC pause delays the first launch
-        let mut gpu_t = 0.0f64;
-        let mut busy = 0.0f64;
-        for k in kernels {
-            cpu_t += launch;
-            let start = gpu_t.max(cpu_t);
-            let d = k.duration_s(&self.device);
-            gpu_t = start + d;
-            busy += d;
-        }
-        StreamStats {
-            total_s: gpu_t,
-            gpu_busy_s: busy,
-            cpu_exposed_s: gpu_t - busy,
-            kernels: kernels.len(),
-        }
+        self.run_eager_with_syncs(kernels, &[])
     }
 
     /// Like [`Stream::run_eager`], but with host **synchronization points**:
@@ -113,8 +107,20 @@ impl Stream {
     /// building up run-ahead slack, which is what exposes launch overhead on
     /// stretches of tiny kernels.
     pub fn run_eager_with_syncs(&self, kernels: &[Kernel], syncs: &[usize]) -> StreamStats {
-        let launch = self.device.kernel_launch_us * 1e-6 * self.cpu.launch_slowdown;
-        let mut cpu_t = self.cpu.gc_pause_s;
+        self.eager(kernels, syncs, |_, _, _, _| {})
+    }
+
+    /// The eager cursor recurrence. `on_kernel(i, launch_at, start, d)`
+    /// sees kernel `i`'s launch issued at `launch_at` and its execution
+    /// from `start` for `d` seconds.
+    pub(crate) fn eager(
+        &self,
+        kernels: &[Kernel],
+        syncs: &[usize],
+        mut on_kernel: impl FnMut(usize, f64, f64, f64),
+    ) -> StreamStats {
+        let launch = self.kernel_launch_s();
+        let mut cpu_t = self.cpu.gc_pause_s; // GC pause delays the first launch
         let mut gpu_t = 0.0f64;
         let mut busy = 0.0f64;
         let mut sync_iter = syncs.iter().peekable();
@@ -123,9 +129,11 @@ impl Stream {
                 sync_iter.next();
                 cpu_t = cpu_t.max(gpu_t);
             }
+            let launch_at = cpu_t;
             cpu_t += launch;
             let start = gpu_t.max(cpu_t);
             let d = k.duration_s(&self.device);
+            on_kernel(i, launch_at, start, d);
             gpu_t = start + d;
             busy += d;
         }
@@ -141,8 +149,25 @@ impl Stream {
     /// the whole sequence, kernels back-to-back. CPU condition no longer
     /// matters beyond the single launch — the robustness the paper wants.
     pub fn run_graph(&self, kernels: &[Kernel]) -> StreamStats {
-        let launch = self.device.graph_launch_us * 1e-6 * self.cpu.launch_slowdown;
-        let busy: f64 = kernels.iter().map(|k| k.duration_s(&self.device)).sum();
+        self.graph(kernels, |_, _, _| {})
+    }
+
+    /// The graph-replay recurrence. `on_kernel(k, start, d)` sees kernel
+    /// `k` execute from `start` for `d` seconds.
+    pub(crate) fn graph(
+        &self,
+        kernels: &[Kernel],
+        mut on_kernel: impl FnMut(&Kernel, f64, f64),
+    ) -> StreamStats {
+        let launch = self.graph_launch_s();
+        let mut t = launch;
+        let mut busy = 0.0f64;
+        for k in kernels {
+            let d = k.duration_s(&self.device);
+            on_kernel(k, t, d);
+            t += d;
+            busy += d;
+        }
         StreamStats {
             total_s: launch + busy,
             gpu_busy_s: busy,

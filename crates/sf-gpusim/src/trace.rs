@@ -21,35 +21,20 @@ pub const TID_GPU: u32 = 1;
 /// process).
 pub const SIM_PID: u32 = 1;
 
-/// Executes `kernels` eagerly on `stream` (same cursor recurrence as
+/// Executes `kernels` eagerly on `stream` (the recurrence of
 /// [`Stream::run_eager`]) while recording every launch and execution
 /// interval. Returns the aggregate stats together with the timeline.
 pub fn trace_eager(stream: &Stream, kernels: &[Kernel]) -> (StreamStats, Trace) {
-    let device = stream.device();
-    let cpu = stream.cpu();
-    let launch = device.kernel_launch_us * 1e-6 * cpu.launch_slowdown;
+    let gc_pause_s = stream.cpu().gc_pause_s;
+    let launch = stream.kernel_launch_s();
     let mut b = SimTraceBuilder::new(SIM_PID);
-    if cpu.gc_pause_s > 0.0 {
-        b.span_s(TID_CPU, "gc_pause", 0.0, cpu.gc_pause_s);
+    if gc_pause_s > 0.0 {
+        b.span_s(TID_CPU, "gc_pause", 0.0, gc_pause_s);
     }
-    let mut cpu_t = cpu.gc_pause_s;
-    let mut gpu_t = 0.0f64;
-    let mut busy = 0.0f64;
-    for (i, k) in kernels.iter().enumerate() {
-        b.span_s(TID_CPU, format!("launch[{i}]"), cpu_t, launch);
-        cpu_t += launch;
-        let start = gpu_t.max(cpu_t);
-        let d = k.duration_s(device);
-        b.span_s(TID_GPU, k.name.clone(), start, d);
-        gpu_t = start + d;
-        busy += d;
-    }
-    let stats = StreamStats {
-        total_s: gpu_t,
-        gpu_busy_s: busy,
-        cpu_exposed_s: gpu_t - busy,
-        kernels: kernels.len(),
-    };
+    let stats = stream.eager(kernels, &[], |i, launch_at, start, d| {
+        b.span_s(TID_CPU, format!("launch[{i}]"), launch_at, launch);
+        b.span_s(TID_GPU, kernels[i].name.clone(), start, d);
+    });
     (stats, b.finish())
 }
 
@@ -57,24 +42,11 @@ pub fn trace_eager(stream: &Stream, kernels: &[Kernel]) -> (StreamStats, Trace) 
 /// back-to-back — the recurrence of [`Stream::run_graph`]) while recording
 /// the timeline.
 pub fn trace_graph(stream: &Stream, kernels: &[Kernel]) -> (StreamStats, Trace) {
-    let device = stream.device();
-    let launch = device.graph_launch_us * 1e-6 * stream.cpu().launch_slowdown;
     let mut b = SimTraceBuilder::new(SIM_PID);
-    b.span_s(TID_CPU, "graph_launch", 0.0, launch);
-    let mut t = launch;
-    let mut busy = 0.0f64;
-    for k in kernels {
-        let d = k.duration_s(device);
-        b.span_s(TID_GPU, k.name.clone(), t, d);
-        t += d;
-        busy += d;
-    }
-    let stats = StreamStats {
-        total_s: t,
-        gpu_busy_s: busy,
-        cpu_exposed_s: launch,
-        kernels: kernels.len(),
-    };
+    b.span_s(TID_CPU, "graph_launch", 0.0, stream.graph_launch_s());
+    let stats = stream.graph(kernels, |k, start, d| {
+        b.span_s(TID_GPU, k.name.clone(), start, d);
+    });
     (stats, b.finish())
 }
 

@@ -415,11 +415,8 @@ pub fn transition(
     prefix: &str,
     x: Var,
 ) -> Result<Var> {
-    let ln = layer_norm(g, store, &format!("{prefix}.ln"), c, x)?;
-    let h = Linear::new(format!("{prefix}.fc1"), c, c * factor).apply(g, store, ln)?;
-    let a = g.relu(h)?;
-    let out = Linear::new(format!("{prefix}.fc2"), c * factor, c).apply(g, store, a)?;
-    g.add(x, out)
+    let ins = transition_inputs(g, store, c, factor, prefix, x);
+    transition_ops(g, &ins)
 }
 
 /// Gradient-checkpointed variant of [`transition`]: the segment's
@@ -435,8 +432,22 @@ pub fn transition_checkpointed(
     prefix: &str,
     x: Var,
 ) -> Result<Var> {
-    // Bind all parameters as explicit checkpoint inputs so their gradients
+    // The parameters are explicit checkpoint inputs so their gradients
     // flow out of the re-executed segment.
+    let ins = transition_inputs(g, store, c, factor, prefix, x);
+    g.checkpoint(&ins, transition_ops)
+}
+
+/// Binds the transition's six parameters and returns `[x, γ, β, W1, b1,
+/// W2, b2]`, the inputs [`transition_ops`] reads.
+fn transition_inputs(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    c: usize,
+    factor: usize,
+    prefix: &str,
+    x: Var,
+) -> [Var; 7] {
     let gamma =
         g.use_param_or_init(store, &format!("{prefix}.ln.gamma"), || sf_tensor::Tensor::ones(&[c]));
     let beta =
@@ -447,16 +458,20 @@ pub fn transition_checkpointed(
     let (w2, Some(b2)) = Linear::new(format!("{prefix}.fc2"), c * factor, c).bind(g, store) else {
         unreachable!("Linear::new binds a bias");
     };
-    g.checkpoint(&[x, gamma, beta, w1, b1, w2, b2], |sub, ins| {
-        let [x, gamma, beta, w1, b1, w2, b2] = *ins else {
-            unreachable!("checkpoint passes inputs through unchanged");
-        };
-        let ln = sub.layer_norm(x, gamma, beta)?;
-        let h = sub.linear(ln, w1, Some(b1))?;
-        let a = sub.relu(h)?;
-        let o = sub.linear(a, w2, Some(b2))?;
-        sub.add(x, o)
-    })
+    [x, gamma, beta, w1, b1, w2, b2]
+}
+
+/// The transition's op sequence over [`transition_inputs`]: LayerNorm →
+/// linear → ReLU → linear → residual.
+fn transition_ops(g: &mut Graph, ins: &[Var]) -> Result<Var> {
+    let [x, gamma, beta, w1, b1, w2, b2] = *ins else {
+        unreachable!("transition_inputs yields seven inputs");
+    };
+    let ln = g.layer_norm(x, gamma, beta)?;
+    let h = g.linear(ln, w1, Some(b1))?;
+    let a = g.relu(h)?;
+    let out = g.linear(a, w2, Some(b2))?;
+    g.add(x, out)
 }
 
 /// Module 4: outer product mean — the MSA→pair communication channel.

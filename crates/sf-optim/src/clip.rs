@@ -110,12 +110,6 @@ impl GradBuckets {
         self.buckets.len()
     }
 
-    /// Mutable access to the flat slabs (the cluster simulator all-reduces
-    /// these directly).
-    pub fn buckets_mut(&mut self) -> &mut [Vec<f32>] {
-        &mut self.buckets
-    }
-
     /// Read access to the flat slabs.
     pub fn buckets(&self) -> &[Vec<f32>] {
         &self.buckets

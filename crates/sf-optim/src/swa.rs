@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 pub struct Swa {
     decay: f32,
     average: BTreeMap<String, Tensor>,
-    updates: u64,
 }
 
 impl Swa {
@@ -30,7 +29,6 @@ impl Swa {
         Swa {
             decay,
             average: BTreeMap::new(),
-            updates: 0,
         }
     }
 
@@ -39,15 +37,9 @@ impl Swa {
         self.decay
     }
 
-    /// Number of updates folded so far.
-    pub fn update_count(&self) -> u64 {
-        self.updates
-    }
-
     /// Folds the current parameters into the running average
     /// (`avg = decay * avg + (1 - decay) * param`; first call copies).
     pub fn update(&mut self, store: &ParamStore) {
-        self.updates += 1;
         for (name, param) in store.iter() {
             match self.average.get_mut(name) {
                 Some(avg) => {

@@ -6,9 +6,10 @@
 //! halves memory-bound kernel time).
 //!
 //! This module provides bit-accurate [`Bf16`] (round-to-nearest-even) and
-//! [`Fp16`] conversions plus tensor-level quantization helpers, letting the
-//! CPU-scale trainer demonstrate the same qualitative behaviour: bf16
-//! training converges, naive fp16 overflows on AlphaFold-scale logits.
+//! [`Fp16`] conversions plus tensor-level quantization helpers. The
+//! CPU-scale trainer rounds each step's gradients through the chosen
+//! [`Precision`] before the optimizer update; activations and weights stay
+//! f32.
 
 use crate::Tensor;
 
@@ -188,15 +189,16 @@ impl std::fmt::Display for Fp16 {
     }
 }
 
-/// Numeric precision policy applied to activations during training.
+/// Numeric precision policy applied to gradients during training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
 pub enum Precision {
     /// Full f32 (the MLPerf reference default).
     #[default]
     F32,
-    /// bfloat16 storage: activations rounded through [`Bf16`] after each op.
+    /// bfloat16 storage: gradients rounded through [`Bf16`] each step.
     Bf16,
-    /// Naive float16 storage — included to demonstrate the NaN failure mode.
+    /// Naive float16 storage: gradients rounded through [`Fp16`] each step
+    /// — included to demonstrate the NaN failure mode.
     Fp16,
 }
 

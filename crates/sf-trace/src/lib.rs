@@ -435,20 +435,6 @@ impl SimTraceBuilder {
         self
     }
 
-    /// Adds a counter sample at simulated second `at_s`.
-    pub fn counter_s(&mut self, tid: u32, name: impl Into<Cow<'static, str>>, at_s: f64, value: f64) -> &mut Self {
-        self.events.push(Event {
-            name: name.into(),
-            cat: Cow::Borrowed("counter"),
-            kind: EventKind::Counter { value },
-            ts_us: (at_s.max(0.0) * 1e6) as u64,
-            pid: self.pid,
-            tid,
-            args: Vec::new(),
-        });
-        self
-    }
-
     /// Finishes into a [`Trace`] (events sorted by timestamp).
     pub fn finish(mut self) -> Trace {
         self.events.sort_by_key(|e| e.ts_us);

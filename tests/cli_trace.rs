@@ -1,5 +1,5 @@
-//! Black-box CLI tests for the global `--trace` flag and `trace-report`,
-//! run against the real `scalefold` binary.
+//! Black-box CLI tests for the global flags (`--trace`, `--threads`,
+//! `--dap`) and `trace-report`, run against the real `scalefold` binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -60,6 +60,33 @@ fn trace_flag_without_value_exits_one() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--trace expects an output path"), "{stderr}");
+}
+
+/// Malformed `--threads` / `--dap` values exit 1 with the flag's own
+/// diagnostic before any command runs.
+#[test]
+fn malformed_global_flags_exit_one_with_diagnostic() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["memory", "2", "--threads", "0"], "--threads expects a positive integer"),
+        (&["memory", "2", "--threads"], "--threads expects a thread count"),
+        (&["memory", "2", "--dap", "x"], "invalid DAP rank count 'x'"),
+        (&["memory", "2", "--dap=0"], "--dap expects a positive integer"),
+    ];
+    for (args, message) in cases {
+        let out = scalefold(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run the command");
+    }
+}
+
+/// The `--threads=N` spelling is stripped like `--threads N`, so the
+/// command sees no leftover argument.
+#[test]
+fn threads_equals_form_is_accepted() {
+    let out = scalefold(&["memory", "2", "--threads=1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// The documented end-to-end flow: a traced run writes Chrome-format JSON

@@ -5,7 +5,7 @@
 use scalefold::{build_graph, OptimizationSet, Trainer, TrainerConfig};
 use sf_autograd::{Graph, ParamStore};
 use sf_data::featurize::featurize;
-use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, NonBlockingPipeline};
+use sf_data::loader::{Dataset, Loader, LoaderConfig, LoaderKind};
 use sf_data::SyntheticDataset;
 use sf_gpusim::{CpuModel, DeviceSpec};
 use sf_model::metrics::lddt_ca;
@@ -75,19 +75,18 @@ fn pipeline_under_stragglers_delivers_exactly_once() {
         }
     }
     let order: Vec<usize> = (0..24).collect();
-    let nb: Vec<usize> =
-        NonBlockingPipeline::new(Arc::new(Sleepy), order.clone(), LoaderConfig::default())
+    let run = |kind| -> Vec<usize> {
+        Loader::new(Arc::new(Sleepy), order.clone(), LoaderConfig::default(), kind)
             .map(|item| item.expect("no faults").0)
-            .collect();
+            .collect()
+    };
+    let nb = run(LoaderKind::NonBlocking);
     let mut sorted = nb.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, order, "exactly-once delivery");
     assert_ne!(nb, order, "stragglers should reorder delivery");
 
-    let b: Vec<usize> = BlockingLoader::new(Arc::new(Sleepy), order.clone(), LoaderConfig::default())
-        .map(|item| item.expect("no faults").0)
-        .collect();
-    assert_eq!(b, order, "blocking loader preserves order exactly");
+    assert_eq!(run(LoaderKind::Blocking), order, "blocking loader preserves order exactly");
 }
 
 #[test]
