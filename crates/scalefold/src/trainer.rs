@@ -244,6 +244,9 @@ pub struct Trainer {
     /// accumulates its total traffic.
     dap_group: DapGroup,
     dap_comm: DapStats,
+    /// Nodes on the last replica tape: the next step's tapes are built
+    /// with this capacity instead of regrowing by doubling.
+    tape_nodes: usize,
 }
 
 impl Trainer {
@@ -294,6 +297,7 @@ impl Trainer {
             recovery: Vec::new(),
             dap_group,
             dap_comm: DapStats::default(),
+            tape_nodes: 0,
             cfg,
         }
     }
@@ -368,13 +372,14 @@ impl Trainer {
         let (mut loss, mut distance_loss, mut lddt) = (0.0f32, 0.0f32, 0.0f32);
         let mut grads: Vec<SlotGrads> = Vec::with_capacity(batches.len());
         for (replica, batch) in self.replicas.iter_mut().zip(batches) {
-            let mut g = Graph::new();
+            let mut g = Graph::with_capacity(self.tape_nodes);
             let out = {
                 let _fwd = sf_trace::span("forward", "forward");
                 self.model
                     .forward_dap(&mut g, &mut replica.store, batch, Some(&self.dap_group))
                     .expect("forward pass on validated batch")
             };
+            self.tape_nodes = g.len();
             let replica_grads = {
                 let _bwd = sf_trace::span("backward", "backward");
                 g.backward(out.loss).expect("scalar loss");

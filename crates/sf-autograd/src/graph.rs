@@ -1,12 +1,12 @@
 //! The autodiff tape: nodes, forward operations, and the backward driver.
 
-use crate::op::Op;
+use crate::op::{AttentionNode, Op};
 use crate::{AutogradError, Result};
 use sf_tensor::ops::attention::{HeadView, HeadViews};
 use sf_tensor::ops::layernorm::{fused_forward, LN_EPS};
 use sf_tensor::ops::softmax::softmax;
 use sf_tensor::ops::vexp::vexp;
-use sf_tensor::Tensor;
+use sf_tensor::{Tensor, MAX_RANK};
 
 /// A handle to a value on the tape.
 ///
@@ -28,11 +28,17 @@ pub(crate) struct Node {
     pub op: Op,
 }
 
+// A tape records about a thousand nodes a step, each the size of a tensor
+// plus the largest `Op` variant (LayerNorm with its saved statistics): a
+// variant that outgrows it grows every node.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Node>() == 144);
+
 /// An append-only reverse-mode autodiff tape.
 ///
 /// Build the forward computation with the methods below, then call
-/// [`Graph::backward`] on a scalar loss. Leaf gradients are retrieved with
-/// [`Graph::grad`] or, for parameters bound from a store via
+/// [`Graph::backward`] on a scalar loss. Only leaves keep their gradients:
+/// read them with [`Graph::grad`] or, for parameters bound from a store via
 /// [`Graph::use_param`], with [`Graph::take_param_grads`] (by slot) or
 /// [`Graph::grads_by_name`].
 #[derive(Default)]
@@ -55,6 +61,16 @@ impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Graph::default()
+    }
+
+    /// Creates an empty tape with room for `nodes` nodes, so a tape rebuilt
+    /// every step at a known size records without regrowing.
+    pub fn with_capacity(nodes: usize) -> Self {
+        Graph {
+            nodes: Vec::with_capacity(nodes),
+            grads: Vec::with_capacity(nodes),
+            bindings: Vec::new(),
+        }
     }
 
     /// Number of nodes currently recorded.
@@ -103,8 +119,11 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of a variable after [`Graph::backward`], or
-    /// `None` if no gradient flowed to it (or backward has not run).
+    /// The accumulated gradient of a leaf ([`Graph::param`],
+    /// [`Graph::constant`] or a bound parameter) after
+    /// [`Graph::backward`], or `None` if no gradient flowed to it (or
+    /// backward has not run). Always `None` for a non-leaf: backward frees
+    /// each intermediate cotangent as soon as its VJP has run.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
@@ -118,7 +137,9 @@ impl Graph {
         self.push(value, Op::Leaf)
     }
 
-    /// Registers a constant leaf (no gradient).
+    /// Registers a constant leaf. The tape does not tell constants from
+    /// [`Graph::param`]s: like every leaf, a constant keeps the gradient
+    /// that reaches it, which callers simply do not read.
     pub fn constant(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Leaf)
     }
@@ -484,14 +505,14 @@ impl Graph {
         )?;
         Ok(self.push(
             fused.out,
-            Op::FusedAttention {
-                views: Box::new(views),
+            Op::FusedAttention(Box::new(AttentionNode {
+                views,
                 bias,
                 mask,
                 scale,
                 att: fused.att,
                 lse: fused.lse,
-            },
+            })),
         ))
     }
 
@@ -523,7 +544,11 @@ impl Graph {
     pub fn permute(&mut self, x: Var, perm: &[usize]) -> Result<Var> {
         self.check(x)?;
         let v = self.value(x).permute(perm)?;
-        Ok(self.push(v, Op::Permute { x, perm: perm.to_vec() }))
+        let mut stored = [0u8; MAX_RANK];
+        for (s, &p) in stored.iter_mut().zip(perm) {
+            *s = u8::try_from(p).expect("a valid permutation's axes are below MAX_RANK");
+        }
+        Ok(self.push(v, Op::Permute { x, perm: stored }))
     }
 
     /// Slice `[start, end)` along `axis`.
@@ -654,7 +679,7 @@ impl Graph {
         let mask = Tensor::rand_uniform(self.value(x).dims(), 0.0, 1.0, seed)
             .map(|u| if u < keep { 1.0 / keep } else { 0.0 });
         let v = self.value(x).mul(&mask)?;
-        Ok(self.push(v, Op::Dropout { x, mask }))
+        Ok(self.push(v, Op::Dropout { x, mask: Box::new(mask) }))
     }
 
     // ------------------------------------------------------------------
@@ -663,9 +688,12 @@ impl Graph {
 
     /// Runs reverse-mode differentiation from a scalar `loss`.
     ///
-    /// Gradients accumulate into every node; read them back with
-    /// [`Graph::grad`] / [`Graph::grads_by_name`]. Calling `backward` again
-    /// accumulates on top (call [`Graph::zero_grads`] to reset).
+    /// Gradients accumulate into the leaves only; read them back with
+    /// [`Graph::grad`] / [`Graph::grads_by_name`]. An intermediate node's
+    /// cotangent is dropped right after its VJP has run, so at most the
+    /// cotangents still waiting for their VJP are live at once. Calling
+    /// `backward` again accumulates on top (call [`Graph::zero_grads`] to
+    /// reset).
     ///
     /// # Errors
     ///
@@ -691,20 +719,18 @@ impl Graph {
         self.check(output)?;
         // Propagate in a scratch buffer so repeated backward calls accumulate
         // leaf gradients without re-propagating previous totals.
-        let mut local: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let mut local: Vec<Option<Tensor>> = vec![None; output.0 + 1];
         local[output.0] = Some(seed);
         for i in (0..=output.0).rev() {
             // A node's VJP only writes to its inputs, which precede it on the
-            // tape, so its own cotangent can be lent out and put back.
+            // tape, so its cotangent is complete when the walk reaches it.
             let Some(dy) = local[i].take() else {
                 continue;
             };
-            self.vjp(i, &dy, &mut local)?;
-            local[i] = Some(dy);
-        }
-        for (idx, g) in local.into_iter().enumerate() {
-            if let Some(g) = g {
-                accumulate(&mut self.grads, idx, g)?;
+            if matches!(self.nodes[i].op, Op::Leaf) {
+                accumulate(&mut self.grads, i, dy)?;
+            } else {
+                self.vjp(i, &dy, &mut local)?;
             }
         }
         Ok(())

@@ -7,13 +7,17 @@ use sf_tensor::ops::attention::attention_heads_backward;
 use sf_tensor::ops::layernorm::{fused_backward, LayerNormStats};
 use sf_tensor::ops::matmul::linear_weight_grad;
 use sf_tensor::ops::vexp::vexp;
-use sf_tensor::Tensor;
+use sf_tensor::{Tensor, MAX_RANK};
 use std::rc::Rc;
 
 /// Rows per block in the two-step LN backward reduction (the Triton kernel's
 /// launch dimension; any positive value is numerically identical).
 const LN_BACKWARD_BLOCK_ROWS: usize = 64;
 
+/// What a tape node computed, with the context its VJP needs. Variants
+/// whose context holds tensors of their own (attention, dropout) keep it
+/// behind a `Box`, so the common nodes stay small: every [`crate::Graph`]
+/// node pays for the largest variant.
 pub(crate) enum Op {
     Leaf,
     Add(Var, Var),
@@ -54,30 +58,13 @@ pub(crate) enum Op {
     },
     /// `aᵀ @ b` on `a` as stored (`sf_tensor::ops::matmul::matmul_at`).
     MatmulAt(Var, Var),
-    /// Fully fused attention (`sf_tensor::ops::attention::attention_heads`):
-    /// scale + pair bias + mask + whole-row softmax + sigmoid gate in one
-    /// kernel that reads Q, K, V and the gate as head views (a `Var`, a
-    /// column offset and an attended axis each) and writes merged heads.
-    /// Saves only the per-row softmax log-sum-exp (`lse`) and — when gated
-    /// — the pre-gate output, never the `[S_q, S_k]` probability tensor;
-    /// the backward recomputes each batch element's probability block from
-    /// `lse` in a single pass and writes each view's gradient into its
-    /// columns of its source's slot. The mask is non-differentiable.
-    FusedAttention {
-        views: Box<HeadVars>,
-        bias: Option<Var>,
-        mask: Option<Var>,
-        scale: f32,
-        /// Pre-gate attention output (`None` when ungated: the node value
-        /// already is the pre-gate output).
-        att: Option<Tensor>,
-        /// Per-row log-sum-exp softmax statistics.
-        lse: Tensor,
-    },
+    /// Fully fused attention (`sf_tensor::ops::attention::attention_heads`).
+    FusedAttention(Box<AttentionNode>),
     Reshape(Var),
     Permute {
         x: Var,
-        perm: Vec<usize>,
+        /// The permutation, in its first `rank` entries.
+        perm: [u8; MAX_RANK],
     },
     SliceAxis {
         x: Var,
@@ -101,7 +88,7 @@ pub(crate) enum Op {
     MeanAll(Var),
     Dropout {
         x: Var,
-        mask: Tensor,
+        mask: Box<Tensor>,
     },
     Checkpoint {
         inputs: Vec<Var>,
@@ -109,57 +96,70 @@ pub(crate) enum Op {
     },
 }
 
+/// A fully fused attention node: scale + pair bias + mask + whole-row
+/// softmax + sigmoid gate in one kernel that reads Q, K, V and the gate as
+/// head views (a `Var`, a column offset and an attended axis each) and
+/// writes merged heads. Saves only the per-row softmax log-sum-exp (`lse`)
+/// and — when gated — the pre-gate output, never the `[S_q, S_k]`
+/// probability tensor; the backward recomputes each batch element's
+/// probability block from `lse` in a single pass and writes each view's
+/// gradient into its columns of its source's slot. The mask is
+/// non-differentiable.
+pub(crate) struct AttentionNode {
+    pub views: HeadVars,
+    pub bias: Option<Var>,
+    pub mask: Option<Var>,
+    pub scale: f32,
+    /// Pre-gate attention output (`None` when ungated: the node value
+    /// already is the pre-gate output).
+    pub att: Option<Tensor>,
+    /// Per-row log-sum-exp softmax statistics.
+    pub lse: Tensor,
+}
+
 impl Graph {
     /// Applies node `i`'s vector-Jacobian product given upstream cotangent
     /// `dy`, accumulating into the input slots.
     pub(crate) fn vjp(&self, i: usize, dy: &Tensor, grads: &mut [Option<Tensor>]) -> Result<()> {
-        // Work around the borrow: values are read-only; grads are written.
-        // We clone small context out of the op first.
-        enum Pending {
-            None,
-            One(usize, Tensor),
-            Two(usize, Tensor, usize, Tensor),
-            Many(Vec<(usize, Tensor)>),
-        }
-        let pending: Pending = match &self.nodes[i].op {
-            Op::Leaf => Pending::None,
+        match &self.nodes[i].op {
+            Op::Leaf => Ok(()),
             Op::Add(a, b) => {
                 let da = sum_to(dy.clone(), self.nodes[a.0].value.dims())?;
                 let db = sum_to(dy.clone(), self.nodes[b.0].value.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
             Op::Sub(a, b) => {
                 let da = sum_to(dy.clone(), self.nodes[a.0].value.dims())?;
                 let db = sum_to(dy.neg(), self.nodes[b.0].value.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
             Op::Mul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let da = sum_to(dy.mul(bv)?, av.dims())?;
                 let db = sum_to(dy.mul(av)?, bv.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
             Op::Div(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let da = sum_to(dy.div(bv)?, av.dims())?;
                 let db = sum_to(dy.mul(av)?.div(&bv.square())?.neg(), bv.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
-            Op::Neg(x) => Pending::One(x.0, dy.neg()),
-            Op::Scale(x, s) => Pending::One(x.0, dy.mul_scalar(*s)),
-            Op::AddScalar(x) => Pending::One(x.0, dy.clone()),
+            Op::Neg(x) => accumulate(grads, x.0, dy.neg()),
+            Op::Scale(x, s) => accumulate(grads, x.0, dy.mul_scalar(*s)),
+            Op::AddScalar(x) => accumulate(grads, x.0, dy.clone()),
             Op::Relu(x) => {
                 let xv = &self.nodes[x.0].value;
                 let gate = xv.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                Pending::One(x.0, dy.mul(&gate)?)
+                accumulate(grads, x.0, dy.mul(&gate)?)
             }
             Op::Sigmoid(x) => {
                 // d/dx sigmoid = y (1 - y); node value is y.
                 let y = &self.nodes[i].value;
                 let d = y.mul(&y.map(|v| 1.0 - v))?;
-                Pending::One(x.0, dy.mul(&d)?)
+                accumulate(grads, x.0, dy.mul(&d)?)
             }
             Op::Gate { gate, x } => {
                 // The `Mul` and `Sigmoid` VJPs of `mul(sigmoid(gate), x)` in
@@ -176,72 +176,73 @@ impl Graph {
                     *dxe *= y;
                     *dg = (0.0 + *dg) * (y * (1.0 - y));
                 }
-                Pending::Two(gate.0, dgate, x.0, sum_to(dx, xv.dims())?)
+                accumulate_each(grads, [(gate.0, dgate), (x.0, sum_to(dx, xv.dims())?)])
             }
             Op::Tanh(x) => {
                 let y = &self.nodes[i].value;
                 let d = y.map(|v| 1.0 - v * v);
-                Pending::One(x.0, dy.mul(&d)?)
+                accumulate(grads, x.0, dy.mul(&d)?)
             }
             Op::Gelu(x) => {
                 let d = self.nodes[x.0].value.gelu_derivative();
-                Pending::One(x.0, dy.mul(&d)?)
+                accumulate(grads, x.0, dy.mul(&d)?)
             }
             Op::Square(x) => {
                 let d = self.nodes[x.0].value.mul_scalar(2.0);
-                Pending::One(x.0, dy.mul(&d)?)
+                accumulate(grads, x.0, dy.mul(&d)?)
             }
             Op::Exp(x) => {
                 let y = &self.nodes[i].value;
-                Pending::One(x.0, dy.mul(y)?)
+                accumulate(grads, x.0, dy.mul(y)?)
             }
             Op::Ln(x) => {
                 let inv = self.nodes[x.0].value.map(|v| 1.0 / v);
-                Pending::One(x.0, dy.mul(&inv)?)
+                accumulate(grads, x.0, dy.mul(&inv)?)
             }
             Op::Sqrt(x) => {
                 // d/dx sqrt = 0.5 / y.
                 let y = &self.nodes[i].value;
                 let d = y.map(|v| if v > 0.0 { 0.5 / v } else { 0.0 });
-                Pending::One(x.0, dy.mul(&d)?)
+                accumulate(grads, x.0, dy.mul(&d)?)
             }
             Op::Matmul(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let da = sum_to(dy.matmul_bt(bv)?, av.dims())?;
                 let db = sum_batch(av.matmul_at(dy)?, bv.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
             Op::MatmulAt(a, b) => {
                 let av = &self.nodes[a.0].value;
                 let bv = &self.nodes[b.0].value;
                 let da = sum_to(bv.matmul_bt(dy)?, av.dims())?;
                 let db = sum_batch(av.matmul(dy)?, bv.dims())?;
-                Pending::Two(a.0, da, b.0, db)
+                accumulate_each(grads, [(a.0, da), (b.0, db)])
             }
             Op::Linear { x, w, b } => {
                 let xv = &self.nodes[x.0].value;
                 let wv = &self.nodes[w.0].value;
                 let dx = dy.matmul(wv)?;
                 let dw = linear_weight_grad(dy, xv)?;
-                let mut outs = vec![(x.0, dx), (w.0, dw)];
-                if let Some(b) = b {
-                    outs.push((b.0, dy.reduce_to(self.nodes[b.0].value.dims())?));
-                }
-                Pending::Many(outs)
+                let db = match b {
+                    Some(b) => Some((b.0, dy.reduce_to(self.nodes[b.0].value.dims())?)),
+                    None => None,
+                };
+                accumulate_each(grads, [(x.0, dx), (w.0, dw)].into_iter().chain(db))
             }
             Op::Softmax(x) => {
                 let y = &self.nodes[i].value;
-                Pending::One(x.0, softmax_backward(y, dy)?)
+                accumulate(grads, x.0, softmax_backward(y, dy)?)
             }
             Op::LayerNorm { x, gamma, beta, stats } => {
                 let xv = &self.nodes[x.0].value;
                 let gv = &self.nodes[gamma.0].value;
                 let (dx, dg, db) =
                     fused_backward(dy, xv, gv, stats, LN_BACKWARD_BLOCK_ROWS)?;
-                Pending::Many(vec![(x.0, dx), (gamma.0, dg), (beta.0, db)])
+                accumulate_each(grads, [(x.0, dx), (gamma.0, dg), (beta.0, db)])
             }
-            Op::FusedAttention { views, bias, mask, scale, att, lse } => {
+            Op::FusedAttention(node) => {
+                let AttentionNode { views, bias, mask, scale, att, lse } = &**node;
                 let att_ref = att.as_ref().unwrap_or(&self.nodes[i].value);
                 let (vars, mut sinks, route) = attention_sinks(views, grads);
                 let dbias = attention_heads_backward(
@@ -263,93 +264,78 @@ impl Graph {
                     }
                 }
                 match (bias, dbias?) {
-                    (Some(b), Some(dbias)) => Pending::One(b.0, dbias),
-                    _ => Pending::None,
+                    (Some(b), Some(dbias)) => accumulate(grads, b.0, dbias),
+                    _ => Ok(()),
                 }
             }
-            Op::Reshape(x) => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                Pending::One(x.0, dy.reshape(&dims)?)
-            }
+            Op::Reshape(x) => accumulate(grads, x.0, dy.reshape(self.nodes[x.0].value.dims())?),
             Op::Permute { x, perm } => {
-                let mut inv = vec![0usize; perm.len()];
-                for (o, &p) in perm.iter().enumerate() {
-                    inv[p] = o;
+                let rank = dy.rank();
+                let mut inv = [0usize; MAX_RANK];
+                for (o, &p) in perm[..rank].iter().enumerate() {
+                    inv[usize::from(p)] = o;
                 }
-                Pending::One(x.0, dy.permute(&inv)?)
+                accumulate(grads, x.0, dy.permute(&inv[..rank])?)
             }
             Op::SliceAxis { x, axis, start } => {
                 let xv = &self.nodes[x.0].value;
                 slice_accumulate(grads, x.0, xv.dims(), *axis, *start, dy);
-                Pending::None
+                Ok(())
             }
             Op::Concat { xs, axis } => {
-                let mut outs = Vec::with_capacity(xs.len());
                 let mut offset = 0usize;
                 for &x in xs {
                     let len = self.nodes[x.0].value.dims()[*axis];
-                    let piece = dy.slice_axis(*axis, offset, offset + len)?;
-                    outs.push((x.0, piece));
+                    accumulate(grads, x.0, dy.slice_axis(*axis, offset, offset + len)?)?;
                     offset += len;
-                }
-                Pending::Many(outs)
-            }
-            Op::BroadcastTo(x) => {
-                Pending::One(x.0, sum_to(dy.clone(), self.nodes[x.0].value.dims())?)
-            }
-            Op::SumAxis { x, axis } => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                let expanded = dy.unsqueeze(*axis)?.broadcast_to(&dims)?;
-                Pending::One(x.0, expanded)
-            }
-            Op::MeanAxis { x, axis } => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                let n = dims[*axis].max(1) as f32;
-                let expanded = dy.unsqueeze(*axis)?.broadcast_to(&dims)?;
-                Pending::One(x.0, expanded.mul_scalar(1.0 / n))
-            }
-            Op::SumAll(x) => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                Pending::One(x.0, Tensor::full(&dims, dy.item()))
-            }
-            Op::MeanAll(x) => {
-                let dims = self.nodes[x.0].value.dims().to_vec();
-                let n: usize = dims.iter().product::<usize>().max(1);
-                Pending::One(x.0, Tensor::full(&dims, dy.item() / n as f32))
-            }
-            Op::Dropout { x, mask } => Pending::One(x.0, dy.mul(mask)?),
-            Op::Checkpoint { inputs, f } => {
-                let inputs = inputs.clone();
-                let f = Rc::clone(f);
-                let input_values: Vec<Tensor> =
-                    inputs.iter().map(|&v| self.nodes[v.0].value.clone()).collect();
-                let grads =
-                    crate::checkpoint::checkpoint_backward(&f, &input_values, dy.clone())?;
-                Pending::Many(
-                    inputs
-                        .iter()
-                        .zip(grads)
-                        .filter_map(|(v, g)| g.map(|g| (v.0, g)))
-                        .collect(),
-                )
-            }
-        };
-
-        match pending {
-            Pending::None => Ok(()),
-            Pending::One(idx, g) => accumulate(grads, idx, g),
-            Pending::Two(ai, ga, bi, gb) => {
-                accumulate(grads, ai, ga)?;
-                accumulate(grads, bi, gb)
-            }
-            Pending::Many(items) => {
-                for (idx, g) in items {
-                    accumulate(grads, idx, g)?;
                 }
                 Ok(())
             }
+            Op::BroadcastTo(x) => {
+                accumulate(grads, x.0, sum_to(dy.clone(), self.nodes[x.0].value.dims())?)
+            }
+            Op::SumAxis { x, axis } => {
+                let dims = self.nodes[x.0].value.dims();
+                let expanded = dy.unsqueeze(*axis)?.broadcast_to(dims)?;
+                accumulate(grads, x.0, expanded)
+            }
+            Op::MeanAxis { x, axis } => {
+                let dims = self.nodes[x.0].value.dims();
+                let n = dims[*axis].max(1) as f32;
+                let expanded = dy.unsqueeze(*axis)?.broadcast_to(dims)?;
+                accumulate(grads, x.0, expanded.mul_scalar(1.0 / n))
+            }
+            Op::SumAll(x) => {
+                let dims = self.nodes[x.0].value.dims();
+                accumulate(grads, x.0, Tensor::full(dims, dy.item()))
+            }
+            Op::MeanAll(x) => {
+                let dims = self.nodes[x.0].value.dims();
+                let n: usize = dims.iter().product::<usize>().max(1);
+                accumulate(grads, x.0, Tensor::full(dims, dy.item() / n as f32))
+            }
+            Op::Dropout { x, mask } => accumulate(grads, x.0, dy.mul(mask)?),
+            Op::Checkpoint { inputs, f } => {
+                let input_values: Vec<Tensor> =
+                    inputs.iter().map(|&v| self.nodes[v.0].value.clone()).collect();
+                let input_grads =
+                    crate::checkpoint::checkpoint_backward(f, &input_values, dy.clone())?;
+                let deltas = inputs.iter().zip(input_grads);
+                accumulate_each(grads, deltas.filter_map(|(v, g)| g.map(|g| (v.0, g))))
+            }
         }
     }
+}
+
+/// [`accumulate`]s each `(slot, delta)` in turn.
+fn accumulate_each(
+    grads: &mut [Option<Tensor>],
+    deltas: impl IntoIterator<Item = (usize, Tensor)>,
+) -> Result<()> {
+    for (idx, delta) in deltas {
+        accumulate(grads, idx, delta)?;
+    }
+    Ok(())
 }
 
 /// `t.reduce_to(dims)`, handing `t` itself on when no axis is reduced. The

@@ -54,6 +54,11 @@ fn accumulate(slot: &mut Option<Tensor>, delta: Tensor) {
 /// by a random constant, sums everything into the loss and runs backward.
 /// Returns the input's gradient and the old scatter's gradient, rebuilt
 /// from the cotangent each consumer received, in reverse tape order.
+///
+/// The tape keeps no cotangent of an intermediate node, so each consumer's
+/// is formed here as `Op::Mul`'s VJP forms it: the product `p = o ⊙ w`
+/// receives ones from the loss's sums, so `o` receives `1 ⊙ w`, then the
+/// one-term sum `0 + x`.
 fn tape_and_reference(dims: &[usize], uses: &[Use], seed: u64) -> (Tensor, Tensor) {
     let mut g = Graph::new();
     let x = g.param(Tensor::randn(dims, seed));
@@ -68,10 +73,13 @@ fn tape_and_reference(dims: &[usize], uses: &[Use], seed: u64) -> (Tensor, Tenso
         });
     }
     let mut loss_terms = Vec::new();
+    let mut weights = Vec::new();
     for (i, &o) in outs.iter().enumerate() {
-        let w = g.constant(Tensor::randn(g.value(o).dims(), seed + 100 + i as u64));
-        let p = g.mul(o, w).unwrap();
+        let w = Tensor::randn(g.value(o).dims(), seed + 100 + i as u64);
+        let wv = g.constant(w.clone());
+        let p = g.mul(o, wv).unwrap();
         loss_terms.push(g.sum_all(p).unwrap());
+        weights.push(w);
     }
     let mut loss = loss_terms[0];
     for &t in &loss_terms[1..] {
@@ -80,8 +88,9 @@ fn tape_and_reference(dims: &[usize], uses: &[Use], seed: u64) -> (Tensor, Tenso
     g.backward(loss).unwrap();
 
     let mut expect: Option<Tensor> = None;
-    for (u, &o) in uses.iter().zip(&outs).rev() {
-        let dy = g.grad(o).unwrap();
+    for ((u, &o), w) in uses.iter().zip(&outs).zip(&weights).rev() {
+        let ones = Tensor::ones(g.value(o).dims());
+        let dy = &ones.mul(w).unwrap().map(|v| 0.0 + v);
         let delta = match u {
             // `Op::Mul`'s input gradient: `dy ⊙ c`, then the one-term sum.
             Use::Full(c) => dy.mul(c).unwrap().map(|v| 0.0 + v),

@@ -36,7 +36,7 @@
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
 use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives, LocalAxial};
-use crate::linear::{batched_apply, layer_norm, name_seed, Linear};
+use crate::linear::{batched_apply, bind_param, layer_norm, name_seed, Linear};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
@@ -448,10 +448,8 @@ fn transition_inputs(
     prefix: &str,
     x: Var,
 ) -> [Var; 7] {
-    let gamma =
-        g.use_param_or_init(store, &format!("{prefix}.ln.gamma"), || sf_tensor::Tensor::ones(&[c]));
-    let beta =
-        g.use_param_or_init(store, &format!("{prefix}.ln.beta"), || sf_tensor::Tensor::zeros(&[c]));
+    let gamma = bind_param(g, store, prefix, "ln.gamma", |_| sf_tensor::Tensor::ones(&[c]));
+    let beta = bind_param(g, store, prefix, "ln.beta", |_| sf_tensor::Tensor::zeros(&[c]));
     let (w1, Some(b1)) = Linear::new(format!("{prefix}.fc1"), c, c * factor).bind(g, store) else {
         unreachable!("Linear::new binds a bias");
     };

@@ -3,6 +3,7 @@
 
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
+use std::cell::Cell;
 
 /// Splits a seed deterministically per parameter name (also the per-module
 /// dropout seed).
@@ -14,6 +15,30 @@ pub(crate) fn name_seed(name: &str) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// Binds the parameter `"{prefix}.{suffix}"` into the tape, initialized by
+/// `init` (given the full name) on first use. The name is composed in a
+/// buffer reused across calls on this thread, so binding an existing
+/// parameter formats no string and allocates only the leaf's copy.
+pub(crate) fn bind_param(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &str,
+    suffix: &str,
+    init: impl FnOnce(&str) -> Tensor,
+) -> Var {
+    thread_local! {
+        static NAME: Cell<String> = const { Cell::new(String::new()) };
+    }
+    let mut name = NAME.take();
+    name.clear();
+    name.push_str(prefix);
+    name.push('.');
+    name.push_str(suffix);
+    let var = g.use_param_or_init(store, &name, || init(&name));
+    NAME.set(name);
+    var
 }
 
 /// A named linear layer `y = x W^T (+ b)`.
@@ -59,19 +84,18 @@ impl Linear {
         &self.name
     }
 
-    /// Binds this layer's weight (and bias) into the tape.
-    pub(crate) fn bind(&self, g: &mut Graph, store: &mut ParamStore) -> (Var, Option<Var>) {
-        let wname = format!("{}.weight", self.name);
+    /// Binds this layer's weight (and bias) into the tape, initializing
+    /// them on first use. Binding a layer whose parameters exist allocates
+    /// only the leaves' copies of them: the parameter names are composed in
+    /// a reused buffer, not formatted per bind.
+    pub fn bind(&self, g: &mut Graph, store: &mut ParamStore) -> (Var, Option<Var>) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let w = g.use_param_or_init(store, &wname, || {
-            Tensor::lecun_normal(&[out_dim, in_dim], in_dim, name_seed(&wname))
+        let w = bind_param(g, store, &self.name, "weight", |wname| {
+            Tensor::lecun_normal(&[out_dim, in_dim], in_dim, name_seed(wname))
         });
-        let b = if self.bias {
-            let bname = format!("{}.bias", self.name);
-            Some(g.use_param_or_init(store, &bname, || Tensor::zeros(&[out_dim])))
-        } else {
-            None
-        };
+        let b = self
+            .bias
+            .then(|| bind_param(g, store, &self.name, "bias", |_| Tensor::zeros(&[out_dim])));
         (w, b)
     }
 
@@ -157,8 +181,8 @@ pub fn layer_norm(
     dim: usize,
     x: Var,
 ) -> Result<Var> {
-    let gamma = g.use_param_or_init(store, &format!("{name}.gamma"), || Tensor::ones(&[dim]));
-    let beta = g.use_param_or_init(store, &format!("{name}.beta"), || Tensor::zeros(&[dim]));
+    let gamma = bind_param(g, store, name, "gamma", |_| Tensor::ones(&[dim]));
+    let beta = bind_param(g, store, name, "beta", |_| Tensor::zeros(&[dim]));
     g.layer_norm(x, gamma, beta)
 }
 

@@ -20,7 +20,7 @@
 use crate::config::ModelConfig;
 use crate::evoformer::transition;
 use crate::frames::FrameBatch;
-use crate::linear::{layer_norm, Linear};
+use crate::linear::{bind_param, layer_norm, Linear};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
@@ -82,9 +82,7 @@ pub fn structure_module(
         let sq = g.square(diff)?;
         let d2 = g.sum_axis(sq, 2)?; // [R, R]
         let d2b = g.reshape(d2, &[1, r, r])?;
-        let w = g.use_param_or_init(store, &format!("{p}.dist_weight"), || {
-            Tensor::full(&[heads, 1, 1], -2.0)
-        });
+        let w = bind_param(g, store, &p, "dist_weight", |_| Tensor::full(&[heads, 1, 1], -2.0));
         let wexp = g.exp(w)?; // positive per-head scale (exp as softplus stand-in)
         let wneg = g.neg(wexp)?;
         let dist_bias = g.mul(wneg, d2b)?; // [h, R, R]

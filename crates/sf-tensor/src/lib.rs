@@ -48,7 +48,7 @@ mod shape;
 mod strided;
 mod tensor;
 
-pub use shape::Shape;
+pub use shape::{Shape, MAX_RANK};
 pub use tensor::{Tensor, WriteOnce};
 
 use std::fmt;
@@ -91,6 +91,13 @@ pub enum TensorError {
     /// Operation received an empty input where at least one element is
     /// required.
     EmptyInput(&'static str),
+    /// A shape would have more dimensions than a [`Shape`] holds.
+    RankTooHigh {
+        /// Rank asked for.
+        rank: usize,
+        /// The bound, [`MAX_RANK`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -109,6 +116,9 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index} out of bounds for size {bound}")
             }
             TensorError::EmptyInput(op) => write!(f, "empty input to {op}"),
+            TensorError::RankTooHigh { rank, max } => {
+                write!(f, "rank {rank} exceeds the maximum tensor rank {max}")
+            }
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::ops::softmax::softmax;
 use crate::ops::vexp::{striped_max, vexp, vexp_shift_sum};
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
-use crate::shape::Shape;
+use crate::shape::{Shape, MAX_RANK};
 use crate::strided::broadcast_strides;
 use crate::{Result, Tensor, TensorError, WriteOnce};
 use std::mem::MaybeUninit;
@@ -170,7 +170,7 @@ fn grid_offsets(base: usize, axes: impl IntoIterator<Item = (usize, usize)>) -> 
 /// element `b`'s `[s, d]` block starts at `offs[b]`, its rows `ld` apart.
 struct Placement {
     /// The leading dims other than the attended one.
-    batch: Vec<usize>,
+    batch: Shape,
     offs: Vec<usize>,
     ld: usize,
     s: usize,
@@ -184,18 +184,19 @@ impl Placement {
         if col + heads * d > width || axis.is_some_and(|a| a >= lead.len()) {
             return None;
         }
-        let mut strides = vec![width; lead.len()];
+        let mut strides = [width; MAX_RANK];
         for i in (1..lead.len()).rev() {
             strides[i - 1] = strides[i] * lead[i];
         }
-        let batch: Vec<(usize, usize)> = (0..lead.len())
-            .filter(|&i| Some(i) != axis)
-            .map(|i| (lead[i], strides[i]))
-            .collect();
+        let batch_axes = (0..lead.len()).filter(|&i| Some(i) != axis);
+        let mut batch = Shape::default();
+        for i in batch_axes.clone() {
+            batch.push(lead[i]);
+        }
         let (s, ld) = axis.map_or((1, width), |a| (lead[a], strides[a]));
         Some(Placement {
-            batch: batch.iter().map(|&(len, _)| len).collect(),
-            offs: grid_offsets(col, batch.iter().copied().chain([(heads, d)])),
+            batch,
+            offs: grid_offsets(col, batch_axes.map(|i| (lead[i], strides[i])).chain([(heads, d)])),
             ld,
             s,
         })
@@ -266,7 +267,7 @@ struct Geometry {
     v: Placement,
     gate: Option<Placement>,
     out: Placement,
-    out_dims: Vec<usize>,
+    out_dims: Shape,
     heads: usize,
     d: usize,
 }
@@ -286,11 +287,11 @@ impl Geometry {
         if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s || !gate_ok {
             return Err(mismatch("attention qkv", views.q.src.dims(), views.v.src.dims()));
         }
-        let mut out_dims = views.q.src.dims().to_vec();
-        if let Some(w) = out_dims.last_mut() {
+        let mut out_dims = *views.q.src.shape();
+        if let Some(w) = out_dims.dims_mut().last_mut() {
             *w = heads * d;
         }
-        let out = Placement::new(&out_dims, 0, views.q.axis, heads, d)
+        let out = Placement::new(out_dims.dims(), 0, views.q.axis, heads, d)
             .expect("the output is exactly its heads wide");
         Ok(Geometry { q, k, v, gate, out, out_dims, heads, d })
     }
@@ -302,13 +303,19 @@ impl Geometry {
 
     /// The logical batch dims (the batch axes, then the heads; one head
     /// adds no axis) followed by `tail`.
-    fn batch_dims_and(&self, tail: &[usize]) -> Vec<usize> {
-        let mut dims = self.q.batch.clone();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankTooHigh`] if they exceed [`MAX_RANK`].
+    fn batch_dims_and(&self, tail: &[usize]) -> Result<Shape> {
+        let mut dims = self.q.batch;
         if self.heads > 1 {
-            dims.push(self.heads);
+            dims.try_push(self.heads)?;
         }
-        dims.extend_from_slice(tail);
-        dims
+        for &t in tail {
+            dims.try_push(t)?;
+        }
+        Ok(dims)
     }
 }
 
@@ -345,7 +352,7 @@ pub fn naive_attention(
 struct LogitsRows<'a> {
     data: &'a [f32],
     /// The logits dims the side input broadcasts to.
-    dims: Vec<usize>,
+    dims: Shape,
     row_stride: usize,
     col_stride: usize,
     batch_offs: Vec<usize>,
@@ -380,17 +387,16 @@ impl LogitsRows<'_> {
 /// axis, but a side input may still spell out its unit head axis (IPA's
 /// `[h, s, s]` bias at `h = 1`).
 fn logits_rows<'a>(t: &'a Tensor, geo: &Geometry) -> Result<LogitsRows<'a>> {
-    let mut dims = geo.batch_dims_and(&[geo.q.s, geo.k.s]);
-    if geo.heads == 1 && !t.shape().broadcastable_to(&Shape::new(&dims)) {
-        dims.insert(dims.len() - 2, 1);
+    let mut dims = geo.batch_dims_and(&[geo.q.s, geo.k.s])?;
+    if geo.heads == 1 && !t.shape().broadcastable_to(&dims) {
+        dims.try_insert(dims.rank() - 2, 1)?;
     }
-    let logits = Shape::new(&dims);
-    if !t.shape().broadcastable_to(&logits) {
-        return Err(mismatch("attention bias", t.dims(), &dims));
+    if !t.shape().broadcastable_to(&dims) {
+        return Err(mismatch("attention bias", t.dims(), dims.dims()));
     }
-    let st = broadcast_strides(t.shape(), &logits);
-    let rank = st.len();
-    let batch_offs = grid_offsets(0, dims[..rank - 2].iter().copied().zip(st.iter().copied()));
+    let st = broadcast_strides(t.shape(), &dims);
+    let rank = dims.rank();
+    let batch_offs = grid_offsets(0, dims.dims()[..rank - 2].iter().copied().zip(st.iter().copied()));
     Ok(LogitsRows {
         data: t.data(),
         row_stride: st[rank - 2],
@@ -532,9 +538,9 @@ pub fn attention_heads(
     let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
     let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
     let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
-    let mut att = Tensor::write_once(&geo.out_dims, "attention_heads");
-    let mut gated = views.gate.map(|_| Tensor::write_once(&geo.out_dims, "attention_heads gate"));
-    let mut lse = Tensor::write_once(&geo.batch_dims_and(&[s_q]), "attention_heads lse");
+    let mut att = Tensor::write_once_shaped(geo.out_dims, "attention_heads");
+    let mut gated = views.gate.map(|_| Tensor::write_once_shaped(geo.out_dims, "attention_heads gate"));
+    let mut lse = Tensor::write_once_shaped(geo.batch_dims_and(&[s_q])?, "attention_heads lse");
 
     let att_ptr = SendPtr::uninit(att.uninit());
     let gated_ptr = gated.as_mut().map(|g| SendPtr::uninit(g.uninit()));
@@ -686,9 +692,9 @@ pub fn attention_heads_backward(
     let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
     let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
     let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
-    check_dims("attention att", att, &geo.out_dims)?;
-    check_dims("attention dy", dy, &geo.out_dims)?;
-    check_dims("attention lse", lse, &geo.batch_dims_and(&[s_q]))?;
+    check_dims("attention att", att, geo.out_dims.dims())?;
+    check_dims("attention dy", dy, geo.out_dims.dims())?;
+    check_dims("attention lse", lse, geo.batch_dims_and(&[s_q])?.dims())?;
     let listed: Vec<HeadView<&Tensor>> = views.listed().collect();
     let cols = |view: &HeadView<&Tensor>| view.col..view.col + geo.heads * d;
     // The first view routed to each view's sink. An empty sink gets a fresh
@@ -731,7 +737,7 @@ pub fn attention_heads_backward(
             }
         };
     }
-    let mut ds = bias_rows.as_ref().map(|rows| Tensor::write_once(&rows.dims, "attention dS"));
+    let mut ds = bias_rows.as_ref().map(|rows| Tensor::write_once_shaped(rows.dims, "attention dS"));
 
     let ds_ptr = ds.as_mut().map(|t| SendPtr::uninit(t.uninit()));
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());

@@ -33,6 +33,7 @@
 
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
+use crate::shape::Shape;
 use crate::{Result, Tensor, TensorError};
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
@@ -71,16 +72,16 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.rank() == 1 {
         let a2 = a.reshape(&[1, a.dims()[0]])?;
         let out = matmul(&a2, b)?;
-        let mut dims = out.dims().to_vec();
-        dims.remove(dims.len() - 2);
-        return out.reshape(&dims);
+        let mut shape = *out.shape();
+        shape.remove(shape.rank() - 2);
+        return Ok(Tensor::from_shaped(shape, out.into_vec()));
     }
     if b.rank() == 1 {
         let b2 = b.reshape(&[b.dims()[0], 1])?;
         let out = matmul(a, &b2)?;
-        let mut dims = out.dims().to_vec();
-        dims.pop();
-        return out.reshape(&dims);
+        let mut shape = *out.shape();
+        shape.remove(shape.rank() - 1);
+        return Ok(Tensor::from_shaped(shape, out.into_vec()));
     }
     batched_gemm(a, b, false, false, "matmul")
 }
@@ -149,11 +150,11 @@ fn batched_gemm(
     let a_batch = &a.dims()[..a.rank() - 2];
     let b_batch = &b.dims()[..b.rank() - 2];
     let (batch_dims, a_shared, b_shared) = if a_batch == b_batch {
-        (a_batch.to_vec(), false, false)
+        (a_batch, false, false)
     } else if b_batch.is_empty() {
-        (a_batch.to_vec(), false, true)
+        (a_batch, false, true)
     } else if a_batch.is_empty() {
-        (b_batch.to_vec(), true, false)
+        (b_batch, true, false)
     } else {
         return Err(TensorError::ShapeMismatch {
             op,
@@ -162,10 +163,11 @@ fn batched_gemm(
         });
     };
 
-    let mut out_dims = batch_dims.clone();
-    out_dims.push(am);
-    out_dims.push(bn);
-    let mut out = Tensor::write_once(&out_dims, op);
+    // Rank 2 beyond an operand's batch dims: no higher than that operand.
+    let mut out_shape = Shape::new(batch_dims);
+    out_shape.push(am);
+    out_shape.push(bn);
+    let mut out = Tensor::write_once_shaped(out_shape, op);
     let a = Operand { data: a.data(), trans: ta, shared: a_shared };
     let b = Operand { data: b.data(), trans: tb, shared: b_shared };
     let batch = batch_dims.iter().product();
@@ -698,9 +700,9 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
     if let Some(b) = b.filter(|b| b.dims() != [out_dim]) {
         return Err(linear_mismatch("linear bias", w, b));
     }
-    let mut dims = x.dims().to_vec();
-    *dims.last_mut().expect("rank >= 1") = out_dim;
-    let mut y = Tensor::write_once(&dims, "linear");
+    let mut shape = *x.shape();
+    *shape.dims_mut().last_mut().expect("rank >= 1") = out_dim;
+    let mut y = Tensor::write_once_shaped(shape, "linear");
     let x = Operand { data: x.data(), trans: false, shared: false };
     let w = Operand { data: w.data(), trans: true, shared: true };
     gemm(x, w, 1, rows, in_dim, out_dim, b.map(Tensor::data), y.uninit());
@@ -721,8 +723,7 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
 pub fn linear_weight_grad(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
     let (rows, out_dim) = rows_of(dy);
     let (_, in_dim) = rows_of(x);
-    let lead = |t: &Tensor| t.dims()[..t.rank() - 1].to_vec();
-    if dy.rank() == 0 || x.rank() == 0 || lead(dy) != lead(x) {
+    if dy.rank() == 0 || x.rank() == 0 || dy.dims()[..dy.rank() - 1] != x.dims()[..x.rank() - 1] {
         return Err(linear_mismatch("linear_weight_grad", dy, x));
     }
     let mut dw = Tensor::write_once(&[out_dim, in_dim], "linear_weight_grad");

@@ -14,18 +14,24 @@
 //! row-major order of the iteration shape, so every output element
 //! receives the same floating-point operations in the same order as a
 //! per-element walk, and results are bitwise unchanged.
+//!
+//! Every layout list here is an inline array of [`MAX_RANK`] entries, so
+//! walking a layout allocates nothing.
 
-use crate::shape::{row_major_strides, Shape};
+use crate::shape::{row_major_strides, Shape, MAX_RANK};
 use std::mem::MaybeUninit;
 
 /// An iteration shape over `N` strided operands, collapsed into equal-length
 /// innermost runs.
 #[cfg_attr(test, derive(Debug, PartialEq, Eq))]
 pub(crate) struct Runs<const N: usize> {
+    /// Number of collapsed axes (at least 1).
+    rank: usize,
     /// Collapsed extents, outermost first; the last one is the run length.
-    dims: Vec<usize>,
+    /// Entries past `rank` are zero.
+    dims: [usize; MAX_RANK],
     /// Stride of every operand along each collapsed axis.
-    strides: Vec<[usize; N]>,
+    strides: [[usize; N]; MAX_RANK],
 }
 
 impl<const N: usize> Runs<N> {
@@ -33,53 +39,52 @@ impl<const N: usize> Runs<N> {
     /// `strides[k]` (each aligned to `dims`).
     pub(crate) fn new(dims: &[usize], strides: [&[usize]; N]) -> Self {
         if dims.contains(&0) {
-            return Runs {
-                dims: vec![0],
-                strides: vec![[1; N]],
-            };
+            return Runs::single(0);
         }
         // Innermost first, so each axis is tested against the (already
         // merged) axis just inside it.
-        let mut rev_dims: Vec<usize> = Vec::with_capacity(dims.len());
-        let mut rev_strides: Vec<[usize; N]> = Vec::with_capacity(dims.len());
+        let mut runs = Runs { rank: 0, dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
         for axis in (0..dims.len()).rev() {
             let d = dims[axis];
             if d == 1 {
                 continue;
             }
             let s: [usize; N] = std::array::from_fn(|k| strides[k][axis]);
-            if let (Some(inner_d), Some(inner_s)) = (rev_dims.last_mut(), rev_strides.last()) {
-                if (0..N).all(|k| s[k] == inner_s[k] * *inner_d) {
-                    *inner_d *= d;
+            if let Some(inner) = runs.rank.checked_sub(1) {
+                if (0..N).all(|k| s[k] == runs.strides[inner][k] * runs.dims[inner]) {
+                    runs.dims[inner] *= d;
                     continue;
                 }
             }
-            rev_dims.push(d);
-            rev_strides.push(s);
+            runs.dims[runs.rank] = d;
+            runs.strides[runs.rank] = s;
+            runs.rank += 1;
         }
-        if rev_dims.is_empty() {
+        if runs.rank == 0 {
             // One element: a single run of length 1, where strides are moot.
-            return Runs {
-                dims: vec![1],
-                strides: vec![[1; N]],
-            };
+            return Runs::single(1);
         }
-        rev_dims.reverse();
-        rev_strides.reverse();
-        Runs {
-            dims: rev_dims,
-            strides: rev_strides,
-        }
+        runs.dims[..runs.rank].reverse();
+        runs.strides[..runs.rank].reverse();
+        runs
+    }
+
+    /// One run of `len` elements at stride 1 in every operand.
+    fn single(len: usize) -> Self {
+        let mut runs = Runs { rank: 1, dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
+        runs.dims[0] = len;
+        runs.strides[0] = [1; N];
+        runs
     }
 
     /// Length of every innermost run.
     pub(crate) fn run_len(&self) -> usize {
-        self.dims[self.dims.len() - 1]
+        self.dims[self.rank - 1]
     }
 
     /// Per-operand element stride inside a run.
     pub(crate) fn run_strides(&self) -> [usize; N] {
-        self.strides[self.strides.len() - 1]
+        self.strides[self.rank - 1]
     }
 
     /// Calls `f` with the operands' start offsets of each run, in row-major
@@ -88,8 +93,8 @@ impl<const N: usize> Runs<N> {
         if self.run_len() == 0 {
             return;
         }
-        let outer = &self.dims[..self.dims.len() - 1];
-        let mut idx = vec![0usize; outer.len()];
+        let outer = &self.dims[..self.rank - 1];
+        let mut idx = [0usize; MAX_RANK];
         let mut off = [0usize; N];
         loop {
             f(off);
@@ -117,11 +122,12 @@ impl<const N: usize> Runs<N> {
 }
 
 /// Strides for reading a tensor of shape `src` as if broadcast to `dst`
-/// (stride 0 on broadcast axes), aligned to `dst`'s rank.
-pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> Vec<usize> {
+/// (stride 0 on broadcast axes), aligned to `dst`'s rank: the first
+/// `dst.rank()` entries; the rest are zero.
+pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> [usize; MAX_RANK] {
     let src_strides = src.strides();
     let offset = dst.rank() - src.rank();
-    let mut out = vec![0usize; dst.rank()];
+    let mut out = [0usize; MAX_RANK];
     for i in 0..src.rank() {
         let d = src.dims()[i];
         out[offset + i] = if d == 1 { 0 } else { src_strides[i] };
@@ -134,7 +140,7 @@ pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> Vec<usize> {
 /// `src_strides` (permute, broadcast_to).
 pub(crate) fn gather(out: &mut [MaybeUninit<f32>], dims: &[usize], src: &[f32], src_strides: &[usize]) {
     let out_strides = row_major_strides(dims);
-    let runs = Runs::new(dims, [&out_strides, src_strides]);
+    let runs = Runs::new(dims, [&out_strides[..dims.len()], src_strides]);
     let n = runs.run_len();
     match runs.run_strides() {
         [_, 1] => runs.for_each_run(|[o, s]| {
@@ -164,7 +170,7 @@ pub(crate) fn zip_map(
     f: impl Fn(f32, f32) -> f32,
 ) {
     let out_strides = row_major_strides(dims);
-    let runs = Runs::new(dims, [&out_strides, a_strides, b_strides]);
+    let runs = Runs::new(dims, [&out_strides[..dims.len()], a_strides, b_strides]);
     let n = runs.run_len();
     match runs.run_strides() {
         [_, 1, 1] => runs.for_each_run(|[o, i, j]| {
@@ -196,7 +202,7 @@ pub(crate) fn zip_map(
 /// either walks `out` contiguously or sums into one element.
 pub(crate) fn scatter_add(out: &mut [f32], out_strides: &[usize], src: &[f32], dims: &[usize]) {
     let src_strides = row_major_strides(dims);
-    let runs = Runs::new(dims, [out_strides, &src_strides]);
+    let runs = Runs::new(dims, [out_strides, &src_strides[..dims.len()]]);
     let n = runs.run_len();
     match runs.run_strides() {
         [1, _] => runs.for_each_run(|[o, s]| {
@@ -291,6 +297,16 @@ mod tests {
             let mut out = Vec::with_capacity(out_dims.iter().product());
             for_each_index(&out_dims, |idx| out.push(t.data()[dot(idx, &strides)]));
             Tensor::from_vec(out, &out_dims).expect("sized")
+        }
+    }
+
+    impl<const N: usize> Runs<N> {
+        /// The runs with these collapsed extents and strides.
+        fn of(dims: &[usize], strides: &[[usize; N]]) -> Self {
+            let mut runs = Runs { rank: dims.len(), dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
+            runs.dims[..dims.len()].copy_from_slice(dims);
+            runs.strides[..dims.len()].copy_from_slice(strides);
+            runs
         }
     }
 
@@ -440,10 +456,7 @@ mod tests {
         let runs = Runs::new(&dims, [&s, &s]);
         assert_eq!(
             runs,
-            Runs {
-                dims: vec![24],
-                strides: vec![[1, 1]]
-            }
+            Runs::of(&[24], &[[1, 1]])
         );
     }
 
@@ -456,10 +469,7 @@ mod tests {
         let runs = Runs::new(&dims, [&out, &out, &b]);
         assert_eq!(
             runs,
-            Runs {
-                dims: vec![5, 12],
-                strides: vec![[12, 12, 0], [1, 1, 1]]
-            }
+            Runs::of(&[5, 12], &[[12, 12, 0], [1, 1, 1]])
         );
         assert_eq!((runs.run_len(), runs.run_strides()), (12, [1, 1, 1]));
         // [R, C] * [R, 1]: a column broadcast cannot merge with its row.
@@ -468,10 +478,7 @@ mod tests {
         let runs = Runs::new(&[3, 4], [&rm, &col]);
         assert_eq!(
             runs,
-            Runs {
-                dims: vec![3, 4],
-                strides: vec![[4, 1], [1, 0]]
-            }
+            Runs::of(&[3, 4], &[[4, 1], [1, 0]])
         );
     }
 
@@ -484,10 +491,7 @@ mod tests {
         let runs = Runs::new(&dims, [&s, &src]);
         assert_eq!(
             runs,
-            Runs {
-                dims: vec![3, 4],
-                strides: vec![[4, 1], [1, 3]]
-            }
+            Runs::of(&[3, 4], &[[4, 1], [1, 3]])
         );
     }
 
@@ -499,10 +503,7 @@ mod tests {
         let runs = Runs::new(&dims, [&out, &scalar]);
         assert_eq!(
             runs,
-            Runs {
-                dims: vec![24],
-                strides: vec![[1, 0]]
-            }
+            Runs::of(&[24], &[[1, 0]])
         );
         let mut starts = Vec::new();
         runs.for_each_run(|off| starts.push(off));
@@ -512,8 +513,8 @@ mod tests {
     #[test]
     fn degenerate_shapes() {
         // A scalar and an all-ones shape are one run of one element.
-        assert_eq!(Runs::<2>::new(&[], [&[], &[]]).dims, vec![1]);
-        assert_eq!(Runs::<1>::new(&[1, 1], [&[1, 1]]).dims, vec![1]);
+        assert_eq!(Runs::<2>::new(&[], [&[], &[]]), Runs::of(&[1], &[[1, 1]]));
+        assert_eq!(Runs::<1>::new(&[1, 1], [&[1, 1]]), Runs::of(&[1], &[[1]]));
         // A zero-size axis yields no runs at all.
         let runs = Runs::<1>::new(&[3, 0, 2], [&[0, 2, 1]]);
         let mut calls = 0;

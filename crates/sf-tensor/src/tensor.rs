@@ -1,6 +1,6 @@
 //! The dense row-major `f32` tensor type and its core operations.
 
-use crate::shape::Shape;
+use crate::shape::{Shape, MAX_RANK};
 use crate::strided::{self, broadcast_strides};
 use crate::{Result, TensorError};
 use rand::rngs::StdRng;
@@ -11,10 +11,12 @@ use std::mem::MaybeUninit;
 /// A dense, row-major, `f32` tensor.
 ///
 /// All AlphaFold-side math in this reproduction runs through this type.
-/// Storage is always contiguous; views are materialized (the tensors in the
-/// CPU-scale training path are small by construction, so copy cost is not a
-/// concern — the *simulated* GPU path in `sf-gpusim` is where performance is
-/// modelled).
+/// Storage is always contiguous, and layout ops (`permute`, `slice_axis`,
+/// `broadcast_to`, ...) materialize their result. The shape is held inline
+/// (a [`Shape`] of at most [`MAX_RANK`] dims), so a tensor's one heap
+/// allocation is its data buffer: on the overhead-bound CPU training
+/// path, where an autograd tape records about a thousand small tensors a
+/// step, shape and stride bookkeeping costs no allocation at all.
 ///
 /// # Example
 ///
@@ -33,6 +35,11 @@ pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
 }
+
+// Every autograd tape node holds a tensor, so a field added here grows the
+// whole tape: the data buffer (24 B) plus the inline shape (48 B).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Tensor>() == 72);
 
 /// Bits of the NaN a debug build pre-fills a [`WriteOnce`] buffer with:
 /// one that survives the kernel marks an element it never wrote.
@@ -90,10 +97,19 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// All-zeros tensor of the given shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn zeros(dims: &[usize]) -> Self {
+        Self::full_shaped(Shape::new(dims), 0.0)
+    }
+
+    /// Tensor of `shape` filled with `value`.
+    fn full_shaped(shape: Shape, value: f32) -> Self {
         Tensor {
-            shape: Shape::new(dims),
-            data: vec![0.0; dims.iter().product()],
+            shape,
+            data: vec![value; shape.num_elements()],
         }
     }
 
@@ -105,26 +121,47 @@ impl Tensor {
     ///
     /// Debug builds pre-fill the buffer with a NaN sentinel and panic,
     /// naming `op`, if any element still holds it at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn write_once(dims: &[usize], op: &'static str) -> WriteOnce {
-        let len = dims.iter().product();
+        Self::write_once_shaped(Shape::new(dims), op)
+    }
+
+    /// [`Tensor::write_once`] for a shape already built.
+    pub(crate) fn write_once_shaped(shape: Shape, op: &'static str) -> WriteOnce {
+        let len = shape.num_elements();
         let mut data = Vec::with_capacity(len);
         if cfg!(debug_assertions) {
             data.spare_capacity_mut()[..len].fill(MaybeUninit::new(f32::from_bits(UNWRITTEN)));
         }
-        WriteOnce { shape: Shape::new(dims), data, op }
+        WriteOnce { shape, data, op }
+    }
+
+    /// A tensor of `shape` over `data`, whose length the caller has
+    /// checked.
+    pub(crate) fn from_shaped(shape: Shape, data: Vec<f32>) -> Self {
+        debug_assert_eq!(data.len(), shape.num_elements());
+        Tensor { shape, data }
     }
 
     /// All-ones tensor of the given shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn ones(dims: &[usize]) -> Self {
         Self::full(dims, 1.0)
     }
 
     /// Tensor filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn full(dims: &[usize], value: f32) -> Self {
-        Tensor {
-            shape: Shape::new(dims),
-            data: vec![value; dims.iter().product()],
-        }
+        Self::full_shaped(Shape::new(dims), value)
     }
 
     /// Rank-0 scalar tensor.
@@ -156,23 +193,26 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len()` does not equal
-    /// the product of `dims`.
+    /// Returns [`TensorError::RankTooHigh`] if `dims` has more than
+    /// [`MAX_RANK`] entries, or [`TensorError::LengthMismatch`] if
+    /// `data.len()` does not equal the product of `dims`.
     pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self> {
-        let expected: usize = dims.iter().product();
+        let shape = Shape::try_new(dims)?;
+        let expected = shape.num_elements();
         if data.len() != expected {
             return Err(TensorError::LengthMismatch {
                 expected,
                 actual: data.len(),
             });
         }
-        Ok(Tensor {
-            shape: Shape::new(dims),
-            data,
-        })
+        Ok(Tensor { shape, data })
     }
 
     /// Standard-normal random tensor (Box–Muller), deterministic in `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn randn(dims: &[usize], seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let n: usize = dims.iter().product();
@@ -194,6 +234,10 @@ impl Tensor {
     }
 
     /// Uniform random tensor on `[lo, hi)`, deterministic in `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let n: usize = dims.iter().product();
@@ -205,6 +249,10 @@ impl Tensor {
 
     /// LeCun-normal initialization (`std = 1/sqrt(fan_in)`), the AlphaFold
     /// default for linear layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
     pub fn lecun_normal(dims: &[usize], fan_in: usize, seed: u64) -> Self {
         let std = 1.0 / (fan_in.max(1) as f32).sqrt();
         Self::randn(dims, seed).mul_scalar(std)
@@ -291,7 +339,7 @@ impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
@@ -464,7 +512,7 @@ impl Tensor {
                 .map(|(&a, &b)| f(a, b))
                 .collect();
             return Ok(Tensor {
-                shape: self.shape.clone(),
+                shape: self.shape,
                 data,
             });
         }
@@ -475,14 +523,15 @@ impl Tensor {
                 rhs: other.dims().to_vec(),
             }
         })?;
-        let mut out = Tensor::write_once(out_shape.dims(), op);
+        let mut out = Tensor::write_once_shaped(out_shape, op);
+        let rank = out_shape.rank();
         let a_str = broadcast_strides(&self.shape, &out_shape);
         let b_str = broadcast_strides(&other.shape, &out_shape);
         strided::zip_map(
             out.uninit(),
             out_shape.dims(),
-            (&self.data, &a_str),
-            (&other.data, &b_str),
+            (&self.data, &a_str[..rank]),
+            (&other.data, &b_str[..rank]),
             f,
         );
         // SAFETY: `zip_map` assigns every element of its iteration shape.
@@ -493,9 +542,11 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if not broadcastable.
+    /// Returns [`TensorError::RankTooHigh`] if `dims` has more than
+    /// [`MAX_RANK`] entries, or [`TensorError::ShapeMismatch`] if not
+    /// broadcastable.
     pub fn broadcast_to(&self, dims: &[usize]) -> Result<Self> {
-        let target = Shape::new(dims);
+        let target = Shape::try_new(dims)?;
         if !self.shape.broadcastable_to(&target) {
             return Err(TensorError::ShapeMismatch {
                 op: "broadcast_to",
@@ -504,8 +555,8 @@ impl Tensor {
             });
         }
         let strides = broadcast_strides(&self.shape, &target);
-        let mut out = Tensor::write_once(dims, "broadcast_to");
-        strided::gather(out.uninit(), dims, &self.data, &strides);
+        let mut out = Tensor::write_once_shaped(target, "broadcast_to");
+        strided::gather(out.uninit(), dims, &self.data, &strides[..dims.len()]);
         // SAFETY: `gather` assigns every element of its iteration shape.
         Ok(unsafe { out.assume_written() })
     }
@@ -519,7 +570,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if `dims` is not broadcastable
     /// to this tensor's shape.
     pub fn reduce_to(&self, dims: &[usize]) -> Result<Self> {
-        let target = Shape::new(dims);
+        let target = Shape::try_new(dims)?;
         if !target.broadcastable_to(&self.shape) {
             return Err(TensorError::ShapeMismatch {
                 op: "reduce_to",
@@ -533,8 +584,8 @@ impl Tensor {
             return Ok(self.map(|x| 0.0 + x));
         }
         let strides = broadcast_strides(&target, &self.shape);
-        let mut out = Tensor::zeros(dims);
-        strided::scatter_add(&mut out.data, &strides, &self.data, self.dims());
+        let mut out = Tensor::full_shaped(target, 0.0);
+        strided::scatter_add(&mut out.data, &strides[..self.rank()], &self.data, self.dims());
         Ok(out)
     }
 
@@ -546,9 +597,16 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
+    /// Returns [`TensorError::RankTooHigh`] if `dims` has more than
+    /// [`MAX_RANK`] entries, or [`TensorError::LengthMismatch`] if element
+    /// counts differ.
     pub fn reshape(&self, dims: &[usize]) -> Result<Self> {
-        let expected: usize = dims.iter().product();
+        self.reshaped(Shape::try_new(dims)?)
+    }
+
+    /// [`Tensor::reshape`] to a shape already built.
+    fn reshaped(&self, shape: Shape) -> Result<Self> {
+        let expected = shape.num_elements();
         if expected != self.len() {
             return Err(TensorError::LengthMismatch {
                 expected,
@@ -556,7 +614,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            shape: Shape::new(dims),
+            shape,
             data: self.data.clone(),
         })
     }
@@ -575,18 +633,20 @@ impl Tensor {
                 rhs: perm.to_vec(),
             });
         }
-        let mut seen = vec![false; rank];
-        for &p in perm {
+        let mut seen = [false; MAX_RANK];
+        let mut out_shape = self.shape;
+        let in_strides = self.shape.strides();
+        let mut src_strides = [0usize; MAX_RANK];
+        for (o, &p) in perm.iter().enumerate() {
             if p >= rank || seen[p] {
                 return Err(TensorError::AxisOutOfRange { axis: p, rank });
             }
             seen[p] = true;
+            out_shape.dims_mut()[o] = self.dims()[p];
+            src_strides[o] = in_strides[p];
         }
-        let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
-        let in_strides = self.shape.strides();
-        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let mut out = Tensor::write_once(&out_dims, "permute");
-        strided::gather(out.uninit(), &out_dims, &self.data, &src_strides);
+        let mut out = Tensor::write_once_shaped(out_shape, "permute");
+        strided::gather(out.uninit(), out_shape.dims(), &self.data, &src_strides[..rank]);
         // SAFETY: `gather` assigns every element of its iteration shape.
         Ok(unsafe { out.assume_written() })
     }
@@ -601,9 +661,9 @@ impl Tensor {
         if rank < 2 {
             return Err(TensorError::AxisOutOfRange { axis: 1, rank });
         }
-        let mut perm: Vec<usize> = (0..rank).collect();
+        let mut perm: [usize; MAX_RANK] = std::array::from_fn(|i| i);
         perm.swap(rank - 1, rank - 2);
-        self.permute(&perm)
+        self.permute(&perm[..rank])
     }
 
     /// Extracts `[start, end)` along `axis`.
@@ -616,16 +676,16 @@ impl Tensor {
         if start > end || end > dim {
             return Err(TensorError::IndexOutOfBounds { index: end, bound: dim });
         }
-        let mut out_dims = self.dims().to_vec();
-        out_dims[axis] = end - start;
+        let mut shape = self.shape;
+        shape.dims_mut()[axis] = end - start;
         let outer: usize = self.dims()[..axis].iter().product();
         let inner: usize = self.dims()[axis + 1..].iter().product();
-        let mut data = Vec::with_capacity(out_dims.iter().product());
+        let mut data = Vec::with_capacity(shape.num_elements());
         for o in 0..outer {
             let base = o * dim * inner;
             data.extend_from_slice(&self.data[base + start * inner..base + end * inner]);
         }
-        Tensor::from_vec(data, &out_dims)
+        Ok(Tensor::from_shaped(shape, data))
     }
 
     /// Concatenates tensors along `axis`. All other dimensions must match.
@@ -659,11 +719,11 @@ impl Tensor {
             }
             axis_total += t.dims()[axis];
         }
-        let mut out_dims = first.dims().to_vec();
-        out_dims[axis] = axis_total;
+        let mut shape = first.shape;
+        shape.dims_mut()[axis] = axis_total;
         let outer: usize = first.dims()[..axis].iter().product();
         let inner: usize = first.dims()[axis + 1..].iter().product();
-        let mut data = Vec::with_capacity(out_dims.iter().product());
+        let mut data = Vec::with_capacity(shape.num_elements());
         for o in 0..outer {
             for t in tensors {
                 let ax = t.dims()[axis];
@@ -671,16 +731,20 @@ impl Tensor {
                 data.extend_from_slice(&t.data[base..base + ax * inner]);
             }
         }
-        Tensor::from_vec(data, &out_dims)
+        Ok(Tensor::from_shaped(shape, data))
     }
 
     /// Stacks tensors of identical shape along a new leading axis.
     ///
     /// # Errors
     ///
-    /// Returns an error if the list is empty or shapes disagree.
+    /// Returns an error if the list is empty or shapes disagree, and
+    /// [`TensorError::RankTooHigh`] if the tensors are already of rank
+    /// [`MAX_RANK`].
     pub fn stack(tensors: &[&Tensor]) -> Result<Self> {
         let first = tensors.first().ok_or(TensorError::EmptyInput("stack"))?;
+        let mut shape = first.shape;
+        shape.try_insert(0, tensors.len())?;
         let mut data = Vec::with_capacity(first.len() * tensors.len());
         for t in tensors {
             if t.shape != first.shape {
@@ -692,16 +756,15 @@ impl Tensor {
             }
             data.extend_from_slice(&t.data);
         }
-        let mut dims = vec![tensors.len()];
-        dims.extend_from_slice(first.dims());
-        Tensor::from_vec(data, &dims)
+        Ok(Tensor::from_shaped(shape, data))
     }
 
     /// Inserts a size-1 axis at `axis`.
     ///
     /// # Errors
     ///
-    /// Returns an error if `axis > rank`.
+    /// Returns an error if `axis > rank`, and [`TensorError::RankTooHigh`]
+    /// if the tensor is already of rank [`MAX_RANK`].
     pub fn unsqueeze(&self, axis: usize) -> Result<Self> {
         if axis > self.rank() {
             return Err(TensorError::AxisOutOfRange {
@@ -709,9 +772,9 @@ impl Tensor {
                 rank: self.rank(),
             });
         }
-        let mut dims = self.dims().to_vec();
-        dims.insert(axis, 1);
-        self.reshape(&dims)
+        let mut shape = self.shape;
+        shape.try_insert(axis, 1)?;
+        self.reshaped(shape)
     }
 
     /// Removes a size-1 axis at `axis`.
@@ -727,9 +790,9 @@ impl Tensor {
                 rhs: vec![axis],
             });
         }
-        let mut dims = self.dims().to_vec();
-        dims.remove(axis);
-        self.reshape(&dims)
+        let mut shape = self.shape;
+        shape.remove(axis);
+        self.reshaped(shape)
     }
 
     // ------------------------------------------------------------------
@@ -797,11 +860,11 @@ impl Tensor {
     /// Returns an error for an invalid axis.
     pub fn sum_axis(&self, axis: usize) -> Result<Self> {
         let dim = self.shape.dim(axis)?;
-        let mut out_dims = self.dims().to_vec();
-        out_dims.remove(axis);
+        let mut shape = self.shape;
+        shape.remove(axis);
         let outer: usize = self.dims()[..axis].iter().product();
         let inner: usize = self.dims()[axis + 1..].iter().product();
-        let mut out = Tensor::zeros(&out_dims);
+        let mut out = Tensor::full_shaped(shape, 0.0);
         for o in 0..outer {
             for a in 0..dim {
                 let base = (o * dim + a) * inner;
@@ -834,11 +897,11 @@ impl Tensor {
         if dim == 0 {
             return Err(TensorError::EmptyInput("max_axis"));
         }
-        let mut out_dims = self.dims().to_vec();
-        out_dims.remove(axis);
+        let mut shape = self.shape;
+        shape.remove(axis);
         let outer: usize = self.dims()[..axis].iter().product();
         let inner: usize = self.dims()[axis + 1..].iter().product();
-        let mut out = Tensor::full(&out_dims, f32::NEG_INFINITY);
+        let mut out = Tensor::full_shaped(shape, f32::NEG_INFINITY);
         for o in 0..outer {
             for a in 0..dim {
                 let base = (o * dim + a) * inner;
