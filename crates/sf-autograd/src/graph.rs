@@ -452,7 +452,7 @@ impl Graph {
             self.value(v),
             gate.map(|g| self.value(g)),
         )?;
-        let at = |src: Var, view: HeadView<&Tensor>| HeadVar { src, col: view.col, axis: view.axis };
+        let at = |src: Var, view: HeadView<&Tensor>| HeadVar { src, axis: view.axis };
         let views = HeadVars {
             q: at(q, whole.q),
             k: at(k, whole.k),
@@ -469,19 +469,19 @@ impl Graph {
     /// non-differentiable), a whole-row softmax, and the optional
     /// sigmoid-gate epilogue run in one `sf-tensor` kernel
     /// ([`sf_tensor::ops::attention::attention_heads`]) that reads Q, K, V
-    /// and the gate in place as head views of their tapes' values and
-    /// writes the heads merged, `[..., heads·d]` in the queries' leading
-    /// layout. A bundled `[B1, B2, 4·h·d]` projection is attended directly:
-    /// no slice, reshape or permute node splits or merges the heads.
+    /// and the gate in place as head views of their tapes' `[..., heads·d]`
+    /// values and writes the heads merged, shaped like the queries. A
+    /// `[B1, B2, h·d]` projection is attended directly: no reshape or
+    /// permute node splits or merges the heads.
     ///
     /// The tape stores only the per-row softmax log-sum-exp (plus the
     /// pre-gate output when gated) instead of the `[S_q, S_k]` probability
     /// tensor; the backward recomputes probabilities from those stats,
     /// folds softmax-backward into the attention gradient, and returns
     /// gradients bit-identical to the `matmul_bt` / `matmul_at` / `matmul`
-    /// chain it fuses. Views of one source write their gradients into
-    /// their own columns of that source's gradient slot: in place when the
-    /// slot already holds a gradient, else into one fresh buffer.
+    /// chain it fuses. Each operand's gradient is accumulated into its
+    /// `Var`'s slot like any other node's, so one `Var` may be passed as
+    /// several operands.
     ///
     /// # Errors
     ///

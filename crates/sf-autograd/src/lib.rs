@@ -16,8 +16,9 @@
 //!   node for every attention site — scale, optional pair bias, mask and
 //!   sigmoid gate, with a backward that recomputes probabilities from the
 //!   saved log-sum-exp — mirroring the fused Triton MHA kernel. It reads
-//!   Q/K/V/gate in place as column views of their sources ([`HeadVars`])
-//!   and writes merged heads; [`Graph::attention_fused`] is its contiguous
+//!   Q/K/V/gate in place as head views of their `[..., h·d]` sources
+//!   ([`HeadVars`]), writes merged heads, and gives each operand a
+//!   gradient of its own; [`Graph::attention_fused`] is its contiguous
 //!   one-head case.
 //! - **Fused LayerNorm node** ([`Graph::layer_norm`]): single-pass forward,
 //!   two-step-reduction backward.

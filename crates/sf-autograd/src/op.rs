@@ -98,13 +98,12 @@ pub(crate) enum Op {
 
 /// A fully fused attention node: scale + pair bias + mask + whole-row
 /// softmax + sigmoid gate in one kernel that reads Q, K, V and the gate as
-/// head views (a `Var`, a column offset and an attended axis each) and
-/// writes merged heads. Saves only the per-row softmax log-sum-exp (`lse`)
-/// and — when gated — the pre-gate output, never the `[S_q, S_k]`
-/// probability tensor; the backward recomputes each batch element's
-/// probability block from `lse` in a single pass and writes each view's
-/// gradient into its columns of its source's slot. The mask is
-/// non-differentiable.
+/// head views (a `Var` and an attended axis each) and writes merged heads.
+/// Saves only the per-row softmax log-sum-exp (`lse`) and — when gated —
+/// the pre-gate output, never the `[S_q, S_k]` probability tensor; the
+/// backward recomputes each batch element's probability block from `lse`
+/// in a single pass and accumulates each operand's gradient into its
+/// `Var`'s slot. The mask is non-differentiable.
 pub(crate) struct AttentionNode {
     pub views: HeadVars,
     pub bias: Option<Var>,
@@ -244,8 +243,7 @@ impl Graph {
             Op::FusedAttention(node) => {
                 let AttentionNode { views, bias, mask, scale, att, lse } = &**node;
                 let att_ref = att.as_ref().unwrap_or(&self.nodes[i].value);
-                let (vars, mut sinks, route) = attention_sinks(views, grads);
-                let dbias = attention_heads_backward(
+                let g = attention_heads_backward(
                     &self.head_views(views),
                     bias.map(|b| &self.nodes[b.0].value),
                     mask.map(|m| &self.nodes[m.0].value),
@@ -253,20 +251,15 @@ impl Graph {
                     lse,
                     *scale,
                     dy,
-                    &mut sinks,
-                    route,
-                );
-                // Put every sink back, even when the kernel failed, so no
-                // slot is left emptied.
-                for (var, buf) in vars.into_iter().zip(sinks) {
-                    if let Some(buf) = buf {
-                        accumulate(grads, var, buf)?;
-                    }
-                }
-                match (bias, dbias?) {
-                    (Some(b), Some(dbias)) => accumulate(grads, b.0, dbias),
-                    _ => Ok(()),
-                }
+                )?;
+                // The bias, then the operands from last to first: a `Var`
+                // passed as several operands sums their gradients in the
+                // order the split/merge chain of one-operand nodes would.
+                let operands =
+                    [views.gate.zip(g.dgate), Some((views.v, g.dv)), Some((views.k, g.dk)), Some((views.q, g.dq))];
+                let deltas = operands.into_iter().flatten().map(|(h, dh)| (h.src.0, dh));
+                let dbias = bias.zip(g.dbias).map(|(b, db)| (b.0, db));
+                accumulate_each(grads, dbias.into_iter().chain(deltas))
             }
             Op::Reshape(x) => accumulate(grads, x.0, dy.reshape(self.nodes[x.0].value.dims())?),
             Op::Permute { x, perm } => {
@@ -357,36 +350,6 @@ fn sum_batch(t: Tensor, dims: &[usize]) -> Result<Tensor> {
         return Ok(t);
     }
     t.reduce_to(dims).map_err(Into::into)
-}
-
-/// The gradient sinks of one attention node: one per source `Var`, taking
-/// over that `Var`'s slot when it already holds a gradient (the kernel adds
-/// into it), else empty (the kernel fills a fresh gradient). A view whose
-/// columns overlap an earlier view of the same `Var` (the same tensor
-/// passed twice) gets a sink of its own. Returns each sink's `Var` slot, the
-/// sinks, and each view's sink index.
-fn attention_sinks(views: &HeadVars, grads: &mut [Option<Tensor>]) -> (Vec<usize>, Vec<Option<Tensor>>, [usize; 4]) {
-    let width = views.heads * views.d;
-    let (mut vars, mut sinks) = (Vec::new(), Vec::new());
-    let mut taken: Vec<Vec<std::ops::Range<usize>>> = Vec::new();
-    let mut route = [0usize; 4];
-    for (i, h) in views.listed().enumerate() {
-        let cols = h.col..h.col + width;
-        let free = |j: &usize| {
-            vars[*j] == h.src.0 && taken[*j].iter().all(|u| u.end <= cols.start || cols.end <= u.start)
-        };
-        route[i] = match (0..vars.len()).find(free) {
-            Some(j) => j,
-            None => {
-                vars.push(h.src.0);
-                sinks.push(grads[h.src.0].take());
-                taken.push(Vec::new());
-                vars.len() - 1
-            }
-        };
-        taken[route[i]].push(cols);
-    }
-    (vars, sinks, route)
 }
 
 /// `dx = y * (dy - sum(dy * y, last_axis, keepdim))` for `y = softmax(x)`.

@@ -1,16 +1,13 @@
 //! Pins the bits of head-view attention, `Graph::attention_heads`, to the
-//! split/merge chain it replaces: slice each operand out of its source,
-//! `reshape` + `permute` it to `[batch..., h, s, d]`, run the one-head
-//! `attention_fused`, then `permute` + `reshape` the heads back together.
+//! split/merge chain it replaces: `reshape` + `permute` each operand to
+//! `[batch..., h, s, d]`, run the one-head `attention_fused`, then
+//! `permute` + `reshape` the heads back together.
 //!
-//! The forward value and the gradient of every source `Var` (the bundled
-//! projection, separate Q/K/V tensors, the bias) must match the chain
-//! **bit for bit**, at 1 and 4 threads, whether or not a source's gradient
-//! slot already holds a gradient from a later reader when the attention's
-//! backward writes into it. The one allowed difference is the
-//! sign of a zero in a source gradient: the chain adds each slice's
-//! cotangent into a zero-filled slot (`0.0 + -0.0 = +0.0`), the views
-//! assign it. [`bits`] therefore reads `-0.0` as `+0.0`.
+//! The forward value and the gradient of every source `Var` (separate
+//! Q/K/V/gate tensors, one tensor passed as two operands, the bias) must
+//! match the chain **bit for bit**, at 1 and 4 threads, whether or not a
+//! source's gradient slot already holds a gradient from a later reader when
+//! the attention's backward adds into it.
 
 use sf_autograd::{Graph, HeadVar, HeadVars, Var};
 use sf_tensor::pool;
@@ -22,9 +19,8 @@ fn lead_dims(g: &Graph, src: Var) -> Vec<usize> {
     dims[..dims.len() - 1].to_vec()
 }
 
-/// Bits of `t`, with the sign of zero dropped (see the module doc).
 fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|&x| if x == 0.0 { 0 } else { x.to_bits() }).collect()
+    t.data().iter().map(|x| x.to_bits()).collect()
 }
 
 fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
@@ -32,16 +28,18 @@ fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(bits(got), bits(want), "{what}: bits");
 }
 
-/// One attention problem: source tensors, the operands' placement in them,
+/// One operand: `(source index, attended axis)`.
+type Operand = (usize, Option<usize>);
+
+/// One attention problem: source tensors, which source each operand reads,
 /// and an optional bias.
 struct Case {
     sources: Vec<Tensor>,
     bias: Option<Tensor>,
-    /// `(source index, column, attended axis)` of q, k, v and the gate.
-    q: (usize, usize, Option<usize>),
-    k: (usize, usize, Option<usize>),
-    v: (usize, usize, Option<usize>),
-    gate: Option<(usize, usize, Option<usize>)>,
+    q: Operand,
+    k: Operand,
+    v: Operand,
+    gate: Option<Operand>,
     heads: usize,
     d: usize,
 }
@@ -58,7 +56,7 @@ impl Case {
     /// backward from `Σ out ⊙ w` for a fixed random `w`. With `reuse`, every
     /// source is also read by a later node (`Σ src ⊙ w_src` joins the
     /// loss), so its gradient slot is already filled when the attention's
-    /// backward writes into it.
+    /// backward adds into it.
     fn run(&self, reuse: bool, attend: impl Fn(&mut Graph, &[Var], Option<Var>) -> Var) -> Outputs {
         let mut g = Graph::new();
         let srcs: Vec<Var> = self.sources.iter().map(|t| g.param(t.clone())).collect();
@@ -86,7 +84,7 @@ impl Case {
     /// `Graph::attention_heads` on the views.
     fn views(&self, reuse: bool) -> Outputs {
         self.run(reuse, |g, srcs, bias| {
-            let at = |(src, col, axis): (usize, usize, Option<usize>)| HeadVar { src: srcs[src], col, axis };
+            let at = |(src, axis): Operand| HeadVar { src: srcs[src], axis };
             let views = HeadVars {
                 q: at(self.q),
                 k: at(self.k),
@@ -109,7 +107,7 @@ impl Case {
             let att = g.attention_fused(q, k, v, bias, None, gate, self.scale()).unwrap();
             // [batch..., h, s_q, d] -> [lead..., h, d] with s_q back at the
             // queries' attended axis (dropped without one), then merged.
-            let (src, _, axis) = self.q;
+            let (src, axis) = self.q;
             let lead = lead_dims(g, srcs[src]);
             let nb = lead.len() - usize::from(axis.is_some());
             let mut perm: Vec<usize> = (0..nb).collect();
@@ -122,16 +120,15 @@ impl Case {
         })
     }
 
-    /// Slices an operand's columns out and permutes them to the contiguous
+    /// Splits an operand's heads and permutes them to the contiguous
     /// `[batch..., h, s, d]` layout (`s = 1` without an attended axis).
-    fn split(&self, g: &mut Graph, srcs: &[Var], (src, col, axis): (usize, usize, Option<usize>)) -> Var {
+    fn split(&self, g: &mut Graph, srcs: &[Var], (src, axis): Operand) -> Var {
         let (h, d) = (self.heads, self.d);
         let lead = lead_dims(g, srcs[src]);
         let nl = lead.len();
-        let cols = g.slice_axis(srcs[src], nl, col, col + h * d).unwrap();
         let mut dims = lead;
         dims.extend([h, d]);
-        let r = g.reshape(cols, &dims).unwrap();
+        let r = g.reshape(srcs[src], &dims).unwrap();
         // [lead..., h, d] -> [batch..., h, s, d].
         let mut perm: Vec<usize> = (0..nl).filter(|&i| Some(i) != axis).collect();
         perm.push(nl);
@@ -167,29 +164,29 @@ impl Case {
     }
 }
 
-/// Row, column and triangle attention: Q, K, V and the gate as column
-/// blocks of one `[b1, s, 4·h·d]` projection, attended along axis 1.
-fn bundled(b1: usize, s: usize, h: usize, d: usize, biased: bool, gated: bool, seed: u64) -> Case {
-    let hd = h * d;
+/// Row, column and triangle attention: Q, K, V and the gate as separate
+/// `[b1, s, h·d]` projections, attended along axis 1.
+fn separate(b1: usize, s: usize, h: usize, d: usize, biased: bool, gated: bool, seed: u64) -> Case {
+    let n = if gated { 4 } else { 3 };
     Case {
-        sources: vec![Tensor::randn(&[b1, s, 4 * hd], seed)],
+        sources: (0..n).map(|i| Tensor::randn(&[b1, s, h * d], seed + i)).collect(),
         bias: biased.then(|| Tensor::randn(&[h, s, s], seed ^ 1)),
-        q: (0, 0, Some(1)),
-        k: (0, hd, Some(1)),
-        v: (0, 2 * hd, Some(1)),
-        gate: gated.then_some((0, 3 * hd, Some(1))),
+        q: (0, Some(1)),
+        k: (1, Some(1)),
+        v: (2, Some(1)),
+        gate: gated.then_some((3, Some(1))),
         heads: h,
         d,
     }
 }
 
 #[test]
-fn bundled_projection_matches_split_chain() {
+fn separate_projections_match_split_chain() {
     for (h, d) in [(2, 4), (3, 5), (4, 8), (1, 8)] {
         for s in [7, 19] {
             for (biased, gated) in [(false, false), (true, false), (false, true), (true, true)] {
-                let case = bundled(3, s, h, d, biased, gated, (h * 100 + d * 10 + s) as u64);
-                case.check(&format!("bundled h={h} d={d} s={s} bias={biased} gate={gated}"));
+                let case = separate(3, s, h, d, biased, gated, (h * 100 + d * 10 + s) as u64);
+                case.check(&format!("separate h={h} d={d} s={s} bias={biased} gate={gated}"));
             }
         }
     }
@@ -197,22 +194,38 @@ fn bundled_projection_matches_split_chain() {
 
 #[test]
 fn empty_batch_matches_split_chain() {
-    bundled(0, 5, 2, 4, true, true, 1).check("empty batch");
+    separate(0, 5, 2, 4, true, true, 1).check("empty batch");
+}
+
+/// One `Var` passed as two operands: its gradient is the sum of both
+/// operands' gradients, in the chain's order.
+#[test]
+fn one_var_as_two_operands_matches_split_chain() {
+    for (h, d, s) in [(2, 4, 7), (3, 5, 19)] {
+        for gated in [false, true] {
+            let mut kv = separate(3, s, h, d, true, gated, (h * 10 + s) as u64);
+            kv.v = kv.k;
+            kv.check(&format!("k = v h={h} d={d} s={s} gate={gated}"));
+            let mut qk = separate(3, s, h, d, true, gated, (h * 10 + s + 1) as u64);
+            qk.k = qk.q;
+            qk.check(&format!("q = k h={h} d={d} s={s} gate={gated}"));
+        }
+    }
 }
 
 /// Global column and template pointwise attention: one query per column
-/// (no attended axis) against keys and values along axis 0 of a bundle.
+/// (no attended axis) against keys and values along axis 0.
 #[test]
 fn axis0_keys_with_single_query_match_split_chain() {
     for (h, d) in [(2, 4), (4, 5), (2, 8)] {
         let hd = h * d;
         let (s, r) = (9, 6);
         let case = Case {
-            sources: vec![Tensor::randn(&[r, 4 * hd], 10), Tensor::randn(&[s, r, 2 * hd], 11)],
+            sources: vec![Tensor::randn(&[r, hd], 10), Tensor::randn(&[s, r, hd], 11), Tensor::randn(&[s, r, hd], 12)],
             bias: None,
-            q: (0, 0, None),
-            k: (1, 0, Some(0)),
-            v: (1, hd, Some(0)),
+            q: (0, None),
+            k: (1, Some(0)),
+            v: (2, Some(0)),
             gate: None,
             heads: h,
             d,
@@ -230,9 +243,9 @@ fn rank2_ipa_with_full_bias_matches_split_chain() {
         let case = Case {
             sources: (0..3).map(|i| Tensor::randn(&[r, hd], 20 + i)).collect(),
             bias: Some(Tensor::randn(&[h, r, r], 23)),
-            q: (0, 0, Some(0)),
-            k: (1, 0, Some(0)),
-            v: (2, 0, Some(0)),
+            q: (0, Some(0)),
+            k: (1, Some(0)),
+            v: (2, Some(0)),
             gate: None,
             heads: h,
             d,

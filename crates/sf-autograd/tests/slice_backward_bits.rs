@@ -114,7 +114,8 @@ fn slice(axis: usize, start: usize, end: usize) -> Use {
 
 #[test]
 fn bundled_projection_split() {
-    // `batched_apply`'s split: disjoint last-axis windows covering the row.
+    // A bundled projection's split: disjoint last-axis windows covering
+    // the row.
     let uses = [
         slice(2, 0, 6),
         slice(2, 6, 12),

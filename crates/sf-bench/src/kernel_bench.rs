@@ -823,9 +823,11 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
     }
 
     // --- Bundled projections (§3.3.1 GEMM batching) ----------------------
-    // Q, K, V and gate of one input as four `linear` calls, against one
-    // `linear` on the stacked weights, as `sf_model::linear::batched_apply`
-    // binds them. Stacking the weights is outside the timing.
+    // Q, K, V and gate of one input as four `linear` calls, as the
+    // model's attention sites run them, against one `linear` on the
+    // stacked weights, the bundle the paper launches as one GEMM. Stacking
+    // the weights is outside the timing. On one CPU thread the bundle is
+    // no faster, which is why training keeps four projections.
     {
         let (s, r, c, hd) = sh.proj;
         let x = Tensor::randn(&[s, r, c], 71);

@@ -240,9 +240,9 @@ fn template_pointwise_attention(
     // One query per pair [R, R, hd]; keys and values [T, R, R, hd] read in
     // place along the template axis.
     let views = HeadVars {
-        q: HeadVar { src: q, col: 0, axis: None },
-        k: HeadVar { src: k, col: 0, axis: Some(0) },
-        v: HeadVar { src: v, col: 0, axis: Some(0) },
+        q: HeadVar { src: q, axis: None },
+        k: HeadVar { src: k, axis: Some(0) },
+        v: HeadVar { src: v, axis: Some(0) },
         gate: None,
         heads,
         d,

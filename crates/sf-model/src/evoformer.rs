@@ -14,13 +14,14 @@
 //! 8. Triangle self-attention around the ending node
 //! 9. Pair transition
 //!
-//! Every sub-module is residual. The four projections before each attention
-//! (Q, K, V, gate) are bundled through [`crate::linear::batched_apply`] —
-//! the paper's "GEMM Batching" — into one `[.., 4·h·d]` projection, and
-//! attention itself is the fused pair-bias kernel from
-//! `sf-autograd`/`sf-tensor` ([`Graph::attention_heads`]). It reads Q, K, V
-//! and the gate as column views of that projection and writes the heads
-//! merged, so no slice, reshape or permute splits or joins a head.
+//! Every sub-module is residual. Each attention projects Q, K, V and the
+//! gate with four separate [`Linear`] layers, each `[.., h·d]`, and runs the
+//! fused pair-bias kernel from `sf-autograd`/`sf-tensor`
+//! ([`Graph::attention_heads`]). It reads each projection's heads in place
+//! and writes them merged, so no reshape or permute splits or joins a head.
+//! The paper's "GEMM Batching" of the four projections is modelled by the
+//! cluster simulator and measured as the `linear_bundled` kernel row; on
+//! this one-thread CPU path the bundle is no faster than four GEMMs.
 //!
 //! [`evoformer_block`] is the only block. It always runs under **Dynamic
 //! Axial Parallelism** through an injected [`AxialCollectives`] executor;
@@ -29,14 +30,14 @@
 //! block. The public per-module functions are the one-shard calls of the
 //! same module code.
 //!
-//! All of the block's heavy kernels (the bundled GEMMs, LayerNorm,
+//! All of the block's heavy kernels (the GEMMs, LayerNorm,
 //! softmax, and fused attention) execute on the parallel CPU backend in
 //! `sf_tensor::pool`; the thread count comes from `SF_THREADS` or
 //! `sf_tensor::pool::set_num_threads`, and results are bit-identical at
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
 use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives, LocalAxial};
-use crate::linear::{batched_apply, bind_param, layer_norm, name_seed, Linear};
+use crate::linear::{bind_param, layer_norm, name_seed, Linear};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
@@ -215,10 +216,10 @@ fn pair_stack(
 }
 
 /// Shared gated-attention plumbing: projects `x` (`[B1, B2, c_in]`) to
-/// Q/K/V/gate in one bundled GEMM, runs fused attention over the second
+/// Q/K/V/gate (`[B1, B2, h·d]` each), runs fused attention over the second
 /// axis with an optional `[h, B2, B2]` bias, reading each operand's heads
-/// as columns of the bundle and writing them merged (`[B1, B2, h·d]`), and
-/// projects back to `c_in`.
+/// in place and writing them merged (`[B1, B2, h·d]`), and projects back to
+/// `c_in`.
 #[allow(clippy::too_many_arguments)]
 fn gated_axis_attention(
     g: &mut Graph,
@@ -231,21 +232,12 @@ fn gated_axis_attention(
     c_hidden: usize,
 ) -> Result<Var> {
     let hd = heads * c_hidden;
-    let q_proj = Linear::no_bias(format!("{prefix}.q"), c_in, hd);
-    let k_proj = Linear::no_bias(format!("{prefix}.k"), c_in, hd);
-    let v_proj = Linear::no_bias(format!("{prefix}.v"), c_in, hd);
-    let gate_proj = Linear::new(format!("{prefix}.gate"), c_in, hd);
-    // GEMM batching: the four projections share one bundled GEMM.
-    let qkvg = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], x)?;
-    let at = |col: usize| HeadVar { src: qkvg, col, axis: Some(1) };
-    let views = HeadVars {
-        q: at(0),
-        k: at(hd),
-        v: at(2 * hd),
-        gate: Some(at(3 * hd)),
-        heads,
-        d: c_hidden,
-    };
+    let q = Linear::no_bias(format!("{prefix}.q"), c_in, hd).apply(g, store, x)?;
+    let k = Linear::no_bias(format!("{prefix}.k"), c_in, hd).apply(g, store, x)?;
+    let v = Linear::no_bias(format!("{prefix}.v"), c_in, hd).apply(g, store, x)?;
+    let gate = Linear::new(format!("{prefix}.gate"), c_in, hd).apply(g, store, x)?;
+    let at = |src: Var| HeadVar { src, axis: Some(1) };
+    let views = HeadVars { q: at(q), k: at(k), v: at(v), gate: Some(at(gate)), heads, d: c_hidden };
     let scale = 1.0 / (c_hidden as f32).sqrt();
     // One kernel: scale + pair bias + softmax + sigmoid gate, with
     // softmax-backward folded into the attention grad.
@@ -277,9 +269,9 @@ fn dropout_residual(
 /// Module 1 on sequence shards `[S/k, R, c_m]` of the MSA. The pair bias
 /// indexes residues only, so it is computed once from the replicated `z`
 /// and shared by every shard's gated attention. Parameter prefixes are
-/// identical across shards: each binds the same weights, and
-/// `grads_by_name` sums the per-shard weight gradients — the same
-/// reduction DAP performs over its gradient all-reduce.
+/// identical across shards: each binds the same weights, and the trainer's
+/// [`Graph::take_param_grads`] sums the per-shard weight gradients — the
+/// same reduction DAP performs over its gradient all-reduce.
 fn msa_row_attention_shards(
     g: &mut Graph,
     store: &mut ParamStore,
@@ -377,21 +369,19 @@ pub fn msa_global_column_attention(
     let heads = dims.msa_heads;
     let hd = heads * dims.c_hidden_msa;
     let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
-    let q_proj = Linear::no_bias(format!("{prefix}.q"), dims.c_m, hd);
-    let k_proj = Linear::no_bias(format!("{prefix}.k"), dims.c_m, hd);
-    let v_proj = Linear::no_bias(format!("{prefix}.v"), dims.c_m, hd);
-    let gate_proj = Linear::new(format!("{prefix}.gate"), dims.c_m, hd);
-    let qkvg = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], m_ln)?;
+    let q = Linear::no_bias(format!("{prefix}.q"), dims.c_m, hd).apply(g, store, m_ln)?;
+    let k = Linear::no_bias(format!("{prefix}.k"), dims.c_m, hd).apply(g, store, m_ln)?;
+    let v = Linear::no_bias(format!("{prefix}.v"), dims.c_m, hd).apply(g, store, m_ln)?;
+    let gate = Linear::new(format!("{prefix}.gate"), dims.c_m, hd).apply(g, store, m_ln)?; // [S, R, hd]
 
-    // Global query: the mean over the sequence axis, one query per column
-    // (the first `hd` columns of the bundle's mean). Keys and values are
-    // read in place along the sequence axis.
-    let mean = g.mean_axis(qkvg, 0)?; // [R, 4·hd]
-    let kv = |col: usize| HeadVar { src: qkvg, col, axis: Some(0) };
+    // Global query: the mean over the sequence axis, one query per column.
+    // Keys and values are read in place along the sequence axis.
+    let mean = g.mean_axis(q, 0)?; // [R, hd]
+    let kv = |src: Var| HeadVar { src, axis: Some(0) };
     let views = HeadVars {
-        q: HeadVar { src: mean, col: 0, axis: None },
-        k: kv(hd),
-        v: kv(2 * hd),
+        q: HeadVar { src: mean, axis: None },
+        k: kv(k),
+        v: kv(v),
         gate: None,
         heads,
         d: dims.c_hidden_msa,
@@ -399,7 +389,6 @@ pub fn msa_global_column_attention(
     let scale = 1.0 / (dims.c_hidden_msa as f32).sqrt();
     let att_flat = g.attention_heads(views, None, None, scale)?; // [R, hd]
     // Per-sequence gating of the shared column output.
-    let gate = g.slice_axis(qkvg, 2, 3 * hd, 4 * hd)?; // [S, R, hd]
     let gated = g.gate(gate, att_flat)?; // broadcast over S
     let out = Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)?;
     dropout_residual(g, dims, prefix, 0, m, out)

@@ -1,5 +1,4 @@
-//! Linear layers bound to named parameters, plus the bundled ("GEMM
-//! batched") projection helper.
+//! Linear layers bound to named parameters.
 
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
@@ -74,16 +73,6 @@ impl Linear {
         }
     }
 
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Parameter name prefix.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Binds this layer's weight (and bias) into the tape, initializing
     /// them on first use. Binding a layer whose parameters exist allocates
     /// only the leaves' copies of them: the parameter names are composed in
@@ -108,64 +97,6 @@ impl Linear {
         let (w, b) = self.bind(g, store);
         g.linear(x, w, b)
     }
-}
-
-/// Applies several independent projections of the *same* input as one
-/// bundled operation — the model-side counterpart of the paper's "GEMM
-/// Batching" (§3.3.1): the four linear layers before MHA have no mutual
-/// dependency, so they run as one [`Graph::linear`] node over the stacked
-/// weights. Returns the bundled `[..., Σ out_i]` projection: layer `i`'s
-/// outputs are the columns after the widths of the layers before it.
-/// Attention reads its operands from those columns in place
-/// ([`sf_autograd::HeadVar`]); a site that needs a layer's output as a
-/// tensor of its own slices it out.
-///
-/// When any layer has a bias, the stacked bias fills the bias-free layers'
-/// columns with zeros; a GEMM sum is never `-0.0`, so adding `+0.0` leaves
-/// it unchanged. The outputs are bitwise those of applying each [`Linear`]
-/// separately, and so are the weight and bias gradients; the input
-/// gradient sums the same terms in one GEMM instead of per layer (tested).
-///
-/// # Errors
-///
-/// Returns an error on dimension mismatch or an empty layer list.
-pub fn batched_apply(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    layers: &[&Linear],
-    x: Var,
-) -> Result<Var> {
-    let mut ws = Vec::with_capacity(layers.len());
-    let mut bs = Vec::with_capacity(layers.len());
-    for l in layers {
-        let (w, b) = l.bind(g, store);
-        ws.push(w);
-        bs.push(b);
-    }
-    let stacked = g.concat(&ws, 0)?;
-    let bias = if bs.iter().any(Option::is_some) {
-        // One zero constant per run of adjacent bias-free layers.
-        let mut parts = Vec::with_capacity(layers.len());
-        let mut zeros = 0usize;
-        for (l, b) in layers.iter().zip(bs) {
-            let Some(b) = b else {
-                zeros += l.out_dim;
-                continue;
-            };
-            if zeros > 0 {
-                parts.push(g.constant(Tensor::zeros(&[zeros])));
-                zeros = 0;
-            }
-            parts.push(b);
-        }
-        if zeros > 0 {
-            parts.push(g.constant(Tensor::zeros(&[zeros])));
-        }
-        Some(g.concat(&parts, 0)?)
-    } else {
-        None
-    };
-    g.linear(x, stacked, bias)
 }
 
 /// Binds a named LayerNorm (`"{name}.gamma"` / `"{name}.beta"`) and applies
@@ -214,85 +145,6 @@ mod tests {
         let a = Linear::no_bias("a", 4, 4).apply(&mut g, &mut store, x).unwrap();
         let b = Linear::no_bias("b", 4, 4).apply(&mut g, &mut store, x).unwrap();
         assert_ne!(g.value(a), g.value(b));
-    }
-
-    #[test]
-    fn batched_apply_equals_individual() {
-        let mut store = ParamStore::new();
-        let l1 = Linear::no_bias("q", 8, 6);
-        let l2 = Linear::no_bias("k", 8, 6);
-        let l3 = Linear::new("v", 8, 10);
-        // Bias-free layers on both sides of the biased one.
-        let layers = [&l1, &l3, &l2];
-        let x0 = Tensor::randn(&[2, 5, 8], 2);
-        // Weights each output by its own random cotangent, so every
-        // gradient depends on every output.
-        let loss = |g: &mut Graph, outs: &[Var]| -> Var {
-            let mut total = None;
-            for (i, &o) in outs.iter().enumerate() {
-                let w = g.constant(Tensor::randn(g.value(o).dims(), 10 + i as u64));
-                let p = g.mul(o, w).unwrap();
-                let s = g.sum_all(p).unwrap();
-                total = Some(match total {
-                    Some(t) => g.add(t, s).unwrap(),
-                    None => s,
-                });
-            }
-            total.unwrap()
-        };
-
-        let mut g = Graph::new();
-        let x = g.param(x0.clone());
-        let big = batched_apply(&mut g, &mut store, &layers, x).unwrap();
-        let mut col = 0;
-        let bundled: Vec<Var> = layers
-            .iter()
-            .map(|l| {
-                col += l.out_dim();
-                g.slice_axis(big, 2, col - l.out_dim(), col).unwrap()
-            })
-            .collect();
-        let l = loss(&mut g, &bundled);
-        g.backward(l).unwrap();
-
-        let mut g2 = Graph::new();
-        let x2 = g2.param(x0);
-        let single: Vec<Var> =
-            layers.iter().map(|l| l.apply(&mut g2, &mut store, x2).unwrap()).collect();
-        let l2 = loss(&mut g2, &single);
-        g2.backward(l2).unwrap();
-
-        // The bundle is one wider GEMM: each output element, each weight
-        // gradient row (a sum over all 10 rows of `x`) and each bias
-        // gradient is the same ascending sum as in its own layer.
-        for (&b, &s) in bundled.iter().zip(&single) {
-            assert_eq!(g.value(b), g2.value(s));
-        }
-        let (gb, gs) = (g.grads_by_name().unwrap(), g2.grads_by_name().unwrap());
-        for name in ["q.weight", "k.weight", "v.weight", "v.bias"] {
-            assert_eq!(gb[name], gs[name], "{name}");
-        }
-        // The input gradient contracts over all 22 outputs in one GEMM
-        // instead of adding three per-layer products: same terms, another
-        // summation order.
-        assert!(g.grad(x).unwrap().allclose(g2.grad(x2).unwrap(), 1e-5));
-    }
-
-    #[test]
-    fn batched_apply_gradients_flow() {
-        let mut store = ParamStore::new();
-        let l1 = Linear::no_bias("g1", 4, 3);
-        let l2 = Linear::no_bias("g2", 4, 3);
-        let mut g = Graph::new();
-        let x = g.constant(Tensor::randn(&[2, 4], 3));
-        let big = batched_apply(&mut g, &mut store, &[&l1, &l2], x).unwrap();
-        assert_eq!(g.value(big).dims(), &[2, 6]);
-        let s = g.sum_all(big).unwrap();
-        g.backward(s).unwrap();
-        let grads = g.grads_by_name().unwrap();
-        assert!(grads.contains_key("g1.weight"));
-        assert!(grads.contains_key("g2.weight"));
-        assert!(grads["g1.weight"].norm() > 0.0);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn structure_module(
         let k = Linear::no_bias(format!("{p}.k"), c_s, heads * d).apply(g, store, s_ln)?;
         let v = Linear::no_bias(format!("{p}.v"), c_s, heads * d).apply(g, store, s_ln)?;
         // Heads read in place along the residue axis, written merged.
-        let res = |src: Var| HeadVar { src, col: 0, axis: Some(0) };
+        let res = |src: Var| HeadVar { src, axis: Some(0) };
         let views = HeadVars { q: res(q), k: res(k), v: res(v), gate: None, heads, d };
         let scale = 1.0 / (d as f32).sqrt();
         let att_flat = g.attention_heads(views, Some(bias), None, scale)?; // [R, h·d]

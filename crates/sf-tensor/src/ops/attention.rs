@@ -27,13 +27,13 @@
 //!   `matmul_at` / `matmul` chain it replaces, so it is bit-identical to
 //!   that chain (pinned by `tests/attention_backward_bits.rs`).
 //!
-//! Both read Q, K, V and the gate as [`HeadView`]s: `heads` column blocks of
-//! a `[..., W]` tensor with the attended axis and the batch axes given by
-//! strides, so a bundled `[B1, B2, 4·h·d]` projection is attended without
+//! Both read Q, K, V and the gate as [`HeadView`]s: the `heads` column
+//! blocks of a `[..., h·d]` tensor with the attended axis and the batch axes
+//! given by strides, so a `[B1, B2, h·d]` projection is attended without
 //! copying a head out, the output is written with its heads merged
-//! (`[B1, B2, h·d]`), and each gradient lands in its operand's columns.
-//! [`attention_fused`] / [`attention_fused_backward`] are the contiguous
-//! `[batch..., s, d]` one-head case of the same kernels.
+//! (`[B1, B2, h·d]`), and each operand's gradient is a fresh tensor shaped
+//! like it. [`attention_fused`] / [`attention_fused_backward`] are the
+//! contiguous `[batch..., s, d]` one-head case of the same kernels.
 //!
 //! [`naive_attention`] materializes the full logits matrix. It is the test
 //! oracle (and the memory-hungry path the paper starts from); the fused
@@ -45,9 +45,9 @@ use crate::ops::softmax::softmax;
 use crate::ops::vexp::{striped_max, vexp, vexp_shift_sum};
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
-use crate::shape::{Shape, MAX_RANK};
+use crate::shape::{row_major_strides, Shape, MAX_RANK};
 use crate::strided::broadcast_strides;
-use crate::{Result, Tensor, TensorError, WriteOnce};
+use crate::{Result, Tensor, TensorError};
 use std::mem::MaybeUninit;
 
 /// Additive logit penalty for masked-out keys (matches
@@ -71,17 +71,16 @@ fn check_dims(op: &'static str, t: &Tensor, dims: &[usize]) -> Result<()> {
     }
 }
 
-/// One attention operand read in place: `heads` adjacent `d`-wide column
-/// blocks of the last axis of `src` (`[..., W]`), the first at column
-/// `col`. The leading axis `axis` is the attended one (the query or key
-/// positions); `None` reads one position, as a mean-pooled query does.
-/// Every other leading axis is a batch axis and the head index runs
-/// fastest after them, so the view reads the logical
-/// `[batch..., heads, s, d]` tensor a reshape and a permute would copy out.
+/// One attention operand read in place: `src` is `[..., heads·d]`, its last
+/// axis `heads` adjacent `d`-wide column blocks. The leading axis `axis` is
+/// the attended one (the query or key positions); `None` reads one
+/// position, as a mean-pooled query does. Every other leading axis is a
+/// batch axis and the head index runs fastest after them, so the view reads
+/// the logical `[batch..., heads, s, d]` tensor a reshape and a permute
+/// would copy out.
 ///
-/// - Row, column and triangle attention read Q, K, V and the gate from one
-///   bundled `[B1, B2, 4·h·d]` projection: `axis: Some(1)`, `col` the
-///   operand's column offset.
+/// - Row, column and triangle attention read Q, K, V and the gate from
+///   `[B1, B2, h·d]` projections: `axis: Some(1)`.
 /// - Keys and values along the first axis (global column and template
 ///   pointwise attention, IPA): `axis: Some(0)`.
 /// - A contiguous `[batch..., s, d]` tensor is the one-head view that
@@ -91,10 +90,8 @@ fn check_dims(op: &'static str, t: &Tensor, dims: &[usize]) -> Result<()> {
 /// its value's handle (`HeadView<Var>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeadView<S> {
-    /// The tensor the heads are read from, `[..., W]`.
+    /// The tensor the heads are read from, `[..., heads·d]`.
     pub src: S,
-    /// Column of the first head's first channel.
-    pub col: usize,
     /// The attended leading axis; `None` for a single position.
     pub axis: Option<usize>,
 }
@@ -125,7 +122,7 @@ impl<S: Copy> HeadViews<S> {
 
     /// The same views with each source replaced by `f(source)`.
     pub fn map<T>(&self, f: impl Fn(S) -> T) -> HeadViews<T> {
-        let at = |h: HeadView<S>| HeadView { src: f(h.src), col: h.col, axis: h.axis };
+        let at = |h: HeadView<S>| HeadView { src: f(h.src), axis: h.axis };
         HeadViews { q: at(self.q), k: at(self.k), v: at(self.v), gate: self.gate.map(at), heads: self.heads, d: self.d }
     }
 }
@@ -145,61 +142,60 @@ impl<'a> HeadViews<&'a Tensor> {
             if t.rank() < 2 || t.dims()[t.rank() - 1] != d {
                 return Err(mismatch("attention qkv", q.dims(), t.dims()));
             }
-            Ok(HeadView { src: t, col: 0, axis: Some(t.rank() - 2) })
+            Ok(HeadView { src: t, axis: Some(t.rank() - 2) })
         };
         let gate = gate.map(view).transpose()?;
         Ok(HeadViews { q: view(q)?, k: view(k)?, v: view(v)?, gate, heads: 1, d })
     }
 }
 
-/// Offsets of every index of the row-major grid `axes` (`(len, stride)`
-/// pairs, the last fastest), starting from `base`.
-fn grid_offsets(base: usize, axes: impl IntoIterator<Item = (usize, usize)>) -> Vec<usize> {
-    let mut offs = vec![base];
-    for (len, stride) in axes {
-        let mut next = Vec::with_capacity(offs.len() * len);
-        for &o in &offs {
-            next.extend((0..len).map(|i| o + i * stride));
-        }
-        offs = next;
+/// Offset of element `b` of the row-major grid `dims` (the last axis
+/// fastest) whose axes lie `strides` apart.
+fn element_offset(mut b: usize, dims: &[usize], strides: &[usize]) -> usize {
+    let mut off = 0;
+    for (&len, &stride) in dims.iter().zip(strides).rev() {
+        off += b % len * stride;
+        b /= len;
     }
-    offs
+    off
 }
 
-/// Where a head view's batch elements sit in their `[..., W]` buffer:
-/// element `b`'s `[s, d]` block starts at `offs[b]`, its rows `ld` apart.
+/// Where a head view's batch elements sit in their `[..., heads·d]` buffer:
+/// element `b`'s `[s, d]` block starts at [`Placement::base`]`(b)`, its
+/// rows `ld` apart.
 struct Placement {
-    /// The leading dims other than the attended one.
-    batch: Shape,
-    offs: Vec<usize>,
+    /// The leading dims other than the attended one, then the heads: the
+    /// grid of `[s, d]` blocks.
+    grid: Shape,
+    /// Each grid axis's stride in the buffer.
+    strides: [usize; MAX_RANK],
     ld: usize,
     s: usize,
 }
 
 impl Placement {
-    /// `None` if the heads overrun the width or `axis` is not a leading
-    /// axis of `dims`.
-    fn new(dims: &[usize], col: usize, axis: Option<usize>, heads: usize, d: usize) -> Option<Self> {
+    /// `None` unless the last axis of `dims` is exactly `heads·d` wide and
+    /// `axis` is a leading axis of `dims`.
+    fn new(dims: &[usize], axis: Option<usize>, heads: usize, d: usize) -> Option<Self> {
         let (&width, lead) = dims.split_last()?;
-        if col + heads * d > width || axis.is_some_and(|a| a >= lead.len()) {
+        if width != heads * d || axis.is_some_and(|a| a >= lead.len()) {
             return None;
         }
-        let mut strides = [width; MAX_RANK];
-        for i in (1..lead.len()).rev() {
-            strides[i - 1] = strides[i] * lead[i];
+        let all = row_major_strides(dims);
+        let (mut grid, mut strides) = (Shape::default(), [0; MAX_RANK]);
+        for i in (0..lead.len()).filter(|&i| Some(i) != axis) {
+            strides[grid.rank()] = all[i];
+            grid.push(lead[i]);
         }
-        let batch_axes = (0..lead.len()).filter(|&i| Some(i) != axis);
-        let mut batch = Shape::default();
-        for i in batch_axes.clone() {
-            batch.push(lead[i]);
-        }
-        let (s, ld) = axis.map_or((1, width), |a| (lead[a], strides[a]));
-        Some(Placement {
-            batch,
-            offs: grid_offsets(col, batch_axes.map(|i| (lead[i], strides[i])).chain([(heads, d)])),
-            ld,
-            s,
-        })
+        strides[grid.rank()] = d;
+        grid.push(heads);
+        let (s, ld) = axis.map_or((1, width), |a| (lead[a], all[a]));
+        Some(Placement { grid, strides, ld, s })
+    }
+
+    /// Start of element `b`'s first row.
+    fn base(&self, b: usize) -> usize {
+        element_offset(b, self.grid.dims(), &self.strides)
     }
 
     /// Floats from the start of an element's first row to the end of its
@@ -212,61 +208,60 @@ impl Placement {
         }
     }
 
-    /// Element `b`'s block of `data`, from its first row to the end of its
-    /// last.
-    fn block<'a>(&self, data: &'a [f32], b: usize, d: usize) -> &'a [f32] {
-        let start = self.offs[b].min(data.len());
+    /// The block of `data` starting at `base` (an element's
+    /// [`Placement::base`]), from its first row to the end of its last.
+    fn block<'a>(&self, data: &'a [f32], base: usize, d: usize) -> &'a [f32] {
+        let start = base.min(data.len());
         &data[start..start + self.extent(d)]
     }
 
-    /// Start of row `i` of element `b`.
-    fn row(&self, b: usize, i: usize) -> usize {
-        self.offs[b] + i * self.ld
+    /// Start of row `i` of the element at `base`.
+    fn row(&self, base: usize, i: usize) -> usize {
+        base + i * self.ld
     }
 
-    /// Element `b`'s rows of the buffer behind `ptr`, as a GEMM output
-    /// that stores `sum · scale` (when given), added when `add`.
+    /// The rows of the element at `base` in the buffer behind `ptr`, as a
+    /// GEMM output that stores `sum · scale` (when given).
     ///
     /// # Safety
     ///
     /// The buffer must hold this placement's layout and outlive the result,
-    /// and no other thread may access element `b`'s `d` columns of its rows
+    /// and no other thread may access the element's `d` columns of its rows
     /// meanwhile.
-    unsafe fn out_rows<'a>(&self, ptr: &SendPtr, b: usize, d: usize, scale: Option<f32>, add: bool) -> Strided<'a> {
-        Strided::new(ptr.at(self.offs[b]), self.extent(d), self.ld, scale, add)
+    unsafe fn out_rows<'a>(&self, ptr: &SendPtr, base: usize, d: usize, scale: Option<f32>) -> Strided<'a> {
+        Strided::new(ptr.at(base), self.extent(d), self.ld, scale)
     }
 
-    /// Row `i` of element `b` in the buffer behind `ptr`.
+    /// Row `i` of the element at `base` in the buffer behind `ptr`.
     ///
     /// # Safety
     ///
     /// As for [`Placement::out_rows`], and the row must be written.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut<'a>(&self, ptr: &'a SendPtr, b: usize, i: usize, d: usize) -> &'a mut [f32] {
-        ptr.slice_mut(self.row(b, i), d)
+    unsafe fn row_mut<'a>(&self, ptr: &'a SendPtr, base: usize, i: usize, d: usize) -> &'a mut [f32] {
+        ptr.slice_mut(self.row(base, i), d)
     }
 
-    /// Row `i` of element `b` in the buffer behind `ptr`, possibly
-    /// unwritten, for assigning.
+    /// Row `i` of the element at `base` in the buffer behind `ptr`,
+    /// possibly unwritten, for assigning.
     ///
     /// # Safety
     ///
     /// As for [`Placement::out_rows`].
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_uninit<'a>(&self, ptr: &'a SendPtr, b: usize, i: usize, d: usize) -> &'a mut [MaybeUninit<f32>] {
-        ptr.uninit_mut(self.row(b, i), d)
+    unsafe fn row_uninit<'a>(&self, ptr: &'a SendPtr, base: usize, i: usize, d: usize) -> &'a mut [MaybeUninit<f32>] {
+        ptr.uninit_mut(self.row(base, i), d)
     }
 }
 
 /// A [`HeadViews`] call checked and resolved: where each operand's blocks
-/// are, and where the output's are. The output takes the queries' leading
-/// layout with `heads·d` columns, so merged heads come out in place.
+/// are. The output has the queries' shape and layout, so its heads come out
+/// merged in place, and each gradient has its operand's.
 struct Geometry {
     q: Placement,
     k: Placement,
     v: Placement,
     gate: Option<Placement>,
-    out: Placement,
     out_dims: Shape,
     heads: usize,
     d: usize,
@@ -276,29 +271,23 @@ impl Geometry {
     fn new(views: &HeadViews<&Tensor>) -> Result<Self> {
         let (heads, d) = (views.heads, views.d);
         let place = |view: &HeadView<&Tensor>| {
-            Placement::new(view.src.dims(), view.col, view.axis, heads, d)
+            Placement::new(view.src.dims(), view.axis, heads, d)
                 .filter(|_| heads > 0)
-                .ok_or_else(|| mismatch("attention head view", view.src.dims(), &[view.col, heads, d]))
+                .ok_or_else(|| mismatch("attention head view", view.src.dims(), &[heads, d]))
         };
         let (q, k, v) = (place(&views.q)?, place(&views.k)?, place(&views.v)?);
         let gate = views.gate.as_ref().map(place).transpose()?;
-        let batched_like_q = |p: &Placement| p.batch == q.batch;
+        let batched_like_q = |p: &Placement| p.grid == q.grid;
         let gate_ok = gate.as_ref().is_none_or(|g| batched_like_q(g) && g.s == q.s);
         if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s || !gate_ok {
             return Err(mismatch("attention qkv", views.q.src.dims(), views.v.src.dims()));
         }
-        let mut out_dims = *views.q.src.shape();
-        if let Some(w) = out_dims.dims_mut().last_mut() {
-            *w = heads * d;
-        }
-        let out = Placement::new(out_dims.dims(), 0, views.q.axis, heads, d)
-            .expect("the output is exactly its heads wide");
-        Ok(Geometry { q, k, v, gate, out, out_dims, heads, d })
+        Ok(Geometry { q, k, v, gate, out_dims: *views.q.src.shape(), heads, d })
     }
 
     /// Number of `(batch..., head)` elements.
     fn batch(&self) -> usize {
-        self.q.offs.len()
+        self.q.grid.num_elements()
     }
 
     /// The logical batch dims (the batch axes, then the heads; one head
@@ -308,9 +297,9 @@ impl Geometry {
     ///
     /// Returns [`TensorError::RankTooHigh`] if they exceed [`MAX_RANK`].
     fn batch_dims_and(&self, tail: &[usize]) -> Result<Shape> {
-        let mut dims = self.q.batch;
-        if self.heads > 1 {
-            dims.try_push(self.heads)?;
+        let mut dims = self.q.grid;
+        if self.heads == 1 {
+            dims.remove(dims.rank() - 1);
         }
         for &t in tail {
             dims.try_push(t)?;
@@ -346,16 +335,16 @@ pub fn naive_attention(
 }
 
 /// A side input (pair bias or mask) resolved against the logits
-/// `[batch..., heads, s_q, s_k]`: per-element base offsets plus the row and
-/// column strides (0 on broadcast axes), so a kernel reads an element's
-/// logits block as one slice, or one row slice at a time.
+/// `[batch..., heads, s_q, s_k]`: its stride along each logits axis (0 on
+/// broadcast axes), so a kernel reads an element's logits block as one
+/// slice, or one row slice at a time.
 struct LogitsRows<'a> {
     data: &'a [f32],
     /// The logits dims the side input broadcasts to.
     dims: Shape,
+    strides: [usize; MAX_RANK],
     row_stride: usize,
     col_stride: usize,
-    batch_offs: Vec<usize>,
 }
 
 impl LogitsRows<'_> {
@@ -366,7 +355,7 @@ impl LogitsRows<'_> {
     /// broadcast.
     #[inline(always)]
     fn zip_rows(&self, b: usize, block: &mut [f32], s_k: usize, f: impl Fn(f32, f32) -> f32) {
-        let base = self.batch_offs[b];
+        let base = element_offset(b, &self.dims.dims()[..self.dims.rank() - 2], &self.strides);
         if self.col_stride == 1 && self.row_stride == s_k {
             let side = &self.data[base..base + block.len()];
             for (l, &x) in block.iter_mut().zip(side) {
@@ -394,15 +383,14 @@ fn logits_rows<'a>(t: &'a Tensor, geo: &Geometry) -> Result<LogitsRows<'a>> {
     if !t.shape().broadcastable_to(&dims) {
         return Err(mismatch("attention bias", t.dims(), dims.dims()));
     }
-    let st = broadcast_strides(t.shape(), &dims);
+    let strides = broadcast_strides(t.shape(), &dims);
     let rank = dims.rank();
-    let batch_offs = grid_offsets(0, dims.dims()[..rank - 2].iter().copied().zip(st.iter().copied()));
     Ok(LogitsRows {
         data: t.data(),
-        row_stride: st[rank - 2],
-        col_stride: st[rank - 1],
-        batch_offs,
         dims,
+        strides,
+        row_stride: strides[rank - 2],
+        col_stride: strides[rank - 1],
     })
 }
 
@@ -463,7 +451,8 @@ impl FusedAttention {
     }
 }
 
-/// Gradients returned by [`attention_fused_backward`].
+/// Gradients returned by [`attention_heads_backward`], each shaped like its
+/// operand.
 #[derive(Debug, Clone)]
 pub struct FusedAttentionGrads {
     pub dq: Tensor,
@@ -547,7 +536,8 @@ pub fn attention_heads(
     let lse_ptr = SendPtr::uninit(lse.uninit());
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
-    let (qp, kp, vp, op) = (&geo.q, &geo.k, &geo.v, &geo.out);
+    // The output is laid out like the queries.
+    let (qp, kp, vp) = (&geo.q, &geo.k, &geo.v);
     let block = s_q * s_k;
     let pack = pack_len(d.max(s_k));
     parallel_for(batch, block * (4 * d + 12), |range| {
@@ -556,8 +546,9 @@ pub fn attention_heads(
             let (maxes, rest) = rest.split_at_mut(s_q);
             let (sums, pack) = rest.split_at_mut(s_q);
             for b in range {
+                let (qo, ko, vo) = (qp.base(b), kp.base(b), vp.base(b));
                 // Logits block q·kᵀ, 4 query rows per packed Kᵀ panel.
-                let (qm, km) = (qp.block(qd, b, d), kp.block(kd, b, d));
+                let (qm, km) = (qp.block(qd, qo, d), kp.block(kd, ko, d));
                 let logits = Dense::new(probs, s_k);
                 gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, logits, pack);
                 let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
@@ -570,14 +561,15 @@ pub fn attention_heads(
                 // are kept for the backward).
                 // SAFETY: this item's own output element, not borrowed
                 // elsewhere while the GEMM stores into it.
-                let att_rows = unsafe { op.out_rows(&att_ptr, b, d, None, false) };
-                gemm_serial(probs, s_k, false, vp.block(vd, b, d), vp.ld, false, s_q, s_k, d, att_rows, pack);
+                let att_rows = unsafe { qp.out_rows(&att_ptr, qo, d, None) };
+                gemm_serial(probs, s_k, false, vp.block(vd, vo, d), vp.ld, false, s_q, s_k, d, att_rows, pack);
+                let go = gate.map_or(0, |(_, gpl)| gpl.base(b));
                 // SAFETY: each item owns its batch element's lse row.
                 let lse_b = unsafe { lse_ptr.uninit_mut(b * s_q, s_q) };
                 for (i, &sum) in sums.iter().enumerate() {
                     // SAFETY: row `i` of this item's own output element,
                     // which the P·V GEMM assigned.
-                    let orow = unsafe { op.row_mut(&att_ptr, b, i, d) };
+                    let orow = unsafe { qp.row_mut(&att_ptr, qo, i, d) };
                     if sum > 0.0 {
                         let inv = 1.0 / sum;
                         for o in orow.iter_mut() {
@@ -589,8 +581,8 @@ pub fn attention_heads(
                     }
                     if let (Some(gp), Some((gdat, gpl))) = (gated_ptr.as_ref(), gate) {
                         // SAFETY: row `i` of this item's own gated output.
-                        let dst = unsafe { op.row_uninit(gp, b, i, d) };
-                        let grow = &gdat[gpl.row(b, i)..][..d];
+                        let dst = unsafe { qp.row_uninit(gp, qo, i, d) };
+                        let grow = &gdat[gpl.row(go, i)..][..d];
                         for ((o, &a), &g) in dst.iter_mut().zip(orow.iter()).zip(grow) {
                             o.write(a / (1.0 + vexp(-g)));
                         }
@@ -609,8 +601,9 @@ pub fn attention_heads(
     })
 }
 
-/// Fused backward for [`attention_fused`] on contiguous operands: runs
-/// [`attention_heads_backward`] with one fresh gradient tensor per operand.
+/// Fused backward for [`attention_fused`] on contiguous operands:
+/// [`attention_heads_backward`] on the one-head views of
+/// [`HeadViews::whole`].
 ///
 /// # Errors
 ///
@@ -628,14 +621,7 @@ pub fn attention_fused_backward(
     scale: f32,
     dy: &Tensor,
 ) -> Result<FusedAttentionGrads> {
-    let views = HeadViews::whole(q, k, v, gate)?;
-    let mut sinks: Vec<Option<Tensor>> = views.listed().map(|_| None).collect();
-    let dbias = attention_heads_backward(&views, bias, mask, att, lse, scale, dy, &mut sinks, [0, 1, 2, 3])?;
-    let mut grads = sinks.into_iter().map(|g| g.expect("every view's sink is filled"));
-    let mut next = || grads.next().expect("one gradient per view");
-    let (dq, dk, dv) = (next(), next(), next());
-    let dgate = gate.map(|_| next());
-    Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
+    attention_heads_backward(&HeadViews::whole(q, k, v, gate)?, bias, mask, att, lse, scale, dy)
 }
 
 /// Fused backward for [`attention_heads`]: softmax-backward is folded into
@@ -658,24 +644,15 @@ pub fn attention_fused_backward(
 /// tensor only when a bias needs its gradient (then sum-reduced to the bias
 /// shape, which is returned).
 ///
-/// `dq`, `dk`, `dv` and `dgate` go to `sinks[route[0..4]]` in their view's
-/// layout: the heads' columns of a gradient shaped like the view's source.
-/// Views sharing a sink (Q/K/V/gate of one bundled projection) write their
-/// own columns of it. A sink that holds a gradient is added into. An empty
-/// sink receives a fresh gradient: its views' columns are assigned, each
-/// element once, and any column no view covers (the query and gate columns
-/// of a bundle whose keys and values alone are viewed) is zero. `att` is the
-/// **pre-gate** forward output
-/// ([`FusedAttention::pre_gate`]) and `dy` the gradient of the (gated)
-/// output, both in the output's layout.
+/// Each operand's gradient is a fresh tensor shaped like its view's source,
+/// every element assigned once, so a caller passing one tensor as two
+/// operands sums their gradients itself. `att` is the **pre-gate** forward
+/// output ([`FusedAttention::pre_gate`]) and `dy` the gradient of the
+/// (gated) output, both shaped like the queries.
 ///
 /// # Errors
 ///
-/// Returns an error on any shape incompatibility, a route past the end of
-/// `sinks`, a sink not shaped like its views' source (or views of
-/// differently shaped sources routed to one sink), or two views with
-/// overlapping columns routed to one sink.
-#[allow(clippy::too_many_arguments)]
+/// Returns an error on any shape incompatibility.
 pub fn attention_heads_backward(
     views: &HeadViews<&Tensor>,
     bias: Option<&Tensor>,
@@ -684,9 +661,7 @@ pub fn attention_heads_backward(
     lse: &Tensor,
     scale: f32,
     dy: &Tensor,
-    sinks: &mut [Option<Tensor>],
-    route: [usize; 4],
-) -> Result<Option<Tensor>> {
+) -> Result<FusedAttentionGrads> {
     let _sp = sf_trace::span("kernel", "attention_fused_bwd");
     let geo = Geometry::new(views)?;
     let bias_rows = bias.map(|b| logits_rows(b, &geo)).transpose()?;
@@ -695,55 +670,21 @@ pub fn attention_heads_backward(
     check_dims("attention att", att, geo.out_dims.dims())?;
     check_dims("attention dy", dy, geo.out_dims.dims())?;
     check_dims("attention lse", lse, geo.batch_dims_and(&[s_q])?.dims())?;
-    let listed: Vec<HeadView<&Tensor>> = views.listed().collect();
-    let cols = |view: &HeadView<&Tensor>| view.col..view.col + geo.heads * d;
-    // The first view routed to each view's sink. An empty sink gets a fresh
-    // gradient shaped like that view's source, kept at that view's slot.
-    let first: [usize; 4] = std::array::from_fn(|i| route[..i].iter().position(|&to| to == route[i]).unwrap_or(i));
-    let mut fresh: [Option<WriteOnce>; 4] = Default::default();
-    for (i, view) in listed.iter().enumerate() {
-        let r = route[i];
-        let sink = sinks.get(r).ok_or(TensorError::IndexOutOfBounds { index: r, bound: sinks.len() })?;
-        let dims = match sink {
-            Some(grad) => grad.dims(),
-            None => fresh[first[i]].get_or_insert_with(|| Tensor::write_once(view.src.dims(), "attention grad sink")).dims(),
-        };
-        check_dims("attention grad sink", view.src, dims)?;
-        let mine = cols(view);
-        let overlaps = |other: &HeadView<&Tensor>| cols(other).start < mine.end && mine.start < cols(other).end;
-        if let Some((other, _)) =
-            listed[..i].iter().zip(route).find(|&(other, to)| to == r && overlaps(other))
-        {
-            return Err(mismatch("attention grad sink overlap", &[other.col], &[view.col]));
-        }
-    }
-    for (i, buf) in fresh.iter_mut().enumerate() {
-        if let Some(buf) = buf {
-            let width = buf.dims().last().copied().unwrap_or(1);
-            let covered = |j: usize| listed.iter().zip(route).any(|(v, to)| to == route[i] && cols(v).contains(&j));
-            zero_uncovered(buf.uninit(), width, covered);
-        }
-    }
-    // Each view's gradient store: its sink's gradient (added into) or fresh
-    // buffer (assigned), one pointer per sink.
-    let mut view_sinks = [(SendPtr::new(&mut []), false); 4];
-    for i in 0..listed.len() {
-        view_sinks[i] = if first[i] < i {
-            view_sinks[first[i]]
-        } else {
-            match (&mut sinks[route[i]], &mut fresh[i]) {
-                (Some(grad), _) => (SendPtr::new(grad.data_mut()), true),
-                (None, buf) => (SendPtr::uninit(buf.as_mut().expect("made above").uninit()), false),
-            }
-        };
-    }
+    let grad = |view: &HeadView<&Tensor>| Tensor::write_once_shaped(*view.src.shape(), "attention grad");
+    let (mut dq, mut dk, mut dv) = (grad(&views.q), grad(&views.k), grad(&views.v));
+    let mut dgate = views.gate.as_ref().map(grad);
     let mut ds = bias_rows.as_ref().map(|rows| Tensor::write_once_shaped(rows.dims, "attention dS"));
 
     let ds_ptr = ds.as_mut().map(|t| SendPtr::uninit(t.uninit()));
+    let (dq_ptr, dk_ptr, dv_ptr) = (SendPtr::uninit(dq.uninit()), SendPtr::uninit(dk.uninit()), SendPtr::uninit(dv.uninit()));
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let (dyd, attd, lsed) = (dy.data(), att.data(), lse.data());
-    let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
-    let (qp, kp, vp, op) = (&geo.q, &geo.k, &geo.v, &geo.out);
+    let gate = match (views.gate, geo.gate.as_ref(), dgate.as_mut()) {
+        (Some(g), Some(gpl), Some(dg)) => Some((g.src.data(), gpl, SendPtr::uninit(dg.uninit()))),
+        _ => None,
+    };
+    // `att` and `dy` are laid out like the queries.
+    let (qp, kp, vp) = (&geo.q, &geo.k, &geo.v);
     let (q_len, block) = (s_q * d, s_q * s_k);
     let pack = pack_len(d.max(s_k).max(s_q));
     // Scratch: p block, dS block (unless it goes straight to `ds`), the
@@ -756,39 +697,29 @@ pub fn attention_heads_backward(
             let (ds_own, rest) = rest.split_at_mut(ds_scratch);
             let (datt_own, pack) = rest.split_at_mut(datt_scratch);
             for b in range {
-                let (qm, km, vm) = (qp.block(qd, b, d), kp.block(kd, b, d), vp.block(vd, b, d));
+                let (qo, ko, vo) = (qp.base(b), kp.base(b), vp.base(b));
+                let (qm, km, vm) = (qp.block(qd, qo, d), kp.block(kd, ko, d), vp.block(vd, vo, d));
                 // Gate epilogue backward: datt = dy ⊙ σ(g);
                 // dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt is dy.
-                let (datt, datt_ld): (&[f32], usize) = match gate {
-                    Some((gdat, gpl)) => {
-                        let (dg_ptr, add) = &view_sinks[3];
+                let (datt, datt_ld): (&[f32], usize) = match &gate {
+                    Some((gdat, gpl, dg_ptr)) => {
+                        let go = gpl.base(b);
                         for i in 0..s_q {
-                            let (dyr, ar) = (&dyd[op.row(b, i)..][..d], &attd[op.row(b, i)..][..d]);
-                            let gr = &gdat[gpl.row(b, i)..][..d];
+                            let (dyr, ar) = (&dyd[qp.row(qo, i)..][..d], &attd[qp.row(qo, i)..][..d]);
+                            let gr = &gdat[gpl.row(go, i)..][..d];
                             let da = &mut datt_own[i * d..(i + 1) * d];
-                            let ins = dyr.iter().zip(gr).zip(ar);
-                            // SAFETY (both arms): each item owns its
-                            // element's rows of every view's sink, and an
-                            // adding sink's rows are written.
-                            if *add {
-                                let dg = unsafe { gpl.row_mut(dg_ptr, b, i, d) };
-                                for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(ins) {
-                                    let sig = 1.0 / (1.0 + vexp(-g));
-                                    *da = y * sig;
-                                    *dgo += y * a * sig * (1.0 - sig);
-                                }
-                            } else {
-                                let dg = unsafe { gpl.row_uninit(dg_ptr, b, i, d) };
-                                for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(ins) {
-                                    let sig = 1.0 / (1.0 + vexp(-g));
-                                    *da = y * sig;
-                                    dgo.write(y * a * sig * (1.0 - sig));
-                                }
+                            // SAFETY: each item owns its element's rows of
+                            // the gate gradient.
+                            let dg = unsafe { gpl.row_uninit(dg_ptr, go, i, d) };
+                            for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(dyr.iter().zip(gr).zip(ar)) {
+                                let sig = 1.0 / (1.0 + vexp(-g));
+                                *da = y * sig;
+                                dgo.write(y * a * sig * (1.0 - sig));
                             }
                         }
                         (&*datt_own, d)
                     }
-                    None => (op.block(dyd, b, d), op.ld),
+                    None => (qp.block(dyd, qo, d), qp.ld),
                 };
                 // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D),
                 // with dP assigned to this element's dS block: the `dS`
@@ -810,7 +741,7 @@ pub fn attention_heads_backward(
                         *l = vexp(*l - row_lse);
                     }
                     let mut rowdot = 0.0f32;
-                    for (da, a) in datt[i * datt_ld..][..d].iter().zip(&attd[op.row(b, i)..][..d]) {
+                    for (da, a) in datt[i * datt_ld..][..d].iter().zip(&attd[qp.row(qo, i)..][..d]) {
                         rowdot += da * a;
                     }
                     for (dl, &pv) in ds_b[i * s_k..(i + 1) * s_k].iter_mut().zip(prow.iter()) {
@@ -818,35 +749,27 @@ pub fn attention_heads_backward(
                     }
                 });
                 // dV = pᵀ·datt, dK = dSᵀ·q·scale, dQ = dS·k·scale, each
-                // stored (scaled, and added when the sink accumulates)
-                // straight into its view's rows.
-                // SAFETY: each item owns its element's rows of every view's
-                // sink, the checks above keep views of one sink on disjoint
-                // columns, and each `Strided` lives for one GEMM.
-                let sink = |at: &Placement, view: usize, scale: Option<f32>| unsafe {
-                    let (ptr, add) = &view_sinks[view];
-                    at.out_rows(ptr, b, d, scale, *add)
+                // stored (scaled) straight into its gradient's rows.
+                // SAFETY: each item owns its element's rows of every
+                // gradient, and each `Strided` lives for one GEMM.
+                let rows = |at: &Placement, ptr: &SendPtr, base: usize, scale: Option<f32>| unsafe {
+                    at.out_rows(ptr, base, d, scale)
                 };
-                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, sink(vp, 2, None), pack);
-                let dk = sink(kp, 1, Some(scale));
-                gemm_serial(ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk, pack);
-                let dq = sink(qp, 0, Some(scale));
-                gemm_serial(ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq, pack);
+                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, rows(vp, &dv_ptr, vo, None), pack);
+                let dk_rows = rows(kp, &dk_ptr, ko, Some(scale));
+                gemm_serial(ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk_rows, pack);
+                let dq_rows = rows(qp, &dq_ptr, qo, Some(scale));
+                gemm_serial(ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq_rows, pack);
             }
         });
     });
-    for (i, buf) in fresh.into_iter().enumerate() {
-        if let Some(buf) = buf {
-            // SAFETY: every element of a fresh sink's views' columns was
-            // assigned by its batch element's item, and `zero_uncovered`
-            // assigned the rest.
-            sinks[route[i]] = Some(unsafe { buf.assume_written() });
-        }
-    }
-    // SAFETY: each item assigned its element's `[s_q, s_k]` block of `dS`,
-    // and the elements tile it.
+    // SAFETY: each item assigned its element's rows of every gradient and
+    // its `[s_q, s_k]` block of `dS`, and the elements tile them all: a
+    // source is exactly its view's heads wide.
+    let (dq, dk, dv) = unsafe { (dq.assume_written(), dk.assume_written(), dv.assume_written()) };
+    let dgate = dgate.map(|g| unsafe { g.assume_written() });
     let ds = ds.map(|ds| unsafe { ds.assume_written() });
-    Ok(match (bias, ds) {
+    let dbias = match (bias, ds) {
         // A bias of the full logits shape (IPA) takes `dS` itself; `0.0 + x`
         // gives the same bits as `reduce_to`'s single-term sum (-0.0 -> +0.0).
         (Some(b), Some(mut ds)) if b.dims() == ds.dims() => {
@@ -855,22 +778,8 @@ pub fn attention_heads_backward(
         }
         (Some(b), Some(ds)) => Some(ds.reduce_to(b.dims())?),
         _ => None,
-    })
-}
-
-/// Zeroes, in every row of a fresh `[..., width]` gradient, the columns
-/// `j` with `covered(j)` false.
-fn zero_uncovered(buf: &mut [MaybeUninit<f32>], width: usize, covered: impl Fn(usize) -> bool) {
-    if (0..width).all(&covered) {
-        return;
-    }
-    for row in buf.chunks_exact_mut(width) {
-        for (j, x) in row.iter_mut().enumerate() {
-            if !covered(j) {
-                x.write(0.0);
-            }
-        }
-    }
+    };
+    Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
 }
 
 #[cfg(test)]
@@ -1053,47 +962,28 @@ mod tests {
 
     #[test]
     fn rejects_bad_head_views() {
-        // A [2, 5, 16] bundle holds two heads of d = 4 at columns 0..8 and
-        // 8..16.
-        let big = Tensor::randn(&[2, 5, 16], 30);
-        let at = |col: usize| HeadView { src: &big, col, axis: Some(1) };
+        // [2, 5, 8] sources hold two heads of d = 4.
+        let [q, k, v] = [30, 31, 32].map(|seed| Tensor::randn(&[2, 5, 8], seed));
+        let at = |src| HeadView { src, axis: Some(1) };
         let views = |q, k, v, heads, d| HeadViews { q, k, v, gate: None, heads, d };
         let run = |hv: &HeadViews<&Tensor>| attention_heads(hv, None, None, 1.0);
-        assert!(run(&views(at(0), at(8), at(8), 2, 4)).is_ok());
-        // Heads that overrun the source width.
-        assert!(run(&views(at(0), at(12), at(8), 2, 4)).is_err());
-        assert!(run(&views(at(0), at(8), at(8), 2, 5)).is_err());
+        assert!(run(&views(at(&q), at(&k), at(&v), 2, 4)).is_ok());
+        // Heads that overrun the source width, and a source wider than its
+        // heads.
+        let narrow = Tensor::randn(&[2, 5, 4], 33);
+        assert!(run(&views(at(&q), at(&narrow), at(&v), 2, 4)).is_err());
+        assert!(run(&views(at(&q), at(&k), at(&v), 2, 5)).is_err());
+        let wide = Tensor::randn(&[2, 5, 16], 34);
+        assert!(run(&views(at(&q), at(&wide), at(&v), 2, 4)).is_err());
         // An attended axis that is not a leading axis, and no heads.
-        let bad_axis = HeadView { src: &big, col: 0, axis: Some(2) };
-        assert!(run(&views(bad_axis, at(8), at(8), 2, 4)).is_err());
-        assert!(run(&views(at(0), at(8), at(8), 0, 4)).is_err());
+        let bad_axis = HeadView { src: &q, axis: Some(2) };
+        assert!(run(&views(bad_axis, at(&k), at(&v), 2, 4)).is_err());
+        assert!(run(&views(at(&q), at(&k), at(&v), 0, 4)).is_err());
         // Keys on another batch layout than the queries.
-        let other = Tensor::randn(&[3, 5, 16], 31);
-        let k_other = HeadView { src: &other, col: 8, axis: Some(1) };
-        assert!(run(&views(at(0), k_other, at(8), 2, 4)).is_err());
+        let other = Tensor::randn(&[3, 5, 8], 35);
+        assert!(run(&views(at(&q), at(&other), at(&v), 2, 4)).is_err());
         // A bias that does not broadcast to [2, heads, 5, 5].
         let bias = Tensor::zeros(&[3, 5, 5]);
-        assert!(attention_heads(&views(at(0), at(8), at(8), 2, 4), Some(&bias), None, 1.0).is_err());
-
-        // Backward: sinks must exist, match the source and not overlap.
-        let hv = views(at(0), at(8), at(8), 2, 4);
-        let fa = run(&hv).unwrap();
-        let dy = Tensor::randn(fa.out.dims(), 32);
-        let bwd = |buf: Tensor, route: [usize; 4]| {
-            let mut sinks = [Some(buf)];
-            attention_heads_backward(&hv, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, route)
-        };
-        // K and V read the same columns: one sink cannot take both.
-        assert!(bwd(Tensor::zeros(big.dims()), [0; 4]).is_err());
-        assert!(bwd(Tensor::zeros(big.dims()), [0, 1, 1, 1]).is_err());
-        assert!(bwd(Tensor::zeros(&[2, 5, 8]), [0; 4]).is_err());
-        let hv_disjoint = views(at(0), at(8), at(0), 2, 4);
-        let fa = run(&hv_disjoint).unwrap();
-        let mut sinks = [None, None];
-        let ok = attention_heads_backward(
-            &hv_disjoint, None, None, &fa.out, &fa.lse, 1.0, &dy, &mut sinks, [0, 0, 1, 0],
-        );
-        assert!(ok.is_ok());
-        assert!(sinks.iter().all(|s| s.as_ref().is_some_and(|g| g.dims() == big.dims())));
+        assert!(attention_heads(&views(at(&q), at(&k), at(&v), 2, 4), Some(&bias), None, 1.0).is_err());
     }
 }

@@ -383,32 +383,29 @@ impl TileStore for Dense<'_> {
 /// The rows of one attention head inside a wider output, `ld` floats
 /// apart, interleaved with the heads other work items write. Rows are
 /// written through raw pointers, so no two items ever hold overlapping
-/// `&mut` slices. A store can multiply the finished sums by a scale and add
-/// them into the rows instead of assigning: the same roundings as a scale
-/// pass and an add pass after the GEMM. An assigning store may start out
-/// unwritten.
+/// `&mut` slices. A store can multiply the finished sums by a scale before
+/// assigning them: the same rounding as a scale pass after the GEMM. The
+/// rows may start out unwritten.
 pub(crate) struct Strided<'a> {
     ptr: *mut f32,
     /// Floats reachable from `ptr`.
     len: usize,
     ld: usize,
     scale: Option<f32>,
-    add: bool,
     _buf: PhantomData<&'a mut [f32]>,
 }
 
 impl Strided<'_> {
     /// Rows `ld` apart from `ptr`, within the `len` floats after it; the
-    /// sums are multiplied by `scale` when given and added when `add`.
+    /// sums are multiplied by `scale` when given.
     ///
     /// # Safety
     ///
     /// `ptr..ptr + len` must lie in one allocation that outlives the
     /// result, and no other thread may access the elements a GEMM stores
-    /// through it (its `n` columns of each row) while it lives. When `add`
-    /// is set, those elements must be written.
-    pub(crate) unsafe fn new(ptr: *mut f32, len: usize, ld: usize, scale: Option<f32>, add: bool) -> Self {
-        Strided { ptr, len, ld, scale, add, _buf: PhantomData }
+    /// through it (its `n` columns of each row) while it lives.
+    pub(crate) unsafe fn new(ptr: *mut f32, len: usize, ld: usize, scale: Option<f32>) -> Self {
+        Strided { ptr, len, ld, scale, _buf: PhantomData }
     }
 }
 
@@ -427,16 +424,8 @@ impl TileStore for Strided<'_> {
                 Some(s) => acc.map(|x| x * s),
                 None => *acc,
             };
-            if self.add {
-                // SAFETY: as above; an adding store's elements are written.
-                let dst = unsafe { std::slice::from_raw_parts_mut(dst, jw) };
-                for (o, &x) in dst.iter_mut().zip(&sums) {
-                    *o += x;
-                }
-            } else {
-                // SAFETY: as above.
-                unsafe { assign_row(dst, jw, &sums) };
-            }
+            // SAFETY: as above.
+            unsafe { assign_row(dst, jw, &sums) };
         }
     }
 }
@@ -448,8 +437,8 @@ impl TileStore for Strided<'_> {
 /// (`[n, k]` when `tb`) with its rows `ldb` apart, and `c` stores C's rows
 /// ([`Dense`], or an attention head's rows in a wider output through
 /// [`Strided`]), so any of the three may be a column block of a wider
-/// matrix. Every element of `c` is assigned (or scaled and added, as
-/// `Strided` asks), `k = 0` included, and `pack` holds at least
+/// matrix. Every element of `c` is assigned (scaled first when `Strided`
+/// asks), `k = 0` included, and `pack` holds at least
 /// [`pack_len`]`(k)` floats: B is packed one panel at a time. Every element
 /// accumulates over `k` in the batched engine's one ascending pass, so the
 /// result is bit-identical to [`matmul`] / [`matmul_bt`] / [`matmul_at`] on

@@ -56,11 +56,6 @@ pub struct WriteOnce {
 }
 
 impl WriteOnce {
-    /// Dimension sizes, outermost first.
-    pub(crate) fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
     /// The elements to write, row-major.
     pub fn uninit(&mut self) -> &mut [MaybeUninit<f32>] {
         let len = self.shape.num_elements();

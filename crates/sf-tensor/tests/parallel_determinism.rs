@@ -214,19 +214,14 @@ fn large_fused_attention_forward_and_backward_are_bit_identical() {
     }
 }
 
-// --- Head views: Q/K/V/gate read in place as column blocks of a bundled
-// --- projection, heads written merged, gradients into the bundle's columns.
+// --- Head views: Q/K/V/gate read in place as `[.., h·d]` projections,
+// --- heads written merged, one gradient per operand.
 
-/// `[b1, b2, 4·h·d]` columns `[col, col + h·d)` as the contiguous
-/// `[b1, h, b2, d]` copy the views replace.
-fn split_heads(big: &Tensor, col: usize, h: usize, d: usize) -> Tensor {
-    let (b1, b2) = (big.dims()[0], big.dims()[1]);
-    big.slice_axis(2, col, col + h * d)
-        .unwrap()
-        .reshape(&[b1, b2, h, d])
-        .unwrap()
-        .permute(&[0, 2, 1, 3])
-        .unwrap()
+/// `[b1, b2, h·d]` as the contiguous `[b1, h, b2, d]` copy the views
+/// replace.
+fn split_heads(t: &Tensor, h: usize, d: usize) -> Tensor {
+    let (b1, b2) = (t.dims()[0], t.dims()[1]);
+    t.reshape(&[b1, b2, h, d]).unwrap().permute(&[0, 2, 1, 3]).unwrap()
 }
 
 /// `[b1, h, b2, d]` -> `[b1, b2, h·d]`.
@@ -235,22 +230,22 @@ fn merge_heads(t: &Tensor) -> Tensor {
     t.permute(&[0, 2, 1, 3]).unwrap().reshape(&[b1, b2, h * d]).unwrap()
 }
 
-/// Gated, biased attention on the four column views of one bundle is
-/// bit-identical across thread counts, and bitwise equal — forward, the
-/// bundle's gradient and the bias gradient — to the contiguous call on
+/// Gated, biased attention on four `[b1, b2, h·d]` head views is
+/// bit-identical across thread counts, and bitwise equal — forward, every
+/// operand's gradient and the bias gradient — to the contiguous call on
 /// permuted copies.
-fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
+fn check_gated_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
     use attention::{HeadView, HeadViews};
     let hd = h * d;
-    let big = Tensor::randn(&[b1, b2, 4 * hd], seed);
+    let srcs = [0, 1, 2, 3].map(|i| Tensor::randn(&[b1, b2, hd], seed + 10 * i));
     let bias = Tensor::randn(&[h, b2, b2], seed ^ 1);
-    let at = |col: usize| HeadView { src: &big, col, axis: Some(1) };
-    let views = HeadViews { q: at(0), k: at(hd), v: at(2 * hd), gate: Some(at(3 * hd)), heads: h, d };
+    let at = |i: usize| HeadView { src: &srcs[i], axis: Some(1) };
+    let views = HeadViews { q: at(0), k: at(1), v: at(2), gate: Some(at(3)), heads: h, d };
     let scale = 1.0 / (d as f32).sqrt();
     let out = identical_across_threads(|| {
         attention::attention_heads(&views, Some(&bias), None, scale).unwrap().out
     });
-    let [q, k, v, gate] = [0, 1, 2, 3].map(|i| split_heads(&big, i * hd, h, d));
+    let [q, k, v, gate] = srcs.each_ref().map(|t| split_heads(t, h, d));
     let fa = attention::attention_fused(&q, &k, &v, Some(&bias), None, Some(&gate), scale).unwrap();
     let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(out.dims(), &[b1, b2, hd]);
@@ -259,17 +254,9 @@ fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
     let fv = attention::attention_heads(&views, Some(&bias), None, scale).unwrap();
     let dy = Tensor::randn(out.dims(), seed ^ 2);
     let backward = || {
-        let mut sinks = [None];
-        let dbias = attention::attention_heads_backward(
-            &views, Some(&bias), None, fv.pre_gate(), &fv.lse, scale, &dy, &mut sinks, [0; 4],
-        )
-        .unwrap()
-        .unwrap();
-        let [dbig] = sinks;
-        (dbig.unwrap(), dbias)
+        attention::attention_heads_backward(&views, Some(&bias), None, fv.pre_gate(), &fv.lse, scale, &dy)
+            .unwrap()
     };
-    let dbig = identical_across_threads(|| backward().0);
-    let dbias = identical_across_threads(|| backward().1);
     let g = attention::attention_fused_backward(
         &q,
         &k,
@@ -277,40 +264,46 @@ fn check_bundled_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
         Some(&bias),
         None,
         Some(&gate),
-        &split_heads(fv.pre_gate(), 0, h, d),
+        &split_heads(fv.pre_gate(), h, d),
         &fv.lse,
         scale,
-        &split_heads(&dy, 0, h, d),
+        &split_heads(&dy, h, d),
     )
     .unwrap();
-    let parts = [g.dq, g.dk, g.dv, g.dgate.unwrap()].map(|t| merge_heads(&t));
-    let expect = Tensor::concat(&parts.iter().collect::<Vec<_>>(), 2).unwrap();
-    assert_eq!(bits(&dbig), bits(&expect), "bundle gradient vs permuted copies");
+    // The four operand gradients side by side, `[b1, b2, 4·h·d]`.
+    let joined = |parts: [Tensor; 4]| Tensor::concat(&parts.each_ref(), 2).unwrap();
+    let grads = identical_across_threads(|| {
+        let g = backward();
+        joined([g.dq, g.dk, g.dv, g.dgate.unwrap()])
+    });
+    let expect = joined([g.dq, g.dk, g.dv, g.dgate.unwrap()].map(|t| merge_heads(&t)));
+    assert_eq!(bits(&grads), bits(&expect), "operand gradients vs permuted copies");
+    let dbias = identical_across_threads(|| backward().dbias.unwrap());
     assert_eq!(bits(&dbias), bits(&g.dbias.unwrap()), "bias gradient vs permuted copies");
 }
 
 #[test]
-fn bundled_head_views_are_bit_identical() {
+fn gated_head_views_are_bit_identical() {
     // The pair-stack shape, large enough to run in parallel; then a ragged
     // one (b2 not a multiple of 4 or 16, d = 5) and an empty batch.
-    check_bundled_views(40, 40, 4, 8, 30);
-    check_bundled_views(3, 19, 3, 5, 31);
-    check_bundled_views(0, 7, 2, 4, 32);
+    check_gated_views(40, 40, 4, 8, 30);
+    check_gated_views(3, 19, 3, 5, 31);
+    check_gated_views(0, 7, 2, 4, 32);
 }
 
 #[test]
 fn axis0_head_views_are_bit_identical() {
-    // Keys and values along the first axis of a [s, r, 2·h·d] bundle
+    // Keys and values along the first axis of `[s, r, h·d]` projections
     // against one query per column, as global column attention runs them.
     use attention::{HeadView, HeadViews};
     let (s, r, h, d) = (48, 24, 4, 8);
     let hd = h * d;
-    let kv = Tensor::randn(&[s, r, 2 * hd], 33);
+    let (k, v) = (Tensor::randn(&[s, r, hd], 33), Tensor::randn(&[s, r, hd], 35));
     let q = Tensor::randn(&[r, hd], 34);
     let views = HeadViews {
-        q: HeadView { src: &q, col: 0, axis: None },
-        k: HeadView { src: &kv, col: 0, axis: Some(0) },
-        v: HeadView { src: &kv, col: hd, axis: Some(0) },
+        q: HeadView { src: &q, axis: None },
+        k: HeadView { src: &k, axis: Some(0) },
+        v: HeadView { src: &v, axis: Some(0) },
         gate: None,
         heads: h,
         d,
@@ -318,57 +311,11 @@ fn axis0_head_views_are_bit_identical() {
     let out = identical_across_threads(|| {
         attention::attention_heads(&views, None, None, 0.3).unwrap().out
     });
-    let heads_of = |t: &Tensor, col: usize| {
-        t.slice_axis(2, col, col + hd)
-            .unwrap()
-            .reshape(&[s, r, h, d])
-            .unwrap()
-            .permute(&[1, 2, 0, 3])
-            .unwrap()
-    };
+    let heads_of = |t: &Tensor| t.reshape(&[s, r, h, d]).unwrap().permute(&[1, 2, 0, 3]).unwrap();
     let qh = q.reshape(&[r, h, 1, d]).unwrap();
-    let fa = attention::attention_fused(&qh, &heads_of(&kv, 0), &heads_of(&kv, hd), None, None, None, 0.3)
-        .unwrap();
+    let fa = attention::attention_fused(&qh, &heads_of(&k), &heads_of(&v), None, None, None, 0.3).unwrap();
     assert_eq!(out.dims(), &[r, hd]);
     assert_eq!(out.data(), fa.out.data(), "forward vs permuted copies");
-}
-
-/// K and V as axis-0 views of a `[s, r, 4·h·d]` bundle whose query and gate
-/// columns no view covers, as global column attention runs them: a fresh
-/// sink gets exact zeros there, and equals (as values) the gradient added
-/// into a zero-filled sink.
-#[test]
-fn fresh_sink_zeroes_uncovered_columns() {
-    use attention::{HeadView, HeadViews};
-    let (s, r, h, d) = (9, 5, 2, 4);
-    let hd = h * d;
-    let bundle = Tensor::randn(&[s, r, 4 * hd], 35);
-    let q = Tensor::randn(&[r, hd], 36);
-    let views = HeadViews {
-        q: HeadView { src: &q, col: 0, axis: None },
-        k: HeadView { src: &bundle, col: hd, axis: Some(0) },
-        v: HeadView { src: &bundle, col: 2 * hd, axis: Some(0) },
-        gate: None,
-        heads: h,
-        d,
-    };
-    let fa = attention::attention_heads(&views, None, None, 0.5).unwrap();
-    let dy = Tensor::randn(fa.out.dims(), 37);
-    let backward = |bundle_sink: Option<Tensor>| {
-        let mut sinks = [None, bundle_sink];
-        attention::attention_heads_backward(&views, None, None, &fa.out, &fa.lse, 0.5, &dy, &mut sinks, [0, 1, 1, 1])
-            .unwrap();
-        let [_, dbundle] = sinks;
-        dbundle.unwrap()
-    };
-    let fresh = identical_across_threads(|| backward(None));
-    let added = backward(Some(Tensor::zeros(bundle.dims())));
-    assert_eq!(fresh.data(), added.data());
-    for row in fresh.data().chunks_exact(4 * hd) {
-        let uncovered = row[..hd].iter().chain(&row[3 * hd..]);
-        assert!(uncovered.into_iter().all(|x| x.to_bits() == 0), "uncovered columns are +0.0");
-        assert!(row[hd..3 * hd].iter().any(|&x| x != 0.0));
-    }
 }
 
 // --- Narrow panels: a panel of at most 8 columns (head widths, the tail of
@@ -485,7 +432,7 @@ fn narrow_head_widths_are_bit_identical() {
     for d in [4, 5, 8] {
         for s in [1, 7, 9, 17, 40] {
             seed += 1;
-            check_bundled_views(2, s, 2, d, seed);
+            check_gated_views(2, s, 2, d, seed);
         }
     }
 }

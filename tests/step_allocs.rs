@@ -59,10 +59,11 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
 }
 
 /// Allocations of the warm step below, as measured (the same step made
-/// 12,178 before shapes moved off the heap).
-const MEASURED: usize = 3_960;
+/// 12,178 before shapes moved off the heap, and 3,960 while attention
+/// offsets were per-call vectors and Q/K/V/gate one stacked projection).
+const MEASURED: usize = 3_257;
 /// Room for small unrelated changes: 10%.
-const HEADROOM: usize = 400;
+const HEADROOM: usize = 330;
 
 #[test]
 fn warm_tiny_step_stays_within_its_allocation_budget() {
