@@ -39,7 +39,7 @@ const _: () = assert!(std::mem::size_of::<Node>() == 144);
 /// Build the forward computation with the methods below, then call
 /// [`Graph::backward`] on a scalar loss. Only leaves keep their gradients:
 /// read them with [`Graph::grad`] or, for parameters bound from a store via
-/// [`Graph::use_param`], with [`Graph::take_param_grads`] (by slot) or
+/// [`Graph::use_param_or_init`], with [`Graph::take_param_grads`] (by slot) or
 /// [`Graph::grads_by_name`].
 #[derive(Default)]
 pub struct Graph {

@@ -71,7 +71,7 @@ pub enum AutogradError {
         /// Shape of the offending variable.
         dims: Vec<usize>,
     },
-    /// A named parameter was missing from the store.
+    /// A bound parameter is missing from the store its gradients are taken for.
     UnknownParam(String),
     /// An externally-computed node value (e.g. a collective's output
     /// buffer) did not match the mathematically expected result.

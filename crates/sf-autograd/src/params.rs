@@ -5,7 +5,7 @@
 //! index assigned once, when the name is first inserted — so the training
 //! step resolves a name once per binding and then carries parameters,
 //! gradients and optimizer state as slot vectors.
-//! [`Graph::use_param`] binds a parameter into the current tape;
+//! [`Graph::use_param_or_init`] binds a parameter into the current tape;
 //! [`Graph::take_param_grads`] moves the summed gradients off the tape into
 //! a slot vector, and [`Graph::grads_by_name`] is the same sum keyed by
 //! name (multiple uses of the same parameter — e.g. AlphaFold recycling
@@ -183,22 +183,11 @@ fn accumulate(acc: &mut Tensor, g: &Tensor) -> Result<()> {
 }
 
 impl Graph {
-    /// Binds a stored parameter into this tape as a trainable leaf,
-    /// recording its slot so gradients can be read back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutogradError::UnknownParam`] if `name` is absent.
-    pub fn use_param(&mut self, store: &ParamStore, name: &str) -> Result<Var> {
-        let slot = store
-            .slot(name)
-            .ok_or_else(|| AutogradError::UnknownParam(name.to_string()))?;
-        Ok(self.bind_slot(store, slot))
-    }
-
-    /// Like [`Graph::use_param`] but initializes the parameter on first use.
-    /// Binding an existing name allocates nothing beyond the leaf's copy of
-    /// the tensor (and the tape's amortized growth).
+    /// Binds the parameter `name` into this tape as a trainable leaf,
+    /// creating it with `init` on first use, and records its slot so
+    /// gradients can be read back. Binding an existing name allocates
+    /// nothing beyond the leaf's copy of the tensor (and the tape's
+    /// amortized growth).
     pub fn use_param_or_init(
         &mut self,
         store: &mut ParamStore,
@@ -206,10 +195,6 @@ impl Graph {
         init: impl FnOnce() -> Tensor,
     ) -> Var {
         let slot = store.slot_or_init(name, init);
-        self.bind_slot(store, slot)
-    }
-
-    fn bind_slot(&mut self, store: &ParamStore, slot: usize) -> Var {
         let var = self.param(store.value(slot).clone());
         let name = Arc::clone(store.name(slot));
         self.bindings.push(Binding { slot, name, var });
@@ -272,6 +257,11 @@ impl Graph {
 mod tests {
     use super::*;
 
+    /// The init of a parameter the test has already inserted.
+    fn absent() -> Tensor {
+        panic!("the parameter exists; init must not run")
+    }
+
     #[test]
     fn store_init_and_lookup() {
         let mut store = ParamStore::new();
@@ -289,7 +279,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("w", Tensor::from_vec(vec![3.0], &[1]).unwrap());
         let mut g = Graph::new();
-        let w = g.use_param(&store, "w").unwrap();
+        let w = g.use_param_or_init(&mut store, "w", absent);
         let y = g.square(w).unwrap();
         let loss = g.sum_all(y).unwrap();
         g.backward(loss).unwrap();
@@ -303,8 +293,8 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("w", Tensor::from_vec(vec![1.0], &[1]).unwrap());
         let mut g = Graph::new();
-        let w1 = g.use_param(&store, "w").unwrap();
-        let w2 = g.use_param(&store, "w").unwrap();
+        let w1 = g.use_param_or_init(&mut store, "w", absent);
+        let w2 = g.use_param_or_init(&mut store, "w", absent);
         let x1 = g.constant(Tensor::from_vec(vec![2.0], &[1]).unwrap());
         let x2 = g.constant(Tensor::from_vec(vec![5.0], &[1]).unwrap());
         let t1 = g.mul(w1, x1).unwrap();
@@ -314,16 +304,6 @@ mod tests {
         g.backward(loss).unwrap();
         let grads = g.grads_by_name().unwrap();
         assert_eq!(grads["w"].data(), &[7.0]);
-    }
-
-    #[test]
-    fn unknown_param_errors() {
-        let store = ParamStore::new();
-        let mut g = Graph::new();
-        assert!(matches!(
-            g.use_param(&store, "missing"),
-            Err(AutogradError::UnknownParam(_))
-        ));
     }
 
     #[test]

@@ -88,6 +88,4 @@ fn binding_an_existing_name_allocates_only_the_leaf() {
     }
     let (n, _) = allocs_in(|| g.use_param_or_init(&mut store, NAME, || panic!("no init on a hit")));
     assert_eq!(n, leaf, "use_param_or_init");
-    let (n, _) = allocs_in(|| g.use_param(&store, NAME).expect("present"));
-    assert_eq!(n, leaf, "use_param");
 }

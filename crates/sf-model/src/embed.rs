@@ -6,7 +6,7 @@ use crate::config::{ModelConfig, DISTOGRAM_BINS};
 use crate::dap::LocalAxial;
 use crate::evoformer::{evoformer_block, pair_block, BlockDims};
 use crate::features::FeatureBatch;
-use crate::linear::{layer_norm, Linear};
+use crate::linear::{layer_norm, linear, linear_no_bias};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
@@ -74,23 +74,19 @@ pub fn input_embedder(
     let target_feat = g.constant(batch.target_feat.clone());
 
     // m = linear(msa_feat) + linear(target_feat) broadcast over sequences.
-    let m_msa = Linear::new("embed.msa", cfg.msa_feat_dim(), cfg.c_m).apply(g, store, msa_feat)?;
-    let m_tgt =
-        Linear::new("embed.target_m", cfg.target_feat_dim(), cfg.c_m).apply(g, store, target_feat)?;
+    let m_msa = linear(g, store, &["embed"], "msa", cfg.c_m, msa_feat)?;
+    let m_tgt = linear(g, store, &["embed"], "target_m", cfg.c_m, target_feat)?;
     let m_tgt_b = g.reshape(m_tgt, &[1, cfg.n_res, cfg.c_m])?;
     let m = g.add(m_msa, m_tgt_b)?;
 
     // z = a_i + b_j + relpos embedding.
-    let a = Linear::new("embed.target_zi", cfg.target_feat_dim(), cfg.c_z)
-        .apply(g, store, target_feat)?;
-    let b = Linear::new("embed.target_zj", cfg.target_feat_dim(), cfg.c_z)
-        .apply(g, store, target_feat)?;
+    let a = linear(g, store, &["embed"], "target_zi", cfg.c_z, target_feat)?;
+    let b = linear(g, store, &["embed"], "target_zj", cfg.c_z, target_feat)?;
     let a_col = g.reshape(a, &[cfg.n_res, 1, cfg.c_z])?;
     let b_row = g.reshape(b, &[1, cfg.n_res, cfg.c_z])?;
     let z0 = g.add(a_col, b_row)?;
     let relpos = g.constant(relpos_one_hot(&batch.residue_index));
-    let rel_emb =
-        Linear::new("embed.relpos", 2 * RELPOS_K + 1, cfg.c_z).apply(g, store, relpos)?;
+    let rel_emb = linear(g, store, &["embed"], "relpos", cfg.c_z, relpos)?;
     let z = g.add(z0, rel_emb)?;
     Ok((m, z))
 }
@@ -124,7 +120,7 @@ pub fn recycling_embedder(
     // m[0] += LN(prev_m[0]): build a [S, R, c_m] delta that is zero on rows
     // 1..S.
     let prev_m = g.constant(prev.m_first_row.clone());
-    let prev_m_ln = layer_norm(g, store, "recycle.ln_m", cfg.c_m, prev_m)?;
+    let prev_m_ln = layer_norm(g, store, &["recycle"], "ln_m", prev_m)?;
     let row0 = g.reshape(prev_m_ln, &[1, cfg.n_res, cfg.c_m])?;
     let m2 = if cfg.n_seq > 1 {
         let zeros = g.constant(Tensor::zeros(&[cfg.n_seq - 1, cfg.n_res, cfg.c_m]));
@@ -136,11 +132,10 @@ pub fn recycling_embedder(
 
     // z += LN(prev_z) + distogram(prev_coords) embedding.
     let prev_z = g.constant(prev.z.clone());
-    let prev_z_ln = layer_norm(g, store, "recycle.ln_z", cfg.c_z, prev_z)?;
+    let prev_z_ln = layer_norm(g, store, &["recycle"], "ln_z", prev_z)?;
     let z2 = g.add(z, prev_z_ln)?;
     let disto = g.constant(distogram_one_hot(&prev.coords));
-    let disto_emb =
-        Linear::new("recycle.distogram", DISTOGRAM_BINS, cfg.c_z).apply(g, store, disto)?;
+    let disto_emb = linear(g, store, &["recycle"], "distogram", cfg.c_z, disto)?;
     let z3 = g.add(z2, disto_emb)?;
     Ok((m2, z3))
 }
@@ -164,8 +159,7 @@ pub fn extra_msa_stack(
         return Ok(z);
     }
     let feat = g.constant(batch.extra_msa_feat.clone());
-    let mut me =
-        Linear::new("extra_msa.embed", cfg.extra_msa_feat_dim(), cfg.c_e).apply(g, store, feat)?;
+    let mut me = linear(g, store, &["extra_msa"], "embed", cfg.c_e, feat)?;
     let dims = BlockDims::extra(cfg);
     let mut z = z;
     for i in 0..cfg.extra_msa_blocks {
@@ -206,8 +200,7 @@ pub fn template_pair_stack(
     for t in 0..cfg.n_templates {
         let ft = g.slice_axis(feat, 0, t, t + 1)?;
         let ft2 = g.reshape(ft, &[cfg.n_res, cfg.n_res, DISTOGRAM_BINS])?;
-        let mut zt =
-            Linear::new("template.embed", DISTOGRAM_BINS, cfg.c_t).apply(g, store, ft2)?;
+        let mut zt = linear(g, store, &["template"], "embed", cfg.c_t, ft2)?;
         for b in 0..cfg.template_blocks {
             zt = pair_block(g, store, &dims, &format!("template.block{b}"), zt)?;
         }
@@ -234,9 +227,9 @@ fn template_pointwise_attention(
     let d = cfg.c_hidden_pair.max(1);
     let hd = heads * d;
 
-    let q = Linear::no_bias("template.point_q", cfg.c_z, hd).apply(g, store, z)?;
-    let k = Linear::no_bias("template.point_k", cfg.c_t, hd).apply(g, store, templates)?;
-    let v = Linear::no_bias("template.point_v", cfg.c_t, hd).apply(g, store, templates)?;
+    let q = linear_no_bias(g, store, &["template"], "point_q", hd, z)?;
+    let k = linear_no_bias(g, store, &["template"], "point_k", hd, templates)?;
+    let v = linear_no_bias(g, store, &["template"], "point_v", hd, templates)?;
     // One query per pair [R, R, hd]; keys and values [T, R, R, hd] read in
     // place along the template axis.
     let views = HeadVars {
@@ -249,7 +242,7 @@ fn template_pointwise_attention(
     };
     let scale = 1.0 / (d as f32).sqrt();
     let att = g.attention_heads(views, None, None, scale)?; // [R, R, hd]
-    Linear::new("template.point_out", hd, cfg.c_z).apply(g, store, att)
+    linear(g, store, &["template"], "point_out", cfg.c_z, att)
 }
 
 #[cfg(test)]

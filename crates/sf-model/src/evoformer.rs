@@ -15,7 +15,7 @@
 //! 9. Pair transition
 //!
 //! Every sub-module is residual. Each attention projects Q, K, V and the
-//! gate with four separate [`Linear`] layers, each `[.., h·d]`, and runs the
+//! gate with four separate [`linear`] layers, each `[.., h·d]`, and runs the
 //! fused pair-bias kernel from `sf-autograd`/`sf-tensor`
 //! ([`Graph::attention_heads`]). It reads each projection's heads in place
 //! and writes them merged, so no reshape or permute splits or joins a head.
@@ -30,6 +30,12 @@
 //! block. The public per-module functions are the one-shard calls of the
 //! same module code.
 //!
+//! A module takes its parameter-name prefix as parts (`&[block, "msa_row"]`)
+//! and passes it on to its layers, which read their input widths from their
+//! inputs; the public per-module functions take one `prefix` string. Only
+//! the callers' indexed block prefixes (`evoformer.block{i}`, …) are
+//! formatted per forward.
+//!
 //! All of the block's heavy kernels (the GEMMs, LayerNorm,
 //! softmax, and fused attention) execute on the parallel CPU backend in
 //! `sf_tensor::pool`; the thread count comes from `SF_THREADS` or
@@ -37,8 +43,11 @@
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
 use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives, LocalAxial};
-use crate::linear::{bind_param, layer_norm, name_seed, Linear};
+use crate::linear::{
+    bind_linear, bind_param, layer_norm, linear, linear_no_bias, name_seed, width,
+};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
+use sf_tensor::Tensor;
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
 /// extra-MSA stack, and the template pair stack use different widths).
@@ -121,7 +130,7 @@ impl BlockDims {
 ///
 /// With [`LocalAxial`]`(1)` this is the unsharded block. With
 /// `dropout = 0` the output is bitwise-identical for any rank count: every
-/// sharded kernel (LN, the bundled QKV-gate GEMM, attention) is
+/// sharded kernel (LN, the Q/K/V/gate GEMMs, attention) is
 /// row-independent, and all data movement enters the tape through the
 /// verified external concat. Under dropout the per-shard masks are
 /// rank-salted, so DAP-k > 1 is a *different but equally valid* sample of
@@ -145,25 +154,24 @@ pub fn evoformer_block(
     ckpt: bool,
     dap: &dyn AxialCollectives,
 ) -> Result<(Var, Var)> {
-    let trans = if ckpt { transition_checkpointed } else { transition };
-    let col_prefix = format!("{prefix}.msa_col");
+    let col = [prefix, "msa_col"];
     let m_shards = dap_scatter(g, m, dap.ranks())?; // [S/k, R, c_m]
-    let rows =
-        msa_row_attention_shards(g, store, dims, &format!("{prefix}.msa_row"), &m_shards, z)?;
+    let rows = msa_row_attention_shards(g, store, dims, &[prefix, "msa_row"], &m_shards, z)?;
     let m = if dims.global_column {
         let m = dap_all_gather(g, dap, &rows)?;
-        msa_global_column_attention(g, store, dims, &col_prefix, m)?
+        msa_global_column_attention(g, store, dims, &col, m)?
     } else {
         // Axis switch: sequence-sharded -> residue-sharded [R/k, S, c_m].
         let cols = dap_axis_switch(g, dap, &rows)?
             .into_iter()
-            .map(|sh| msa_column_attention_shard(g, store, dims, &col_prefix, sh))
+            .map(|sh| msa_column_attention_shard(g, store, dims, &col, sh))
             .collect::<Result<Vec<_>>>()?;
         let full = dap_all_gather(g, dap, &cols)?; // [R, S, c_m]
         g.permute(full, &[1, 0, 2])?
     };
-    let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
-    let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
+    let factor = dims.transition_factor;
+    let m = transition_at(g, store, dims.c_m, factor, &[prefix, "msa_trans"], m, ckpt)?;
+    let z = outer_product_mean_at(g, store, dims, &[prefix, "opm"], m, z)?;
     let z = pair_stack(g, store, dims, prefix, z, ckpt, dap)?;
     Ok((m, z))
 }
@@ -200,19 +208,18 @@ fn pair_stack(
     ckpt: bool,
     dap: &dyn AxialCollectives,
 ) -> Result<Var> {
-    let trans = if ckpt { transition_checkpointed } else { transition };
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
+    let z = triangle_multiplication_at(g, store, dims, &[prefix, "tri_mul_out"], z, true)?;
+    let z = triangle_multiplication_at(g, store, dims, &[prefix, "tri_mul_in"], z, false)?;
     let z_shards = dap_scatter(g, z, dap.ranks())?;
-    let start_p = format!("{prefix}.tri_att_start");
+    let start_p = [prefix, "tri_att_start"];
     let start = triangle_attention_shards(g, store, dims, &start_p, z, &z_shards)?;
     let end_in = dap_axis_switch(g, dap, &start)?; // [R/k, R, c_z], transposed
     let zt = dap_all_gather(g, dap, &end_in)?; // [R, R, c_z], transposed
-    let end_p = format!("{prefix}.tri_att_end");
-    let end = triangle_attention_shards(g, store, dims, &end_p, zt, &end_in)?;
+    let end = triangle_attention_shards(g, store, dims, &[prefix, "tri_att_end"], zt, &end_in)?;
     let zt = dap_all_gather(g, dap, &end)?;
     let z = g.permute(zt, &[1, 0, 2])?;
-    trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)
+    let factor = dims.transition_factor;
+    transition_at(g, store, dims.c_z, factor, &[prefix, "pair_trans"], z, ckpt)
 }
 
 /// Shared gated-attention plumbing: projects `x` (`[B1, B2, c_in]`) to
@@ -220,29 +227,27 @@ fn pair_stack(
 /// axis with an optional `[h, B2, B2]` bias, reading each operand's heads
 /// in place and writing them merged (`[B1, B2, h·d]`), and projects back to
 /// `c_in`.
-#[allow(clippy::too_many_arguments)]
 fn gated_axis_attention(
     g: &mut Graph,
     store: &mut ParamStore,
-    prefix: &str,
+    prefix: &[&str],
     x: Var,
     bias: Option<Var>,
-    c_in: usize,
     heads: usize,
     c_hidden: usize,
 ) -> Result<Var> {
     let hd = heads * c_hidden;
-    let q = Linear::no_bias(format!("{prefix}.q"), c_in, hd).apply(g, store, x)?;
-    let k = Linear::no_bias(format!("{prefix}.k"), c_in, hd).apply(g, store, x)?;
-    let v = Linear::no_bias(format!("{prefix}.v"), c_in, hd).apply(g, store, x)?;
-    let gate = Linear::new(format!("{prefix}.gate"), c_in, hd).apply(g, store, x)?;
+    let q = linear_no_bias(g, store, prefix, "q", hd, x)?;
+    let k = linear_no_bias(g, store, prefix, "k", hd, x)?;
+    let v = linear_no_bias(g, store, prefix, "v", hd, x)?;
+    let gate = linear(g, store, prefix, "gate", hd, x)?;
     let at = |src: Var| HeadVar { src, axis: Some(1) };
     let views = HeadVars { q: at(q), k: at(k), v: at(v), gate: Some(at(gate)), heads, d: c_hidden };
     let scale = 1.0 / (c_hidden as f32).sqrt();
     // One kernel: scale + pair bias + softmax + sigmoid gate, with
     // softmax-backward folded into the attention grad.
     let gated = g.attention_heads(views, bias, None, scale)?;
-    Linear::new(format!("{prefix}.out"), hd, c_in).apply(g, store, gated)
+    linear(g, store, prefix, "out", width(g, x), gated)
 }
 
 /// Applies dropout (when enabled) then the residual connection — AlphaFold
@@ -252,7 +257,7 @@ fn gated_axis_attention(
 fn dropout_residual(
     g: &mut Graph,
     dims: &BlockDims,
-    prefix: &str,
+    prefix: &[&str],
     rank: usize,
     residual: Var,
     update: Var,
@@ -276,30 +281,21 @@ fn msa_row_attention_shards(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
-    prefix: &str,
+    prefix: &[&str],
     m_shards: &[Var],
     z: Var,
 ) -> Result<Vec<Var>> {
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_z"), dims.c_z, z)?;
+    let z_ln = layer_norm(g, store, prefix, "ln_z", z)?;
     // Pair bias: [R, R, c_z] -> [R, R, h] -> [h, R, R].
-    let bias_rr = Linear::no_bias(format!("{prefix}.pair_bias"), dims.c_z, dims.msa_heads)
-        .apply(g, store, z_ln)?;
+    let bias_rr = linear_no_bias(g, store, prefix, "pair_bias", dims.msa_heads, z_ln)?;
     let bias = g.permute(bias_rr, &[2, 0, 1])?;
     m_shards
         .iter()
         .enumerate()
         .map(|(rank, &m)| {
-            let m_ln = layer_norm(g, store, &format!("{prefix}.ln_m"), dims.c_m, m)?;
-            let att = gated_axis_attention(
-                g,
-                store,
-                prefix,
-                m_ln,
-                Some(bias),
-                dims.c_m,
-                dims.msa_heads,
-                dims.c_hidden_msa,
-            )?;
+            let m_ln = layer_norm(g, store, prefix, "ln_m", m)?;
+            let (heads, c_hidden) = (dims.msa_heads, dims.c_hidden_msa);
+            let att = gated_axis_attention(g, store, prefix, m_ln, Some(bias), heads, c_hidden)?;
             dropout_residual(g, dims, prefix, rank, m, att)
         })
         .collect()
@@ -314,7 +310,7 @@ pub fn msa_row_attention_with_pair_bias(
     m: Var,
     z: Var,
 ) -> Result<Var> {
-    Ok(msa_row_attention_shards(g, store, dims, prefix, &[m], z)?[0])
+    Ok(msa_row_attention_shards(g, store, dims, &[prefix], &[m], z)?[0])
 }
 
 /// Module 2 on one residue shard `[R/k, S, c_m]` (the attended sequence
@@ -324,20 +320,12 @@ fn msa_column_attention_shard(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
-    prefix: &str,
+    prefix: &[&str],
     m_t: Var,
 ) -> Result<Var> {
-    let ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m_t)?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        ln,
-        None,
-        dims.c_m,
-        dims.msa_heads,
-        dims.c_hidden_msa,
-    )?;
+    let ln = layer_norm(g, store, prefix, "ln", m_t)?;
+    let (heads, c_hidden) = (dims.msa_heads, dims.c_hidden_msa);
+    let att = gated_axis_attention(g, store, prefix, ln, None, heads, c_hidden)?;
     g.add(m_t, att)
 }
 
@@ -351,7 +339,7 @@ pub fn msa_column_attention(
 ) -> Result<Var> {
     // Transpose so the attended axis (sequences) is axis 1: [R, S, c_m].
     let mt = g.permute(m, &[1, 0, 2])?;
-    let out = msa_column_attention_shard(g, store, dims, prefix, mt)?;
+    let out = msa_column_attention_shard(g, store, dims, &[prefix], mt)?;
     g.permute(out, &[1, 0, 2])
 }
 
@@ -363,16 +351,16 @@ pub fn msa_global_column_attention(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
-    prefix: &str,
+    prefix: &[&str],
     m: Var,
 ) -> Result<Var> {
     let heads = dims.msa_heads;
     let hd = heads * dims.c_hidden_msa;
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
-    let q = Linear::no_bias(format!("{prefix}.q"), dims.c_m, hd).apply(g, store, m_ln)?;
-    let k = Linear::no_bias(format!("{prefix}.k"), dims.c_m, hd).apply(g, store, m_ln)?;
-    let v = Linear::no_bias(format!("{prefix}.v"), dims.c_m, hd).apply(g, store, m_ln)?;
-    let gate = Linear::new(format!("{prefix}.gate"), dims.c_m, hd).apply(g, store, m_ln)?; // [S, R, hd]
+    let m_ln = layer_norm(g, store, prefix, "ln", m)?;
+    let q = linear_no_bias(g, store, prefix, "q", hd, m_ln)?;
+    let k = linear_no_bias(g, store, prefix, "k", hd, m_ln)?;
+    let v = linear_no_bias(g, store, prefix, "v", hd, m_ln)?;
+    let gate = linear(g, store, prefix, "gate", hd, m_ln)?; // [S, R, hd]
 
     // Global query: the mean over the sequence axis, one query per column.
     // Keys and values are read in place along the sequence axis.
@@ -390,7 +378,7 @@ pub fn msa_global_column_attention(
     let att_flat = g.attention_heads(views, None, None, scale)?; // [R, hd]
     // Per-sequence gating of the shared column output.
     let gated = g.gate(gate, att_flat)?; // broadcast over S
-    let out = Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)?;
+    let out = linear(g, store, prefix, "out", dims.c_m, gated)?;
     dropout_residual(g, dims, prefix, 0, m, out)
 }
 
@@ -404,55 +392,43 @@ pub fn transition(
     prefix: &str,
     x: Var,
 ) -> Result<Var> {
-    let ins = transition_inputs(g, store, c, factor, prefix, x);
-    transition_ops(g, &ins)
+    transition_at(g, store, c, factor, &[prefix], x, false)
 }
 
-/// Gradient-checkpointed variant of [`transition`]: the segment's
-/// intermediate activations (the `factor×`-expanded hidden layer — the
-/// largest activations in the block) are not retained; backward re-runs the
-/// segment. This is OpenFold's memory workaround that ScaleFold disables
-/// once DAP frees enough memory (§4.1).
-pub fn transition_checkpointed(
+/// [`transition`] under a prefix of parts. With `ckpt` the segment is
+/// gradient-checkpointed: its intermediate activations (the
+/// `factor×`-expanded hidden layer — the largest activations in the block)
+/// are not retained, and backward re-runs the segment. This is OpenFold's
+/// memory workaround that ScaleFold disables once DAP frees enough memory
+/// (§4.1).
+pub(crate) fn transition_at(
     g: &mut Graph,
     store: &mut ParamStore,
     c: usize,
     factor: usize,
-    prefix: &str,
+    prefix: &[&str],
     x: Var,
+    ckpt: bool,
 ) -> Result<Var> {
-    // The parameters are explicit checkpoint inputs so their gradients
+    // The parameters are explicit inputs, so under `ckpt` their gradients
     // flow out of the re-executed segment.
-    let ins = transition_inputs(g, store, c, factor, prefix, x);
-    g.checkpoint(&ins, transition_ops)
+    let gamma = bind_param(g, store, prefix, &["ln", "gamma"], |_| Tensor::ones(&[c]));
+    let beta = bind_param(g, store, prefix, &["ln", "beta"], |_| Tensor::zeros(&[c]));
+    let (w1, b1) = bind_linear(g, store, prefix, "fc1", c, c * factor);
+    let (w2, b2) = bind_linear(g, store, prefix, "fc2", c * factor, c);
+    let ins = [x, gamma, beta, w1, b1, w2, b2];
+    if ckpt {
+        g.checkpoint(&ins, transition_ops)
+    } else {
+        transition_ops(g, &ins)
+    }
 }
 
-/// Binds the transition's six parameters and returns `[x, γ, β, W1, b1,
-/// W2, b2]`, the inputs [`transition_ops`] reads.
-fn transition_inputs(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    c: usize,
-    factor: usize,
-    prefix: &str,
-    x: Var,
-) -> [Var; 7] {
-    let gamma = bind_param(g, store, prefix, "ln.gamma", |_| sf_tensor::Tensor::ones(&[c]));
-    let beta = bind_param(g, store, prefix, "ln.beta", |_| sf_tensor::Tensor::zeros(&[c]));
-    let (w1, Some(b1)) = Linear::new(format!("{prefix}.fc1"), c, c * factor).bind(g, store) else {
-        unreachable!("Linear::new binds a bias");
-    };
-    let (w2, Some(b2)) = Linear::new(format!("{prefix}.fc2"), c * factor, c).bind(g, store) else {
-        unreachable!("Linear::new binds a bias");
-    };
-    [x, gamma, beta, w1, b1, w2, b2]
-}
-
-/// The transition's op sequence over [`transition_inputs`]: LayerNorm →
-/// linear → ReLU → linear → residual.
+/// The transition's op sequence over `[x, γ, β, W1, b1, W2, b2]`:
+/// LayerNorm → linear → ReLU → linear → residual.
 fn transition_ops(g: &mut Graph, ins: &[Var]) -> Result<Var> {
     let [x, gamma, beta, w1, b1, w2, b2] = *ins else {
-        unreachable!("transition_inputs yields seven inputs");
+        unreachable!("transition_at passes seven inputs");
     };
     let ln = g.layer_norm(x, gamma, beta)?;
     let h = g.linear(ln, w1, Some(b1))?;
@@ -471,14 +447,26 @@ pub fn outer_product_mean(
     m: Var,
     z: Var,
 ) -> Result<Var> {
+    outer_product_mean_at(g, store, dims, &[prefix], m, z)
+}
+
+/// [`outer_product_mean`] under a prefix of parts.
+fn outer_product_mean_at(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &[&str],
+    m: Var,
+    z: Var,
+) -> Result<Var> {
     let (s, r) = {
         let d = g.value(m).dims();
         (d[0], d[1])
     };
     let c = dims.c_opm;
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
-    let a = Linear::new(format!("{prefix}.a"), dims.c_m, c).apply(g, store, m_ln)?;
-    let b = Linear::new(format!("{prefix}.b"), dims.c_m, c).apply(g, store, m_ln)?;
+    let m_ln = layer_norm(g, store, prefix, "ln", m)?;
+    let a = linear(g, store, prefix, "a", c, m_ln)?;
+    let b = linear(g, store, prefix, "b", c, m_ln)?;
     // einsum('sic,sjd->ijcd') via one GEMM: [S, R*c]ᵀ @ [S, R*c] = [R*c, R*c].
     let a2 = g.reshape(a, &[s, r * c])?;
     let b2 = g.reshape(b, &[s, r * c])?;
@@ -487,7 +475,7 @@ pub fn outer_product_mean(
     let o = g.permute(o4, &[0, 2, 1, 3])?; // [R, R, c, c]
     let flat = g.reshape(o, &[r, r, c * c])?;
     let mean = g.scale(flat, 1.0 / s as f32)?;
-    let proj = Linear::new(format!("{prefix}.out"), c * c, dims.c_z).apply(g, store, mean)?;
+    let proj = linear(g, store, prefix, "out", dims.c_z, mean)?;
     g.add(z, proj)
 }
 
@@ -501,15 +489,27 @@ pub fn triangle_multiplication(
     z: Var,
     outgoing: bool,
 ) -> Result<Var> {
+    triangle_multiplication_at(g, store, dims, &[prefix], z, outgoing)
+}
+
+/// [`triangle_multiplication`] under a prefix of parts.
+fn triangle_multiplication_at(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &[&str],
+    z: Var,
+    outgoing: bool,
+) -> Result<Var> {
     let c = dims.c_hidden_mul;
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_in"), dims.c_z, z)?;
-    let gated_proj = |g: &mut Graph, store: &mut ParamStore, which: &str| -> Result<Var> {
-        let p = Linear::new(format!("{prefix}.{which}_proj"), dims.c_z, c).apply(g, store, z_ln)?;
-        let gt = Linear::new(format!("{prefix}.{which}_gate"), dims.c_z, c).apply(g, store, z_ln)?;
+    let z_ln = layer_norm(g, store, prefix, "ln_in", z)?;
+    let gated_proj = |g: &mut Graph, store: &mut ParamStore, proj, gate| -> Result<Var> {
+        let p = linear(g, store, prefix, proj, c, z_ln)?;
+        let gt = linear(g, store, prefix, gate, c, z_ln)?;
         g.gate(gt, p)
     };
-    let a = gated_proj(g, store, "a")?;
-    let b = gated_proj(g, store, "b")?;
+    let a = gated_proj(g, store, "a_proj", "a_gate")?;
+    let b = gated_proj(g, store, "b_proj", "b_gate")?;
     // Channel-major [c, R, R] so each channel is an R×R matrix product.
     let ac = g.permute(a, &[2, 0, 1])?;
     let bc = g.permute(b, &[2, 0, 1])?;
@@ -523,10 +523,9 @@ pub fn triangle_multiplication(
         g.matmul(at, bc)?
     };
     let back = g.permute(prod, &[1, 2, 0])?; // [R, R, c]
-    let ln_out = layer_norm(g, store, &format!("{prefix}.ln_out"), c, back)?;
-    let proj = Linear::new(format!("{prefix}.out"), c, dims.c_z).apply(g, store, ln_out)?;
-    let out_gate =
-        Linear::new(format!("{prefix}.out_gate"), dims.c_z, dims.c_z).apply(g, store, z_ln)?;
+    let ln_out = layer_norm(g, store, prefix, "ln_out", back)?;
+    let proj = linear(g, store, prefix, "out", dims.c_z, ln_out)?;
+    let out_gate = linear(g, store, prefix, "out_gate", dims.c_z, z_ln)?;
     let gated = g.gate(out_gate, proj)?;
     dropout_residual(g, dims, prefix, 0, z, gated)
 }
@@ -538,14 +537,13 @@ fn triangle_attention_shards(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
-    prefix: &str,
+    prefix: &[&str],
     z: Var,
     residuals: &[Var],
 ) -> Result<Vec<Var>> {
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_z, z)?;
+    let z_ln = layer_norm(g, store, prefix, "ln", z)?;
     // Triangle bias: logits(i; j->k) += linear(z_ln[j,k]).
-    let bias_rr = Linear::no_bias(format!("{prefix}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, z_ln)?;
+    let bias_rr = linear_no_bias(g, store, prefix, "tri_bias", dims.pair_heads, z_ln)?;
     let bias = g.permute(bias_rr, &[2, 0, 1])?;
     let ln_shards = dap_scatter(g, z_ln, residuals.len())?;
     ln_shards
@@ -553,16 +551,8 @@ fn triangle_attention_shards(
         .zip(residuals)
         .enumerate()
         .map(|(rank, (ln, &residual))| {
-            let att = gated_axis_attention(
-                g,
-                store,
-                prefix,
-                ln,
-                Some(bias),
-                dims.c_z,
-                dims.pair_heads,
-                dims.c_hidden_pair,
-            )?;
+            let (heads, c_hidden) = (dims.pair_heads, dims.c_hidden_pair);
+            let att = gated_axis_attention(g, store, prefix, ln, Some(bias), heads, c_hidden)?;
             dropout_residual(g, dims, prefix, rank, residual, att)
         })
         .collect()
@@ -580,7 +570,7 @@ pub fn triangle_attention(
     // Ending-node attention is starting-node attention on the transposed
     // pair tensor.
     let zin = if starting { z } else { g.permute(z, &[1, 0, 2])? };
-    let out = triangle_attention_shards(g, store, dims, prefix, zin, &[zin])?[0];
+    let out = triangle_attention_shards(g, store, dims, &[prefix], zin, &[zin])?[0];
     if starting {
         Ok(out)
     } else {
@@ -592,7 +582,6 @@ pub fn triangle_attention(
 mod tests {
     use super::*;
     use crate::ModelConfig;
-    use sf_tensor::Tensor;
 
     /// The unsharded reference block: the nine modules composed from
     /// the public per-module functions, bypassing the block's scatter,
@@ -719,7 +708,7 @@ mod tests {
         let m_lnv = {
             let mut g2 = Graph::new();
             let mv = g2.constant(g.value(m).clone());
-            let ln = layer_norm(&mut g2, &mut store, "opm.ln", c_m, mv).unwrap();
+            let ln = layer_norm(&mut g2, &mut store, &["opm"], "ln", mv).unwrap();
             g2.value(ln).clone()
         };
         let apply_lin = |name: &str, x: &Tensor, out_dim: usize| -> Tensor {
@@ -772,7 +761,7 @@ mod tests {
         let m = g.constant(
             Tensor::randn(&[cfg.n_extra_seq, cfg.n_res, cfg.c_e], 41).mul_scalar(0.3),
         );
-        let out = msa_global_column_attention(&mut g, &mut store, &dims, "gc", m).unwrap();
+        let out = msa_global_column_attention(&mut g, &mut store, &dims, &["gc"], m).unwrap();
         assert_eq!(g.value(out).dims(), &[cfg.n_extra_seq, cfg.n_res, cfg.c_e]);
         assert!(!g.value(out).has_non_finite());
         let loss = g.sum_all(out).unwrap();
@@ -795,7 +784,7 @@ mod tests {
         let mut g1 = Graph::new();
         let mut store = ParamStore::new();
         let m1 = g1.constant(m0.clone());
-        let _ = msa_global_column_attention(&mut g1, &mut store, &dims, "gc", m1).unwrap();
+        let _ = msa_global_column_attention(&mut g1, &mut store, &dims, &["gc"], m1).unwrap();
 
         let mut g2 = Graph::new();
         let m2 = g2.constant(m0);

@@ -2,9 +2,9 @@
 //! downstream users consume — expected distance matrices, contact maps, and
 //! per-residue confidence.
 
-use crate::config::{ModelConfig, DISTOGRAM_BINS};
+use crate::config::DISTOGRAM_BINS;
 use crate::embed::distogram_edges;
-use crate::linear::Linear;
+use crate::loss::distogram_logits;
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::ops::softmax::softmax;
 use sf_tensor::Tensor;
@@ -91,11 +91,10 @@ pub fn decode_distogram(logits: &Tensor, contact_cutoff: f32) -> Result<PairPred
 pub fn predict_contacts(
     g: &mut Graph,
     store: &mut ParamStore,
-    cfg: &ModelConfig,
     z: Var,
     contact_cutoff: f32,
 ) -> Result<PairPredictions> {
-    let logits = Linear::new("heads.distogram", cfg.c_z, DISTOGRAM_BINS).apply(g, store, z)?;
+    let logits = distogram_logits(g, store, z)?;
     decode_distogram(g.value(logits), contact_cutoff)
 }
 
@@ -112,7 +111,7 @@ pub fn plddt_scores(logits: &Tensor) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlphaFold, FeatureBatch};
+    use crate::{AlphaFold, FeatureBatch, ModelConfig};
 
     #[test]
     fn bin_centers_are_ordered_and_bracket_edges() {
@@ -175,7 +174,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
         let out = model.forward(&mut g, &mut store, &batch).expect("forward");
-        let pred = predict_contacts(&mut g, &mut store, &cfg, out.pair, 8.0).expect("decode");
+        let pred = predict_contacts(&mut g, &mut store, out.pair, 8.0).expect("decode");
         assert_eq!(pred.expected_distance.dims(), &[cfg.n_res, cfg.n_res]);
         assert!(!pred.expected_distance.has_non_finite());
         let c01 = pred.contact_probability.at(&[0, 1]).expect("ok");

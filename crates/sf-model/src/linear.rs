@@ -1,139 +1,172 @@
-//! Linear layers bound to named parameters.
+//! Named layers: linear and LayerNorm, each a function that binds its
+//! parameters from a [`ParamStore`] (creating them on first use) and
+//! applies them.
+//!
+//! A layer's input width is read from its input, so only output widths are
+//! passed. A parameter's name is passed as parts — the caller's prefix, then
+//! the layer's own name and the parameter's — and `bind_param` joins them
+//! with `.` in a buffer it reuses, so binding an existing layer formats no
+//! string.
 
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 use std::cell::Cell;
 
-/// Splits a seed deterministically per parameter name (also the per-module
-/// dropout seed).
-pub(crate) fn name_seed(name: &str) -> u64 {
-    // FNV-1a over the name: stable across runs and platforms.
+/// Splits a seed deterministically per name, given as parts joined with `.`
+/// (the per-parameter init seed and the per-module dropout seed).
+pub(crate) fn name_seed(name: &[&str]) -> u64 {
+    // FNV-1a over the joined name: stable across runs and platforms.
     let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    for (i, part) in name.iter().enumerate() {
+        let dot = if i > 0 { "." } else { "" };
+        for b in dot.bytes().chain(part.bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
     }
     h
 }
 
-/// Binds the parameter `"{prefix}.{suffix}"` into the tape, initialized by
-/// `init` (given the full name) on first use. The name is composed in a
-/// buffer reused across calls on this thread, so binding an existing
-/// parameter formats no string and allocates only the leaf's copy.
+/// Binds the parameter named by `prefix`'s parts and then `name`'s, joined
+/// with `.` (`&["evoformer.block0", "msa_row"]` and `&["q", "weight"]` name
+/// `evoformer.block0.msa_row.q.weight`), initialized by `init` (given the
+/// joined name) on first use. The name is joined in a buffer reused across
+/// calls on this thread, so binding an existing parameter allocates only the
+/// leaf's copy of it.
 pub(crate) fn bind_param(
     g: &mut Graph,
     store: &mut ParamStore,
-    prefix: &str,
-    suffix: &str,
+    prefix: &[&str],
+    name: &[&str],
     init: impl FnOnce(&str) -> Tensor,
 ) -> Var {
     thread_local! {
         static NAME: Cell<String> = const { Cell::new(String::new()) };
     }
-    let mut name = NAME.take();
-    name.clear();
-    name.push_str(prefix);
-    name.push('.');
-    name.push_str(suffix);
-    let var = g.use_param_or_init(store, &name, || init(&name));
-    NAME.set(name);
+    let mut joined = NAME.take();
+    joined.clear();
+    for (i, part) in prefix.iter().chain(name).enumerate() {
+        if i > 0 {
+            joined.push('.');
+        }
+        joined.push_str(part);
+    }
+    let var = g.use_param_or_init(store, &joined, || init(&joined));
+    NAME.set(joined);
     var
 }
 
-/// A named linear layer `y = x W^T (+ b)`.
-///
-/// Parameters live in the [`ParamStore`] under `"{name}.weight"` /
-/// `"{name}.bias"` and are LeCun-normal initialized on first use.
-#[derive(Debug, Clone)]
-pub struct Linear {
-    name: String,
+/// The width of `x`'s last axis: the input width of a layer applied to it.
+pub(crate) fn width(g: &Graph, x: Var) -> usize {
+    g.value(x).dims().last().copied().unwrap_or(0)
+}
+
+/// Binds the `[out_dim, in_dim]` weight `"{prefix}.{name}.weight"`,
+/// LeCun-normal initialized on first use.
+fn bind_weight(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &[&str],
+    name: &str,
     in_dim: usize,
     out_dim: usize,
-    bias: bool,
+) -> Var {
+    bind_param(g, store, prefix, &[name, "weight"], |w| {
+        Tensor::lecun_normal(&[out_dim, in_dim], in_dim, name_seed(&[w]))
+    })
 }
 
-impl Linear {
-    /// A linear layer with bias.
-    pub fn new(name: impl Into<String>, in_dim: usize, out_dim: usize) -> Self {
-        Linear {
-            name: name.into(),
-            in_dim,
-            out_dim,
-            bias: true,
-        }
-    }
-
-    /// A linear layer without bias (AlphaFold's attention projections).
-    pub fn no_bias(name: impl Into<String>, in_dim: usize, out_dim: usize) -> Self {
-        Linear {
-            name: name.into(),
-            in_dim,
-            out_dim,
-            bias: false,
-        }
-    }
-
-    /// Binds this layer's weight (and bias) into the tape, initializing
-    /// them on first use. Binding a layer whose parameters exist allocates
-    /// only the leaves' copies of them: the parameter names are composed in
-    /// a reused buffer, not formatted per bind.
-    pub fn bind(&self, g: &mut Graph, store: &mut ParamStore) -> (Var, Option<Var>) {
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let w = bind_param(g, store, &self.name, "weight", |wname| {
-            Tensor::lecun_normal(&[out_dim, in_dim], in_dim, name_seed(wname))
-        });
-        let b = self
-            .bias
-            .then(|| bind_param(g, store, &self.name, "bias", |_| Tensor::zeros(&[out_dim])));
-        (w, b)
-    }
-
-    /// Applies the layer to `x` of shape `[..., in_dim]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x`'s last dimension is not `in_dim`.
-    pub fn apply(&self, g: &mut Graph, store: &mut ParamStore, x: Var) -> Result<Var> {
-        let (w, b) = self.bind(g, store);
-        g.linear(x, w, b)
-    }
+/// Binds the weight and the zero-initialized bias of the linear layer
+/// `"{prefix}.{name}"`, in that order, as [`linear`] does.
+pub fn bind_linear(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &[&str],
+    name: &str,
+    in_dim: usize,
+    out_dim: usize,
+) -> (Var, Var) {
+    let w = bind_weight(g, store, prefix, name, in_dim, out_dim);
+    let b = bind_param(g, store, prefix, &[name, "bias"], |_| {
+        Tensor::zeros(&[out_dim])
+    });
+    (w, b)
 }
 
-/// Binds a named LayerNorm (`"{name}.gamma"` / `"{name}.beta"`) and applies
-/// it over the last axis of `x`.
+/// Applies the linear layer `"{prefix}.{name}"`, `y = x Wᵀ + b`, to `x` of
+/// shape `[..., in]`, giving `[..., out_dim]`; `in` is `x`'s last axis.
 ///
 /// # Errors
 ///
-/// Returns an error if `dim` mismatches `x`'s last axis.
+/// Returns a shape error if the layer exists with another input width.
+pub fn linear(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &[&str],
+    name: &str,
+    out_dim: usize,
+    x: Var,
+) -> Result<Var> {
+    let (w, b) = bind_linear(g, store, prefix, name, width(g, x), out_dim);
+    g.linear(x, w, Some(b))
+}
+
+/// [`linear`] without a bias, `y = x Wᵀ` (AlphaFold's attention
+/// projections).
+///
+/// # Errors
+///
+/// Returns a shape error if the layer exists with another input width.
+pub fn linear_no_bias(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &[&str],
+    name: &str,
+    out_dim: usize,
+    x: Var,
+) -> Result<Var> {
+    let w = bind_weight(g, store, prefix, name, width(g, x), out_dim);
+    g.linear(x, w, None)
+}
+
+/// Applies the LayerNorm `"{prefix}.{name}"` (`gamma` ones and `beta`
+/// zeros on first use) over the last axis of `x`.
+///
+/// # Errors
+///
+/// Returns a shape error if the LayerNorm exists with another width.
 pub fn layer_norm(
     g: &mut Graph,
     store: &mut ParamStore,
+    prefix: &[&str],
     name: &str,
-    dim: usize,
     x: Var,
 ) -> Result<Var> {
-    let gamma = bind_param(g, store, name, "gamma", |_| Tensor::ones(&[dim]));
-    let beta = bind_param(g, store, name, "beta", |_| Tensor::zeros(&[dim]));
+    let dim = width(g, x);
+    let gamma = bind_param(g, store, prefix, &[name, "gamma"], |_| Tensor::ones(&[dim]));
+    let beta = bind_param(g, store, prefix, &[name, "beta"], |_| Tensor::zeros(&[dim]));
     g.layer_norm(x, gamma, beta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_autograd::AutogradError;
+    use sf_tensor::TensorError;
 
     #[test]
     fn linear_shapes_and_determinism() {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
-        let l = Linear::new("test.proj", 6, 4);
         let x = g.constant(Tensor::randn(&[3, 6], 1));
-        let y = l.apply(&mut g, &mut store, x).unwrap();
+        let y = linear(&mut g, &mut store, &["test"], "proj", 4, x).unwrap();
         assert_eq!(g.value(y).dims(), &[3, 4]);
+        assert_eq!(store.get("test.proj.weight").unwrap().dims(), &[4, 6]);
 
         // Same store, fresh tape: identical output (weights persisted).
         let mut g2 = Graph::new();
         let x2 = g2.constant(Tensor::randn(&[3, 6], 1));
-        let y2 = l.apply(&mut g2, &mut store, x2).unwrap();
+        let y2 = linear(&mut g2, &mut store, &["test"], "proj", 4, x2).unwrap();
         assert_eq!(g.value(y), g2.value(y2));
     }
 
@@ -142,9 +175,10 @@ mod tests {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
         let x = g.constant(Tensor::ones(&[1, 4]));
-        let a = Linear::no_bias("a", 4, 4).apply(&mut g, &mut store, x).unwrap();
-        let b = Linear::no_bias("b", 4, 4).apply(&mut g, &mut store, x).unwrap();
+        let a = linear_no_bias(&mut g, &mut store, &[], "a", 4, x).unwrap();
+        let b = linear_no_bias(&mut g, &mut store, &[], "b", 4, x).unwrap();
         assert_ne!(g.value(a), g.value(b));
+        assert_eq!(store.names(), ["a.weight", "b.weight"]);
     }
 
     #[test]
@@ -152,22 +186,71 @@ mod tests {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
         let x = g.constant(Tensor::randn(&[4, 8], 5));
-        let y = layer_norm(&mut g, &mut store, "ln", 8, x).unwrap();
+        let y = layer_norm(&mut g, &mut store, &["blk", "mod"], "ln", x).unwrap();
         assert_eq!(g.value(y).dims(), &[4, 8]);
-        assert!(store.get("ln.gamma").is_some());
-        assert!(store.get("ln.beta").is_some());
+        assert_eq!(store.get("blk.mod.ln.gamma").unwrap().dims(), &[8]);
+        assert!(store.get("blk.mod.ln.beta").is_some());
+    }
+
+    #[test]
+    fn name_seed_hashes_the_joined_name() {
+        assert_eq!(name_seed(&["a.b", "c"]), name_seed(&["a", "b.c"]));
+        assert_eq!(name_seed(&["a", "b", "c"]), name_seed(&["a.b.c"]));
+        assert_ne!(name_seed(&["ab", "c"]), name_seed(&["a", "bc"]));
     }
 
     #[test]
     fn lecun_init_scale() {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
-        let l = Linear::no_bias("scale.test", 256, 64);
         let x = g.constant(Tensor::zeros(&[1, 256]));
-        let _ = l.apply(&mut g, &mut store, x).unwrap();
+        let _ = linear_no_bias(&mut g, &mut store, &["scale"], "test", 64, x).unwrap();
         let w = store.get("scale.test.weight").unwrap();
         let std = w.square().mean_all().sqrt();
         let expect = 1.0 / (256f32).sqrt();
         assert!((std - expect).abs() < 0.2 * expect, "std {std} vs {expect}");
+    }
+
+    #[test]
+    fn width_mismatch_is_a_shape_error_that_keeps_the_parameter() {
+        let mut store = ParamStore::new();
+        let mut g = Graph::new();
+        let x6 = g.constant(Tensor::randn(&[2, 6], 3));
+        linear(&mut g, &mut store, &["m"], "proj", 4, x6).unwrap();
+        layer_norm(&mut g, &mut store, &["m"], "ln", x6).unwrap();
+        let before: Vec<Tensor> = store.iter().map(|(_, t)| t.clone()).collect();
+
+        let x5 = g.constant(Tensor::randn(&[2, 5], 4));
+        let shape_error = |r: Result<Var>| {
+            matches!(
+                r,
+                Err(AutogradError::Tensor(TensorError::ShapeMismatch { .. }))
+            )
+        };
+        assert!(shape_error(linear(
+            &mut g,
+            &mut store,
+            &["m"],
+            "proj",
+            4,
+            x5
+        )));
+        assert!(shape_error(linear_no_bias(
+            &mut g,
+            &mut store,
+            &["m"],
+            "proj",
+            4,
+            x5
+        )));
+        assert!(shape_error(layer_norm(
+            &mut g,
+            &mut store,
+            &["m"],
+            "ln",
+            x5
+        )));
+        let after: Vec<Tensor> = store.iter().map(|(_, t)| t.clone()).collect();
+        assert_eq!(after, before, "a failed bind leaves the stored parameters");
     }
 }

@@ -11,7 +11,7 @@
 use crate::config::{ModelConfig, DISTOGRAM_BINS, NUM_AA_TYPES};
 use crate::embed::distogram_edges;
 use crate::features::FeatureBatch;
-use crate::linear::Linear;
+use crate::linear::linear;
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
@@ -118,6 +118,16 @@ pub fn cross_entropy(
     g.scale(sum, -1.0 / denom)
 }
 
+/// The distogram head: projects the pair representation `z` (`[n, n, c_z]`)
+/// to [`DISTOGRAM_BINS`] logits per residue pair.
+///
+/// # Errors
+///
+/// Returns a shape error if the head exists with another `c_z`.
+pub fn distogram_logits(g: &mut Graph, store: &mut ParamStore, z: Var) -> Result<Var> {
+    linear(g, store, &["heads"], "distogram", DISTOGRAM_BINS, z)
+}
+
 /// Distogram head + loss: projects `z` to [`DISTOGRAM_BINS`] logits and
 /// cross-entropies against the binned true distances.
 ///
@@ -133,7 +143,7 @@ pub fn distogram_loss(
     residue_mask: &Tensor,
 ) -> Result<Var> {
     let n = cfg.n_res;
-    let logits = Linear::new("heads.distogram", cfg.c_z, DISTOGRAM_BINS).apply(g, store, z)?;
+    let logits = distogram_logits(g, store, z)?;
     let d_true = crate::geometry::distance_matrix(true_coords);
     let edges = distogram_edges();
     let mut one_hot = Tensor::zeros(&[n, n, DISTOGRAM_BINS]);
@@ -167,7 +177,7 @@ pub fn masked_msa_loss(
     batch: &FeatureBatch,
 ) -> Result<Var> {
     let (s, r) = (cfg.n_seq, cfg.n_res);
-    let logits = Linear::new("heads.masked_msa", cfg.c_m, NUM_AA_TYPES).apply(g, store, m)?;
+    let logits = linear(g, store, &["heads"], "masked_msa", NUM_AA_TYPES, m)?;
     let mut one_hot = Tensor::zeros(&[s, r, NUM_AA_TYPES]);
     let mut weight = Tensor::zeros(&[s, r]);
     let mut any = false;

@@ -18,9 +18,9 @@
 //! (`sf_tensor::pool`), which is bit-identical at every thread count.
 
 use crate::config::ModelConfig;
-use crate::evoformer::transition;
+use crate::evoformer::transition_at;
 use crate::frames::FrameBatch;
-use crate::linear::{bind_param, layer_norm, Linear};
+use crate::linear::{bind_param, layer_norm, linear, linear_no_bias};
 use sf_autograd::{Graph, HeadVar, HeadVars, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
@@ -55,22 +55,21 @@ pub fn structure_module(
     // Single representation from the MSA first row.
     let m0 = g.slice_axis(m, 0, 0, 1)?;
     let m0 = g.reshape(m0, &[r, cfg.c_m])?;
-    let m0_ln = layer_norm(g, store, "structure.ln_m", cfg.c_m, m0)?;
-    let mut s = Linear::new("structure.single", cfg.c_m, c_s).apply(g, store, m0_ln)?;
+    let m0_ln = layer_norm(g, store, &["structure"], "ln_m", m0)?;
+    let mut s = linear(g, store, &["structure"], "single", c_s, m0_ln)?;
 
     // Pair bias shared across layers: [R, R, c_z] -> [h, R, R].
-    let z_ln = layer_norm(g, store, "structure.ln_z", cfg.c_z, z)?;
-    let pair_bias_rr =
-        Linear::no_bias("structure.pair_bias", cfg.c_z, heads).apply(g, store, z_ln)?;
+    let z_ln = layer_norm(g, store, &["structure"], "ln_z", z)?;
+    let pair_bias_rr = linear_no_bias(g, store, &["structure"], "pair_bias", heads, z_ln)?;
     let pair_bias = g.permute(pair_bias_rr, &[2, 0, 1])?;
 
     // "Black hole" initialization: identity frames, all residues at the
     // origin (AlphaFold Algorithm 20 line 1).
     let mut frames = FrameBatch::identity(g, r);
 
-    let mut plddt_logits = None;
     for layer in 0..cfg.structure_layers {
-        let p = format!("structure.layer{layer}");
+        let name = format!("structure.layer{layer}");
+        let p = &[name.as_str()];
         let x = frames.trans;
 
         // Distance-penalty bias from the current coordinates:
@@ -82,45 +81,38 @@ pub fn structure_module(
         let sq = g.square(diff)?;
         let d2 = g.sum_axis(sq, 2)?; // [R, R]
         let d2b = g.reshape(d2, &[1, r, r])?;
-        let w = bind_param(g, store, &p, "dist_weight", |_| Tensor::full(&[heads, 1, 1], -2.0));
+        let w = bind_param(g, store, p, &["dist_weight"], |_| {
+            Tensor::full(&[heads, 1, 1], -2.0)
+        });
         let wexp = g.exp(w)?; // positive per-head scale (exp as softplus stand-in)
         let wneg = g.neg(wexp)?;
         let dist_bias = g.mul(wneg, d2b)?; // [h, R, R]
         let bias = g.add(pair_bias, dist_bias)?;
 
         // Attention over residues (batch dim = heads).
-        let s_ln = layer_norm(g, store, &format!("{p}.ln"), c_s, s)?;
-        let q = Linear::no_bias(format!("{p}.q"), c_s, heads * d).apply(g, store, s_ln)?;
-        let k = Linear::no_bias(format!("{p}.k"), c_s, heads * d).apply(g, store, s_ln)?;
-        let v = Linear::no_bias(format!("{p}.v"), c_s, heads * d).apply(g, store, s_ln)?;
+        let s_ln = layer_norm(g, store, p, "ln", s)?;
+        let q = linear_no_bias(g, store, p, "q", heads * d, s_ln)?;
+        let k = linear_no_bias(g, store, p, "k", heads * d, s_ln)?;
+        let v = linear_no_bias(g, store, p, "v", heads * d, s_ln)?;
         // Heads read in place along the residue axis, written merged.
         let res = |src: Var| HeadVar { src, axis: Some(0) };
         let views = HeadVars { q: res(q), k: res(k), v: res(v), gate: None, heads, d };
         let scale = 1.0 / (d as f32).sqrt();
         let att_flat = g.attention_heads(views, Some(bias), None, scale)?; // [R, h·d]
-        let upd = Linear::new(format!("{p}.out"), heads * d, c_s).apply(g, store, att_flat)?;
+        let upd = linear(g, store, p, "out", c_s, att_flat)?;
         s = g.add(s, upd)?;
-        s = transition(g, store, c_s, 2, &format!("{p}.trans"), s)?;
+        s = transition_at(g, store, c_s, 2, &[&name, "trans"], s, false)?;
 
         // Backbone update (Algorithm 23): a quaternion update from the
         // single representation (imaginary part, scaled small so early
         // steps stay near identity) plus a local-frame translation.
-        let imag_raw = Linear::new(format!("{p}.quat"), c_s, 3).apply(g, store, s)?;
+        let imag_raw = linear(g, store, p, "quat", 3, s)?;
         let imag = g.scale(imag_raw, 0.1)?;
-        let dt = Linear::new(format!("{p}.coords"), c_s, 3).apply(g, store, s)?;
+        let dt = linear(g, store, p, "coords", 3, s)?;
         frames = frames.compose_update(g, imag, dt)?;
-
-        if layer == cfg.structure_layers - 1 {
-            plddt_logits =
-                Some(Linear::new("structure.plddt", c_s, 1).apply(g, store, s)?);
-        }
     }
 
-    let plddt_logits = match plddt_logits {
-        Some(v) => v,
-        // structure_layers == 0: degenerate but well-defined.
-        None => Linear::new("structure.plddt", c_s, 1).apply(g, store, s)?,
-    };
+    let plddt_logits = linear(g, store, &["structure"], "plddt", 1, s)?;
     Ok(StructureOutput {
         coords: frames.trans,
         single: s,

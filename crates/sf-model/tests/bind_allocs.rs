@@ -1,12 +1,12 @@
-//! Counts heap allocations of a warm `Linear::bind`: binding a layer whose
+//! Counts heap allocations of a warm `bind_linear`: binding a layer whose
 //! parameters exist allocates only the leaves' copies of its weight and
-//! bias, and formats no parameter name.
+//! bias, and formats no parameter name however many parts it has.
 //!
 //! The counter is per thread, so the harness's other threads do not
 //! disturb it.
 
 use sf_autograd::{Graph, ParamStore};
-use sf_model::linear::Linear;
+use sf_model::linear::bind_linear;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -55,26 +55,36 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-const NAME: &str = "evoformer.block0.msa_transition.fc1";
+/// A four-part layer name, as a module inside an indexed block passes it.
+const PREFIX: [&str; 3] = ["evoformer", "block0", "msa_transition"];
+const LAYER: &str = "fc1";
 
 #[test]
 fn warm_linear_bind_allocates_only_its_leaves() {
     let mut store = ParamStore::new();
-    let layer = Linear::new(NAME, 6, 8);
     let mut g = Graph::new();
     // Three binds create the parameters and grow the tape's vectors to
     // capacity 8 (two entries per bind), so the fourth measures the bind
     // alone.
     for _ in 0..3 {
-        layer.bind(&mut g, &mut store);
+        bind_linear(&mut g, &mut store, &PREFIX, LAYER, 6, 8);
     }
-    let leaf = |suffix: &str| {
-        let value = store.get(&format!("{NAME}.{suffix}")).expect("bound").clone();
+    assert_eq!(
+        store.names(),
+        [
+            "evoformer.block0.msa_transition.fc1.bias",
+            "evoformer.block0.msa_transition.fc1.weight"
+        ]
+    );
+    let leaf = |name: &str| {
+        let value = store.get(name).expect("bound").clone();
         allocs_in(|| value.clone()).0
     };
-    let leaves = leaf("weight") + leaf("bias");
+    let leaves: usize = store.names().iter().map(|name| leaf(name)).sum();
     assert_eq!(leaves, 2, "a tensor copy is one allocation");
-    let (n, (_, bias)) = allocs_in(|| layer.bind(&mut g, &mut store));
-    assert!(bias.is_some());
-    assert_eq!(n, leaves, "a warm bind allocates its two leaves and no name");
+    let (n, _) = allocs_in(|| bind_linear(&mut g, &mut store, &PREFIX, LAYER, 6, 8));
+    assert_eq!(
+        n, leaves,
+        "a warm bind allocates its two leaves and no name"
+    );
 }

@@ -29,11 +29,12 @@ fn store() -> ParamStore {
 fn backward(store: &mut ParamStore, step: u64) -> Result<Graph> {
     let mut g = Graph::new();
     let x = g.constant(Tensor::randn(&[3, 2], 100 + step));
-    let a1 = g.use_param(store, "a.weight")?;
-    let a2 = g.use_param(store, "a.weight")?;
-    let a3 = g.use_param(store, "a.weight")?;
-    let b = g.use_param(store, "b.bias")?;
-    let d = g.use_param(store, "d.weight")?;
+    let absent = || -> Tensor { panic!("`store` holds a, b and d") };
+    let a1 = g.use_param_or_init(store, "a.weight", absent);
+    let a2 = g.use_param_or_init(store, "a.weight", absent);
+    let a3 = g.use_param_or_init(store, "a.weight", absent);
+    let b = g.use_param_or_init(store, "b.bias", absent);
+    let d = g.use_param_or_init(store, "d.weight", absent);
     let xd = g.matmul(x, d)?;
     let h = g.matmul(xd, a1)?;
     let h = g.add(h, b)?;
