@@ -95,9 +95,7 @@ mod tests {
         let dev = DeviceSpec::h100();
         let t: Vec<f64> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&dap| {
-                baseline_step_s(&scalefold_graph(&cfg, dap), dev.clone(), dap, true, true)
-            })
+            .map(|&dap| baseline_step_s(&scalefold_graph(&cfg, dap), dev.clone(), dap, true, true))
             .collect();
         // Strictly improving with DAP degree.
         assert!(t[1] < t[0] && t[2] < t[1] && t[3] < t[2], "{t:?}");

@@ -43,14 +43,17 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
-    let GlobalFlags { args, trace_path, dap } =
-        match extract_global_flags(std::env::args().skip(1).collect()) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("scalefold: error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let GlobalFlags {
+        args,
+        trace_path,
+        dap,
+    } = match extract_global_flags(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("scalefold: error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     // At most one positional argument per command: a leftover (say, a
     // removed flag) fails loudly instead of being silently ignored.
@@ -122,7 +125,11 @@ fn extract_global_flags(args: Vec<String>) -> Result<GlobalFlags, Box<dyn Error>
         dap = parse_positive(&v, "--dap", "DAP rank count")?;
         Ok(())
     })?;
-    Ok(GlobalFlags { args, trace_path, dap })
+    Ok(GlobalFlags {
+        args,
+        trace_path,
+        dap,
+    })
 }
 
 /// Removes every `name V` / `name=V` from `args`, handing each value to
@@ -249,7 +256,10 @@ fn loader_drill() -> CliResult {
     println!("data-wait drill: {STEPS} steps, sample #{SLOW_SAMPLE} takes an extra {delay:?}\n");
     let mut shares = Vec::new();
     for (label, kind) in [
-        ("blocking loader (strict sampler order)", LoaderKind::Blocking),
+        (
+            "blocking loader (strict sampler order)",
+            LoaderKind::Blocking,
+        ),
         ("non-blocking pipeline (ScaleFold)", LoaderKind::NonBlocking),
     ] {
         let was_enabled = sf_trace::is_enabled();
@@ -397,9 +407,7 @@ fn fault_drill(steps: u64, dap: usize) -> CliResult {
     cfg.dap = dap;
     scalefold::DapGroup::validate_config(&cfg.model, dap)?;
 
-    let plan = FaultPlan::none()
-        .with_worker_panic(1)
-        .with_nan_grad(1);
+    let plan = FaultPlan::none().with_worker_panic(1).with_nan_grad(1);
     println!("fault drill: {steps} steps with an always-panicking sample #1");
     println!("and NaN gradients injected at optimizer step 1...\n");
     let mut trainer = Trainer::with_faults(cfg.clone(), plan);
@@ -409,7 +417,11 @@ fn fault_drill(steps: u64, dap: usize) -> CliResult {
             r.step,
             r.loss,
             r.lddt,
-            if r.skipped { "SKIPPED (non-finite grads)" } else { "ok" }
+            if r.skipped {
+                "SKIPPED (non-finite grads)"
+            } else {
+                "ok"
+            }
         );
     }
 
@@ -422,7 +434,11 @@ fn fault_drill(steps: u64, dap: usize) -> CliResult {
     let newer = trainer.save_checkpoint_step(&dir)?;
     let len = corrupt::file_len(&newer)?;
     corrupt::flip_bit(&newer, (len / 2) as usize, 3)?;
-    println!("\ncheckpoints: {} (valid), {} (bit-flipped)", older.display(), newer.display());
+    println!(
+        "\ncheckpoints: {} (valid), {} (bit-flipped)",
+        older.display(),
+        newer.display()
+    );
 
     let mut recovered = Trainer::new(cfg);
     let summary = recovered
@@ -438,7 +454,11 @@ fn fault_drill(steps: u64, dap: usize) -> CliResult {
     let _ = more;
 
     println!("\nrecovery log:");
-    for e in trainer.recovery_log().iter().chain(recovered.recovery_log()) {
+    for e in trainer
+        .recovery_log()
+        .iter()
+        .chain(recovered.recovery_log())
+    {
         println!("  - {e}");
     }
     println!("\ninjected faults that fired:");
@@ -481,7 +501,11 @@ fn tradeoff(steps: u64) -> CliResult {
     }
     let best = grid
         .iter()
-        .min_by(|a, b| a.estimate.expected_total_s.total_cmp(&b.estimate.expected_total_s))
+        .min_by(|a, b| {
+            a.estimate
+                .expected_total_s
+                .total_cmp(&b.estimate.expected_total_s)
+        })
         .ok_or("empty trade-off grid")?;
     println!(
         "\nbest cell: checkpoint every {} steps at {:.0}-year MTBF",

@@ -127,7 +127,11 @@ impl PretrainSchedule {
                 .lddt_at(samples, batch)
                 .expect("schedule batches within the convergence limit");
             if step.is_multiple_of(stride) || lddt >= self.target_lddt || step >= max_steps {
-                out.push(CurvePoint { step, samples, lddt });
+                out.push(CurvePoint {
+                    step,
+                    samples,
+                    lddt,
+                });
             }
             if lddt >= self.target_lddt || step >= max_steps {
                 return out;
@@ -199,7 +203,12 @@ impl FinetuneExtension {
 
     /// Wall-clock hours of the fine-tuning phase given the initial
     /// training's step time at crop 256.
-    pub fn hours(&self, model: &ConvergenceModel, start_samples: f64, base_step_s: f64) -> Option<f64> {
+    pub fn hours(
+        &self,
+        model: &ConvergenceModel,
+        start_samples: f64,
+        base_step_s: f64,
+    ) -> Option<f64> {
         let steps = self.steps_from(model, start_samples)?;
         Some(steps as f64 * base_step_s * self.step_multiplier() / 3600.0)
     }
@@ -218,7 +227,9 @@ mod tests {
         // 0.94 is beyond the initial asymptote (0.94 bound) but within the
         // fine-tune asymptote.
         assert!(m.steps_to(start, ext.target_lddt, 128).is_none() || m.l_inf > ext.target_lddt);
-        let steps = ext.steps_from(&m, start).expect("reachable with lifted asymptote");
+        let steps = ext
+            .steps_from(&m, start)
+            .expect("reachable with lifted asymptote");
         assert!(steps > 1000, "fine-tuning is not instant: {steps}");
         // With ScaleFold-optimized 0.65 s steps at crop 256, fine-tuning
         // lands in tens of hours — far below the original 4 days but
@@ -237,10 +248,7 @@ mod tests {
         // 0.9 between 50k and 60k total steps (phase 2 at bs256).
         let s = PretrainSchedule::default();
         let steps = s.steps_to_target(&m);
-        assert!(
-            (45_000..65_000).contains(&steps),
-            "steps to 0.9: {steps}"
-        );
+        assert!((45_000..65_000).contains(&steps), "steps to 0.9: {steps}");
     }
 
     #[test]

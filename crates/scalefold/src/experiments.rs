@@ -2,16 +2,12 @@
 //! plain data structure with a `Display` that prints rows the way the paper
 //! reports them; the `sf-bench` binaries wrap these.
 
-use crate::baselines::{
-    baseline_step_s, fastfold_graph, openfold_graph, scalefold_graph,
-};
+use crate::baselines::{baseline_step_s, fastfold_graph, openfold_graph, scalefold_graph};
 use crate::convergence::{ConvergenceModel, CurvePoint, PretrainSchedule};
 use crate::ladder::{dap8_without_cuda_graph, ladder_stages, LadderEntry};
 use crate::optimizations::{build_graph, OptimizationSet};
 use serde::{Deserialize, Serialize};
-use sf_cluster::{
-    ClusterConfig, ClusterSim, EvalConfig, ScalabilityBreakdown, TrainTimeline,
-};
+use sf_cluster::{ClusterConfig, ClusterSim, EvalConfig, ScalabilityBreakdown, TrainTimeline};
 use sf_data::{PrepTimeModel, SyntheticDataset};
 use sf_gpusim::{CpuModel, DeviceSpec};
 use sf_model::ModelConfig;
@@ -42,8 +38,7 @@ pub fn table1() -> Table1Result {
     let dev = DeviceSpec::a100();
     let table = Table1::compute(&g, &dev, CpuModel::healthy());
     let profile = ModuleProfile::compute(&g, &dev);
-    let a100_step_s =
-        sf_opgraph::profile::step_time(&g, &dev, CpuModel::healthy(), false).total_s;
+    let a100_step_s = sf_opgraph::profile::step_time(&g, &dev, CpuModel::healthy(), false).total_s;
     Table1Result {
         table,
         profile,
@@ -53,18 +48,56 @@ pub fn table1() -> Table1Result {
 
 impl fmt::Display for Table1Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Table 1: kernel breakdown (A100 reference, {:.2} s/step)", self.a100_step_s)?;
-        writeln!(f, "{:<18} {:>11} {:>9}", "Kernel type", "Runtime (%)", "#Calls")?;
-        writeln!(f, "{:<18} {:>11.2} {:>9}", "CPU Overhead", self.table.cpu_overhead_pct, "-")?;
-        writeln!(f, "{:<18} {:>11.2} {:>9}", "Math-bounded", self.table.math_pct, self.table.math_calls)?;
-        writeln!(f, "{:<18} {:>11.2} {:>9}", "Memory-bounded", self.table.memory_pct, self.table.memory_calls)?;
-        writeln!(f, "{:<18} {:>11.2} {:>9}", "Memory-operation", self.table.memop_pct, self.table.memop_calls)?;
+        writeln!(
+            f,
+            "Table 1: kernel breakdown (A100 reference, {:.2} s/step)",
+            self.a100_step_s
+        )?;
+        writeln!(
+            f,
+            "{:<18} {:>11} {:>9}",
+            "Kernel type", "Runtime (%)", "#Calls"
+        )?;
+        writeln!(
+            f,
+            "{:<18} {:>11.2} {:>9}",
+            "CPU Overhead", self.table.cpu_overhead_pct, "-"
+        )?;
+        writeln!(
+            f,
+            "{:<18} {:>11.2} {:>9}",
+            "Math-bounded", self.table.math_pct, self.table.math_calls
+        )?;
+        writeln!(
+            f,
+            "{:<18} {:>11.2} {:>9}",
+            "Memory-bounded", self.table.memory_pct, self.table.memory_calls
+        )?;
+        writeln!(
+            f,
+            "{:<18} {:>11.2} {:>9}",
+            "Memory-operation", self.table.memop_pct, self.table.memop_calls
+        )?;
         writeln!(f, "(paper: 9.10/- , 24.06/18147, 65.03/97749, 1.82/34991)")?;
         writeln!(f)?;
         writeln!(f, "S2.2 pattern profile (% of GPU busy time):")?;
-        writeln!(f, "  Evoformer {:.1}%  MHA {:.1}%  LayerNorm {:.1}%", self.profile.evoformer_pct, self.profile.mha_pct, self.profile.layernorm_pct)?;
-        writeln!(f, "  Adam {:.1}%  SWA {:.1}%  grad-clip {:.1}%  structure {:.1}%", self.profile.adam_pct, self.profile.swa_pct, self.profile.grad_clip_pct, self.profile.structure_pct)?;
-        writeln!(f, "(paper: Evoformer 72, MHA 34, LN 14, Adam 6, SWA 6, clip 3)")
+        writeln!(
+            f,
+            "  Evoformer {:.1}%  MHA {:.1}%  LayerNorm {:.1}%",
+            self.profile.evoformer_pct, self.profile.mha_pct, self.profile.layernorm_pct
+        )?;
+        writeln!(
+            f,
+            "  Adam {:.1}%  SWA {:.1}%  grad-clip {:.1}%  structure {:.1}%",
+            self.profile.adam_pct,
+            self.profile.swa_pct,
+            self.profile.grad_clip_pct,
+            self.profile.structure_pct
+        )?;
+        writeln!(
+            f,
+            "(paper: Evoformer 72, MHA 34, LN 14, Adam 6, SWA 6, clip 3)"
+        )
     }
 }
 
@@ -122,7 +155,10 @@ impl fmt::Display for Fig3Result {
                 r.imbalance_s
             )?;
         }
-        writeln!(f, "baseline DAP speedups vs DAP-1 (paper: 1.42 / 1.57 / ~1.57):")?;
+        writeln!(
+            f,
+            "baseline DAP speedups vs DAP-1 (paper: 1.42 / 1.57 / ~1.57):"
+        )?;
         for (dap, s) in &self.speedups {
             writeln!(f, "  DAP-{dap}: {s:.2}x")?;
         }
@@ -157,11 +193,20 @@ pub fn fig4(n: usize) -> Fig4Result {
 
 impl fmt::Display for Fig4Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 4: sorted batch preparation time ({} samples)", self.sorted_s.len())?;
+        writeln!(
+            f,
+            "Figure 4: sorted batch preparation time ({} samples)",
+            self.sorted_s.len()
+        )?;
         let n = self.sorted_s.len();
         for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
             let idx = ((n - 1) as f64 * q) as usize;
-            writeln!(f, "  p{:<4} {:>9.3} s", (q * 100.0) as u32, self.sorted_s[idx])?;
+            writeln!(
+                f,
+                "  p{:<4} {:>9.3} s",
+                (q * 100.0) as u32,
+                self.sorted_s[idx]
+            )?;
         }
         writeln!(
             f,
@@ -206,7 +251,13 @@ pub fn fig7() -> Fig7Result {
         .map(|&dap| {
             (
                 format!("ScaleFold DAP-{dap}"),
-                baseline_step_s(&scalefold_graph(&cfg, dap), DeviceSpec::h100(), dap, true, true),
+                baseline_step_s(
+                    &scalefold_graph(&cfg, dap),
+                    DeviceSpec::h100(),
+                    dap,
+                    true,
+                    true,
+                ),
             )
         })
         .collect();
@@ -216,11 +267,17 @@ pub fn fig7() -> Fig7Result {
 impl fmt::Display for Fig7Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 7: step time, batch size 128")?;
-        writeln!(f, "A100 (paper: OpenFold 6.19 s, FastFold DAP-2 2.49 s, ScaleFold DAP-2 1.88 s):")?;
+        writeln!(
+            f,
+            "A100 (paper: OpenFold 6.19 s, FastFold DAP-2 2.49 s, ScaleFold DAP-2 1.88 s):"
+        )?;
         for (name, t) in &self.a100 {
             writeln!(f, "  {name:<22} {t:>6.2} s")?;
         }
-        writeln!(f, "H100 (paper: DAP-1/2/4/8 = 1.80 / 1.12 / 0.75 / 0.65 s):")?;
+        writeln!(
+            f,
+            "H100 (paper: DAP-1/2/4/8 = 1.80 / 1.12 / 0.75 / 0.65 s):"
+        )?;
         let base = self.h100.first().map(|x| x.1).unwrap_or(1.0);
         for (name, t) in &self.h100 {
             writeln!(f, "  {name:<22} {t:>6.2} s  ({:.2}x)", base / t)?;
@@ -349,15 +406,45 @@ pub fn fig9_fig10() -> TtTResult {
 
 impl fmt::Display for TtTResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figures 9 & 10: MLPerf HPC v3.0 time-to-train (from checkpoint, batch 256)")?;
-        writeln!(f, "  ScaleFold + async eval : {:>7.1} min (paper: 7.51 min on 2080 H100)", self.scalefold_async_s / 60.0)?;
-        writeln!(f, "  ScaleFold, sync eval   : {:>7.1} min (paper: ~11 min)", self.scalefold_sync_s / 60.0)?;
-        writeln!(f, "  Reference (256 H100)   : {:>7.1} min", self.reference_s / 60.0)?;
-        writeln!(f, "  speedup vs reference   : {:>7.1}x (paper: 6x)", self.reference_s / self.scalefold_async_s)?;
+        writeln!(
+            f,
+            "Figures 9 & 10: MLPerf HPC v3.0 time-to-train (from checkpoint, batch 256)"
+        )?;
+        writeln!(
+            f,
+            "  ScaleFold + async eval : {:>7.1} min (paper: 7.51 min on 2080 H100)",
+            self.scalefold_async_s / 60.0
+        )?;
+        writeln!(
+            f,
+            "  ScaleFold, sync eval   : {:>7.1} min (paper: ~11 min)",
+            self.scalefold_sync_s / 60.0
+        )?;
+        writeln!(
+            f,
+            "  Reference (256 H100)   : {:>7.1} min",
+            self.reference_s / 60.0
+        )?;
+        writeln!(
+            f,
+            "  speedup vs reference   : {:>7.1}x (paper: 6x)",
+            self.reference_s / self.scalefold_async_s
+        )?;
         let (i, t, e) = self.async_breakdown;
-        writeln!(f, "  async breakdown: init {:.1} min, train {:.1} min, eval-block {:.1} min", i / 60.0, t / 60.0, e / 60.0)?;
+        writeln!(
+            f,
+            "  async breakdown: init {:.1} min, train {:.1} min, eval-block {:.1} min",
+            i / 60.0,
+            t / 60.0,
+            e / 60.0
+        )?;
         let (b, a) = self.eval_share_before_after;
-        writeln!(f, "  sync eval share grows {:.0}% -> {:.0}% as steps shrink (paper: 22% -> 43%)", b * 100.0, a * 100.0)
+        writeln!(
+            f,
+            "  sync eval share grows {:.0}% -> {:.0}% as steps shrink (paper: 22% -> 43%)",
+            b * 100.0,
+            a * 100.0
+        )
     }
 }
 
@@ -423,10 +510,26 @@ pub fn fig11() -> Fig11Result {
 impl fmt::Display for Fig11Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 11: AlphaFold pretraining from scratch")?;
-        writeln!(f, "  phase 1 (bs 128, 1056 H100): step {:.2} s", self.phase_step_s.0)?;
-        writeln!(f, "  phase 2 (bs 256, 2080 H100): step {:.2} s", self.phase_step_s.1)?;
-        writeln!(f, "  steps to 0.9 avg_lddt_ca: {} (paper: 50k-60k)", self.steps_to_target)?;
-        writeln!(f, "  total: {:.1} h (paper: < 10 h; original AlphaFold: ~7 days)", self.total_hours)?;
+        writeln!(
+            f,
+            "  phase 1 (bs 128, 1056 H100): step {:.2} s",
+            self.phase_step_s.0
+        )?;
+        writeln!(
+            f,
+            "  phase 2 (bs 256, 2080 H100): step {:.2} s",
+            self.phase_step_s.1
+        )?;
+        writeln!(
+            f,
+            "  steps to 0.9 avg_lddt_ca: {} (paper: 50k-60k)",
+            self.steps_to_target
+        )?;
+        writeln!(
+            f,
+            "  total: {:.1} h (paper: < 10 h; original AlphaFold: ~7 days)",
+            self.total_hours
+        )?;
         writeln!(f, "  curve (every 5k steps):")?;
         for p in self.curve.iter().step_by(5) {
             writeln!(f, "    step {:>6}  lddt {:.3}", p.step, p.lddt)?;
@@ -456,7 +559,9 @@ pub struct FinetuneResult {
 pub fn finetune_extension() -> FinetuneResult {
     let conv = ConvergenceModel::default();
     let ext = crate::convergence::FinetuneExtension::default();
-    let start = conv.samples_to(0.9, 256).expect("initial training endpoint");
+    let start = conv
+        .samples_to(0.9, 256)
+        .expect("initial training endpoint");
     let steps = ext.steps_from(&conv, start).expect("reachable");
     // ScaleFold's optimized phase-2 step (0.67 s at crop 256) scaled by the
     // crop multiplier.
@@ -471,10 +576,23 @@ pub fn finetune_extension() -> FinetuneResult {
 
 impl fmt::Display for FinetuneResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Extension: fine-tuning phase (crop 384, beyond the paper's scope)")?;
-        writeln!(f, "  steps: {}  step: {:.2} s  total: {:.1} h", self.steps, self.step_s, self.hours)?;
-        writeln!(f, "  (original AlphaFold fine-tuning: ~4 days; ScaleFold-style optimizations")?;
-        writeln!(f, "   would compress it to hours, same as the initial phase)")
+        writeln!(
+            f,
+            "Extension: fine-tuning phase (crop 384, beyond the paper's scope)"
+        )?;
+        writeln!(
+            f,
+            "  steps: {}  step: {:.2} s  total: {:.1} h",
+            self.steps, self.step_s, self.hours
+        )?;
+        writeln!(
+            f,
+            "  (original AlphaFold fine-tuning: ~4 days; ScaleFold-style optimizations"
+        )?;
+        writeln!(
+            f,
+            "   would compress it to hours, same as the initial phase)"
+        )
     }
 }
 
@@ -629,7 +747,11 @@ mod tests {
         let r = fig11();
         assert!((45_000..65_000).contains(&r.steps_to_target));
         assert!(r.total_hours < 12.0, "total {:.1} h", r.total_hours);
-        assert!(r.total_hours > 2.0, "suspiciously fast: {:.1} h", r.total_hours);
+        assert!(
+            r.total_hours > 2.0,
+            "suspiciously fast: {:.1} h",
+            r.total_hours
+        );
         // Curve ends at the target.
         assert!(r.curve.last().expect("nonempty").lddt >= 0.9);
     }

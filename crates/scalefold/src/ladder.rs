@@ -59,7 +59,10 @@ pub fn ladder_stages(cfg: &ModelConfig) -> Vec<LadderEntry> {
     let stages: Vec<(&str, Box<dyn Fn(&mut OptimizationSet)>)> = vec![
         ("reference", Box::new(|_o: &mut OptimizationSet| {})),
         ("+ GEMM batching", Box::new(|o| o.gemm_batching = true)),
-        ("+ non-blocking dataloader", Box::new(|o| o.nonblocking_loader = true)),
+        (
+            "+ non-blocking dataloader",
+            Box::new(|o| o.nonblocking_loader = true),
+        ),
         ("+ bfloat16", Box::new(|o| o.bf16 = true)),
         ("+ Triton MHA", Box::new(|o| o.triton_mha = true)),
         ("+ Triton LayerNorm", Box::new(|o| o.triton_ln = true)),
@@ -124,8 +127,16 @@ mod tests {
         let cfg = ModelConfig::paper();
         let entries = ladder_stages(&cfg);
         let r = &entries[0];
-        assert!((4.0..14.0).contains(&r.a100_step_s), "A100 ref {:.2}", r.a100_step_s);
-        assert!((2.5..9.0).contains(&r.h100_step_s), "H100 ref {:.2}", r.h100_step_s);
+        assert!(
+            (4.0..14.0).contains(&r.a100_step_s),
+            "A100 ref {:.2}",
+            r.a100_step_s
+        );
+        assert!(
+            (2.5..9.0).contains(&r.h100_step_s),
+            "H100 ref {:.2}",
+            r.h100_step_s
+        );
         let ratio = r.a100_step_s / r.h100_step_s;
         assert!((1.2..2.2).contains(&ratio), "H100 gain {ratio:.2}");
     }

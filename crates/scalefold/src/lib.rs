@@ -56,8 +56,8 @@ pub mod trainer;
 
 pub use convergence::{ConvergenceModel, FinetuneExtension, PretrainSchedule};
 pub use dap::{analytic_comm_volume, DapGroup, DapStats};
+pub use distributed::DataParallelTrainer;
 pub use ladder::{ladder_stages, LadderEntry};
 pub use optimizations::{build_graph, OptimizationSet};
-pub use distributed::DataParallelTrainer;
 pub use sf_data::loader::LoaderKind;
 pub use trainer::{RecoveryEvent, ResumeSummary, StepReport, Trainer, TrainerConfig};

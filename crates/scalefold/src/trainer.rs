@@ -147,7 +147,10 @@ impl std::fmt::Display for RecoveryEvent {
         match self {
             RecoveryEvent::DataFault { error } => write!(f, "data fault survived: {error}"),
             RecoveryEvent::NonFiniteSkipped { step } => {
-                write!(f, "non-finite gradients at step {step}: optimizer update skipped")
+                write!(
+                    f,
+                    "non-finite gradients at step {step}: optimizer update skipped"
+                )
             }
             RecoveryEvent::Resumed {
                 path,
@@ -189,7 +192,11 @@ impl Dataset for FeaturizingDataset {
     }
 
     fn prepare(&self, index: usize) -> FeatureBatch {
-        featurize(&self.records.record(index), &self.cfg, self.seed ^ index as u64)
+        featurize(
+            &self.records.record(index),
+            &self.cfg,
+            self.seed ^ index as u64,
+        )
     }
 }
 
@@ -396,7 +403,9 @@ impl Trainer {
                 replica_grads
             };
             grads.push(replica_grads);
-            let LossBreakdown { total, distance, .. } = out.loss_breakdown;
+            let LossBreakdown {
+                total, distance, ..
+            } = out.loss_breakdown;
             loss += total / n;
             distance_loss += distance / n;
             {
@@ -419,7 +428,9 @@ impl Trainer {
         }));
         if self.injector.poison_grads_at(self.step) {
             // The first gradient by name, as in a name-keyed map.
-            let first = order.iter().find_map(|&s| grads[0][s].is_some().then_some(s));
+            let first = order
+                .iter()
+                .find_map(|&s| grads[0][s].is_some().then_some(s));
             if let Some(x) = first.and_then(|s| grads[0][s].as_mut()?.data_mut().first_mut()) {
                 *x = f32::NAN;
             }
@@ -432,7 +443,9 @@ impl Trainer {
         let finite = loss.is_finite() && norm.is_finite();
         if finite {
             for replica in &mut self.replicas {
-                replica.optimizer.step_slots(&mut replica.store, &grads[0], lr);
+                replica
+                    .optimizer
+                    .step_slots(&mut replica.store, &grads[0], lr);
             }
         } else {
             self.recovery.push(RecoveryEvent::NonFiniteSkipped {
@@ -532,8 +545,8 @@ impl Trainer {
         dataset: &Arc<FaultyDataset<FeaturizingDataset>>,
     ) -> Loader<FaultyDataset<FeaturizingDataset>> {
         let epoch = self.rng.gen::<u64>();
-        let order = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len)
-            .epoch_order(epoch);
+        let order =
+            SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len).epoch_order(epoch);
         Loader::new(
             Arc::clone(dataset),
             order,
@@ -795,7 +808,10 @@ mod tests {
             let mut t = Trainer::new(cfg);
             for (i, want) in ref_losses.iter().enumerate() {
                 let got = t.train_step(&batch).loss;
-                assert!((got - want).abs() <= 1e-4, "k={k} step {i}: loss {got} vs {want}");
+                assert!(
+                    (got - want).abs() <= 1e-4,
+                    "k={k} step {i}: loss {got} vs {want}"
+                );
             }
         }
     }
@@ -813,8 +829,14 @@ mod tests {
         }
         let per_step = crate::dap::analytic_comm_volume(&cfg.model, 2);
         let total = t.dap_comm();
-        assert_eq!(total.all_gather_elements, steps * per_step.all_gather_elements);
-        assert_eq!(total.all_to_all_elements, steps * per_step.all_to_all_elements);
+        assert_eq!(
+            total.all_gather_elements,
+            steps * per_step.all_gather_elements
+        );
+        assert_eq!(
+            total.all_to_all_elements,
+            steps * per_step.all_to_all_elements
+        );
         assert_eq!(total.gathers, steps * per_step.gathers);
         assert_eq!(total.switches, steps * per_step.switches);
 
@@ -846,7 +868,9 @@ mod tests {
         cfg.precision = Precision::Bf16;
         let mut t = Trainer::new(cfg);
         let reports = t.train(3);
-        assert!(reports.iter().all(|r| r.loss.is_finite() && r.grad_norm.is_finite()));
+        assert!(reports
+            .iter()
+            .all(|r| r.loss.is_finite() && r.grad_norm.is_finite()));
     }
 
     #[test]
@@ -864,7 +888,9 @@ mod tests {
         let batch = featurize(&ds.record(0), &fresh.cfg.model.clone(), 99);
         let mut g1 = sf_autograd::Graph::new();
         let model = sf_model::AlphaFold::new(t.cfg.model.clone());
-        let o1 = model.forward(&mut g1, &mut t.store().clone(), &batch).expect("fwd");
+        let o1 = model
+            .forward(&mut g1, &mut t.store().clone(), &batch)
+            .expect("fwd");
         let mut g2 = sf_autograd::Graph::new();
         let o2 = model
             .forward(&mut g2, &mut fresh.store().clone(), &batch)
@@ -877,15 +903,17 @@ mod tests {
     fn load_checkpoint_carries_step_and_optimizer_state() {
         let ds = SyntheticDataset::new(5, 3);
         let model_cfg = fast_cfg().model;
-        let batches: Vec<_> = (0..3).map(|i| featurize(&ds.record(i), &model_cfg, 5)).collect();
+        let batches: Vec<_> = (0..3)
+            .map(|i| featurize(&ds.record(i), &model_cfg, 5))
+            .collect();
         let mut reloaded = Trainer::new(fast_cfg());
         let mut twin = Trainer::new(fast_cfg());
         for batch in &batches[..2] {
             reloaded.train_step(batch);
             twin.train_step(batch);
         }
-        let path = std::env::temp_dir()
-            .join(format!("sf_trainer_reload_{}.sfck", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("sf_trainer_reload_{}.sfck", std::process::id()));
         reloaded.save_checkpoint(&path).expect("save");
         reloaded.load_checkpoint(&path).expect("load");
         let _ = std::fs::remove_file(&path);

@@ -58,8 +58,7 @@ impl Graph {
         for &v in inputs {
             self.check(v)?;
         }
-        let input_values: Vec<Tensor> =
-            inputs.iter().map(|&v| self.value(v).clone()).collect();
+        let input_values: Vec<Tensor> = inputs.iter().map(|&v| self.value(v).clone()).collect();
         let f: Rc<CheckpointFn> = Rc::new(f);
         // Forward on a scratch tape; keep only the output value.
         let out_value = run_segment(&f, &input_values)?.0;

@@ -98,7 +98,11 @@ impl Crc32 {
             let mut c = i as u32;
             let mut k = 0;
             while k < 8 {
-                c = if c & 1 != 0 { 0xEDB88320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB88320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
                 k += 1;
             }
             table[i] = c;
@@ -296,7 +300,9 @@ impl ParamStore {
     ///
     /// Returns [`CheckpointError::Io`] if the directory cannot be read,
     /// or the *last* *decoding* error if every candidate file is invalid.
-    pub fn load_latest_valid(dir: impl AsRef<Path>) -> Result<Option<LatestCheckpoint>, CheckpointError> {
+    pub fn load_latest_valid(
+        dir: impl AsRef<Path>,
+    ) -> Result<Option<LatestCheckpoint>, CheckpointError> {
         let mut candidates: Vec<(Option<u64>, PathBuf)> = std::fs::read_dir(dir.as_ref())?
             .filter_map(|entry| {
                 let path = entry.ok()?.path();
@@ -346,7 +352,10 @@ fn step_from_name(path: &Path) -> Option<u64> {
 }
 
 fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(format!(".tmp-{}", std::process::id()));
     path.with_file_name(name)
 }
@@ -453,7 +462,10 @@ mod tests {
             buf.extend_from_slice(&version.to_le_bytes());
             buf.extend_from_slice(&0u64.to_le_bytes());
             assert!(
-                matches!(ParamStore::load_from(buf.as_slice()), Err(CheckpointError::Format(_))),
+                matches!(
+                    ParamStore::load_from(buf.as_slice()),
+                    Err(CheckpointError::Format(_))
+                ),
                 "version {version}"
             );
         }
@@ -485,8 +497,12 @@ mod tests {
     fn load_latest_valid_skips_corrupt_newest() {
         let dir = temp_dir("latest");
         let store = sample_store();
-        store.save_file(dir.join("ckpt-000010.sfck")).expect("save old");
-        store.save_file(dir.join("ckpt-000020.sfck")).expect("save new");
+        store
+            .save_file(dir.join("ckpt-000010.sfck"))
+            .expect("save old");
+        store
+            .save_file(dir.join("ckpt-000020.sfck"))
+            .expect("save new");
         // Corrupt the newest file.
         let newest = dir.join("ckpt-000020.sfck");
         let mut bytes = std::fs::read(&newest).expect("read");

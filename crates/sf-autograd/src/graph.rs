@@ -390,11 +390,8 @@ impl Graph {
         if let Some(b) = b {
             self.check(b)?;
         }
-        let v = sf_tensor::ops::matmul::linear(
-            self.value(x),
-            self.value(w),
-            b.map(|b| self.value(b)),
-        )?;
+        let v =
+            sf_tensor::ops::matmul::linear(self.value(x), self.value(w), b.map(|b| self.value(b)))?;
         Ok(self.push(v, Op::Linear { x, w, b }))
     }
 
@@ -420,7 +417,15 @@ impl Graph {
         self.check(gamma)?;
         self.check(beta)?;
         let (v, stats) = fused_forward(self.value(x), self.value(gamma), self.value(beta), LN_EPS)?;
-        Ok(self.push(v, Op::LayerNorm { x, gamma, beta, stats }))
+        Ok(self.push(
+            v,
+            Op::LayerNorm {
+                x,
+                gamma,
+                beta,
+                stats,
+            },
+        ))
     }
 
     /// Attention on contiguous `[batch..., S, D]` operands: the one-head
@@ -452,7 +457,10 @@ impl Graph {
             self.value(v),
             gate.map(|g| self.value(g)),
         )?;
-        let at = |src: Var, view: HeadView<&Tensor>| HeadVar { src, axis: view.axis };
+        let at = |src: Var, view: HeadView<&Tensor>| HeadVar {
+            src,
+            axis: view.axis,
+        };
         let views = HeadVars {
             q: at(q, whole.q),
             k: at(k, whole.k),
@@ -573,7 +581,13 @@ impl Graph {
         }
         let tensors: Vec<&Tensor> = xs.iter().map(|&x| self.value(x)).collect();
         let v = Tensor::concat(&tensors, axis)?;
-        Ok(self.push(v, Op::Concat { xs: xs.to_vec(), axis }))
+        Ok(self.push(
+            v,
+            Op::Concat {
+                xs: xs.to_vec(),
+                axis,
+            },
+        ))
     }
 
     /// Concatenation along `axis` whose forward value was produced by an
@@ -600,7 +614,13 @@ impl Graph {
                 got_dims: value.dims().to_vec(),
             });
         }
-        Ok(self.push(value, Op::Concat { xs: xs.to_vec(), axis }))
+        Ok(self.push(
+            value,
+            Op::Concat {
+                xs: xs.to_vec(),
+                axis,
+            },
+        ))
     }
 
     /// Broadcast to `dims`.
@@ -676,10 +696,21 @@ impl Graph {
             return Ok(self.push(v, Op::Reshape(x)));
         }
         let keep = 1.0 - p;
-        let mask = Tensor::rand_uniform(self.value(x).dims(), 0.0, 1.0, seed)
-            .map(|u| if u < keep { 1.0 / keep } else { 0.0 });
+        let mask = Tensor::rand_uniform(self.value(x).dims(), 0.0, 1.0, seed).map(|u| {
+            if u < keep {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        });
         let v = self.value(x).mul(&mask)?;
-        Ok(self.push(v, Op::Dropout { x, mask: Box::new(mask) }))
+        Ok(self.push(
+            v,
+            Op::Dropout {
+                x,
+                mask: Box::new(mask),
+            },
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -746,11 +777,7 @@ impl Graph {
 
 /// Adds `delta` into `grads[idx]` (in place when the shapes match),
 /// taking ownership of `delta` on first touch.
-pub(crate) fn accumulate(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    delta: Tensor,
-) -> Result<()> {
+pub(crate) fn accumulate(grads: &mut [Option<Tensor>], idx: usize, delta: Tensor) -> Result<()> {
     match &mut grads[idx] {
         Some(g) if g.dims() == delta.dims() => {
             for (a, &b) in g.data_mut().iter_mut().zip(delta.data()) {

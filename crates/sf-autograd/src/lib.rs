@@ -48,8 +48,8 @@ mod graph;
 mod op;
 mod params;
 
-pub use graph::{Graph, HeadVar, HeadVars, Var};
 pub use checkpoint_io::{CheckpointError, Crc32, LatestCheckpoint};
+pub use graph::{Graph, HeadVar, HeadVars, Var};
 pub use params::{ParamStore, SlotGrads};
 
 use std::fmt;

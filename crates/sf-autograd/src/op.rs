@@ -233,15 +233,26 @@ impl Graph {
                 let y = &self.nodes[i].value;
                 accumulate(grads, x.0, softmax_backward(y, dy)?)
             }
-            Op::LayerNorm { x, gamma, beta, stats } => {
+            Op::LayerNorm {
+                x,
+                gamma,
+                beta,
+                stats,
+            } => {
                 let xv = &self.nodes[x.0].value;
                 let gv = &self.nodes[gamma.0].value;
-                let (dx, dg, db) =
-                    fused_backward(dy, xv, gv, stats, LN_BACKWARD_BLOCK_ROWS)?;
+                let (dx, dg, db) = fused_backward(dy, xv, gv, stats, LN_BACKWARD_BLOCK_ROWS)?;
                 accumulate_each(grads, [(x.0, dx), (gamma.0, dg), (beta.0, db)])
             }
             Op::FusedAttention(node) => {
-                let AttentionNode { views, bias, mask, scale, att, lse } = &**node;
+                let AttentionNode {
+                    views,
+                    bias,
+                    mask,
+                    scale,
+                    att,
+                    lse,
+                } = &**node;
                 let att_ref = att.as_ref().unwrap_or(&self.nodes[i].value);
                 let g = attention_heads_backward(
                     &self.head_views(views),
@@ -255,8 +266,12 @@ impl Graph {
                 // The bias, then the operands from last to first: a `Var`
                 // passed as several operands sums their gradients in the
                 // order the split/merge chain of one-operand nodes would.
-                let operands =
-                    [views.gate.zip(g.dgate), Some((views.v, g.dv)), Some((views.k, g.dk)), Some((views.q, g.dq))];
+                let operands = [
+                    views.gate.zip(g.dgate),
+                    Some((views.v, g.dv)),
+                    Some((views.k, g.dk)),
+                    Some((views.q, g.dq)),
+                ];
                 let deltas = operands.into_iter().flatten().map(|(h, dh)| (h.src.0, dh));
                 let dbias = bias.zip(g.dbias).map(|(b, db)| (b.0, db));
                 accumulate_each(grads, dbias.into_iter().chain(deltas))
@@ -284,9 +299,11 @@ impl Graph {
                 }
                 Ok(())
             }
-            Op::BroadcastTo(x) => {
-                accumulate(grads, x.0, sum_to(dy.clone(), self.nodes[x.0].value.dims())?)
-            }
+            Op::BroadcastTo(x) => accumulate(
+                grads,
+                x.0,
+                sum_to(dy.clone(), self.nodes[x.0].value.dims())?,
+            ),
             Op::SumAxis { x, axis } => {
                 let dims = self.nodes[x.0].value.dims();
                 let expanded = dy.unsqueeze(*axis)?.broadcast_to(dims)?;
@@ -309,8 +326,10 @@ impl Graph {
             }
             Op::Dropout { x, mask } => accumulate(grads, x.0, dy.mul(mask)?),
             Op::Checkpoint { inputs, f } => {
-                let input_values: Vec<Tensor> =
-                    inputs.iter().map(|&v| self.nodes[v.0].value.clone()).collect();
+                let input_values: Vec<Tensor> = inputs
+                    .iter()
+                    .map(|&v| self.nodes[v.0].value.clone())
+                    .collect();
                 let input_grads =
                     crate::checkpoint::checkpoint_backward(f, &input_values, dy.clone())?;
                 let deltas = inputs.iter().zip(input_grads);
@@ -414,7 +433,11 @@ fn slice_accumulate(
     dy: &Tensor,
 ) {
     let g = grads[idx].get_or_insert_with(|| Tensor::zeros(full_dims));
-    assert_eq!(g.dims(), full_dims, "a gradient slot holds its node's shape");
+    assert_eq!(
+        g.dims(),
+        full_dims,
+        "a gradient slot holds its node's shape"
+    );
     let len = dy.dims()[axis];
     let full_axis = full_dims[axis];
     let inner: usize = full_dims[axis + 1..].iter().product();
@@ -423,7 +446,11 @@ fn slice_accumulate(
         return;
     }
     let offset = start * inner;
-    for (dst, src) in g.data_mut().chunks_exact_mut(stride).zip(dy.data().chunks_exact(window)) {
+    for (dst, src) in g
+        .data_mut()
+        .chunks_exact_mut(stride)
+        .zip(dy.data().chunks_exact(window))
+    {
         for (a, &b) in dst[offset..offset + window].iter_mut().zip(src) {
             *a += b;
         }

@@ -139,7 +139,9 @@ impl ParamStore {
 
     /// Iterates `(name, tensor)` pairs in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.sorted.iter().map(|&s| (&*self.names[s], &self.values[s]))
+        self.sorted
+            .iter()
+            .map(|&s| (&*self.names[s], &self.values[s]))
     }
 
     /// Sorted parameter names.
@@ -222,7 +224,9 @@ impl Graph {
             if !same {
                 return Err(AutogradError::UnknownParam(b.name.to_string()));
             }
-            let Some(g) = self.grads[b.var.0].take() else { continue };
+            let Some(g) = self.grads[b.var.0].take() else {
+                continue;
+            };
             match &mut out[b.slot] {
                 Some(acc) => accumulate(acc, &g)?,
                 empty => *empty = Some(g),

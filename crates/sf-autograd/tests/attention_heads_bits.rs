@@ -77,14 +77,25 @@ impl Case {
             });
         }
         g.backward(loss.unwrap()).unwrap();
-        let grad = |v: Var| g.grad(v).cloned().unwrap_or_else(|| Tensor::zeros(g.value(v).dims()));
-        (g.value(out).clone(), srcs.iter().map(|&v| grad(v)).collect(), bias.map(grad))
+        let grad = |v: Var| {
+            g.grad(v)
+                .cloned()
+                .unwrap_or_else(|| Tensor::zeros(g.value(v).dims()))
+        };
+        (
+            g.value(out).clone(),
+            srcs.iter().map(|&v| grad(v)).collect(),
+            bias.map(grad),
+        )
     }
 
     /// `Graph::attention_heads` on the views.
     fn views(&self, reuse: bool) -> Outputs {
         self.run(reuse, |g, srcs, bias| {
-            let at = |(src, axis): Operand| HeadVar { src: srcs[src], axis };
+            let at = |(src, axis): Operand| HeadVar {
+                src: srcs[src],
+                axis,
+            };
             let views = HeadVars {
                 q: at(self.q),
                 k: at(self.k),
@@ -104,7 +115,9 @@ impl Case {
             let k = self.split(g, srcs, self.k);
             let v = self.split(g, srcs, self.v);
             let gate = self.gate.map(|op| self.split(g, srcs, op));
-            let att = g.attention_fused(q, k, v, bias, None, gate, self.scale()).unwrap();
+            let att = g
+                .attention_fused(q, k, v, bias, None, gate, self.scale())
+                .unwrap();
             // [batch..., h, s_q, d] -> [lead..., h, d] with s_q back at the
             // queries' attended axis (dropped without one), then merged.
             let (src, axis) = self.q;
@@ -169,7 +182,9 @@ impl Case {
 fn separate(b1: usize, s: usize, h: usize, d: usize, biased: bool, gated: bool, seed: u64) -> Case {
     let n = if gated { 4 } else { 3 };
     Case {
-        sources: (0..n).map(|i| Tensor::randn(&[b1, s, h * d], seed + i)).collect(),
+        sources: (0..n)
+            .map(|i| Tensor::randn(&[b1, s, h * d], seed + i))
+            .collect(),
         bias: biased.then(|| Tensor::randn(&[h, s, s], seed ^ 1)),
         q: (0, Some(1)),
         k: (1, Some(1)),
@@ -186,7 +201,9 @@ fn separate_projections_match_split_chain() {
         for s in [7, 19] {
             for (biased, gated) in [(false, false), (true, false), (false, true), (true, true)] {
                 let case = separate(3, s, h, d, biased, gated, (h * 100 + d * 10 + s) as u64);
-                case.check(&format!("separate h={h} d={d} s={s} bias={biased} gate={gated}"));
+                case.check(&format!(
+                    "separate h={h} d={d} s={s} bias={biased} gate={gated}"
+                ));
             }
         }
     }
@@ -221,7 +238,11 @@ fn axis0_keys_with_single_query_match_split_chain() {
         let hd = h * d;
         let (s, r) = (9, 6);
         let case = Case {
-            sources: vec![Tensor::randn(&[r, hd], 10), Tensor::randn(&[s, r, hd], 11), Tensor::randn(&[s, r, hd], 12)],
+            sources: vec![
+                Tensor::randn(&[r, hd], 10),
+                Tensor::randn(&[s, r, hd], 11),
+                Tensor::randn(&[s, r, hd], 12),
+            ],
             bias: None,
             q: (0, None),
             k: (1, Some(0)),

@@ -44,7 +44,8 @@ fn make_inputs(
         // into -3e4, and the two paths round that absorption differently —
         // there is no 1e-5 equivalence to test there.
         mask: with_mask.then(|| {
-            let mut m = Tensor::randn(&[h, s, s], seed ^ 4).map(|x| if x > -0.8 { 1.0 } else { 0.0 });
+            let mut m =
+                Tensor::randn(&[h, s, s], seed ^ 4).map(|x| if x > -0.8 { 1.0 } else { 0.0 });
             for (r, row) in m.data_mut().chunks_mut(s).enumerate() {
                 if row.iter().all(|&x| x == 0.0) {
                     row[r % s] = 1.0;
@@ -141,10 +142,7 @@ fn run_tape(inputs: &Inputs, fused: bool) -> TapeResult {
 fn assert_equivalent(inputs: &Inputs) {
     let fused = run_tape(inputs, true);
     let composed = run_tape(inputs, false);
-    assert!(
-        fused.out.allclose(&composed.out, TOL),
-        "forward diverged"
-    );
+    assert!(fused.out.allclose(&composed.out, TOL), "forward diverged");
     assert!(fused.dq.allclose(&composed.dq, TOL), "dq diverged");
     assert!(fused.dk.allclose(&composed.dk, TOL), "dk diverged");
     assert!(fused.dv.allclose(&composed.dv, TOL), "dv diverged");
@@ -188,4 +186,3 @@ proptest! {
         assert_equivalent(&inputs);
     }
 }
-

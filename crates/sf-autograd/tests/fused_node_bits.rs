@@ -28,11 +28,18 @@ fn run(a: &Tensor, b: &Tensor, op: impl Fn(&mut Graph, Var, Var) -> Var) -> [Ten
     let weighted = g.mul(y, w).unwrap();
     let loss = g.sum_all(weighted).unwrap();
     g.backward(loss).unwrap();
-    [g.value(y).clone(), g.grad(av).unwrap().clone(), g.grad(bv).unwrap().clone()]
+    [
+        g.value(y).clone(),
+        g.grad(av).unwrap().clone(),
+        g.grad(bv).unwrap().clone(),
+    ]
 }
 
 fn assert_same(node: [Tensor; 3], chain: [Tensor; 3], what: &str) {
-    for (name, (got, want)) in ["value", "d first", "d second"].iter().zip(node.iter().zip(&chain)) {
+    for (name, (got, want)) in ["value", "d first", "d second"]
+        .iter()
+        .zip(node.iter().zip(&chain))
+    {
         assert_eq!(got.dims(), want.dims(), "{what}: {name} dims");
         assert_eq!(bits(got), bits(want), "{what}: {name} bits");
     }

@@ -53,7 +53,12 @@ fn chain_loss(input: &Tensor, ops: &[UnaryOp]) -> (f32, Tensor) {
     let loss = g.sum_all(h).expect("scalar");
     let value = g.value(loss).item();
     g.backward(loss).expect("backward");
-    (value, g.grad(x).cloned().unwrap_or_else(|| Tensor::zeros(input.dims())))
+    (
+        value,
+        g.grad(x)
+            .cloned()
+            .unwrap_or_else(|| Tensor::zeros(input.dims())),
+    )
 }
 
 proptest! {
@@ -178,7 +183,10 @@ mod checkpoint_corruption {
             for (i, ints) in tensors.into_iter().enumerate() {
                 let data: Vec<f32> = ints.into_iter().map(|x| x as f32 * 0.125).collect();
                 let n = data.len();
-                s.insert(format!("p{i}"), Tensor::from_vec(data, &[n]).expect("shape"));
+                s.insert(
+                    format!("p{i}"),
+                    Tensor::from_vec(data, &[n]).expect("shape"),
+                );
             }
             s
         })

@@ -38,21 +38,35 @@ fn main() {
     type Toggle = Box<dyn Fn(&mut OptimizationSet)>;
     let ablations: Vec<(&str, Toggle)> = vec![
         ("- GEMM batching", Box::new(|o| o.gemm_batching = false)),
-        ("- non-blocking loader", Box::new(|o| o.nonblocking_loader = false)),
+        (
+            "- non-blocking loader",
+            Box::new(|o| o.nonblocking_loader = false),
+        ),
         ("- bfloat16", Box::new(|o| o.bf16 = false)),
         ("- Triton MHA", Box::new(|o| o.triton_mha = false)),
         ("- Triton LayerNorm", Box::new(|o| o.triton_ln = false)),
         ("- fused Adam+SWA", Box::new(|o| o.fused_adam_swa = false)),
         ("- CUDA graph", Box::new(|o| o.cuda_graph = false)),
-        ("- no-ckpt (re-enable ckpt)", Box::new(|o| o.no_grad_checkpointing = false)),
-        ("- disable GC (re-enable GC)", Box::new(|o| o.disable_gc = false)),
+        (
+            "- no-ckpt (re-enable ckpt)",
+            Box::new(|o| o.no_grad_checkpointing = false),
+        ),
+        (
+            "- disable GC (re-enable GC)",
+            Box::new(|o| o.disable_gc = false),
+        ),
         ("- torch.compile", Box::new(|o| o.torch_compile = false)),
     ];
     for (name, apply) in ablations {
         let mut o = full;
         apply(&mut o);
         let t = sim(&o, |_| {});
-        println!("  {:<28} {:>8.3} s  (+{:>5.1}%)", name, t, 100.0 * (t - baseline) / baseline);
+        println!(
+            "  {:<28} {:>8.3} s  (+{:>5.1}%)",
+            name,
+            t,
+            100.0 * (t - baseline) / baseline
+        );
     }
 
     // --- Overlap fraction of the gradient all-reduce --------------------
@@ -67,7 +81,9 @@ fn main() {
     println!();
     println!("blocking-loader workers (reference model):");
     for workers in [1usize, 2, 4, 8, 16] {
-        let t = sim(&OptimizationSet::none(), |cc| cc.straggler.data_workers = workers);
+        let t = sim(&OptimizationSet::none(), |cc| {
+            cc.straggler.data_workers = workers
+        });
         println!("  workers {workers:>2}: {t:>7.3} s/step");
     }
 
@@ -80,7 +96,11 @@ fn main() {
     }
     for kib in [16usize, 256, 4096, 25 * 1024] {
         let b = GradBuckets::pack(&grads, kib * 1024);
-        println!("  bucket {kib:>6} KiB -> {:>4} buckets (kernel launches: {})", b.num_buckets(), 2 * b.num_buckets());
+        println!(
+            "  bucket {kib:>6} KiB -> {:>4} buckets (kernel launches: {})",
+            b.num_buckets(),
+            2 * b.num_buckets()
+        );
     }
 
     // --- Device sensitivity ---------------------------------------------

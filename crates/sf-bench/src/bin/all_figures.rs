@@ -20,6 +20,9 @@ fn main() {
     sf_bench::banner("Extension: fine-tuning phase");
     println!("{}", scalefold::experiments::finetune_extension());
     sf_bench::banner("Scalability (headline claim)");
-    print!("{}", scalefold::experiments::format_scaling(&scalefold::experiments::scaling()));
+    print!(
+        "{}",
+        scalefold::experiments::format_scaling(&scalefold::experiments::scaling())
+    );
     println!("(Figure 5 uses real threads: run `cargo run -p sf-bench --bin fig5`)");
 }

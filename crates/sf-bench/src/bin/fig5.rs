@@ -46,8 +46,14 @@ fn main() {
     println!("scenario: prep a=2 b=7 c=2 d=2, training step=4 (x{SCALE_MS} ms)");
     let (order_b, t_b) = run(LoaderKind::Blocking);
     let (order_nb, t_nb) = run(LoaderKind::NonBlocking);
-    println!("(i)  PyTorch-style blocking : yields \"{order_b}\"  wall {:.0} ms", t_b.as_secs_f64() * 1000.0);
-    println!("(ii) ScaleFold non-blocking : yields \"{order_nb}\"  wall {:.0} ms", t_nb.as_secs_f64() * 1000.0);
+    println!(
+        "(i)  PyTorch-style blocking : yields \"{order_b}\"  wall {:.0} ms",
+        t_b.as_secs_f64() * 1000.0
+    );
+    println!(
+        "(ii) ScaleFold non-blocking : yields \"{order_nb}\"  wall {:.0} ms",
+        t_nb.as_secs_f64() * 1000.0
+    );
     println!();
     println!(
         "non-blocking saved {:.0} ms; the slow batch 'b' was deferred, not blocking",

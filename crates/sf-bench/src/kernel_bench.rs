@@ -97,7 +97,10 @@ struct SeedOnlineSoftmax {
 
 impl SeedOnlineSoftmax {
     fn new() -> Self {
-        SeedOnlineSoftmax { max: f32::NEG_INFINITY, denom: 0.0 }
+        SeedOnlineSoftmax {
+            max: f32::NEG_INFINITY,
+            denom: 0.0,
+        }
     }
 
     fn fold_tile(&mut self, logits: &[f32], values: &[f32], acc: &mut [f32]) {
@@ -273,11 +276,17 @@ impl KernelBenchReport {
                 "      \"seed_serial_ms\": {:.4},\n",
                 t.seed_serial_ms
             ));
-            s.push_str(&format!("      \"opt_serial_ms\": {:.4},\n", t.opt_serial_ms));
+            s.push_str(&format!(
+                "      \"opt_serial_ms\": {:.4},\n",
+                t.opt_serial_ms
+            ));
             s.push_str(&format!("      \"parallel_ms\": {:.4},\n", t.parallel_ms));
             if let Some(c) = t.composed {
                 s.push_str(&format!("      \"composed_ms\": {:.4},\n", c.composed_ms));
-                s.push_str(&format!("      \"speedup_fused_vs_composed\": {:.2},\n", c.speedup));
+                s.push_str(&format!(
+                    "      \"speedup_fused_vs_composed\": {:.2},\n",
+                    c.speedup
+                ));
             }
             s.push_str(&format!(
                 "      \"speedup_opt_vs_seed\": {:.2},\n",
@@ -387,11 +396,7 @@ fn best_of<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 /// Times `a` and `b` in `reps` interleaved repeats after one warmup each,
 /// alternating which runs first. Returns the median times of `a` and `b`
 /// in milliseconds and the median over the pairs of `b_time / a_time`.
-fn interleaved_medians(
-    reps: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64, f64) {
+fn interleaved_medians(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
     fn time(f: &mut dyn FnMut()) -> f64 {
         let t0 = Instant::now();
         f();
@@ -478,7 +483,12 @@ impl BenchShapes {
 
 /// Times `[b, m, k] @ [b, k, n]`: the seed `gemm_block` loop against the
 /// engine at one thread and at `nthreads`, after checking they agree.
-fn time_matmul(name: &'static str, (b, m, k, n): (usize, usize, usize, usize), iters: usize, nthreads: usize) -> KernelTiming {
+fn time_matmul(
+    name: &'static str,
+    (b, m, k, n): (usize, usize, usize, usize),
+    iters: usize,
+    nthreads: usize,
+) -> KernelTiming {
     let a = Tensor::randn(&[b, m, k], 11);
     let bt = Tensor::randn(&[b, k, n], 12);
     let (ad, bd) = (a.data(), bt.data());
@@ -501,7 +511,10 @@ fn time_matmul(name: &'static str, (b, m, k, n): (usize, usize, usize, usize), i
     // must agree to rounding.
     let opt = matmul(&a, &bt).expect("bench matmul");
     let seed_t = Tensor::from_vec(seed(), &[b, m, n]).expect("bench seed shape");
-    assert!(opt.allclose(&seed_t, 1e-4), "tiled matmul diverged from gemm_block reference");
+    assert!(
+        opt.allclose(&seed_t, 1e-4),
+        "tiled matmul diverged from gemm_block reference"
+    );
 
     let seed_serial_ms = best_of(iters, || {
         std::hint::black_box(seed());
@@ -818,7 +831,10 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
             seed_serial_ms,
             opt_serial_ms,
             parallel_ms,
-            composed: Some(VersusComposed { composed_ms, speedup }),
+            composed: Some(VersusComposed {
+                composed_ms,
+                speedup,
+            }),
         });
     }
 
@@ -845,8 +861,13 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
         let bundled = || linear(&x, &stacked, Some(&stacked_bias)).expect("bench linear");
         let big = bundled();
         for (i, y) in separate().iter().enumerate() {
-            let part = big.slice_axis(2, i * hd, (i + 1) * hd).expect("bench slice");
-            assert!(part.allclose(y, 1e-5), "bundled projection {i} diverged from its own linear");
+            let part = big
+                .slice_axis(2, i * hd, (i + 1) * hd)
+                .expect("bench slice");
+            assert!(
+                part.allclose(y, 1e-5),
+                "bundled projection {i} diverged from its own linear"
+            );
         }
 
         // Interleaved medians: the two sides are close and each call is
@@ -885,13 +906,23 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
         let grads: Grads = slot_grads
             .iter()
             .enumerate()
-            .map(|(slot, g)| (params.name(slot).to_string(), g.clone().expect("every slot")))
+            .map(|(slot, g)| {
+                (
+                    params.name(slot).to_string(),
+                    g.clone().expect("every slot"),
+                )
+            })
             .collect();
         let (lr, decay) = (1e-3, 0.99);
-        let (mut ref_store, mut adam, mut swa) =
-            (params.clone(), Adam::new(AdamConfig::default()), Swa::new(decay));
-        let (mut fused_store, mut fused) =
-            (params.clone(), FusedAdamSwa::new(AdamConfig::default(), decay));
+        let (mut ref_store, mut adam, mut swa) = (
+            params.clone(),
+            Adam::new(AdamConfig::default()),
+            Swa::new(decay),
+        );
+        let (mut fused_store, mut fused) = (
+            params.clone(),
+            FusedAdamSwa::new(AdamConfig::default(), decay),
+        );
         // Two steps: the first seeds the averages, the second folds them.
         for _ in 0..2 {
             adam.step(&mut ref_store, &grads, lr);
@@ -904,7 +935,10 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
                 .averaged(name)
                 .zip(swa.averaged(name))
                 .is_some_and(|(f, r)| f.data() == r.data());
-            assert!(same_param && same_avg, "fused Adam+SWA diverged from Adam then SWA at {name}");
+            assert!(
+                same_param && same_avg,
+                "fused Adam+SWA diverged from Adam then SWA at {name}"
+            );
         }
 
         let seed_serial_ms = best_of(iters, || {
@@ -912,9 +946,13 @@ pub fn run(threads: usize, scale: BenchScale) -> KernelBenchReport {
             swa.update(&ref_store);
         });
         pool::set_num_threads(1);
-        let opt_serial_ms = best_of(iters, || fused.step_slots(&mut fused_store, &slot_grads, lr));
+        let opt_serial_ms = best_of(iters, || {
+            fused.step_slots(&mut fused_store, &slot_grads, lr)
+        });
         pool::set_num_threads(nthreads);
-        let parallel_ms = best_of(iters, || fused.step_slots(&mut fused_store, &slot_grads, lr));
+        let parallel_ms = best_of(iters, || {
+            fused.step_slots(&mut fused_store, &slot_grads, lr)
+        });
         let elems: usize = (0..params.len()).map(|slot| params.value(slot).len()).sum();
         timings.push(KernelTiming {
             name: "adam_swa",
@@ -980,7 +1018,10 @@ mod tests {
                 seed_serial_ms: 2.0,
                 opt_serial_ms: 1.0,
                 parallel_ms: 0.5,
-                composed: Some(VersusComposed { composed_ms: 1.5, speedup: 3.0 }),
+                composed: Some(VersusComposed {
+                    composed_ms: 1.5,
+                    speedup: 3.0,
+                }),
             }],
         };
         let json = report.to_json();

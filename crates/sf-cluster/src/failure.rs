@@ -156,7 +156,12 @@ impl ClusterSim {
     /// See [`ClusterSim::expected_run_time_with_step`] for the model; use
     /// that variant directly to sweep many configurations without
     /// re-simulating the step time.
-    pub fn expected_run_time(&self, steps: u64, ckpt_interval: u64, fm: &FailureModel) -> RunEstimate {
+    pub fn expected_run_time(
+        &self,
+        steps: u64,
+        ckpt_interval: u64,
+        fm: &FailureModel,
+    ) -> RunEstimate {
         let step_s = self.mean_step_s(steps.clamp(1, 40));
         self.expected_run_time_with_step(step_s, steps, ckpt_interval, fm)
     }
@@ -189,8 +194,8 @@ impl ClusterSim {
         let expected_failures = steps as f64 * p;
         let replay_per_failure = (interval as f64 - 1.0) / 2.0 + 1.0;
         let expected_replayed_steps = expected_failures * replay_per_failure;
-        let failure_overhead_s = expected_failures * fm.per_failure_fixed_s()
-            + expected_replayed_steps * step_s;
+        let failure_overhead_s =
+            expected_failures * fm.per_failure_fixed_s() + expected_replayed_steps * step_s;
         RunEstimate {
             steps,
             ckpt_interval: interval,
@@ -321,9 +326,18 @@ mod tests {
         };
         let p1 = fm.per_step_failure_prob(100, 1.0);
         assert!(p1 > 0.0 && p1 < 1.0);
-        assert!(fm.per_step_failure_prob(200, 1.0) > p1, "more ranks, more risk");
-        assert!(fm.per_step_failure_prob(100, 2.0) > p1, "longer steps, more risk");
-        assert_eq!(FailureModel::none().per_step_failure_prob(10_000, 10.0), 0.0);
+        assert!(
+            fm.per_step_failure_prob(200, 1.0) > p1,
+            "more ranks, more risk"
+        );
+        assert!(
+            fm.per_step_failure_prob(100, 2.0) > p1,
+            "longer steps, more risk"
+        );
+        assert_eq!(
+            FailureModel::none().per_step_failure_prob(10_000, 10.0),
+            0.0
+        );
     }
 
     #[test]
@@ -385,10 +399,23 @@ mod tests {
         };
         let totals: Vec<f64> = [1u64, 50, 1000]
             .iter()
-            .map(|&k| s.expected_run_time_with_step(1.0, 1000, k, &fm).expected_total_s)
+            .map(|&k| {
+                s.expected_run_time_with_step(1.0, 1000, k, &fm)
+                    .expected_total_s
+            })
             .collect();
-        assert!(totals[1] < totals[0], "mid {} vs dense {}", totals[1], totals[0]);
-        assert!(totals[1] < totals[2], "mid {} vs sparse {}", totals[1], totals[2]);
+        assert!(
+            totals[1] < totals[0],
+            "mid {} vs dense {}",
+            totals[1],
+            totals[0]
+        );
+        assert!(
+            totals[1] < totals[2],
+            "mid {} vs sparse {}",
+            totals[1],
+            totals[2]
+        );
     }
 
     #[test]
@@ -402,7 +429,9 @@ mod tests {
         );
         assert_eq!(grid.len(), 9);
         // Same step time everywhere; each cell reflects its own knobs.
-        assert!(grid.windows(2).all(|w| w[0].estimate.step_s == w[1].estimate.step_s));
+        assert!(grid
+            .windows(2)
+            .all(|w| w[0].estimate.step_s == w[1].estimate.step_s));
         for p in &grid {
             assert_eq!(p.estimate.ckpt_interval, p.ckpt_interval);
             assert!(p.estimate.expected_total_s >= p.estimate.compute_s);

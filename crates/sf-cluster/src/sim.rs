@@ -4,8 +4,8 @@
 
 use crate::fabric::FabricSpec;
 use crate::straggler::{DataPipeState, StragglerModel};
-use serde::{Deserialize, Serialize};
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use sf_data::{PrepTimeModel, SyntheticDataset};
 use sf_gpusim::{CpuModel, DeviceSpec};
 use sf_opgraph::builder::StepGraph;
@@ -112,8 +112,7 @@ impl ClusterSim {
         let cpu = CpuModel::healthy();
         let stats = step_time(&sharded, &cfg.device, cpu, cfg.cuda_graph);
         let dap_plan = DapCommPlan::from_graph(graph, cfg.dap);
-        let grad_bytes =
-            graph.param_elements * if cfg.bf16_comm { 2.0 } else { 4.0 };
+        let grad_bytes = graph.param_elements * if cfg.bf16_comm { 2.0 } else { 4.0 };
         ClusterSim {
             base_compute_s: stats.total_s,
             dap_plan,

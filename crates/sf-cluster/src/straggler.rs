@@ -129,12 +129,7 @@ impl DataPipeState {
     /// Advances one step: the loader prepares the next batch (cost
     /// `prep_s`) with `model.data_workers` of parallel capacity over a step
     /// of `step_compute_s`. Returns the consumer stall, in seconds.
-    pub fn step(
-        &mut self,
-        model: &StragglerModel,
-        prep_s: f64,
-        step_compute_s: f64,
-    ) -> f64 {
+    pub fn step(&mut self, model: &StragglerModel, prep_s: f64, step_compute_s: f64) -> f64 {
         let workers = model.data_workers.max(1) as f64;
         let capacity = step_compute_s * workers;
         self.backlog_s = (self.backlog_s + prep_s - capacity).max(0.0);

@@ -32,7 +32,11 @@ pub fn featurize(record: &ProteinRecord, cfg: &ModelConfig, seed: u64) -> Featur
     let mut rng = StdRng::seed_from_u64(seed ^ record.id);
     let n = cfg.n_res;
     let len = record.len();
-    let crop_start = if len > n { rng.gen_range(0..=len - n) } else { 0 };
+    let crop_start = if len > n {
+        rng.gen_range(0..=len - n)
+    } else {
+        0
+    };
     let valid = len.min(n);
 
     // Cropped residue types (padded with the unknown type).
@@ -135,8 +139,8 @@ pub fn featurize(record: &ProteinRecord, cfg: &ModelConfig, seed: u64) -> Featur
     // noise growing with template index — later templates are worse).
     let mut template_slices = Vec::with_capacity(cfg.n_templates);
     for t in 0..cfg.n_templates {
-        let noise = Tensor::randn(&[n, 3], seed ^ (t as u64 + 1) ^ record.id)
-            .mul_scalar(0.5 + t as f32);
+        let noise =
+            Tensor::randn(&[n, 3], seed ^ (t as u64 + 1) ^ record.id).mul_scalar(0.5 + t as f32);
         let noisy = true_coords.add(&noise).expect("same shape");
         template_slices.push(distogram_one_hot(&noisy));
     }
@@ -259,10 +263,7 @@ mod tests {
         assert_eq!(b.residue_mask.sum_all(), 40.0);
         // Padded positions use the unknown type.
         let last = cfg.n_res - 1;
-        assert_eq!(
-            b.target_feat.at(&[last, NUM_AA_TYPES - 1]).unwrap(),
-            1.0
-        );
+        assert_eq!(b.target_feat.at(&[last, NUM_AA_TYPES - 1]).unwrap(), 1.0);
     }
 
     #[test]

@@ -115,7 +115,10 @@ impl std::fmt::Display for LoaderError {
                 "prepare({index}) panicked on all {attempts} attempts: {message}"
             ),
             LoaderError::WorkersDisconnected { position } => {
-                write!(f, "all workers exited before position {position} was prepared")
+                write!(
+                    f,
+                    "all workers exited before position {position} was prepared"
+                )
             }
         }
     }
@@ -440,7 +443,10 @@ mod tests {
 
     /// Runs `f` on a helper thread and panics if it exceeds `timeout` —
     /// converts a would-be deadlock into a test failure.
-    fn with_deadline<T: Send + 'static>(timeout: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    fn with_deadline<T: Send + 'static>(
+        timeout: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
         let (tx, rx) = std::sync::mpsc::channel();
         let h = std::thread::spawn(move || {
             let _ = tx.send(f());
@@ -507,7 +513,9 @@ mod tests {
         let delays = vec![ms(5), ms(80), ms(5), ms(5), ms(5), ms(5)];
         let order: Vec<usize> = (0..delays.len()).collect();
         let run = |kind: LoaderKind| -> Duration {
-            let d = Arc::new(SleepyDataset { delays: delays.clone() });
+            let d = Arc::new(SleepyDataset {
+                delays: delays.clone(),
+            });
             let start = Instant::now();
             for r in Loader::new(d, order.clone(), LoaderConfig::with_workers(2), kind) {
                 r.expect("no faults");
@@ -556,10 +564,14 @@ mod tests {
             delays: vec![ms(2); 6],
         });
         for kind in KINDS {
-            let got: Vec<usize> =
-                Loader::new(Arc::clone(&d), (0..6).collect(), LoaderConfig::with_workers(1), kind)
-                    .map(|r| r.expect("no faults").0)
-                    .collect();
+            let got: Vec<usize> = Loader::new(
+                Arc::clone(&d),
+                (0..6).collect(),
+                LoaderConfig::with_workers(1),
+                kind,
+            )
+            .map(|r| r.expect("no faults").0)
+            .collect();
             assert_eq!(got, (0..6).collect::<Vec<_>>(), "{kind:?}"); // 1 worker => in order
         }
     }
@@ -570,8 +582,12 @@ mod tests {
             delays: vec![ms(5); 20],
         });
         for kind in KINDS {
-            let mut loader =
-                Loader::new(Arc::clone(&d), (0..20).collect(), LoaderConfig::default(), kind);
+            let mut loader = Loader::new(
+                Arc::clone(&d),
+                (0..20).collect(),
+                LoaderConfig::default(),
+                kind,
+            );
             let _ = loader.next();
             drop(loader); // must not hang or panic
         }
@@ -585,7 +601,10 @@ mod tests {
             Loader::new(d, (0..5).collect(), fast_retry_cfg(2), kind).collect::<Vec<_>>()
         });
         assert_eq!(results.len(), 5, "{kind:?}");
-        let got: Vec<usize> = results.iter().filter_map(|r| Some(r.as_ref().ok()?.0)).collect();
+        let got: Vec<usize> = results
+            .iter()
+            .filter_map(|r| Some(r.as_ref().ok()?.0))
+            .collect();
         assert_eq!(got.len(), 4, "{kind:?}");
         assert!(!got.contains(&2), "{kind:?}: {got:?}");
         let errs: Vec<&LoaderError> = results.iter().filter_map(|r| r.as_ref().err()).collect();

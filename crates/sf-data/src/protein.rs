@@ -67,7 +67,8 @@ impl SyntheticDataset {
     /// Panics if `index >= len`.
     pub fn record(&self, index: usize) -> ProteinRecord {
         assert!(index < self.len, "index {index} out of {}", self.len);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (index as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ (index as u64).wrapping_mul(0x9E3779B97F4A7C15));
 
         // Length: log-normal around ~250 residues, clamped to [40, 2000].
         let ln_len: f32 = 5.4 + 0.6 * normal(&mut rng);
@@ -113,7 +114,10 @@ impl SyntheticDataset {
     /// A shuffled epoch order (Fisher–Yates, deterministic in `epoch`).
     pub fn epoch_order(&self, epoch: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(epoch.wrapping_mul(0x2545F4914F6CDD1D)));
+        let mut rng = StdRng::seed_from_u64(
+            self.seed
+                .wrapping_add(epoch.wrapping_mul(0x2545F4914F6CDD1D)),
+        );
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);

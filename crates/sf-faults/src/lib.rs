@@ -90,16 +90,20 @@ impl FaultPlan {
     /// Adds a transient worker panic on `dataset_index` that recovers
     /// after `times` panicking attempts.
     pub fn with_transient_worker_panic(mut self, dataset_index: usize, times: u32) -> Self {
-        self.faults
-            .push(FaultKind::WorkerPanic { dataset_index, times });
+        self.faults.push(FaultKind::WorkerPanic {
+            dataset_index,
+            times,
+        });
         self
     }
 
     /// Adds a deterministic straggler: `prepare(dataset_index)` gains
     /// `delay` of latency.
     pub fn with_slow_sample(mut self, dataset_index: usize, delay: Duration) -> Self {
-        self.faults
-            .push(FaultKind::SlowSample { dataset_index, delay });
+        self.faults.push(FaultKind::SlowSample {
+            dataset_index,
+            delay,
+        });
         self
     }
 
@@ -170,7 +174,10 @@ impl std::fmt::Display for FaultEvent {
             FaultEvent::InjectedPanic {
                 dataset_index,
                 attempt,
-            } => write!(f, "injected panic in prepare({dataset_index}) attempt {attempt}"),
+            } => write!(
+                f,
+                "injected panic in prepare({dataset_index}) attempt {attempt}"
+            ),
             FaultEvent::InjectedDelay {
                 dataset_index,
                 delay,
@@ -388,17 +395,25 @@ mod tests {
             max_retries: 1,
             retry_backoff: Duration::from_millis(1),
         };
-        let results: Vec<_> = Loader::new(d, (0..4).collect(), cfg, LoaderKind::NonBlocking).collect();
+        let results: Vec<_> =
+            Loader::new(d, (0..4).collect(), cfg, LoaderKind::NonBlocking).collect();
         let errs: Vec<_> = results.into_iter().filter_map(Result::err).collect();
         assert_eq!(errs.len(), 1);
         assert!(matches!(
             &errs[0],
-            LoaderError::PreparePanicked { index: 1, attempts: 2, .. }
+            LoaderError::PreparePanicked {
+                index: 1,
+                attempts: 2,
+                ..
+            }
         ));
-        assert!(inj
-            .log()
-            .iter()
-            .any(|e| matches!(e, FaultEvent::InjectedPanic { dataset_index: 1, .. })));
+        assert!(inj.log().iter().any(|e| matches!(
+            e,
+            FaultEvent::InjectedPanic {
+                dataset_index: 1,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -410,7 +425,8 @@ mod tests {
             max_retries: 3,
             retry_backoff: Duration::from_millis(1),
         };
-        let results: Vec<_> = Loader::new(d, (0..2).collect(), cfg, LoaderKind::NonBlocking).collect();
+        let results: Vec<_> =
+            Loader::new(d, (0..2).collect(), cfg, LoaderKind::NonBlocking).collect();
         assert!(results.iter().all(Result::is_ok), "{results:?}");
     }
 

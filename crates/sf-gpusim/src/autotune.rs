@@ -95,7 +95,11 @@ impl KernelTemplate {
         let block_hiding = (blocks as f64 / (device.sm_count * 64) as f64).clamp(0.0, 1.0);
         let hiding = ilp.max(block_hiding);
         // Register pressure: too much work per lane causes spills.
-        let spill = if per_lane > 64.0 { 64.0 / per_lane } else { 1.0 };
+        let spill = if per_lane > 64.0 {
+            64.0 / per_lane
+        } else {
+            1.0
+        };
         let efficiency = (0.85 * hiding * spill).clamp(0.01, 1.0);
 
         // Parallelism for bandwidth occupancy: row-level parallelism is
@@ -197,11 +201,19 @@ mod tests {
         let t = KernelTemplate::layer_norm(1024, 64, 8.0);
         let dev = DeviceSpec::h100();
         let narrow = t.instantiate(
-            TileConfig { block_m: 4, block_n: 64, num_warps: 4 },
+            TileConfig {
+                block_m: 4,
+                block_n: 64,
+                num_warps: 4,
+            },
             &dev,
         );
         let wide = t.instantiate(
-            TileConfig { block_m: 4, block_n: 512, num_warps: 4 },
+            TileConfig {
+                block_m: 4,
+                block_n: 512,
+                num_warps: 4,
+            },
             &dev,
         );
         assert!(wide.bytes > 4.0 * narrow.bytes);

@@ -110,7 +110,9 @@ mod tests {
     use crate::stream::CpuModel;
 
     fn kernels() -> Vec<Kernel> {
-        (0..200).map(|i| Kernel::memory(format!("k{i}"), 1e5, 64)).collect()
+        (0..200)
+            .map(|i| Kernel::memory(format!("k{i}"), 1e5, 64))
+            .collect()
     }
 
     #[test]

@@ -78,7 +78,10 @@ impl Kernel {
     ///
     /// Panics unless `0 < eff <= 1`.
     pub fn with_efficiency(mut self, eff: f64) -> Self {
-        assert!(eff > 0.0 && eff <= 1.0, "efficiency must be in (0,1], got {eff}");
+        assert!(
+            eff > 0.0 && eff <= 1.0,
+            "efficiency must be in (0,1], got {eff}"
+        );
         self.efficiency = eff;
         self
     }
@@ -152,7 +155,12 @@ mod tests {
     fn classification_matches_intuition() {
         let dev = DeviceSpec::a100();
         // Big square GEMM: heavily math-bound.
-        let gemm = Kernel::math("gemm", 2.0 * 4096f64.powi(3), 3.0 * 4096.0 * 4096.0 * 4.0, 4096);
+        let gemm = Kernel::math(
+            "gemm",
+            2.0 * 4096f64.powi(3),
+            3.0 * 4096.0 * 4096.0 * 4.0,
+            4096,
+        );
         assert_eq!(gemm.class(&dev), KernelClass::MathBound);
         // LayerNorm: pure traffic.
         let ln = Kernel::memory("layernorm", 3.0 * 1e6 * 4.0, 1024);

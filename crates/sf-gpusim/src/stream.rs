@@ -182,13 +182,17 @@ mod tests {
     use super::*;
 
     fn tiny_kernels(n: usize) -> Vec<Kernel> {
-        (0..n).map(|i| Kernel::memory(format!("k{i}"), 1e5, 64)).collect()
+        (0..n)
+            .map(|i| Kernel::memory(format!("k{i}"), 1e5, 64))
+            .collect()
     }
 
     #[test]
     fn eager_large_kernels_hide_launches() {
         let s = Stream::new(DeviceSpec::a100(), CpuModel::healthy());
-        let big: Vec<Kernel> = (0..10).map(|i| Kernel::memory(format!("k{i}"), 1e9, 4096)).collect();
+        let big: Vec<Kernel> = (0..10)
+            .map(|i| Kernel::memory(format!("k{i}"), 1e9, 4096))
+            .collect();
         let stats = s.run_eager(&big);
         // Launch cost is tiny relative to ms-scale kernels.
         assert!(stats.cpu_exposed_s < 0.05 * stats.total_s);

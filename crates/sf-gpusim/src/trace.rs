@@ -58,7 +58,9 @@ mod tests {
     use sf_trace::EventKind;
 
     fn tiny_kernels(n: usize) -> Vec<Kernel> {
-        (0..n).map(|i| Kernel::memory(format!("k{i}"), 1e5, 64)).collect()
+        (0..n)
+            .map(|i| Kernel::memory(format!("k{i}"), 1e5, 64))
+            .collect()
     }
 
     #[test]
@@ -107,7 +109,8 @@ mod tests {
         }
         let gap_s = gap_us as f64 * 1e-6;
         assert!(
-            (gap_s - stats.cpu_exposed_s).abs() < 5e-5 * stats.total_s.max(1e-9) + 2e-6 * ks.len() as f64,
+            (gap_s - stats.cpu_exposed_s).abs()
+                < 5e-5 * stats.total_s.max(1e-9) + 2e-6 * ks.len() as f64,
             "gaps {gap_s} vs exposed {}",
             stats.cpu_exposed_s
         );

@@ -9,9 +9,7 @@ use sf_gpusim::{
 
 fn arb_kernel() -> impl Strategy<Value = Kernel> {
     (1.0f64..1e12, 1.0f64..1e10, 1usize..10_000, 0.05f64..1.0).prop_map(
-        |(flops, bytes, par, eff)| {
-            Kernel::math("k", flops, bytes, par).with_efficiency(eff)
-        },
+        |(flops, bytes, par, eff)| Kernel::math("k", flops, bytes, par).with_efficiency(eff),
     )
 }
 

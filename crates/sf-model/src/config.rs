@@ -157,8 +157,8 @@ impl ModelConfig {
             let att_msa = 4 * c_m * cfg.msa_heads * cfg.c_hidden_msa
                 + cfg.msa_heads * cfg.c_hidden_msa * c_m
                 + c_z * cfg.msa_heads;
-            let att_col = 4 * c_m * cfg.msa_heads * cfg.c_hidden_msa
-                + cfg.msa_heads * cfg.c_hidden_msa * c_m;
+            let att_col =
+                4 * c_m * cfg.msa_heads * cfg.c_hidden_msa + cfg.msa_heads * cfg.c_hidden_msa * c_m;
             let msa_trans = 2 * c_m * c_m * cfg.transition_factor;
             let opm = 2 * c_m * cfg.c_opm + cfg.c_opm * cfg.c_opm * c_z;
             let tri_mul = 2 * (4 * c_z * cfg.c_hidden_mul + cfg.c_hidden_mul * c_z + c_z * c_z);
@@ -173,9 +173,8 @@ impl ModelConfig {
         let extra = self.extra_msa_blocks * evo(self.c_e, self.c_z, self);
         let templ = self.template_blocks * evo(self.c_t, self.c_t, self);
         let structure = self.structure_layers * (3 * self.c_s * self.c_s + self.c_s * 3);
-        let embed = self.msa_feat_dim() * self.c_m
-            + 2 * self.target_feat_dim() * self.c_z
-            + 65 * self.c_z;
+        let embed =
+            self.msa_feat_dim() * self.c_m + 2 * self.target_feat_dim() * self.c_z + 65 * self.c_z;
         main + extra + templ + structure + embed
     }
 }

@@ -93,7 +93,10 @@ impl AxialCollectives for LocalAxial {
 pub fn dap_scatter(g: &mut Graph, x: Var, ranks: usize) -> Result<Vec<Var>> {
     let d0 = g.value(x).dims()[0];
     if ranks == 0 || !d0.is_multiple_of(ranks) {
-        return Err(AutogradError::UnevenShard { axis_len: d0, ranks });
+        return Err(AutogradError::UnevenShard {
+            axis_len: d0,
+            ranks,
+        });
     }
     if ranks == 1 {
         return Ok(vec![x]);
@@ -153,7 +156,10 @@ pub fn dap_axis_switch(
     assert!(d.len() >= 2, "axis switch needs at least two axes");
     let (a_k, b) = (d[0], d[1]);
     if !b.is_multiple_of(n) {
-        return Err(AutogradError::UnevenShard { axis_len: b, ranks: n });
+        return Err(AutogradError::UnevenShard {
+            axis_len: b,
+            ranks: n,
+        });
     }
     let b_k = b / n;
 
@@ -266,7 +272,13 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(Tensor::randn(&[5, 4], 1));
         let err = dap_scatter(&mut g, x, 2).unwrap_err();
-        assert_eq!(err, AutogradError::UnevenShard { axis_len: 5, ranks: 2 });
+        assert_eq!(
+            err,
+            AutogradError::UnevenShard {
+                axis_len: 5,
+                ranks: 2
+            }
+        );
         assert!(err.to_string().contains("length 5"), "{err}");
         assert!(err.to_string().contains("2 DAP ranks"), "{err}");
     }
@@ -277,7 +289,13 @@ mod tests {
         let x = g.constant(Tensor::randn(&[4, 5, 2], 3));
         let shards = dap_scatter(&mut g, x, 2).unwrap();
         let err = dap_axis_switch(&mut g, &LocalAxial(2), &shards).unwrap_err();
-        assert_eq!(err, AutogradError::UnevenShard { axis_len: 5, ranks: 2 });
+        assert_eq!(
+            err,
+            AutogradError::UnevenShard {
+                axis_len: 5,
+                ranks: 2
+            }
+        );
     }
 
     #[test]

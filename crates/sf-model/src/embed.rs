@@ -33,7 +33,10 @@ pub fn distogram_one_hot(coords: &Tensor) -> Tensor {
     for i in 0..n {
         for j in 0..n {
             let dist = d.at(&[i, j]).expect("in range");
-            let bin = edges.iter().position(|&e| dist < e).unwrap_or(DISTOGRAM_BINS - 1);
+            let bin = edges
+                .iter()
+                .position(|&e| dist < e)
+                .unwrap_or(DISTOGRAM_BINS - 1);
             out.data_mut()[(i * n + j) * DISTOGRAM_BINS + bin] = 1.0;
         }
     }
@@ -234,8 +237,14 @@ fn template_pointwise_attention(
     // place along the template axis.
     let views = HeadVars {
         q: HeadVar { src: q, axis: None },
-        k: HeadVar { src: k, axis: Some(0) },
-        v: HeadVar { src: v, axis: Some(0) },
+        k: HeadVar {
+            src: k,
+            axis: Some(0),
+        },
+        v: HeadVar {
+            src: v,
+            axis: Some(0),
+        },
         gate: None,
         heads,
         d,
@@ -273,8 +282,7 @@ mod tests {
 
     #[test]
     fn distogram_one_hot_bins() {
-        let coords =
-            Tensor::from_vec(vec![0.0, 0.0, 0.0, 100.0, 0.0, 0.0], &[2, 3]).unwrap();
+        let coords = Tensor::from_vec(vec![0.0, 0.0, 0.0, 100.0, 0.0, 0.0], &[2, 3]).unwrap();
         let d = distogram_one_hot(&coords);
         // Self-distance 0 -> first bin; 100 Å -> last bin.
         assert_eq!(d.at(&[0, 0, 0]).unwrap(), 1.0);

@@ -242,7 +242,14 @@ fn gated_axis_attention(
     let v = linear_no_bias(g, store, prefix, "v", hd, x)?;
     let gate = linear(g, store, prefix, "gate", hd, x)?;
     let at = |src: Var| HeadVar { src, axis: Some(1) };
-    let views = HeadVars { q: at(q), k: at(k), v: at(v), gate: Some(at(gate)), heads, d: c_hidden };
+    let views = HeadVars {
+        q: at(q),
+        k: at(k),
+        v: at(v),
+        gate: Some(at(gate)),
+        heads,
+        d: c_hidden,
+    };
     let scale = 1.0 / (c_hidden as f32).sqrt();
     // One kernel: scale + pair bias + softmax + sigmoid gate, with
     // softmax-backward folded into the attention grad.
@@ -367,7 +374,10 @@ pub fn msa_global_column_attention(
     let mean = g.mean_axis(q, 0)?; // [R, hd]
     let kv = |src: Var| HeadVar { src, axis: Some(0) };
     let views = HeadVars {
-        q: HeadVar { src: mean, axis: None },
+        q: HeadVar {
+            src: mean,
+            axis: None,
+        },
         k: kv(k),
         v: kv(v),
         gate: None,
@@ -376,7 +386,7 @@ pub fn msa_global_column_attention(
     };
     let scale = 1.0 / (dims.c_hidden_msa as f32).sqrt();
     let att_flat = g.attention_heads(views, None, None, scale)?; // [R, hd]
-    // Per-sequence gating of the shared column output.
+                                                                 // Per-sequence gating of the shared column output.
     let gated = g.gate(gate, att_flat)?; // broadcast over S
     let out = linear(g, store, prefix, "out", dims.c_m, gated)?;
     dropout_residual(g, dims, prefix, 0, m, out)
@@ -569,7 +579,11 @@ pub fn triangle_attention(
 ) -> Result<Var> {
     // Ending-node attention is starting-node attention on the transposed
     // pair tensor.
-    let zin = if starting { z } else { g.permute(z, &[1, 0, 2])? };
+    let zin = if starting {
+        z
+    } else {
+        g.permute(z, &[1, 0, 2])?
+    };
     let out = triangle_attention_shards(g, store, dims, &[prefix], zin, &[zin])?[0];
     if starting {
         Ok(out)
@@ -597,13 +611,27 @@ mod tests {
         let p = |name: &str| format!("{prefix}.{name}");
         let m = msa_row_attention_with_pair_bias(g, store, dims, &p("msa_row"), m, z)?;
         let m = msa_column_attention(g, store, dims, &p("msa_col"), m)?;
-        let m = transition(g, store, dims.c_m, dims.transition_factor, &p("msa_trans"), m)?;
+        let m = transition(
+            g,
+            store,
+            dims.c_m,
+            dims.transition_factor,
+            &p("msa_trans"),
+            m,
+        )?;
         let z = outer_product_mean(g, store, dims, &p("opm"), m, z)?;
         let z = triangle_multiplication(g, store, dims, &p("tri_mul_out"), z, true)?;
         let z = triangle_multiplication(g, store, dims, &p("tri_mul_in"), z, false)?;
         let z = triangle_attention(g, store, dims, &p("tri_att_start"), z, true)?;
         let z = triangle_attention(g, store, dims, &p("tri_att_end"), z, false)?;
-        let z = transition(g, store, dims.c_z, dims.transition_factor, &p("pair_trans"), z)?;
+        let z = transition(
+            g,
+            store,
+            dims.c_z,
+            dims.transition_factor,
+            &p("pair_trans"),
+            z,
+        )?;
         Ok((m, z))
     }
 
@@ -622,7 +650,17 @@ mod tests {
         let (mut g, mut store, dims, m, z) = setup();
         let m_dims = g.value(m).dims().to_vec();
         let z_dims = g.value(z).dims().to_vec();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false, &LocalAxial(1)).unwrap();
+        let (m2, z2) = evoformer_block(
+            &mut g,
+            &mut store,
+            &dims,
+            "blk0",
+            m,
+            z,
+            false,
+            &LocalAxial(1),
+        )
+        .unwrap();
         assert_eq!(g.value(m2).dims(), m_dims.as_slice());
         assert_eq!(g.value(z2).dims(), z_dims.as_slice());
         assert!(!g.value(m2).has_non_finite());
@@ -632,7 +670,17 @@ mod tests {
     #[test]
     fn block_output_differs_from_input() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false, &LocalAxial(1)).unwrap();
+        let (m2, z2) = evoformer_block(
+            &mut g,
+            &mut store,
+            &dims,
+            "blk0",
+            m,
+            z,
+            false,
+            &LocalAxial(1),
+        )
+        .unwrap();
         assert!(!g.value(m2).allclose(g.value(m), 1e-6));
         assert!(!g.value(z2).allclose(g.value(z), 1e-6));
     }
@@ -640,7 +688,8 @@ mod tests {
     #[test]
     fn gradients_reach_all_block_params() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, &LocalAxial(1)).unwrap();
+        let (m2, z2) =
+            evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, &LocalAxial(1)).unwrap();
         let lm = g.sum_all(m2).unwrap();
         let lz = g.sum_all(z2).unwrap();
         let loss = g.add(lm, lz).unwrap();
@@ -660,8 +709,7 @@ mod tests {
     fn pair_bias_affects_msa_track() {
         // Zeroing z must change the row-attention output (bias path alive).
         let (mut g, mut store, dims, m, z) = setup();
-        let out1 =
-            msa_row_attention_with_pair_bias(&mut g, &mut store, &dims, "pb", m, z).unwrap();
+        let out1 = msa_row_attention_with_pair_bias(&mut g, &mut store, &dims, "pb", m, z).unwrap();
         let z0 = g.constant(Tensor::zeros(g.value(z).dims()));
         let out2 =
             msa_row_attention_with_pair_bias(&mut g, &mut store, &dims, "pb", m, z0).unwrap();
@@ -758,9 +806,8 @@ mod tests {
         let dims = BlockDims::extra(&cfg);
         let mut g = Graph::new();
         let mut store = ParamStore::new();
-        let m = g.constant(
-            Tensor::randn(&[cfg.n_extra_seq, cfg.n_res, cfg.c_e], 41).mul_scalar(0.3),
-        );
+        let m =
+            g.constant(Tensor::randn(&[cfg.n_extra_seq, cfg.n_res, cfg.c_e], 41).mul_scalar(0.3));
         let out = msa_global_column_attention(&mut g, &mut store, &dims, &["gc"], m).unwrap();
         assert_eq!(g.value(out).dims(), &[cfg.n_extra_seq, cfg.n_res, cfg.c_e]);
         assert!(!g.value(out).has_non_finite());
@@ -805,9 +852,11 @@ mod tests {
         let mut store = ParamStore::new();
         let m = g.constant(Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 31).mul_scalar(0.3));
         let z = g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 32).mul_scalar(0.3));
-        let (m_dry, z_dry) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
+        let (m_dry, z_dry) =
+            evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
         dims.dropout = 0.3;
-        let (m_wet, z_wet) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
+        let (m_wet, z_wet) =
+            evoformer_block(&mut g, &mut store, &dims, "d", m, z, false, &LocalAxial(1)).unwrap();
         assert_eq!(g.value(m_wet).dims(), g.value(m_dry).dims());
         assert!(!g.value(m_wet).allclose(g.value(m_dry), 1e-7));
         assert!(!g.value(z_wet).allclose(g.value(z_dry), 1e-7));
@@ -880,8 +929,16 @@ mod tests {
             let dap = LocalAxial(k);
             let (mk, zk) =
                 evoformer_block(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap).unwrap();
-            assert_eq!(g.value(mk).data(), m_ref.data(), "k={k}: MSA track diverged");
-            assert_eq!(g.value(zk).data(), z_ref.data(), "k={k}: pair track diverged");
+            assert_eq!(
+                g.value(mk).data(),
+                m_ref.data(),
+                "k={k}: MSA track diverged"
+            );
+            assert_eq!(
+                g.value(zk).data(),
+                z_ref.data(),
+                "k={k}: pair track diverged"
+            );
         }
     }
 

@@ -38,7 +38,11 @@ impl FeatureBatch {
     /// Returns [`TensorError::ShapeMismatch`] naming the offending feature.
     pub fn validate(&self, cfg: &ModelConfig) -> Result<(), TensorError> {
         let checks: [(&str, &Tensor, Vec<usize>); 7] = [
-            ("target_feat", &self.target_feat, vec![cfg.n_res, NUM_AA_TYPES]),
+            (
+                "target_feat",
+                &self.target_feat,
+                vec![cfg.n_res, NUM_AA_TYPES],
+            ),
             (
                 "msa_feat",
                 &self.msa_feat,

@@ -180,12 +180,7 @@ impl FrameBatch {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying ops.
-    pub fn compose_update(
-        &self,
-        g: &mut Graph,
-        imag: Var,
-        dt: Var,
-    ) -> Result<FrameBatch> {
+    pub fn compose_update(&self, g: &mut Graph, imag: Var, dt: Var) -> Result<FrameBatch> {
         let n = g.value(imag).dims()[0];
         let ones = g.constant(sf_tensor::Tensor::ones(&[n, 1]));
         let dq = g.concat(&[ones, imag], 1)?;
@@ -306,9 +301,10 @@ mod tests {
         let f1 = frames.compose_update(&mut g, zero_imag, dt).unwrap();
         let f2 = f1.compose_update(&mut g, zero_imag, dt).unwrap();
         // Identity rotation: translations simply add.
-        assert!(g
-            .value(f2.trans)
-            .allclose(&Tensor::from_vec(vec![2.0, 0.0, 0.0, 0.0, 4.0, 0.0], &[2, 3]).unwrap(), 1e-5));
+        assert!(g.value(f2.trans).allclose(
+            &Tensor::from_vec(vec![2.0, 0.0, 0.0, 0.0, 4.0, 0.0], &[2, 3]).unwrap(),
+            1e-5
+        ));
         // Quaternions stay unit.
         for row in g.value(f2.quat).data().chunks(4) {
             let n: f32 = row.iter().map(|v| v * v).sum::<f32>().sqrt();

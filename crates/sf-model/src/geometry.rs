@@ -31,7 +31,12 @@ impl Default for Quat {
 impl Quat {
     /// The identity rotation.
     pub fn identity() -> Self {
-        Quat { w: 1.0, x: 0.0, y: 0.0, z: 0.0 }
+        Quat {
+            w: 1.0,
+            x: 0.0,
+            y: 0.0,
+            z: 0.0,
+        }
     }
 
     /// Rotation of `angle` radians about a (not necessarily unit) axis.
@@ -62,7 +67,12 @@ impl Quat {
 
     /// The inverse rotation (conjugate, assuming unit norm).
     pub fn conjugate(self) -> Quat {
-        Quat { w: self.w, x: -self.x, y: -self.y, z: -self.z }
+        Quat {
+            w: self.w,
+            x: -self.x,
+            y: -self.y,
+            z: -self.z,
+        }
     }
 
     /// Quaternion norm.
@@ -76,7 +86,12 @@ impl Quat {
         if n == 0.0 {
             return Quat::identity();
         }
-        Quat { w: self.w / n, x: self.x / n, y: self.y / n, z: self.z / n }
+        Quat {
+            w: self.w / n,
+            x: self.x / n,
+            y: self.y / n,
+            z: self.z / n,
+        }
     }
 
     /// Rotates a point.
@@ -130,7 +145,11 @@ impl Rigid {
     /// Applies the transform to a point.
     pub fn apply(self, p: [f32; 3]) -> [f32; 3] {
         let r = self.rot.rotate(p);
-        [r[0] + self.trans[0], r[1] + self.trans[1], r[2] + self.trans[2]]
+        [
+            r[0] + self.trans[0],
+            r[1] + self.trans[1],
+            r[2] + self.trans[2],
+        ]
     }
 
     /// Composition `self ∘ other` (apply `other` first).
@@ -150,7 +169,10 @@ impl Rigid {
     pub fn inverse(self) -> Rigid {
         let rinv = self.rot.conjugate();
         let t = rinv.rotate(self.trans);
-        Rigid { rot: rinv, trans: [-t[0], -t[1], -t[2]] }
+        Rigid {
+            rot: rinv,
+            trans: [-t[0], -t[1], -t[2]],
+        }
     }
 }
 
@@ -267,11 +289,8 @@ mod tests {
 
     #[test]
     fn distance_matrix_properties() {
-        let coords = Tensor::from_vec(
-            vec![0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 4.0, 0.0],
-            &[3, 3],
-        )
-        .unwrap();
+        let coords =
+            Tensor::from_vec(vec![0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 4.0, 0.0], &[3, 3]).unwrap();
         let d = distance_matrix(&coords);
         assert_eq!(d.at(&[0, 0]).unwrap(), 0.0);
         assert_eq!(d.at(&[0, 1]).unwrap(), 3.0);

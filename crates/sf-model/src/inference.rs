@@ -42,7 +42,9 @@ pub fn distogram_bin_centers() -> Vec<f32> {
 /// [`DISTOGRAM_BINS`].
 pub fn decode_distogram(logits: &Tensor, contact_cutoff: f32) -> Result<PairPredictions> {
     let dims = logits.dims();
-    let bins = *dims.last().ok_or(sf_tensor::TensorError::EmptyInput("distogram"))?;
+    let bins = *dims
+        .last()
+        .ok_or(sf_tensor::TensorError::EmptyInput("distogram"))?;
     if bins != DISTOGRAM_BINS {
         return Err(sf_tensor::TensorError::ShapeMismatch {
             op: "distogram bins",

@@ -154,7 +154,10 @@ pub fn distogram_loss(
                 continue;
             }
             let dist = d_true.data()[i * n + j];
-            let bin = edges.iter().position(|&e| dist < e).unwrap_or(DISTOGRAM_BINS - 1);
+            let bin = edges
+                .iter()
+                .position(|&e| dist < e)
+                .unwrap_or(DISTOGRAM_BINS - 1);
             one_hot.data_mut()[(i * n + j) * DISTOGRAM_BINS + bin] = 1.0;
             weight.data_mut()[i * n + j] = 1.0;
         }
@@ -217,8 +220,7 @@ pub fn plddt_loss(
     residue_mask: &Tensor,
 ) -> Result<Var> {
     let n = true_coords.dims()[0];
-    let targets =
-        crate::metrics::lddt_ca_per_residue(pred_coords_value, true_coords, residue_mask);
+    let targets = crate::metrics::lddt_ca_per_residue(pred_coords_value, true_coords, residue_mask);
     let t = g.constant(Tensor::from_vec(targets, &[n])?.reshape(&[n, 1])?);
     let p = g.sigmoid(plddt_logits)?;
     let err = g.sub(p, t)?;
@@ -254,7 +256,13 @@ pub fn total_loss(
     let mut total = g.add(t1, msa_w)?;
     if let Some(logits) = plddt_logits {
         let coords_value = g.value(pred_coords).clone();
-        let pl = plddt_loss(g, logits, &coords_value, &batch.true_coords, &batch.residue_mask)?;
+        let pl = plddt_loss(
+            g,
+            logits,
+            &coords_value,
+            &batch.true_coords,
+            &batch.residue_mask,
+        )?;
         let pl_w = g.scale(pl, 0.01)?;
         total = g.add(total, pl_w)?;
     }
@@ -330,12 +338,10 @@ mod tests {
     fn cross_entropy_prefers_correct_class() {
         let mut g = Graph::new();
         // Two positions, 3 classes; logits strongly favour class 0.
-        let good = g.constant(
-            Tensor::from_vec(vec![10.0, 0.0, 0.0, 10.0, 0.0, 0.0], &[2, 3]).unwrap(),
-        );
-        let bad = g.constant(
-            Tensor::from_vec(vec![0.0, 10.0, 0.0, 0.0, 0.0, 10.0], &[2, 3]).unwrap(),
-        );
+        let good =
+            g.constant(Tensor::from_vec(vec![10.0, 0.0, 0.0, 10.0, 0.0, 0.0], &[2, 3]).unwrap());
+        let bad =
+            g.constant(Tensor::from_vec(vec![0.0, 10.0, 0.0, 0.0, 0.0, 10.0], &[2, 3]).unwrap());
         let mut one_hot = Tensor::zeros(&[2, 3]);
         one_hot.data_mut()[0] = 1.0;
         one_hot.data_mut()[3] = 1.0;
@@ -397,12 +403,9 @@ mod tests {
         let mut g = Graph::new();
         let mut store = ParamStore::new();
         let m = g.constant(Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 9).mul_scalar(0.3));
-        let z = g.constant(
-            Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 10).mul_scalar(0.3),
-        );
+        let z = g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 10).mul_scalar(0.3));
         let pred = g.constant(Tensor::randn(&[cfg.n_res, 3], 11).mul_scalar(3.0));
-        let (total, bd) =
-            total_loss(&mut g, &mut store, &cfg, m, z, pred, None, &batch).unwrap();
+        let (total, bd) = total_loss(&mut g, &mut store, &cfg, m, z, pred, None, &batch).unwrap();
         assert!(bd.total > 0.0);
         assert!(bd.distance > 0.0);
         assert!(bd.distogram > 0.0);

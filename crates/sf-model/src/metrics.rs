@@ -23,7 +23,11 @@ pub const LDDT_THRESHOLDS: [f32; 4] = [0.5, 1.0, 2.0, 4.0];
 ///
 /// Panics if shapes are not `[n, 3]` / `[n, 3]` / `[n]`.
 pub fn lddt_ca(pred: &Tensor, reference: &Tensor, mask: &Tensor) -> f32 {
-    assert_eq!(pred.dims(), reference.dims(), "coordinate shapes must match");
+    assert_eq!(
+        pred.dims(),
+        reference.dims(),
+        "coordinate shapes must match"
+    );
     assert_eq!(pred.dims().len(), 2);
     assert_eq!(pred.dims()[1], 3);
     let n = pred.dims()[0];

@@ -2,10 +2,10 @@
 //! wrapped in the recycling loop.
 
 use crate::config::ModelConfig;
+use crate::dap::{AxialCollectives, LocalAxial};
 use crate::embed::{
     extra_msa_stack, input_embedder, recycling_embedder, template_pair_stack, RecycledState,
 };
-use crate::dap::{AxialCollectives, LocalAxial};
 use crate::evoformer::{evoformer_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::loss::{total_loss, LossBreakdown};

@@ -96,7 +96,14 @@ pub fn structure_module(
         let v = linear_no_bias(g, store, p, "v", heads * d, s_ln)?;
         // Heads read in place along the residue axis, written merged.
         let res = |src: Var| HeadVar { src, axis: Some(0) };
-        let views = HeadVars { q: res(q), k: res(k), v: res(v), gate: None, heads, d };
+        let views = HeadVars {
+            q: res(q),
+            k: res(k),
+            v: res(v),
+            gate: None,
+            heads,
+            d,
+        };
         let scale = 1.0 / (d as f32).sqrt();
         let att_flat = g.attention_heads(views, Some(bias), None, scale)?; // [R, h·d]
         let upd = linear(g, store, p, "out", c_s, att_flat)?;
@@ -128,9 +135,8 @@ mod tests {
         let mut g = Graph::new();
         let mut store = ParamStore::new();
         let m = g.constant(Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], seed).mul_scalar(0.5));
-        let z = g.constant(
-            Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], seed ^ 1).mul_scalar(0.5),
-        );
+        let z =
+            g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], seed ^ 1).mul_scalar(0.5));
         let out = structure_module(&mut g, &mut store, cfg, m, z).unwrap();
         (g, store, out)
     }

@@ -18,8 +18,10 @@ fn arb_quat() -> impl Strategy<Value = Quat> {
 }
 
 fn arb_rigid() -> impl Strategy<Value = Rigid> {
-    (arb_quat(), -20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0)
-        .prop_map(|(rot, x, y, z)| Rigid { rot, trans: [x, y, z] })
+    (arb_quat(), -20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0).prop_map(|(rot, x, y, z)| Rigid {
+        rot,
+        trans: [x, y, z],
+    })
 }
 
 fn arb_coords(n: usize) -> impl Strategy<Value = Tensor> {

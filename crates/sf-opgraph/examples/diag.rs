@@ -1,7 +1,7 @@
-use sf_opgraph::builder::StepGraph;
-use sf_opgraph::profile::{step_time, ModuleProfile, Table1};
 use sf_gpusim::{CpuModel, DeviceSpec};
 use sf_model::ModelConfig;
+use sf_opgraph::builder::StepGraph;
+use sf_opgraph::profile::{step_time, ModuleProfile, Table1};
 
 fn main() {
     let g = StepGraph::reference(&ModelConfig::paper(), 3);
@@ -16,8 +16,16 @@ fn main() {
     let sh = step_time(&g, &DeviceSpec::h100(), CpuModel::healthy(), false);
     println!("H100 eager: {sh:?}");
     // count projection gemms
-    let proj = g.ops.iter().filter(|o| matches!(o.kind, sf_opgraph::OpKind::ProjectionGemm)).count();
+    let proj = g
+        .ops
+        .iter()
+        .filter(|o| matches!(o.kind, sf_opgraph::OpKind::ProjectionGemm))
+        .count();
     println!("projection gemms: {proj}");
-    let ew = g.ops.iter().filter(|o| matches!(o.kind, sf_opgraph::OpKind::Elementwise)).count();
+    let ew = g
+        .ops
+        .iter()
+        .filter(|o| matches!(o.kind, sf_opgraph::OpKind::Elementwise))
+        .count();
     println!("elementwise: {ew}");
 }

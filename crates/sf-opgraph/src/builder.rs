@@ -125,13 +125,31 @@ impl StepGraph {
         }
         // Extra-MSA stack.
         for _ in 0..cfg.extra_msa_blocks {
-            self.msa_track(cfg, ModuleTag::ExtraMsa, cfg.n_extra_seq as f64, r, cfg.c_e as f64);
-            self.pair_track(cfg, ModuleTag::ExtraMsa, r, cfg.c_z as f64, cfg.c_hidden_mul as f64);
+            self.msa_track(
+                cfg,
+                ModuleTag::ExtraMsa,
+                cfg.n_extra_seq as f64,
+                r,
+                cfg.c_e as f64,
+            );
+            self.pair_track(
+                cfg,
+                ModuleTag::ExtraMsa,
+                r,
+                cfg.c_z as f64,
+                cfg.c_hidden_mul as f64,
+            );
         }
         // Main Evoformer stack.
         for _ in 0..cfg.evoformer_blocks {
             self.msa_track(cfg, ModuleTag::Evoformer, s, r, cfg.c_m as f64);
-            self.pair_track(cfg, ModuleTag::Evoformer, r, cfg.c_z as f64, cfg.c_hidden_mul as f64);
+            self.pair_track(
+                cfg,
+                ModuleTag::Evoformer,
+                r,
+                cfg.c_z as f64,
+                cfg.c_hidden_mul as f64,
+            );
         }
         self.structure(cfg);
         self.heads(cfg);
@@ -181,11 +199,18 @@ impl StepGraph {
             let proj_group = self.group();
             for _ in 0..4 {
                 // a/b projections and gates.
-                self.gemm(module, OpKind::ProjectionGemm, r * r, c_z, c_mul, proj_group);
+                self.gemm(
+                    module,
+                    OpKind::ProjectionGemm,
+                    r * r,
+                    c_z,
+                    c_mul,
+                    proj_group,
+                );
             }
             self.elementwise(module, r * r * c_mul, 4); // sigmoid x2, mul x2
             self.memop(module, r * r * c_mul * F32 * 2.0); // channel-major permutes
-            // Batched per-channel GEMM: c_mul matrices of [r, r] x [r, r].
+                                                           // Batched per-channel GEMM: c_mul matrices of [r, r] x [r, r].
             self.gemm_batched(module, c_mul, r, r, r);
             self.memop(module, r * r * c_mul * F32); // permute back
             self.layer_norm_group(module, r * r, c_mul);
@@ -229,7 +254,14 @@ impl StepGraph {
         let proj_group = self.group();
         for _ in 0..4 {
             // Q, K, V, gate — the GEMM-batching candidates.
-            self.gemm(module, OpKind::ProjectionGemm, batch * s_q, c_in, hd, proj_group);
+            self.gemm(
+                module,
+                OpKind::ProjectionGemm,
+                batch * s_q,
+                c_in,
+                hd,
+                proj_group,
+            );
         }
         for _ in 0..4 {
             self.memop(module, batch * s_q * hd * F32); // head reshapes
@@ -283,8 +315,12 @@ impl StepGraph {
         );
         // Gating: sigmoid + mul.
         self.push(
-            Kernel::memory("attn_gate", 3.0 * batch * s_q * hd * F32, (batch * s_q) as usize)
-                .with_efficiency(eff::MHA_NAIVE),
+            Kernel::memory(
+                "attn_gate",
+                3.0 * batch * s_q * hd * F32,
+                (batch * s_q) as usize,
+            )
+            .with_efficiency(eff::MHA_NAIVE),
             module,
             OpKind::AttentionElementwise,
             att_group,
@@ -331,7 +367,14 @@ impl StepGraph {
     fn embedding(&mut self, cfg: &ModelConfig) {
         let (s, r) = (cfg.n_seq as f64, cfg.n_res as f64);
         let (c_m, c_z) = (cfg.c_m as f64, cfg.c_z as f64);
-        self.gemm(ModuleTag::Embedding, OpKind::Gemm, s * r, cfg.msa_feat_dim() as f64, c_m, 0);
+        self.gemm(
+            ModuleTag::Embedding,
+            OpKind::Gemm,
+            s * r,
+            cfg.msa_feat_dim() as f64,
+            c_m,
+            0,
+        );
         self.gemm(ModuleTag::Embedding, OpKind::Gemm, r, 21.0, c_m, 0);
         self.gemm(ModuleTag::Embedding, OpKind::Gemm, r, 21.0, c_z, 0);
         self.gemm(ModuleTag::Embedding, OpKind::Gemm, r, 21.0, c_z, 0);
@@ -355,7 +398,8 @@ impl StepGraph {
         // Host-to-device feature copies.
         self.memop(
             ModuleTag::Embedding,
-            (s * cfg.msa_feat_dim() as f64 + cfg.n_extra_seq as f64 * cfg.extra_msa_feat_dim() as f64)
+            (s * cfg.msa_feat_dim() as f64
+                + cfg.n_extra_seq as f64 * cfg.extra_msa_feat_dim() as f64)
                 * r
                 * F32,
         );
@@ -368,9 +412,23 @@ impl StepGraph {
         let c_s = cfg.c_s as f64;
         let h = cfg.pair_heads.max(1) as f64;
         self.layer_norm_group(ModuleTag::Structure, r, cfg.c_m as f64);
-        self.gemm(ModuleTag::Structure, OpKind::Gemm, r, cfg.c_m as f64, c_s, 0);
+        self.gemm(
+            ModuleTag::Structure,
+            OpKind::Gemm,
+            r,
+            cfg.c_m as f64,
+            c_s,
+            0,
+        );
         self.layer_norm_group(ModuleTag::Structure, r * r, cfg.c_z as f64);
-        self.gemm(ModuleTag::Structure, OpKind::Gemm, r * r, cfg.c_z as f64, h, 0);
+        self.gemm(
+            ModuleTag::Structure,
+            OpKind::Gemm,
+            r * r,
+            cfg.c_z as f64,
+            h,
+            0,
+        );
         for _ in 0..cfg.structure_layers {
             // Distance bias computation.
             self.elementwise(ModuleTag::Structure, r * r * 3.0, 3);
@@ -386,7 +444,14 @@ impl StepGraph {
 
     fn heads(&mut self, cfg: &ModelConfig) {
         let r = cfg.n_res as f64;
-        self.gemm(ModuleTag::Heads, OpKind::Gemm, r * r, cfg.c_z as f64, 15.0, 0);
+        self.gemm(
+            ModuleTag::Heads,
+            OpKind::Gemm,
+            r * r,
+            cfg.c_z as f64,
+            15.0,
+            0,
+        );
         self.gemm(
             ModuleTag::Heads,
             OpKind::Gemm,
@@ -473,8 +538,7 @@ impl StepGraph {
             // Gradient clipping: per-tensor norm, then per-tensor scale.
             for name in ["clip_norm", "clip_scale"] {
                 self.push(
-                    Kernel::memory(name, 2.0 * avg_elems * F32, 8)
-                        .with_efficiency(eff::CLIP_NAIVE),
+                    Kernel::memory(name, 2.0 * avg_elems * F32, 8).with_efficiency(eff::CLIP_NAIVE),
                     ModuleTag::Optimizer,
                     OpKind::GradClip,
                     group_clip,
@@ -483,8 +547,7 @@ impl StepGraph {
             // Adam: m update, v update, bias-corrected update, apply.
             for name in ["adam_m", "adam_v", "adam_update", "adam_apply"] {
                 self.push(
-                    Kernel::memory(name, 3.0 * avg_elems * F32, 8)
-                        .with_efficiency(eff::ADAM_NAIVE),
+                    Kernel::memory(name, 3.0 * avg_elems * F32, 8).with_efficiency(eff::ADAM_NAIVE),
                     ModuleTag::Optimizer,
                     OpKind::AdamUpdate,
                     group_adam,
@@ -493,8 +556,7 @@ impl StepGraph {
             // SWA: read param + average, write average.
             for name in ["swa_read_mul", "swa_write"] {
                 self.push(
-                    Kernel::memory(name, 3.0 * avg_elems * F32, 8)
-                        .with_efficiency(eff::SWA_NAIVE),
+                    Kernel::memory(name, 3.0 * avg_elems * F32, 8).with_efficiency(eff::SWA_NAIVE),
                     ModuleTag::Optimizer,
                     OpKind::SwaUpdate,
                     group_swa,
@@ -529,8 +591,13 @@ impl StepGraph {
         let flops = 2.0 * batch * m * k * n;
         let bytes = batch * (m * k + k * n + m * n) * F32;
         self.push(
-            Kernel::math("gemm_batched", flops, bytes, (batch * m / 32.0).max(1.0) as usize)
-                .with_efficiency(eff::GEMM),
+            Kernel::math(
+                "gemm_batched",
+                flops,
+                bytes,
+                (batch * m / 32.0).max(1.0) as usize,
+            )
+            .with_efficiency(eff::GEMM),
             module,
             OpKind::Gemm,
             0,
@@ -551,8 +618,12 @@ impl StepGraph {
         );
         for _ in 0..count {
             self.push(
-                Kernel::memory("elementwise", 2.0 * elems * F32, (elems / 1024.0).max(1.0) as usize)
-                    .with_efficiency(eff::ELEMENTWISE),
+                Kernel::memory(
+                    "elementwise",
+                    2.0 * elems * F32,
+                    (elems / 1024.0).max(1.0) as usize,
+                )
+                .with_efficiency(eff::ELEMENTWISE),
                 module,
                 OpKind::Elementwise,
                 group,
@@ -634,8 +705,10 @@ mod tests {
             .ops
             .iter()
             .filter(|o| {
-                matches!(o.kind, OpKind::Gemm | OpKind::ProjectionGemm | OpKind::AttentionGemm)
-                    && !o.kernel.name.ends_with("grad")
+                matches!(
+                    o.kind,
+                    OpKind::Gemm | OpKind::ProjectionGemm | OpKind::AttentionGemm
+                ) && !o.kernel.name.ends_with("grad")
             })
             .count();
         let bwd_gemms = g

@@ -111,7 +111,10 @@ mod tests {
         // The paper observed only 1.42x / 1.57x / ~1.57x for DAP-2/4/8 on
         // the unoptimized model — far below ideal n x.
         assert!(speedup > 1.2, "DAP-8 speedup {speedup:.2}");
-        assert!(speedup < 5.0, "DAP-8 speedup {speedup:.2} unrealistically ideal");
+        assert!(
+            speedup < 5.0,
+            "DAP-8 speedup {speedup:.2} unrealistically ideal"
+        );
     }
 
     #[test]

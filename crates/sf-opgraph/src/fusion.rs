@@ -28,7 +28,11 @@ pub fn fuse_layer_norm(g: &StepGraph) -> (StepGraph, usize) {
         }
         // One fused kernel per (group, direction): single read+write pass.
         let mut k = op.kernel.clone();
-        k.name = if bwd { "ln_fused_bwd".into() } else { "ln_fused".into() };
+        k.name = if bwd {
+            "ln_fused_bwd".into()
+        } else {
+            "ln_fused".into()
+        };
         k.efficiency = eff::LN_FUSED;
         ops.push(OpNode::new(k, op.module, OpKind::Fused, op.fuse_group));
     }
@@ -98,12 +102,7 @@ pub fn fuse_mha(g: &StepGraph) -> (StepGraph, usize) {
             parallelism,
         );
         k.efficiency = eff::MHA_FUSED;
-        ops.push(OpNode::new(
-            k,
-            op.module,
-            OpKind::Fused,
-            group,
-        ));
+        ops.push(OpNode::new(k, op.module, OpKind::Fused, group));
     }
     out.ops = ops;
     (out, removed)
@@ -204,8 +203,7 @@ pub fn fuse_adam_swa(g: &StepGraph) -> (StepGraph, usize) {
         // Fused single pass: read p/g/m/v/avg once, write p/m/v/avg once
         // ≈ 9 element-passes versus the eager ~18 (6 kernels × 3 tensors).
         let bytes = total_bytes * 0.5;
-        let k = Kernel::memory("fused_adam_swa", bytes, 4096)
-            .with_efficiency(eff::OPTIMIZER_FUSED);
+        let k = Kernel::memory("fused_adam_swa", bytes, 4096).with_efficiency(eff::OPTIMIZER_FUSED);
         ops.push(OpNode::new(
             k,
             crate::ops::ModuleTag::Optimizer,
@@ -333,8 +331,7 @@ pub fn autotune_fused(g: &StepGraph, device: &sf_gpusim::DeviceSpec) -> (StepGra
         let cols =
             ((op.kernel.bytes / (2.0 * rows as f64 * bytes_per_elem)).round() as usize).max(1);
         let tuned = cache.entry((rows, cols)).or_insert_with(|| {
-            let template =
-                sf_gpusim::KernelTemplate::layer_norm(rows, cols, 2.0 * bytes_per_elem);
+            let template = sf_gpusim::KernelTemplate::layer_norm(rows, cols, 2.0 * bytes_per_elem);
             let (best, _) = sf_gpusim::autotune(&template, device);
             template.instantiate(best, device)
         });
@@ -387,7 +384,9 @@ mod tests {
 
     fn busy(g: &StepGraph, dev: &DeviceSpec) -> f64 {
         let kernels: Vec<_> = g.ops.iter().map(|o| o.kernel.clone()).collect();
-        Stream::new(dev.clone(), CpuModel::healthy()).run_eager(&kernels).gpu_busy_s
+        Stream::new(dev.clone(), CpuModel::healthy())
+            .run_eager(&kernels)
+            .gpu_busy_s
     }
 
     #[test]
@@ -423,7 +422,11 @@ mod tests {
         let (f, removed) = batch_gemms(&g);
         // No standalone projection GEMMs remain; each bundle of (mostly 4)
         // collapses to one kernel, so roughly 3/4 of them disappear.
-        let after = f.ops.iter().filter(|o| o.kind == OpKind::ProjectionGemm).count();
+        let after = f
+            .ops
+            .iter()
+            .filter(|o| o.kind == OpKind::ProjectionGemm)
+            .count();
         assert_eq!(after, 0);
         assert!(
             removed >= before / 2,
@@ -486,9 +489,7 @@ mod tests {
         let g = reference();
         let f = to_bf16(&g);
         let bytes = |g: &StepGraph| g.ops.iter().map(|o| o.kernel.bytes).sum::<f64>();
-        assert!(
-            (bytes(&f) - bytes(&g) * super::BF16_BYTES_FACTOR).abs() < 1e-6 * bytes(&g)
-        );
+        assert!((bytes(&f) - bytes(&g) * super::BF16_BYTES_FACTOR).abs() < 1e-6 * bytes(&g));
         assert_eq!(f.ops.len(), g.ops.len());
     }
 
@@ -504,7 +505,10 @@ mod tests {
         // At full size the fused kernels are already near-optimal: fewer
         // (or equal) improvements than under DAP-8.
         let (_, improved_full) = autotune_fused(&lnfused, &dev);
-        assert!(improved_full <= improved, "full {improved_full} vs dap {improved}");
+        assert!(
+            improved_full <= improved,
+            "full {improved_full} vs dap {improved}"
+        );
     }
 
     #[test]

@@ -47,12 +47,7 @@ impl MemoryFootprint {
 /// persistent m/z activations per block, all retained for backward when
 /// `checkpointing` is off; with checkpointing only per-block boundary
 /// tensors persist. DAP divides the activation term by `dap`.
-pub fn estimate(
-    cfg: &ModelConfig,
-    dap: usize,
-    checkpointing: bool,
-    bf16: bool,
-) -> MemoryFootprint {
+pub fn estimate(cfg: &ModelConfig, dap: usize, checkpointing: bool, bf16: bool) -> MemoryFootprint {
     let elem = if bf16 { 2.0 } else { 4.0 };
     let params = cfg.approx_param_count() as f64;
     // Parameters live in fp32 master copies regardless; grads/moments too.
@@ -72,8 +67,8 @@ pub fn estimate(
     // mask on the probabilities: ~2.5 retained copies per call.
     let logits = 2.5 * (s * h * r * r + r * h * s * s + 2.0 * r * hp * r * r);
     // Transitions: 4x-expanded hidden activations.
-    let transitions = (s * r * cfg.c_m as f64 + r * r * cfg.c_z as f64)
-        * cfg.transition_factor as f64;
+    let transitions =
+        (s * r * cfg.c_m as f64 + r * r * cfg.c_z as f64) * cfg.transition_factor as f64;
     // Triangle-mult hidden channels.
     let tri_mul = 2.0 * r * r * cfg.c_hidden_mul as f64;
     let per_block = (4.0 * m_act + 6.0 * z_act + logits + transitions + tri_mul) * elem;
@@ -142,7 +137,11 @@ mod tests {
         let cfg = ModelConfig::paper();
         let dev = DeviceSpec::a100();
         let f = estimate(&cfg, 1, true, true);
-        assert!(f.fits(&dev), "checkpointed footprint {:.1} GiB", f.total_gib());
+        assert!(
+            f.fits(&dev),
+            "checkpointed footprint {:.1} GiB",
+            f.total_gib()
+        );
     }
 
     #[test]

@@ -207,13 +207,21 @@ mod tests {
             "cpu {:.2}%",
             t.cpu_overhead_pct
         );
-        assert!((14.0..36.0).contains(&t.math_pct), "math {:.2}%", t.math_pct);
+        assert!(
+            (14.0..36.0).contains(&t.math_pct),
+            "math {:.2}%",
+            t.math_pct
+        );
         assert!(
             (50.0..80.0).contains(&t.memory_pct),
             "memory {:.2}%",
             t.memory_pct
         );
-        assert!((0.2..8.0).contains(&t.memop_pct), "memop {:.2}%", t.memop_pct);
+        assert!(
+            (0.2..8.0).contains(&t.memop_pct),
+            "memop {:.2}%",
+            t.memop_pct
+        );
         // Memory-bound kernels dominate the call count.
         assert!(t.memory_calls > 3 * t.math_calls);
         assert!(t.total_calls() > 100_000);
@@ -224,12 +232,24 @@ mod tests {
         let g = reference();
         let p = ModuleProfile::compute(&g, &DeviceSpec::a100());
         // Paper: Evoformer 72%, MHA 34%, LN 14%, Adam 6%, SWA 6%, clip 3%.
-        assert!((55.0..88.0).contains(&p.evoformer_pct), "evo {:.1}", p.evoformer_pct);
+        assert!(
+            (55.0..88.0).contains(&p.evoformer_pct),
+            "evo {:.1}",
+            p.evoformer_pct
+        );
         assert!((22.0..46.0).contains(&p.mha_pct), "mha {:.1}", p.mha_pct);
-        assert!((7.0..22.0).contains(&p.layernorm_pct), "ln {:.1}", p.layernorm_pct);
+        assert!(
+            (7.0..22.0).contains(&p.layernorm_pct),
+            "ln {:.1}",
+            p.layernorm_pct
+        );
         assert!((2.0..12.0).contains(&p.adam_pct), "adam {:.1}", p.adam_pct);
         assert!((2.0..12.0).contains(&p.swa_pct), "swa {:.1}", p.swa_pct);
-        assert!((1.0..8.0).contains(&p.grad_clip_pct), "clip {:.1}", p.grad_clip_pct);
+        assert!(
+            (1.0..8.0).contains(&p.grad_clip_pct),
+            "clip {:.1}",
+            p.grad_clip_pct
+        );
         assert!(p.structure_pct < 15.0, "structure {:.1}", p.structure_pct);
     }
 

@@ -13,12 +13,12 @@ use sf_opgraph::{dap, fusion, memory};
 /// stay fast inside proptest).
 fn arb_config() -> impl Strategy<Value = ModelConfig> {
     (
-        2usize..24,  // n_res
-        2usize..8,   // n_seq
-        1usize..4,   // evoformer blocks
-        1usize..3,   // msa heads
-        4usize..32,  // c_m
-        4usize..32,  // c_z
+        2usize..24, // n_res
+        2usize..8,  // n_seq
+        1usize..4,  // evoformer blocks
+        1usize..3,  // msa heads
+        4usize..32, // c_m
+        4usize..32, // c_z
     )
         .prop_map(|(n_res, n_seq, blocks, heads, c_m, c_z)| {
             let mut cfg = ModelConfig::tiny();

@@ -46,7 +46,11 @@ pub fn clip_by_global_norm(grads: &mut Grads, max_norm: f32) -> f32 {
 /// `sf_autograd::Graph::take_param_grads`): the per-slot norms sum in
 /// `order` — the store's sorted slots, i.e. name order — so the norm is
 /// bitwise the name-keyed one.
-pub fn clip_slots_by_global_norm(grads: &mut [Option<Tensor>], order: &[usize], max_norm: f32) -> f32 {
+pub fn clip_slots_by_global_norm(
+    grads: &mut [Option<Tensor>],
+    order: &[usize],
+    max_norm: f32,
+) -> f32 {
     let norm = global_norm(order.iter().filter_map(|&s| grads[s].as_ref()));
     scale_to(norm, max_norm, grads.iter_mut().flatten())
 }
@@ -219,7 +223,10 @@ mod tests {
     fn bucket_count_collapses_kernel_count() {
         let mut g = Grads::new();
         for i in 0..4000 {
-            g.insert(format!("p{i:04}"), Tensor::from_vec(vec![0.1], &[1]).unwrap());
+            g.insert(
+                format!("p{i:04}"),
+                Tensor::from_vec(vec![0.1], &[1]).unwrap(),
+            );
         }
         let b = GradBuckets::pack(&g, 1024);
         // 4000 one-element tensors -> ~16 buckets of 256 floats.
@@ -229,7 +236,10 @@ mod tests {
     #[test]
     fn pack_unpack_round_trip() {
         let mut g = Grads::new();
-        g.insert("x".into(), Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap());
+        g.insert(
+            "x".into(),
+            Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap(),
+        );
         g.insert("y".into(), Tensor::from_vec(vec![4.0, 5.0], &[2]).unwrap());
         let b = GradBuckets::pack(&g, 16);
         let back = b.unpack();
@@ -271,7 +281,10 @@ mod tests {
     fn grads_with(values: &[f32]) -> Grads {
         let mut g = Grads::new();
         g.insert("ok".into(), Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap());
-        g.insert("bad".into(), Tensor::from_vec(values.to_vec(), &[values.len()]).unwrap());
+        g.insert(
+            "bad".into(),
+            Tensor::from_vec(values.to_vec(), &[values.len()]).unwrap(),
+        );
         g
     }
 

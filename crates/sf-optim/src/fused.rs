@@ -127,7 +127,11 @@ impl FusedAdamSwa {
                 // No gradient this step: the parameter did not move, but
                 // the average must still track it.
                 for (a, &p) in avg.iter_mut().zip(param.data()) {
-                    *a = if first_touch { p } else { decay * *a + (1.0 - decay) * p };
+                    *a = if first_touch {
+                        p
+                    } else {
+                        decay * *a + (1.0 - decay) * p
+                    };
                 }
                 continue;
             };
@@ -280,7 +284,10 @@ mod tests {
                 "param {name} diverged"
             );
             assert!(
-                fused.averaged(name).unwrap().allclose(swa.averaged(name).unwrap(), 1e-5),
+                fused
+                    .averaged(name)
+                    .unwrap()
+                    .allclose(swa.averaged(name).unwrap(), 1e-5),
                 "SWA average {name} diverged"
             );
         }
@@ -294,7 +301,10 @@ mod tests {
         for _ in 0..3000 {
             let x = store.get("x").unwrap().data()[0];
             let mut grads = Grads::new();
-            grads.insert("x".into(), Tensor::from_vec(vec![2.0 * (x - 1.0)], &[1]).unwrap());
+            grads.insert(
+                "x".into(),
+                Tensor::from_vec(vec![2.0 * (x - 1.0)], &[1]).unwrap(),
+            );
             opt.step(&mut store, &grads, 0.01);
         }
         let x = store.get("x").unwrap().data()[0];

@@ -53,10 +53,14 @@ impl LrSchedule {
             // `decay_after` and again every `decay_every` steps. The old
             // code applied it exactly once regardless of how far past the
             // threshold training ran.
-            let applications = 1 + (step - self.decay_after)
-                .checked_div(self.decay_every)
-                .unwrap_or(0);
-            self.peak_lr * self.decay_factor.powi(applications.min(i32::MAX as u64) as i32)
+            let applications = 1
+                + (step - self.decay_after)
+                    .checked_div(self.decay_every)
+                    .unwrap_or(0);
+            self.peak_lr
+                * self
+                    .decay_factor
+                    .powi(applications.min(i32::MAX as u64) as i32)
         }
     }
 }

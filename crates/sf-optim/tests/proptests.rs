@@ -12,7 +12,10 @@ use sf_tensor::Tensor;
 fn store_and_grads(shapes: &[usize], seed: u64) -> (ParamStore, Vec<Grads>) {
     let mut store = ParamStore::new();
     for (i, &n) in shapes.iter().enumerate() {
-        store.insert(format!("p{i:03}"), Tensor::randn(&[n], seed.wrapping_add(i as u64)));
+        store.insert(
+            format!("p{i:03}"),
+            Tensor::randn(&[n], seed.wrapping_add(i as u64)),
+        );
     }
     let steps = 5;
     let grads = (0..steps)

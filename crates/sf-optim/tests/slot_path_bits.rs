@@ -66,12 +66,18 @@ fn slot_path_is_bitwise_the_name_path() {
     let (mut opt_name, mut opt_slot) = (FusedAdamSwa::new(cfg, 0.9), FusedAdamSwa::new(cfg, 0.9));
     for step in 0..4 {
         let lr = 0.01 * (step + 1) as f32;
-        let mut named: Grads = backward(&mut by_name, step).unwrap().grads_by_name().unwrap();
+        let mut named: Grads = backward(&mut by_name, step)
+            .unwrap()
+            .grads_by_name()
+            .unwrap();
         let mut g = backward(&mut by_slot, step).unwrap();
         let copied = g.grads_by_name().unwrap();
         let mut slots: SlotGrads = g.take_param_grads(&by_slot).unwrap();
         assert_eq!(slots.len(), by_slot.len());
-        assert!(g.grads_by_name().unwrap().is_empty(), "taking moves the gradients off the tape");
+        assert!(
+            g.grads_by_name().unwrap().is_empty(),
+            "taking moves the gradients off the tape"
+        );
         let c = by_slot.slot("c.unused").unwrap();
         assert!(slots[c].is_none(), "an unbound parameter has no gradient");
         assert_eq!(named.len(), slots.iter().flatten().count());
@@ -79,7 +85,11 @@ fn slot_path_is_bitwise_the_name_path() {
             let slot = by_slot.slot(name).unwrap();
             let taken = slots[slot].as_ref().unwrap();
             assert_bits(&format!("step {step} grad {name}"), grad, taken);
-            assert_bits(&format!("step {step} copied grad {name}"), &copied[name], taken);
+            assert_bits(
+                &format!("step {step} copied grad {name}"),
+                &copied[name],
+                taken,
+            );
         }
 
         let norm_name = clip_by_global_norm(&mut named, MAX_NORM);
@@ -91,13 +101,24 @@ fn slot_path_is_bitwise_the_name_path() {
         opt_slot.step_slots(&mut by_slot, &slots, lr);
         assert_eq!(by_name.names(), by_slot.names());
         for (name, p) in by_name.iter() {
-            assert_bits(&format!("step {step} param {name}"), p, by_slot.get(name).unwrap());
-            let (a, b) = (opt_name.averaged(name).unwrap(), opt_slot.averaged(name).unwrap());
+            assert_bits(
+                &format!("step {step} param {name}"),
+                p,
+                by_slot.get(name).unwrap(),
+            );
+            let (a, b) = (
+                opt_name.averaged(name).unwrap(),
+                opt_slot.averaged(name).unwrap(),
+            );
             assert_bits(&format!("step {step} SWA {name}"), &a, &b);
         }
     }
     // First touch copies: an unbound parameter's average is its value.
-    assert_bits("c average", &opt_slot.averaged("c.unused").unwrap(), by_slot.get("c.unused").unwrap());
+    assert_bits(
+        "c average",
+        &opt_slot.averaged("c.unused").unwrap(),
+        by_slot.get("c.unused").unwrap(),
+    );
 }
 
 #[test]
@@ -118,7 +139,10 @@ fn replacing_the_store_carries_state_by_name() {
             assert_ne!(reloaded.slot("a.weight"), swapped.slot("a.weight"));
             swapped = reloaded;
         }
-        for (store, opt) in [(&mut steady, &mut opt_steady), (&mut swapped, &mut opt_swapped)] {
+        for (store, opt) in [
+            (&mut steady, &mut opt_steady),
+            (&mut swapped, &mut opt_swapped),
+        ] {
             let mut g = backward(store, step).unwrap();
             let grads = g.take_param_grads(store).unwrap();
             opt.step_slots(store, &grads, 0.01);
@@ -126,7 +150,10 @@ fn replacing_the_store_carries_state_by_name() {
     }
     for (name, p) in steady.iter() {
         assert_bits(&format!("param {name}"), p, swapped.get(name).unwrap());
-        let (a, b) = (opt_steady.averaged(name).unwrap(), opt_swapped.averaged(name).unwrap());
+        let (a, b) = (
+            opt_steady.averaged(name).unwrap(),
+            opt_swapped.averaged(name).unwrap(),
+        );
         assert_bits(&format!("SWA {name}"), &a, &b);
     }
 }

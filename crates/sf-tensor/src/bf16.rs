@@ -190,7 +190,9 @@ impl std::fmt::Display for Fp16 {
 }
 
 /// Numeric precision policy applied to gradients during training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub enum Precision {
     /// Full f32 (the MLPerf reference default).
     #[default]
@@ -270,7 +272,10 @@ mod tests {
     fn bf16_preserves_nan_and_inf() {
         assert!(Bf16::from_f32(f32::NAN).is_nan());
         assert_eq!(Bf16::from_f32(f32::INFINITY), Bf16::INFINITY);
-        assert_eq!(Bf16::from_f32(f32::NEG_INFINITY).to_f32(), f32::NEG_INFINITY);
+        assert_eq!(
+            Bf16::from_f32(f32::NEG_INFINITY).to_f32(),
+            f32::NEG_INFINITY
+        );
     }
 
     #[test]

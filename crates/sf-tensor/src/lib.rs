@@ -107,7 +107,10 @@ impl fmt::Display for TensorError {
                 write!(f, "shape mismatch in {op}: {lhs:?} vs {rhs:?}")
             }
             TensorError::LengthMismatch { expected, actual } => {
-                write!(f, "length mismatch: expected {expected} elements, got {actual}")
+                write!(
+                    f,
+                    "length mismatch: expected {expected} elements, got {actual}"
+                )
             }
             TensorError::AxisOutOfRange { axis, rank } => {
                 write!(f, "axis {axis} out of range for rank {rank}")

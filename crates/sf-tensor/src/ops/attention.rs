@@ -60,7 +60,11 @@ use std::mem::MaybeUninit;
 pub const MASK_NEG: f32 = -3.0e4;
 
 fn mismatch(op: &'static str, lhs: &[usize], rhs: &[usize]) -> TensorError {
-    TensorError::ShapeMismatch { op, lhs: lhs.to_vec(), rhs: rhs.to_vec() }
+    TensorError::ShapeMismatch {
+        op,
+        lhs: lhs.to_vec(),
+        rhs: rhs.to_vec(),
+    }
 }
 
 fn check_dims(op: &'static str, t: &Tensor, dims: &[usize]) -> Result<()> {
@@ -117,13 +121,25 @@ pub struct HeadViews<S> {
 impl<S: Copy> HeadViews<S> {
     /// The views in kernel order: q, k, v, then the gate when present.
     pub fn listed(&self) -> impl Iterator<Item = HeadView<S>> {
-        [Some(self.q), Some(self.k), Some(self.v), self.gate].into_iter().flatten()
+        [Some(self.q), Some(self.k), Some(self.v), self.gate]
+            .into_iter()
+            .flatten()
     }
 
     /// The same views with each source replaced by `f(source)`.
     pub fn map<T>(&self, f: impl Fn(S) -> T) -> HeadViews<T> {
-        let at = |h: HeadView<S>| HeadView { src: f(h.src), axis: h.axis };
-        HeadViews { q: at(self.q), k: at(self.k), v: at(self.v), gate: self.gate.map(at), heads: self.heads, d: self.d }
+        let at = |h: HeadView<S>| HeadView {
+            src: f(h.src),
+            axis: h.axis,
+        };
+        HeadViews {
+            q: at(self.q),
+            k: at(self.k),
+            v: at(self.v),
+            gate: self.gate.map(at),
+            heads: self.heads,
+            d: self.d,
+        }
     }
 }
 
@@ -136,16 +152,31 @@ impl<'a> HeadViews<&'a Tensor> {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if an operand has rank < 2 or
     /// a last axis other than `q`'s.
-    pub fn whole(q: &'a Tensor, k: &'a Tensor, v: &'a Tensor, gate: Option<&'a Tensor>) -> Result<Self> {
+    pub fn whole(
+        q: &'a Tensor,
+        k: &'a Tensor,
+        v: &'a Tensor,
+        gate: Option<&'a Tensor>,
+    ) -> Result<Self> {
         let d = q.dims().last().copied().unwrap_or(0);
         let view = |t: &'a Tensor| {
             if t.rank() < 2 || t.dims()[t.rank() - 1] != d {
                 return Err(mismatch("attention qkv", q.dims(), t.dims()));
             }
-            Ok(HeadView { src: t, axis: Some(t.rank() - 2) })
+            Ok(HeadView {
+                src: t,
+                axis: Some(t.rank() - 2),
+            })
         };
         let gate = gate.map(view).transpose()?;
-        Ok(HeadViews { q: view(q)?, k: view(k)?, v: view(v)?, gate, heads: 1, d })
+        Ok(HeadViews {
+            q: view(q)?,
+            k: view(k)?,
+            v: view(v)?,
+            gate,
+            heads: 1,
+            d,
+        })
     }
 }
 
@@ -190,7 +221,12 @@ impl Placement {
         strides[grid.rank()] = d;
         grid.push(heads);
         let (s, ld) = axis.map_or((1, width), |a| (lead[a], all[a]));
-        Some(Placement { grid, strides, ld, s })
+        Some(Placement {
+            grid,
+            strides,
+            ld,
+            s,
+        })
     }
 
     /// Start of element `b`'s first row.
@@ -228,7 +264,13 @@ impl Placement {
     /// The buffer must hold this placement's layout and outlive the result,
     /// and no other thread may access the element's `d` columns of its rows
     /// meanwhile.
-    unsafe fn out_rows<'a>(&self, ptr: &SendPtr, base: usize, d: usize, scale: Option<f32>) -> Strided<'a> {
+    unsafe fn out_rows<'a>(
+        &self,
+        ptr: &SendPtr,
+        base: usize,
+        d: usize,
+        scale: Option<f32>,
+    ) -> Strided<'a> {
         Strided::new(ptr.at(base), self.extent(d), self.ld, scale)
     }
 
@@ -238,7 +280,13 @@ impl Placement {
     ///
     /// As for [`Placement::out_rows`], and the row must be written.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut<'a>(&self, ptr: &'a SendPtr, base: usize, i: usize, d: usize) -> &'a mut [f32] {
+    unsafe fn row_mut<'a>(
+        &self,
+        ptr: &'a SendPtr,
+        base: usize,
+        i: usize,
+        d: usize,
+    ) -> &'a mut [f32] {
         ptr.slice_mut(self.row(base, i), d)
     }
 
@@ -249,7 +297,13 @@ impl Placement {
     ///
     /// As for [`Placement::out_rows`].
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_uninit<'a>(&self, ptr: &'a SendPtr, base: usize, i: usize, d: usize) -> &'a mut [MaybeUninit<f32>] {
+    unsafe fn row_uninit<'a>(
+        &self,
+        ptr: &'a SendPtr,
+        base: usize,
+        i: usize,
+        d: usize,
+    ) -> &'a mut [MaybeUninit<f32>] {
         ptr.uninit_mut(self.row(base, i), d)
     }
 }
@@ -278,11 +332,25 @@ impl Geometry {
         let (q, k, v) = (place(&views.q)?, place(&views.k)?, place(&views.v)?);
         let gate = views.gate.as_ref().map(place).transpose()?;
         let batched_like_q = |p: &Placement| p.grid == q.grid;
-        let gate_ok = gate.as_ref().is_none_or(|g| batched_like_q(g) && g.s == q.s);
+        let gate_ok = gate
+            .as_ref()
+            .is_none_or(|g| batched_like_q(g) && g.s == q.s);
         if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s || !gate_ok {
-            return Err(mismatch("attention qkv", views.q.src.dims(), views.v.src.dims()));
+            return Err(mismatch(
+                "attention qkv",
+                views.q.src.dims(),
+                views.v.src.dims(),
+            ));
         }
-        Ok(Geometry { q, k, v, gate, out_dims: *views.q.src.shape(), heads, d })
+        Ok(Geometry {
+            q,
+            k,
+            v,
+            gate,
+            out_dims: *views.q.src.shape(),
+            heads,
+            d,
+        })
     }
 
     /// Number of `(batch..., head)` elements.
@@ -419,7 +487,12 @@ fn fold_logits(
         }
     }
     if let Some(mask) = mask {
-        mask.zip_rows(b, block, s_k, |l, m| if m == 0.0 { l + MASK_NEG } else { l });
+        mask.zip_rows(
+            b,
+            block,
+            s_k,
+            |l, m| if m == 0.0 { l + MASK_NEG } else { l },
+        );
     }
     for i in 0..s_q {
         row_fn(i, &mut block[i * s_k..(i + 1) * s_k]);
@@ -528,7 +601,9 @@ pub fn attention_heads(
     let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
     let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
     let mut att = Tensor::write_once_shaped(geo.out_dims, "attention_heads");
-    let mut gated = views.gate.map(|_| Tensor::write_once_shaped(geo.out_dims, "attention_heads gate"));
+    let mut gated = views
+        .gate
+        .map(|_| Tensor::write_once_shaped(geo.out_dims, "attention_heads gate"));
     let mut lse = Tensor::write_once_shaped(geo.batch_dims_and(&[s_q])?, "attention_heads lse");
 
     let att_ptr = SendPtr::uninit(att.uninit());
@@ -562,7 +637,19 @@ pub fn attention_heads(
                 // SAFETY: this item's own output element, not borrowed
                 // elsewhere while the GEMM stores into it.
                 let att_rows = unsafe { qp.out_rows(&att_ptr, qo, d, None) };
-                gemm_serial(probs, s_k, false, vp.block(vd, vo, d), vp.ld, false, s_q, s_k, d, att_rows, pack);
+                gemm_serial(
+                    probs,
+                    s_k,
+                    false,
+                    vp.block(vd, vo, d),
+                    vp.ld,
+                    false,
+                    s_q,
+                    s_k,
+                    d,
+                    att_rows,
+                    pack,
+                );
                 let go = gate.map_or(0, |(_, gpl)| gpl.base(b));
                 // SAFETY: each item owns its batch element's lse row.
                 let lse_b = unsafe { lse_ptr.uninit_mut(b * s_q, s_q) };
@@ -596,8 +683,16 @@ pub fn attention_heads(
     let (att, lse) = unsafe { (att.assume_written(), lse.assume_written()) };
     Ok(match gated {
         // SAFETY: as above.
-        Some(g) => FusedAttention { out: unsafe { g.assume_written() }, att: Some(att), lse },
-        None => FusedAttention { out: att, att: None, lse },
+        Some(g) => FusedAttention {
+            out: unsafe { g.assume_written() },
+            att: Some(att),
+            lse,
+        },
+        None => FusedAttention {
+            out: att,
+            att: None,
+            lse,
+        },
     })
 }
 
@@ -621,7 +716,15 @@ pub fn attention_fused_backward(
     scale: f32,
     dy: &Tensor,
 ) -> Result<FusedAttentionGrads> {
-    attention_heads_backward(&HeadViews::whole(q, k, v, gate)?, bias, mask, att, lse, scale, dy)
+    attention_heads_backward(
+        &HeadViews::whole(q, k, v, gate)?,
+        bias,
+        mask,
+        att,
+        lse,
+        scale,
+        dy,
+    )
 }
 
 /// Fused backward for [`attention_heads`]: softmax-backward is folded into
@@ -670,13 +773,20 @@ pub fn attention_heads_backward(
     check_dims("attention att", att, geo.out_dims.dims())?;
     check_dims("attention dy", dy, geo.out_dims.dims())?;
     check_dims("attention lse", lse, geo.batch_dims_and(&[s_q])?.dims())?;
-    let grad = |view: &HeadView<&Tensor>| Tensor::write_once_shaped(*view.src.shape(), "attention grad");
+    let grad =
+        |view: &HeadView<&Tensor>| Tensor::write_once_shaped(*view.src.shape(), "attention grad");
     let (mut dq, mut dk, mut dv) = (grad(&views.q), grad(&views.k), grad(&views.v));
     let mut dgate = views.gate.as_ref().map(grad);
-    let mut ds = bias_rows.as_ref().map(|rows| Tensor::write_once_shaped(rows.dims, "attention dS"));
+    let mut ds = bias_rows
+        .as_ref()
+        .map(|rows| Tensor::write_once_shaped(rows.dims, "attention dS"));
 
     let ds_ptr = ds.as_mut().map(|t| SendPtr::uninit(t.uninit()));
-    let (dq_ptr, dk_ptr, dv_ptr) = (SendPtr::uninit(dq.uninit()), SendPtr::uninit(dk.uninit()), SendPtr::uninit(dv.uninit()));
+    let (dq_ptr, dk_ptr, dv_ptr) = (
+        SendPtr::uninit(dq.uninit()),
+        SendPtr::uninit(dk.uninit()),
+        SendPtr::uninit(dv.uninit()),
+    );
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let (dyd, attd, lsed) = (dy.data(), att.data(), lse.data());
     let gate = match (views.gate, geo.gate.as_ref(), dgate.as_mut()) {
@@ -698,20 +808,27 @@ pub fn attention_heads_backward(
             let (datt_own, pack) = rest.split_at_mut(datt_scratch);
             for b in range {
                 let (qo, ko, vo) = (qp.base(b), kp.base(b), vp.base(b));
-                let (qm, km, vm) = (qp.block(qd, qo, d), kp.block(kd, ko, d), vp.block(vd, vo, d));
+                let (qm, km, vm) = (
+                    qp.block(qd, qo, d),
+                    kp.block(kd, ko, d),
+                    vp.block(vd, vo, d),
+                );
                 // Gate epilogue backward: datt = dy ⊙ σ(g);
                 // dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt is dy.
                 let (datt, datt_ld): (&[f32], usize) = match &gate {
                     Some((gdat, gpl, dg_ptr)) => {
                         let go = gpl.base(b);
                         for i in 0..s_q {
-                            let (dyr, ar) = (&dyd[qp.row(qo, i)..][..d], &attd[qp.row(qo, i)..][..d]);
+                            let (dyr, ar) =
+                                (&dyd[qp.row(qo, i)..][..d], &attd[qp.row(qo, i)..][..d]);
                             let gr = &gdat[gpl.row(go, i)..][..d];
                             let da = &mut datt_own[i * d..(i + 1) * d];
                             // SAFETY: each item owns its element's rows of
                             // the gate gradient.
                             let dg = unsafe { gpl.row_uninit(dg_ptr, go, i, d) };
-                            for ((da, dgo), ((&y, &g), &a)) in da.iter_mut().zip(dg).zip(dyr.iter().zip(gr).zip(ar)) {
+                            for ((da, dgo), ((&y, &g), &a)) in
+                                da.iter_mut().zip(dg).zip(dyr.iter().zip(gr).zip(ar))
+                            {
                                 let sig = 1.0 / (1.0 + vexp(-g));
                                 *da = y * sig;
                                 dgo.write(y * a * sig * (1.0 - sig));
@@ -724,7 +841,19 @@ pub fn attention_heads_backward(
                 // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D),
                 // with dP assigned to this element's dS block: the `dS`
                 // tensor's when a bias needs it, else scratch.
-                gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, Dense::new(p, s_k), pack);
+                gemm_serial(
+                    qm,
+                    qp.ld,
+                    false,
+                    km,
+                    kp.ld,
+                    true,
+                    s_q,
+                    d,
+                    s_k,
+                    Dense::new(p, s_k),
+                    pack,
+                );
                 let (ds_at, ds_off) = match ds_ptr.as_ref() {
                     Some(ptr) => (*ptr, b * block),
                     None => (SendPtr::new(ds_own), 0),
@@ -741,7 +870,10 @@ pub fn attention_heads_backward(
                         *l = vexp(*l - row_lse);
                     }
                     let mut rowdot = 0.0f32;
-                    for (da, a) in datt[i * datt_ld..][..d].iter().zip(&attd[qp.row(qo, i)..][..d]) {
+                    for (da, a) in datt[i * datt_ld..][..d]
+                        .iter()
+                        .zip(&attd[qp.row(qo, i)..][..d])
+                    {
                         rowdot += da * a;
                     }
                     for (dl, &pv) in ds_b[i * s_k..(i + 1) * s_k].iter_mut().zip(prow.iter()) {
@@ -755,18 +887,40 @@ pub fn attention_heads_backward(
                 let rows = |at: &Placement, ptr: &SendPtr, base: usize, scale: Option<f32>| unsafe {
                     at.out_rows(ptr, base, d, scale)
                 };
-                gemm_serial(p, s_k, true, datt, datt_ld, false, s_k, s_q, d, rows(vp, &dv_ptr, vo, None), pack);
+                gemm_serial(
+                    p,
+                    s_k,
+                    true,
+                    datt,
+                    datt_ld,
+                    false,
+                    s_k,
+                    s_q,
+                    d,
+                    rows(vp, &dv_ptr, vo, None),
+                    pack,
+                );
                 let dk_rows = rows(kp, &dk_ptr, ko, Some(scale));
-                gemm_serial(ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk_rows, pack);
+                gemm_serial(
+                    ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk_rows, pack,
+                );
                 let dq_rows = rows(qp, &dq_ptr, qo, Some(scale));
-                gemm_serial(ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq_rows, pack);
+                gemm_serial(
+                    ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq_rows, pack,
+                );
             }
         });
     });
     // SAFETY: each item assigned its element's rows of every gradient and
     // its `[s_q, s_k]` block of `dS`, and the elements tile them all: a
     // source is exactly its view's heads wide.
-    let (dq, dk, dv) = unsafe { (dq.assume_written(), dk.assume_written(), dv.assume_written()) };
+    let (dq, dk, dv) = unsafe {
+        (
+            dq.assume_written(),
+            dk.assume_written(),
+            dv.assume_written(),
+        )
+    };
     let dgate = dgate.map(|g| unsafe { g.assume_written() });
     let ds = ds.map(|ds| unsafe { ds.assume_written() });
     let dbias = match (bias, ds) {
@@ -779,7 +933,13 @@ pub fn attention_heads_backward(
         (Some(b), Some(ds)) => Some(ds.reduce_to(b.dims())?),
         _ => None,
     };
-    Ok(FusedAttentionGrads { dq, dk, dv, dbias, dgate })
+    Ok(FusedAttentionGrads {
+        dq,
+        dk,
+        dv,
+        dbias,
+        dgate,
+    })
 }
 
 #[cfg(test)]
@@ -793,7 +953,9 @@ mod tests {
         let v = Tensor::randn(&[2, 3, 20, 8], 3);
         let scale = 1.0 / 8f32.sqrt();
         let a = naive_attention(&q, &k, &v, None, scale).unwrap();
-        let b = attention_fused(&q, &k, &v, None, None, None, scale).unwrap().out;
+        let b = attention_fused(&q, &k, &v, None, None, None, scale)
+            .unwrap()
+            .out;
         assert!(a.allclose(&b, 1e-4));
     }
 
@@ -808,7 +970,9 @@ mod tests {
         let bias = Tensor::randn(&[h, s, s], 7);
         let scale = 1.0 / (d as f32).sqrt();
         let out1 = naive_attention(&q, &k, &v, Some(&bias), scale).unwrap();
-        let out2 = attention_fused(&q, &k, &v, Some(&bias), None, None, scale).unwrap().out;
+        let out2 = attention_fused(&q, &k, &v, Some(&bias), None, None, scale)
+            .unwrap()
+            .out;
         assert!(out1.allclose(&out2, 1e-4));
     }
 
@@ -820,7 +984,9 @@ mod tests {
         let k = Tensor::randn(&[1, 19, 4], 9);
         let v = Tensor::randn(&[1, 19, 4], 10);
         let a = naive_attention(&q, &k, &v, None, 0.5).unwrap();
-        let b = attention_fused(&q, &k, &v, None, None, None, 0.5).unwrap().out;
+        let b = attention_fused(&q, &k, &v, None, None, None, 0.5)
+            .unwrap()
+            .out;
         assert!(a.allclose(&b, 1e-4));
     }
 
@@ -834,7 +1000,9 @@ mod tests {
         let bias = Tensor::randn(&[h, s_q, s_k], 16);
         let scale = 1.0 / (d as f32).sqrt();
         let a = naive_attention(&q, &k, &v, Some(&bias), scale).unwrap();
-        let b = attention_fused(&q, &k, &v, Some(&bias), None, None, scale).unwrap().out;
+        let b = attention_fused(&q, &k, &v, Some(&bias), None, None, scale)
+            .unwrap()
+            .out;
         assert!(a.allclose(&b, 1e-4));
     }
 
@@ -853,7 +1021,16 @@ mod tests {
         assert!(a.allclose(&fa.out, 1e-4));
         let dy = Tensor::randn(fa.out.dims(), 21);
         let g = attention_fused_backward(
-            &q, &k, &v, Some(&bias), None, None, fa.pre_gate(), &fa.lse, scale, &dy,
+            &q,
+            &k,
+            &v,
+            Some(&bias),
+            None,
+            None,
+            fa.pre_gate(),
+            &fa.lse,
+            scale,
+            &dy,
         )
         .unwrap();
         assert_eq!(g.dbias.unwrap().dims(), bias.dims());
@@ -886,7 +1063,16 @@ mod tests {
         }
         let dy = Tensor::randn(fa.out.dims(), 26);
         let g = attention_fused_backward(
-            &q, &k, &v, Some(&bias), Some(&mask), None, fa.pre_gate(), &fa.lse, scale, &dy,
+            &q,
+            &k,
+            &v,
+            Some(&bias),
+            Some(&mask),
+            None,
+            fa.pre_gate(),
+            &fa.lse,
+            scale,
+            &dy,
         )
         .unwrap();
         for t in [&g.dq, &g.dk, &g.dv, g.dbias.as_ref().unwrap()] {
@@ -900,13 +1086,13 @@ mod tests {
         let q = Tensor::zeros(&[1, 2, 4]);
         let k = Tensor::randn(&[1, 6, 4], 11);
         let v = Tensor::randn(&[1, 6, 4], 12);
-        let out = attention_fused(&q, &k, &v, None, None, None, 1.0).unwrap().out;
+        let out = attention_fused(&q, &k, &v, None, None, None, 1.0)
+            .unwrap()
+            .out;
         let mean_v = v.mean_axis(1).unwrap();
         for r in 0..2 {
             for c in 0..4 {
-                assert!(
-                    (out.at(&[0, r, c]).unwrap() - mean_v.at(&[0, c]).unwrap()).abs() < 1e-5
-                );
+                assert!((out.at(&[0, r, c]).unwrap() - mean_v.at(&[0, c]).unwrap()).abs() < 1e-5);
             }
         }
     }
@@ -929,7 +1115,9 @@ mod tests {
         for i in 0..3 {
             bias.set(&[0, i, 2], 50.0).unwrap();
         }
-        let out = attention_fused(&q, &k, &v, Some(&bias), None, None, 1.0).unwrap().out;
+        let out = attention_fused(&q, &k, &v, Some(&bias), None, None, 1.0)
+            .unwrap()
+            .out;
         for i in 0..3 {
             assert!(out.at(&[0, 0, i, 2]).unwrap() > 0.999);
         }
@@ -965,7 +1153,14 @@ mod tests {
         // [2, 5, 8] sources hold two heads of d = 4.
         let [q, k, v] = [30, 31, 32].map(|seed| Tensor::randn(&[2, 5, 8], seed));
         let at = |src| HeadView { src, axis: Some(1) };
-        let views = |q, k, v, heads, d| HeadViews { q, k, v, gate: None, heads, d };
+        let views = |q, k, v, heads, d| HeadViews {
+            q,
+            k,
+            v,
+            gate: None,
+            heads,
+            d,
+        };
         let run = |hv: &HeadViews<&Tensor>| attention_heads(hv, None, None, 1.0);
         assert!(run(&views(at(&q), at(&k), at(&v), 2, 4)).is_ok());
         // Heads that overrun the source width, and a source wider than its
@@ -976,7 +1171,10 @@ mod tests {
         let wide = Tensor::randn(&[2, 5, 16], 34);
         assert!(run(&views(at(&q), at(&wide), at(&v), 2, 4)).is_err());
         // An attended axis that is not a leading axis, and no heads.
-        let bad_axis = HeadView { src: &q, axis: Some(2) };
+        let bad_axis = HeadView {
+            src: &q,
+            axis: Some(2),
+        };
         assert!(run(&views(bad_axis, at(&k), at(&v), 2, 4)).is_err());
         assert!(run(&views(at(&q), at(&k), at(&v), 0, 4)).is_err());
         // Keys on another batch layout than the queries.
@@ -984,6 +1182,8 @@ mod tests {
         assert!(run(&views(at(&q), at(&other), at(&v), 2, 4)).is_err());
         // A bias that does not broadcast to [2, heads, 5, 5].
         let bias = Tensor::zeros(&[3, 5, 5]);
-        assert!(attention_heads(&views(at(&q), at(&k), at(&v), 2, 4), Some(&bias), None, 1.0).is_err());
+        assert!(
+            attention_heads(&views(at(&q), at(&k), at(&v), 2, 4), Some(&bias), None, 1.0).is_err()
+        );
     }
 }

@@ -40,7 +40,10 @@ pub struct LayerNormStats {
 }
 
 fn check_ln_args(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Result<usize> {
-    let inner = *x.dims().last().ok_or(TensorError::EmptyInput("layernorm"))?;
+    let inner = *x
+        .dims()
+        .last()
+        .ok_or(TensorError::EmptyInput("layernorm"))?;
     if gamma.dims() != [inner] || beta.dims() != [inner] {
         return Err(TensorError::ShapeMismatch {
             op: "layernorm params",
@@ -78,7 +81,10 @@ pub fn naive_forward(
         let mean = row.iter().sum::<f32>() / inner as f32;
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / inner as f32;
         let rstd = 1.0 / (var + eps).sqrt();
-        for (v, (&g, &b)) in row.iter_mut().zip(gamma.data().iter().zip(beta.data().iter())) {
+        for (v, (&g, &b)) in row
+            .iter_mut()
+            .zip(gamma.data().iter().zip(beta.data().iter()))
+        {
             *v = (*v - mean) * rstd * g + b;
         }
         stats.mean.push(mean);
@@ -173,7 +179,10 @@ pub fn naive_backward(
     gamma: &Tensor,
     stats: &LayerNormStats,
 ) -> Result<LayerNormGrads> {
-    let inner = *x.dims().last().ok_or(TensorError::EmptyInput("layernorm"))?;
+    let inner = *x
+        .dims()
+        .last()
+        .ok_or(TensorError::EmptyInput("layernorm"))?;
     let rows = x.len() / inner;
     if dy.dims() != x.dims() || stats.mean.len() != rows {
         return Err(TensorError::ShapeMismatch {
@@ -230,7 +239,10 @@ fn row_sums<const R: usize>(
     let inner = gamma.len();
     let xs: [&[f32]; R] = std::array::from_fn(|j| &x[j * inner..][..inner]);
     let dys: [&[f32]; R] = std::array::from_fn(|j| &dy[j * inner..][..inner]);
-    let (mean, rstd): ([f32; R], [f32; R]) = (std::array::from_fn(|j| mean[j]), std::array::from_fn(|j| rstd[j]));
+    let (mean, rstd): ([f32; R], [f32; R]) = (
+        std::array::from_fn(|j| mean[j]),
+        std::array::from_fn(|j| rstd[j]),
+    );
     let mut sums = [(0.0f32, 0.0f32); R];
     for (i, &g) in gamma.iter().enumerate() {
         for j in 0..R {
@@ -263,7 +275,10 @@ pub fn fused_backward(
     if block_rows == 0 {
         return Err(TensorError::EmptyInput("fused_backward block_rows"));
     }
-    let inner = *x.dims().last().ok_or(TensorError::EmptyInput("layernorm"))?;
+    let inner = *x
+        .dims()
+        .last()
+        .ok_or(TensorError::EmptyInput("layernorm"))?;
     let rows = x.len() / inner;
     if dy.dims() != x.dims() || stats.mean.len() != rows {
         return Err(TensorError::ShapeMismatch {
@@ -294,7 +309,10 @@ pub fn fused_backward(
                 let n = inner as f32;
                 for r in (r0..r1).step_by(SUM_ROWS) {
                     let w = (r1 - r).min(SUM_ROWS);
-                    let (x, dy) = (&xd[r * inner..(r + w) * inner], &dyd[r * inner..(r + w) * inner]);
+                    let (x, dy) = (
+                        &xd[r * inner..(r + w) * inner],
+                        &dyd[r * inner..(r + w) * inner],
+                    );
                     let (mean, rstd) = (&stats.mean[r..r + w], &stats.rstd[r..r + w]);
                     let mut sums = [(0.0f32, 0.0f32); SUM_ROWS];
                     if w == SUM_ROWS {
@@ -302,20 +320,32 @@ pub fn fused_backward(
                     } else {
                         for (j, sum) in sums[..w].iter_mut().enumerate() {
                             let row = j * inner..(j + 1) * inner;
-                            [*sum] = row_sums::<1>(&x[row.clone()], &dy[row], gd, &mean[j..], &rstd[j..]);
+                            [*sum] = row_sums::<1>(
+                                &x[row.clone()],
+                                &dy[row],
+                                gd,
+                                &mean[j..],
+                                &rstd[j..],
+                            );
                         }
                     }
                     let rows = x.chunks_exact(inner).zip(dy.chunks_exact(inner));
-                    for (j, ((xs, dys), &(sum_dxhat, sum_dxhat_xhat))) in rows.zip(&sums).enumerate() {
+                    for (j, ((xs, dys), &(sum_dxhat, sum_dxhat_xhat))) in
+                        rows.zip(&sums).enumerate()
+                    {
                         let (mean, rstd) = (mean[j], rstd[j]);
-                        for ((g, b), (&x, &dy)) in pg.iter_mut().zip(pb.iter_mut()).zip(xs.iter().zip(dys)) {
+                        for ((g, b), (&x, &dy)) in
+                            pg.iter_mut().zip(pb.iter_mut()).zip(xs.iter().zip(dys))
+                        {
                             let xhat = (x - mean) * rstd;
                             *g += dy * xhat;
                             *b += dy;
                         }
                         // SAFETY: each block owns its dx rows.
                         let dxs = unsafe { dx_ptr.slice_mut((r + j) * inner, inner) };
-                        for ((d, &gamma), (&x, &dy)) in dxs.iter_mut().zip(gd).zip(xs.iter().zip(dys)) {
+                        for ((d, &gamma), (&x, &dy)) in
+                            dxs.iter_mut().zip(gd).zip(xs.iter().zip(dys))
+                        {
                             let xhat = (x - mean) * rstd;
                             let dxhat = dy * gamma;
                             *d = rstd * (dxhat - sum_dxhat / n - xhat * sum_dxhat_xhat / n);
@@ -354,7 +384,9 @@ mod tests {
 
     fn setup(rows: usize, inner: usize) -> (Tensor, Tensor, Tensor) {
         (
-            Tensor::randn(&[rows, inner], 1).mul_scalar(2.0).add_scalar(0.5),
+            Tensor::randn(&[rows, inner], 1)
+                .mul_scalar(2.0)
+                .add_scalar(0.5),
             Tensor::randn(&[inner], 2).mul_scalar(0.1).add_scalar(1.0),
             Tensor::randn(&[inner], 3).mul_scalar(0.1),
         )
@@ -395,8 +427,7 @@ mod tests {
         let dy = Tensor::randn(&[10, 32], 5);
         let (dx1, dg1, db1) = naive_backward(&dy, &x, &gamma, &stats).unwrap();
         for block_rows in [1, 3, 4, 10, 64] {
-            let (dx2, dg2, db2) =
-                fused_backward(&dy, &x, &gamma, &stats, block_rows).unwrap();
+            let (dx2, dg2, db2) = fused_backward(&dy, &x, &gamma, &stats, block_rows).unwrap();
             assert!(dx1.allclose(&dx2, 1e-5));
             assert!(dg1.allclose(&dg2, 1e-4));
             assert!(db1.allclose(&db2, 1e-4));
@@ -421,7 +452,11 @@ mod tests {
             assert_eq!(bits(&db), bits(&ndb), "dbeta, inner {inner}");
             for block_rows in [1, 5, 8, 9] {
                 let (dx, ..) = fused_backward(&dy, &x, &gamma, &stats, block_rows).unwrap();
-                assert_eq!(bits(&dx), bits(&ndx), "dx, inner {inner}, block {block_rows}");
+                assert_eq!(
+                    bits(&dx),
+                    bits(&ndx),
+                    "dx, inner {inner}, block {block_rows}"
+                );
             }
         }
     }

@@ -114,13 +114,7 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Shared entry behind [`matmul`] / [`matmul_bt`] / [`matmul_at`]: checks
 /// the shapes, resolves batch broadcasting and runs [`gemm`].
-fn batched_gemm(
-    a: &Tensor,
-    b: &Tensor,
-    ta: bool,
-    tb: bool,
-    op: &'static str,
-) -> Result<Tensor> {
+fn batched_gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool, op: &'static str) -> Result<Tensor> {
     if a.rank() < 2 || b.rank() < 2 {
         return Err(TensorError::ShapeMismatch {
             op,
@@ -168,8 +162,16 @@ fn batched_gemm(
     out_shape.push(am);
     out_shape.push(bn);
     let mut out = Tensor::write_once_shaped(out_shape, op);
-    let a = Operand { data: a.data(), trans: ta, shared: a_shared };
-    let b = Operand { data: b.data(), trans: tb, shared: b_shared };
+    let a = Operand {
+        data: a.data(),
+        trans: ta,
+        shared: a_shared,
+    };
+    let b = Operand {
+        data: b.data(),
+        trans: tb,
+        shared: b_shared,
+    };
     let batch = batch_dims.iter().product();
     gemm(a, b, batch, am, ak, bn, None, out.uninit());
     // SAFETY: `gemm` assigns every element of its `batch·m·n` output.
@@ -213,7 +215,11 @@ fn gemm(
     }
     // A's matrices are stacked row-major, so a non-transposed batch is one
     // tall matrix with the same row stride.
-    let (batch, m) = if b.shared && !a.trans { (1, batch * m) } else { (batch, m) };
+    let (batch, m) = if b.shared && !a.trans {
+        (1, batch * m)
+    } else {
+        (batch, m)
+    };
     // Strides of the logical A over (row, k): a plain row-major matrix, or
     // its stored transpose read column-wise.
     let (ars, acs) = if a.trans { (1, m) } else { (k, 1) };
@@ -232,7 +238,9 @@ fn gemm(
                 let (j0, jw) = (p * NR, (n - p * NR).min(NR));
                 let b_mat = &b.data[bi * b_stride..(bi + 1) * b_stride];
                 // SAFETY: each task packs its own panel.
-                let dst = unsafe { pack_ptr.slice_mut(bi * packed_len + p * k * NR, k * packed_width(jw)) };
+                let dst = unsafe {
+                    pack_ptr.slice_mut(bi * packed_len + p * k * NR, k * packed_width(jw))
+                };
                 let ldb = if b.trans { k } else { n };
                 pack_panel(b_mat, ldb, b.trans, k, j0, jw, dst);
             }
@@ -331,11 +339,15 @@ unsafe fn copy_short(src: *const f32, dst: *mut f32, n: usize) {
         j = 8;
     }
     if n & 4 != 0 {
-        dst.add(j).cast::<[f32; 4]>().write(src.add(j).cast::<[f32; 4]>().read());
+        dst.add(j)
+            .cast::<[f32; 4]>()
+            .write(src.add(j).cast::<[f32; 4]>().read());
         j += 4;
     }
     if n & 2 != 0 {
-        dst.add(j).cast::<[f32; 2]>().write(src.add(j).cast::<[f32; 2]>().read());
+        dst.add(j)
+            .cast::<[f32; 2]>()
+            .write(src.add(j).cast::<[f32; 2]>().read());
         j += 2;
     }
     if n & 1 != 0 {
@@ -356,12 +368,22 @@ pub(crate) struct Dense<'a> {
 impl<'a> Dense<'a> {
     /// Rows `ld` apart in a written buffer.
     pub(crate) fn new(c: &'a mut [f32], ld: usize) -> Self {
-        Dense { ptr: c.as_mut_ptr(), len: c.len(), ld, _buf: PhantomData }
+        Dense {
+            ptr: c.as_mut_ptr(),
+            len: c.len(),
+            ld,
+            _buf: PhantomData,
+        }
     }
 
     /// Rows `ld` apart in a buffer that may be unwritten.
     pub(crate) fn uninit(c: &'a mut [MaybeUninit<f32>], ld: usize) -> Self {
-        Dense { ptr: c.as_mut_ptr().cast(), len: c.len(), ld, _buf: PhantomData }
+        Dense {
+            ptr: c.as_mut_ptr().cast(),
+            len: c.len(),
+            ld,
+            _buf: PhantomData,
+        }
     }
 }
 
@@ -371,7 +393,10 @@ impl TileStore for Dense<'_> {
         let Some(last) = tile.len().checked_sub(1) else {
             return;
         };
-        assert!((row0 + last) * self.ld + j0 + jw <= self.len, "GEMM tile store past its output");
+        assert!(
+            (row0 + last) * self.ld + j0 + jw <= self.len,
+            "GEMM tile store past its output"
+        );
         for (r, acc) in tile.iter().enumerate() {
             // SAFETY: in bounds (checked above) of the block `new` or
             // `uninit` borrowed exclusively.
@@ -405,7 +430,13 @@ impl Strided<'_> {
     /// result, and no other thread may access the elements a GEMM stores
     /// through it (its `n` columns of each row) while it lives.
     pub(crate) unsafe fn new(ptr: *mut f32, len: usize, ld: usize, scale: Option<f32>) -> Self {
-        Strided { ptr, len, ld, scale, _buf: PhantomData }
+        Strided {
+            ptr,
+            len,
+            ld,
+            scale,
+            _buf: PhantomData,
+        }
     }
 }
 
@@ -415,7 +446,10 @@ impl TileStore for Strided<'_> {
         let Some(last) = tile.len().checked_sub(1) else {
             return;
         };
-        assert!((row0 + last) * self.ld + j0 + jw <= self.len, "GEMM tile store past its output");
+        assert!(
+            (row0 + last) * self.ld + j0 + jw <= self.len,
+            "GEMM tile store past its output"
+        );
         for (r, acc) in tile.iter().enumerate() {
             // SAFETY: in bounds (checked above) of the buffer `new`'s
             // contract hands this store alone.
@@ -531,7 +565,15 @@ fn pack_panel(b: &[f32], ldb: usize, tb: bool, k: usize, j0: usize, jw: usize, p
 
 /// [`pack_panel`] at one packed width `W`.
 #[inline(always)]
-fn pack_panel_w<const W: usize>(b: &[f32], ldb: usize, tb: bool, k: usize, j0: usize, jw: usize, pack: &mut [f32]) {
+fn pack_panel_w<const W: usize>(
+    b: &[f32],
+    ldb: usize,
+    tb: bool,
+    k: usize,
+    j0: usize,
+    jw: usize,
+    pack: &mut [f32],
+) {
     let pack = &mut pack[..k * W];
     if tb && jw == W {
         // Stored [n, k]: logical column j is the stored row j, contiguous.
@@ -667,7 +709,11 @@ fn rows_of(t: &Tensor) -> (usize, usize) {
 }
 
 fn linear_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
-    TensorError::ShapeMismatch { op, lhs: lhs.dims().to_vec(), rhs: rhs.dims().to_vec() }
+    TensorError::ShapeMismatch {
+        op,
+        lhs: lhs.dims().to_vec(),
+        rhs: rhs.dims().to_vec(),
+    }
 }
 
 /// A linear layer's forward pass, `x @ wᵀ + b` over the last axis: `x` is
@@ -692,9 +738,26 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
     let mut shape = *x.shape();
     *shape.dims_mut().last_mut().expect("rank >= 1") = out_dim;
     let mut y = Tensor::write_once_shaped(shape, "linear");
-    let x = Operand { data: x.data(), trans: false, shared: false };
-    let w = Operand { data: w.data(), trans: true, shared: true };
-    gemm(x, w, 1, rows, in_dim, out_dim, b.map(Tensor::data), y.uninit());
+    let x = Operand {
+        data: x.data(),
+        trans: false,
+        shared: false,
+    };
+    let w = Operand {
+        data: w.data(),
+        trans: true,
+        shared: true,
+    };
+    gemm(
+        x,
+        w,
+        1,
+        rows,
+        in_dim,
+        out_dim,
+        b.map(Tensor::data),
+        y.uninit(),
+    );
     // SAFETY: `gemm` assigns every element of its `rows·out` output.
     Ok(unsafe { y.assume_written() })
 }
@@ -716,8 +779,16 @@ pub fn linear_weight_grad(dy: &Tensor, x: &Tensor) -> Result<Tensor> {
         return Err(linear_mismatch("linear_weight_grad", dy, x));
     }
     let mut dw = Tensor::write_once(&[out_dim, in_dim], "linear_weight_grad");
-    let dy = Operand { data: dy.data(), trans: true, shared: false };
-    let x = Operand { data: x.data(), trans: false, shared: false };
+    let dy = Operand {
+        data: dy.data(),
+        trans: true,
+        shared: false,
+    };
+    let x = Operand {
+        data: x.data(),
+        trans: false,
+        shared: false,
+    };
     gemm(dy, x, 1, out_dim, rows, in_dim, None, dw.uninit());
     // SAFETY: `gemm` assigns every element of its `out·in` output.
     Ok(unsafe { dw.assume_written() })

@@ -94,7 +94,9 @@ mod tests {
     fn softmax_shift_invariance() {
         let x = Tensor::randn(&[3, 5], 2);
         let shifted = x.add_scalar(100.0);
-        assert!(softmax(&x).unwrap().allclose(&softmax(&shifted).unwrap(), 1e-5));
+        assert!(softmax(&x)
+            .unwrap()
+            .allclose(&softmax(&shifted).unwrap(), 1e-5));
     }
 
     #[test]

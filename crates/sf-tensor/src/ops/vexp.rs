@@ -225,7 +225,9 @@ mod tests {
 
     #[test]
     fn shift_sum_is_deterministic_and_close() {
-        let mut row: Vec<f32> = (0..101).map(|i| ((i * 37) % 19) as f32 * 0.3 - 2.0).collect();
+        let mut row: Vec<f32> = (0..101)
+            .map(|i| ((i * 37) % 19) as f32 * 0.3 - 2.0)
+            .collect();
         let m = striped_max(&row);
         let s1 = vexp_shift_sum(&mut row.clone(), m);
         let s2 = vexp_shift_sum(&mut row, m);

@@ -72,7 +72,12 @@ fn registry() -> &'static Registry {
 
 fn default_threads() -> usize {
     match std::env::var("SF_THREADS") {
-        Ok(s) => s.trim().parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or(1),
+        Ok(s) => s
+            .trim()
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or(1),
         Err(_) => thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
@@ -313,10 +318,9 @@ where
     // SAFETY: lifetime erasure only; the pointer is dereferenced exclusively
     // while this frame is blocked in the completion wait below.
     let body_ptr = unsafe {
-        std::mem::transmute::<
-            &(dyn Fn(Range<usize>) + Sync),
-            &'static (dyn Fn(Range<usize>) + Sync),
-        >(body_ref) as *const _
+        std::mem::transmute::<&(dyn Fn(Range<usize>) + Sync), &'static (dyn Fn(Range<usize>) + Sync)>(
+            body_ref,
+        ) as *const _
     };
     let job: Job = Arc::new(JobInner {
         body: body_ptr,

@@ -46,7 +46,10 @@ impl Shape {
         shape
             .dims
             .get_mut(..dims.len())
-            .ok_or(TensorError::RankTooHigh { rank: dims.len(), max: MAX_RANK })?
+            .ok_or(TensorError::RankTooHigh {
+                rank: dims.len(),
+                max: MAX_RANK,
+            })?
             .copy_from_slice(dims);
         shape.rank = dims.len();
         Ok(shape)
@@ -78,10 +81,13 @@ impl Shape {
     ///
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
     pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.dims().get(axis).copied().ok_or(TensorError::AxisOutOfRange {
-            axis,
-            rank: self.rank(),
-        })
+        self.dims()
+            .get(axis)
+            .copied()
+            .ok_or(TensorError::AxisOutOfRange {
+                axis,
+                rank: self.rank(),
+            })
     }
 
     /// Inserts a dimension of size `d` before `axis` (`axis == rank`
@@ -96,9 +102,16 @@ impl Shape {
     ///
     /// Panics if `axis > rank`.
     pub(crate) fn try_insert(&mut self, axis: usize, d: usize) -> Result<()> {
-        assert!(axis <= self.rank, "insert axis {axis} past rank {}", self.rank);
+        assert!(
+            axis <= self.rank,
+            "insert axis {axis} past rank {}",
+            self.rank
+        );
         if self.rank == MAX_RANK {
-            return Err(TensorError::RankTooHigh { rank: MAX_RANK + 1, max: MAX_RANK });
+            return Err(TensorError::RankTooHigh {
+                rank: MAX_RANK + 1,
+                max: MAX_RANK,
+            });
         }
         self.dims.copy_within(axis..self.rank, axis + 1);
         self.dims[axis] = d;
@@ -180,7 +193,10 @@ impl Shape {
     /// broadcast-compatible.
     pub fn broadcast(&self, other: &Shape) -> Result<Shape> {
         let rank = self.rank().max(other.rank());
-        let mut out = Shape { rank, ..Shape::default() };
+        let mut out = Shape {
+            rank,
+            ..Shape::default()
+        };
         for i in 0..rank {
             let a = dim_from_end(self.dims(), i);
             let b = dim_from_end(other.dims(), i);
@@ -322,7 +338,10 @@ mod tests {
         let mut full = Shape::new(&[1; MAX_RANK]);
         assert_eq!(
             full.try_insert(0, 1),
-            Err(TensorError::RankTooHigh { rank: MAX_RANK + 1, max: MAX_RANK })
+            Err(TensorError::RankTooHigh {
+                rank: MAX_RANK + 1,
+                max: MAX_RANK
+            })
         );
     }
 }

@@ -43,7 +43,11 @@ impl<const N: usize> Runs<N> {
         }
         // Innermost first, so each axis is tested against the (already
         // merged) axis just inside it.
-        let mut runs = Runs { rank: 0, dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
+        let mut runs = Runs {
+            rank: 0,
+            dims: [0; MAX_RANK],
+            strides: [[0; N]; MAX_RANK],
+        };
         for axis in (0..dims.len()).rev() {
             let d = dims[axis];
             if d == 1 {
@@ -71,7 +75,11 @@ impl<const N: usize> Runs<N> {
 
     /// One run of `len` elements at stride 1 in every operand.
     fn single(len: usize) -> Self {
-        let mut runs = Runs { rank: 1, dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
+        let mut runs = Runs {
+            rank: 1,
+            dims: [0; MAX_RANK],
+            strides: [[0; N]; MAX_RANK],
+        };
         runs.dims[0] = len;
         runs.strides[0] = [1; N];
         runs
@@ -138,7 +146,12 @@ pub(crate) fn broadcast_strides(src: &Shape, dst: &Shape) -> [usize; MAX_RANK] {
 /// `out[i] = src[layout(i)]` for every multi-index `i` of `dims`: assigns
 /// every element of the contiguous `out` from `src` read through
 /// `src_strides` (permute, broadcast_to).
-pub(crate) fn gather(out: &mut [MaybeUninit<f32>], dims: &[usize], src: &[f32], src_strides: &[usize]) {
+pub(crate) fn gather(
+    out: &mut [MaybeUninit<f32>],
+    dims: &[usize],
+    src: &[f32],
+    src_strides: &[usize],
+) {
     let out_strides = row_major_strides(dims);
     let runs = Runs::new(dims, [&out_strides[..dims.len()], src_strides]);
     let n = runs.run_len();
@@ -303,7 +316,11 @@ mod tests {
     impl<const N: usize> Runs<N> {
         /// The runs with these collapsed extents and strides.
         fn of(dims: &[usize], strides: &[[usize; N]]) -> Self {
-            let mut runs = Runs { rank: dims.len(), dims: [0; MAX_RANK], strides: [[0; N]; MAX_RANK] };
+            let mut runs = Runs {
+                rank: dims.len(),
+                dims: [0; MAX_RANK],
+                strides: [[0; N]; MAX_RANK],
+            };
             runs.dims[..dims.len()].copy_from_slice(dims);
             runs.strides[..dims.len()].copy_from_slice(strides);
             runs
@@ -454,10 +471,7 @@ mod tests {
         let dims = [2, 3, 4];
         let s = row_major_strides(&dims);
         let runs = Runs::new(&dims, [&s, &s]);
-        assert_eq!(
-            runs,
-            Runs::of(&[24], &[[1, 1]])
-        );
+        assert_eq!(runs, Runs::of(&[24], &[[1, 1]]));
     }
 
     #[test]
@@ -467,19 +481,13 @@ mod tests {
         let out = row_major_strides(&dims);
         let b = broadcast_strides(&Shape::new(&[3, 4]), &Shape::new(&dims));
         let runs = Runs::new(&dims, [&out, &out, &b]);
-        assert_eq!(
-            runs,
-            Runs::of(&[5, 12], &[[12, 12, 0], [1, 1, 1]])
-        );
+        assert_eq!(runs, Runs::of(&[5, 12], &[[12, 12, 0], [1, 1, 1]]));
         assert_eq!((runs.run_len(), runs.run_strides()), (12, [1, 1, 1]));
         // [R, C] * [R, 1]: a column broadcast cannot merge with its row.
         let col = broadcast_strides(&Shape::new(&[3, 1]), &Shape::new(&[3, 4]));
         let rm = row_major_strides(&[3, 4]);
         let runs = Runs::new(&[3, 4], [&rm, &col]);
-        assert_eq!(
-            runs,
-            Runs::of(&[3, 4], &[[4, 1], [1, 0]])
-        );
+        assert_eq!(runs, Runs::of(&[3, 4], &[[4, 1], [1, 0]]));
     }
 
     #[test]
@@ -489,10 +497,7 @@ mod tests {
         // A permuted layout: the 3-axis is innermost in the source.
         let src = [0, 1, 0, 3, 0];
         let runs = Runs::new(&dims, [&s, &src]);
-        assert_eq!(
-            runs,
-            Runs::of(&[3, 4], &[[4, 1], [1, 3]])
-        );
+        assert_eq!(runs, Runs::of(&[3, 4], &[[4, 1], [1, 3]]));
     }
 
     #[test]
@@ -501,10 +506,7 @@ mod tests {
         let out = row_major_strides(&dims);
         let scalar = broadcast_strides(&Shape::new(&[]), &Shape::new(&dims));
         let runs = Runs::new(&dims, [&out, &scalar]);
-        assert_eq!(
-            runs,
-            Runs::of(&[24], &[[1, 0]])
-        );
+        assert_eq!(runs, Runs::of(&[24], &[[1, 0]]));
         let mut starts = Vec::new();
         runs.for_each_run(|off| starts.push(off));
         assert_eq!(starts, vec![[0, 0]]);

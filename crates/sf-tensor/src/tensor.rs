@@ -73,13 +73,20 @@ impl WriteOnce {
     /// In debug builds, if an element still holds the pre-fill sentinel;
     /// the message names the kernel.
     pub unsafe fn assume_written(self) -> Tensor {
-        let WriteOnce { shape, mut data, op } = self;
+        let WriteOnce {
+            shape,
+            mut data,
+            op,
+        } = self;
         // SAFETY: the caller guarantees the first `len` elements, which
         // `write_once` reserved, are initialized.
         unsafe { data.set_len(shape.num_elements()) };
         if cfg!(debug_assertions) {
             if let Some(i) = data.iter().position(|x| x.to_bits() == UNWRITTEN) {
-                panic!("{op} left element {i} of its {:?} output unwritten", shape.dims());
+                panic!(
+                    "{op} left element {i} of its {:?} output unwritten",
+                    shape.dims()
+                );
             }
         }
         Tensor { shape, data }
@@ -323,7 +330,12 @@ impl Tensor {
     ///
     /// Panics if the tensor has more than one element.
     pub fn item(&self) -> f32 {
-        assert_eq!(self.len(), 1, "item() on tensor with {} elements", self.len());
+        assert_eq!(
+            self.len(),
+            1,
+            "item() on tensor with {} elements",
+            self.len()
+        );
         self.data[0]
     }
 
@@ -413,8 +425,7 @@ impl Tensor {
     pub fn gelu_derivative(&self) -> Self {
         self.map(|x| {
             let cdf = 0.5 * (1.0 + erf(x as f64 / std::f64::consts::SQRT_2) as f32);
-            let pdf =
-                crate::ops::vexp::vexp(-0.5 * x * x) / (2.0 * std::f32::consts::PI).sqrt();
+            let pdf = crate::ops::vexp::vexp(-0.5 * x * x) / (2.0 * std::f32::consts::PI).sqrt();
             cdf + x * pdf
         })
     }
@@ -511,13 +522,14 @@ impl Tensor {
                 data,
             });
         }
-        let out_shape = self.shape.broadcast(&other.shape).map_err(|_| {
-            TensorError::ShapeMismatch {
-                op,
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            }
-        })?;
+        let out_shape =
+            self.shape
+                .broadcast(&other.shape)
+                .map_err(|_| TensorError::ShapeMismatch {
+                    op,
+                    lhs: self.dims().to_vec(),
+                    rhs: other.dims().to_vec(),
+                })?;
         let mut out = Tensor::write_once_shaped(out_shape, op);
         let rank = out_shape.rank();
         let a_str = broadcast_strides(&self.shape, &out_shape);
@@ -580,7 +592,12 @@ impl Tensor {
         }
         let strides = broadcast_strides(&target, &self.shape);
         let mut out = Tensor::full_shaped(target, 0.0);
-        strided::scatter_add(&mut out.data, &strides[..self.rank()], &self.data, self.dims());
+        strided::scatter_add(
+            &mut out.data,
+            &strides[..self.rank()],
+            &self.data,
+            self.dims(),
+        );
         Ok(out)
     }
 
@@ -641,7 +658,12 @@ impl Tensor {
             src_strides[o] = in_strides[p];
         }
         let mut out = Tensor::write_once_shaped(out_shape, "permute");
-        strided::gather(out.uninit(), out_shape.dims(), &self.data, &src_strides[..rank]);
+        strided::gather(
+            out.uninit(),
+            out_shape.dims(),
+            &self.data,
+            &src_strides[..rank],
+        );
         // SAFETY: `gather` assigns every element of its iteration shape.
         Ok(unsafe { out.assume_written() })
     }
@@ -669,7 +691,10 @@ impl Tensor {
     pub fn slice_axis(&self, axis: usize, start: usize, end: usize) -> Result<Self> {
         let dim = self.shape.dim(axis)?;
         if start > end || end > dim {
-            return Err(TensorError::IndexOutOfBounds { index: end, bound: dim });
+            return Err(TensorError::IndexOutOfBounds {
+                index: end,
+                bound: dim,
+            });
         }
         let mut shape = self.shape;
         shape.dims_mut()[axis] = end - start;
@@ -845,7 +870,11 @@ impl Tensor {
 
     /// Euclidean (L2) norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
+        self.data
+            .iter()
+            .map(|&x| (x as f64) * (x as f64))
+            .sum::<f64>()
+            .sqrt() as f32
     }
 
     /// Sums along `axis`, dropping that axis.
@@ -934,7 +963,11 @@ impl Tensor {
                 row.iter()
                     .enumerate()
                     .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv { (i, v) } else { (bi, bv) }
+                        if v > bv {
+                            (i, v)
+                        } else {
+                            (bi, bv)
+                        }
                     })
                     .0
             })

@@ -45,8 +45,14 @@ fn gemm_chain_backward(c: &Case, att: &Tensor, lse: &Tensor, dy: &Tensor) -> Gra
     let mut p = matmul_bt(&c.q, &c.k).unwrap();
     let logit_dims = p.dims().to_vec();
     let s_k = logit_dims[logit_dims.len() - 1];
-    let bias = c.bias.as_ref().map(|b| b.broadcast_to(&logit_dims).unwrap());
-    let mask = c.mask.as_ref().map(|m| m.broadcast_to(&logit_dims).unwrap());
+    let bias = c
+        .bias
+        .as_ref()
+        .map(|b| b.broadcast_to(&logit_dims).unwrap());
+    let mask = c
+        .mask
+        .as_ref()
+        .map(|m| m.broadcast_to(&logit_dims).unwrap());
     for (idx, l) in p.data_mut().iter_mut().enumerate() {
         let mut val = *l * c.scale;
         if let Some(b) = &bias {
@@ -175,7 +181,13 @@ fn square_pair_stack_shape_matches_gemm_chain() {
 fn single_query_row_matches_gemm_chain() {
     // s_q = 1: the global-column and template pointwise sites.
     for flags in 0..4u64 {
-        let c = evoformer_case((6, 4, 1, 21, 4), false, flags & 1 != 0, flags & 2 != 0, 30 + flags);
+        let c = evoformer_case(
+            (6, 4, 1, 21, 4),
+            false,
+            flags & 1 != 0,
+            flags & 2 != 0,
+            30 + flags,
+        );
         check(&c, 40 + flags);
     }
 }

@@ -84,7 +84,10 @@ impl SharedB {
             SharedB::Bt => ([b, m, k], [n, k]),
             SharedB::At => ([b, k, m], [k, n]),
         };
-        (Tensor::randn(&a_dims, seed), Tensor::randn(&w_dims, seed ^ 0x5B))
+        (
+            Tensor::randn(&a_dims, seed),
+            Tensor::randn(&w_dims, seed ^ 0x5B),
+        )
     }
 }
 
@@ -98,12 +101,16 @@ fn check_shared_b(kind: SharedB, b: usize, m: usize, k: usize, n: usize, seed: u
     let per = a.len() / b.max(1);
     let mut expect = Vec::with_capacity(out.len());
     for i in 0..b {
-        let ai = Tensor::from_vec(a.data()[i * per..(i + 1) * per].to_vec(), &a.dims()[1..])
-            .unwrap();
+        let ai =
+            Tensor::from_vec(a.data()[i * per..(i + 1) * per].to_vec(), &a.dims()[1..]).unwrap();
         expect.extend_from_slice(kind.run(&ai, &w).data());
     }
     let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(out.data()), bits(&expect), "{kind:?} [{b}, {m}, {k}] x {n}");
+    assert_eq!(
+        bits(out.data()),
+        bits(&expect),
+        "{kind:?} [{b}, {m}, {k}] x {n}"
+    );
 }
 
 #[test]
@@ -190,9 +197,8 @@ fn large_fused_attention_forward_and_backward_are_bit_identical() {
             .out
     });
 
-    let fa =
-        attention::attention_fused(&q, &k, &v, Some(&bias), Some(&mask), Some(&gate), scale)
-            .unwrap();
+    let fa = attention::attention_fused(&q, &k, &v, Some(&bias), Some(&mask), Some(&gate), scale)
+        .unwrap();
     let dy = Tensor::randn(fused.dims(), 21);
     for idx in 0..5 {
         identical_across_threads(|| {
@@ -221,13 +227,19 @@ fn large_fused_attention_forward_and_backward_are_bit_identical() {
 /// replace.
 fn split_heads(t: &Tensor, h: usize, d: usize) -> Tensor {
     let (b1, b2) = (t.dims()[0], t.dims()[1]);
-    t.reshape(&[b1, b2, h, d]).unwrap().permute(&[0, 2, 1, 3]).unwrap()
+    t.reshape(&[b1, b2, h, d])
+        .unwrap()
+        .permute(&[0, 2, 1, 3])
+        .unwrap()
 }
 
 /// `[b1, h, b2, d]` -> `[b1, b2, h·d]`.
 fn merge_heads(t: &Tensor) -> Tensor {
     let (b1, h, b2, d) = (t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]);
-    t.permute(&[0, 2, 1, 3]).unwrap().reshape(&[b1, b2, h * d]).unwrap()
+    t.permute(&[0, 2, 1, 3])
+        .unwrap()
+        .reshape(&[b1, b2, h * d])
+        .unwrap()
 }
 
 /// Gated, biased attention on four `[b1, b2, h·d]` head views is
@@ -239,23 +251,47 @@ fn check_gated_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
     let hd = h * d;
     let srcs = [0, 1, 2, 3].map(|i| Tensor::randn(&[b1, b2, hd], seed + 10 * i));
     let bias = Tensor::randn(&[h, b2, b2], seed ^ 1);
-    let at = |i: usize| HeadView { src: &srcs[i], axis: Some(1) };
-    let views = HeadViews { q: at(0), k: at(1), v: at(2), gate: Some(at(3)), heads: h, d };
+    let at = |i: usize| HeadView {
+        src: &srcs[i],
+        axis: Some(1),
+    };
+    let views = HeadViews {
+        q: at(0),
+        k: at(1),
+        v: at(2),
+        gate: Some(at(3)),
+        heads: h,
+        d,
+    };
     let scale = 1.0 / (d as f32).sqrt();
     let out = identical_across_threads(|| {
-        attention::attention_heads(&views, Some(&bias), None, scale).unwrap().out
+        attention::attention_heads(&views, Some(&bias), None, scale)
+            .unwrap()
+            .out
     });
     let [q, k, v, gate] = srcs.each_ref().map(|t| split_heads(t, h, d));
     let fa = attention::attention_fused(&q, &k, &v, Some(&bias), None, Some(&gate), scale).unwrap();
     let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(out.dims(), &[b1, b2, hd]);
-    assert_eq!(bits(&out), bits(&merge_heads(&fa.out)), "forward vs permuted copies");
+    assert_eq!(
+        bits(&out),
+        bits(&merge_heads(&fa.out)),
+        "forward vs permuted copies"
+    );
 
     let fv = attention::attention_heads(&views, Some(&bias), None, scale).unwrap();
     let dy = Tensor::randn(out.dims(), seed ^ 2);
     let backward = || {
-        attention::attention_heads_backward(&views, Some(&bias), None, fv.pre_gate(), &fv.lse, scale, &dy)
-            .unwrap()
+        attention::attention_heads_backward(
+            &views,
+            Some(&bias),
+            None,
+            fv.pre_gate(),
+            &fv.lse,
+            scale,
+            &dy,
+        )
+        .unwrap()
     };
     let g = attention::attention_fused_backward(
         &q,
@@ -277,9 +313,17 @@ fn check_gated_views(b1: usize, b2: usize, h: usize, d: usize, seed: u64) {
         joined([g.dq, g.dk, g.dv, g.dgate.unwrap()])
     });
     let expect = joined([g.dq, g.dk, g.dv, g.dgate.unwrap()].map(|t| merge_heads(&t)));
-    assert_eq!(bits(&grads), bits(&expect), "operand gradients vs permuted copies");
+    assert_eq!(
+        bits(&grads),
+        bits(&expect),
+        "operand gradients vs permuted copies"
+    );
     let dbias = identical_across_threads(|| backward().dbias.unwrap());
-    assert_eq!(bits(&dbias), bits(&g.dbias.unwrap()), "bias gradient vs permuted copies");
+    assert_eq!(
+        bits(&dbias),
+        bits(&g.dbias.unwrap()),
+        "bias gradient vs permuted copies"
+    );
 }
 
 #[test]
@@ -298,22 +342,42 @@ fn axis0_head_views_are_bit_identical() {
     use attention::{HeadView, HeadViews};
     let (s, r, h, d) = (48, 24, 4, 8);
     let hd = h * d;
-    let (k, v) = (Tensor::randn(&[s, r, hd], 33), Tensor::randn(&[s, r, hd], 35));
+    let (k, v) = (
+        Tensor::randn(&[s, r, hd], 33),
+        Tensor::randn(&[s, r, hd], 35),
+    );
     let q = Tensor::randn(&[r, hd], 34);
     let views = HeadViews {
-        q: HeadView { src: &q, axis: None },
-        k: HeadView { src: &k, axis: Some(0) },
-        v: HeadView { src: &v, axis: Some(0) },
+        q: HeadView {
+            src: &q,
+            axis: None,
+        },
+        k: HeadView {
+            src: &k,
+            axis: Some(0),
+        },
+        v: HeadView {
+            src: &v,
+            axis: Some(0),
+        },
         gate: None,
         heads: h,
         d,
     };
     let out = identical_across_threads(|| {
-        attention::attention_heads(&views, None, None, 0.3).unwrap().out
+        attention::attention_heads(&views, None, None, 0.3)
+            .unwrap()
+            .out
     });
-    let heads_of = |t: &Tensor| t.reshape(&[s, r, h, d]).unwrap().permute(&[1, 2, 0, 3]).unwrap();
+    let heads_of = |t: &Tensor| {
+        t.reshape(&[s, r, h, d])
+            .unwrap()
+            .permute(&[1, 2, 0, 3])
+            .unwrap()
+    };
     let qh = q.reshape(&[r, h, 1, d]).unwrap();
-    let fa = attention::attention_fused(&qh, &heads_of(&k), &heads_of(&v), None, None, None, 0.3).unwrap();
+    let fa = attention::attention_fused(&qh, &heads_of(&k), &heads_of(&v), None, None, None, 0.3)
+        .unwrap();
     assert_eq!(out.dims(), &[r, hd]);
     assert_eq!(out.data(), fa.out.data(), "forward vs permuted copies");
 }
@@ -331,7 +395,13 @@ fn bits(data: &[f32]) -> Vec<u32> {
 
 /// The `m × n` sums `Σ_kk a(i, kk)·b(kk, j)`, each added in ascending `kk`
 /// from +0.0: the order every GEMM tile promises.
-fn reference_sums(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+fn reference_sums(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
     let mut out = Vec::with_capacity(m * n);
     for i in 0..m {
         for j in 0..n {
@@ -374,7 +444,11 @@ fn check_narrow_product(kind: SharedB, shared: bool, m: usize, k: usize, n: usiz
         };
         expect.extend(reference_sums(m, k, n, a_at, w_at));
     }
-    assert_eq!(bits(out.data()), bits(&expect), "{kind:?} shared={shared} m={m} k={k} n={n}");
+    assert_eq!(
+        bits(out.data()),
+        bits(&expect),
+        "{kind:?} shared={shared} m={m} k={k} n={n}"
+    );
 }
 
 #[test]
@@ -406,19 +480,43 @@ fn narrow_panel_linear_is_bit_identical() {
                 let x = Tensor::randn(&[m, k], seed);
                 let w = Tensor::randn(&[n, k], seed ^ 1);
                 let b = Tensor::randn(&[n], seed ^ 2);
-                let sums = reference_sums(m, k, n, |i, kk| x.data()[i * k + kk], |kk, j| w.data()[j * k + kk]);
+                let sums = reference_sums(
+                    m,
+                    k,
+                    n,
+                    |i, kk| x.data()[i * k + kk],
+                    |kk, j| w.data()[j * k + kk],
+                );
                 let y = identical_across_threads(|| linear(&x, &w, None).unwrap());
                 assert_eq!(bits(y.data()), bits(&sums), "linear m={m} k={k} n={n}");
                 let yb = identical_across_threads(|| linear(&x, &w, Some(&b)).unwrap());
-                let biased: Vec<f32> = sums.iter().enumerate().map(|(e, &s)| s + b.data()[e % n]).collect();
-                assert_eq!(bits(yb.data()), bits(&biased), "biased linear m={m} k={k} n={n}");
+                let biased: Vec<f32> = sums
+                    .iter()
+                    .enumerate()
+                    .map(|(e, &s)| s + b.data()[e % n])
+                    .collect();
+                assert_eq!(
+                    bits(yb.data()),
+                    bits(&biased),
+                    "biased linear m={m} k={k} n={n}"
+                );
                 // linear_weight_grad: dy [k, m], x [k, n] -> [m, n], summed
                 // over the k rows.
                 let dy = Tensor::randn(&[k, m], seed ^ 3);
                 let xs = Tensor::randn(&[k, n], seed ^ 4);
                 let dw = identical_across_threads(|| linear_weight_grad(&dy, &xs).unwrap());
-                let expect = reference_sums(m, k, n, |i, kk| dy.data()[kk * m + i], |kk, j| xs.data()[kk * n + j]);
-                assert_eq!(bits(dw.data()), bits(&expect), "linear_weight_grad m={m} k={k} n={n}");
+                let expect = reference_sums(
+                    m,
+                    k,
+                    n,
+                    |i, kk| dy.data()[kk * m + i],
+                    |kk, j| xs.data()[kk * n + j],
+                );
+                assert_eq!(
+                    bits(dw.data()),
+                    bits(&expect),
+                    "linear_weight_grad m={m} k={k} n={n}"
+                );
             }
         }
     }

@@ -68,7 +68,10 @@ fn assert_reads_as(shape: &Shape, dims: &[usize]) {
     assert_eq!(shape.num_elements(), dims.iter().product::<usize>());
     let strides = shape.strides();
     assert_eq!(&strides[..dims.len()], &reference::strides(dims)[..]);
-    assert!(strides[dims.len()..].iter().all(|&s| s == 0), "strides past the rank");
+    assert!(
+        strides[dims.len()..].iter().all(|&s| s == 0),
+        "strides past the rank"
+    );
     assert_eq!(format!("{shape:?}"), format!("Shape({dims:?})"));
     assert_eq!(format!("{shape}"), format!("{dims:?}"));
     assert_eq!(hash_of(shape), hash_of(&dims.to_vec()), "hash of {dims:?}");
@@ -162,7 +165,10 @@ proptest! {
 }
 
 fn rank_too_high() -> TensorError {
-    TensorError::RankTooHigh { rank: MAX_RANK + 1, max: MAX_RANK }
+    TensorError::RankTooHigh {
+        rank: MAX_RANK + 1,
+        max: MAX_RANK,
+    }
 }
 
 /// `MAX_RANK + 1` unit axes.
@@ -205,6 +211,9 @@ fn stack_rejects_rank_above_the_bound() {
 fn rank_error_names_the_bound() {
     assert_eq!(
         rank_too_high().to_string(),
-        format!("rank {} exceeds the maximum tensor rank {MAX_RANK}", MAX_RANK + 1)
+        format!(
+            "rank {} exceeds the maximum tensor rank {MAX_RANK}",
+            MAX_RANK + 1
+        )
     );
 }

@@ -96,7 +96,11 @@ impl Trace {
             if !first {
                 out.push(',');
             }
-            let label = if pid == 0 { "scalefold" } else { "sf-gpusim (simulated)" };
+            let label = if pid == 0 {
+                "scalefold"
+            } else {
+                "sf-gpusim (simulated)"
+            };
             let _ = write!(
                 out,
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{label}\"}}}}"
@@ -287,7 +291,10 @@ mod tests {
     fn export_is_schema_shaped() {
         let s = sample_trace().to_chrome_json();
         let doc = json::parse(&s).expect("valid JSON");
-        let evs = doc.get("traceEvents").and_then(Value::as_arr).expect("array");
+        let evs = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("array");
         // 2 process_name metadata records (pid 0 and 1) + 3 events.
         assert_eq!(evs.len(), 5);
         for ev in evs {

@@ -145,7 +145,11 @@ pub struct JsonError {
 
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -286,7 +290,10 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 scalar (multi-byte aware).
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    let c = rest
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -95,7 +95,9 @@ impl PhaseReport {
         let step_spans: Vec<_> = trace
             .events
             .iter()
-            .filter(|e| e.pid == 0 && e.cat == "step" && matches!(e.kind, EventKind::Complete { .. }))
+            .filter(|e| {
+                e.pid == 0 && e.cat == "step" && matches!(e.kind, EventKind::Complete { .. })
+            })
             .collect();
         for (ordinal, step_ev) in step_spans.iter().enumerate() {
             let (lo, hi) = (step_ev.ts_us, step_ev.end_us());

@@ -30,10 +30,16 @@ fn main() {
     let first = reports.first().expect("steps").mean_loss;
     let last = reports.last().expect("steps").mean_loss;
     println!();
-    println!("mean loss {first:.4} -> {last:.4} over {} DP steps", reports.len());
+    println!(
+        "mean loss {first:.4} -> {last:.4} over {} DP steps",
+        reports.len()
+    );
     println!(
         "replica divergence stayed at {:.2e} — the DP contract holds",
-        reports.iter().map(|r| r.max_replica_divergence).fold(0.0f32, f32::max)
+        reports
+            .iter()
+            .map(|r| r.max_replica_divergence)
+            .fold(0.0f32, f32::max)
     );
     println!(
         "per-step ring traffic: {} elements across {} params",

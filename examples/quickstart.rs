@@ -32,7 +32,13 @@ fn main() {
     let t_opt = step_time(&optimized, &dev, CpuModel::healthy(), true).total_s;
     println!();
     println!("paper-scale step on one H100 (performance model):");
-    println!("  reference (OpenFold-like): {t_ref:.2} s  ({} kernels)", reference.ops.len());
-    println!("  ScaleFold optimizations  : {t_opt:.2} s  ({} kernels)", optimized.ops.len());
+    println!(
+        "  reference (OpenFold-like): {t_ref:.2} s  ({} kernels)",
+        reference.ops.len()
+    );
+    println!(
+        "  ScaleFold optimizations  : {t_opt:.2} s  ({} kernels)",
+        optimized.ops.len()
+    );
     println!("  node-local speedup       : {:.2}x", t_ref / t_opt);
 }

@@ -33,10 +33,17 @@ fn main() {
     }
 
     let first5: f32 = reports[..5].iter().map(|r| r.loss).sum::<f32>() / 5.0;
-    let last5: f32 = reports[reports.len() - 5..].iter().map(|r| r.loss).sum::<f32>() / 5.0;
+    let last5: f32 = reports[reports.len() - 5..]
+        .iter()
+        .map(|r| r.loss)
+        .sum::<f32>()
+        / 5.0;
     println!();
     println!("loss: first-5 mean {first5:.4} -> last-5 mean {last5:.4}");
-    println!("eval lDDT-Ca on held-out synthetic proteins (SWA weights): {:.3}", trainer.evaluate(3));
+    println!(
+        "eval lDDT-Ca on held-out synthetic proteins (SWA weights): {:.3}",
+        trainer.evaluate(3)
+    );
     if last5 < first5 {
         println!("the model is learning.");
     } else {

@@ -20,7 +20,11 @@ fn tmp_file(name: &str) -> PathBuf {
 #[test]
 fn unwritable_trace_path_exits_one_with_diagnostic() {
     let out = scalefold(&["train", "1", "--trace", "/nonexistent-dir/out.json"]);
-    assert_eq!(out.status.code(), Some(1), "must exit 1, not panic or succeed");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "must exit 1, not panic or succeed"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("cannot write trace file '/nonexistent-dir/out.json'"),
@@ -59,7 +63,10 @@ fn trace_flag_without_value_exits_one() {
     let out = scalefold(&["train", "1", "--trace"]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--trace expects an output path"), "{stderr}");
+    assert!(
+        stderr.contains("--trace expects an output path"),
+        "{stderr}"
+    );
 }
 
 /// Malformed `--threads` / `--dap` values exit 1 with the flag's own
@@ -67,10 +74,19 @@ fn trace_flag_without_value_exits_one() {
 #[test]
 fn malformed_global_flags_exit_one_with_diagnostic() {
     let cases: [(&[&str], &str); 4] = [
-        (&["memory", "2", "--threads", "0"], "--threads expects a positive integer"),
-        (&["memory", "2", "--threads"], "--threads expects a thread count"),
+        (
+            &["memory", "2", "--threads", "0"],
+            "--threads expects a positive integer",
+        ),
+        (
+            &["memory", "2", "--threads"],
+            "--threads expects a thread count",
+        ),
         (&["memory", "2", "--dap", "x"], "invalid DAP rank count 'x'"),
-        (&["memory", "2", "--dap=0"], "--dap expects a positive integer"),
+        (
+            &["memory", "2", "--dap=0"],
+            "--dap expects a positive integer",
+        ),
     ];
     for (args, message) in cases {
         let out = scalefold(args);
@@ -86,7 +102,12 @@ fn malformed_global_flags_exit_one_with_diagnostic() {
 #[test]
 fn threads_equals_form_is_accepted() {
     let out = scalefold(&["memory", "2", "--threads=1"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// The documented end-to-end flow: a traced run writes Chrome-format JSON
@@ -96,7 +117,12 @@ fn threads_equals_form_is_accepted() {
 fn traced_train_emits_chrome_json_and_trace_report_reads_it() {
     let path = tmp_file("train.json");
     let out = scalefold(&["train", "2", "--trace", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&path).expect("trace file must exist");
     let trace = sf_trace::Trace::from_chrome_json(&text).expect("viewer-loadable JSON");

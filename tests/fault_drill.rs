@@ -42,9 +42,20 @@ fn training_survives_worker_panic_nan_grads_and_corrupt_checkpoint() {
         trainer.recovery_log()
     );
     // ...and exactly the poisoned step was skipped.
-    let skipped: Vec<u64> = reports.iter().filter(|r| r.skipped).map(|r| r.step).collect();
-    assert_eq!(skipped, vec![2], "exactly optimizer step 1 (report 2) skips");
-    assert!(reports.iter().filter(|r| !r.skipped).all(|r| r.grad_norm.is_finite()));
+    let skipped: Vec<u64> = reports
+        .iter()
+        .filter(|r| r.skipped)
+        .map(|r| r.step)
+        .collect();
+    assert_eq!(
+        skipped,
+        vec![2],
+        "exactly optimizer step 1 (report 2) skips"
+    );
+    assert!(reports
+        .iter()
+        .filter(|r| !r.skipped)
+        .all(|r| r.grad_norm.is_finite()));
 
     // Checkpoint, train on, checkpoint again, then corrupt the newest
     // file: recovery must fall back to the older, valid one.
@@ -69,7 +80,10 @@ fn training_survives_worker_panic_nan_grads_and_corrupt_checkpoint() {
         .resume_latest(&dir)
         .expect("resume must not error")
         .expect("a valid checkpoint exists");
-    assert_eq!(summary.path, older, "must fall back past the corrupt newest file");
+    assert_eq!(
+        summary.path, older,
+        "must fall back past the corrupt newest file"
+    );
     assert_eq!(summary.skipped.len(), 1, "the corrupt file is reported");
     assert_eq!(summary.step, Some(7));
     assert_eq!(recovered.step_count(), 7);
@@ -85,8 +99,16 @@ fn training_survives_worker_panic_nan_grads_and_corrupt_checkpoint() {
 
     // The injector saw both scheduled faults actually fire.
     let log = trainer.injector().log();
-    assert!(log.iter().any(|e| matches!(e, sf_faults::FaultEvent::InjectedPanic { dataset_index: 2, .. })));
-    assert!(log.iter().any(|e| matches!(e, sf_faults::FaultEvent::InjectedNanGrad { step: 1 })));
+    assert!(log.iter().any(|e| matches!(
+        e,
+        sf_faults::FaultEvent::InjectedPanic {
+            dataset_index: 2,
+            ..
+        }
+    )));
+    assert!(log
+        .iter()
+        .any(|e| matches!(e, sf_faults::FaultEvent::InjectedNanGrad { step: 1 })));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,7 +35,12 @@ fn fig3_breakdown_shape() {
     }
     // Imbalance share grows with DAP degree (the paper's key observation).
     let share = |i: usize| r.rows[i].imbalance_s / r.rows[i].actual_s;
-    assert!(share(2) > share(0), "dap8 {} vs dap2 {}", share(2), share(0));
+    assert!(
+        share(2) > share(0),
+        "dap8 {} vs dap2 {}",
+        share(2),
+        share(0)
+    );
     // Baseline speedups plateau: DAP-8 is within 35% of DAP-4 (paper: both
     // ~1.57x).
     let s4 = r.speedups[1].1;
@@ -62,7 +67,14 @@ fn fig7_step_time_orderings() {
     assert!(r.a100[1].1 > r.a100[2].1);
     // H100 ScaleFold: strictly improving with DAP.
     for w in r.h100.windows(2) {
-        assert!(w[1].1 < w[0].1, "{} {:.2} !< {} {:.2}", w[1].0, w[1].1, w[0].0, w[0].1);
+        assert!(
+            w[1].1 < w[0].1,
+            "{} {:.2} !< {} {:.2}",
+            w[1].0,
+            w[1].1,
+            w[0].0,
+            w[0].1
+        );
     }
     // DAP-8 speedup over DAP-1 in the paper's band (2.77x).
     let s8 = r.h100[0].1 / r.h100[3].1;
@@ -79,7 +91,11 @@ fn fig8_ladder_shape() {
     }
     // Final cumulative speedup near the paper's ~6.2x.
     let last = r.entries.last().expect("rows");
-    assert!((3.5..10.0).contains(&last.h100_speedup), "{:.2}", last.h100_speedup);
+    assert!(
+        (3.5..10.0).contains(&last.h100_speedup),
+        "{:.2}",
+        last.h100_speedup
+    );
     // The DAP-8 stage needs the CUDA graph (1.52x vs 1.79x story).
     let (without, with) = r.dap8_graph_ablation;
     assert!(with < without);

@@ -29,7 +29,9 @@ fn end_to_end_real_training_step() {
     let cfg = tiny_model_cfg();
     let ds = SyntheticDataset::new(1, 4);
     let batch = featurize(&ds.record(0), &cfg, 1);
-    batch.validate(&cfg).expect("featurized batch matches model config");
+    batch
+        .validate(&cfg)
+        .expect("featurized batch matches model config");
 
     let model = AlphaFold::new(cfg);
     let mut store = ParamStore::new();
@@ -76,9 +78,14 @@ fn pipeline_under_stragglers_delivers_exactly_once() {
     }
     let order: Vec<usize> = (0..24).collect();
     let run = |kind| -> Vec<usize> {
-        Loader::new(Arc::new(Sleepy), order.clone(), LoaderConfig::default(), kind)
-            .map(|item| item.expect("no faults").0)
-            .collect()
+        Loader::new(
+            Arc::new(Sleepy),
+            order.clone(),
+            LoaderConfig::default(),
+            kind,
+        )
+        .map(|item| item.expect("no faults").0)
+        .collect()
     };
     let nb = run(LoaderKind::NonBlocking);
     let mut sorted = nb.clone();
@@ -86,7 +93,11 @@ fn pipeline_under_stragglers_delivers_exactly_once() {
     assert_eq!(sorted, order, "exactly-once delivery");
     assert_ne!(nb, order, "stragglers should reorder delivery");
 
-    assert_eq!(run(LoaderKind::Blocking), order, "blocking loader preserves order exactly");
+    assert_eq!(
+        run(LoaderKind::Blocking),
+        order,
+        "blocking loader preserves order exactly"
+    );
 }
 
 #[test]
@@ -98,9 +109,13 @@ fn model_forward_is_deterministic_at_model_scale() {
     let model = AlphaFold::new(cfg);
     let mut store = ParamStore::new();
     let mut g1 = Graph::new();
-    let o1 = model.forward(&mut g1, &mut store, &batch).expect("forward 1");
+    let o1 = model
+        .forward(&mut g1, &mut store, &batch)
+        .expect("forward 1");
     let mut g2 = Graph::new();
-    let o2 = model.forward(&mut g2, &mut store, &batch).expect("forward 2");
+    let o2 = model
+        .forward(&mut g2, &mut store, &batch)
+        .expect("forward 2");
     assert_eq!(g1.value(o1.coords), g2.value(o2.coords));
     assert_eq!(o1.loss_breakdown.total, o2.loss_breakdown.total);
 }
@@ -112,7 +127,13 @@ fn optimization_set_speedup_composes_across_crates() {
     let cfg = ModelConfig::paper();
     let dev = DeviceSpec::h100();
     let t = |opts: &OptimizationSet, graph_mode: bool| {
-        step_time(&build_graph(&cfg, opts), &dev, CpuModel::healthy(), graph_mode).total_s
+        step_time(
+            &build_graph(&cfg, opts),
+            &dev,
+            CpuModel::healthy(),
+            graph_mode,
+        )
+        .total_s
     };
     let reference = t(&OptimizationSet::none(), false);
     let fused_only = t(

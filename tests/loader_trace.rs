@@ -33,7 +33,11 @@ fn traced_run(kind: LoaderKind) -> (PhaseReport, sf_trace::Trace) {
     let reports = trainer.train(STEPS);
     let trace = sf_trace::take();
     sf_trace::disable();
-    assert_eq!(reports.len() as u64, STEPS, "both loaders must finish the run");
+    assert_eq!(
+        reports.len() as u64,
+        STEPS,
+        "both loaders must finish the run"
+    );
     (PhaseReport::from_trace(&trace), trace)
 }
 
@@ -96,7 +100,10 @@ fn loader_workers_emit_prepare_spans_and_queue_depth_counters() {
         .iter()
         .filter(|e| e.cat == "loader" && e.name == "prepare")
         .collect();
-    assert!(!prepares.is_empty(), "workers must trace sample preparation");
+    assert!(
+        !prepares.is_empty(),
+        "workers must trace sample preparation"
+    );
     assert!(
         prepares.iter().all(|e| e.tid != step_tid),
         "prepare spans belong to worker threads"

@@ -25,7 +25,11 @@ fn traced_train(steps: u64) -> Trace {
     cfg.model.extra_msa_blocks = 0;
     let mut trainer = Trainer::new(cfg);
     let reports = trainer.train(steps);
-    assert_eq!(reports.len() as u64, steps, "training must run to completion");
+    assert_eq!(
+        reports.len() as u64,
+        steps,
+        "training must run to completion"
+    );
     let trace = sf_trace::take();
     sf_trace::disable();
     trace
@@ -70,7 +74,10 @@ fn spans_nest_properly_per_thread() {
             open_ends.push(end);
         }
     }
-    assert!(checked > 10, "expected a non-trivial number of nested span pairs");
+    assert!(
+        checked > 10,
+        "expected a non-trivial number of nested span pairs"
+    );
 }
 
 /// Every recorded phase lies inside its step, and the phases plus the

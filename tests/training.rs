@@ -41,7 +41,10 @@ fn lddt_improves_or_holds_with_training() {
     let late: f32 = reports[24..].iter().map(|r| r.lddt).sum::<f32>() / 6.0;
     // Structure quality is noisy at this scale; it must at least not
     // collapse while the loss falls.
-    assert!(late >= early - 0.05, "lddt degraded: {early:.3} -> {late:.3}");
+    assert!(
+        late >= early - 0.05,
+        "lddt degraded: {early:.3} -> {late:.3}"
+    );
 }
 
 #[test]
@@ -157,5 +160,8 @@ fn long_training_improves_lddt_substantially() {
     );
     let early_loss: f32 = reports[..10].iter().map(|r| r.loss).sum::<f32>() / 10.0;
     let late_loss: f32 = reports[110..].iter().map(|r| r.loss).sum::<f32>() / 10.0;
-    assert!(late_loss < 0.5 * early_loss, "loss {early_loss:.3} -> {late_loss:.3}");
+    assert!(
+        late_loss < 0.5 * early_loss,
+        "loss {early_loss:.3} -> {late_loss:.3}"
+    );
 }
