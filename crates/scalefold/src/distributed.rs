@@ -4,11 +4,13 @@
 //! [`DataParallelTrainer`] holds no step logic of its own: it builds a
 //! [`Trainer`] with `ranks` replicas and reports its steps as
 //! [`DpStepReport`]s. Every replica runs the same forward, backward and
-//! precision rounding on its own batch; the gradients are averaged in
-//! place by the ring all-reduce of `sf_cluster::collective` (the
-//! algorithm the cluster simulator prices), clipped per tensor by global
-//! norm, and every replica applies the same optimizer update. Batches
-//! come from the trainer's one loader feed, `ranks` per step.
+//! precision rounding on its own batch, all replicas at once on their own
+//! threads, each with its own store and DAP group. Then, in replica order,
+//! the gradients are averaged in place by the ring all-reduce of
+//! `sf_cluster::collective` (the algorithm the cluster simulator prices),
+//! clipped per tensor by global norm, and every replica applies the same
+//! optimizer update, so the step is bitwise the serial one. Batches come
+//! from the trainer's one loader feed, `ranks` per step.
 //!
 //! The invariants this module tests:
 //!

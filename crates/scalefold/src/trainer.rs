@@ -200,12 +200,79 @@ impl Dataset for FeaturizingDataset {
     }
 }
 
-/// One data-parallel replica: its parameters and optimizer state. Kept
-/// separate per replica so the DP-synchrony invariant is *measured*, not
-/// assumed.
+/// One data-parallel replica: its parameters, optimizer state and DAP
+/// group. Kept separate per replica so the DP-synchrony invariant is
+/// *measured*, not assumed, and so each replica's forward and backward can
+/// run on its own thread without sharing anything mutable.
 struct Replica {
     store: ParamStore,
     optimizer: FusedAdamSwa,
+    /// This replica's DAP executor (one rank when DAP is off). Only the
+    /// replica's own thread drives it, so its `RefCell` stats need no lock.
+    dap: DapGroup,
+}
+
+/// What one replica's forward and backward hand back to the step.
+struct ReplicaOut {
+    /// Gradients by slot, rounded through the configured precision.
+    grads: SlotGrads,
+    loss: LossBreakdown,
+    lddt: f32,
+    /// Nodes on the replica's tape.
+    tape_nodes: usize,
+}
+
+impl Replica {
+    /// Forward (DAP-sharded when enabled), backward, precision rounding and
+    /// lDDT of this replica on `batch`, on a fresh tape of `capacity`
+    /// nodes. The tape is dropped before returning.
+    fn forward_backward(
+        &mut self,
+        model: &AlphaFold,
+        batch: &FeatureBatch,
+        precision: Precision,
+        capacity: usize,
+        rank: usize,
+    ) -> ReplicaOut {
+        let rank_arg = rank as f64;
+        let mut g = Graph::with_capacity(capacity);
+        let out = {
+            let _fwd = sf_trace::span("forward", "forward").arg("replica", rank_arg);
+            model
+                .forward_dap(&mut g, &mut self.store, batch, Some(&self.dap))
+                .expect("forward pass on validated batch")
+        };
+        let grads = {
+            let _bwd = sf_trace::span("backward", "backward").arg("replica", rank_arg);
+            g.backward(out.loss).expect("scalar loss");
+            let mut grads = g
+                .take_param_grads(&self.store)
+                .expect("bindings from this replica's store");
+            // Precision rounding of gradients (bf16 path of §3.4; fp16
+            // shows the NaN failure mode at larger scales).
+            if precision != Precision::F32 {
+                for grad in grads.iter_mut().flatten() {
+                    *grad = precision.quantize(grad);
+                }
+            }
+            grads
+        };
+        let lddt = {
+            let _metric = sf_trace::span("eval", "lddt").arg("replica", rank_arg);
+            lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask)
+        };
+        let tape_nodes = g.len();
+        // Freeing the tape (every activation and cotangent) is the
+        // backward pass's cleanup; timed there, not left unattributed.
+        let _free = sf_trace::span("backward", "free_tape").arg("replica", rank_arg);
+        drop(g);
+        ReplicaOut {
+            grads,
+            loss: out.loss_breakdown,
+            lddt,
+            tape_nodes,
+        }
+    }
 }
 
 /// What one engine step moved between simulated devices, beside its
@@ -246,10 +313,7 @@ pub struct Trainer {
     rng: StdRng,
     injector: FaultInjector,
     recovery: Vec<RecoveryEvent>,
-    /// Shared DAP executor (one rank when DAP is off): replicas run
-    /// sequentially on a CPU, so one group serves the whole grid and
-    /// accumulates its total traffic.
-    dap_group: DapGroup,
+    /// DAP traffic summed over every step and replica.
     dap_comm: DapStats,
     /// Nodes on the last replica tape: the next step's tapes are built
     /// with this capacity instead of regrowing by doubling.
@@ -288,11 +352,11 @@ impl Trainer {
         if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
             panic!("{msg}");
         }
-        let dap_group = DapGroup::new(cfg.dap);
         let replicas = (0..ranks)
             .map(|_| Replica {
                 store: ParamStore::new(),
                 optimizer: FusedAdamSwa::new(cfg.adam, cfg.swa_decay),
+                dap: DapGroup::new(cfg.dap),
             })
             .collect();
         Trainer {
@@ -302,7 +366,6 @@ impl Trainer {
             rng: StdRng::seed_from_u64(cfg.seed),
             injector: FaultInjector::new(plan),
             recovery: Vec::new(),
-            dap_group,
             dap_comm: DapStats::default(),
             tape_nodes: 0,
             cfg,
@@ -358,9 +421,16 @@ impl Trainer {
     }
 
     /// The step core, one batch per replica: forward (DAP-sharded when
-    /// enabled), backward and precision rounding on every replica; ring
-    /// all-reduce (mean) of the gradients; global-norm clip; and the same
-    /// optimizer update on every replica.
+    /// enabled), backward and precision rounding on every replica, each on
+    /// its own thread; then, serially and in replica order, ring all-reduce
+    /// (mean) of the gradients, global-norm clip, and the same optimizer
+    /// update on every replica.
+    ///
+    /// The calling thread runs replica 0 and one scoped thread runs each
+    /// other replica, so a one-replica step spawns nothing. Every replica
+    /// owns its store and DAP group, so the threads share no mutable
+    /// state, and the serial half takes their results in replica order:
+    /// the step is bitwise the one a serial loop over the replicas takes.
     ///
     /// Non-finite guard: a NaN/Inf loss or gradient (the fp16 blow-up mode
     /// at scale) skips the update on every replica instead of destroying
@@ -372,52 +442,51 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics if `batches.len()` is not the replica count, or as
-    /// [`Trainer::train_step`].
+    /// [`Trainer::train_step`]. A replica thread's panic is re-raised on the
+    /// caller with its original payload.
     pub(crate) fn step(&mut self, batches: &[FeatureBatch]) -> EngineStep {
         assert_eq!(batches.len(), self.ranks(), "one batch per replica");
+        let (model, precision, capacity) = (&self.model, self.cfg.precision, self.tape_nodes);
+        let (first, rest) = self
+            .replicas
+            .split_first_mut()
+            .expect("at least one replica");
+        let outs: Vec<ReplicaOut> = std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .zip(&batches[1..])
+                .enumerate()
+                .map(|(i, (replica, batch))| {
+                    scope.spawn(move || {
+                        replica.forward_backward(model, batch, precision, capacity, i + 1)
+                    })
+                })
+                .collect();
+            let mut outs = Vec::with_capacity(batches.len());
+            outs.push(first.forward_backward(model, &batches[0], precision, capacity, 0));
+            // Time replica 0 waits on the others: the step's load imbalance.
+            let _join = sf_trace::span("collective", "replica_join");
+            for handle in handles {
+                outs.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            outs
+        });
         let n = batches.len() as f32;
         let (mut loss, mut distance_loss, mut lddt) = (0.0f32, 0.0f32, 0.0f32);
-        let mut grads: Vec<SlotGrads> = Vec::with_capacity(batches.len());
-        for (replica, batch) in self.replicas.iter_mut().zip(batches) {
-            let mut g = Graph::with_capacity(self.tape_nodes);
-            let out = {
-                let _fwd = sf_trace::span("forward", "forward");
-                self.model
-                    .forward_dap(&mut g, &mut replica.store, batch, Some(&self.dap_group))
-                    .expect("forward pass on validated batch")
-            };
-            self.tape_nodes = g.len();
-            let replica_grads = {
-                let _bwd = sf_trace::span("backward", "backward");
-                g.backward(out.loss).expect("scalar loss");
-                let mut replica_grads = g
-                    .take_param_grads(&replica.store)
-                    .expect("bindings from this replica's store");
-                // Precision rounding of gradients (bf16 path of §3.4; fp16
-                // shows the NaN failure mode at larger scales).
-                if self.cfg.precision != Precision::F32 {
-                    for grad in replica_grads.iter_mut().flatten() {
-                        *grad = self.cfg.precision.quantize(grad);
-                    }
-                }
-                replica_grads
-            };
-            grads.push(replica_grads);
-            let LossBreakdown {
-                total, distance, ..
-            } = out.loss_breakdown;
-            loss += total / n;
-            distance_loss += distance / n;
-            {
-                let _metric = sf_trace::span("eval", "lddt");
-                lddt += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask) / n;
-            }
-            // Freeing the tape (every activation and cotangent) is the
-            // backward pass's cleanup; timed there, not left unattributed.
-            let _free = sf_trace::span("backward", "free_tape");
-            drop(g);
+        let mut step_dap = DapStats::default();
+        let mut grads: Vec<SlotGrads> = Vec::with_capacity(outs.len());
+        for (out, replica) in outs.into_iter().zip(&self.replicas) {
+            loss += out.loss.total / n;
+            distance_loss += out.loss.distance / n;
+            lddt += out.lddt / n;
+            step_dap += replica.dap.take_stats();
+            self.tape_nodes = out.tape_nodes;
+            grads.push(out.grads);
         }
-        let step_dap = self.dap_group.take_stats();
         self.dap_comm += step_dap;
         // Every replica creates its parameters in the same order, so one
         // slot names the same parameter on all of them.

@@ -540,6 +540,67 @@ mod tests {
         );
     }
 
+    /// Two OS threads run the same kernels at the same moment, as the
+    /// trainer's replica threads do every step: one holds `run_lock`, the
+    /// other runs its loops inline. Both outputs are bitwise the
+    /// one-thread ones.
+    #[test]
+    fn concurrent_callers_match_the_single_thread_result() {
+        use crate::ops::{attention, layernorm};
+        use crate::Tensor;
+
+        let _g = test_lock();
+        let a = Tensor::randn(&[4, 96, 64], 1);
+        let b = Tensor::randn(&[4, 64, 96], 2);
+        let x = Tensor::randn(&[2048, 64], 3);
+        let gamma = Tensor::randn(&[64], 4).add_scalar(1.0);
+        let beta = Tensor::randn(&[64], 5);
+        let dy = Tensor::randn(&[2048, 64], 6);
+        let q = Tensor::randn(&[4, 4, 64, 16], 7);
+        let k = Tensor::randn(&[4, 4, 64, 16], 8);
+        let v = Tensor::randn(&[4, 4, 64, 16], 9);
+        let bias = Tensor::randn(&[4, 64, 64], 10);
+        let kernels = || -> Vec<Vec<u32>> {
+            let (_, stats) =
+                layernorm::fused_forward(&x, &gamma, &beta, layernorm::LN_EPS).expect("layer norm");
+            let (dx, dgamma, dbeta) =
+                layernorm::fused_backward(&dy, &x, &gamma, &stats, 64).expect("backward");
+            let att = attention::attention_fused(&q, &k, &v, Some(&bias), None, None, 0.25)
+                .expect("attention");
+            let gemm = a.matmul(&b).expect("gemm");
+            [gemm, dx, dgamma, dbeta, att.out]
+                .iter()
+                .map(|t| t.data().iter().map(|f| f.to_bits()).collect())
+                .collect()
+        };
+        let prev = num_threads();
+        set_num_threads(1);
+        let want = kernels();
+        set_num_threads(2);
+        let start = std::sync::Barrier::new(2);
+        let got: Vec<_> = thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..4).map(|_| kernels()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|c| c.join().expect("caller thread"))
+                .collect()
+        });
+        set_num_threads(prev);
+        for (i, outs) in got.iter().enumerate() {
+            assert!(
+                outs == &want,
+                "run {i}: a concurrent caller's output changed"
+            );
+        }
+    }
+
     #[test]
     fn worker_panic_propagates() {
         let _g = test_lock();

@@ -41,7 +41,7 @@
 //! | `optimizer`  | clip + Adam/SWA update                                 |
 //! | `checkpoint` | checkpoint save/restore                                |
 //! | `eval`       | lDDT metric + evaluation passes                        |
-//! | `collective` | DAP all-gather/all-to-all, gradient ring all-reduce    |
+//! | `collective` | DAP collectives, gradient all-reduce, replica join     |
 //! | `loader`     | `sf-data` worker threads (`prepare`, queue depth)      |
 //! | `pool`       | `sf-tensor` thread pool (regions, per-worker tasks)    |
 //! | `sim`        | `sf-gpusim` simulated timelines ([`SimTraceBuilder`])  |
@@ -149,17 +149,23 @@ fn current_tid() -> u32 {
 }
 
 /// Drains every thread's ring buffer into one [`Trace`], sorted by
-/// timestamp. Buffers (including those of exited threads) are emptied;
-/// recording state is unchanged.
+/// timestamp. Buffers (including those of exited threads) are emptied and
+/// exited threads' buffers are released; recording state is unchanged.
 pub fn take() -> Trace {
     let mut events = Vec::new();
     let mut dropped = 0;
-    for buf in registry().lock().unwrap_or_else(|p| p.into_inner()).iter() {
+    let mut registry = registry().lock().unwrap_or_else(|p| p.into_inner());
+    for buf in registry.iter() {
         let mut b = buf.lock().unwrap_or_else(|p| p.into_inner());
         events.extend(b.ring.drain(..));
         dropped += b.dropped;
         b.dropped = 0;
     }
+    // An exited thread's buffer is referenced only from here: drop it once
+    // drained, so short-lived threads (a trainer's replica threads, one set
+    // per step) do not grow the registry without bound.
+    registry.retain(|buf| Arc::strong_count(buf) > 1);
+    drop(registry);
     events.sort_by_key(|e| e.ts_us);
     Trace { events, dropped }
 }
@@ -521,6 +527,29 @@ mod tests {
         let tids: std::collections::BTreeSet<u32> = t.spans("pool").map(|e| e.tid).collect();
         assert_eq!(t.spans("pool").count(), 4);
         assert!(tids.len() >= 2, "expected distinct thread lanes: {tids:?}");
+    }
+
+    #[test]
+    fn take_releases_exited_threads_buffers() {
+        let _g = test_lock();
+        reset();
+        enable();
+        std::thread::spawn(|| {
+            let _s = span("pool", "short_lived");
+        })
+        .join()
+        .expect("thread");
+        disable();
+        let t = take();
+        let ev = t.spans("pool").find(|e| e.name == "short_lived");
+        let tid = ev.expect("an exited thread's events are still taken").tid;
+        let registry = registry().lock().unwrap_or_else(|p| p.into_inner());
+        assert!(
+            registry
+                .iter()
+                .all(|b| b.lock().unwrap_or_else(|p| p.into_inner()).tid != tid),
+            "the exited thread's buffer is released once drained"
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! the same phase that nest or overlap (e.g. the trainer's wait wrapper
 //! around the loader's own `data_wait` span) are not double-counted, and
 //! only events on the step's own thread count — worker-side `loader` spans
-//! live on other lanes and are reported separately by the viewer.
+//! live on other lanes and are reported separately by the viewer. The
+//! data-parallel replicas a step runs on other threads (lanes whose spans
+//! carry a `replica` arg) count neither in the step's row nor as time
+//! outside steps.
 //!
 //! `kernel`-category spans (the fused attention family) are folded into
 //! the pass they run in by name — a `_bwd` suffix means `backward`,
@@ -128,9 +131,31 @@ impl PhaseReport {
                 phase_us,
             });
         }
-        // Phase time outside every step window (same-lane overlap with any
-        // step is subtracted per event; union across events is not needed
-        // at the coarse out-of-step granularity).
+        // A step's lanes: its own thread plus the replica threads it ran,
+        // i.e. lanes that record a span with a `replica` arg inside it.
+        let lanes: Vec<Vec<u32>> = step_spans
+            .iter()
+            .map(|st| {
+                let mut tids: Vec<u32> = trace
+                    .events
+                    .iter()
+                    .filter(|e| {
+                        e.pid == 0
+                            && e.arg("replica").is_some()
+                            && e.ts_us >= st.ts_us
+                            && e.end_us() <= st.end_us()
+                    })
+                    .map(|e| e.tid)
+                    .chain([st.tid])
+                    .collect();
+                tids.sort_unstable();
+                tids.dedup();
+                tids
+            })
+            .collect();
+        // Phase time outside every step window (overlap with any step on
+        // one of its lanes is subtracted per event; union across events is
+        // not needed at the coarse out-of-step granularity).
         let mut out_of_step_us = [0u64; N_PHASES];
         for (i, cat) in PHASE_CATS.iter().enumerate() {
             for e in trace.events.iter().filter(|e| {
@@ -139,8 +164,9 @@ impl PhaseReport {
                 let (s, ev_end) = (e.ts_us, e.end_us());
                 let inside: u64 = step_spans
                     .iter()
-                    .filter(|st| st.tid == e.tid)
-                    .map(|st| {
+                    .zip(&lanes)
+                    .filter(|(_, lanes)| lanes.contains(&e.tid))
+                    .map(|(st, _)| {
                         let lo = s.max(st.ts_us);
                         let hi = ev_end.min(st.end_us());
                         hi.saturating_sub(lo)
@@ -371,6 +397,29 @@ mod tests {
         assert_eq!(r.steps[0].phase_us[5], 0);
         assert_eq!(r.out_of_step_us[5], 50);
         assert_eq!(r.wall_us, 200);
+    }
+
+    #[test]
+    fn replica_lanes_are_inside_their_step() {
+        // Replica 1 runs on tid 2 (its spans carry a `replica` arg, its
+        // kernels do not); an unrelated evaluation runs on tid 3.
+        let mut fwd = span("forward", 10, 40, 2);
+        fwd.args.push((Cow::Borrowed("replica"), 1.0));
+        let t = Trace {
+            events: vec![
+                span("step", 0, 100, 1),
+                span("forward", 10, 30, 1),
+                fwd,
+                kernel_span("attention_fused", 20, 10, 2),
+                span("eval", 20, 30, 3),
+            ],
+            dropped: 0,
+        };
+        let r = PhaseReport::from_trace(&t);
+        // The step row counts only the step's own thread.
+        assert_eq!(r.steps[0].phase_us[1], 30);
+        assert_eq!(r.out_of_step_us[1], 0, "replica forward is in the step");
+        assert_eq!(r.out_of_step_us[5], 30, "other lanes stay outside");
     }
 
     #[test]

@@ -152,6 +152,65 @@ fn dp_dap_grid_steps_appear_in_phase_report() {
     assert_eq!(all_reduces, 3, "one gradient all-reduce per step");
 }
 
+/// A traced DP-2 run records its replicas on two distinct threads: every
+/// step's `forward` spans carry replica args 0 and 1 on two lanes, and the
+/// caller's join wait is a span of its own. The step row counts only the
+/// step's own thread, so it never exceeds the step's wall time, and the
+/// replica thread's phases are not reported as time outside steps.
+#[test]
+fn dp_replicas_run_on_distinct_threads() {
+    let _g = lock();
+    sf_trace::reset();
+    sf_trace::enable();
+    let mut cfg = TrainerConfig::tiny();
+    cfg.model.evoformer_blocks = 1;
+    cfg.model.extra_msa_blocks = 0;
+    let mut dp = DataParallelTrainer::new(cfg, 2);
+    let reports = dp.train(2);
+    let trace = sf_trace::take();
+    sf_trace::disable();
+    assert_eq!(reports.len(), 2, "training must run to completion");
+
+    let report = PhaseReport::from_trace(&trace);
+    assert_eq!(report.steps.len(), 2, "one row per optimizer step");
+    for s in &report.steps {
+        let (lo, hi) = (s.start_us, s.start_us + s.total_us);
+        let forwards: Vec<_> = trace
+            .spans("forward")
+            .filter(|e| e.name == "forward" && e.ts_us >= lo && e.end_us() <= hi)
+            .collect();
+        let mut replicas: Vec<f64> = forwards.iter().filter_map(|e| e.arg("replica")).collect();
+        replicas.sort_by(f64::total_cmp);
+        assert_eq!(
+            replicas,
+            [0.0, 1.0],
+            "step {}: one forward per replica",
+            s.step
+        );
+        assert_ne!(
+            forwards[0].tid, forwards[1].tid,
+            "step {}: replicas share a thread",
+            s.step
+        );
+        let attributed: u64 = s.phase_us.iter().sum();
+        assert!(
+            attributed <= s.total_us,
+            "step {}: phases ({attributed} us) exceed wall time ({} us)",
+            s.step,
+            s.total_us
+        );
+    }
+    let joins = trace
+        .spans("collective")
+        .filter(|e| e.name == "replica_join")
+        .count();
+    assert_eq!(joins, 2, "one replica join per step");
+    for cat in ["forward", "backward"] {
+        let i = sf_trace::PHASE_CATS.iter().position(|c| *c == cat).unwrap();
+        assert_eq!(report.out_of_step_us[i], 0, "{cat} time outside steps");
+    }
+}
+
 /// Export → import is lossless for every event kind the tracer emits.
 #[test]
 fn chrome_json_round_trips() {
