@@ -1,9 +1,11 @@
 //! Microbenchmark for the vectorized `exp` family: libm vs the polynomial
-//! `vexp` (scalar loop, `vexp_inplace`, `vexp_shift_sum`), plus a pass
-//! breakdown of `softmax_row` at the kernel-bench shape. Run with
+//! `vexp` (scalar loop, `vexp_inplace`, `vexp_shift_rows_sum`), the
+//! shifted exp-and-sum over short attention-width rows one row per call
+//! and one block per call, plus a pass breakdown of `softmax_row` at the
+//! kernel-bench shape. Run with
 //! `cargo run --release -p sf-tensor --example vexp_bench`.
 use sf_tensor::ops::softmax::softmax_row;
-use sf_tensor::ops::vexp::{striped_max, vexp, vexp_inplace, vexp_shift_sum};
+use sf_tensor::ops::vexp::{striped_max, vexp, vexp_inplace, vexp_shift_rows_sum};
 use std::time::Instant;
 
 fn best_of<F: FnMut()>(iters: usize, mut f: F) -> f64 {
@@ -40,12 +42,41 @@ fn main() {
         vexp_inplace(&mut buf);
         std::hint::black_box(&buf);
     });
+    let mut sum = [0.0f32];
     let ss_ms = best_of(3, || {
         buf.copy_from_slice(&base);
-        std::hint::black_box(vexp_shift_sum(&mut buf, 0.5));
+        vexp_shift_rows_sum(&mut buf, &[0.5], &mut sum);
+        std::hint::black_box(sum);
     });
     println!("exp/elt over {n} elts:");
-    println!("  libm {libm_ms:.2}ms  scalar-vexp {scalar_ms:.2}ms  inplace {inplace_ms:.2}ms  shift_sum {ss_ms:.2}ms");
+    println!("  libm {libm_ms:.2}ms  scalar-vexp {scalar_ms:.2}ms  inplace {inplace_ms:.2}ms  shift_rows_sum {ss_ms:.2}ms");
+
+    // Attention-width rows (s_k = 12) in 64-row blocks: the shifted exp
+    // and row sums one row per call (each row's exp ends in a scalar
+    // tail) against one call per block.
+    let (s_k, rows) = (12usize, 64usize);
+    let shifts = vec![0.5f32; rows];
+    let mut sums = vec![0.0f32; rows];
+    let per_row_ms = best_of(3, || {
+        buf.copy_from_slice(&base);
+        for block in buf.chunks_exact_mut(s_k * rows) {
+            for ((row, shift), sum) in block.chunks_exact_mut(s_k).zip(&shifts).zip(&mut sums) {
+                vexp_shift_rows_sum(row, std::slice::from_ref(shift), std::slice::from_mut(sum));
+            }
+        }
+        std::hint::black_box(&sums);
+    });
+    let per_block_ms = best_of(3, || {
+        buf.copy_from_slice(&base);
+        for block in buf.chunks_exact_mut(s_k * rows) {
+            vexp_shift_rows_sum(block, &shifts, &mut sums);
+        }
+        std::hint::black_box(&sums);
+    });
+    println!("shifted exp + row sums, rows of {s_k}:");
+    println!(
+        "  one row per call {per_row_ms:.2}ms  one {rows}-row block per call {per_block_ms:.2}ms"
+    );
 
     // softmax_row pass breakdown at the kernel-bench row length (256).
     let inner = 256usize;

@@ -15,25 +15,37 @@
 //!   GEMM engine's register-tiled micro-kernel (4 query rows per packed Kᵀ
 //!   panel), folds scale, the optional pair bias and the optional mask into
 //!   the whole block (one contiguous pass when the side input is dense, a
-//!   strided walk when it broadcasts), runs one 8-lane max scan and
-//!   one vectorized exp-and-sum per row, then `P·V`, the normalization, the
-//!   optional sigmoid-gate epilogue and the per-row log-sum-exp the
-//!   backward needs. Only that block lives in thread-local scratch; no
-//!   `[.., s_q, s_k]` tensor is allocated.
-//! - [`attention_heads_backward`]: the same per-batch-element structure —
-//!   recompute `p` and `dP`, form `dS`, then `dV`, `dK` and `dQ` — as a
-//!   chain of the GEMM engine's micro-kernel calls on L1-resident blocks.
-//!   Each gradient accumulates in exactly the order of the `matmul_bt` /
-//!   `matmul_at` / `matmul` chain it replaces, so it is bit-identical to
-//!   that chain (pinned by `tests/attention_backward_bits.rs`).
+//!   strided walk when it broadcasts), takes each row's 8-lane max,
+//!   subtracts it, runs one vectorized exp over the whole block and sums
+//!   each row in a fixed striped order, then `P·V`, the normalization and
+//!   the per-row log-sum-exp the backward needs. Only that block lives in
+//!   thread-local scratch; no `[.., s_q, s_k]` tensor is allocated. The
+//!   optional sigmoid gate is one pass over the whole output after the
+//!   batch loop.
+//! - [`attention_heads_backward`]: one pass over the whole tensor forms
+//!   the gate's `datt` (in scratch) and `dgate`; then the same
+//!   per-batch-element structure — recompute `p` (the block's exp in one
+//!   call) and `dP`, form `dS`, then `dV`, `dK` and `dQ` — as a chain of the
+//!   GEMM engine's micro-kernel calls on L1-resident blocks. Each gradient
+//!   accumulates in exactly the order of the `matmul_bt` / `matmul_at` /
+//!   `matmul` chain it replaces, so it is bit-identical to that chain
+//!   (pinned by `tests/attention_backward_bits.rs`).
+//!
+//! Whole-block passes do each element's arithmetic and every row reduction
+//! exactly as a per-row loop would, so the forward's outputs keep the bits
+//! of the per-row recipe (pinned by `tests/attention_forward_bits.rs`);
+//! they only spare the short rows of AlphaFold's small heads their scalar
+//! tails.
 //!
 //! Both read Q, K, V and the gate as [`HeadView`]s: the `heads` column
 //! blocks of a `[..., h·d]` tensor with the attended axis and the batch axes
 //! given by strides, so a `[B1, B2, h·d]` projection is attended without
 //! copying a head out, the output is written with its heads merged
 //! (`[B1, B2, h·d]`), and each operand's gradient is a fresh tensor shaped
-//! like it. [`attention_fused`] / [`attention_fused_backward`] are the
-//! contiguous `[batch..., s, d]` one-head case of the same kernels.
+//! like it. The gate has the queries' dims and attended axis, so it lines up
+//! with the output element for element. [`attention_fused`] /
+//! [`attention_fused_backward`] are the contiguous `[batch..., s, d]`
+//! one-head case of the same kernels.
 //!
 //! [`naive_attention`] materializes the full logits matrix. It is the test
 //! oracle (and the memory-hungry path the paper starts from); the fused
@@ -42,13 +54,12 @@
 
 use crate::ops::matmul::{gemm_serial, matmul_bt, pack_len, Dense, Strided};
 use crate::ops::softmax::softmax;
-use crate::ops::vexp::{striped_max, vexp, vexp_shift_sum};
+use crate::ops::vexp::{striped_max, vexp, vexp_shift_rows, vexp_shift_rows_sum};
 use crate::pool::{parallel_for, SendPtr};
 use crate::scratch;
 use crate::shape::{row_major_strides, Shape, MAX_RANK};
 use crate::strided::broadcast_strides;
 use crate::{Result, Tensor, TensorError};
-use std::mem::MaybeUninit;
 
 /// Additive logit penalty for masked-out keys (matches
 /// [`crate::ops::softmax::masked_softmax`]): large enough that masked
@@ -110,7 +121,8 @@ pub struct HeadViews<S> {
     pub k: HeadView<S>,
     /// Values (as many positions as the keys).
     pub v: HeadView<S>,
-    /// Optional sigmoid gate, shaped like the queries.
+    /// Optional sigmoid gate: a source with the queries' dims, read along
+    /// the queries' axis.
     pub gate: Option<HeadView<S>>,
     /// Number of heads each view reads.
     pub heads: usize,
@@ -146,7 +158,8 @@ impl<S: Copy> HeadViews<S> {
 impl<'a> HeadViews<&'a Tensor> {
     /// Contiguous `[batch..., s, d]` operands, each read whole as one head
     /// attended along its second-to-last axis: the layout of
-    /// [`attention_fused`]. `k`, `v` and `gate` must be exactly `d` wide.
+    /// [`attention_fused`]. `k`, `v` and `gate` must be exactly `d` wide
+    /// (and the gate has `q`'s dims, checked by the kernels).
     ///
     /// # Errors
     ///
@@ -289,33 +302,17 @@ impl Placement {
     ) -> &'a mut [f32] {
         ptr.slice_mut(self.row(base, i), d)
     }
-
-    /// Row `i` of the element at `base` in the buffer behind `ptr`,
-    /// possibly unwritten, for assigning.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Placement::out_rows`].
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_uninit<'a>(
-        &self,
-        ptr: &'a SendPtr,
-        base: usize,
-        i: usize,
-        d: usize,
-    ) -> &'a mut [MaybeUninit<f32>] {
-        ptr.uninit_mut(self.row(base, i), d)
-    }
 }
 
 /// A [`HeadViews`] call checked and resolved: where each operand's blocks
 /// are. The output has the queries' shape and layout, so its heads come out
-/// merged in place, and each gradient has its operand's.
+/// merged in place, and each gradient has its operand's. The gate has the
+/// queries' dims and attended axis, so it lines up with the output element
+/// for element and its epilogue runs as one pass over the whole tensor.
 struct Geometry {
     q: Placement,
     k: Placement,
     v: Placement,
-    gate: Option<Placement>,
     out_dims: Shape,
     heads: usize,
     d: usize,
@@ -330,23 +327,23 @@ impl Geometry {
                 .ok_or_else(|| mismatch("attention head view", view.src.dims(), &[heads, d]))
         };
         let (q, k, v) = (place(&views.q)?, place(&views.k)?, place(&views.v)?);
-        let gate = views.gate.as_ref().map(place).transpose()?;
         let batched_like_q = |p: &Placement| p.grid == q.grid;
-        let gate_ok = gate
-            .as_ref()
-            .is_none_or(|g| batched_like_q(g) && g.s == q.s);
-        if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s || !gate_ok {
+        if !batched_like_q(&k) || !batched_like_q(&v) || v.s != k.s {
             return Err(mismatch(
                 "attention qkv",
                 views.q.src.dims(),
                 views.v.src.dims(),
             ));
         }
+        if let Some(g) = views.gate {
+            if g.src.dims() != views.q.src.dims() || g.axis != views.q.axis {
+                return Err(mismatch("attention gate", views.q.src.dims(), g.src.dims()));
+            }
+        }
         Ok(Geometry {
             q,
             k,
             v,
-            gate,
             out_dims: *views.q.src.shape(),
             heads,
             d,
@@ -465,18 +462,14 @@ fn logits_rows<'a>(t: &'a Tensor, geo: &Geometry) -> Result<LogitsRows<'a>> {
 /// Folds scale, pair bias and mask penalty into batch element `b`'s raw
 /// `q·kᵀ` logits block (`[s_q, s_k]`), in place: `l·scale + bias
 /// (+ MASK_NEG where the mask is 0)`, rounded in that order by the forward
-/// and the backward recompute alike. Then `row_fn(i, row)` runs on each
-/// folded row.
-#[allow(clippy::too_many_arguments)]
+/// and the backward recompute alike.
 fn fold_logits(
     block: &mut [f32],
-    s_q: usize,
     s_k: usize,
     scale: f32,
     bias: Option<&LogitsRows>,
     mask: Option<&LogitsRows>,
     b: usize,
-    mut row_fn: impl FnMut(usize, &mut [f32]),
 ) {
     match bias {
         Some(bias) => bias.zip_rows(b, block, s_k, |l, x| l * scale + x),
@@ -493,9 +486,6 @@ fn fold_logits(
             s_k,
             |l, m| if m == 0.0 { l + MASK_NEG } else { l },
         );
-    }
-    for i in 0..s_q {
-        row_fn(i, &mut block[i * s_k..(i + 1) * s_k]);
     }
 }
 
@@ -570,25 +560,30 @@ pub fn attention_fused(
 /// parallelization). Each item forms its `[S_q, S_k]` logits block in
 /// thread-local scratch with the GEMM micro-kernel (reading Q and K rows at
 /// their view's stride), folds scale, pair bias and mask penalty into it,
-/// takes each row's max and exp-and-sum in one 8-lane pass apiece,
-/// multiplies by `V`, normalizes, and applies the sigmoid-gate epilogue
-/// while storing the output rows. Neither the logits nor the bias+mask sum
-/// is ever materialized as a tensor. Per-row log-sum-exp statistics are
-/// saved for the matching fused backward. Rows never split across threads
-/// and every reduction runs in a fixed order, so output is bit-identical
-/// for every thread count and equal to the same call on permuted copies.
+/// takes each row's 8-lane max and subtracts it, runs one vectorized exp
+/// over the whole block ([`vexp_shift_rows_sum`], which also sums each row
+/// in its fixed striped order), multiplies by `V` and normalizes each
+/// output row. Neither the logits nor the bias+mask sum is ever
+/// materialized as a tensor. Per-row log-sum-exp statistics are saved for
+/// the matching fused backward. After the batch loop the sigmoid gate runs
+/// as one contiguous pass over the whole output. Rows never split across
+/// threads and every reduction runs in a fixed order, so output is
+/// bit-identical for every thread count and equal to the same call on
+/// permuted copies.
 ///
 /// - `bias`/`mask` (optional) must broadcast to the logits
 ///   `[batch..., heads, S_q, S_k]` (no head axis with one head); mask
 ///   entries equal to zero add [`MASK_NEG`] to the logit. The mask is a
 ///   non-differentiable input.
-/// - The gate view must have the queries' batch dims and positions.
+/// - The gate view's source must have the queries' dims and its attended
+///   axis must be theirs.
 ///
 /// # Errors
 ///
 /// Returns an error if a view overruns its source's width, names a missing
-/// axis, or disagrees with the others on batch dims or key count, or if a
-/// side input does not broadcast to the logits.
+/// axis, or disagrees with the others on batch dims or key count, if the
+/// gate is laid out unlike the queries, or if a side input does not
+/// broadcast to the logits.
 pub fn attention_heads(
     views: &HeadViews<&Tensor>,
     bias: Option<&Tensor>,
@@ -601,16 +596,11 @@ pub fn attention_heads(
     let mask_rows = mask.map(|m| logits_rows(m, &geo)).transpose()?;
     let (batch, s_q, s_k, d) = (geo.batch(), geo.q.s, geo.k.s, geo.d);
     let mut att = Tensor::write_once_shaped(geo.out_dims, "attention_heads");
-    let mut gated = views
-        .gate
-        .map(|_| Tensor::write_once_shaped(geo.out_dims, "attention_heads gate"));
     let mut lse = Tensor::write_once_shaped(geo.batch_dims_and(&[s_q])?, "attention_heads lse");
 
     let att_ptr = SendPtr::uninit(att.uninit());
-    let gated_ptr = gated.as_mut().map(|g| SendPtr::uninit(g.uninit()));
     let lse_ptr = SendPtr::uninit(lse.uninit());
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
-    let gate = views.gate.map(|g| g.src.data()).zip(geo.gate.as_ref());
     // The output is laid out like the queries.
     let (qp, kp, vp) = (&geo.q, &geo.k, &geo.v);
     let block = s_q * s_k;
@@ -626,14 +616,15 @@ pub fn attention_heads(
                 let (qm, km) = (qp.block(qd, qo, d), kp.block(kd, ko, d));
                 let logits = Dense::new(probs, s_k);
                 gemm_serial(qm, qp.ld, false, km, kp.ld, true, s_q, d, s_k, logits, pack);
-                let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
-                fold_logits(probs, s_q, s_k, scale, bias, mask, b, |i, row| {
-                    maxes[i] = striped_max(row);
-                    sums[i] = vexp_shift_sum(row, maxes[i]);
-                });
+                fold_logits(probs, s_k, scale, bias_rows.as_ref(), mask_rows.as_ref(), b);
+                // Each row's max, then exp(l − max) over the whole block and
+                // each row's striped sum.
+                for (i, m) in maxes.iter_mut().enumerate() {
+                    *m = striped_max(&probs[i * s_k..(i + 1) * s_k]);
+                }
+                vexp_shift_rows_sum(probs, maxes, sums);
                 // Unnormalized P·V into the element's output rows, then one
-                // 1/sum per row and the sigmoid-gate epilogue (pre-gate rows
-                // are kept for the backward).
+                // 1/sum per row.
                 // SAFETY: this item's own output element, not borrowed
                 // elsewhere while the GEMM stores into it.
                 let att_rows = unsafe { qp.out_rows(&att_ptr, qo, d, None) };
@@ -650,14 +641,13 @@ pub fn attention_heads(
                     att_rows,
                     pack,
                 );
-                let go = gate.map_or(0, |(_, gpl)| gpl.base(b));
                 // SAFETY: each item owns its batch element's lse row.
                 let lse_b = unsafe { lse_ptr.uninit_mut(b * s_q, s_q) };
                 for (i, &sum) in sums.iter().enumerate() {
-                    // SAFETY: row `i` of this item's own output element,
-                    // which the P·V GEMM assigned.
-                    let orow = unsafe { qp.row_mut(&att_ptr, qo, i, d) };
                     if sum > 0.0 {
+                        // SAFETY: row `i` of this item's own output
+                        // element, which the P·V GEMM assigned.
+                        let orow = unsafe { qp.row_mut(&att_ptr, qo, i, d) };
                         let inv = 1.0 / sum;
                         for o in orow.iter_mut() {
                             *o *= inv;
@@ -666,14 +656,6 @@ pub fn attention_heads(
                     } else {
                         lse_b[i].write(f32::NEG_INFINITY);
                     }
-                    if let (Some(gp), Some((gdat, gpl))) = (gated_ptr.as_ref(), gate) {
-                        // SAFETY: row `i` of this item's own gated output.
-                        let dst = unsafe { qp.row_uninit(gp, qo, i, d) };
-                        let grow = &gdat[gpl.row(go, i)..][..d];
-                        for ((o, &a), &g) in dst.iter_mut().zip(orow.iter()).zip(grow) {
-                            o.write(a / (1.0 + vexp(-g)));
-                        }
-                    }
                 }
             }
         });
@@ -681,10 +663,12 @@ pub fn attention_heads(
     // SAFETY: every batch element's item assigned its lse row and its
     // `d` columns of each output row, and the elements tile both outputs.
     let (att, lse) = unsafe { (att.assume_written(), lse.assume_written()) };
-    Ok(match gated {
-        // SAFETY: as above.
+    Ok(match views.gate {
+        // The sigmoid-gate epilogue, one pass over the whole output: the
+        // gate has the output's layout. The pre-gate output is kept for
+        // the backward.
         Some(g) => FusedAttention {
-            out: unsafe { g.assume_written() },
+            out: att.binary(g.src, "attention gate", |a, g| a / (1.0 + vexp(-g)))?,
             att: Some(att),
             lse,
         },
@@ -738,9 +722,13 @@ pub fn attention_fused_backward(
 /// `D_i = Σ_j p_ij·dp_ij` equals `datt_i · att_i`, so it comes from the
 /// *saved output* instead of another pass over the probabilities.
 ///
-/// One work item per batch element runs the whole chain on L1-resident
-/// blocks with the GEMM micro-kernel, reading every operand in place:
-/// `p = exp(fold(q·kᵀ) − lse)`, `dP = datt·vᵀ`, `dS = p ⊙ (dP − D)`,
+/// With a gate, one contiguous pass over the whole tensor first forms
+/// `datt = dy ⊙ σ(g)` into scratch and `dgate = dy ⊙ att ⊙ σ(g)(1−σ(g))`;
+/// ungated, `datt` is `dy`. Then one work item per batch element runs the
+/// whole chain on L1-resident blocks with the GEMM micro-kernel, reading
+/// every operand in place: `p = exp(fold(q·kᵀ) − lse)` (each row's `lse`
+/// subtracted, then one exp over the whole block), `dP = datt·vᵀ`,
+/// `dS = p ⊙ (dP − D)`,
 /// `dV = pᵀ·datt`, `dK = dSᵀ·q·scale`, `dQ = dS·k·scale`. Every gradient
 /// accumulates in the order of the equivalent `matmul_bt`/`matmul_at`/
 /// `matmul` chain, so the bits match it exactly. `dS` is written to a
@@ -789,126 +777,117 @@ pub fn attention_heads_backward(
     );
     let (qd, kd, vd) = (views.q.src.data(), views.k.src.data(), views.v.src.data());
     let (dyd, attd, lsed) = (dy.data(), att.data(), lse.data());
-    let gate = match (views.gate, geo.gate.as_ref(), dgate.as_mut()) {
-        (Some(g), Some(gpl), Some(dg)) => Some((g.src.data(), gpl, SendPtr::uninit(dg.uninit()))),
-        _ => None,
-    };
-    // `att` and `dy` are laid out like the queries.
+    // `att`, `dy`, the gate and `datt` are laid out like the queries.
     let (qp, kp, vp) = (&geo.q, &geo.k, &geo.v);
-    let (q_len, block) = (s_q * d, s_q * s_k);
+    let block = s_q * s_k;
     let pack = pack_len(d.max(s_k).max(s_q));
-    // Scratch: p block, dS block (unless it goes straight to `ds`), the
-    // gated `datt` rows, one GEMM panel.
+    // Scratch: p block, dS block (unless it goes straight to `ds`), one
+    // GEMM panel.
     let ds_scratch = if ds.is_some() { 0 } else { block };
-    let datt_scratch = if gate.is_some() { q_len } else { 0 };
-    parallel_for(batch, block * (10 * d + 16), |range| {
-        scratch::with_scratch(block + ds_scratch + datt_scratch + pack, |buf| {
-            let (p, rest) = buf.split_at_mut(block);
-            let (ds_own, rest) = rest.split_at_mut(ds_scratch);
-            let (datt_own, pack) = rest.split_at_mut(datt_scratch);
-            for b in range {
-                let (qo, ko, vo) = (qp.base(b), kp.base(b), vp.base(b));
-                let (qm, km, vm) = (
-                    qp.block(qd, qo, d),
-                    kp.block(kd, ko, d),
-                    vp.block(vd, vo, d),
-                );
-                // Gate epilogue backward: datt = dy ⊙ σ(g);
-                // dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt is dy.
-                let (datt, datt_ld): (&[f32], usize) = match &gate {
-                    Some((gdat, gpl, dg_ptr)) => {
-                        let go = gpl.base(b);
-                        for i in 0..s_q {
-                            let (dyr, ar) =
-                                (&dyd[qp.row(qo, i)..][..d], &attd[qp.row(qo, i)..][..d]);
-                            let gr = &gdat[gpl.row(go, i)..][..d];
-                            let da = &mut datt_own[i * d..(i + 1) * d];
-                            // SAFETY: each item owns its element's rows of
-                            // the gate gradient.
-                            let dg = unsafe { gpl.row_uninit(dg_ptr, go, i, d) };
-                            for ((da, dgo), ((&y, &g), &a)) in
-                                da.iter_mut().zip(dg).zip(dyr.iter().zip(gr).zip(ar))
-                            {
-                                let sig = 1.0 / (1.0 + vexp(-g));
-                                *da = y * sig;
-                                dgo.write(y * a * sig * (1.0 - sig));
-                            }
-                        }
-                        (&*datt_own, d)
-                    }
-                    None => (qp.block(dyd, qo, d), qp.ld),
-                };
-                // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ, dS = p ⊙ (dP − D),
-                // with dP assigned to this element's dS block: the `dS`
-                // tensor's when a bias needs it, else scratch.
-                gemm_serial(
-                    qm,
-                    qp.ld,
-                    false,
-                    km,
-                    kp.ld,
-                    true,
-                    s_q,
-                    d,
-                    s_k,
-                    Dense::new(p, s_k),
-                    pack,
-                );
-                let (ds_at, ds_off) = match ds_ptr.as_ref() {
-                    Some(ptr) => (*ptr, b * block),
-                    None => (SendPtr::new(ds_own), 0),
-                };
-                // SAFETY: each item owns its element's `[s_q, s_k]` block.
-                let dp = Dense::uninit(unsafe { ds_at.uninit_mut(ds_off, block) }, s_k);
-                gemm_serial(datt, datt_ld, false, vm, vp.ld, true, s_q, d, s_k, dp, pack);
-                // SAFETY: as above, and the GEMM assigned the whole block.
-                let ds_b = unsafe { ds_at.slice_mut(ds_off, block) };
-                let (bias, mask) = (bias_rows.as_ref(), mask_rows.as_ref());
-                fold_logits(p, s_q, s_k, scale, bias, mask, b, |i, prow| {
-                    let row_lse = lsed[b * s_q + i];
-                    for l in prow.iter_mut() {
-                        *l = vexp(*l - row_lse);
-                    }
-                    let mut rowdot = 0.0f32;
-                    for (da, a) in datt[i * datt_ld..][..d]
-                        .iter()
-                        .zip(&attd[qp.row(qo, i)..][..d])
-                    {
-                        rowdot += da * a;
-                    }
-                    for (dl, &pv) in ds_b[i * s_k..(i + 1) * s_k].iter_mut().zip(prow.iter()) {
-                        *dl = pv * (*dl - rowdot);
-                    }
-                });
-                // dV = pᵀ·datt, dK = dSᵀ·q·scale, dQ = dS·k·scale, each
-                // stored (scaled) straight into its gradient's rows.
-                // SAFETY: each item owns its element's rows of every
-                // gradient, and each `Strided` lives for one GEMM.
-                let rows = |at: &Placement, ptr: &SendPtr, base: usize, scale: Option<f32>| unsafe {
-                    at.out_rows(ptr, base, d, scale)
-                };
-                gemm_serial(
-                    p,
-                    s_k,
-                    true,
-                    datt,
-                    datt_ld,
-                    false,
-                    s_k,
-                    s_q,
-                    d,
-                    rows(vp, &dv_ptr, vo, None),
-                    pack,
-                );
-                let dk_rows = rows(kp, &dk_ptr, ko, Some(scale));
-                gemm_serial(
-                    ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk_rows, pack,
-                );
-                let dq_rows = rows(qp, &dq_ptr, qo, Some(scale));
-                gemm_serial(
-                    ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq_rows, pack,
-                );
+    let datt_len = if dgate.is_some() { dyd.len() } else { 0 };
+    scratch::with_scratch(datt_len, |datt_own| {
+        // Gate epilogue backward, one pass over the whole tensor:
+        // datt = dy ⊙ σ(g); dgate = dy ⊙ att ⊙ σ(g)(1−σ(g)). Ungated, datt
+        // is dy.
+        let datt: &[f32] = match (views.gate, dgate.as_mut()) {
+            (Some(g), Some(dg)) => {
+                let dg = dg.uninit();
+                for ((da, dgo), ((&y, &g), &a)) in datt_own
+                    .iter_mut()
+                    .zip(dg)
+                    .zip(dyd.iter().zip(g.src.data()).zip(attd))
+                {
+                    let sig = 1.0 / (1.0 + vexp(-g));
+                    *da = y * sig;
+                    dgo.write(y * a * sig * (1.0 - sig));
+                }
+                datt_own
             }
+            _ => dyd,
+        };
+        parallel_for(batch, block * (10 * d + 16), |range| {
+            scratch::with_scratch(block + ds_scratch + pack, |buf| {
+                let (p, rest) = buf.split_at_mut(block);
+                let (ds_own, pack) = rest.split_at_mut(ds_scratch);
+                for b in range {
+                    let (qo, ko, vo) = (qp.base(b), kp.base(b), vp.base(b));
+                    let (qm, km, vm, dam) = (
+                        qp.block(qd, qo, d),
+                        kp.block(kd, ko, d),
+                        vp.block(vd, vo, d),
+                        qp.block(datt, qo, d),
+                    );
+                    // p = exp(fold(q·kᵀ) − lse), dP = datt·vᵀ,
+                    // dS = p ⊙ (dP − D), with dP assigned to this element's
+                    // dS block: the `dS` tensor's when a bias needs it,
+                    // else scratch.
+                    gemm_serial(
+                        qm,
+                        qp.ld,
+                        false,
+                        km,
+                        kp.ld,
+                        true,
+                        s_q,
+                        d,
+                        s_k,
+                        Dense::new(p, s_k),
+                        pack,
+                    );
+                    let (ds_at, ds_off) = match ds_ptr.as_ref() {
+                        Some(ptr) => (*ptr, b * block),
+                        None => (SendPtr::new(ds_own), 0),
+                    };
+                    // SAFETY: each item owns its element's `[s_q, s_k]`
+                    // block.
+                    let dp = Dense::uninit(unsafe { ds_at.uninit_mut(ds_off, block) }, s_k);
+                    gemm_serial(dam, qp.ld, false, vm, vp.ld, true, s_q, d, s_k, dp, pack);
+                    // SAFETY: as above, and the GEMM assigned the whole
+                    // block.
+                    let ds_b = unsafe { ds_at.slice_mut(ds_off, block) };
+                    fold_logits(p, s_k, scale, bias_rows.as_ref(), mask_rows.as_ref(), b);
+                    vexp_shift_rows(p, &lsed[b * s_q..(b + 1) * s_q]);
+                    for i in 0..s_q {
+                        let row = qp.row(qo, i);
+                        let mut rowdot = 0.0f32;
+                        for (da, a) in datt[row..][..d].iter().zip(&attd[row..][..d]) {
+                            rowdot += da * a;
+                        }
+                        let (dsr, pr) = (&mut ds_b[i * s_k..(i + 1) * s_k], &p[i * s_k..]);
+                        for (dl, &pv) in dsr.iter_mut().zip(pr) {
+                            *dl = pv * (*dl - rowdot);
+                        }
+                    }
+                    // dV = pᵀ·datt, dK = dSᵀ·q·scale, dQ = dS·k·scale, each
+                    // stored (scaled) straight into its gradient's rows.
+                    // SAFETY: each item owns its element's rows of every
+                    // gradient, and each `Strided` lives for one GEMM.
+                    let rows = |at: &Placement, ptr: &SendPtr, base: usize, scale: Option<f32>| unsafe {
+                        at.out_rows(ptr, base, d, scale)
+                    };
+                    gemm_serial(
+                        p,
+                        s_k,
+                        true,
+                        dam,
+                        qp.ld,
+                        false,
+                        s_k,
+                        s_q,
+                        d,
+                        rows(vp, &dv_ptr, vo, None),
+                        pack,
+                    );
+                    let dk_rows = rows(kp, &dk_ptr, ko, Some(scale));
+                    gemm_serial(
+                        ds_b, s_k, true, qm, qp.ld, false, s_k, s_q, d, dk_rows, pack,
+                    );
+                    let dq_rows = rows(qp, &dq_ptr, qo, Some(scale));
+                    gemm_serial(
+                        ds_b, s_k, false, km, kp.ld, false, s_q, s_k, d, dq_rows, pack,
+                    );
+                }
+            });
         });
     });
     // SAFETY: each item assigned its element's rows of every gradient and
@@ -1185,5 +1164,35 @@ mod tests {
         assert!(
             attention_heads(&views(at(&q), at(&k), at(&v), 2, 4), Some(&bias), None, 1.0).is_err()
         );
+        // A gate laid out unlike the queries: attended along another axis,
+        // or with other dims (transposed, so its heads still fit and its
+        // batch grid and positions match the queries').
+        let gated = |gate| HeadViews {
+            gate: Some(gate),
+            ..views(at(&q), at(&k), at(&v), 2, 4)
+        };
+        let g = Tensor::randn(&[2, 5, 8], 36);
+        assert!(run(&gated(at(&g))).is_ok());
+        let transposed = Tensor::randn(&[5, 2, 8], 37);
+        let bad_gates = [
+            HeadView {
+                src: &g,
+                axis: Some(0),
+            },
+            HeadView {
+                src: &transposed,
+                axis: Some(0),
+            },
+            at(&transposed),
+            at(&narrow),
+        ];
+        for gate in bad_gates {
+            assert!(
+                matches!(run(&gated(gate)), Err(TensorError::ShapeMismatch { .. })),
+                "gate {:?} along {:?} must be rejected",
+                gate.src.dims(),
+                gate.axis
+            );
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Softmax over the last axis: the standard three-pass kernel, whose
-//! 8-lane max scan and exp-and-sum ([`crate::ops::vexp`]) the whole-row
-//! fused attention kernel also runs on each logits row.
+//! 8-lane max scan and shifted exp with its striped row sum
+//! ([`crate::ops::vexp`]) the whole-row fused attention kernel also runs
+//! on each logits block.
 //!
 //! The row loop runs on the parallel CPU backend ([`crate::pool`]); rows
 //! are independent, so output is bit-identical for every thread count.
 
-use crate::ops::vexp::{striped_max, vexp_shift_sum};
+use crate::ops::vexp::{striped_max, vexp_shift_rows_sum};
 use crate::pool::{parallel_for, SendPtr};
 use crate::{Result, Tensor, TensorError};
 
@@ -64,11 +65,12 @@ pub fn masked_softmax(x: &Tensor, mask: &Tensor) -> Result<Tensor> {
 }
 
 /// In-place three-pass softmax on a single row. All three passes run
-/// 8 lanes wide: striped max scan, [`vexp_shift_sum`] (vectorized exp with
-/// a fixed-order striped sum), then the scale pass.
+/// 8 lanes wide: striped max scan, [`vexp_shift_rows_sum`] on the one row
+/// (vectorized exp with a fixed-order striped sum), then the scale pass.
 pub fn softmax_row(row: &mut [f32]) {
     let max = striped_max(row);
-    let sum = vexp_shift_sum(row, max);
+    let mut sum = 0.0;
+    vexp_shift_rows_sum(row, &[max], std::slice::from_mut(&mut sum));
     let inv = 1.0 / sum;
     for v in row.iter_mut() {
         *v *= inv;

@@ -113,22 +113,62 @@ pub fn vexp_inplace(xs: &mut [f32]) {
     }
 }
 
-/// The softmax workhorse: `row[i] = exp(row[i] - shift)` in place, returning
-/// the row sum via a fixed 8-lane striped reduction (deterministic at any
-/// thread count; rows are never split across threads).
-pub fn vexp_shift_sum(row: &mut [f32], shift: f32) -> f32 {
+/// `block[i, j] = exp(block[i, j] - shifts[i])` in place over a row-major
+/// block of `shifts.len()` equal rows: each row's subtraction, then one
+/// [`vexp_inplace`] over the whole block, so rows shorter than a few lanes
+/// (attention logits at s_k = 4–12) run their exp 8 lanes wide across row
+/// boundaries instead of ending in a scalar tail each. Every element gets
+/// `vexp(x - shift)`, the bits of a per-row loop.
+#[inline]
+pub fn vexp_shift_rows(block: &mut [f32], shifts: &[f32]) {
+    if let Some(row_len) = row_len(block, shifts) {
+        for (row, &shift) in block.chunks_exact_mut(row_len).zip(shifts) {
+            for v in row {
+                *v -= shift;
+            }
+        }
+    }
+    vexp_inplace(block);
+}
+
+/// The softmax workhorse: [`vexp_shift_rows`], then `sums[i]` = row `i`'s
+/// sum via a fixed 8-lane striped reduction (the whole 8-element chunks in
+/// eight lane accumulators combined as a fixed tree, then the tail added
+/// in order). Deterministic at any thread count: rows are never split
+/// across threads. Zero-length rows sum to 0.
+#[inline]
+pub fn vexp_shift_rows_sum(block: &mut [f32], shifts: &[f32], sums: &mut [f32]) {
+    vexp_shift_rows(block, shifts);
+    match row_len(block, shifts) {
+        Some(row_len) => {
+            for (row, sum) in block.chunks_exact(row_len).zip(sums) {
+                *sum = striped_sum(row);
+            }
+        }
+        None => sums.fill(0.0),
+    }
+}
+
+/// The row length of a block of `shifts.len()` rows; `None` when the rows
+/// are empty.
+#[inline]
+fn row_len(block: &[f32], shifts: &[f32]) -> Option<usize> {
+    debug_assert!(block.len().is_multiple_of(shifts.len()));
+    block.len().checked_div(shifts.len()).filter(|&n| n > 0)
+}
+
+/// Sum of a slice in the striped order of [`vexp_shift_rows_sum`].
+fn striped_sum(xs: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
-    let mut chunks = row.chunks_exact_mut(LANES);
+    let mut chunks = xs.chunks_exact(LANES);
     for chunk in &mut chunks {
-        for (l, v) in chunk.iter_mut().enumerate() {
-            *v = vexp(*v - shift);
-            acc[l] += *v;
+        for (a, &v) in acc.iter_mut().zip(chunk) {
+            *a += v;
         }
     }
     let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for v in chunks.into_remainder() {
-        *v = vexp(*v - shift);
-        sum += *v;
+    for &v in chunks.remainder() {
+        sum += v;
     }
     sum
 }
@@ -215,11 +255,13 @@ mod tests {
         for (y, &x) in a.iter().zip(xs.iter()) {
             assert_eq!(y.to_bits(), vexp(x).to_bits());
         }
-        let mut b = xs.clone();
-        let shift = striped_max(&b);
-        vexp_shift_sum(&mut b, shift);
-        for (y, &x) in b.iter().zip(xs.iter()) {
-            assert_eq!(y.to_bits(), vexp(x - shift).to_bits());
+        // A block of rows, each shifted by its own max.
+        let mut b = xs[..36].to_vec();
+        let shifts: Vec<f32> = b.chunks(12).map(striped_max).collect();
+        let mut sums = [0.0; 3];
+        vexp_shift_rows_sum(&mut b, &shifts, &mut sums);
+        for (i, (y, &x)) in b.iter().zip(xs.iter()).enumerate() {
+            assert_eq!(y.to_bits(), vexp(x - shifts[i / 12]).to_bits());
         }
     }
 
@@ -228,12 +270,17 @@ mod tests {
         let mut row: Vec<f32> = (0..101)
             .map(|i| ((i * 37) % 19) as f32 * 0.3 - 2.0)
             .collect();
-        let m = striped_max(&row);
-        let s1 = vexp_shift_sum(&mut row.clone(), m);
-        let s2 = vexp_shift_sum(&mut row, m);
-        assert_eq!(s1.to_bits(), s2.to_bits());
+        let m = [striped_max(&row)];
+        let (mut s1, mut s2) = ([0.0], [0.0]);
+        vexp_shift_rows_sum(&mut row.clone(), &m, &mut s1);
+        vexp_shift_rows_sum(&mut row, &m, &mut s2);
+        assert_eq!(s1[0].to_bits(), s2[0].to_bits());
         let reference: f64 = row.iter().map(|&w| w as f64).sum();
-        assert!((s1 as f64 - reference).abs() / reference < 1e-5);
+        assert!((s1[0] as f64 - reference).abs() / reference < 1e-5);
+        // Empty rows sum to zero.
+        let mut sums = [f32::NAN; 2];
+        vexp_shift_rows_sum(&mut [], &[1.0, 2.0], &mut sums);
+        assert_eq!(sums, [0.0; 2]);
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! counters are `"C"`, and each process lane gets a `process_name`
 //! metadata record so real (`pid` 0) and simulated (`pid` ≥ 1) timelines
 //! are labeled side by side.
+//!
+//! A data-parallel trainer runs each replica past the first on a fresh
+//! thread every step, and every thread records under its own tid. The
+//! export gives each such replica one stable lane instead (see
+//! `replica_lanes`), named by a `thread_name` record, so a long run shows
+//! one row per replica rather than one per replica-step.
 
 use crate::json::{self, write_num, write_str, JsonError, Value};
 use crate::{Event, EventKind, Trace};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A malformed trace file: either invalid JSON or valid JSON that violates
@@ -41,7 +47,65 @@ impl From<JsonError> for TraceParseError {
     }
 }
 
-fn write_event(out: &mut String, e: &Event) {
+/// A thread's events in a trace: the span of time they cover and the
+/// replica they ran, if any.
+struct ThreadSpan {
+    start: u64,
+    end: u64,
+    /// The `replica` arg of its events, when it is a replica past the
+    /// first.
+    replica: Option<u32>,
+}
+
+/// Export lanes for the threads that ran data-parallel replicas past the
+/// first (their spans carry a `replica` arg ≥ 1): each such thread maps to
+/// the tid of the earliest thread of the same process and replica whose
+/// lane is free by the time it starts, so threads spawned per step share
+/// one lane per replica. Returns `(pid, tid) → (lane, replica)`; a lane's
+/// tid is its first thread's. Replica 0 runs on the caller's own thread
+/// and every other thread keeps its tid.
+fn replica_lanes(events: &[Event]) -> BTreeMap<(u32, u32), (u32, u32)> {
+    let mut threads: BTreeMap<(u32, u32), ThreadSpan> = BTreeMap::new();
+    for e in events {
+        let t = threads.entry((e.pid, e.tid)).or_insert(ThreadSpan {
+            start: e.ts_us,
+            end: e.end_us(),
+            replica: None,
+        });
+        t.start = t.start.min(e.ts_us);
+        t.end = t.end.max(e.end_us());
+        if let Some(r) = e.arg("replica").filter(|&r| r >= 1.0) {
+            t.replica = Some(r as u32);
+        }
+    }
+    let mut replica_threads: Vec<_> = threads
+        .iter()
+        .filter_map(|(&(pid, tid), t)| t.replica.map(|r| (t.start, t.end, pid, tid, r)))
+        .collect();
+    replica_threads.sort_unstable();
+    let mut map = BTreeMap::new();
+    // Per lane: (pid, replica, lane tid, end of its last thread).
+    let mut lanes: Vec<(u32, u32, u32, u64)> = Vec::new();
+    for (start, end, pid, tid, r) in replica_threads {
+        let free = lanes
+            .iter_mut()
+            .find(|(p, rep, _, last)| (*p, *rep) == (pid, r) && *last <= start);
+        let lane = match free {
+            Some(lane) => {
+                lane.3 = end;
+                lane.2
+            }
+            None => {
+                lanes.push((pid, r, tid, end));
+                tid
+            }
+        };
+        map.insert((pid, tid), (lane, r));
+    }
+    map
+}
+
+fn write_event(out: &mut String, e: &Event, tid: u32) {
     out.push_str("{\"name\":");
     write_str(out, &e.name);
     out.push_str(",\"cat\":");
@@ -59,7 +123,7 @@ fn write_event(out: &mut String, e: &Event) {
         // Instant scope: thread.
         out.push_str(",\"s\":\"t\"");
     }
-    let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.pid, e.tid);
+    let _ = write!(out, ",\"pid\":{},\"tid\":{tid}", e.pid);
     let has_args = !e.args.is_empty() || matches!(e.kind, EventKind::Counter { .. });
     if has_args {
         out.push_str(",\"args\":{");
@@ -84,7 +148,9 @@ fn write_event(out: &mut String, e: &Event) {
 }
 
 impl Trace {
-    /// Serializes the trace as Chrome `trace_event` JSON.
+    /// Serializes the trace as Chrome `trace_event` JSON. Threads that ran
+    /// the same data-parallel replica one after another share one lane
+    /// (named `replica N`); every other event keeps its tid.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -107,11 +173,24 @@ impl Trace {
             );
             first = false;
         }
+        let lanes = replica_lanes(&self.events);
+        // Name each lane once, at its first thread.
+        for (&(pid, _), &(lane, replica)) in lanes.iter().filter(|(k, v)| k.1 == v.0) {
+            if !first {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{lane},\"args\":{{\"name\":\"replica {replica}\"}}}}"
+            );
+            first = false;
+        }
         for e in &self.events {
             if !first {
                 out.push(',');
             }
-            write_event(&mut out, e);
+            let tid = lanes.get(&(e.pid, e.tid)).map_or(e.tid, |&(lane, _)| lane);
+            write_event(&mut out, e, tid);
             first = false;
         }
         out.push_str("],\"otherData\":{\"droppedEvents\":");
@@ -265,6 +344,37 @@ mod tests {
             ],
             dropped: 7,
         }
+    }
+
+    #[test]
+    fn replica_threads_share_a_lane_only_when_they_do_not_overlap() {
+        let span = |tid: u32, ts_us: u64, replica: f64| Event {
+            name: Cow::Borrowed("forward"),
+            cat: Cow::Borrowed("forward"),
+            kind: EventKind::Complete { dur_us: 10 },
+            ts_us,
+            pid: 0,
+            tid,
+            args: vec![(Cow::Borrowed("replica"), replica)],
+        };
+        // Replica 1 on threads 3, 5 and 6 one after another, and on
+        // thread 4 alongside thread 3; replica 0 on thread 1 throughout.
+        let events = vec![
+            span(1, 0, 0.0),
+            span(3, 0, 1.0),
+            span(4, 5, 1.0),
+            span(5, 20, 1.0),
+            span(6, 40, 1.0),
+        ];
+        let lanes = replica_lanes(&events);
+        let lane = |tid| lanes.get(&(0, tid)).map(|&(lane, _)| lane);
+        assert_eq!(lane(1), None, "replica 0 keeps its own thread's lane");
+        assert_eq!([lane(3), lane(5), lane(6)], [Some(3); 3]);
+        assert_eq!(
+            lane(4),
+            Some(4),
+            "an overlapping thread gets a lane of its own"
+        );
     }
 
     #[test]

@@ -271,3 +271,90 @@ fn exported_json_matches_chrome_schema() {
         }
     }
 }
+
+/// A traced `steps`-step DP-2 run of the one-block tiny model.
+fn traced_dp_train(steps: u64) -> Trace {
+    sf_trace::reset();
+    sf_trace::enable();
+    let mut cfg = TrainerConfig::tiny();
+    cfg.model.evoformer_blocks = 1;
+    cfg.model.extra_msa_blocks = 0;
+    let mut dp = DataParallelTrainer::new(cfg, 2);
+    let reports = dp.train(steps);
+    let trace = sf_trace::take();
+    sf_trace::disable();
+    assert_eq!(
+        reports.len() as u64,
+        steps,
+        "training must run to completion"
+    );
+    trace
+}
+
+/// The second replica runs on a fresh thread every step, but the export
+/// draws it on one stable lane named by a `thread_name` record: the
+/// exported `forward` spans of a 6-step DP-2 run sit on exactly 2 tids.
+#[test]
+fn dp_replica_keeps_one_lane_in_export() {
+    let _g = lock();
+    let trace = traced_dp_train(6);
+    let tids = |events: &mut dyn Iterator<Item = u32>| {
+        let mut tids: Vec<u32> = events.collect();
+        tids.sort_unstable();
+        tids.dedup();
+        tids
+    };
+    // In memory every thread keeps its own tid.
+    let in_memory = tids(&mut trace.spans("forward").map(|e| e.tid));
+    assert!(
+        in_memory.len() > 2,
+        "one replica thread per step: {in_memory:?}"
+    );
+
+    let root = sf_trace::json::parse(&trace.to_chrome_json()).expect("valid JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("top-level traceEvents array");
+    let field = |e: &Value, key: &str| e.get(key).and_then(Value::as_str).map(str::to_owned);
+    let tid = |e: &Value| e.get("tid").and_then(Value::as_f64).expect("tid") as u32;
+    let exported = tids(
+        &mut events
+            .iter()
+            .filter(|e| {
+                field(e, "ph").as_deref() == Some("X")
+                    && field(e, "cat").as_deref() == Some("forward")
+            })
+            .map(tid),
+    );
+    assert_eq!(exported.len(), 2, "one lane per replica: {exported:?}");
+    let named: Vec<(u32, String)> = events
+        .iter()
+        .filter(|e| field(e, "name").as_deref() == Some("thread_name"))
+        .map(|e| {
+            let label = e
+                .get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Value::as_str);
+            (tid(e), label.expect("thread_name label").to_owned())
+        })
+        .collect();
+    assert_eq!(named.len(), 1, "one named replica lane: {named:?}");
+    assert!(
+        exported.contains(&named[0].0) && named[0].1 == "replica 1",
+        "{named:?}"
+    );
+}
+
+/// The phase report of an exported and re-imported DP trace, whose replica
+/// threads now share a lane, equals the in-memory trace's report.
+#[test]
+fn dp_phase_report_survives_export() {
+    let _g = lock();
+    let trace = traced_dp_train(6);
+    let back = Trace::from_chrome_json(&trace.to_chrome_json()).expect("re-import");
+    assert_eq!(
+        PhaseReport::from_trace(&back),
+        PhaseReport::from_trace(&trace)
+    );
+}
