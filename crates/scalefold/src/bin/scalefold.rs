@@ -4,7 +4,6 @@
 //! scalefold train [STEPS]            real CPU training on the tiny model
 //! scalefold simulate [DAP]           simulated cluster step time at DAP-n
 //! scalefold memory [DAP]             per-rank memory footprint at DAP-n
-//! scalefold ladder                   the Figure-8 optimization ladder
 //! scalefold faults [STEPS]           fault-injection drill on real training
 //! scalefold tradeoff [STEPS]         checkpoint-interval x failure-rate grid
 //! scalefold trace-report [PATH]      phase table from a trace (no PATH: A/B drill)
@@ -21,17 +20,17 @@
 //! Every attention site runs the one fused attention kernel; there is no
 //! switch to a composed op chain.
 //!
-//! The paper's tables and figures and the CPU kernel baseline are `sf-bench`
-//! binaries (`cargo run --release -p sf-bench --bin all_figures`, `--bin
-//! kernels`).
+//! The paper's tables and figures (the Figure-8 ladder among them) and the
+//! CPU kernel baseline are `sf-bench` binaries (`cargo run --release -p
+//! sf-bench --bin all_figures`, `--bin fig8`, `--bin kernels`).
 //!
 //! Each command takes at most one positional argument; anything left over
 //! after the global flags are stripped is an error (exit 1).
 //!
 //! All I/O failures propagate to a nonzero exit code instead of panicking.
 
-use scalefold::{ladder_stages, LoaderKind, OptimizationSet, Trainer, TrainerConfig};
-use sf_cluster::{ClusterConfig, ClusterSim, FailureModel, StragglerModel};
+use scalefold::{LoaderKind, OptimizationSet, Trainer, TrainerConfig};
+use sf_cluster::{ClusterSim, FailureModel};
 use sf_faults::{corrupt, FaultPlan};
 use sf_model::ModelConfig;
 use sf_opgraph::memory;
@@ -57,7 +56,7 @@ fn main() -> ExitCode {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     // At most one positional argument per command: a leftover (say, a
     // removed flag) fails loudly instead of being silently ignored.
-    let takes_arg = !matches!(cmd, "ladder" | "help" | "--help" | "-h");
+    let takes_arg = !matches!(cmd, "help" | "--help" | "-h");
     if let Some(extra) = args.get(if takes_arg { 2 } else { 1 }) {
         eprintln!("scalefold {cmd}: error: unexpected argument '{extra}'");
         return ExitCode::FAILURE;
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
         "train" => parse_num(&args, 1, 20).and_then(|n| train(n, dap)),
         "simulate" => parse_num(&args, 1, 8).and_then(|n| simulate(n as usize)),
         "memory" => parse_num(&args, 1, 8).and_then(|n| memory_report(n as usize)),
-        "ladder" => ladder(),
         "faults" => parse_num(&args, 1, 6).and_then(|n| fault_drill(n, dap)),
         "tradeoff" => parse_num(&args, 1, 2000).and_then(tradeoff),
         "trace-report" => trace_report(args.get(1).map(String::as_str)),
@@ -200,7 +198,6 @@ fn help() -> CliResult {
     println!("  train [STEPS=20]    real CPU training of the tiny AlphaFold");
     println!("  simulate [DAP=8]    simulated H100 cluster step time at DAP-n");
     println!("  memory [DAP=8]      per-rank memory footprint at DAP-n");
-    println!("  ladder              the Figure-8 optimization ladder");
     println!("  faults [STEPS=6]    inject worker panics, NaN grads, and a");
     println!("                      corrupt checkpoint into a real run");
     println!("  tradeoff [STEPS]    expected run time vs checkpoint interval");
@@ -350,17 +347,7 @@ fn simulate(dap: usize) -> CliResult {
         ("reference", OptimizationSet::none()),
         ("ScaleFold", OptimizationSet::scalefold_dap(dap.max(1))),
     ] {
-        let graph = scalefold::build_graph(&cfg, &opts);
-        let mut cc = ClusterConfig::eos(128, opts.dap);
-        cc.cuda_graph = opts.cuda_graph;
-        cc.bf16_comm = opts.bf16;
-        cc.autotune = opts.triton_ln;
-        cc.straggler = if opts.nonblocking_loader {
-            StragglerModel::optimized()
-        } else {
-            StragglerModel::baseline()
-        };
-        let t = ClusterSim::new(&graph, cc).mean_step_s(40);
+        let t = opts.step_s(&cfg, sf_gpusim::DeviceSpec::h100(), 128);
         println!("  {label:<10} {t:>7.3} s/step");
     }
     Ok(())
@@ -380,16 +367,6 @@ fn memory_report(dap: usize) -> CliResult {
             "  {label:<26} {:>7.1} GiB  ({})",
             f.total_gib(),
             if f.fits(&dev) { "fits" } else { "DOES NOT FIT" }
-        );
-    }
-    Ok(())
-}
-
-fn ladder() -> CliResult {
-    for e in ladder_stages(&ModelConfig::paper()) {
-        println!(
-            "{:<36} A100 {:>6.2}s ({:>5.2}x)  H100 {:>6.2}s ({:>5.2}x)",
-            e.name, e.a100_step_s, e.a100_speedup, e.h100_step_s, e.h100_speedup
         );
     }
     Ok(())
@@ -471,18 +448,22 @@ fn fault_drill(steps: u64, dap: usize) -> CliResult {
 }
 
 /// Expected time-to-convergence versus checkpoint interval and per-rank
-/// failure rate, on the paper-scale simulated cluster.
+/// failure rate, for the full ScaleFold set on its simulated cluster
+/// (H100, DP 128 x DAP-8). From 40 steps on, the step is `simulate 8`'s.
 fn tradeoff(steps: u64) -> CliResult {
     let steps = steps.max(10);
-    let graph = scalefold::build_graph(&ModelConfig::paper(), &OptimizationSet::scalefold());
-    let sim = ClusterSim::new(&graph, ClusterConfig::eos(128, 8));
+    let opts = OptimizationSet::scalefold();
+    let graph = scalefold::build_graph(&ModelConfig::paper(), &opts);
+    let sim = ClusterSim::new(&graph, opts.cluster(sf_gpusim::DeviceSpec::h100(), 128));
     let fm = FailureModel::default();
     let intervals = [50u64, 200, 1000];
     let year_s = 365.25 * 24.0 * 3600.0;
     let mtbfs = [100.0 * year_s, 30.0 * year_s, 5.0 * year_s];
+    let grid = sim.convergence_tradeoff(steps, &intervals, &mtbfs, &fm);
     println!(
-        "expected wall-clock of a {steps}-step run on {} ranks",
-        sim.config().total_ranks()
+        "expected wall-clock of a {steps}-step run on {} ranks at {:.3} s/step",
+        sim.config().total_ranks(),
+        grid.first().ok_or("empty trade-off grid")?.estimate.step_s
     );
     println!("(columns: per-rank MTBF; rows: checkpoint every k steps)\n");
     print!("{:>12}", "k \\ mtbf");
@@ -490,7 +471,6 @@ fn tradeoff(steps: u64) -> CliResult {
         print!("{:>14.0}y", m / year_s);
     }
     println!();
-    let grid = sim.convergence_tradeoff(steps, &intervals, &mtbfs, &fm);
     for (i, &interval) in intervals.iter().enumerate() {
         print!("{interval:>12}");
         for (j, _) in mtbfs.iter().enumerate() {

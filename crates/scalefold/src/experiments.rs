@@ -2,12 +2,11 @@
 //! plain data structure with a `Display` that prints rows the way the paper
 //! reports them; the `sf-bench` binaries wrap these.
 
-use crate::baselines::{baseline_step_s, fastfold_graph, openfold_graph, scalefold_graph};
 use crate::convergence::{ConvergenceModel, CurvePoint, PretrainSchedule};
 use crate::ladder::{dap8_without_cuda_graph, ladder_stages, LadderEntry};
 use crate::optimizations::{build_graph, OptimizationSet};
 use serde::{Deserialize, Serialize};
-use sf_cluster::{ClusterConfig, ClusterSim, EvalConfig, ScalabilityBreakdown, TrainTimeline};
+use sf_cluster::{EvalConfig, ScalabilityBreakdown, TrainTimeline};
 use sf_data::{PrepTimeModel, SyntheticDataset};
 use sf_gpusim::{CpuModel, DeviceSpec};
 use sf_model::ModelConfig;
@@ -117,18 +116,22 @@ pub struct Fig3Result {
 /// Runs the Figure-3 experiment.
 pub fn fig3() -> Fig3Result {
     let cfg = ModelConfig::paper();
-    let g = sf_opgraph::builder::StepGraph::reference_checkpointed(&cfg, 1);
+    let g = build_graph(&cfg, &OptimizationSet::none());
     let rows: Vec<ScalabilityBreakdown> = [2usize, 4, 8]
         .iter()
         .map(|&dap| ScalabilityBreakdown::compute(&g, 128, dap))
         .collect();
-    let t1 = ClusterSim::new(&g, ClusterConfig::eos(128, 1)).mean_step_s(40);
+    let step = |dap| {
+        OptimizationSet {
+            dap,
+            ..OptimizationSet::none()
+        }
+        .step_s(&cfg, DeviceSpec::h100(), 128)
+    };
+    let t1 = step(1);
     let speedups = [2usize, 4, 8]
         .iter()
-        .map(|&dap| {
-            let t = ClusterSim::new(&g, ClusterConfig::eos(128, dap)).mean_step_s(40);
-            (dap, t1 / t)
-        })
+        .map(|&dap| (dap, t1 / step(dap)))
         .collect();
     Fig3Result { rows, speedups }
 }
@@ -232,32 +235,20 @@ pub struct Fig7Result {
 /// Runs the Figure-7 experiment.
 pub fn fig7() -> Fig7Result {
     let cfg = ModelConfig::paper();
-    let a100 = vec![
-        (
-            "OpenFold (no DAP)".to_string(),
-            baseline_step_s(&openfold_graph(&cfg), DeviceSpec::a100(), 1, false, false),
-        ),
-        (
-            "FastFold DAP-2".to_string(),
-            baseline_step_s(&fastfold_graph(&cfg), DeviceSpec::a100(), 2, false, false),
-        ),
-        (
-            "ScaleFold DAP-2".to_string(),
-            baseline_step_s(&scalefold_graph(&cfg, 2), DeviceSpec::a100(), 2, true, true),
-        ),
-    ];
+    let a100 = [
+        ("OpenFold (no DAP)", OptimizationSet::openfold()),
+        ("FastFold DAP-2", OptimizationSet::fastfold(2)),
+        ("ScaleFold DAP-2", OptimizationSet::scalefold_dap(2)),
+    ]
+    .into_iter()
+    .map(|(name, opts)| (name.to_string(), opts.step_s(&cfg, DeviceSpec::a100(), 128)))
+    .collect();
     let h100 = [1usize, 2, 4, 8]
         .iter()
         .map(|&dap| {
             (
                 format!("ScaleFold DAP-{dap}"),
-                baseline_step_s(
-                    &scalefold_graph(&cfg, dap),
-                    DeviceSpec::h100(),
-                    dap,
-                    true,
-                    true,
-                ),
+                OptimizationSet::scalefold_dap(dap).step_s(&cfg, DeviceSpec::h100(), 128),
             )
         })
         .collect();
@@ -364,20 +355,11 @@ pub fn fig9_fig10() -> TtTResult {
     let steps = conv.steps_to(start, 0.80, 256).expect("reachable");
 
     // ScaleFold on 2048 training GPUs: DP 256 x DAP-8.
-    let sf_graph = scalefold_graph(&cfg, 8);
-    let sf_cfg = ClusterConfig {
-        dp: 256,
-        dap: 8,
-        cuda_graph: true,
-        bf16_comm: true,
-        straggler: sf_cluster::StragglerModel::optimized(),
-        ..ClusterConfig::eos(256, 8)
-    };
-    let sf_step = ClusterSim::new(&sf_graph, sf_cfg).mean_step_s(40);
+    let sf_step = OptimizationSet::scalefold_dap(8).step_s(&cfg, DeviceSpec::h100(), 256);
 
-    // Reference on 256 H100: DP 256, eager, fp32, blocking loader.
-    let ref_graph = openfold_graph(&cfg);
-    let ref_step = ClusterSim::new(&ref_graph, ClusterConfig::eos(256, 1)).mean_step_s(40);
+    // Reference on 256 H100: OpenFold at DP 256, eager, bf16, blocking
+    // loader.
+    let ref_step = OptimizationSet::openfold().step_s(&cfg, DeviceSpec::h100(), 256);
 
     // Initialization derived from mechanism: compile + 4 recycling-shape
     // graph captures (at roughly the reference eager step) + NCCL init.
@@ -474,24 +456,8 @@ pub fn fig11() -> Fig11Result {
     let steps_to_target = schedule.steps_to_target(&conv);
 
     // Phase 1: 1056 H100 (1024 training = DP 128 x DAP-8), batch 128.
-    let g = scalefold_graph(&cfg, 8);
-    let mut p1_cfg = ClusterConfig::eos(128, 8);
-    p1_cfg.cuda_graph = true;
-    p1_cfg.bf16_comm = true;
-    p1_cfg.straggler = sf_cluster::StragglerModel::optimized();
-    let p1_step = ClusterSim::new(&g, p1_cfg).mean_step_s(40);
-
-    // Phase 2: 2080 H100 (2048 training = DP 256 x DAP-8), batch 256,
-    // Triton MHA disabled per the paper ("disable Triton mha kernel") —
-    // costed by rebuilding without that one fusion.
-    let mut opts = OptimizationSet::scalefold_dap(8);
-    opts.triton_mha = false;
-    let g2 = build_graph(&cfg, &opts);
-    let mut p2_cfg = ClusterConfig::eos(256, 8);
-    p2_cfg.cuda_graph = true;
-    p2_cfg.bf16_comm = true;
-    p2_cfg.straggler = sf_cluster::StragglerModel::optimized();
-    let p2_step = ClusterSim::new(&g2, p2_cfg).mean_step_s(40);
+    let p1_step = OptimizationSet::scalefold_dap(8).step_s(&cfg, DeviceSpec::h100(), 128);
+    let p2_step = phase2_step_s(&cfg);
 
     let p1_s = schedule.phase1_steps as f64 * p1_step;
     let p2_steps = steps_to_target.saturating_sub(schedule.phase1_steps);
@@ -505,6 +471,17 @@ pub fn fig11() -> Fig11Result {
         total_hours,
         phase_step_s: (p1_step, p2_step),
     }
+}
+
+/// Figure 11's phase-2 step: 2080 H100 (2048 training = DP 256 x DAP-8),
+/// batch 256, Triton MHA disabled per the paper ("disable Triton mha
+/// kernel") — costed by rebuilding without that one fusion.
+fn phase2_step_s(cfg: &ModelConfig) -> f64 {
+    OptimizationSet {
+        triton_mha: false,
+        ..OptimizationSet::scalefold_dap(8)
+    }
+    .step_s(cfg, DeviceSpec::h100(), 256)
 }
 
 impl fmt::Display for Fig11Result {
@@ -563,10 +540,9 @@ pub fn finetune_extension() -> FinetuneResult {
         .samples_to(0.9, 256)
         .expect("initial training endpoint");
     let steps = ext.steps_from(&conv, start).expect("reachable");
-    // ScaleFold's optimized phase-2 step (0.67 s at crop 256) scaled by the
-    // crop multiplier.
-    let base_step = 0.67;
-    let step_s = base_step * ext.step_multiplier();
+    // ScaleFold's optimized phase-2 step at crop 256 (Figure 11) scaled by
+    // the crop multiplier.
+    let step_s = phase2_step_s(&ModelConfig::paper()) * ext.step_multiplier();
     FinetuneResult {
         steps,
         step_s,
@@ -622,71 +598,42 @@ pub struct ScalingPoint {
 /// GPUs by the batch-size convergence limit and FastFold stopped at 512.
 pub fn scaling() -> Vec<ScalingPoint> {
     let cfg = ModelConfig::paper();
-    let conv = ConvergenceModel::default();
-    let mut out = Vec::new();
-
     // OpenFold: DP only; the batch limit (256) caps the GPU count.
-    let of_graph = crate::baselines::openfold_graph(&cfg);
-    for dp in [64usize, 128, 256] {
-        let t = ClusterSim::new(&of_graph, ClusterConfig::eos(dp, 1)).mean_step_s(30);
-        out.push(ScalingPoint {
-            system: "OpenFold (DP only)".into(),
-            gpus: dp,
-            dp,
-            dap: 1,
-            samples_per_s: dp as f64 / t,
-            efficiency: 0.0,
-        });
-    }
     // FastFold: DAP-2 doubles the GPUs per sample (their 512-GPU limit).
-    let ff_graph = crate::baselines::fastfold_graph(&cfg);
-    for (dp, dap) in [(128usize, 2usize), (256, 2)] {
-        let t = ClusterSim::new(&ff_graph, ClusterConfig::eos(dp, dap)).mean_step_s(30);
-        out.push(ScalingPoint {
-            system: "FastFold".into(),
-            gpus: dp * dap,
-            dp,
-            dap,
-            samples_per_s: dp as f64 / t,
-            efficiency: 0.0,
-        });
-    }
     // ScaleFold: DAP up to 8 under the 256-way batch limit -> 2048 GPUs.
-    for (dp, dap) in [(256usize, 1usize), (256, 2), (256, 4), (256, 8)] {
-        let graph = crate::baselines::scalefold_graph(&cfg, dap);
-        let mut cc = ClusterConfig::eos(dp, dap);
-        cc.cuda_graph = true;
-        cc.bf16_comm = true;
-        cc.autotune = true;
-        cc.straggler = sf_cluster::StragglerModel::optimized();
-        let t = ClusterSim::new(&graph, cc).mean_step_s(30);
-        out.push(ScalingPoint {
-            system: "ScaleFold".into(),
-            gpus: dp * dap,
-            dp,
-            dap,
-            samples_per_s: dp as f64 / t,
-            efficiency: 0.0,
-        });
-    }
-    // Efficiency vs each system's smallest configuration (per-GPU basis).
-    let mut by_system: std::collections::BTreeMap<String, (usize, f64)> =
-        std::collections::BTreeMap::new();
-    for p in &out {
-        let e = by_system
-            .entry(p.system.clone())
-            .or_insert((p.gpus, p.samples_per_s));
-        if p.gpus < e.0 {
-            *e = (p.gpus, p.samples_per_s);
-        }
-    }
-    for p in &mut out {
-        let (g0, s0) = by_system[&p.system];
-        let per_gpu0 = s0 / g0 as f64;
-        p.efficiency = (p.samples_per_s / p.gpus as f64) / per_gpu0;
-    }
-    let _ = conv;
-    out
+    let setups = [
+        ("OpenFold (DP only)", 64usize, OptimizationSet::openfold()),
+        ("OpenFold (DP only)", 128, OptimizationSet::openfold()),
+        ("OpenFold (DP only)", 256, OptimizationSet::openfold()),
+        ("FastFold", 128, OptimizationSet::fastfold(2)),
+        ("FastFold", 256, OptimizationSet::fastfold(2)),
+        ("ScaleFold", 256, OptimizationSet::scalefold_dap(1)),
+        ("ScaleFold", 256, OptimizationSet::scalefold_dap(2)),
+        ("ScaleFold", 256, OptimizationSet::scalefold_dap(4)),
+        ("ScaleFold", 256, OptimizationSet::scalefold_dap(8)),
+    ];
+    // Efficiency is per GPU, versus the system's smallest configuration,
+    // which `setups` lists first.
+    let mut base = ("", 0.0);
+    setups
+        .into_iter()
+        .map(|(system, dp, opts)| {
+            let gpus = dp * opts.dap;
+            let samples_per_s = dp as f64 / opts.step_s(&cfg, DeviceSpec::h100(), dp);
+            let per_gpu = samples_per_s / gpus as f64;
+            if system != base.0 {
+                base = (system, per_gpu);
+            }
+            ScalingPoint {
+                system: system.into(),
+                gpus,
+                dp,
+                dap: opts.dap,
+                samples_per_s,
+                efficiency: per_gpu / base.1,
+            }
+        })
+        .collect()
 }
 
 /// Pretty-prints the scaling sweep.
@@ -739,7 +686,10 @@ mod tests {
         let r = finetune_extension();
         assert!(r.steps > 1000);
         assert!(r.hours < 24.0, "fine-tune {:.1} h", r.hours);
-        assert!(r.step_s > 0.67, "crop 384 must be slower per step");
+        assert!(
+            r.step_s > fig11().phase_step_s.1,
+            "crop 384 must be slower per step"
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The step-by-step optimization ladder of Figure 8: apply the paper's
 //! optimizations cumulatively and report the step time after each.
 
-use crate::optimizations::{build_graph, OptimizationSet};
+use crate::optimizations::OptimizationSet;
 use serde::{Deserialize, Serialize};
-use sf_cluster::{ClusterConfig, ClusterSim, FabricSpec, StragglerModel};
 use sf_gpusim::DeviceSpec;
 use sf_model::ModelConfig;
 
@@ -22,38 +21,8 @@ pub struct LadderEntry {
     pub h100_speedup: f64,
 }
 
-/// Simulated mean step time (128-way DP, stragglers included) for one
-/// optimization set on one device.
-pub fn cluster_step_s(cfg: &ModelConfig, opts: &OptimizationSet, device: DeviceSpec) -> f64 {
-    let graph = build_graph(cfg, opts);
-    let fabric = if device.name == "A100" {
-        FabricSpec::superpod_a100()
-    } else {
-        FabricSpec::eos()
-    };
-    let mut straggler = if opts.nonblocking_loader {
-        StragglerModel::optimized()
-    } else {
-        StragglerModel::baseline()
-    };
-    straggler.gc_enabled = !opts.disable_gc;
-    let cc = ClusterConfig {
-        device,
-        fabric,
-        dp: 128,
-        dap: opts.dap,
-        cuda_graph: opts.cuda_graph,
-        bf16_comm: opts.bf16,
-        overlap_fraction: 0.5,
-        autotune: opts.triton_ln,
-        variable_recycling: false,
-        straggler,
-        seed: 0x1adde4,
-    };
-    ClusterSim::new(&graph, cc).mean_step_s(40)
-}
-
-/// The cumulative stages of Figure 8, in the paper's order.
+/// The cumulative stages of Figure 8, in the paper's order, each priced
+/// at 128-way DP by [`OptimizationSet::step_s`].
 #[allow(clippy::type_complexity)]
 pub fn ladder_stages(cfg: &ModelConfig) -> Vec<LadderEntry> {
     let stages: Vec<(&str, Box<dyn Fn(&mut OptimizationSet)>)> = vec![
@@ -85,8 +54,8 @@ pub fn ladder_stages(cfg: &ModelConfig) -> Vec<LadderEntry> {
     let mut ref_h100 = 0.0;
     for (i, (name, apply)) in stages.into_iter().enumerate() {
         apply(&mut opts);
-        let a100 = cluster_step_s(cfg, &opts, DeviceSpec::a100());
-        let h100 = cluster_step_s(cfg, &opts, DeviceSpec::h100());
+        let a100 = opts.step_s(cfg, DeviceSpec::a100(), 128);
+        let h100 = opts.step_s(cfg, DeviceSpec::h100(), 128);
         if i == 0 {
             ref_a100 = a100;
             ref_h100 = h100;
@@ -110,10 +79,9 @@ pub fn dap8_without_cuda_graph(cfg: &ModelConfig) -> (f64, f64) {
     with_graph.async_eval = false;
     let mut without = with_graph;
     without.cuda_graph = false;
-    let dev = DeviceSpec::h100();
     (
-        cluster_step_s(cfg, &without, dev.clone()),
-        cluster_step_s(cfg, &with_graph, dev),
+        without.step_s(cfg, DeviceSpec::h100(), 128),
+        with_graph.step_s(cfg, DeviceSpec::h100(), 128),
     )
 }
 

@@ -20,7 +20,12 @@
 //! On top, this crate provides:
 //!
 //! - [`OptimizationSet`]: the named optimization flags of the paper, with
-//!   [`build_graph`] applying the corresponding fusion passes.
+//!   [`build_graph`] applying the corresponding fusion passes. Its presets
+//!   name every priced setup (the MLPerf reference, OpenFold, FastFold,
+//!   ScaleFold at any DAP degree), [`OptimizationSet::cluster`] is the one
+//!   mapping from a set to a simulated cluster, and
+//!   [`OptimizationSet::step_s`] prices every simulated step time the
+//!   figures, the ablations and the CLI print.
 //! - [`ladder`]: the step-by-step optimization ladder of Figure 8.
 //! - [`convergence`]: the training-dynamics model calibrated to the paper's
 //!   milestones (lDDT 0.8 @ 5k steps bs128; 0.9 @ 50–60k steps bs256),
@@ -45,7 +50,6 @@
 //! assert!(t_opt < t_ref);
 //! ```
 
-pub mod baselines;
 pub mod convergence;
 pub mod dap;
 pub mod distributed;

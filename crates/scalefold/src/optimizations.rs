@@ -1,7 +1,11 @@
-//! The named optimization set of the paper and the graph construction that
-//! applies it.
+//! The named optimization set of the paper, the graph construction that
+//! applies it, and the one mapping from a set to the simulated cluster it
+//! runs on: every simulated step time of the figures, the ablations and
+//! the CLI is [`OptimizationSet::step_s`].
 
 use serde::{Deserialize, Serialize};
+use sf_cluster::{ClusterConfig, ClusterSim, FabricSpec, StragglerModel};
+use sf_gpusim::DeviceSpec;
 use sf_model::ModelConfig;
 use sf_opgraph::builder::StepGraph;
 use sf_opgraph::fusion;
@@ -11,11 +15,15 @@ use sf_opgraph::fusion;
 /// 1 for the costed graphs, matching the profile calibration).
 pub const RECYCLE_FWD: usize = 1;
 
+/// Simulated steps averaged into every [`OptimizationSet::step_s`].
+pub const STEPS: u64 = 40;
+
 /// Which of ScaleFold's optimizations are enabled (§3 + §3.4).
 ///
 /// `OptimizationSet::none()` is the MLPerf reference model;
-/// `OptimizationSet::scalefold()` enables everything. Individual flags
-/// correspond to the stages of Figure 8.
+/// `OptimizationSet::scalefold()` enables everything; `openfold()` and
+/// `fastfold(dap)` are the published baselines of Figure 7. Individual
+/// flags correspond to the stages of Figure 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptimizationSet {
     /// Bundle the four pre-attention projections into one GEMM.
@@ -65,6 +73,26 @@ impl OptimizationSet {
         }
     }
 
+    /// Public OpenFold: bf16 training with gradient checkpointing, no DAP
+    /// and no fused kernels beyond stock PyTorch.
+    pub fn openfold() -> Self {
+        OptimizationSet {
+            bf16: true,
+            ..OptimizationSet::none()
+        }
+    }
+
+    /// FastFold at DAP-`dap`: OpenFold plus its own fused LayerNorm
+    /// kernel, but neither the pair-bias flash MHA, GEMM batching, the
+    /// fused optimizer, CUDA graphs nor ScaleFold's pipeline work.
+    pub fn fastfold(dap: usize) -> Self {
+        OptimizationSet {
+            triton_ln: true,
+            dap,
+            ..OptimizationSet::openfold()
+        }
+    }
+
     /// Everything ScaleFold ships, at DAP-8.
     pub fn scalefold() -> Self {
         OptimizationSet {
@@ -98,6 +126,43 @@ impl OptimizationSet {
             &sf_gpusim::DeviceSpec::h100(),
         );
         opts
+    }
+
+    /// The simulated cluster this set trains on: `dp` data-parallel groups
+    /// of DAP-`self.dap` `device`s (A100s on a SuperPOD fabric, anything
+    /// else on Eos). The loader flag picks the straggler model and
+    /// `disable_gc` its GC pauses; CUDA graphs, bf16 gradient
+    /// communication and the DAP degree come from the set. The fused
+    /// kernels are autotuned after sharding once both Triton kernels are
+    /// in (FastFold's own LayerNorm kernel alone is not).
+    pub fn cluster(&self, device: DeviceSpec, dp: usize) -> ClusterConfig {
+        let fabric = if device.name == "A100" {
+            FabricSpec::superpod_a100()
+        } else {
+            FabricSpec::eos()
+        };
+        let mut straggler = if self.nonblocking_loader {
+            StragglerModel::optimized()
+        } else {
+            StragglerModel::baseline()
+        };
+        straggler.gc_enabled = !self.disable_gc;
+        ClusterConfig {
+            device,
+            fabric,
+            cuda_graph: self.cuda_graph,
+            bf16_comm: self.bf16,
+            autotune: self.triton_mha && self.triton_ln,
+            straggler,
+            ..ClusterConfig::eos(dp, self.dap)
+        }
+    }
+
+    /// Simulated mean step time, seconds, of this set's graph for `cfg` on
+    /// [`OptimizationSet::cluster`], stragglers included, over [`STEPS`]
+    /// steps.
+    pub fn step_s(&self, cfg: &ModelConfig, device: DeviceSpec, dp: usize) -> f64 {
+        ClusterSim::new(&build_graph(cfg, self), self.cluster(device, dp)).mean_step_s(STEPS)
     }
 }
 
@@ -142,7 +207,7 @@ pub fn build_graph(cfg: &ModelConfig, opts: &OptimizationSet) -> StepGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_gpusim::{CpuModel, DeviceSpec};
+    use sf_gpusim::CpuModel;
     use sf_opgraph::profile::step_time;
 
     #[test]
@@ -191,6 +256,45 @@ mod tests {
             );
             last = t;
         }
+    }
+
+    #[test]
+    fn figure7_ordering_on_a100() {
+        // Paper: OpenFold 6.19 s, FastFold DAP-2 2.49 s, ScaleFold DAP-2
+        // 1.88 s — strict ordering OpenFold > FastFold > ScaleFold.
+        let cfg = ModelConfig::paper();
+        let step = |o: OptimizationSet| o.step_s(&cfg, DeviceSpec::a100(), 128);
+        let of = step(OptimizationSet::openfold());
+        let ff = step(OptimizationSet::fastfold(2));
+        let sf = step(OptimizationSet::scalefold_dap(2));
+        assert!(of > ff, "OpenFold {of:.2} must exceed FastFold {ff:.2}");
+        assert!(ff > sf, "FastFold {ff:.2} must exceed ScaleFold {sf:.2}");
+        // Magnitudes: within a factor ~2 of the published numbers.
+        assert!((3.0..14.0).contains(&of), "OpenFold A100 {of:.2}");
+        assert!((1.2..6.0).contains(&ff), "FastFold A100 {ff:.2}");
+        assert!((0.8..4.0).contains(&sf), "ScaleFold A100 {sf:.2}");
+    }
+
+    #[test]
+    fn figure7_scalefold_h100_dap_scaling() {
+        // Paper: H100 DAP-1/2/4/8 = 1.80 / 1.12 / 0.75 / 0.65 s
+        // (speedups 1.6x / 2.4x / 2.77x).
+        let cfg = ModelConfig::paper();
+        let t: Vec<f64> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&dap| OptimizationSet::scalefold_dap(dap).step_s(&cfg, DeviceSpec::h100(), 128))
+            .collect();
+        // Strictly improving with DAP degree.
+        assert!(t[1] < t[0] && t[2] < t[1] && t[3] < t[2], "{t:?}");
+        let s2 = t[0] / t[1];
+        let s8 = t[0] / t[3];
+        assert!((1.2..2.3).contains(&s2), "DAP-2 speedup {s2:.2}");
+        assert!((1.7..4.5).contains(&s8), "DAP-8 speedup {s8:.2}");
+        // Diminishing returns: DAP-8 gains less per doubling than DAP-2.
+        let s4 = t[0] / t[2];
+        assert!(s8 / s4 < s4 / s2 * 1.2, "s2 {s2:.2} s4 {s4:.2} s8 {s8:.2}");
+        // Magnitude: DAP-1 within a factor ~2 of the paper's 1.80 s.
+        assert!((0.9..4.5).contains(&t[0]), "DAP-1 {:.2}", t[0]);
     }
 
     #[test]

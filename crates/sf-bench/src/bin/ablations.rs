@@ -3,28 +3,25 @@
 //! straggler sensitivity, and the per-optimization contribution of the
 //! ScaleFold set (leave-one-out).
 
+use scalefold::optimizations::STEPS;
 use scalefold::{build_graph, OptimizationSet};
-use sf_cluster::{ClusterConfig, ClusterSim, StragglerModel};
+use sf_cluster::{ClusterConfig, ClusterSim};
 use sf_gpusim::DeviceSpec;
 use sf_model::ModelConfig;
 use sf_optim::{GradBuckets, Grads};
 use sf_tensor::Tensor;
 
-fn sim(opts: &OptimizationSet, mutate: impl FnOnce(&mut ClusterConfig)) -> f64 {
-    let cfg = ModelConfig::paper();
-    let graph = build_graph(&cfg, opts);
-    let mut cc = ClusterConfig::eos(128, opts.dap);
-    cc.cuda_graph = opts.cuda_graph;
-    cc.bf16_comm = opts.bf16;
-    cc.autotune = opts.triton_ln;
-    cc.straggler = if opts.nonblocking_loader {
-        StragglerModel::optimized()
-    } else {
-        StragglerModel::baseline()
-    };
-    cc.straggler.gc_enabled = !opts.disable_gc;
+/// `opts`'s step time on H100s at DP 128, priced like every figure.
+fn step(opts: &OptimizationSet) -> f64 {
+    opts.step_s(&ModelConfig::paper(), DeviceSpec::h100(), 128)
+}
+
+/// The reference model's step time with one knob of its cluster turned.
+fn reference_with(mutate: impl FnOnce(&mut ClusterConfig)) -> f64 {
+    let opts = OptimizationSet::none();
+    let mut cc = opts.cluster(DeviceSpec::h100(), 128);
     mutate(&mut cc);
-    ClusterSim::new(&graph, cc).mean_step_s(40)
+    ClusterSim::new(&build_graph(&ModelConfig::paper(), &opts), cc).mean_step_s(STEPS)
 }
 
 fn main() {
@@ -33,7 +30,7 @@ fn main() {
 
     // --- Leave-one-out over the optimization set -----------------------
     println!("leave-one-out (H100, DP 128 x DAP-8; higher delta = more important):");
-    let baseline = sim(&full, |_| {});
+    let baseline = step(&full);
     println!("  {:<28} {:>8.3} s", "all optimizations", baseline);
     type Toggle = Box<dyn Fn(&mut OptimizationSet)>;
     let ablations: Vec<(&str, Toggle)> = vec![
@@ -60,7 +57,7 @@ fn main() {
     for (name, apply) in ablations {
         let mut o = full;
         apply(&mut o);
-        let t = sim(&o, |_| {});
+        let t = step(&o);
         println!(
             "  {:<28} {:>8.3} s  (+{:>5.1}%)",
             name,
@@ -73,7 +70,7 @@ fn main() {
     println!();
     println!("DDP overlap fraction (reference model, DP 128):");
     for overlap in [0.0, 0.25, 0.5, 0.75, 0.95] {
-        let t = sim(&OptimizationSet::none(), |cc| cc.overlap_fraction = overlap);
+        let t = reference_with(|cc| cc.overlap_fraction = overlap);
         println!("  overlap {overlap:>4.2}: {t:>7.3} s/step");
     }
 
@@ -81,9 +78,7 @@ fn main() {
     println!();
     println!("blocking-loader workers (reference model):");
     for workers in [1usize, 2, 4, 8, 16] {
-        let t = sim(&OptimizationSet::none(), |cc| {
-            cc.straggler.data_workers = workers
-        });
+        let t = reference_with(|cc| cc.straggler.data_workers = workers);
         println!("  workers {workers:>2}: {t:>7.3} s/step");
     }
 
@@ -108,7 +103,7 @@ fn main() {
     println!("device sweep (full optimization set, DAP-8):");
     for dev in [DeviceSpec::a100(), DeviceSpec::h100()] {
         let name = dev.name.clone();
-        let t = sim(&full, move |cc| cc.device = dev);
+        let t = full.step_s(&ModelConfig::paper(), dev, 128);
         println!("  {name:<6}: {t:>7.3} s/step");
     }
 }

@@ -7,7 +7,9 @@
 //!
 //! `--check` additionally enforces the CI regression bounds: vectorized
 //! softmax must beat the seed scalar path and the fused attention kernel
-//! must not fall behind the composed chain.
+//! must not fall behind the composed chain. With `--check` the report is
+//! written only where `--out` names, so a check leaves the tracked
+//! baseline alone.
 
 use std::process::ExitCode;
 
@@ -17,7 +19,7 @@ fn main() -> ExitCode {
     sf_bench::banner("Kernel baseline");
 
     let mut threads = 0usize; // 0 = auto (SF_THREADS / core count)
-    let mut out = String::from("BENCH_kernels.json");
+    let mut out = None;
     let mut check = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -35,7 +37,7 @@ fn main() -> ExitCode {
             },
             "--out" => match args.get(i + 1) {
                 Some(path) => {
-                    out = path.clone();
+                    out = Some(path.clone());
                     i += 2;
                 }
                 None => {
@@ -59,11 +61,14 @@ fn main() -> ExitCode {
 
     let report = run(threads, BenchScale::Full);
     println!("{}", report.to_table());
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("error: failed to write {out}: {e}");
-        return ExitCode::FAILURE;
+    if out.is_some() || !check {
+        let out = out.unwrap_or_else(|| String::from("BENCH_kernels.json"));
+        if let Err(e) = std::fs::write(&out, report.to_json()) {
+            eprintln!("error: failed to write {out}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {out} ({} threads)", report.threads);
     }
-    println!("wrote {out} ({} threads)", report.threads);
     if check {
         match report.check_fused() {
             Ok(()) => println!("fused-kernel regression check passed"),

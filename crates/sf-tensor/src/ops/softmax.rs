@@ -8,7 +8,12 @@
 
 use crate::ops::vexp::{striped_max, vexp_shift_rows_sum};
 use crate::pool::{parallel_for, SendPtr};
+use crate::scratch::with_scratch;
 use crate::{Result, Tensor, TensorError};
+
+/// Elements per block of rows that [`softmax_inplace`] sweeps with all
+/// three passes before moving on (8 KiB: the block stays in L1).
+const BLOCK_ELEMS: usize = 2048;
 
 /// Numerically-stable softmax over the last axis.
 ///
@@ -39,13 +44,21 @@ pub fn softmax_inplace(x: &mut Tensor) -> Result<()> {
     }
     let rows = x.len() / inner;
     let ptr = SendPtr::new(x.data_mut());
-    // ~6 scalar ops per element: max scan, exp+sum, scale.
+    // ~6 scalar ops per element: max scan, exp+sum, scale. Each range
+    // runs the three passes over blocks of rows that stay in L1, so short
+    // rows take their exp 8 lanes wide across row boundaries; every element
+    // gets the bits of `softmax_row`.
     parallel_for(rows, inner * 6, |range| {
-        for r in range {
-            // SAFETY: row ranges from parallel_for are disjoint.
-            let row = unsafe { ptr.slice_mut(r * inner, inner) };
-            softmax_row(row);
-        }
+        let per_block = (BLOCK_ELEMS / inner).min(range.len()).max(1);
+        with_scratch(2 * per_block, |buf| {
+            let (maxes, sums) = buf.split_at_mut(per_block);
+            for start in range.clone().step_by(per_block) {
+                let n = per_block.min(range.end - start);
+                // SAFETY: row ranges from parallel_for are disjoint.
+                let block = unsafe { ptr.slice_mut(start * inner, n * inner) };
+                softmax_rows(block, &mut maxes[..n], &mut sums[..n]);
+            }
+        });
     });
     Ok(())
 }
@@ -68,12 +81,25 @@ pub fn masked_softmax(x: &Tensor, mask: &Tensor) -> Result<Tensor> {
 /// 8 lanes wide: striped max scan, [`vexp_shift_rows_sum`] on the one row
 /// (vectorized exp with a fixed-order striped sum), then the scale pass.
 pub fn softmax_row(row: &mut [f32]) {
-    let max = striped_max(row);
-    let mut sum = 0.0;
-    vexp_shift_rows_sum(row, &[max], std::slice::from_mut(&mut sum));
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
+    softmax_rows(row, &mut [0.0], &mut [0.0]);
+}
+
+/// The three passes over a block of `maxes.len()` equal rows: every row's
+/// striped max, one [`vexp_shift_rows_sum`] over the whole block, then
+/// each row's scale by `1 / sum`. Per element the same arithmetic at any
+/// block size.
+fn softmax_rows(block: &mut [f32], maxes: &mut [f32], sums: &mut [f32]) {
+    // An empty row still needs a nonzero chunk size.
+    let inner = (block.len() / maxes.len()).max(1);
+    for (m, row) in maxes.iter_mut().zip(block.chunks_exact(inner)) {
+        *m = striped_max(row);
+    }
+    vexp_shift_rows_sum(block, maxes, sums);
+    for (row, &sum) in block.chunks_exact_mut(inner).zip(sums.iter()) {
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
     }
 }
 

@@ -162,6 +162,36 @@ fn large_softmax_is_bit_identical() {
     identical_across_threads(|| softmax::softmax(&x).unwrap());
 }
 
+/// `softmax` runs its passes over each thread's whole block of rows; every
+/// element must carry the bits of the one-row kernel `softmax_row`, at
+/// widths below, at and across the 8-lane width, with enough rows that 4
+/// threads split the block.
+#[test]
+fn block_softmax_matches_per_row_bitwise() {
+    let prev = pool::num_threads();
+    for inner in [1usize, 7, 8, 15, 40] {
+        // Past the serial cutoff at ~6 ops per element, and an odd row
+        // count so the thread ranges differ in length.
+        let rows = pool::SERIAL_THRESHOLD / (6 * inner) + 37;
+        let x = Tensor::randn(&[rows, inner], inner as u64).mul_scalar(8.0);
+        let mut expected = x.data().to_vec();
+        for row in expected.chunks_exact_mut(inner) {
+            softmax::softmax_row(row);
+        }
+        for threads in [1, 4] {
+            pool::set_num_threads(threads);
+            let got = softmax::softmax(&x).unwrap();
+            let same = got
+                .data()
+                .iter()
+                .zip(&expected)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "width {inner} at {threads} threads");
+        }
+    }
+    pool::set_num_threads(prev);
+}
+
 #[test]
 fn large_attention_is_bit_identical() {
     let q = Tensor::randn(&[4, 4, 64, 16], 11);

@@ -2,7 +2,9 @@
 //! ratios, and crossovers must match the paper (absolute values are
 //! simulator-scale; see EXPERIMENTS.md).
 
-use scalefold::experiments;
+use scalefold::{experiments, OptimizationSet};
+use sf_gpusim::DeviceSpec;
+use sf_model::ModelConfig;
 
 #[test]
 fn table1_reproduces_kernel_breakdown_shape() {
@@ -178,4 +180,40 @@ fn scaling_reproduces_headline_claim() {
     // ...while scaling efficiency decays at the largest scales (DAP is
     // sub-linear — the honest part of the claim).
     assert!(sf.last().expect("points").efficiency < 0.8);
+}
+
+/// The ScaleFold DAP-8 setup on 128-way DP H100s is priced in one place:
+/// Figure 7's DAP-8 row, Figure 11's phase 1 and Figure 8's last rung read
+/// the identical step time, and the CLI's `simulate 8` and `tradeoff` both
+/// print it (the full set on its own cluster, not the reference cluster).
+#[test]
+fn one_setup_one_number() {
+    let cfg = ModelConfig::paper();
+    let step = OptimizationSet::scalefold_dap(8).step_s(&cfg, DeviceSpec::h100(), 128);
+    assert!((0.3..1.0).contains(&step), "ScaleFold step {step} s");
+    let fig7 = experiments::fig7();
+    assert_eq!(fig7.h100[3].0, "ScaleFold DAP-8");
+    let ladder = scalefold::ladder_stages(&cfg);
+    for (place, t) in [
+        ("Figure 7", fig7.h100[3].1),
+        ("Figure 11 phase 1", experiments::fig11().phase_step_s.0),
+        (
+            "Figure 8 last rung",
+            ladder.last().expect("rungs").h100_step_s,
+        ),
+    ] {
+        assert_eq!(t.to_bits(), step.to_bits(), "{place}: {t} vs {step}");
+    }
+    for args in [["simulate", "8"], ["tradeoff", "2000"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scalefold"))
+            .args(args)
+            .output()
+            .expect("spawn scalefold binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed = format!("{step:.3} s/step");
+        assert!(
+            out.status.success() && stdout.contains(&printed),
+            "scalefold {args:?} must print {printed}: {stdout}"
+        );
+    }
 }
